@@ -1,24 +1,5 @@
-"""Build script: compiles the optional scalar-kernel extension.
+"""Build script; the package metadata is in pyproject.toml."""
 
-The extension is compiled from the committed `_ckernels.c`, generated from
-`_ckernels.pyx` by Cython, so a build needs only a C compiler and the Python
-headers. The package works without the extension (a pure-Python twin is
-selected at import time); set FRACLIFT_NO_EXT=1 to skip compilation entirely.
-"""
+from setuptools import setup
 
-import os
-
-from setuptools import Extension, setup
-
-ext_modules = []
-if os.environ.get("FRACLIFT_NO_EXT", "0") != "1":
-    ext_modules.append(
-        Extension(
-            "fraclift._kernels._ckernels",
-            sources=["src/fraclift/_kernels/_ckernels.c"],
-            extra_compile_args=["-O3"],
-            optional=True,
-        )
-    )
-
-setup(ext_modules=ext_modules)
+setup()

@@ -6,12 +6,10 @@ Gamma poles. The lifted route (lift_gen / embed -> shift -> project) turns
 differentiation into exact offset arithmetic that commutes unconditionally,
 and reproduces the termwise operator wherever the latter is defined.
 
-Hot scalar kernels (log-Gamma, Gamma ratios, term evaluation) run on a
-compiled backend when available; `fraclift.KERNEL_BACKEND` names the one in
-use ("c" or "python").
+The Gamma kernel is pure Python (fraclift.gamma); `fraclift.KERNEL_BACKEND`
+names it, for reports that record which kernel produced their numbers.
 """
 
-from ._kernels import BACKEND as KERNEL_BACKEND
 from .coeffseq import (
     CoeffSeq,
     GenSeries,
@@ -20,8 +18,6 @@ from .coeffseq import (
     int_derivative,
     lift_jet,
     monomial,
-    seq_add,
-    seq_scale,
     series_eval,
     series_from_json,
     series_to_json,
@@ -34,6 +30,7 @@ from .errors import (
     FracliftError,
     GammaOverflowError,
     GammaPoleError,
+    InputError,
     LatticeError,
     OracleError,
     ParseError,
@@ -60,5 +57,7 @@ from .lifted import (
 from .oracle import EvalTable, QuadratureConfig, compare, rl_oracle
 from .parser import parse, to_series, to_text
 from .rl import rl_kernel_predicate, rl_series, rl_term
+
+KERNEL_BACKEND = "python"
 
 __version__ = "0.1.0"

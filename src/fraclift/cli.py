@@ -20,17 +20,20 @@ import argparse
 import sys
 
 from . import config
-from .coeffseq import GenSeries, series_eval, series_from_json, series_to_json
+from .coeffseq import (
+    GenSeries,
+    finite_float,
+    fmt17,
+    series_eval,
+    series_from_json,
+    series_to_json,
+)
 from .errors import FracliftError
 from .lifted import lift_gen, lifted_from_json, lifted_to_json, project, shift
 from .oracle import QuadratureConfig, compare
 from .parser import to_series
 from .rl import rl_kernel_predicate, rl_series
 from .verify import SUITES, run_suites
-
-
-def _num(v):
-    return format(float(v), ".17g")
 
 
 def _pretty_num(v):
@@ -58,7 +61,7 @@ def _pretty_series(f: GenSeries) -> str:
 def _series_csv(f: GenSeries) -> str:
     lines = ["exp,coef"]
     for e, c in f.terms:
-        lines.append("%s,%s" % (_num(e), _num(c)))
+        lines.append("%s,%s" % (fmt17(e), fmt17(c)))
     return "\n".join(lines) + "\n"
 
 
@@ -81,7 +84,7 @@ def _add_input_opts(p):
     p.add_argument("--expr", help="expression, e.g. 'x^2 + 3*x' or '(x-0)^(-0.5)'")
     p.add_argument("--series-file",
                    help="series JSON file path ('-' for stdin)")
-    p.add_argument("--basepoint", type=float, default=0.0,
+    p.add_argument("--basepoint", type=finite_float, default=0.0,
                    help="expansion base point (default 0)")
     p.add_argument("--order", type=int, default=16,
                    help="jet truncation order for transcendental input (default 16)")
@@ -113,24 +116,24 @@ def cmd_deriv(args):
             ca = direct.coefficient(e)
             cb = other.coefficient(e)
             worst = max(worst, abs(ca - cb))
-            print("%s,%s,%s,%s" % (_num(e), _num(ca), _num(cb), _num(abs(ca - cb))))
-        print("# max abs diff %s" % _num(worst))
+            print("%s,%s,%s,%s" % (fmt17(e), fmt17(ca), fmt17(cb), fmt17(abs(ca - cb))))
+        print("# max abs diff %s" % fmt17(worst))
         return 0
 
     result = rl_series(f, k) if args.via == "rl" else lifted_path()
 
     if args.format == "json":
         killed_json = ", ".join(
-            '{"exp": %s, "coef": %s, "kernel_arg": %s}' % (_num(e), _num(c), _num(r))
+            '{"exp": %s, "coef": %s, "kernel_arg": %s}' % (fmt17(e), fmt17(c), fmt17(r))
             for e, c, r in killed)
         values = ""
         if args.at:
             values = ", ".join(
-                '{"x": %s, "value": %s}' % (_num(x), _num(series_eval(result, x)))
+                '{"x": %s, "value": %s}' % (fmt17(x), fmt17(series_eval(result, x)))
                 for x in args.at)
         print('{"k": %s, "via": "%s", "series": %s, '
               '"annihilated": [%s], "values": [%s]}'
-              % (_num(k), args.via, series_to_json(result), killed_json, values))
+              % (fmt17(k), args.via, series_to_json(result), killed_json, values))
     elif args.format == "csv":
         sys.stdout.write(_series_csv(result))
     else:
@@ -202,8 +205,8 @@ def cmd_oracle_compare(args):
     if args.format == "json":
         rows = ", ".join(
             '{"x": %s, "termwise": %s, "oracle": %s, "abs_diff": %s}'
-            % tuple(_num(v) for v in row) for row in table.rows)
-        print('{"k": %s, "rows": [%s]}' % (_num(args.k), rows))
+            % tuple(fmt17(v) for v in row) for row in table.rows)
+        print('{"k": %s, "rows": [%s]}' % (fmt17(args.k), rows))
     else:
         sys.stdout.write(table.to_csv())
     return 0
@@ -212,9 +215,10 @@ def cmd_oracle_compare(args):
 def cmd_kernel_check(args):
     f = _load_series(args)
     k = args.k
+    killed = {e for e, _, _ in _annihilated(f, k)}
     for e, c in f.terms:
         arg = e + 1.0 - k
-        if rl_kernel_predicate(e, k):
+        if e in killed:
             print("term %s * x^%s: ANNIHILATED (alpha+1-k = %s, nonpositive integer)"
                   % (_pretty_num(c), _pretty_num(e), _pretty_num(arg)))
         else:
@@ -228,15 +232,15 @@ def build_parser():
         prog="fraclift",
         description="Fractional derivatives of generalized power series, "
                     "termwise or through the commuting lifted shift.")
-    ap.add_argument("--tol", type=float, default=None,
+    ap.add_argument("--tol", type=finite_float, default=None,
                     help="integer-detection tolerance override "
                          "(also FRACLIFT_TOL)")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("deriv", help="differintegrate an expression or series")
     _add_input_opts(p)
-    p.add_argument("--k", type=float, required=True, help="order (real)")
-    p.add_argument("--at", type=float, action="append",
+    p.add_argument("--k", type=finite_float, required=True, help="order (real)")
+    p.add_argument("--at", type=finite_float, action="append",
                    help="evaluation point (repeatable)")
     p.add_argument("--via", choices=("rl", "lifted"), default="rl")
     p.add_argument("--compare-paths", action="store_true",
@@ -247,14 +251,14 @@ def build_parser():
 
     p = sub.add_parser("lift", help="lift input to the shifted-lattice form")
     _add_input_opts(p)
-    p.add_argument("--k", type=float, default=0.0,
+    p.add_argument("--k", type=finite_float, default=0.0,
                    help="apply a shift after lifting")
     p.set_defaults(fn=cmd_lift)
 
     p = sub.add_parser("project", help="project a lifted JSON file to a series")
     p.add_argument("--lifted-file", required=True,
                    help="lifted JSON path ('-' for stdin)")
-    p.add_argument("--k", type=float, default=0.0,
+    p.add_argument("--k", type=finite_float, default=0.0,
                    help="apply a shift before projecting")
     p.add_argument("--format", choices=("pretty", "json"), default="json")
     p.set_defaults(fn=cmd_project)
@@ -265,18 +269,18 @@ def build_parser():
     p.add_argument("--order", type=int, default=16)
     p.add_argument("--trials", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--perturb-gamma", type=float, default=0.0,
+    p.add_argument("--perturb-gamma", type=finite_float, default=0.0,
                    help="test hook: multiply nonzero gamma ratios by (1+eps)")
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("oracle-compare",
                        help="termwise vs. quadrature oracle table")
     _add_input_opts(p)
-    p.add_argument("--k", type=float, required=True)
-    p.add_argument("--at", type=float, action="append", required=True)
-    p.add_argument("--abs-tol", type=float, default=1e-9)
-    p.add_argument("--rel-tol", type=float, default=1e-8)
-    p.add_argument("--fd-step", type=float, default=1e-3)
+    p.add_argument("--k", type=finite_float, required=True)
+    p.add_argument("--at", type=finite_float, action="append", required=True)
+    p.add_argument("--abs-tol", type=finite_float, default=1e-9)
+    p.add_argument("--rel-tol", type=finite_float, default=1e-8)
+    p.add_argument("--fd-step", type=finite_float, default=1e-3)
     p.add_argument("--max-subdivisions", type=int, default=256)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(fn=cmd_oracle_compare)
@@ -284,7 +288,7 @@ def build_parser():
     p = sub.add_parser("kernel-check",
                        help="evaluate the kernel predicate per term")
     _add_input_opts(p)
-    p.add_argument("--k", type=float, required=True)
+    p.add_argument("--k", type=finite_float, required=True)
     p.set_defaults(fn=cmd_kernel_check)
     return ap
 

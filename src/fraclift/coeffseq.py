@@ -23,11 +23,12 @@ import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from . import _kernels, config
+from . import config
 from .errors import (
     BasepointError,
     EvalDomainError,
     ExponentError,
+    InputError,
     LatticeError,
 )
 from .gamma import gamma, recip_gamma
@@ -38,8 +39,33 @@ class Term(NamedTuple):
     coefficient: float
 
 
-def _fmt(v):
+def fmt17(v):
+    """A float with 17 significant digits, which reads back exactly: the
+    number format of every machine-readable output."""
     return format(float(v), ".17g")
+
+
+def read_json(text, what, read):
+    """read(doc) for the JSON document in text. Malformed JSON, a missing
+    field or a value of the wrong type raises InputError naming what."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise InputError("%s JSON: %s" % (what, exc)) from None
+    try:
+        return read(doc)
+    except KeyError as exc:
+        raise InputError("%s JSON lacks the field %s" % (what, exc)) from None
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InputError("malformed %s JSON: %s" % (what, exc)) from None
+
+
+def finite_float(v):
+    """float(v), refusing infinities and NaN with ValueError."""
+    x = float(v)
+    if not math.isfinite(x):
+        raise ValueError("not a finite number: %r" % (v,))
+    return x
 
 
 def _congruent_mod_1(a, b, tol):
@@ -105,14 +131,6 @@ class CoeffSeq:
             raise ExponentError("sequence shift requires an integer order")
         k = int(k)
         return CoeffSeq(self.basepoint, {i - k: v for i, v in self.entries.items()})
-
-
-def seq_add(a: CoeffSeq, b: CoeffSeq) -> CoeffSeq:
-    return a + b
-
-
-def seq_scale(c: float, a: CoeffSeq) -> CoeffSeq:
-    return c * a
 
 
 @dataclass(frozen=True)
@@ -257,24 +275,42 @@ def lift_jet(f: GenSeries, tol=None) -> CoeffSeq:
 def series_eval(f: GenSeries, x) -> float:
     """Evaluate sum of coefficient*(x-a)^exponent.
 
-    Non-integer exponents require x > a; negative exponents require x != a."""
+    Non-integer exponents require x > a; negative exponents require x != a.
+    At x <= a an exponent within int_tol of an integer is evaluated at that
+    integer."""
     x = float(x)
     dx = x - f.basepoint
+    terms = f.terms
+    if dx <= 0.0:
+        terms = _integer_terms(f, x, dx)
+    total = 0.0
+    try:
+        for e, c in terms:
+            total += c * math.pow(dx, e)
+    except OverflowError:
+        raise EvalDomainError(
+            "series value at x=%r exceeds double range" % x) from None
+    return total
+
+
+def _integer_terms(f, x, dx):
+    # the terms with each exponent rounded to its integer; at dx <= 0 no
+    # other exponent is defined, and at dx == 0 no negative one
     tol = config.int_tol
-    for e, _ in f.terms:
-        integral = abs(e - math.floor(e + 0.5)) <= tol
-        if not integral and dx <= 0.0:
+    out = []
+    for e, c in f.terms:
+        r = math.floor(e + 0.5)
+        if abs(e - r) > tol:
             raise EvalDomainError(
                 "non-integer exponent %r needs x > basepoint (x=%r, a=%r)"
                 % (e, x, f.basepoint)
             )
-        if e < 0.0 and dx == 0.0:
+        if r < 0 and dx == 0.0:
             raise EvalDomainError(
                 "negative exponent %r undefined at the base point" % e
             )
-    exps = [e for e, _ in f.terms]
-    coefs = [c for _, c in f.terms]
-    return _kernels.impl.eval_terms(dx, exps, coefs)
+        out.append((float(r), c))
+    return out
 
 
 def int_derivative(f: GenSeries, n: int = 1) -> GenSeries:
@@ -314,12 +350,16 @@ def series_to_json(f: GenSeries) -> str:
     """Canonical JSON: {"basepoint": a, "terms": [{"exp": e, "coef": c}...]},
     exponent-sorted, 17 significant digits."""
     parts = ", ".join(
-        '{"exp": %s, "coef": %s}' % (_fmt(e), _fmt(c)) for e, c in f.terms
+        '{"exp": %s, "coef": %s}' % (fmt17(e), fmt17(c)) for e, c in f.terms
     )
-    return '{"basepoint": %s, "terms": [%s]}' % (_fmt(f.basepoint), parts)
+    return '{"basepoint": %s, "terms": [%s]}' % (fmt17(f.basepoint), parts)
 
 
 def series_from_json(text: str) -> GenSeries:
-    doc = json.loads(text)
-    terms = tuple(Term(float(t["exp"]), float(t["coef"])) for t in doc["terms"])
-    return GenSeries(float(doc["basepoint"]), terms)
+    """Inverse of series_to_json; malformed input raises InputError."""
+    def read(doc):
+        terms = tuple(Term(finite_float(t["exp"]), finite_float(t["coef"]))
+                      for t in doc["terms"])
+        return GenSeries(finite_float(doc["basepoint"]), terms)
+
+    return read_json(text, "series", read)

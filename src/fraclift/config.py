@@ -4,7 +4,6 @@ FRACLIFT_TOL            integer-detection tolerance (pole tests, lattice
                         congruence); default 1e-9
 FRACLIFT_GAMMA_PERTURB  test hook: multiply every nonzero gamma-ratio by
                         (1 + eps); default 0 (off)
-FRACLIFT_PURE_PYTHON    set to 1 to force the pure-Python kernel backend
 """
 
 import os

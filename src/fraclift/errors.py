@@ -49,6 +49,11 @@ class ParseError(FracliftError):
         self.column = column
 
 
+class InputError(FracliftError):
+    """Series or lifted-sequence JSON that does not parse, lacks a field, or
+    holds a value of the wrong type."""
+
+
 class ExpansionError(FracliftError):
     """Expression cannot be expanded into a single-lattice series at the
     requested base point."""

@@ -20,20 +20,15 @@ inverts projection on series without negative-integer exponents.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import coeffseq as cs
 from . import config
-from .coeffseq import CoeffSeq, GenSeries, Term
+from .coeffseq import CoeffSeq, GenSeries, Term, finite_float, fmt17, read_json
 from .errors import BasepointError, ExponentError
 from .gamma import gamma, recip_gamma
-
-
-def _fmt(v):
-    return format(float(v), ".17g")
 
 
 @dataclass(frozen=True)
@@ -122,12 +117,15 @@ def project(obj) -> GenSeries:
     With offset 0 this is exactly the sequence projection."""
     if isinstance(obj, CoeffSeq):
         return cs.project(obj)
+    # offset p/q: index j has t + 1 = num/q with num = (j+1)q - p, and the
+    # int/int divisions round exactly as float(Fraction) would
+    p, q = obj.offset.numerator, obj.offset.denominator
     terms = []
     for j, v in obj.values.items():
-        arg = Fraction(j) + 1 - obj.offset
-        r = recip_gamma(float(arg))
+        num = (j + 1) * q - p
+        r = recip_gamma(num / q)
         if r != 0.0:
-            terms.append(Term(float(arg - 1), v * r))
+            terms.append(Term((num - q) / q, v * r))
     return GenSeries(obj.basepoint, tuple(terms))
 
 
@@ -156,15 +154,23 @@ def lifted_to_json(rho: LiftedSeq) -> str:
     """Canonical JSON: {"basepoint": a, "offset": k, "values":
     [{"index": j, "value": v}...]}, index-sorted, 17 significant digits."""
     parts = ", ".join(
-        '{"index": %d, "value": %s}' % (j, _fmt(v))
+        '{"index": %d, "value": %s}' % (j, fmt17(v))
         for j, v in sorted(rho.values.items())
     )
     return '{"basepoint": %s, "offset": %s, "values": [%s]}' % (
-        _fmt(rho.basepoint), _fmt(rho.offset_float), parts)
+        fmt17(rho.basepoint), fmt17(rho.offset_float), parts)
 
 
 def lifted_from_json(text: str) -> LiftedSeq:
-    doc = json.loads(text)
-    values = {int(v["index"]): float(v["value"]) for v in doc["values"]}
-    return LiftedSeq(float(doc["basepoint"]),
-                     Fraction(float(doc["offset"])), values)
+    """Inverse of lifted_to_json; malformed input raises InputError."""
+    def read(doc):
+        values = {}
+        for v in doc["values"]:
+            j = v["index"]
+            if j != int(j):
+                raise ValueError("index %r is not an integer" % (j,))
+            values[int(j)] = finite_float(v["value"])
+        return LiftedSeq(finite_float(doc["basepoint"]),
+                         Fraction(finite_float(doc["offset"])), values)
+
+    return read_json(text, "lifted", read)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from scipy import integrate
 
 from . import config
-from .coeffseq import GenSeries, series_eval
+from .coeffseq import GenSeries, fmt17, series_eval
 from .errors import EvalDomainError, OracleError, TruncationError
 from .rl import rl_series
 
@@ -140,7 +140,7 @@ class EvalTable:
     def to_csv(self) -> str:
         out = ["x,termwise,oracle,abs_diff"]
         for x, tv, ov, d in self.rows:
-            out.append(",".join(format(v, ".17g") for v in (x, tv, ov, d)))
+            out.append(",".join(fmt17(v) for v in (x, tv, ov, d)))
         return "\n".join(out) + "\n"
 
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import config
-from .coeffseq import GenSeries, Term
+from .coeffseq import GenSeries, Term, _congruent_mod_1
 from .errors import ExpansionError, LatticeError, ParseError
 
 _INTRINSICS = ("exp", "sin", "cos")
@@ -332,10 +332,7 @@ def _check_lattice(exps):
     exps = sorted(exps)
     tol = config.int_tol
     for e in exps[1:]:
-        d = math.fmod(e - exps[0], 1.0)
-        if d < 0.0:
-            d += 1.0
-        if d > tol and 1.0 - d > tol:
+        if not _congruent_mod_1(e, exps[0], tol):
             raise LatticeError(
                 "exponents %r and %r lie on different lattices" % (exps[0], e))
 

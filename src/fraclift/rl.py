@@ -28,12 +28,13 @@ def rl_kernel_predicate(alpha, k, tol=None) -> bool:
     return is_pole(alpha + 1.0 - k, t) and not is_pole(alpha + 1.0, t)
 
 
-def rl_term(b, alpha, k, basepoint=0.0, tol=None):
+def rl_term(b, alpha, k, tol=None):
     """Order-k differintegral of a single power term.
 
     Returns the resulting Term, or None when the term is kernel-annihilated.
     Raises GammaPoleError when alpha is a negative integer and k is not an
-    integer (numerator pole; undefined coefficient)."""
+    integer (numerator pole; undefined coefficient), and GammaOverflowError
+    when the coefficient's Gamma ratio exceeds double range."""
     ratio = gamma_ratio(alpha + 1.0, alpha + 1.0 - k, tol)
     if ratio == 0.0:
         return None
@@ -46,7 +47,7 @@ def rl_series(f: GenSeries, k, tol=None) -> GenSeries:
     k = float(k)
     terms = []
     for e, c in f.terms:
-        t = rl_term(c, e, k, f.basepoint, tol)
+        t = rl_term(c, e, k, tol)
         if t is not None:
             terms.append(t)
     order = None if f.truncation_order is None else f.truncation_order - k

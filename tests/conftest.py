@@ -1,11 +1,3 @@
-import importlib.util
-import os
-import shutil
-import subprocess
-import sys
-import sysconfig
-from pathlib import Path
-
 import pytest
 
 from fraclift import config
@@ -18,60 +10,6 @@ def _restore_config():
     yield
     config.int_tol = tol
     config.gamma_perturb = perturb
-
-
-def _missing_toolchain():
-    """Why no C extension can be compiled on this machine, or None."""
-    cc = (sysconfig.get_config_var("CC") or "").split()
-    if not cc or shutil.which(cc[0]) is None:
-        return "C compiler %r not on PATH" % " ".join(cc)
-    include = sysconfig.get_paths()["include"]
-    if not os.path.isfile(os.path.join(include, "Python.h")):
-        return "Python.h not found in %s" % include
-    return None
-
-
-@pytest.fixture(scope="session")
-def compiled_kernels(tmp_path_factory):
-    """The compiled kernel module, built by this repo's setup.py into a
-    temporary directory (the source tree is never written).
-
-    Skips only when the machine lacks a C toolchain. A build that finishes
-    without producing the extension fails: `optional=True` turns compile
-    errors into warnings, so the build output is shown in the message.
-    """
-    reason = _missing_toolchain()
-    if reason:
-        pytest.skip(reason)
-    out = tmp_path_factory.mktemp("ckernels")
-    lib = out / "lib"
-    env = {k: v for k, v in os.environ.items() if k != "FRACLIFT_NO_EXT"}
-    proc = subprocess.run(
-        [sys.executable, "setup.py", "build_ext",
-         "--build-lib", str(lib), "--build-temp", str(out / "temp")],
-        cwd=Path(__file__).resolve().parent.parent, env=env,
-        capture_output=True, text=True)
-    ext_dir = lib / "fraclift" / "_kernels"
-    expected = ext_dir / ("_ckernels" + sysconfig.get_config_var("EXT_SUFFIX"))
-    built = sorted(ext_dir.glob("_ckernels*"))
-    assert proc.returncode == 0 and built == [expected], (
-        "compiled kernel extension failed to build (exit %d, produced %s)\n"
-        "--- stdout ---\n%s\n--- stderr ---\n%s"
-        % (proc.returncode, [str(p) for p in built], proc.stdout, proc.stderr))
-
-    # the extension imports fraclift.errors, so fraclift must come first
-    import fraclift  # noqa: F401
-
-    name = "fraclift._kernels._ckernels"
-    spec = importlib.util.spec_from_file_location(name, expected)
-    mod = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(mod)
-    # Cython's module init registers itself in sys.modules when the name is
-    # free; drop that so the rest of the suite sees the same backend
-    # whatever order the tests run in
-    if sys.modules.get(name) is mod:
-        del sys.modules[name]
-    return mod
 
 
 def assert_series_close(f, g, rel=1e-12, exp_tol=1e-9):

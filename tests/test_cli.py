@@ -94,6 +94,17 @@ class TestLiftProject:
                              str(lifted_path), "--format", "pretty")
         assert "x^0.5" in out2
 
+    def test_malformed_files_are_usage_errors(self, capsys, tmp_path):
+        empty = tmp_path / "empty.json"
+        empty.write_text("")
+        no_coef = tmp_path / "no_coef.json"
+        no_coef.write_text('{"basepoint": 0, "terms": [{"exp": 0.5}]}')
+        for argv in (("project", "--lifted-file", str(empty)),
+                     ("deriv", "--series-file", str(no_coef), "--k", "0.5")):
+            code, _, err = run_cli(capsys, *argv)
+            assert code == 2
+            assert err.startswith("error: ")
+
 
 class TestVerify:
     def test_gamma_suite_passes(self, capsys):
@@ -153,16 +164,16 @@ class TestProcessLevel:
             capture_output=True, text=True, env=env)
         assert proc.stdout.strip() == "0.001"
 
-    def test_pure_python_backend_selectable(self):
-        env = dict(os.environ, FRACLIFT_PURE_PYTHON="1")
-        proc = subprocess.run(
-            [sys.executable, "-c",
-             "import fraclift; print(fraclift.KERNEL_BACKEND)"],
-            capture_output=True, text=True, env=env)
-        assert proc.stdout.strip() == "python"
-
     def test_usage_error_exit_code(self):
         proc = subprocess.run(
             [sys.executable, "-m", "fraclift", "deriv", "--expr", "x"],
             capture_output=True, text=True)
         assert proc.returncode == 2
+
+    def test_non_finite_flags_are_usage_errors(self):
+        for argv in (["--k", "nan"], ["--k", "inf"], ["--k", "0.5", "--at=-inf"]):
+            proc = subprocess.run(
+                [sys.executable, "-m", "fraclift", "deriv", "--expr", "x"] + argv,
+                capture_output=True, text=True)
+            assert proc.returncode == 2
+            assert "finite" in proc.stderr and "Traceback" not in proc.stderr

@@ -13,8 +13,6 @@ from fraclift.coeffseq import (
     lift_jet,
     monomial,
     project,
-    seq_add,
-    seq_scale,
     series_eval,
     series_from_json,
     series_to_json,
@@ -23,18 +21,20 @@ from fraclift.errors import (
     BasepointError,
     EvalDomainError,
     ExponentError,
+    InputError,
     LatticeError,
 )
+from fraclift.rl import rl_series
 
 
 class TestCoeffSeq:
     def test_add_identity(self):
         s = CoeffSeq(0.0, {0: 1.0, 1: 2.0})
-        assert seq_add(s, CoeffSeq(0.0, {})) == s
+        assert s + CoeffSeq(0.0, {}) == s
 
     def test_scale_zero(self):
         s = CoeffSeq(0.0, {2: 3.0, -1: 4.0})
-        assert seq_scale(0.0, s).is_zero
+        assert (0.0 * s).is_zero
 
     def test_pointwise_add(self):
         a = CoeffSeq(0.0, {0: 1.0, 1: 2.0})
@@ -141,6 +141,15 @@ class TestSeriesEval:
         f = GenSeries(0.0, (Term(3.0, 1.0),))
         assert series_eval(f, -2.0) == -8.0
 
+    def test_near_integer_exponent_below_basepoint(self):
+        # three derivatives of order 1/3 leave x^2 at exponent
+        # 1.0000000000000002, an integer within int_tol
+        f = GenSeries(0.0, (Term(2.0, 1.0),))
+        for _ in range(3):
+            f = rl_series(f, 1.0 / 3.0)
+        assert f.exponents() != [1.0]
+        assert series_eval(f, -0.5) == pytest.approx(-1.0, rel=1e-12)
+
     def test_evaluation_at_basepoint(self):
         f = GenSeries(1.0, (Term(0.0, 5.0), Term(2.0, 3.0)))
         assert series_eval(f, 1.0) == 5.0
@@ -178,3 +187,11 @@ class TestJson:
     def test_deterministic(self):
         f = GenSeries(0.0, (Term(3.0, 1 / 3), Term(0.0, math.pi)))
         assert series_to_json(f) == series_to_json(f)
+
+    def test_malformed_input_raises_input_error(self):
+        for text in ('', '{"basepoint": 0}', '{"basepoint": 0, "terms": 3}',
+                     '{"basepoint": 0, "terms": [{"exp": "a", "coef": 1}]}',
+                     '{"basepoint": 0, "terms": [{"exp": NaN, "coef": 1}]}',
+                     '{"basepoint": Infinity, "terms": []}'):
+            with pytest.raises(InputError):
+                series_from_json(text)

@@ -181,3 +181,10 @@ def test_is_pole_tolerance_and_env_override():
     assert not is_pole(-2.0 + 1e-8)
     config.int_tol = 1e-6
     assert is_pole(-2.0 + 1e-8)
+
+
+def test_ratio_overflow_raises():
+    # exact-integer path, joint pole limit, and log-space path
+    for p, q in ((200.0, 1.0), (-1.0, -200.0), (200.5, 1.5)):
+        with pytest.raises(GammaOverflowError):
+            gamma_ratio(p, q)

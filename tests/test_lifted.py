@@ -6,7 +6,7 @@ import pytest
 
 from conftest import assert_series_close
 from fraclift.coeffseq import CoeffSeq, GenSeries, Term, lift_jet, monomial
-from fraclift.errors import BasepointError, ExponentError
+from fraclift.errors import BasepointError, ExponentError, InputError
 from fraclift.lifted import (
     LiftedSeq,
     embed,
@@ -169,3 +169,12 @@ class TestLiftedJson:
     def test_deterministic(self):
         rho = shift(embed(CoeffSeq(0.0, {3: math.pi, -1: 1 / 3})), math.pi / 3)
         assert lifted_to_json(rho) == lifted_to_json(rho)
+
+    def test_malformed_input_raises_input_error(self):
+        for text in ('', '{"basepoint": 0, "offset": 0.5}',
+                     '{"basepoint": 0, "offset": 0.5, '
+                     '"values": [{"index": 1.5, "value": 1}]}',
+                     '{"basepoint": 0, "offset": 0.5, '
+                     '"values": [{"index": Infinity, "value": 1}]}'):
+            with pytest.raises(InputError):
+                lifted_from_json(text)
