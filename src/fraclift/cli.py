@@ -36,6 +36,15 @@ from .rl import rl_kernel_predicate, rl_series
 from .verify import SUITES, run_suites
 
 
+def jet_order(v):
+    """int(v) for a jet order, refusing negatives."""
+    n = int(v)
+    if n < 0:
+        raise argparse.ArgumentTypeError(
+            "jet order must be a nonnegative integer, got %r" % v)
+    return n
+
+
 def _pretty_num(v):
     return format(float(v), ".12g")
 
@@ -86,7 +95,7 @@ def _add_input_opts(p):
                    help="series JSON file path ('-' for stdin)")
     p.add_argument("--basepoint", type=finite_float, default=0.0,
                    help="expansion base point (default 0)")
-    p.add_argument("--order", type=int, default=16,
+    p.add_argument("--order", type=jet_order, default=16,
                    help="jet truncation order for transcendental input (default 16)")
 
 
@@ -266,7 +275,7 @@ def build_parser():
     p = sub.add_parser("verify", help="run identity suites")
     p.add_argument("--suite", default="all",
                    choices=tuple(SUITES) + ("all",))
-    p.add_argument("--order", type=int, default=16)
+    p.add_argument("--order", type=jet_order, default=16)
     p.add_argument("--trials", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--perturb-gamma", type=finite_float, default=0.0,

@@ -155,8 +155,10 @@ def gamma(x, tol=None):
 
 def recip_gamma(x, tol=None):
     """1/Gamma(x), the entire extension: exactly 0.0 at every nonpositive
-    integer. Never raises."""
+    integer. Never raises: +inf gives 0.0, -inf and NaN give NaN."""
     x = float(x)
+    if not math.isfinite(x):
+        return 0.0 if x > 0.0 else math.nan
     if x == math.floor(x):
         n = int(x)
         if n <= 0:

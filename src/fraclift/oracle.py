@@ -4,7 +4,8 @@ Validates the termwise Gamma-ratio rule from the integral definition, through
 a route that shares no code with the Gamma kernel: quadrature is QUADPACK via
 scipy (Gauss-Jacobi-type weighting absorbs the weak (x-t)^(m-1) endpoint
 singularity exactly), and the 1/Gamma prefactor uses math.gamma from the
-standard library.
+standard library. scipy is imported on the first quadrature, not with the
+module.
 
 Negative orders evaluate the fractional integral directly:
 
@@ -19,8 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-from scipy import integrate
 
 from . import config
 from .coeffseq import GenSeries, fmt17, series_eval
@@ -48,6 +47,10 @@ DEFAULT_CONFIG = QuadratureConfig()
 
 def _frac_integral(f, a, m, x, cfg):
     """(value, abserr) of the order-m fractional integral, m > 0."""
+    # scipy is imported here, on the first quadrature, so that importing
+    # fraclift and every command but the oracle's stay free of its start-up
+    from scipy import integrate
+
     beta = m - 1.0
     if abs(beta) <= 1e-12:
         val, err = integrate.quad(

@@ -18,7 +18,25 @@ single-lattice generalized power series.
 
 Series expansion works in exact rational arithmetic (fractions.Fraction)
 wherever the inputs are rational, so Cauchy products of intrinsic jets carry
-no rounding at all; coefficients convert to floats only at the end.
+no rounding at all; coefficients convert to floats only at the end. A working
+value keeps one base exponent and integer keys, so its exponents base + n
+share one lattice by construction.
+
+An intrinsic of a jet u = u0 + v (v without constant term) to order N is not
+composed from the Taylor polynomial of the intrinsic, which costs O(N^3)
+coefficient operations, but read off the differential equation it satisfies,
+in O(N^2), or O(N * nnz(v)) since zero v_k are skipped:
+
+    g = exp(v):             g' = g v'     n g_n = sum_{k=1..n} k v_k g_{n-k}
+    s = sin(v), c = cos(v): s' = c v'     n s_n = sum_{k=1..n} k v_k c_{n-k}
+                            c' = -s v'    n c_n = -sum_{k=1..n} k v_k s_{n-k}
+
+with g_0 = c_0 = 1, s_0 = 0. The recurrences run on the rational part v, in
+Fraction while v is rational; a nonzero u0 enters once at the end, as the
+factor exp(u0) or through sin(u0 + v) = sin u0 cos v + cos u0 sin v and
+cos(u0 + v) = cos u0 cos v - sin u0 sin v. References: R. P. Brent and
+H. T. Kung, "Fast algorithms for manipulating formal power series", J. ACM
+25(4), 1978; D. E. Knuth, The Art of Computer Programming, vol. 2, sec. 4.7.
 """
 
 from __future__ import annotations
@@ -28,7 +46,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import config
-from .coeffseq import GenSeries, Term, _congruent_mod_1
+from .coeffseq import GenSeries, Term
 from .errors import ExpansionError, LatticeError, ParseError
 
 _INTRINSICS = ("exp", "sin", "cos")
@@ -136,6 +154,9 @@ def _tokenize(text):
                 val = float(lit)
             except ValueError:
                 raise ParseError("bad number %r" % lit, line, col)
+            if math.isinf(val):
+                raise ParseError("number %r exceeds double range" % lit,
+                                 line, col)
             tokens.append(_Token("num", lit, val, line, col))
             col += j - i
             i = j
@@ -303,66 +324,110 @@ def to_text(node) -> str:
 
 
 class _SVal:
-    """Working series value: {float exponent: Fraction|float coefficient}
-    plus the order beyond which terms are unknown (math.inf = exact)."""
+    """Working series value: the sum of coeffs[n] * (x - a)^(base + n) over
+    integer keys n, with Fraction (or float) coefficients, plus the order
+    beyond which terms are unknown (math.inf = exact).
 
-    __slots__ = ("coeffs", "order")
+    All terms share one base exponent, so one exponent can never be held by
+    two keys, whatever order the products that built it ran in."""
 
-    def __init__(self, coeffs, order=math.inf):
-        self.coeffs = {e: c for e, c in coeffs.items() if c != 0}
+    __slots__ = ("base", "coeffs", "order")
+
+    def __init__(self, coeffs, order=math.inf, base=0.0):
+        self.base = base
+        self.coeffs = {n: c for n, c in coeffs.items() if c != 0}
         self.order = order
 
     def prune(self):
-        if self.order != math.inf:
-            self.coeffs = {e: c for e, c in self.coeffs.items()
-                           if e <= self.order + 1e-12}
+        top = _top_key(self.base, self.order)
+        if top is not None:
+            self.coeffs = {n: c for n, c in self.coeffs.items() if n <= top}
         return self
 
     def min_exponent(self):
-        return min(self.coeffs) if self.coeffs else 0.0
-
-    def is_constant(self):
-        return not self.coeffs or set(self.coeffs) == {0.0}
+        return self.base + min(self.coeffs) if self.coeffs else 0.0
 
     def constant_value(self):
-        return self.coeffs.get(0.0, Fraction(0))
+        for n, c in self.coeffs.items():
+            if self.base + n == 0.0:
+                return c
+        return Fraction(0)
+
+    def is_constant(self):
+        return all(self.base + n == 0.0 for n in self.coeffs)
 
 
-def _check_lattice(exps):
-    exps = sorted(exps)
-    tol = config.int_tol
-    for e in exps[1:]:
-        if not _congruent_mod_1(e, exps[0], tol):
-            raise LatticeError(
-                "exponents %r and %r lie on different lattices" % (exps[0], e))
+def _top_key(base, order):
+    """Largest key n whose exponent base + n lies within the order, or None
+    when the order is infinite. The 1e-12 slack absorbs the rounding of an
+    order and a base that reached the same lattice point by different sums."""
+    if order == math.inf:
+        return None
+    limit = order + 1e-12
+    n = math.floor(order - base)
+    if base + (n + 1) <= limit:
+        return n + 1
+    return n if base + n <= limit else n - 1
+
+
+def _key_shift(a, b):
+    """The integer m with b.base = a.base + m, up to config.int_tol."""
+    d = b.base - a.base
+    m = math.floor(d + 0.5)
+    if abs(d - m) > config.int_tol:
+        raise LatticeError("exponents %r and %r lie on different lattices"
+                           % (a.min_exponent(), b.min_exponent()))
+    return m
 
 
 def _add(a, b, sign=1):
-    coeffs = dict(a.coeffs)
-    for e, c in b.coeffs.items():
-        coeffs[e] = coeffs.get(e, 0) + sign * c
-    out = _SVal(coeffs, min(a.order, b.order))
-    _check_lattice(list(out.coeffs))
-    return out.prune()
+    if not a.coeffs:
+        base, coeffs, m = b.base, {}, 0
+    else:
+        base, coeffs = a.base, dict(a.coeffs)
+        m = _key_shift(a, b) if b.coeffs else 0
+    for n, c in b.coeffs.items():
+        coeffs[n + m] = coeffs.get(n + m, 0) + sign * c
+    return _SVal(coeffs, min(a.order, b.order), base).prune()
 
 
 def _scale(a, c):
-    return _SVal({e: c * v for e, v in a.coeffs.items()}, a.order)
+    return _SVal({n: c * v for n, v in a.coeffs.items()}, a.order, a.base)
+
+
+def _numerators(coeffs, rational):
+    """(sorted (n, numerator) pairs, d) with coeffs[n] = numerator / d: for
+    rational coefficients, integers over their least common denominator."""
+    if not rational:
+        return sorted(coeffs.items()), 1
+    d = math.lcm(*(c.denominator for c in coeffs.values()))
+    return sorted((n, c.numerator * (d // c.denominator))
+                  for n, c in coeffs.items()), d
 
 
 def _mul(a, b):
     order = min(a.order + b.min_exponent(), b.order + a.min_exponent())
-    coeffs = {}
-    for ea, ca in a.coeffs.items():
-        for eb, cb in b.coeffs.items():
-            e = ea + eb
-            if e <= order + 1e-12:
-                coeffs[e] = coeffs.get(e, 0) + ca * cb
-    return _SVal(coeffs, order).prune()
+    base = a.base + b.base
+    top = _top_key(base, order)
+    # rational products run on integers, with one Fraction per coefficient
+    rational = all(type(c) is Fraction
+                   for c in (*a.coeffs.values(), *b.coeffs.values()))
+    pa, da = _numerators(a.coeffs, rational)
+    pb, db = _numerators(b.coeffs, rational)
+    acc = {}
+    for na, ca in pa:
+        for nb, cb in pb:
+            n = na + nb
+            if top is not None and n > top:
+                break
+            acc[n] = acc.get(n, 0) + ca * cb
+    if rational:
+        acc = {n: Fraction(v, da * db) for n, v in acc.items()}
+    return _SVal(acc, order, base)
 
 
 def _powi(a, n):
-    out = _SVal({0.0: Fraction(1)})
+    out = _SVal({0: Fraction(1)})
     base = a
     while n > 0:
         if n & 1:
@@ -372,45 +437,82 @@ def _powi(a, n):
     return out
 
 
-def _require_jet(v, what):
-    for e in v.coeffs:
+def _jet(v, what, top):
+    """[v_0, ..., v_top]: the Taylor coefficients of an analytic jet."""
+    out = [0] * (top + 1)
+    for n, c in v.coeffs.items():
+        e = v.base + n
         if e < 0.0 or e != math.floor(e):
             raise ExpansionError(
                 "argument of %s must be an analytic jet (offending exponent %r)"
                 % (what, e))
+        if e <= top:
+            out[int(e)] = c
+    return out
 
 
-def _intrinsic_coeffs(func, u0, order):
-    # Taylor coefficients of the intrinsic about u0, index 0..order.
-    rational = u0 == 0
-    if func == "exp":
-        scale = Fraction(1) if rational else math.exp(float(u0))
-        return [scale / Fraction(math.factorial(i)) if rational
-                else scale / math.factorial(i) for i in range(order + 1)]
-    if rational:
-        s0, c0 = Fraction(0), Fraction(1)
-    else:
-        s0, c0 = math.sin(float(u0)), math.cos(float(u0))
-    if func == "sin":
-        cycle = (s0, c0, -s0, -c0)
-    else:
-        cycle = (c0, -s0, -c0, s0)
-    return [cycle[i % 4] / (Fraction(math.factorial(i)) if rational
-                            else math.factorial(i)) for i in range(order + 1)]
+def _exp_jet(du, top):
+    # g = exp(v) from g' = g v': n g_n = sum_k k v_k g_(n-k)
+    g = [Fraction(1)] + [0] * top
+    for n in range(1, top + 1):
+        acc = 0
+        for k, kv in du:
+            if k > n:
+                break
+            acc += kv * g[n - k]
+        g[n] = acc / n if acc else 0
+    return g
+
+
+def _sin_cos_jet(du, top):
+    # s = sin(v), c = cos(v) from s' = c v', c' = -s v'
+    s = [0] * (top + 1)
+    c = [Fraction(1)] + [0] * top
+    for n in range(1, top + 1):
+        acc_s = acc_c = 0
+        for k, kv in du:
+            if k > n:
+                break
+            acc_s += kv * c[n - k]
+            acc_c -= kv * s[n - k]
+        s[n] = acc_s / n if acc_s else 0
+        c[n] = acc_c / n if acc_c else 0
+    return s, c
 
 
 def _compose_intrinsic(func, inner, order):
-    _require_jet(inner, func)
-    u0 = inner.constant_value()
-    v = _SVal({e: c for e, c in inner.coeffs.items() if e != 0.0},
-              min(inner.order, order))
-    gs = _intrinsic_coeffs(func, u0, order)
-    out = _SVal({0.0: gs[-1]}, min(inner.order, float(order)))
-    for i in range(len(gs) - 2, -1, -1):
-        out = _mul(out, v)
-        out = _add(out, _SVal({0.0: gs[i]}, out.order))
-    out.order = min(float(order), inner.order)
-    return out.prune()
+    """func(inner) to the jet order: func(u0) combined with func(v), v =
+    inner - u0, whose Taylor coefficients come from the recurrences above,
+    exactly while v is rational."""
+    trunc = min(float(order), inner.order)
+    top = max(_top_key(0.0, trunc), 0)
+    u = _jet(inner, func, top)
+    u0 = u[0]
+    du = [(k, k * u[k]) for k in range(1, top + 1) if u[k] != 0]
+    if func == "exp":
+        coeffs = _exp_jet(du, top)
+        if u0 != 0:
+            e0 = _float_op(math.exp, u0, func)
+            coeffs = [e0 * g for g in coeffs]
+    else:
+        s, c = _sin_cos_jet(du, top)
+        if u0 == 0:
+            coeffs = s if func == "sin" else c
+        else:
+            s0 = _float_op(math.sin, u0, func)
+            c0 = _float_op(math.cos, u0, func)
+            if func == "sin":  # sin(u0 + v) = sin u0 cos v + cos u0 sin v
+                coeffs = [s0 * cn + c0 * sn for sn, cn in zip(s, c)]
+            else:  # cos(u0 + v) = cos u0 cos v - sin u0 sin v
+                coeffs = [c0 * cn - s0 * sn for sn, cn in zip(s, c)]
+    return _SVal(dict(enumerate(coeffs)), trunc).prune()
+
+
+def _float_op(fn, u0, what):
+    try:
+        return fn(float(u0))
+    except (OverflowError, ValueError):
+        raise ExpansionError("%s(%s) is out of double range" % (what, u0)) from None
 
 
 def _fold_const(node):
@@ -439,7 +541,11 @@ def _fold_const(node):
         b = _fold_const(node.exponent)
         if a is None or b is None:
             return None
-        return math.pow(a, b)
+        try:
+            return math.pow(a, b)
+        except (OverflowError, ValueError):
+            raise ExpansionError(
+                "constant power %r^%r is not a finite real" % (a, b)) from None
     return None
 
 
@@ -452,9 +558,9 @@ def _is_centered_atom(node, basepoint):
 
 def _expand(node, basepoint, order):
     if isinstance(node, Num):
-        return _SVal({0.0: Fraction(node.value)})
+        return _SVal({0: Fraction(node.value)})
     if isinstance(node, Var):
-        return _SVal({0.0: Fraction(basepoint), 1.0: Fraction(1)})
+        return _SVal({0: Fraction(basepoint), 1: Fraction(1)})
     if isinstance(node, Neg):
         return _scale(_expand(node.operand, basepoint, order), -1)
     if isinstance(node, Add):
@@ -480,15 +586,17 @@ def _expand(node, basepoint, order):
         expo = _fold_const(node.exponent)
         if expo is None:
             raise ExpansionError("exponent must be a constant expression")
+        if not math.isfinite(expo):
+            raise ExpansionError("exponent %r is not finite" % expo)
         if _is_centered_atom(node.base, basepoint):
-            return _SVal({float(expo): Fraction(1)})
+            return _SVal({0: Fraction(1)}, base=float(expo))
         if expo == math.floor(expo) and abs(expo) <= 1024:
             n = int(expo)
             base = _expand(node.base, basepoint, order)
             if n >= 0:
                 return _powi(base, n)
             if base.is_constant() and base.constant_value() != 0:
-                return _SVal({0.0: base.constant_value() ** n})
+                return _SVal({0: base.constant_value() ** n})
             raise ExpansionError(
                 "negative powers are only supported on (x - basepoint)")
         base = _expand(node.base, basepoint, order)
@@ -497,7 +605,7 @@ def _expand(node, basepoint, order):
             if c <= 0.0:
                 raise ExpansionError(
                     "real power of a non-positive constant")
-            return _SVal({0.0: math.pow(c, expo)})
+            return _SVal({0: math.pow(c, expo)})
         if (isinstance(node.base, Sub) and isinstance(node.base.lhs, Var)
                 and isinstance(node.base.rhs, Num)):
             raise ExpansionError(
@@ -519,8 +627,14 @@ def to_series(expr, basepoint: float = 0.0, order: int | None = None) -> GenSeri
         expr = parse(expr)
     if order is None:
         order = config.DEFAULT_ORDER
+    if order < 0:
+        raise ExpansionError("jet order must be nonnegative, got %r" % order)
     basepoint = float(basepoint)
     val = _expand(expr, basepoint, int(order))
-    terms = tuple(Term(float(e), float(c)) for e, c in val.coeffs.items())
+    try:
+        terms = tuple(Term(val.base + n, float(c))
+                      for n, c in val.coeffs.items())
+    except OverflowError:
+        raise ExpansionError("a coefficient exceeds double range") from None
     trunc = None if val.order == math.inf else float(val.order)
     return GenSeries(basepoint, terms, trunc)

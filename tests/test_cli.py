@@ -69,6 +69,14 @@ class TestDeriv:
         code, _, err = run_cli(capsys, "deriv", "--k", "0.5")
         assert code == 2
 
+    def test_oversized_numbers_are_usage_errors(self, capsys):
+        for argv in (("--expr", "x^1e400", "--k", "0.5"),
+                     ("--expr", "x", "--k", "1e300"),
+                     ("--expr", "x", "--k=-1e300")):
+            code, out, err = run_cli(capsys, "deriv", *argv)
+            assert code == 2 and out == ""
+            assert err.startswith("error: ")
+
 
 class TestLiftProject:
     def test_round_trip_through_files(self, capsys, tmp_path):
@@ -177,3 +185,27 @@ class TestProcessLevel:
                 capture_output=True, text=True)
             assert proc.returncode == 2
             assert "finite" in proc.stderr and "Traceback" not in proc.stderr
+
+    def test_negative_order_is_usage_error(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "fraclift", "deriv", "--expr", "exp(x)",
+             "--k", "0.5", "--order", "-3"],
+            capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert "nonnegative" in proc.stderr and "Traceback" not in proc.stderr
+
+    def test_scipy_loaded_only_by_the_oracle(self):
+        probe = ("import runpy, sys\n"
+                 "import fraclift\n"
+                 "print('scipy' in sys.modules)\n"
+                 "sys.argv = ['fraclift', 'deriv', '--expr', 'x', '--k', '0.5']\n"
+                 "try:\n"
+                 "    runpy.run_module('fraclift', run_name='__main__')\n"
+                 "except SystemExit as exc:\n"
+                 "    assert exc.code == 0\n"
+                 "print('scipy' in sys.modules)\n")
+        proc = subprocess.run([sys.executable, "-c", probe],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[0] == "False"
+        assert proc.stdout.splitlines()[-1] == "False"

@@ -62,6 +62,11 @@ class TestRecipGamma:
         for _ in range(2000):
             recip_gamma(rng.uniform(-300.0, 300.0))
 
+    def test_non_finite_arguments(self):
+        assert recip_gamma(math.inf) == 0.0
+        assert math.isnan(recip_gamma(-math.inf))
+        assert math.isnan(recip_gamma(math.nan))
+
     def test_matches_reciprocal(self):
         rng = random.Random(5)
         for _ in range(1000):

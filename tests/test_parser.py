@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fraclift.coeffseq import Term
 from fraclift.errors import ExpansionError, LatticeError, ParseError
@@ -61,6 +63,11 @@ class TestParse:
 
     def test_intrinsics(self):
         assert parse("exp(sin(x))") == Call("exp", Call("sin", Var()))
+
+    def test_literal_beyond_double_range(self):
+        with pytest.raises(ParseError) as err:
+            parse("x^1e400")
+        assert err.value.column == 3
 
     def test_line_tracking(self):
         with pytest.raises(ParseError) as err:
@@ -201,3 +208,106 @@ class TestToSeries:
         f = to_series("x^5 - 2*x + 7", 0, 3)
         assert f.truncation_order is None
         assert f.terms == (Term(0.0, 7.0), Term(1.0, -2.0), Term(5.0, 1.0))
+
+    def test_sin_cos_with_constant_term_against_mpmath(self):
+        import mpmath as mp
+
+        for text, fn in (("sin(1 + x - x^2/3)", mp.sin), ("cos(1 + x - x^2/3)", mp.cos)):
+            f = to_series(text, 0, 10)
+            ref = mp.taylor(lambda t: fn(1 + t - t**2 / 3), 0, 10)
+            for i, c in enumerate(ref):
+                assert f.coefficient(float(i)) == pytest.approx(float(c),
+                                                                rel=1e-13, abs=1e-15)
+
+    def test_one_exponent_one_term(self):
+        # the product runs on the lattice 1/3 + Z; an exponent is one key
+        # there, however the factors were grouped
+        f = to_series("x^(1/3) * exp(x) * sin(-x)", 0, 32)
+        exps = f.exponents()
+        assert all(b - a > 1e-9 for a, b in zip(exps, exps[1:]))
+        assert f.coefficient(13 / 3) == 0
+        g = to_series("x^(1/3) * (exp(x) * sin(-x))", 0, 32)
+        assert f.terms == g.terms
+
+    def test_negative_order_rejected(self):
+        with pytest.raises(ExpansionError):
+            to_series("exp(x)", 0, -3)
+        assert to_series("exp(x)", 0, 0).terms == (Term(0.0, 1.0),)
+
+    def test_non_finite_constant_exponents_rejected(self):
+        for text in ("x^(10^400)", "x^(1e200*1e200)", "x^((0-8)^(1/3))"):
+            with pytest.raises(ExpansionError):
+                to_series(text, 0, 4)
+
+
+def _poly_text(terms):
+    return " + ".join("(%d/%d)*x^%d" % (p, q, k) for k, p, q in terms)
+
+
+# rational polynomials with zero constant term, as (power, p, q) triples
+_polys = st.lists(st.tuples(st.integers(1, 6),
+                            st.integers(-9, 9).filter(bool),
+                            st.integers(1, 9)),
+                  min_size=1, max_size=4)
+
+
+def _truncated_mul(a, b, order):
+    out = [Fraction(0)] * (order + 1)
+    for i, x in enumerate(a):
+        for j in range(order + 1 - i):
+            out[i + j] += x * b[j]
+    return out
+
+
+def _reference_jets(poly, order):
+    """exp(U), sin(U), cos(U) to the order by summing U^j / j!: the Taylor
+    composition, computed the slow way as an exact reference."""
+    u = [Fraction(0)] * (order + 1)
+    for k, p, q in poly:
+        if k <= order:
+            u[k] += Fraction(p, q)
+    jets = {name: [Fraction(0)] * (order + 1) for name in ("exp", "sin", "cos")}
+    power = [Fraction(1)] + [Fraction(0)] * order
+    for j in range(order + 1):
+        c = Fraction(1, math.factorial(j))
+        sign = -1 if (j // 2) % 2 else 1
+        for i, v in enumerate(power):
+            jets["exp"][i] += c * v
+            jets["sin" if j % 2 else "cos"][i] += sign * c * v
+        power = _truncated_mul(power, u, order)
+    return jets
+
+
+def _terms(coeffs):
+    return tuple(Term(float(i), float(c)) for i, c in enumerate(coeffs) if c)
+
+
+class TestRecurrenceIdentities:
+    """The exp and sin/cos recurrences run in exact arithmetic on rational
+    input, so these identities hold coefficient for coefficient, exactly."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(_polys, st.integers(0, 24))
+    def test_against_taylor_composition(self, poly, order):
+        u = _poly_text(poly)
+        ref = _reference_jets(poly, order)
+        for func in ("exp", "sin", "cos"):
+            assert to_series("%s(%s)" % (func, u), 0, order).terms == \
+                _terms(ref[func])
+        product = _truncated_mul(ref["exp"], ref["cos"], order)
+        assert to_series("exp(%s) * cos(%s)" % (u, u), 0, order).terms == \
+            _terms(product)
+
+    @settings(max_examples=40, deadline=None)
+    @given(_polys, st.integers(0, 48))
+    def test_pythagoras(self, poly, order):
+        u = _poly_text(poly)
+        f = to_series("sin(%s)^2 + cos(%s)^2" % (u, u), 0, order)
+        assert f.terms == (Term(0.0, 1.0),)
+
+    @settings(max_examples=40, deadline=None)
+    @given(_polys, st.integers(0, 48))
+    def test_exp_times_exp_of_negation(self, poly, order):
+        u = _poly_text(poly)
+        f = to_series("exp(%s) * exp(-(%s))" % (u, u), 0, order)
+        assert f.terms == (Term(0.0, 1.0),)

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import assert_series_close
 from fraclift.coeffseq import GenSeries, Term, int_derivative, monomial
-from fraclift.errors import GammaPoleError
+from fraclift.errors import ExponentError, GammaPoleError
 from fraclift.lifted import lift_gen, project, shift
 from fraclift.parser import to_series
 from fraclift.rl import rl_kernel_predicate, rl_series, rl_term
@@ -100,6 +100,16 @@ class TestKernelPredicate:
     def test_tolerance(self):
         assert rl_kernel_predicate(-0.5 + 1e-10, 0.5)
         assert not rl_kernel_predicate(-0.5 + 1e-7, 0.5)
+
+    def test_kernel_argument_beyond_float_integers_raises(self):
+        # every double of magnitude >= 2^52 is an integer, so alpha+1-k
+        # there would always look like a pole (or never be one)
+        for alpha, k in ((1.0, 1e300), (1.0, -1e300), (0.5, 2.0**52 + 2)):
+            with pytest.raises(ExponentError):
+                rl_kernel_predicate(alpha, k)
+            with pytest.raises(ExponentError):
+                rl_term(1.0, alpha, k)
+        assert rl_kernel_predicate(0.0, 2.0**52)  # alpha+1-k = 1 - 2^52
 
 
 class TestSemigroup:
