@@ -31,7 +31,7 @@ from .errors import (
     InputError,
     LatticeError,
 )
-from .gamma import gamma, recip_gamma
+from .gamma import gamma_chain
 
 
 class Term(NamedTuple):
@@ -56,7 +56,7 @@ def read_json(text, what, read):
         return read(doc)
     except KeyError as exc:
         raise InputError("%s JSON lacks the field %s" % (what, exc)) from None
-    except (TypeError, ValueError, OverflowError) as exc:
+    except (TypeError, ValueError, ArithmeticError) as exc:
         raise InputError("malformed %s JSON: %s" % (what, exc)) from None
 
 
@@ -249,27 +249,27 @@ def project(seq: CoeffSeq) -> GenSeries:
     """Project a sequence to its series: coefficient sigma(i)/Gamma(i+1) at
     exponent i. Negative-index entries are annihilated exactly (Gamma pole),
     so the kernel of this map is the set of sequences vanishing on i >= 0."""
-    terms = []
-    for i, v in seq.entries.items():
-        r = recip_gamma(i + 1.0)
-        if r != 0.0:
-            terms.append(Term(float(i), v * r))
-    return GenSeries(seq.basepoint, tuple(terms))
+    items = sorted(seq.entries.items())
+    rs = gamma_chain([i + 1.0 for i, _ in items], "recip")
+    return GenSeries(seq.basepoint, tuple(
+        Term(float(i), v * r) for (i, v), r in zip(items, rs) if r != 0.0))
 
 
 def lift_jet(f: GenSeries, tol=None) -> CoeffSeq:
     """Partial inverse of project on analytic jets: entry round(e) gets
     coefficient * Gamma(e+1). Rejects negative or non-integer exponents."""
     t = config.int_tol if tol is None else tol
-    entries = {}
-    for e, c in f.terms:
+    ns = []
+    for e, _ in f.terms:
         r = math.floor(e + 0.5)
         if r < 0 or abs(e - r) > t:
             raise ExponentError(
                 "exponent %r is not a nonnegative integer; no jet preimage" % e
             )
-        entries[int(r)] = c * gamma(r + 1.0)
-    return CoeffSeq(f.basepoint, entries)
+        ns.append(int(r))
+    gs = gamma_chain([n + 1.0 for n in ns], "gamma")
+    return CoeffSeq(f.basepoint, {
+        n: c * g for n, (_, c), g in zip(ns, f.terms, gs)})
 
 
 def series_eval(f: GenSeries, x) -> float:
@@ -348,11 +348,15 @@ def int_antiderivative(f: GenSeries, n: int = 1) -> GenSeries:
 
 def series_to_json(f: GenSeries) -> str:
     """Canonical JSON: {"basepoint": a, "terms": [{"exp": e, "coef": c}...]},
-    exponent-sorted, 17 significant digits."""
+    exponent-sorted, 17 significant digits, with "truncation_order": N after
+    the terms when the series is a truncated jet."""
     parts = ", ".join(
         '{"exp": %s, "coef": %s}' % (fmt17(e), fmt17(c)) for e, c in f.terms
     )
-    return '{"basepoint": %s, "terms": [%s]}' % (fmt17(f.basepoint), parts)
+    order = ("" if f.truncation_order is None
+             else ', "truncation_order": %s' % fmt17(f.truncation_order))
+    return '{"basepoint": %s, "terms": [%s]%s}' % (
+        fmt17(f.basepoint), parts, order)
 
 
 def series_from_json(text: str) -> GenSeries:
@@ -360,6 +364,8 @@ def series_from_json(text: str) -> GenSeries:
     def read(doc):
         terms = tuple(Term(finite_float(t["exp"]), finite_float(t["coef"]))
                       for t in doc["terms"])
-        return GenSeries(finite_float(doc["basepoint"]), terms)
+        order = doc.get("truncation_order")
+        return GenSeries(finite_float(doc["basepoint"]), terms,
+                         None if order is None else finite_float(order))
 
     return read_json(text, "series", read)

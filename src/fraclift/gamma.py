@@ -18,13 +18,48 @@ poles. Exact integer arguments take exact factorial paths.
 
 Pole detection is tolerance-based (config.int_tol, default 1e-9) so that
 lattice arithmetic performed in doubles lands on the intended case.
+
+Non-finite arguments never reach the floor-based tests: NaN and -inf have
+no limit and give NaN (is_pole gives False); +inf gives Gamma = +inf, so
+gamma(+inf) and +inf over a finite q in gamma_ratio raise
+GammaOverflowError, while 1/Gamma(+inf) and a finite, non-pole numerator
+over Gamma(+inf) give 0.0.
+
+gamma_chain evaluates one of these quantities along a whole series. Its
+arguments lie on one lattice {phase + n}, so neighbours are linked by the
+Pochhammer step Gamma(x+1) = x Gamma(x) (DLMF 5.5.1):
+
+  "gamma"   Gamma(x+1)   = Gamma(x) * x
+  "recip"   1/Gamma(x+1) = (1/Gamma(x)) / x
+  "ratio"   R(x+1)       = R(x) * x / (x-k)    for R(x) = Gamma(x)/Gamma(x-k)
+
+and one multiply-divide per lattice step replaces a Lanczos evaluation per
+term. Each run of terms starts from one scalar-kernel anchor at the term
+with the smallest |x| + |x-k|, where the log-space value is most accurate,
+and walks up and down from it: a product chain's rounding error grows
+linearly with its length (Higham, Accuracy and Stability of Numerical
+Algorithms, 2nd ed., ch. 3), while a log-space value carries an error
+proportional to |log Gamma|. The scalar functions keep every case a step
+cannot take: a term whose argument is non-finite or on a pole (within
+int_tol) gets its scalar case and ends a run; the term after a gap of more
+than _MAX_GAP steps, or after a running value that left the normal double
+range, is re-anchored by the scalar kernel, which also raises the overflow
+errors and returns the underflow zeros. Runs of exact integers within the
+factorial range (the integer lattice under an integer order) take exact
+integer products rounded once, so they equal the factorial paths bit for
+bit.
 """
 
+import bisect
 import math
+import sys
 from dataclasses import dataclass
+from itertools import accumulate
+from math import perm
+from operator import mul
 
 from . import config
-from .errors import GammaOverflowError, GammaPoleError
+from .errors import GammaOverflowError, GammaPoleError, LatticeError
 
 __all__ = [
     "SignedLogGamma",
@@ -34,6 +69,7 @@ __all__ = [
     "gamma_ratio",
     "sinpi",
     "is_pole",
+    "gamma_chain",
 ]
 
 _HALF_LOG_TWO_PI = 0.9189385332046727417803297364  # log(2 pi)/2
@@ -44,13 +80,19 @@ _EXP_UNDERFLOW = -745.1332191019412  # log of smallest denormal
 # largest exact-integer argument routed through math.factorial
 _MAX_EXACT_FACT = 301
 
+_NORMAL_MIN = sys.float_info.min
+_NORMAL_MAX = sys.float_info.max
+
 
 def _tol(tol):
     return config.int_tol if tol is None else tol
 
 
 def _is_nonpos_int(x, tol):
-    r = math.floor(x + 0.5)
+    try:
+        r = math.floor(x + 0.5)
+    except (OverflowError, ValueError):  # +-inf, NaN: never a pole
+        return False
     return r <= 0.0 and abs(x - r) <= tol
 
 
@@ -109,7 +151,12 @@ class SignedLogGamma:
 
 
 def signed_loggamma(x, tol=None):
-    return SignedLogGamma(*_signed_loggamma(float(x), _tol(tol)))
+    x = float(x)
+    if not math.isfinite(x):
+        if x > 0.0:
+            return SignedLogGamma(math.inf, 1.0, False)
+        return SignedLogGamma(math.nan, math.nan, False)
+    return SignedLogGamma(*_signed_loggamma(x, _tol(tol)))
 
 
 def is_pole(x, tol=None):
@@ -119,8 +166,10 @@ def is_pole(x, tol=None):
 
 def sinpi(x):
     """sin(pi*x) with exact argument reduction (accurate near every
-    integer)."""
+    integer); NaN at +-inf and NaN."""
     x = float(x)
+    if not math.isfinite(x):
+        return math.nan
     sign = 1.0
     if x < 0.0:
         x = -x
@@ -136,8 +185,12 @@ def sinpi(x):
 
 def gamma(x, tol=None):
     """Gamma(x). Raises GammaPoleError at nonpositive integers and
-    GammaOverflowError above ~171.6."""
+    GammaOverflowError above ~171.6 and at +inf; -inf and NaN give NaN."""
     x = float(x)
+    if not math.isfinite(x):
+        if x > 0.0:
+            raise GammaOverflowError("gamma(inf) exceeds double range")
+        return math.nan
     if x == math.floor(x):
         n = int(x)
         if n <= 0:
@@ -231,6 +284,37 @@ def _log_ratio(p, q, tol):
     return sa * sb * math.exp(d)
 
 
+def _non_finite_ratio(p, q, tol):
+    # Gamma(+inf) = +inf; NaN and -inf have no limit
+    if math.isnan(p) or math.isnan(q) or p == -math.inf or q == -math.inf:
+        return math.nan
+    if q != math.inf:  # p = +inf over a finite Gamma(q)
+        raise _overflow(p, q)
+    if p == math.inf:
+        return math.nan
+    if _is_nonpos_int(p, tol):
+        raise GammaPoleError(
+            "gamma ratio undefined: numerator pole at %r" % p)
+    return 0.0
+
+
+def _ratio(p, q, tol):
+    # Gamma(p)/Gamma(q) of floats, before the perturbation hook
+    if not (math.isfinite(p) and math.isfinite(q)):
+        return _non_finite_ratio(p, q, tol)
+    if _exact_int(p) and _exact_int(q):
+        return _exact_ratio(p, q)
+    return _log_ratio(p, q, tol)
+
+
+def _perturbed(values):
+    # the verification hook: every nonzero ratio scaled by (1 + eps)
+    eps = config.gamma_perturb
+    if eps == 0.0:
+        return values
+    return [v * (1.0 + eps) if v != 0.0 else v for v in values]
+
+
 def gamma_ratio(p, q, tol=None):
     """Gamma(p)/Gamma(q) computed in log space with sign tracking.
 
@@ -238,14 +322,209 @@ def gamma_ratio(p, q, tol=None):
     p=-m, q=-n -> the joint limit (-1)^(n-m)*n!/m!; numerator pole alone ->
     GammaPoleError. A ratio beyond double range raises GammaOverflowError.
     Exact integer arguments are resolved by exact factorial arithmetic, so
-    e.g. gamma_ratio(n+1, n) == n without rounding.
+    e.g. gamma_ratio(n+1, n) == n without rounding. Non-finite arguments:
+    +inf over a finite q raises GammaOverflowError, a finite p over +inf
+    gives 0.0 (GammaPoleError if p is a pole), anything else NaN.
     """
-    p = float(p)
-    q = float(q)
-    if _exact_int(p) and _exact_int(q):
-        value = _exact_ratio(p, q)
+    return _perturbed([_ratio(float(p), float(q), _tol(tol))])[0]
+
+
+# -------------------------------------------------------------------------
+# Pochhammer chains along a lattice
+
+# kind -> (Gamma power a, reciprocal power b): the chain computes
+# Gamma(x)**a / Gamma(x - k)**b
+_CHAIN_KINDS = {"gamma": (1, 0), "recip": (0, 1), "ratio": (1, 1)}
+
+# Longest gap between neighbouring terms bridged by stepping; the term after
+# a wider one is re-anchored by the scalar kernel, which costs about as much
+# as 16 steps.
+_MAX_GAP = 32
+_MAX_STEPS = 2.0**52  # a larger difference is no step count (and round(inf) raises)
+
+
+def gamma_chain(xs, kind, k=0.0, tol=None):
+    """[q(x) for x in xs] for q = gamma ("gamma"), recip_gamma ("recip") or
+    x -> gamma_ratio(x, x - k) ("ratio"), by Pochhammer steps between
+    neighbours.
+
+    xs are floats in ascending order on one lattice {phase + n} (within
+    tol), such as a series' e+1 values; k is used by "ratio" only. Each value
+    follows the pole, overflow, underflow-to-zero and perturbation rules of
+    the scalar function it stands for; non-finite arguments and poles are
+    handed to that function. Neighbours whose difference is not an integer
+    within tol raise LatticeError. Where neighbouring floats are not exactly
+    one apart, a chained value is Gamma's at the lattice point reached from
+    the anchor, which near a pole can differ from the pointwise value by
+    about (rounding of the argument)/(distance to the pole)."""
+    a, b = _CHAIN_KINDS[kind]
+    tol = _tol(tol)
+    k = float(k) if kind == "ratio" else 0.0
+    if kind == "gamma":
+        def scalar(x):
+            return gamma(x, tol)
+    elif kind == "recip":
+        def scalar(x):
+            return recip_gamma(x, tol)
     else:
-        value = _log_ratio(p, q, _tol(tol))
-    if config.gamma_perturb != 0.0 and value != 0.0:
-        value *= 1.0 + config.gamma_perturb
-    return value
+        def scalar(x):
+            return _ratio(x, x - k, tol)
+    n = len(xs)
+    out = [0.0] * n
+    int_k = math.isfinite(k) and k == math.floor(k)
+    # exact integers in [bottom, top] take exact integer products, as the
+    # scalar kernel's factorial paths do for |x|, |x - k| <= 301
+    bottom, top = 1.0 + max(k, 0.0), _MAX_EXACT_FACT + min(k, 0.0)
+
+    # A pole needs x or x - k below 1/2, and the arguments of one lattice
+    # all lie the same distance from the integers. So with every argument
+    # finite, only the terms below max(k, 0) + 1 on a side whose lattice
+    # comes within 1/8 of the integers are tested one by one.
+    if math.isfinite(sum(xs)) and math.isfinite(k):
+        head = bisect.bisect_left(xs, max(k, 0.0) + 1.0)
+        test_x = a and head and abs(xs[0] - round(xs[0])) <= 0.125
+        test_r = b and head and abs(xs[0] - k - round(xs[0] - k)) <= 0.125
+    else:
+        head, test_x, test_r = n, True, True
+    inf, floor = math.inf, math.floor
+    runs = []
+    start, exact = 0, False
+    for i in range(head if test_x or test_r else 0):
+        x = xs[i]
+        r = x - k
+        if not (-inf < x < inf and -inf < r < inf) or (
+                test_x and x < 0.5 and abs(x - floor(x + 0.5)) <= tol) or (
+                test_r and r < 0.5 and abs(r - floor(r + 0.5)) <= tol):
+            runs.append((start, i, exact))
+            out[i] = scalar(x)  # non-finite or on a pole: ends a run
+            start = i + 1
+            continue
+        x_exact = int_k and bottom <= x <= top and x.is_integer()
+        if x_exact != exact:
+            runs.append((start, i, exact))
+            start, exact = i, x_exact
+    if head < n:  # all finite and off the poles; exact in [bottom, top]
+        lo = hi = head
+        if int_k:
+            lo = bisect.bisect_left(xs, bottom, head)
+            hi = bisect.bisect_right(xs, top, lo)
+            if not all(map(float.is_integer, xs[lo:hi])):
+                lo = hi = head
+        if lo < hi:
+            runs += [(start, lo, False), (lo, hi, True)]
+            start = hi
+        runs.append((start, n, False))
+    else:
+        runs.append((start, n, exact))
+
+    for s, e, exact in runs:
+        if s < e:
+            if exact:
+                _exact_run(xs, out, s, e, kind, int(k), scalar)
+            else:
+                _float_run(xs, out, s, e, a, b, k, scalar, tol)
+    return _perturbed(out) if kind == "ratio" else out
+
+
+def _float_run(xs, out, s, e, a, b, k, scalar, tol):
+    # out[s:e] for a run of finite terms off the poles. The anchor is where
+    # |x| + |x - k|, convex in x, is smallest: at the first term at or above
+    # its minimum k/2, or at the term before it.
+    m = bisect.bisect_left(xs, 0.5 * k, s, e)
+    if m == e or (m > s and abs(xs[m - 1]) + abs(xs[m - 1] - k)
+                  <= abs(xs[m]) + abs(xs[m] - k)):
+        m -= 1
+    lo, hi, slack, max_gap = _NORMAL_MIN, _NORMAL_MAX, 2.0 * tol, _MAX_GAP
+    v0 = out[m] = scalar(xs[m])
+    # The term past a gap wider than max_gap, or after a value out of normal
+    # range, is re-anchored by the scalar kernel. The range is checked at the
+    # end of each gap: a step scales |V| by |z/(z-k)|, which crosses 1 only at
+    # z = k/2, next to the anchor, so away from it |V| only grows or only
+    # shrinks (for Gamma alone, up to its O(1) dip between 0 and 2), and a
+    # value that leaves the range inside a gap is still out of it at the end.
+
+    # up: V(z+1) = V(z) * z**a / (z-k)**b
+    v, y = v0, xs[m]
+    for t in range(m + 1, e):
+        x = xs[t]
+        d = x - y
+        if -slack <= d - 1.0 <= slack:
+            n = 1
+        else:
+            n = round(d) if -0.5 < d < _MAX_STEPS else -1
+            if n < 0 or not -slack <= d - n <= slack:
+                n = _lattice_steps(y, x, tol)
+        if n > max_gap or not lo <= abs(v) <= hi:
+            v = scalar(x)
+        else:
+            while n:
+                v = v * (y if a else 1.0) / (y - k if b else 1.0)
+                y += 1.0
+                n -= 1
+            if not lo <= abs(v) <= hi:
+                v = scalar(x)
+        out[t] = v
+        y = x
+
+    # down: V(z) = V(z+1) * (z-k)**b / z**a
+    v, y = v0, xs[m]
+    for t in range(m - 1, s - 1, -1):
+        x = xs[t]
+        d = y - x
+        if -slack <= d - 1.0 <= slack:
+            n = 1
+        else:
+            n = round(d) if -0.5 < d < _MAX_STEPS else -1
+            if n < 0 or not -slack <= d - n <= slack:
+                n = _lattice_steps(x, y, tol)
+        if n > max_gap or not lo <= abs(v) <= hi:
+            v = scalar(x)
+        else:
+            while n:
+                y -= 1.0
+                v = v * (y - k if b else 1.0) / (y if a else 1.0)
+                n -= 1
+            if not lo <= abs(v) <= hi:
+                v = scalar(x)
+        out[t] = v
+        y = x
+
+
+def _lattice_steps(lo, hi, tol):
+    # steps from lo up to its neighbour hi when they are not an integer apart
+    # within 2 tol: allow the rounding of the arguments themselves, or raise
+    d = hi - lo
+    n = round(d) if -0.5 < d < _MAX_STEPS else -1
+    if n < 0 or abs(d - n) > 2.0 * tol + 4.0 * math.ulp(abs(lo) + abs(hi)):
+        raise LatticeError(
+            "Gamma chain arguments %r and %r are not neighbours on one lattice"
+            % (lo, hi))
+    return n
+
+
+def _exact_run(xs, out, s, e, kind, k, scalar):
+    # integers with 1 <= x, x - k <= 301: the value is an integer m, or 1/m
+    # for "recip" and for "ratio" with k < 0, rounded as the scalar kernel's
+    # factorial paths round them
+    ints = [int(x) for x in xs[s:e]]
+    if kind == "ratio":  # falling factorials (x-1)...(x-k), or their inverse
+        inv = k < 0
+        ms = ([perm(x - 1, k) for x in ints] if not inv
+              else [perm(x - 1 - k, -k) for x in ints])
+    else:  # (x-1)! by products along the integers
+        inv = kind == "recip"
+        x0 = ints[0]
+        fact = list(accumulate(range(x0, ints[-1]), mul,
+                               initial=math.factorial(x0 - 1)))
+        ms = [fact[x - x0] for x in ints]
+    try:
+        one = 1.0 if kind == "recip" else 1  # int/int rounds correctly
+        vals = [one / m for m in ms] if inv else list(map(float, ms))
+    except OverflowError:  # m beyond double range: out of normal range
+        big = 0.0 if inv else math.inf
+        vals = [big if m > _NORMAL_MAX else one / m if inv else float(m)
+                for m in ms]
+    if not (_NORMAL_MIN <= min(vals) and max(vals) <= _NORMAL_MAX):
+        vals = [v if _NORMAL_MIN <= v <= _NORMAL_MAX else scalar(x)
+                for v, x in zip(vals, xs[s:e])]
+    out[s:e] = vals

@@ -16,6 +16,13 @@ lattice: index j contributes exponent t = j - offset with coefficient
 values[j] / Gamma(t+1), and Gamma poles annihilate entries exactly as in the
 unshifted case. embed() carries a plain sequence in with offset 0; lift_gen()
 inverts projection on series without negative-integer exponents.
+
+Both directions evaluate Gamma along the lattice with gamma.gamma_chain,
+one scalar anchor per run of terms and a Pochhammer step per lattice step:
+project divides, 1/Gamma(t+2) = (1/Gamma(t+1))/(t+1), on the arguments
+t+1 = ((j+1)q - p)/q of the exact offset p/q; lift_gen multiplies,
+Gamma(e+2) = (e+1) Gamma(e+1). Poles and values outside the normal double
+range fall back to recip_gamma and gamma, term by term.
 """
 
 from __future__ import annotations
@@ -27,8 +34,8 @@ from fractions import Fraction
 from . import coeffseq as cs
 from . import config
 from .coeffseq import CoeffSeq, GenSeries, Term, finite_float, fmt17, read_json
-from .errors import BasepointError, ExponentError
-from .gamma import gamma, recip_gamma
+from .errors import BasepointError, ExponentError, GammaPoleError
+from .gamma import gamma_chain, is_pole
 
 
 @dataclass(frozen=True)
@@ -120,13 +127,12 @@ def project(obj) -> GenSeries:
     # offset p/q: index j has t + 1 = num/q with num = (j+1)q - p, and the
     # int/int divisions round exactly as float(Fraction) would
     p, q = obj.offset.numerator, obj.offset.denominator
-    terms = []
-    for j, v in obj.values.items():
-        num = (j + 1) * q - p
-        r = recip_gamma(num / q)
-        if r != 0.0:
-            terms.append(Term((num - q) / q, v * r))
-    return GenSeries(obj.basepoint, tuple(terms))
+    items = sorted(obj.values.items())
+    nums = [(j + 1) * q - p for j, _ in items]
+    rs = gamma_chain([num / q for num in nums], "recip")
+    return GenSeries(obj.basepoint, tuple(
+        Term((num - q) / q, v * r)
+        for num, (_, v), r in zip(nums, items, rs) if r != 0.0))
 
 
 def lift_gen(f: GenSeries, tol=None) -> LiftedSeq:
@@ -137,28 +143,34 @@ def lift_gen(f: GenSeries, tol=None) -> LiftedSeq:
     t = config.int_tol if tol is None else tol
     phase = f.lattice_phase()
     offset = 1.0 - phase if phase > 0.0 else 0.0
-    values = {}
-    for e, c in f.terms:
-        arg = e + 1.0
-        r = math.floor(arg + 0.5)
-        if r <= 0 and abs(arg - r) <= t:
-            raise ExponentError(
-                "term at exponent %r has no preimage under projection "
-                "(Gamma pole)" % e
-            )
-        values[int(math.floor(e + offset + 0.5))] = c * gamma(arg)
+    xs = [e + 1.0 for e, _ in f.terms]
+    try:
+        gs = gamma_chain(xs, "gamma", tol=t)
+    except GammaPoleError:
+        e = next(e for (e, _), x in zip(f.terms, xs) if is_pole(x, t))
+        raise ExponentError(
+            "term at exponent %r has no preimage under projection "
+            "(Gamma pole)" % e
+        ) from None
+    values = {int(math.floor(e + offset + 0.5)): c * g
+              for (e, c), g in zip(f.terms, gs)}
     return LiftedSeq(f.basepoint, Fraction(offset), values)
 
 
 def lifted_to_json(rho: LiftedSeq) -> str:
     """Canonical JSON: {"basepoint": a, "offset": k, "values":
-    [{"index": j, "value": v}...]}, index-sorted, 17 significant digits."""
+    [{"index": j, "value": v}...]}, index-sorted, 17 significant digits.
+    An offset that no double holds exactly (shifts by 0.1 and then 0.2) is
+    written a second time as "offset_exact": "p/q", which a reader prefers."""
     parts = ", ".join(
         '{"index": %d, "value": %s}' % (j, fmt17(v))
         for j, v in sorted(rho.values.items())
     )
+    offset = fmt17(rho.offset_float)
+    if Fraction(rho.offset_float) != rho.offset:
+        offset += ', "offset_exact": "%s"' % rho.offset
     return '{"basepoint": %s, "offset": %s, "values": [%s]}' % (
-        fmt17(rho.basepoint), fmt17(rho.offset_float), parts)
+        fmt17(rho.basepoint), offset, parts)
 
 
 def lifted_from_json(text: str) -> LiftedSeq:
@@ -170,7 +182,13 @@ def lifted_from_json(text: str) -> LiftedSeq:
             if j != int(j):
                 raise ValueError("index %r is not an integer" % (j,))
             values[int(j)] = finite_float(v["value"])
-        return LiftedSeq(finite_float(doc["basepoint"]),
-                         Fraction(finite_float(doc["offset"])), values)
+        offset = Fraction(finite_float(doc["offset"]))
+        if "offset_exact" in doc:
+            exact = Fraction(doc["offset_exact"])
+            if float(exact) != offset:
+                raise ValueError("offset_exact %s disagrees with offset %s"
+                                 % (exact, doc["offset"]))
+            offset = exact
+        return LiftedSeq(finite_float(doc["basepoint"]), offset, values)
 
     return read_json(text, "lifted", read)

@@ -10,6 +10,12 @@ exponents under integer orders) the joint limit reproduces the classical
 derivative. A numerator pole alone (negative-integer exponent, non-integer
 order) is outside the power rule and raises.
 
+rl_series computes the ratios of a whole series with gamma.gamma_chain: the
+exponents lie on one lattice, so R(e) = Gamma(e+1)/Gamma(e+1-k) steps as
+R(e+1) = R(e) * (e+1)/(e+1-k) from one Lanczos anchor per run of terms, and
+every term on a pole is resolved by the scalar gamma_ratio cases above.
+rl_term evaluates a single term with the scalar kernel.
+
 This is the non-commutative side of the constructions in `lifted`: composing
 two orders can annihilate a term that the summed order keeps.
 """
@@ -19,7 +25,7 @@ from __future__ import annotations
 from . import config
 from .coeffseq import GenSeries, Term
 from .errors import ExponentError
-from .gamma import gamma_ratio, is_pole
+from .gamma import gamma_chain, gamma_ratio, is_pole
 
 # From 2^52 on every double is an integer, so a pole test there cannot tell.
 _INTEGRAL_FLOATS = 2.0**52
@@ -28,10 +34,11 @@ _INTEGRAL_FLOATS = 2.0**52
 def _kernel_arg(alpha, k):
     """alpha+1-k, the Gamma argument whose pole annihilates the term."""
     arg = alpha + 1.0 - k
-    if abs(arg) >= _INTEGRAL_FLOATS:
+    if not abs(arg) < _INTEGRAL_FLOATS:
         raise ExponentError(
-            "alpha+1-k = %r for exponent %r and order %r: at or beyond 2^52 "
-            "every double is an integer, so the pole test cannot tell"
+            "alpha+1-k = %r for exponent %r and order %r: not a number, or "
+            "at or beyond 2^52, where every double is an integer, so the pole "
+            "test cannot tell"
             % (arg, alpha, k))
     return arg
 
@@ -62,10 +69,12 @@ def rl_series(f: GenSeries, k, tol=None) -> GenSeries:
     """Termwise differintegral of order k; annihilated terms are removed.
     A truncated input of order N yields a truncated output of order N-k."""
     k = float(k)
-    terms = []
-    for e, c in f.terms:
-        t = rl_term(c, e, k, tol)
-        if t is not None:
-            terms.append(t)
+    xs = [e + 1.0 for e, _ in f.terms]
+    if xs:  # |x - k| is largest at an end of the ascending list
+        _kernel_arg(f.terms[0].exponent, k)
+        _kernel_arg(f.terms[-1].exponent, k)
+    ratios = gamma_chain(xs, "ratio", k, tol)
+    terms = [Term(e - k, c * r) for (e, c), r in zip(f.terms, ratios)
+             if r != 0.0]
     order = None if f.truncation_order is None else f.truncation_order - k
     return GenSeries(f.basepoint, tuple(terms), order)

@@ -26,7 +26,7 @@ from .coeffseq import (
     project as seq_project,
     series_eval,
 )
-from .gamma import gamma, gamma_ratio, recip_gamma, sinpi
+from .gamma import gamma, gamma_chain, gamma_ratio, is_pole, recip_gamma, sinpi
 from .lifted import LiftedSeq, embed, lift_gen, project, shift
 from .oracle import QuadratureConfig, rl_oracle
 from .parser import to_series
@@ -141,7 +141,47 @@ def suite_gamma(trials=200, seed=0, reflection_points=1000):
         r2 = gamma(p) * recip_gamma(q)
         worst = max(worst, abs(r1 - r2) / max(abs(r1), abs(r2), 1e-30))
     results.append(SuiteResult("gamma-ratio-vs-product", worst <= 1e-10, worst, trials))
+
+    worst, cases = _chain_vs_pointwise(rng, max(1, trials // 10))
+    results.append(SuiteResult("gamma-chain-vs-pointwise", worst <= 1e-12,
+                               worst, cases))
     return results
+
+
+def _chain_vs_pointwise(rng, lattices):
+    """gamma_chain against the scalar kernel term by term, on random lattices
+    {phase + n} with gaps of 1-4 steps and random orders. Phases and orders
+    are multiples of 1/1024, so every argument is exactly on its lattice and
+    both sides evaluate Gamma at the same points. Half the lattices are
+    pole-prone (phase 0 or 1/2, every other one with an order congruent to
+    the phase), where the chain must reproduce the scalar pole cases exactly.
+    Returns (worst relative difference, terms compared)."""
+    worst, cases = 0.0, 0
+    for i in range(lattices):
+        phase = (rng.choice((0.0, 0.5)) if i % 2
+                 else rng.randrange(1024) / 1024.0)
+        k = (phase + rng.randint(-2, 3) if i % 4 == 1
+             else rng.randint(-3072, 3072) / 1024.0)
+        n = rng.randint(-30, 0)
+        xs = []
+        for _ in range(rng.randint(1, 40)):
+            xs.append(phase + n)
+            n += rng.randint(1, 4)
+        # the numerator pole alone is an error, and Gamma itself has no value
+        # at a pole: those terms are left out of "ratio" and "gamma"
+        fin = [x for x in xs if not is_pole(x)]
+        defined = [x for x in xs if not is_pole(x) or is_pole(x - k)]
+        pairs = ((gamma_chain(defined, "ratio", k),
+                  [gamma_ratio(x, x - k) for x in defined]),
+                 (gamma_chain(xs, "recip"), [recip_gamma(x) for x in xs]),
+                 (gamma_chain(fin, "gamma"), [gamma(x) for x in fin]))
+        for chain, point in pairs:
+            for c, p in zip(chain, point):
+                if (c == 0.0) != (p == 0.0):
+                    return math.inf, cases
+                worst = max(worst, abs(c - p) / max(abs(c), abs(p), 1e-300))
+                cases += 1
+    return worst, cases
 
 
 # --------------------------------------------------------------------------

@@ -23,7 +23,10 @@ from fraclift.errors import (
     ExponentError,
     InputError,
     LatticeError,
+    TruncationError,
 )
+from fraclift.oracle import compare
+from fraclift.parser import to_series
 from fraclift.rl import rl_series
 
 
@@ -183,6 +186,19 @@ class TestJson:
     def test_round_trip(self):
         f = GenSeries(1.5, (Term(-0.5, 2.0), Term(2.5, -1.25)))
         assert series_from_json(series_to_json(f)) == f
+
+    def test_truncation_order_round_trip(self):
+        f = to_series("exp(x)", 0, 8)
+        text = series_to_json(f)
+        assert text.endswith('"truncation_order": 8}')
+        back = series_from_json(text)
+        assert back == f and back.truncation_order == 8.0
+        with pytest.raises(TruncationError):  # the oracle's guard still acts
+            compare(back, 0.5, [3.0])
+        old = text[:text.index(', "truncation_order"')] + "}"
+        assert series_from_json(old).truncation_order is None
+        with pytest.raises(InputError):
+            series_from_json(old[:-1] + ', "truncation_order": "eight"}')
 
     def test_deterministic(self):
         f = GenSeries(0.0, (Term(3.0, 1 / 3), Term(0.0, math.pi)))

@@ -193,3 +193,45 @@ def test_ratio_overflow_raises():
     for p, q in ((200.0, 1.0), (-1.0, -200.0), (200.5, 1.5)):
         with pytest.raises(GammaOverflowError):
             gamma_ratio(p, q)
+
+
+class TestNonFinite:
+    """Every entry point returns a value or raises a FracliftError at +-inf
+    and NaN; none lets math.floor's OverflowError/ValueError through."""
+
+    def test_gamma(self):
+        with pytest.raises(GammaOverflowError):
+            gamma(math.inf)
+        assert math.isnan(gamma(-math.inf))
+        assert math.isnan(gamma(math.nan))
+
+    def test_is_pole(self):
+        for x in (math.inf, -math.inf, math.nan):
+            assert is_pole(x) is False
+
+    def test_signed_loggamma(self):
+        s = signed_loggamma(math.inf)
+        assert (s.log_abs, s.sign, s.is_pole) == (math.inf, 1.0, False)
+        with pytest.raises(GammaOverflowError):
+            s.value()
+        for x in (-math.inf, math.nan):
+            s = signed_loggamma(x)
+            assert math.isnan(s.log_abs) and not s.is_pole
+            assert math.isnan(s.value())
+
+    def test_gamma_ratio(self):
+        inf, nan = math.inf, math.nan
+        with pytest.raises(GammaOverflowError):
+            gamma_ratio(inf, 2.0)
+        with pytest.raises(GammaOverflowError):
+            gamma_ratio(inf, -3.0)
+        assert gamma_ratio(2.5, inf) == 0.0
+        with pytest.raises(GammaPoleError):
+            gamma_ratio(-2.0, inf)
+        for p, q in ((inf, inf), (-inf, 2.0), (2.0, -inf), (nan, 2.0),
+                     (2.0, nan), (nan, inf)):
+            assert math.isnan(gamma_ratio(p, q))
+
+    def test_sinpi(self):
+        for x in (math.inf, -math.inf, math.nan):
+            assert math.isnan(sinpi(x))

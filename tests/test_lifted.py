@@ -160,6 +160,26 @@ class TestLiftedJson:
         back = lifted_from_json(lifted_to_json(rho))
         assert back == rho
 
+    def test_inexact_offset_survives_reload(self):
+        # 0.1 + 0.2 as exact rationals is no double: the float alone reloads
+        # 2^-55 away, and D2 (shift composition) breaks across a file
+        rho = shift(shift(embed(CoeffSeq(0.0, {0: 1.0, 3: 2.0})), 0.1), 0.2)
+        text = lifted_to_json(rho)
+        assert '"offset_exact": "%s"' % rho.offset in text
+        back = lifted_from_json(text)
+        assert back.offset == rho.offset
+        assert back == rho
+        assert lifted_from_json(lifted_to_json(shift(back, 0.7))) == shift(rho, 0.7)
+
+    def test_files_without_exact_offset_stay_readable(self):
+        rho = lifted_from_json('{"basepoint": 0, "offset": 0.30000000000000004, '
+                               '"values": [{"index": 0, "value": 1}]}')
+        assert rho.offset == Fraction(0.30000000000000004)
+        for bad in ('"1/0"', '"abc"', '3', '"1/3"'):
+            with pytest.raises(InputError):
+                lifted_from_json('{"basepoint": 0, "offset": 0.5, "offset_exact": '
+                                 '%s, "values": []}' % bad)
+
     def test_canonical_text(self):
         rho = LiftedSeq(0.0, Fraction(1, 2), {0: 1.0})
         assert lifted_to_json(rho) == (
