@@ -14,7 +14,9 @@ Gamma is evaluated with the 9-term Lanczos approximation (g = 7) on the
 half-line x >= 0.5 and carried to the rest of the real line through the
 reflection formula Gamma(x) Gamma(1-x) = pi / sin(pi x). sin(pi x) uses exact
 argument reduction so reflected values stay accurate arbitrarily close to the
-poles. Exact integer arguments take exact factorial paths.
+poles. Exact integer arguments take exact factorial paths: Gamma(n) from
+a table of the doubles of 0!..170!, and a ratio of two as one falling
+factorial, both rounded once.
 
 Pole detection is tolerance-based (config.int_tol, default 1e-9) so that
 lattice arithmetic performed in doubles lands on the intended case.
@@ -44,10 +46,9 @@ cannot take: a term whose argument is non-finite or on a pole (within
 int_tol) gets its scalar case and ends a run; the term after a gap of more
 than _MAX_GAP steps, or after a running value that left the normal double
 range, is re-anchored by the scalar kernel, which also raises the overflow
-errors and returns the underflow zeros. Runs of exact integers within the
-factorial range (the integer lattice under an integer order) take exact
-integer products rounded once, so they equal the factorial paths bit for
-bit.
+errors and returns the underflow zeros. The integer lattice under an
+integer order goes to the scalar kernel term by term, so it takes the
+exact factorial paths and equals them bit for bit.
 """
 
 import bisect
@@ -55,7 +56,6 @@ import math
 import sys
 from dataclasses import dataclass
 from itertools import accumulate
-from math import perm
 from operator import mul
 
 from . import config
@@ -77,8 +77,12 @@ _LOG_PI = 1.1447298858494001741434273514  # log(pi)
 _EXP_OVERFLOW = 709.782712893384  # log(DBL_MAX)
 _EXP_UNDERFLOW = -745.1332191019412  # log of smallest denormal
 
-# largest exact-integer argument routed through math.factorial
+# largest exact-integer argument of a factorial ratio in gamma_ratio
 _MAX_EXACT_FACT = 301
+
+# 0!, 1!, ..., 170!, each the correctly rounded double of the exact integer;
+# 171! exceeds the double range
+_FACTORIALS = list(map(float, accumulate(range(1, 171), mul, initial=1)))
 
 _NORMAL_MIN = sys.float_info.min
 _NORMAL_MAX = sys.float_info.max
@@ -196,7 +200,7 @@ def gamma(x, tol=None):
         if n <= 0:
             raise GammaPoleError("gamma pole at %d" % n)
         if n <= 171:
-            return float(math.factorial(n - 1))
+            return _FACTORIALS[n - 1]
         raise GammaOverflowError("gamma(%d) exceeds double range" % n)
     log_abs, sign, pole = _signed_loggamma(x, _tol(tol))
     if pole:
@@ -217,7 +221,7 @@ def recip_gamma(x, tol=None):
         if n <= 0:
             return 0.0
         if n <= 171:
-            return 1.0 / math.factorial(n - 1)
+            return 1.0 / _FACTORIALS[n - 1]
     log_abs, sign, pole = _signed_loggamma(x, _tol(tol))
     if pole:
         return 0.0
@@ -235,24 +239,22 @@ def _exact_int(x):
 
 
 def _exact_ratio(p, q):
-    # both arguments exact integers: factorial arithmetic, correctly rounded
-    # by int/int true division
+    # both arguments exact integers: the factorial ratio a!/b! as a falling
+    # factorial, correctly rounded by float(int) or int/int true division
     pi, qi = int(p), int(q)
-    if pi >= 1 and qi >= 1:
-        num, den = math.factorial(pi - 1), math.factorial(qi - 1)
+    if pi >= 1 and qi >= 1:  # (p-1)!/(q-1)!
+        a, b = pi - 1, qi - 1
     elif pi >= 1:  # denominator pole only
         return 0.0
     elif qi >= 1:  # numerator pole only
         raise GammaPoleError("gamma ratio undefined: numerator pole at %d" % pi)
     else:  # both poles p=-m, q=-n: joint limit (-1)^(n-m) n!/m!
-        m, n = -pi, -qi
-        num, den = math.factorial(n), math.factorial(m)
-        if (n - m) % 2:
-            num = -num
+        a, b = -qi, -pi
     try:
-        return num / den
+        v = float(math.perm(a, a - b)) if a >= b else 1 / math.perm(b, b - a)
     except OverflowError:
         raise _overflow(p, q) from None
+    return -v if pi < 1 and (a - b) % 2 else v
 
 
 def _log_ratio(p, q, tol):
@@ -369,60 +371,38 @@ def gamma_chain(xs, kind, k=0.0, tol=None):
     else:
         def scalar(x):
             return _ratio(x, x - k, tol)
+    if k.is_integer() and all(map(float.is_integer, xs)):
+        # the integer lattice under an integer order: the scalar kernel's
+        # exact factorial paths, term by term
+        out = [scalar(x) for x in xs]
+        return _perturbed(out) if kind == "ratio" else out
+
     n = len(xs)
     out = [0.0] * n
-    int_k = math.isfinite(k) and k == math.floor(k)
-    # exact integers in [bottom, top] take exact integer products, as the
-    # scalar kernel's factorial paths do for |x|, |x - k| <= 301
-    bottom, top = 1.0 + max(k, 0.0), _MAX_EXACT_FACT + min(k, 0.0)
-
-    # A pole needs x or x - k below 1/2, and the arguments of one lattice
-    # all lie the same distance from the integers. So with every argument
-    # finite, only the terms below max(k, 0) + 1 on a side whose lattice
-    # comes within 1/8 of the integers are tested one by one.
+    # A pole needs x or x - k below 1/2, so with every argument finite only
+    # the terms below max(k, 0) + 1 are tested, and only on a side whose
+    # lattice comes near the integers: the arguments lie within tol of one
+    # lattice, so a term within tol of an integer puts the first term within
+    # 2 tol of one (1/8 more covers the rounding of the arguments).
+    near = 0.125 + 2.0 * tol
     if math.isfinite(sum(xs)) and math.isfinite(k):
         head = bisect.bisect_left(xs, max(k, 0.0) + 1.0)
-        test_x = a and head and abs(xs[0] - round(xs[0])) <= 0.125
-        test_r = b and head and abs(xs[0] - k - round(xs[0] - k)) <= 0.125
+        test_x = a and head and abs(xs[0] - round(xs[0])) <= near
+        test_r = b and head and abs(xs[0] - k - round(xs[0] - k)) <= near
     else:
         head, test_x, test_r = n, True, True
     inf, floor = math.inf, math.floor
-    runs = []
-    start, exact = 0, False
+    start = 0
     for i in range(head if test_x or test_r else 0):
         x = xs[i]
         r = x - k
         if not (-inf < x < inf and -inf < r < inf) or (
                 test_x and x < 0.5 and abs(x - floor(x + 0.5)) <= tol) or (
                 test_r and r < 0.5 and abs(r - floor(r + 0.5)) <= tol):
-            runs.append((start, i, exact))
+            _float_run(xs, out, start, i, a, b, k, scalar, tol)
             out[i] = scalar(x)  # non-finite or on a pole: ends a run
             start = i + 1
-            continue
-        x_exact = int_k and bottom <= x <= top and x.is_integer()
-        if x_exact != exact:
-            runs.append((start, i, exact))
-            start, exact = i, x_exact
-    if head < n:  # all finite and off the poles; exact in [bottom, top]
-        lo = hi = head
-        if int_k:
-            lo = bisect.bisect_left(xs, bottom, head)
-            hi = bisect.bisect_right(xs, top, lo)
-            if not all(map(float.is_integer, xs[lo:hi])):
-                lo = hi = head
-        if lo < hi:
-            runs += [(start, lo, False), (lo, hi, True)]
-            start = hi
-        runs.append((start, n, False))
-    else:
-        runs.append((start, n, exact))
-
-    for s, e, exact in runs:
-        if s < e:
-            if exact:
-                _exact_run(xs, out, s, e, kind, int(k), scalar)
-            else:
-                _float_run(xs, out, s, e, a, b, k, scalar, tol)
+    _float_run(xs, out, start, n, a, b, k, scalar, tol)
     return _perturbed(out) if kind == "ratio" else out
 
 
@@ -430,59 +410,50 @@ def _float_run(xs, out, s, e, a, b, k, scalar, tol):
     # out[s:e] for a run of finite terms off the poles. The anchor is where
     # |x| + |x - k|, convex in x, is smallest: at the first term at or above
     # its minimum k/2, or at the term before it.
+    if s == e:
+        return
     m = bisect.bisect_left(xs, 0.5 * k, s, e)
     if m == e or (m > s and abs(xs[m - 1]) + abs(xs[m - 1] - k)
                   <= abs(xs[m]) + abs(xs[m] - k)):
         m -= 1
-    lo, hi, slack, max_gap = _NORMAL_MIN, _NORMAL_MAX, 2.0 * tol, _MAX_GAP
-    v0 = out[m] = scalar(xs[m])
-    # The term past a gap wider than max_gap, or after a value out of normal
-    # range, is re-anchored by the scalar kernel. The range is checked at the
-    # end of each gap: a step scales |V| by |z/(z-k)|, which crosses 1 only at
+    out[m] = scalar(xs[m])
+    # up:   V(z+1) = V(z) * z**a / (z-k)**b     for z = x, x+1, ...
+    _walk(xs, out, m, e, 1, (a, 0.0, b, k), scalar, tol)
+    # down: V(z) = V(z+1) * (z-k)**b / z**a     for z = x-1, x-2, ...
+    _walk(xs, out, m, s - 1, -1, (b, k, a, 0.0), scalar, tol)
+
+
+def _walk(xs, out, m, stop, step, factors, scalar, tol):
+    # out[t] for t = m + step, m + 2 step, ... before stop, from out[m]: each
+    # lattice step multiplies by (z - nk) if na and divides by (z - dk) if da,
+    # for z running from xs[m] up, or from xs[m] - 1 down. The term past a gap
+    # wider than _MAX_GAP, or after a value out of normal range, is
+    # re-anchored by the scalar kernel. The range is checked at the end of
+    # each gap: a step scales |V| by |z/(z-k)|, which crosses 1 only at
     # z = k/2, next to the anchor, so away from it |V| only grows or only
     # shrinks (for Gamma alone, up to its O(1) dip between 0 and 2), and a
     # value that leaves the range inside a gap is still out of it at the end.
-
-    # up: V(z+1) = V(z) * z**a / (z-k)**b
-    v, y = v0, xs[m]
-    for t in range(m + 1, e):
+    na, nk, da, dk = factors
+    dz = float(step)
+    shift = 0.0 if step > 0 else -1.0
+    lo, hi, slack = _NORMAL_MIN, _NORMAL_MAX, 2.0 * tol
+    v, y = out[m], xs[m]
+    for t in range(m + step, stop, step):
         x = xs[t]
-        d = x - y
+        d = (x - y) * dz
         if -slack <= d - 1.0 <= slack:
             n = 1
         else:
             n = round(d) if -0.5 < d < _MAX_STEPS else -1
             if n < 0 or not -slack <= d - n <= slack:
-                n = _lattice_steps(y, x, tol)
-        if n > max_gap or not lo <= abs(v) <= hi:
+                n = _lattice_steps(*((y, x) if step > 0 else (x, y)), tol)
+        if n > _MAX_GAP or not lo <= abs(v) <= hi:
             v = scalar(x)
         else:
+            z = y + shift
             while n:
-                v = v * (y if a else 1.0) / (y - k if b else 1.0)
-                y += 1.0
-                n -= 1
-            if not lo <= abs(v) <= hi:
-                v = scalar(x)
-        out[t] = v
-        y = x
-
-    # down: V(z) = V(z+1) * (z-k)**b / z**a
-    v, y = v0, xs[m]
-    for t in range(m - 1, s - 1, -1):
-        x = xs[t]
-        d = y - x
-        if -slack <= d - 1.0 <= slack:
-            n = 1
-        else:
-            n = round(d) if -0.5 < d < _MAX_STEPS else -1
-            if n < 0 or not -slack <= d - n <= slack:
-                n = _lattice_steps(x, y, tol)
-        if n > max_gap or not lo <= abs(v) <= hi:
-            v = scalar(x)
-        else:
-            while n:
-                y -= 1.0
-                v = v * (y - k if b else 1.0) / (y if a else 1.0)
+                v = v * (z - nk if na else 1.0) / (z - dk if da else 1.0)
+                z += dz
                 n -= 1
             if not lo <= abs(v) <= hi:
                 v = scalar(x)
@@ -500,31 +471,3 @@ def _lattice_steps(lo, hi, tol):
             "Gamma chain arguments %r and %r are not neighbours on one lattice"
             % (lo, hi))
     return n
-
-
-def _exact_run(xs, out, s, e, kind, k, scalar):
-    # integers with 1 <= x, x - k <= 301: the value is an integer m, or 1/m
-    # for "recip" and for "ratio" with k < 0, rounded as the scalar kernel's
-    # factorial paths round them
-    ints = [int(x) for x in xs[s:e]]
-    if kind == "ratio":  # falling factorials (x-1)...(x-k), or their inverse
-        inv = k < 0
-        ms = ([perm(x - 1, k) for x in ints] if not inv
-              else [perm(x - 1 - k, -k) for x in ints])
-    else:  # (x-1)! by products along the integers
-        inv = kind == "recip"
-        x0 = ints[0]
-        fact = list(accumulate(range(x0, ints[-1]), mul,
-                               initial=math.factorial(x0 - 1)))
-        ms = [fact[x - x0] for x in ints]
-    try:
-        one = 1.0 if kind == "recip" else 1  # int/int rounds correctly
-        vals = [one / m for m in ms] if inv else list(map(float, ms))
-    except OverflowError:  # m beyond double range: out of normal range
-        big = 0.0 if inv else math.inf
-        vals = [big if m > _NORMAL_MAX else one / m if inv else float(m)
-                for m in ms]
-    if not (_NORMAL_MIN <= min(vals) and max(vals) <= _NORMAL_MAX):
-        vals = [v if _NORMAL_MIN <= v <= _NORMAL_MAX else scalar(x)
-                for v, x in zip(vals, xs[s:e])]
-    out[s:e] = vals

@@ -87,6 +87,28 @@ class TestScalarCases:
         with pytest.raises(GammaPoleError):
             rl_series(f, 0.5)
 
+    @pytest.mark.parametrize("phase,k", [(0.85, 1.5), (0.85, 0.0), (0.15, 2.0),
+                                         (0.5, 0.35), (0.85, -0.3)])
+    def test_wide_tolerance_matches_rl_term(self, phase, k):
+        # with int_tol = 0.2, arguments 0.15 from a nonpositive integer are
+        # poles: numerator poles raise and denominator poles annihilate, term
+        # by term as in rl_term
+        config.int_tol = 0.2
+        f = GenSeries(0.0, tuple(Term(phase + n, 1.0) for n in range(-6, 6)))
+        try:
+            want = [rl_term(c, e, k) for e, c in f.terms]
+        except GammaPoleError:
+            with pytest.raises(GammaPoleError):
+                rl_series(f, k)
+            return
+        kept = [t for t in want if t is not None]
+        got = rl_series(f, k).terms
+        assert [t.exponent for t in got] == [t.exponent for t in kept]
+        assert worst_rel([t.coefficient for t in got],
+                         [t.coefficient for t in kept]) <= 1e-13
+        assert [e for e, _ in f.terms if rl_kernel_predicate(e, k)] == [
+            e for (e, _), t in zip(f.terms, want) if t is None]
+
     @pytest.mark.parametrize("k", [0.0, 1.0, 2.0, 3.0, -1.0, -2.0])
     def test_integer_lattice_is_bit_identical(self, k):
         f = GenSeries(0.0, tuple(Term(float(n), 1.0 + n / 7) for n in range(0, 300)))

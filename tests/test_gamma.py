@@ -111,6 +111,30 @@ class TestGammaRatio:
         assert gamma_ratio(6.0, 3.0) == 60.0
         assert gamma_ratio(3.0, 3.0) == 1.0
 
+    def test_integer_paths_round_factorials_once(self):
+        # every exact-integer value is the correctly rounded quotient of
+        # factorials, joint poles included, up to the 301 bound
+        for n in range(1, 172):
+            assert gamma(float(n)) == float(math.factorial(n - 1))
+            assert recip_gamma(float(n)) == 1.0 / math.factorial(n - 1)
+        args = [-301, -200, -171, -40, -3, -1, 0, 1, 2, 5, 40, 171, 172, 250, 301]
+        for p in args:
+            for q in args:
+                if p >= 1 and q >= 1:
+                    num, den = math.factorial(p - 1), math.factorial(q - 1)
+                elif p < 1 and q < 1:
+                    num, den = math.factorial(-q), math.factorial(-p)
+                    num = -num if (p - q) % 2 else num
+                else:
+                    continue
+                try:
+                    want = num / den
+                except OverflowError:
+                    with pytest.raises(GammaOverflowError):
+                        gamma_ratio(float(p), float(q))
+                    continue
+                assert gamma_ratio(float(p), float(q)) == want
+
     def test_huge_arguments_stay_finite(self):
         v = gamma_ratio(300.5, 299.5)
         assert v == pytest.approx(299.5, rel=1e-11)
