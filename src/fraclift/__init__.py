@@ -2,7 +2,7 @@
 
 The termwise Riemann-Liouville rule (rl_series) applies Gamma-function
 ratios directly and inherits the classical semigroup failures from the
-Gamma poles. The lifted route (lift_gen / embed -> shift -> project) turns
+Gamma poles. The lifted route (lift_gen -> shift -> project) turns
 differentiation into exact offset arithmetic that commutes unconditionally,
 and reproduces the termwise operator wherever the latter is defined.
 
@@ -11,12 +11,10 @@ names it, for reports that record which kernel produced their numbers.
 """
 
 from .coeffseq import (
-    CoeffSeq,
     GenSeries,
     Term,
     int_antiderivative,
     int_derivative,
-    lift_jet,
     monomial,
     series_eval,
     series_from_json,

@@ -95,8 +95,8 @@ def _add_input_opts(p):
                    help="series JSON file path ('-' for stdin)")
     p.add_argument("--basepoint", type=finite_float, default=0.0,
                    help="expansion base point (default 0)")
-    p.add_argument("--order", type=jet_order, default=16,
-                   help="jet truncation order for transcendental input (default 16)")
+    p.add_argument("--order", type=jet_order, default=config.DEFAULT_ORDER,
+                   help="jet truncation order for transcendental input (default %(default)s)")
 
 
 def _annihilated(f: GenSeries, k: float):
@@ -275,7 +275,7 @@ def build_parser():
     p = sub.add_parser("verify", help="run identity suites")
     p.add_argument("--suite", default="all",
                    choices=tuple(SUITES) + ("all",))
-    p.add_argument("--order", type=jet_order, default=16)
+    p.add_argument("--order", type=jet_order, default=config.DEFAULT_ORDER)
     p.add_argument("--trials", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--perturb-gamma", type=finite_float, default=0.0,

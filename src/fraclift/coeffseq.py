@@ -1,26 +1,35 @@
-"""Coefficient sequences on the integer lattice, and generalized power series.
+"""Generalized power series on one exponent lattice.
 
-A CoeffSeq stores the jet of a function at a base point a: entry i holds the
-i-th derivative value f^(i)(a). Entries may occupy negative indices; those
-are invisible to projection, which is the whole point:
+A GenSeries is a finite sum of real-power terms b*(x-a)^e whose exponents
+all lie on one lattice {phase + n : n integer}. It is stored exactly, as
 
-    project(sigma) = sum_i  sigma(i) / Gamma(i+1) * (x-a)^i
+    (basepoint, phase, {n: b}, truncation_order)
 
-Since 1/Gamma(i+1) is exactly zero for i <= -1, projection annihilates
-precisely the sequences supported on negative indices, and lift_jet (its
-partial inverse, multiply by Gamma(i+1)) recovers a sequence only up to that
-kernel.
+with phase a Fraction in [0, 1): key n stands for the exponent n + phase, so
+an exponent is an integer key, never a float matched within a tolerance.
+Ordinary truncated Taylor jets are the phase-0 case. The floats in .terms
+are the correctly rounded doubles of n + phase.
 
-A GenSeries is a finite sum of real-power terms b*(x-a)^e whose exponents all
-lie on one lattice {phase + n : n integer}. Ordinary truncated Taylor jets
-are the integer-lattice case.
+Floats join a lattice in one place, the float entry: the positional
+constructor GenSeries(basepoint, pairs, order), series_from_json, and the
+parser's hand-off of its base exponent. The exponent of smallest magnitude
+fixes the phase, read by `rational` as the fraction it stands for, and
+config.int_tol decides whether each other exponent lies on that lattice (a
+member takes the nearest key). Every operation after that builds its
+result from keys and exact rational phases.
+
+Coefficient sequences (a jet's entries f^(i)(a), on the integers) are
+lifted sequences at offset 0; see `lifted`.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+import sys
+from dataclasses import dataclass
+from fractions import Fraction
+from functools import cached_property
 from typing import NamedTuple
 
 from . import config
@@ -31,7 +40,15 @@ from .errors import (
     InputError,
     LatticeError,
 )
-from .gamma import gamma_chain
+
+# Largest denominator `rational` tries: decimals with up to three digits
+# after the point, and every p/q with q <= 12, are read exactly.
+_MAX_DENOMINATOR = 1000
+
+# How far, in units of max(1, |x|), a double may lie from the rational it is
+# read as: a few roundings (as in 0.85 - 1). Rationals with denominators up
+# to 1000 lie at least 1e-6 apart, so at most one is this close.
+_SLACK = 4.0 * sys.float_info.epsilon
 
 
 class Term(NamedTuple):
@@ -68,148 +85,138 @@ def finite_float(v):
     return x
 
 
-def _congruent_mod_1(a, b, tol):
-    d = math.fmod(a - b, 1.0)
-    if d < 0.0:
-        d += 1.0
-    return d <= tol or 1.0 - d <= tol
+def nonzero(values):
+    """{key: value} without the values below COEF_EPS in magnitude."""
+    eps = config.COEF_EPS
+    return {n: v for n, v in values.items() if abs(v) >= eps}
 
 
-@dataclass(frozen=True)
-class CoeffSeq:
-    """Finite-support map i -> sigma(i) at a fixed base point."""
-
-    basepoint: float
-    entries: dict[int, float] = field(default_factory=dict)
-
-    def __post_init__(self):
-        clean = {}
-        for i, v in self.entries.items():
-            v = float(v)
-            if abs(v) >= config.COEF_EPS:
-                clean[int(i)] = v
-        object.__setattr__(self, "basepoint", float(self.basepoint))
-        object.__setattr__(self, "entries", clean)
-
-    def __getitem__(self, i):
-        return self.entries.get(i, 0.0)
-
-    def support(self):
-        return sorted(self.entries)
-
-    @property
-    def is_zero(self):
-        return not self.entries
-
-    def __add__(self, other):
-        if not isinstance(other, CoeffSeq):
-            return NotImplemented
-        if self.basepoint != other.basepoint:
-            raise BasepointError(
-                "cannot add sequences at base points %r and %r"
-                % (self.basepoint, other.basepoint)
-            )
-        merged = dict(self.entries)
-        for i, v in other.entries.items():
-            merged[i] = merged.get(i, 0.0) + v
-        return CoeffSeq(self.basepoint, merged)
-
-    def __sub__(self, other):
-        return self + (-1.0) * other
-
-    def __mul__(self, c):
-        if not isinstance(c, (int, float)):
-            return NotImplemented
-        return CoeffSeq(self.basepoint, {i: c * v for i, v in self.entries.items()})
-
-    __rmul__ = __mul__
-
-    def shift(self, k: int) -> CoeffSeq:
-        """Integer shift: result(i) = self(i+k). Shift by +1 is the jet of
-        the derivative."""
-        if k != int(k):
-            raise ExponentError("sequence shift requires an integer order")
-        k = int(k)
-        return CoeffSeq(self.basepoint, {i - k: v for i, v in self.entries.items()})
+def add_values(a, b):
+    """The keywise sum of two {key: value} maps, without zeros."""
+    out = dict(a)
+    for n, v in b.items():
+        out[n] = out.get(n, 0.0) + v
+    return nonzero(out)
 
 
-@dataclass(frozen=True)
+def rational(x) -> Fraction:
+    """The exact rational a float exponent or order stands for: the p/q with
+    q <= 1000 within a few roundings of x (4 eps max(1, |x|)), found among
+    the convergents of x's continued fraction, else the double's own binary
+    value. So the doubles of 1/3, 0.1 and -5/3, and 0.85 - 1 as computed in
+    doubles, read as 1/3, 1/10, -5/3 and -3/20, while pi/3 keeps its binary
+    value. Non-finite x raises ExponentError."""
+    x = float(x)
+    if not math.isfinite(x):
+        raise ExponentError("%r is not a finite exponent or order" % x)
+    slack = _SLACK * max(1.0, abs(x))
+    n0 = math.floor(x)
+    y = x - n0
+    if y <= slack:
+        return Fraction(n0)
+    if 1.0 - y <= slack:
+        return Fraction(n0 + 1)
+    p0, q0, p1, q1 = 1, 0, 0, 1  # convergents of y: 1/0, then 0/1
+    while y and (y := 1.0 / y) <= _MAX_DENOMINATOR:
+        a = math.floor(y)
+        p0, q0, p1, q1 = p1, q1, a * p1 + p0, a * q1 + q0
+        if q1 > _MAX_DENOMINATOR:
+            break
+        if abs(x - (n0 * q1 + p1) / q1) <= slack:
+            return Fraction(n0 * q1 + p1, q1)
+        y -= a
+    return Fraction(x)
+
+
+def _phase_of(exponents):
+    # the lattice phase the float entry reads: that of the exponent of
+    # smallest magnitude, whose fractional part carries the most bits
+    r = rational(min(exponents, key=abs))
+    return r - math.floor(r)
+
+
+def _lattice(pairs, phase=None):
+    """(phase, {n: c}) for float (exponent, coefficient) pairs: the float
+    entry. Unless given, the phase is read from the exponents; an exponent
+    within config.int_tol of n + phase joins key n, and equal keys add.
+    Raises ExponentError for a non-finite exponent, InputError for a
+    non-finite coefficient and LatticeError for one off the lattice."""
+    if not pairs:
+        return Fraction(0), {}
+    exps = [e for e, _ in pairs]
+    if not all(map(math.isfinite, exps)):
+        raise ExponentError("exponent %r is not finite"
+                            % next(e for e in exps if not math.isfinite(e)))
+    if phase is None:
+        phase = _phase_of(exps)
+    ph = phase.numerator / phase.denominator
+    tol = config.int_tol
+    coeffs = {}
+    for e, c in pairs:
+        d = e - ph
+        n = round(d)
+        if abs(d - n) > tol:
+            raise LatticeError(
+                "exponents %r and %r lie on different lattices"
+                % (min(exps, key=abs), e))
+        coeffs[n] = coeffs.get(n, 0.0) + c
+    if not all(map(math.isfinite, coeffs.values())):
+        raise InputError("a coefficient is not finite")
+    return phase, nonzero(coeffs)
+
+
+@dataclass(frozen=True, init=False)
 class GenSeries:
-    """Finite generalized power series around a base point.
+    """Finite generalized power series around a base point: coefficient
+    coeffs[n] (at least COEF_EPS in magnitude) at exponent n + phase.
 
-    Terms are kept exponent-sorted with nonzero coefficients; construction
-    rejects exponent sets that do not share a single lattice mod 1.
-    truncation_order, when not None, records the order beyond which terms are
-    an unrepresented remainder (a truncated transcendental jet); None means
-    the series is exact.
+    GenSeries(basepoint, pairs, truncation_order) is the float entry for
+    (exponent, coefficient) pairs, which merges equal exponents and rejects
+    exponents off a single lattice; GenSeries.keyed takes keys directly.
+    truncation_order, when not None, records the order beyond which terms
+    are an unrepresented remainder (a truncated transcendental jet).
     """
 
     basepoint: float
-    terms: tuple[Term, ...] = ()
-    truncation_order: float | None = None
+    phase: Fraction
+    coeffs: dict
+    truncation_order: float | None
 
-    def __post_init__(self):
-        merged: dict[float, float] = {}
-        for t in self.terms:
-            e = float(t[0])
-            c = float(t[1])
-            merged[e] = merged.get(e, 0.0) + c
-        cleaned = tuple(
-            Term(e, c)
-            for e, c in sorted(merged.items())
-            if abs(c) >= config.COEF_EPS
-        )
-        tol = config.int_tol
-        for t in cleaned[1:]:
-            if not _congruent_mod_1(t.exponent, cleaned[0].exponent, tol):
-                raise LatticeError(
-                    "exponents %r and %r lie on different lattices"
-                    % (cleaned[0].exponent, t.exponent)
-                )
-        object.__setattr__(self, "basepoint", float(self.basepoint))
-        object.__setattr__(self, "terms", cleaned)
+    def __init__(self, basepoint, terms=(), truncation_order=None):
+        phase, coeffs = _lattice([(float(e), float(c)) for e, c in terms])
+        self.__dict__.update(basepoint=float(basepoint), phase=phase,
+                             coeffs=coeffs, truncation_order=truncation_order)
 
     @classmethod
-    def from_coeffs(cls, basepoint, coeffs, truncation_order=None):
-        """Build from {exponent: coefficient}."""
-        return cls(basepoint, tuple(Term(e, c) for e, c in coeffs.items()),
-                   truncation_order)
+    def keyed(cls, basepoint, phase, coeffs, truncation_order=None):
+        """sum coeffs[n] * (x-basepoint)^(n + phase) as given: phase a
+        Fraction in [0, 1), coeffs {int: float}, none below COEF_EPS."""
+        f = object.__new__(cls)
+        f.__dict__.update(basepoint=basepoint, phase=phase, coeffs=coeffs,
+                          truncation_order=truncation_order)
+        return f
+
+    @cached_property
+    def terms(self) -> tuple[Term, ...]:
+        """The terms as (exponent, coefficient) floats, exponent-sorted."""
+        p, q = self.phase.numerator, self.phase.denominator
+        return tuple(Term((n * q + p) / q, c)
+                     for n, c in sorted(self.coeffs.items()))
 
     @property
     def is_zero(self):
-        return not self.terms
+        return not self.coeffs
 
-    def coefficient(self, exponent, tol=None):
-        t = config.int_tol if tol is None else tol
-        for e, c in self.terms:
-            if abs(e - exponent) <= t:
-                return c
-        return 0.0
+    def coefficient(self, exponent):
+        """The coefficient at the lattice point within config.int_tol of
+        exponent, or 0.0."""
+        d = exponent - self.phase.numerator / self.phase.denominator
+        if not math.isfinite(d) or abs(d - round(d)) > config.int_tol:
+            return 0.0
+        return self.coeffs.get(round(d), 0.0)
 
     def exponents(self):
         return [t.exponent for t in self.terms]
-
-    def lattice_phase(self):
-        """Common fractional part of the exponents in [0, 1); 0.0 if empty.
-
-        Snaps to 0 when the lattice is the integers up to tolerance."""
-        if not self.terms:
-            return 0.0
-        e0 = self.terms[0].exponent
-        phase = e0 - math.floor(e0)
-        if phase <= config.int_tol or 1.0 - phase <= config.int_tol:
-            return 0.0
-        return phase
-
-    def is_jet(self, tol=None):
-        """True when every exponent is a nonnegative integer (an analytic
-        jet)."""
-        t = config.int_tol if tol is None else tol
-        for e, _ in self.terms:
-            r = math.floor(e + 0.5)
-            if r < 0 or abs(e - r) > t:
-                return False
-        return True
 
     def __add__(self, other):
         if not isinstance(other, GenSeries):
@@ -221,18 +228,19 @@ class GenSeries:
             )
         orders = [o for o in (self.truncation_order, other.truncation_order)
                   if o is not None]
-        return GenSeries(self.basepoint, self.terms + other.terms,
-                         min(orders) if orders else None)
-
-    def __sub__(self, other):
-        return self + (-1.0) * other
+        order = min(orders) if orders else None
+        a, b = (self, other) if self.coeffs else (other, self)
+        if b.coeffs and a.phase != b.phase:
+            # two phases: the exponents enter again as floats
+            return GenSeries(self.basepoint, a.terms + b.terms, order)
+        return GenSeries.keyed(self.basepoint, a.phase,
+                               add_values(a.coeffs, b.coeffs), order)
 
     def __mul__(self, c):
         if not isinstance(c, (int, float)):
             return NotImplemented
-        return GenSeries(self.basepoint,
-                         tuple(Term(e, c * v) for e, v in self.terms),
-                         self.truncation_order)
+        return GenSeries.keyed(self.basepoint, self.phase, nonzero(
+            {n: c * v for n, v in self.coeffs.items()}), self.truncation_order)
 
     __rmul__ = __mul__
 
@@ -242,47 +250,26 @@ class GenSeries:
 
 def monomial(exponent, coefficient=1.0, basepoint=0.0):
     """Single power term coefficient*(x-basepoint)^exponent."""
-    return GenSeries(basepoint, (Term(exponent, coefficient),))
-
-
-def project(seq: CoeffSeq) -> GenSeries:
-    """Project a sequence to its series: coefficient sigma(i)/Gamma(i+1) at
-    exponent i. Negative-index entries are annihilated exactly (Gamma pole),
-    so the kernel of this map is the set of sequences vanishing on i >= 0."""
-    items = sorted(seq.entries.items())
-    rs = gamma_chain([i + 1.0 for i, _ in items], "recip")
-    return GenSeries(seq.basepoint, tuple(
-        Term(float(i), v * r) for (i, v), r in zip(items, rs) if r != 0.0))
-
-
-def lift_jet(f: GenSeries, tol=None) -> CoeffSeq:
-    """Partial inverse of project on analytic jets: entry round(e) gets
-    coefficient * Gamma(e+1). Rejects negative or non-integer exponents."""
-    t = config.int_tol if tol is None else tol
-    ns = []
-    for e, _ in f.terms:
-        r = math.floor(e + 0.5)
-        if r < 0 or abs(e - r) > t:
-            raise ExponentError(
-                "exponent %r is not a nonnegative integer; no jet preimage" % e
-            )
-        ns.append(int(r))
-    gs = gamma_chain([n + 1.0 for n in ns], "gamma")
-    return CoeffSeq(f.basepoint, {
-        n: c * g for n, (_, c), g in zip(ns, f.terms, gs)})
+    return GenSeries(basepoint, ((exponent, coefficient),))
 
 
 def series_eval(f: GenSeries, x) -> float:
     """Evaluate sum of coefficient*(x-a)^exponent.
 
-    Non-integer exponents require x > a; negative exponents require x != a.
-    At x <= a an exponent within int_tol of an integer is evaluated at that
-    integer."""
+    Non-integer exponents (a nonzero phase) require x > a; negative
+    exponents require x != a."""
     x = float(x)
     dx = x - f.basepoint
     terms = f.terms
-    if dx <= 0.0:
-        terms = _integer_terms(f, x, dx)
+    if dx <= 0.0 and terms:
+        if f.phase:
+            raise EvalDomainError(
+                "non-integer exponent %r needs x > basepoint (x=%r, a=%r)"
+                % (terms[0].exponent, x, f.basepoint))
+        if dx == 0.0 and terms[0].exponent < 0.0:
+            raise EvalDomainError(
+                "negative exponent %r undefined at the base point"
+                % terms[0].exponent)
     total = 0.0
     try:
         for e, c in terms:
@@ -293,79 +280,68 @@ def series_eval(f: GenSeries, x) -> float:
     return total
 
 
-def _integer_terms(f, x, dx):
-    # the terms with each exponent rounded to its integer; at dx <= 0 no
-    # other exponent is defined, and at dx == 0 no negative one
-    tol = config.int_tol
-    out = []
-    for e, c in f.terms:
-        r = math.floor(e + 0.5)
-        if abs(e - r) > tol:
-            raise EvalDomainError(
-                "non-integer exponent %r needs x > basepoint (x=%r, a=%r)"
-                % (e, x, f.basepoint)
-            )
-        if r < 0 and dx == 0.0:
-            raise EvalDomainError(
-                "negative exponent %r undefined at the base point" % e
-            )
-        out.append((float(r), c))
-    return out
-
-
 def int_derivative(f: GenSeries, n: int = 1) -> GenSeries:
     """Exact termwise integer-order derivative (falling-factorial products);
     independent of the Gamma kernel."""
-    terms = []
-    for e, c in f.terms:
-        coef = c
-        exp = e
+    coeffs = {}
+    for key, (exp, c) in zip(sorted(f.coeffs), f.terms):
         for _ in range(n):
-            coef *= exp
+            c *= exp
             exp -= 1.0
-        if coef != 0.0:
-            terms.append(Term(exp, coef))
+        if abs(c) >= config.COEF_EPS:
+            coeffs[key - n] = c
     order = None if f.truncation_order is None else f.truncation_order - n
-    return GenSeries(f.basepoint, tuple(terms), order)
+    return GenSeries.keyed(f.basepoint, f.phase, coeffs, order)
 
 
 def int_antiderivative(f: GenSeries, n: int = 1) -> GenSeries:
     """Exact termwise n-fold antiderivative with zero constants; exponent -1
     terms are outside its domain."""
-    terms = []
-    for e, c in f.terms:
-        coef = c
-        exp = e
+    coeffs = {}
+    for key, (exp, c) in zip(sorted(f.coeffs), f.terms):
         for _ in range(n):
             exp += 1.0
             if exp == 0.0:
                 raise ExponentError("antiderivative of exponent -1 term")
-            coef /= exp
-        terms.append(Term(exp, coef))
+            c /= exp
+        coeffs[key + n] = c
     order = None if f.truncation_order is None else f.truncation_order + n
-    return GenSeries(f.basepoint, tuple(terms), order)
+    return GenSeries.keyed(f.basepoint, f.phase, coeffs, order)
 
 
 def series_to_json(f: GenSeries) -> str:
     """Canonical JSON: {"basepoint": a, "terms": [{"exp": e, "coef": c}...]},
-    exponent-sorted, 17 significant digits, with "truncation_order": N after
-    the terms when the series is a truncated jet."""
+    exponent-sorted, 17 significant digits. A phase the exponents do not
+    determine (one the float entry would read differently) follows the terms
+    as "phase_exact": "p/q", and "truncation_order": N comes last when the
+    series is a truncated jet."""
+    terms = f.terms
     parts = ", ".join(
-        '{"exp": %s, "coef": %s}' % (fmt17(e), fmt17(c)) for e, c in f.terms
+        '{"exp": %s, "coef": %s}' % (fmt17(e), fmt17(c)) for e, c in terms
     )
+    phase = ""
+    if terms and _phase_of([e for e, _ in terms]) != f.phase:
+        phase = ', "phase_exact": "%s"' % f.phase
     order = ("" if f.truncation_order is None
              else ', "truncation_order": %s' % fmt17(f.truncation_order))
-    return '{"basepoint": %s, "terms": [%s]%s}' % (
-        fmt17(f.basepoint), parts, order)
+    return '{"basepoint": %s, "terms": [%s]%s%s}' % (
+        fmt17(f.basepoint), parts, phase, order)
 
 
 def series_from_json(text: str) -> GenSeries:
-    """Inverse of series_to_json; malformed input raises InputError."""
+    """Inverse of series_to_json, preferring "phase_exact" to the phase the
+    exponents give; malformed input raises InputError."""
     def read(doc):
-        terms = tuple(Term(finite_float(t["exp"]), finite_float(t["coef"]))
-                      for t in doc["terms"])
+        pairs = [(finite_float(t["exp"]), finite_float(t["coef"]))
+                 for t in doc["terms"]]
+        phase = doc.get("phase_exact")
+        if phase is not None:
+            phase = Fraction(phase)
+            if not 0 <= phase < 1:
+                raise ValueError("phase_exact %s is not in [0, 1)" % phase)
         order = doc.get("truncation_order")
-        return GenSeries(finite_float(doc["basepoint"]), terms,
-                         None if order is None else finite_float(order))
+        return GenSeries.keyed(finite_float(doc["basepoint"]),
+                               *_lattice(pairs, phase),
+                               None if order is None else finite_float(order))
 
     return read_json(text, "series", read)

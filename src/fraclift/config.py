@@ -1,7 +1,7 @@
 """Shared runtime knobs, overridable through environment variables.
 
-FRACLIFT_TOL            integer-detection tolerance (pole tests, lattice
-                        congruence); default 1e-9
+FRACLIFT_TOL            integer-detection tolerance (pole tests, and lattice
+                        membership of float exponents); default 1e-9
 FRACLIFT_GAMMA_PERTURB  test hook: multiply every nonzero gamma-ratio by
                         (1 + eps); default 0 (off)
 """
@@ -20,5 +20,5 @@ gamma_perturb = float(os.environ.get("FRACLIFT_GAMMA_PERTURB", "0.0"))
 COEF_EPS = 1e-300
 
 # Jet order used when expanding transcendental expressions, unless the caller
-# passes one explicitly.
-DEFAULT_ORDER = 32
+# passes one explicitly: to_series, and the CLI's and verify's --order.
+DEFAULT_ORDER = 16

@@ -23,8 +23,8 @@ class LatticeError(FracliftError):
 
 
 class ExponentError(FracliftError):
-    """Exponent outside an operation's domain (non-integer jet exponent,
-    or a negative-integer exponent with no preimage under projection)."""
+    """Exponent or order outside an operation's domain (a non-finite one, or
+    a negative-integer exponent with no preimage under projection)."""
 
 
 class EvalDomainError(FracliftError):
@@ -50,8 +50,8 @@ class ParseError(FracliftError):
 
 
 class InputError(FracliftError):
-    """Series or lifted-sequence JSON that does not parse, lacks a field, or
-    holds a value of the wrong type."""
+    """Series or lifted-sequence JSON that does not parse, lacks a field or
+    holds a value of the wrong type, or a non-finite series coefficient."""
 
 
 class ExpansionError(FracliftError):

@@ -1,21 +1,22 @@
-"""The lifted space: sequences carrying an accumulated real shift offset.
+"""The lifted space: sequences on a shifted integer lattice.
 
 A LiftedSeq represents a function rho on the real line that vanishes off the
-lattice Z - offset, with rho(j - offset) = values[j]. Fractional
-differentiation becomes pure offset arithmetic:
+lattice Z - offset, with rho(j - offset) = values[j] and an exact rational
+offset. A jet's sequence (entry i = f^(i)(a)) is the lifted sequence at
+offset 0, so embed() is the identity and on_integers() restricts back.
+Fractional differentiation becomes pure offset arithmetic:
 
     shift(rho, k): offset += k, values untouched
 
-which commutes exactly, by construction, for all real orders. Offsets are
-accumulated as exact rationals (each float order converts exactly), so
-shift(shift(rho, a), b) and shift(rho_by_a_plus_b) agree identically whenever
-the scalar sums do; order of application never matters at all.
+which commutes exactly, by construction, for all real orders (an order
+enters as the rational it stands for, coeffseq.rational).
 
-Projection generalizes the coefficient-sequence projection to the shifted
-lattice: index j contributes exponent t = j - offset with coefficient
-values[j] / Gamma(t+1), and Gamma poles annihilate entries exactly as in the
-unshifted case. embed() carries a plain sequence in with offset 0; lift_gen()
-inverts projection on series without negative-integer exponents.
+Projection sends index j to exponent t = j - offset with coefficient
+values[j] / Gamma(t+1). At an integer offset the poles t+1 <= 0 are the
+indices j < offset, dropped at once, so at offset 0 projection annihilates
+exactly the sequences on the negative indices. lift_gen inverts projection
+on series without negative-integer exponents, putting exponent n + phase at
+index n (phase 0) or n + 1 (offset 1 - phase).
 
 Both directions evaluate Gamma along the lattice with gamma.gamma_chain,
 one scalar anchor per run of terms and a Pochhammer step per lattice step:
@@ -27,45 +28,43 @@ range fall back to recip_gamma and gamma, term by term.
 
 from __future__ import annotations
 
-import math
+import bisect
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from . import coeffseq as cs
 from . import config
-from .coeffseq import CoeffSeq, GenSeries, Term, finite_float, fmt17, read_json
+from .coeffseq import GenSeries, add_values, finite_float, fmt17, nonzero
+from .coeffseq import rational, read_json
 from .errors import BasepointError, ExponentError, GammaPoleError
 from .gamma import gamma_chain, is_pole
 
 
 @dataclass(frozen=True)
 class LiftedSeq:
-    """Finite-support lifted sequence: values on the lattice Z - offset."""
+    """Finite-support lifted sequence: values on the lattice Z - offset.
+
+    The constructor cleans its input (integer indices, float values, none
+    below COEF_EPS); the library's own results are built as given."""
 
     basepoint: float
     offset: Fraction = Fraction(0)
     values: dict[int, float] = field(default_factory=dict)
 
     def __post_init__(self):
-        clean = {}
-        for j, v in self.values.items():
-            v = float(v)
-            if abs(v) >= config.COEF_EPS:
-                clean[int(j)] = v
         object.__setattr__(self, "basepoint", float(self.basepoint))
         object.__setattr__(self, "offset", Fraction(self.offset))
-        object.__setattr__(self, "values", clean)
+        object.__setattr__(self, "values", nonzero(
+            {int(j): float(v) for j, v in self.values.items()}))
 
-    @property
-    def offset_float(self):
-        return float(self.offset)
+    @classmethod
+    def _keyed(cls, basepoint, offset, values):
+        rho = object.__new__(cls)
+        rho.__dict__.update(basepoint=basepoint, offset=offset, values=values)
+        return rho
 
     @property
     def is_zero(self):
         return not self.values
-
-    def __getitem__(self, j):
-        return self.values.get(j, 0.0)
 
     def __add__(self, other):
         if not isinstance(other, LiftedSeq):
@@ -80,94 +79,95 @@ class LiftedSeq:
                 "cannot add lifted sequences on different lattices "
                 "(offsets %s and %s)" % (self.offset, other.offset)
             )
-        merged = dict(self.values)
-        for j, v in other.values.items():
-            merged[j] = merged.get(j, 0.0) + v
-        return LiftedSeq(self.basepoint, self.offset, merged)
-
-    def __sub__(self, other):
-        return self + (-1.0) * other
+        return LiftedSeq._keyed(self.basepoint, self.offset,
+                                add_values(self.values, other.values))
 
     def __mul__(self, c):
         if not isinstance(c, (int, float)):
             return NotImplemented
-        return LiftedSeq(self.basepoint, self.offset,
-                         {j: c * v for j, v in self.values.items()})
+        return LiftedSeq._keyed(self.basepoint, self.offset, nonzero(
+            {j: c * v for j, v in self.values.items()}))
 
     __rmul__ = __mul__
 
-    def on_integers(self) -> CoeffSeq:
-        """Restriction to the integer lattice. Zero unless the offset is an
-        integer (the function vanishes off its own lattice)."""
+    def on_integers(self) -> LiftedSeq:
+        """Restriction to the integer lattice, as a sequence at offset 0.
+        Zero unless the offset is an integer (the function vanishes off its
+        own lattice)."""
         if self.offset.denominator != 1:
-            return CoeffSeq(self.basepoint, {})
+            return LiftedSeq._keyed(self.basepoint, Fraction(0), {})
         k = int(self.offset)
-        return CoeffSeq(self.basepoint, {j - k: v for j, v in self.values.items()})
+        return LiftedSeq._keyed(self.basepoint, Fraction(0), {
+            j - k: v for j, v in self.values.items()})
 
 
-def embed(seq: CoeffSeq) -> LiftedSeq:
-    """Zero-off-lattice embedding: offset 0, values copied; restricting back
-    to the integers returns the original sequence."""
-    return LiftedSeq(seq.basepoint, Fraction(0), dict(seq.entries))
+def embed(seq: LiftedSeq) -> LiftedSeq:
+    """Zero-off-lattice embedding of a sequence on the integers: a sequence
+    already is the lifted sequence at offset 0, so this is the identity."""
+    return seq
 
 
 def shift(rho: LiftedSeq, k) -> LiftedSeq:
     """Apply the order-k shift (differentiation by k after projection)."""
-    return LiftedSeq(rho.basepoint, rho.offset + Fraction(float(k)), rho.values)
+    return LiftedSeq._keyed(rho.basepoint, rho.offset + rational(k),
+                            rho.values)
 
 
-def project(obj) -> GenSeries:
-    """Project a lifted sequence (or a plain CoeffSeq) to its series.
+def project(rho: LiftedSeq) -> GenSeries:
+    """Project a lifted sequence to its series.
 
     Index j lands at exponent t = j - offset with coefficient
     values[j]/Gamma(t+1); entries with t+1 on a Gamma pole vanish exactly.
-    With offset 0 this is exactly the sequence projection."""
-    if isinstance(obj, CoeffSeq):
-        return cs.project(obj)
+    At offset 0 this is the projection of a jet's sequence, entry i over i!
+    at exponent i."""
     # offset p/q: index j has t + 1 = num/q with num = (j+1)q - p, and the
     # int/int divisions round exactly as float(Fraction) would
-    p, q = obj.offset.numerator, obj.offset.denominator
-    items = sorted(obj.values.items())
-    nums = [(j + 1) * q - p for j, _ in items]
-    rs = gamma_chain([num / q for num in nums], "recip")
-    return GenSeries(obj.basepoint, tuple(
-        Term((num - q) / q, v * r)
-        for num, (_, v), r in zip(nums, items, rs) if r != 0.0))
+    p, q = rho.offset.numerator, rho.offset.denominator
+    items = sorted(rho.values.items())
+    if q == 1:  # t + 1 = j + 1 - p: the indices below p sit on the poles
+        items = items[bisect.bisect_left(items, (p,)):]
+    rs = gamma_chain([((j + 1) * q - p) / q for j, _ in items], "recip")
+    # exponent j - p/q = key + phase with key = j + m, m = floor(-p/q)
+    m = -((p + q - 1) // q)
+    eps = config.COEF_EPS
+    return GenSeries.keyed(rho.basepoint, Fraction(-p - m * q, q), {
+        j + m: w for (j, v), r in zip(items, rs) if abs(w := v * r) >= eps})
 
 
-def lift_gen(f: GenSeries, tol=None) -> LiftedSeq:
-    """Preimage of projection: index round(e + offset) gets coefficient *
-    Gamma(e+1), where the offset is (-phase) mod 1 of the exponent lattice so
-    that every index is an integer and project inverts exactly. Terms at
-    negative integer exponents sit under a Gamma pole and have no preimage."""
-    t = config.int_tol if tol is None else tol
-    phase = f.lattice_phase()
-    offset = 1.0 - phase if phase > 0.0 else 0.0
-    xs = [e + 1.0 for e, _ in f.terms]
+def lift_gen(f: GenSeries) -> LiftedSeq:
+    """Preimage of projection: the term at exponent e = n + phase goes to
+    index n + 1 at offset 1 - phase (index n at offset 0 when the phase is
+    0) with coefficient * Gamma(e+1), so that project inverts it exactly.
+    Terms at negative integer exponents sit under a Gamma pole and have no
+    preimage."""
+    terms = f.terms
     try:
-        gs = gamma_chain(xs, "gamma", tol=t)
+        gs = gamma_chain([e + 1.0 for e, _ in terms], "gamma")
     except GammaPoleError:
-        e = next(e for (e, _), x in zip(f.terms, xs) if is_pole(x, t))
+        e = next(e for e, _ in terms if is_pole(e + 1.0))
         raise ExponentError(
             "term at exponent %r has no preimage under projection "
             "(Gamma pole)" % e
         ) from None
-    values = {int(math.floor(e + offset + 0.5)): c * g
-              for (e, c), g in zip(f.terms, gs)}
-    return LiftedSeq(f.basepoint, Fraction(offset), values)
+    up = 1 if f.phase else 0
+    eps = config.COEF_EPS
+    return LiftedSeq._keyed(f.basepoint, up - f.phase, {
+        n + up: w for n, (_, c), g in zip(sorted(f.coeffs), terms, gs)
+        if abs(w := c * g) >= eps})
 
 
 def lifted_to_json(rho: LiftedSeq) -> str:
     """Canonical JSON: {"basepoint": a, "offset": k, "values":
     [{"index": j, "value": v}...]}, index-sorted, 17 significant digits.
-    An offset that no double holds exactly (shifts by 0.1 and then 0.2) is
-    written a second time as "offset_exact": "p/q", which a reader prefers."""
+    An offset that no double holds exactly (1/3, or shifts by 0.1 and then
+    0.2) is written a second time as "offset_exact": "p/q", which a reader
+    prefers."""
     parts = ", ".join(
         '{"index": %d, "value": %s}' % (j, fmt17(v))
         for j, v in sorted(rho.values.items())
     )
-    offset = fmt17(rho.offset_float)
-    if Fraction(rho.offset_float) != rho.offset:
+    offset = fmt17(rho.offset)
+    if Fraction(float(rho.offset)) != rho.offset:
         offset += ', "offset_exact": "%s"' % rho.offset
     return '{"basepoint": %s, "offset": %s, "values": [%s]}' % (
         fmt17(rho.basepoint), offset, parts)

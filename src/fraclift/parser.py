@@ -20,7 +20,8 @@ Series expansion works in exact rational arithmetic (fractions.Fraction)
 wherever the inputs are rational, so Cauchy products of intrinsic jets carry
 no rounding at all; coefficients convert to floats only at the end. A working
 value keeps one base exponent and integer keys, so its exponents base + n
-share one lattice by construction.
+share one lattice by construction; the series keeps the keys, and the base
+fixes its phase.
 
 An intrinsic of a jet u = u0 + v (v without constant term) to order N is not
 composed from the Taylor polynomial of the intrinsic, which costs O(N^3)
@@ -46,7 +47,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import config
-from .coeffseq import GenSeries, Term
+from .coeffseq import GenSeries, finite_float, nonzero, rational
 from .errors import ExpansionError, LatticeError, ParseError
 
 _INTRINSICS = ("exp", "sin", "cos")
@@ -621,8 +622,9 @@ def _expand(node, basepoint, order):
 
 def to_series(expr, basepoint: float = 0.0, order: int | None = None) -> GenSeries:
     """Expand an expression (AST or text) into a truncated generalized power
-    series at the base point. `order` bounds intrinsic jet expansions; exact
-    algebraic content (polynomials, verbatim power terms) is kept verbatim."""
+    series at the base point. `order` bounds intrinsic jet expansions
+    (config.DEFAULT_ORDER when None); exact algebraic content (polynomials,
+    verbatim power terms) is kept verbatim."""
     if isinstance(expr, str):
         expr = parse(expr)
     if order is None:
@@ -631,10 +633,12 @@ def to_series(expr, basepoint: float = 0.0, order: int | None = None) -> GenSeri
         raise ExpansionError("jet order must be nonnegative, got %r" % order)
     basepoint = float(basepoint)
     val = _expand(expr, basepoint, int(order))
+    # the keys are already integers: the base exponent fixes the phase
+    base = rational(val.base)
+    m = math.floor(base)
     try:
-        terms = tuple(Term(val.base + n, float(c))
-                      for n, c in val.coeffs.items())
-    except OverflowError:
+        coeffs = {n + m: finite_float(c) for n, c in val.coeffs.items()}
+    except (OverflowError, ValueError):
         raise ExpansionError("a coefficient exceeds double range") from None
     trunc = None if val.order == math.inf else float(val.order)
-    return GenSeries(basepoint, terms, trunc)
+    return GenSeries.keyed(basepoint, base - m, nonzero(coeffs), trunc)

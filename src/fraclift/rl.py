@@ -10,11 +10,12 @@ exponents under integer orders) the joint limit reproduces the classical
 derivative. A numerator pole alone (negative-integer exponent, non-integer
 order) is outside the power rule and raises.
 
-rl_series computes the ratios of a whole series with gamma.gamma_chain: the
-exponents lie on one lattice, so R(e) = Gamma(e+1)/Gamma(e+1-k) steps as
-R(e+1) = R(e) * (e+1)/(e+1-k) from one Lanczos anchor per run of terms, and
-every term on a pole is resolved by the scalar gamma_ratio cases above.
-rl_term evaluates a single term with the scalar kernel.
+rl_series works on keys, with k read as the rational it stands for
+(coeffseq.rational): the result has the exact phase phase - k (mod 1), and
+when that is an integer the annihilated terms are one run of keys, dropped
+unevaluated. gamma.gamma_chain steps the other ratios along the lattice,
+R(e+1) = R(e) * (e+1)/(e+1-k), and resolves any pole within int_tol by the
+scalar cases above. rl_term evaluates a single term.
 
 This is the non-commutative side of the constructions in `lifted`: composing
 two orders can annihilate a term that the summed order keeps.
@@ -22,8 +23,11 @@ two orders can annihilate a term that the summed order keeps.
 
 from __future__ import annotations
 
+import bisect
+import math
+
 from . import config
-from .coeffseq import GenSeries, Term
+from .coeffseq import GenSeries, Term, rational
 from .errors import ExponentError
 from .gamma import gamma_chain, gamma_ratio, is_pole
 
@@ -43,15 +47,14 @@ def _kernel_arg(alpha, k):
     return arg
 
 
-def rl_kernel_predicate(alpha, k, tol=None) -> bool:
+def rl_kernel_predicate(alpha, k) -> bool:
     """True when the term (x-a)^alpha is annihilated by order k: alpha+1-k is
-    a nonpositive integer and alpha+1 is not itself a pole. Raises
-    ExponentError when |alpha+1-k| >= 2^52."""
-    t = config.int_tol if tol is None else tol
-    return is_pole(_kernel_arg(alpha, k), t) and not is_pole(alpha + 1.0, t)
+    a nonpositive integer and alpha+1 is not itself a pole (within
+    config.int_tol). Raises ExponentError when |alpha+1-k| >= 2^52."""
+    return is_pole(_kernel_arg(alpha, k)) and not is_pole(alpha + 1.0)
 
 
-def rl_term(b, alpha, k, tol=None):
+def rl_term(b, alpha, k):
     """Order-k differintegral of a single power term.
 
     Returns the resulting Term, or None when the term is kernel-annihilated.
@@ -59,22 +62,34 @@ def rl_term(b, alpha, k, tol=None):
     integer (numerator pole; undefined coefficient), GammaOverflowError
     when the coefficient's Gamma ratio exceeds double range, and
     ExponentError when |alpha+1-k| >= 2^52."""
-    ratio = gamma_ratio(alpha + 1.0, _kernel_arg(alpha, k), tol)
+    ratio = gamma_ratio(alpha + 1.0, _kernel_arg(alpha, k))
     if ratio == 0.0:
         return None
     return Term(alpha - k, b * ratio)
 
 
-def rl_series(f: GenSeries, k, tol=None) -> GenSeries:
+def rl_series(f: GenSeries, k) -> GenSeries:
     """Termwise differintegral of order k; annihilated terms are removed.
     A truncated input of order N yields a truncated output of order N-k."""
     k = float(k)
-    xs = [e + 1.0 for e, _ in f.terms]
-    if xs:  # |x - k| is largest at an end of the ascending list
-        _kernel_arg(f.terms[0].exponent, k)
-        _kernel_arg(f.terms[-1].exponent, k)
-    ratios = gamma_chain(xs, "ratio", k, tol)
-    terms = [Term(e - k, c * r) for (e, c), r in zip(f.terms, ratios)
-             if r != 0.0]
+    terms = f.terms
+    if terms:  # |e + 1 - k| is largest at an end of the ascending list
+        _kernel_arg(terms[0].exponent, k)
+        _kernel_arg(terms[-1].exponent, k)
+    psi = f.phase - rational(k)  # exponent n + phase goes to n + psi
+    m = math.floor(psi)
+    keys = sorted(f.coeffs)
+    if psi == m:
+        # e + 1 - k = n + 1 + m: the keys n <= -1 - m are on denominator
+        # poles, annihilated unless e + 1 is a pole too (phase 0, n <= -1)
+        lo = bisect.bisect_right(keys, -1) if not f.phase else 0
+        hi = bisect.bisect_right(keys, -1 - m)
+        if lo < hi:
+            keys = keys[:lo] + keys[hi:]
+            terms = terms[:lo] + terms[hi:]
+    ratios = gamma_chain([e + 1.0 for e, _ in terms], "ratio", k)
+    eps = config.COEF_EPS
     order = None if f.truncation_order is None else f.truncation_order - k
-    return GenSeries(f.basepoint, tuple(terms), order)
+    return GenSeries.keyed(f.basepoint, psi - m, {
+        n + m: v for n, (_, c), r in zip(keys, terms, ratios)
+        if abs(v := c * r) >= eps}, order)

@@ -1,0 +1,42 @@
+"""The benchmark's own reference checks (fracbench/reference.py and
+fracbench/cli_worker.py), run in process on the first requests of each
+workload, so that an output they would refuse fails here before it fails a
+benchmark run."""
+
+import os
+import sys
+
+import pytest
+
+import fraclift
+from fraclift.cli import main
+
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "fracbench"))
+import cli_worker  # noqa: E402
+import gen  # noqa: E402
+import spans  # noqa: E402
+import worker  # noqa: E402
+
+
+@pytest.mark.parametrize("workload", ["series_small", "series_large", "expand"])
+def test_first_requests_pass_the_reference_checks(workload):
+    make, prepare, run, check = worker.WORKLOADS[workload]
+    for req in make(0)[:16]:
+        out = run(fraclift, prepare(req), spans.NullTracer())
+        assert check(req, out) == [], req
+
+
+def test_cli_cycle_passes_the_reference_checks(capsys, monkeypatch, tmp_path):
+    # check() compares the annihilated exponents of deriv --series-file with
+    # ==, so an exponent one ulp off the input fails here
+    inp = gen.cli_inputs(0)
+    monkeypatch.chdir(tmp_path)
+    cli_worker.write_inputs(inp, str(tmp_path))
+    out = {}
+    for kind, argv, stdout_file in cli_worker.cycle(inp):
+        code = main(argv)
+        out[kind] = capsys.readouterr().out
+        assert code == 0, (kind, argv)
+        if stdout_file:
+            (tmp_path / stdout_file).write_text(out[kind])
+    assert cli_worker.check(inp, out) == []

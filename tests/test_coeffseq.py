@@ -1,18 +1,16 @@
 import json
 import math
+from fractions import Fraction
 
 import pytest
 
 from conftest import assert_seq_close, assert_series_close
 from fraclift.coeffseq import (
-    CoeffSeq,
     GenSeries,
     Term,
     int_antiderivative,
     int_derivative,
-    lift_jet,
     monomial,
-    project,
     series_eval,
     series_from_json,
     series_to_json,
@@ -25,37 +23,44 @@ from fraclift.errors import (
     LatticeError,
     TruncationError,
 )
+from fraclift.lifted import LiftedSeq, lift_gen, project, shift
 from fraclift.oracle import compare
 from fraclift.parser import to_series
 from fraclift.rl import rl_series
 
 
+def seq(values, basepoint=0.0):
+    """A coefficient sequence: the lifted sequence at offset 0."""
+    return LiftedSeq(basepoint, 0, values)
+
+
 class TestCoeffSeq:
     def test_add_identity(self):
-        s = CoeffSeq(0.0, {0: 1.0, 1: 2.0})
-        assert s + CoeffSeq(0.0, {}) == s
+        s = seq({0: 1.0, 1: 2.0})
+        assert s + seq({}) == s
 
     def test_scale_zero(self):
-        s = CoeffSeq(0.0, {2: 3.0, -1: 4.0})
+        s = seq({2: 3.0, -1: 4.0})
         assert (0.0 * s).is_zero
 
     def test_pointwise_add(self):
-        a = CoeffSeq(0.0, {0: 1.0, 1: 2.0})
-        b = CoeffSeq(0.0, {1: 3.0})
-        assert (a + b).entries == {0: 1.0, 1: 5.0}
+        a = seq({0: 1.0, 1: 2.0})
+        b = seq({1: 3.0})
+        assert (a + b).values == {0: 1.0, 1: 5.0}
 
     def test_basepoint_mismatch(self):
         with pytest.raises(BasepointError):
-            CoeffSeq(0.0, {0: 1.0}) + CoeffSeq(1.0, {0: 1.0})
+            seq({0: 1.0}) + seq({0: 1.0}, basepoint=1.0)
 
     def test_zero_entries_dropped(self):
-        s = CoeffSeq(0.0, {0: 0.0, 1: 1e-301, 2: 1.0})
-        assert s.entries == {2: 1.0}
+        s = seq({0: 0.0, 1: 1e-301, 2: 1.0})
+        assert s.values == {2: 1.0}
 
     def test_integer_shift(self):
-        s = CoeffSeq(0.0, {0: 1.0, 3: 2.0})
-        assert s.shift(1).entries == {-1: 1.0, 2: 2.0}
-        assert s.shift(-2).entries == {2: 1.0, 5: 2.0}
+        # result(i) = s(i + k): an integer shift, restricted to the integers
+        s = seq({0: 1.0, 3: 2.0})
+        assert shift(s, 1).on_integers().values == {-1: 1.0, 2: 2.0}
+        assert shift(s, -2).on_integers().values == {2: 1.0, 5: 2.0}
 
 
 class TestGenSeries:
@@ -79,25 +84,28 @@ class TestGenSeries:
 
 class TestProjection:
     def test_divides_by_factorials(self):
-        f = project(CoeffSeq(0.0, {0: 1.0, 1: 1.0, 2: 1.0}))
+        f = project(seq({0: 1.0, 1: 1.0, 2: 1.0}))
         assert f.terms == (Term(0.0, 1.0), Term(1.0, 1.0), Term(2.0, 0.5))
 
     def test_negative_indices_annihilated(self):
-        assert project(CoeffSeq(0.0, {-1: 7.0})).is_zero
-        assert project(CoeffSeq(0.0, {})).is_zero
-        mixed = project(CoeffSeq(0.0, {-3: 5.0, 1: 2.0}))
+        assert project(seq({-1: 7.0})).is_zero
+        assert project(seq({})).is_zero
+        mixed = project(seq({-3: 5.0, 1: 2.0}))
         assert mixed.terms == (Term(1.0, 2.0),)
 
     def test_lift_jet_multiplies_factorials(self):
+        # a jet lifts to a sequence on the integers (offset 0)
         f = GenSeries(0.0, (Term(0.0, 1.0), Term(1.0, 1.0), Term(2.0, 0.5)))
-        assert lift_jet(f).entries == {0: 1.0, 1: 1.0, 2: 1.0}
-        assert lift_jet(monomial(3.0)).entries == {3: 6.0}
+        assert lift_gen(f) == seq({0: 1.0, 1: 1.0, 2: 1.0})
+        assert lift_gen(monomial(3.0)) == seq({3: 6.0})
 
     def test_lift_jet_rejects_non_jets(self):
+        # a non-integer exponent lifts off the integers, where the sequence
+        # restricts to zero; a negative integer one has no preimage
+        half = lift_gen(monomial(0.5))
+        assert half.offset == Fraction(1, 2) and half.on_integers().is_zero
         with pytest.raises(ExponentError):
-            lift_jet(monomial(0.5))
-        with pytest.raises(ExponentError):
-            lift_jet(monomial(-1.0))
+            lift_gen(monomial(-1.0))
 
     def test_round_trips(self):
         import random
@@ -105,20 +113,20 @@ class TestProjection:
         for _ in range(100):
             entries = {rng.randint(-8, 16): rng.uniform(-10, 10)
                        for _ in range(rng.randint(1, 10))}
-            sigma = CoeffSeq(0.0, entries)
-            back = lift_jet(project(sigma))
-            assert all(i >= 0 for i in back.entries)
-            expected = CoeffSeq(0.0, {i: v for i, v in entries.items() if i >= 0})
+            sigma = seq(entries)
+            back = lift_gen(project(sigma))
+            assert all(i >= 0 for i in back.values) and back.offset == 0
+            expected = seq({i: v for i, v in entries.items() if i >= 0})
             assert_seq_close(back, expected)
 
             exps = rng.sample(range(0, 17), rng.randint(1, 8))
             f = GenSeries(0.0, tuple(Term(float(e), rng.uniform(-10, 10))
                                      for e in exps))
-            assert_series_close(project(lift_jet(f)), f)
+            assert_series_close(project(lift_gen(f)), f)
 
     def test_linearity(self):
-        a = CoeffSeq(0.0, {-2: 1.0, 0: 2.0, 5: -3.0})
-        b = CoeffSeq(0.0, {0: 4.0, 3: 1.5})
+        a = seq({-2: 1.0, 0: 2.0, 5: -3.0})
+        b = seq({0: 4.0, 3: 1.5})
         assert_series_close(project(a + b), project(a) + project(b))
         assert_series_close(project(2.5 * a), 2.5 * project(a))
 
@@ -145,12 +153,12 @@ class TestSeriesEval:
         assert series_eval(f, -2.0) == -8.0
 
     def test_near_integer_exponent_below_basepoint(self):
-        # three derivatives of order 1/3 leave x^2 at exponent
-        # 1.0000000000000002, an integer within int_tol
+        # three derivatives of order 1/3 (the double) leave x^2 at exponent
+        # 1 exactly: the order reads as 1/3, and the phases add exactly
         f = GenSeries(0.0, (Term(2.0, 1.0),))
         for _ in range(3):
             f = rl_series(f, 1.0 / 3.0)
-        assert f.exponents() != [1.0]
+        assert f.exponents() == [1.0] and f.phase == 0
         assert series_eval(f, -0.5) == pytest.approx(-1.0, rel=1e-12)
 
     def test_evaluation_at_basepoint(self):

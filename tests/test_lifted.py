@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import assert_series_close
-from fraclift.coeffseq import CoeffSeq, GenSeries, Term, lift_jet, monomial
+from fraclift.coeffseq import GenSeries, Term, monomial
 from fraclift.errors import BasepointError, ExponentError, InputError
 from fraclift.lifted import (
     LiftedSeq,
@@ -20,46 +20,50 @@ from fraclift.lifted import (
 SQRT_PI = math.sqrt(math.pi)
 
 
+def seq(values):
+    """A coefficient sequence: the lifted sequence at offset 0."""
+    return LiftedSeq(0.0, 0, values)
+
+
 class TestEmbed:
     def test_restriction_is_identity(self):
-        sigma = CoeffSeq(0.0, {1: 1.0, -4: 2.5})
+        sigma = seq({1: 1.0, -4: 2.5})
         rho = embed(sigma)
         assert rho.offset == 0
-        assert rho.values == sigma.entries
+        assert rho.values == sigma.values
         assert rho.on_integers() == sigma
 
     def test_zero(self):
-        assert embed(CoeffSeq(0.0, {})).is_zero
+        assert embed(seq({})).is_zero
 
     def test_jet_restriction(self):
-        sigma = lift_jet(monomial(2.0))
+        sigma = lift_gen(monomial(2.0))
         assert embed(sigma).on_integers() == sigma
 
 
 class TestShift:
     def test_halves_compose_to_one(self):
-        rho = embed(CoeffSeq(0.0, {1: 1.0, 3: -2.0}))
+        rho = seq({1: 1.0, 3: -2.0})
         assert shift(shift(rho, 0.5), 0.5) == shift(rho, 1.0)
 
     def test_zero_shift_identity(self):
-        rho = embed(CoeffSeq(0.0, {2: 1.0}))
+        rho = seq({2: 1.0})
         assert shift(rho, 0.0) == rho
 
     def test_exact_cancellation(self):
-        rho = shift(embed(CoeffSeq(0.0, {0: 1.0})), 0.1)
+        rho = shift(seq({0: 1.0}), 0.1)
         assert shift(shift(rho, 0.3), -0.3) == rho
 
     def test_bitwise_commutativity(self):
         rng = random.Random(1)
         for _ in range(300):
-            rho = shift(embed(CoeffSeq(0.0, {rng.randint(-8, 16): rng.uniform(-10, 10)
-                                             for _ in range(5)})),
-                        rng.uniform(-2, 2))
+            rho = shift(seq({rng.randint(-8, 16): rng.uniform(-10, 10)
+                             for _ in range(5)}), rng.uniform(-2, 2))
             a, b = rng.uniform(-3, 3), rng.uniform(-3, 3)
             assert shift(shift(rho, a), b) == shift(shift(rho, b), a)
 
     def test_offset_is_exact_rational(self):
-        rho = embed(CoeffSeq(0.0, {0: 1.0}))
+        rho = seq({0: 1.0})
         out = rho
         for _ in range(3):
             out = shift(out, math.pi / 3.0)
@@ -73,17 +77,17 @@ class TestShift:
 
 class TestProject:
     def test_reduces_to_sequence_projection_at_offset_zero(self):
-        sigma = CoeffSeq(0.0, {0: 1.0, 2: 4.0, -3: 9.0})
-        from fraclift.coeffseq import project as seq_project
-        assert project(embed(sigma)) == seq_project(sigma)
-        assert project(sigma) == seq_project(sigma)
+        # entry i over i! at exponent i; the negative index is annihilated
+        sigma = seq({0: 1.0, 2: 4.0, -3: 9.0})
+        assert project(embed(sigma)) == project(sigma)
+        assert project(sigma).terms == (Term(0.0, 1.0), Term(2.0, 2.0))
 
     def test_identity_on_jets(self):
         f = monomial(1.0)
-        assert_series_close(project(embed(lift_jet(f))), f)
+        assert_series_close(project(embed(lift_gen(f))), f)
 
     def test_half_shift_of_x(self):
-        rho = shift(embed(lift_jet(monomial(1.0))), 0.5)
+        rho = shift(lift_gen(monomial(1.0)), 0.5)
         out = project(rho)
         assert len(out.terms) == 1
         assert out.terms[0].exponent == 0.5
@@ -98,8 +102,9 @@ class TestProject:
 
 class TestLiftGen:
     def test_jet_input_matches_embedding(self):
-        f = monomial(1.0)
-        assert lift_gen(f) == embed(lift_jet(f))
+        # a jet lifts to its sequence on the integers, entry i = i! * c_i
+        assert lift_gen(monomial(1.0)) == embed(seq({1: 1.0}))
+        assert lift_gen(monomial(3.0, 0.5)) == seq({3: 3.0})
 
     def test_half_lattice(self):
         rho = lift_gen(monomial(-0.5))
@@ -137,33 +142,33 @@ class TestLiftGen:
 
 class TestLiftedAlgebra:
     def test_add_requires_same_lattice(self):
-        a = shift(embed(CoeffSeq(0.0, {0: 1.0})), 0.5)
-        b = embed(CoeffSeq(0.0, {0: 1.0}))
+        a = shift(seq({0: 1.0}), 0.5)
+        b = seq({0: 1.0})
         with pytest.raises(BasepointError):
             a + b
 
     def test_linearity_through_shift(self):
-        a = embed(CoeffSeq(0.0, {0: 1.0, 2: 2.0}))
-        b = embed(CoeffSeq(0.0, {1: -1.0, 2: 1.0}))
+        a = seq({0: 1.0, 2: 2.0})
+        b = seq({1: -1.0, 2: 1.0})
         k = 0.7
         assert shift(a + b, k) == shift(a, k) + shift(b, k)
         assert shift(3.0 * a, k) == 3.0 * shift(a, k)
 
     def test_off_lattice_restriction_is_zero(self):
-        rho = shift(embed(CoeffSeq(0.0, {0: 1.0})), 0.5)
+        rho = shift(seq({0: 1.0}), 0.5)
         assert rho.on_integers().is_zero
 
 
 class TestLiftedJson:
     def test_round_trip(self):
-        rho = shift(embed(CoeffSeq(0.0, {1: 1.0, -2: 0.5})), 0.75)
+        rho = shift(seq({1: 1.0, -2: 0.5}), 0.75)
         back = lifted_from_json(lifted_to_json(rho))
         assert back == rho
 
     def test_inexact_offset_survives_reload(self):
         # 0.1 + 0.2 as exact rationals is no double: the float alone reloads
         # 2^-55 away, and D2 (shift composition) breaks across a file
-        rho = shift(shift(embed(CoeffSeq(0.0, {0: 1.0, 3: 2.0})), 0.1), 0.2)
+        rho = shift(shift(seq({0: 1.0, 3: 2.0}), 0.1), 0.2)
         text = lifted_to_json(rho)
         assert '"offset_exact": "%s"' % rho.offset in text
         back = lifted_from_json(text)
@@ -187,7 +192,7 @@ class TestLiftedJson:
             '"values": [{"index": 0, "value": 1}]}')
 
     def test_deterministic(self):
-        rho = shift(embed(CoeffSeq(0.0, {3: math.pi, -1: 1 / 3})), math.pi / 3)
+        rho = shift(seq({3: math.pi, -1: 1 / 3}), math.pi / 3)
         assert lifted_to_json(rho) == lifted_to_json(rho)
 
     def test_malformed_input_raises_input_error(self):

@@ -6,6 +6,7 @@ import pytest
 from conftest import assert_series_close
 from fraclift.coeffseq import GenSeries, Term, int_derivative, monomial
 from fraclift.errors import ExponentError, GammaPoleError
+from fraclift.gamma import is_pole
 from fraclift.lifted import lift_gen, project, shift
 from fraclift.parser import to_series
 from fraclift.rl import rl_kernel_predicate, rl_series, rl_term
@@ -122,7 +123,8 @@ class TestSemigroup:
                                      for e in exps))
             j = rng.uniform(0.05, 1.95)
             k = rng.uniform(0.05, 1.95)
-            if any(rl_kernel_predicate(e, o, 1e-6)
+            # skip orders within 1e-6 of the kernel of any term
+            if any(is_pole(e + 1.0 - o, 1e-6) and not is_pole(e + 1.0, 1e-6)
                    for e in f.exponents() for o in (j, k, j + k)):
                 continue
             assert_series_close(rl_series(rl_series(f, j), k),
