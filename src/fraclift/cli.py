@@ -32,7 +32,7 @@ from .errors import FracliftError
 from .lifted import lift_gen, lifted_from_json, lifted_to_json, project, shift
 from .oracle import QuadratureConfig, compare
 from .parser import to_series
-from .rl import rl_kernel_predicate, rl_series
+from .rl import annihilated_run, rl_series
 from .verify import SUITES, run_suites
 
 
@@ -100,11 +100,11 @@ def _add_input_opts(p):
 
 
 def _annihilated(f: GenSeries, k: float):
-    out = []
-    for e, c in f.terms:
-        if rl_kernel_predicate(e, k):
-            out.append((e, c, e + 1.0 - k))
-    return out
+    """(exponent, coefficient, e+1-k) of each term order k annihilates."""
+    keys, lo, hi, _ = annihilated_run(f, k)
+    killed = set(keys[lo:hi])
+    return [(e, c, e + 1.0 - k) for n, (e, c) in zip(sorted(f.coeffs), f.terms)
+            if n in killed]
 
 
 def cmd_deriv(args):

@@ -28,27 +28,32 @@ GammaOverflowError, while 1/Gamma(+inf) and a finite, non-pole numerator
 over Gamma(+inf) give 0.0.
 
 gamma_chain evaluates one of these quantities along a whole series. Its
-arguments lie on one lattice {phase + n}, so neighbours are linked by the
-Pochhammer step Gamma(x+1) = x Gamma(x) (DLMF 5.5.1):
+arguments are the lattice points n + c for ascending integer keys n and an
+exact rational c, linked by the Pochhammer step Gamma(x+1) = x Gamma(x)
+(DLMF 5.5.1):
 
   "gamma"   Gamma(x+1)   = Gamma(x) * x
   "recip"   1/Gamma(x+1) = (1/Gamma(x)) / x
   "ratio"   R(x+1)       = R(x) * x / (x-k)    for R(x) = Gamma(x)/Gamma(x-k)
 
 and one multiply-divide per lattice step replaces a Lanczos evaluation per
-term. Each run of terms starts from one scalar-kernel anchor at the term
-with the smallest |x| + |x-k|, where the log-space value is most accurate,
-and walks up and down from it: a product chain's rounding error grows
-linearly with its length (Higham, Accuracy and Stability of Numerical
-Algorithms, 2nd ed., ch. 3), while a log-space value carries an error
-proportional to |log Gamma|. The scalar functions keep every case a step
-cannot take: a term whose argument is non-finite or on a pole (within
-int_tol) gets its scalar case and ends a run; the term after a gap of more
-than _MAX_GAP steps, or after a running value that left the normal double
-range, is re-anchored by the scalar kernel, which also raises the overflow
-errors and returns the underflow zeros. The integer lattice under an
-integer order goes to the scalar kernel term by term, so it takes the
-exact factorial paths and equals them bit for bit.
+term. The argument at each key is the correctly rounded double of its
+rational (n q + p)/q, evaluated once; a step count is the difference of two
+keys, and the steps go by 1 in doubles from a key's argument. Each chain
+starts from one scalar-kernel anchor at the key with the smallest |x| + |x-k|, where the
+log-space value is most accurate, and walks up and down from it: a product
+chain's rounding error grows linearly with its length (Higham, Accuracy and
+Stability of Numerical Algorithms, 2nd ed., ch. 3), while a log-space value
+carries an error proportional to |log Gamma|.
+
+Every n + c lies the same exact distance from the integers, so one test of
+that distance against int_tol decides a lattice's poles, and they are its
+leading keys (lattice_poles); those get the scalar cases. The key after a
+gap of more than _MAX_GAP steps, or after a running value that left the
+normal double range, is re-anchored by the scalar kernel, which also raises
+the overflow errors and returns the underflow zeros. The integer lattice
+under an integer order goes to the scalar kernel term by term, so it takes
+the exact factorial paths and equals them bit for bit.
 """
 
 import bisect
@@ -59,7 +64,7 @@ from itertools import accumulate
 from operator import mul
 
 from . import config
-from .errors import GammaOverflowError, GammaPoleError, LatticeError
+from .errors import GammaOverflowError, GammaPoleError
 
 __all__ = [
     "SignedLogGamma",
@@ -69,6 +74,7 @@ __all__ = [
     "gamma_ratio",
     "sinpi",
     "is_pole",
+    "lattice_poles",
     "gamma_chain",
 ]
 
@@ -338,30 +344,43 @@ def gamma_ratio(p, q, tol=None):
 # Gamma(x)**a / Gamma(x - k)**b
 _CHAIN_KINDS = {"gamma": (1, 0), "recip": (0, 1), "ratio": (1, 1)}
 
-# Longest gap between neighbouring terms bridged by stepping; the term after
+# Longest gap between neighbouring keys bridged by stepping; the term after
 # a wider one is re-anchored by the scalar kernel, which costs about as much
 # as 16 steps.
 _MAX_GAP = 32
-_MAX_STEPS = 2.0**52  # a larger difference is no step count (and round(inf) raises)
 
 
-def gamma_chain(xs, kind, k=0.0, tol=None):
-    """[q(x) for x in xs] for q = gamma ("gamma"), recip_gamma ("recip") or
-    x -> gamma_ratio(x, x - k) ("ratio"), by Pochhammer steps between
-    neighbours.
+def lattice_poles(p, q, keys):
+    """How many of the ascending integer keys n put n + p/q (q > 0) on a
+    Gamma pole, within config.int_tol of a nonpositive integer. Every n + p/q
+    lies the same exact distance from the integers, so one test decides the
+    lattice: the poles are the leading keys n <= -m, m the integer nearest
+    p/q, or there are none."""
+    m = (2 * p + q) // (2 * q)  # floor(p/q + 1/2)
+    if abs(p - m * q) / q > config.int_tol:  # int/int: q may pass 2^1024
+        return 0
+    return bisect.bisect_right(keys, -m)
 
-    xs are floats in ascending order on one lattice {phase + n} (within
-    tol), such as a series' e+1 values; k is used by "ratio" only. Each value
-    follows the pole, overflow, underflow-to-zero and perturbation rules of
-    the scalar function it stands for; non-finite arguments and poles are
-    handed to that function. Neighbours whose difference is not an integer
-    within tol raise LatticeError. Where neighbouring floats are not exactly
-    one apart, a chained value is Gamma's at the lattice point reached from
-    the anchor, which near a pole can differ from the pointwise value by
-    about (rounding of the argument)/(distance to the pole)."""
+
+def gamma_chain(c, keys, kind, k=0):
+    """[q(n + c) for n in keys] for q = gamma ("gamma"), recip_gamma
+    ("recip") or x -> gamma_ratio(x, x - k) ("ratio"), by Pochhammer steps
+    between neighbours.
+
+    keys are ascending integers; c and k are exact rationals (Fraction or
+    int), and k is used by "ratio" only. Each argument n + c is the correctly
+    rounded double of its rational, and each value follows the pole,
+    overflow, underflow-to-zero and perturbation rules of the scalar function
+    it stands for: the leading keys on a pole (lattice_poles) get the scalar
+    cases."""
     a, b = _CHAIN_KINDS[kind]
-    tol = _tol(tol)
-    k = float(k) if kind == "ratio" else 0.0
+    if kind != "ratio":
+        k = 0
+    # x = n + c = N/Q and x - k = (N - K)/Q with N = n Q + P, all integers
+    kq = k.denominator
+    Q, P, K = c.denominator * kq, c.numerator * kq, k.numerator * c.denominator
+    tol = config.int_tol
+    kf = K / Q
     if kind == "gamma":
         def scalar(x):
             return gamma(x, tol)
@@ -370,63 +389,36 @@ def gamma_chain(xs, kind, k=0.0, tol=None):
             return recip_gamma(x, tol)
     else:
         def scalar(x):
-            return _ratio(x, x - k, tol)
-    if k.is_integer() and all(map(float.is_integer, xs)):
-        # the integer lattice under an integer order: the scalar kernel's
-        # exact factorial paths, term by term
-        out = [scalar(x) for x in xs]
-        return _perturbed(out) if kind == "ratio" else out
-
-    n = len(xs)
-    out = [0.0] * n
-    # A pole needs x or x - k below 1/2, so with every argument finite only
-    # the terms below max(k, 0) + 1 are tested, and only on a side whose
-    # lattice comes near the integers: the arguments lie within tol of one
-    # lattice, so a term within tol of an integer puts the first term within
-    # 2 tol of one (1/8 more covers the rounding of the arguments).
-    near = 0.125 + 2.0 * tol
-    if math.isfinite(sum(xs)) and math.isfinite(k):
-        head = bisect.bisect_left(xs, max(k, 0.0) + 1.0)
-        test_x = a and head and abs(xs[0] - round(xs[0])) <= near
-        test_r = b and head and abs(xs[0] - k - round(xs[0] - k)) <= near
-    else:
-        head, test_x, test_r = n, True, True
-    inf, floor = math.inf, math.floor
-    start = 0
-    for i in range(head if test_x or test_r else 0):
-        x = xs[i]
-        r = x - k
-        if not (-inf < x < inf and -inf < r < inf) or (
-                test_x and x < 0.5 and abs(x - floor(x + 0.5)) <= tol) or (
-                test_r and r < 0.5 and abs(r - floor(r + 0.5)) <= tol):
-            _float_run(xs, out, start, i, a, b, k, scalar, tol)
-            out[i] = scalar(x)  # non-finite or on a pole: ends a run
-            start = i + 1
-    _float_run(xs, out, start, n, a, b, k, scalar, tol)
+            return _ratio(x, x - kf, tol)
+    xs = [(n * Q + P) / Q for n in keys]
+    e = len(keys)
+    # the keys the scalar kernel takes term by term: those on a pole, or all
+    # of the integer lattice under an integer order (exact factorial paths)
+    h = e if Q == 1 else max(a and lattice_poles(P, Q, keys),
+                             b and lattice_poles(P - K, Q, keys))
+    out = [0.0] * e
+    for i in range(h):
+        out[i] = scalar(xs[i])
+    if h < e:
+        # the anchor is where |x| + |x - k|, convex in x, is smallest: at the
+        # first key with x >= k/2 (2N >= K), or at the key before it
+        m = bisect.bisect_left(keys, -((2 * P - K) // (2 * Q)), h)
+        if m == e or m > h and (abs(xs[m - 1]) + abs(xs[m - 1] - kf)
+                                <= abs(xs[m]) + abs(xs[m] - kf)):
+            m -= 1
+        out[m] = scalar(xs[m])
+        # up:   V(x+1) = V(x) * x**a / (x-k)**b     for x = x_m, x_m + 1, ...
+        _walk(keys, xs, out, m, e, 1, (a, 0.0, b, kf), scalar)
+        # down: V(x) = V(x+1) * (x-k)**b / x**a     for x = x_m - 1, ...
+        _walk(keys, xs, out, m, h - 1, -1, (b, kf, a, 0.0), scalar)
     return _perturbed(out) if kind == "ratio" else out
 
 
-def _float_run(xs, out, s, e, a, b, k, scalar, tol):
-    # out[s:e] for a run of finite terms off the poles. The anchor is where
-    # |x| + |x - k|, convex in x, is smallest: at the first term at or above
-    # its minimum k/2, or at the term before it.
-    if s == e:
-        return
-    m = bisect.bisect_left(xs, 0.5 * k, s, e)
-    if m == e or (m > s and abs(xs[m - 1]) + abs(xs[m - 1] - k)
-                  <= abs(xs[m]) + abs(xs[m] - k)):
-        m -= 1
-    out[m] = scalar(xs[m])
-    # up:   V(z+1) = V(z) * z**a / (z-k)**b     for z = x, x+1, ...
-    _walk(xs, out, m, e, 1, (a, 0.0, b, k), scalar, tol)
-    # down: V(z) = V(z+1) * (z-k)**b / z**a     for z = x-1, x-2, ...
-    _walk(xs, out, m, s - 1, -1, (b, k, a, 0.0), scalar, tol)
-
-
-def _walk(xs, out, m, stop, step, factors, scalar, tol):
+def _walk(keys, xs, out, m, stop, step, factors, scalar):
     # out[t] for t = m + step, m + 2 step, ... before stop, from out[m]: each
     # lattice step multiplies by (z - nk) if na and divides by (z - dk) if da,
-    # for z running from xs[m] up, or from xs[m] - 1 down. The term past a gap
+    # for z running up from the previous key's argument, or down from it
+    # minus 1; the step count is the keys' difference. The key past a gap
     # wider than _MAX_GAP, or after a value out of normal range, is
     # re-anchored by the scalar kernel. The range is checked at the end of
     # each gap: a step scales |V| by |z/(z-k)|, which crosses 1 only at
@@ -436,38 +428,22 @@ def _walk(xs, out, m, stop, step, factors, scalar, tol):
     na, nk, da, dk = factors
     dz = float(step)
     shift = 0.0 if step > 0 else -1.0
-    lo, hi, slack = _NORMAL_MIN, _NORMAL_MAX, 2.0 * tol
-    v, y = out[m], xs[m]
+    lo, hi, gap = _NORMAL_MIN, _NORMAL_MAX, _MAX_GAP
+    v, n0, y = out[m], keys[m], xs[m]
     for t in range(m + step, stop, step):
+        n = keys[t]
+        steps = (n - n0) * step
         x = xs[t]
-        d = (x - y) * dz
-        if -slack <= d - 1.0 <= slack:
-            n = 1
-        else:
-            n = round(d) if -0.5 < d < _MAX_STEPS else -1
-            if n < 0 or not -slack <= d - n <= slack:
-                n = _lattice_steps(*((y, x) if step > 0 else (x, y)), tol)
-        if n > _MAX_GAP or not lo <= abs(v) <= hi:
+        if steps > gap or not lo <= abs(v) <= hi:
             v = scalar(x)
         else:
             z = y + shift
-            while n:
+            while steps:
                 v = v * (z - nk if na else 1.0) / (z - dk if da else 1.0)
                 z += dz
-                n -= 1
+                steps -= 1
             if not lo <= abs(v) <= hi:
                 v = scalar(x)
         out[t] = v
+        n0 = n
         y = x
-
-
-def _lattice_steps(lo, hi, tol):
-    # steps from lo up to its neighbour hi when they are not an integer apart
-    # within 2 tol: allow the rounding of the arguments themselves, or raise
-    d = hi - lo
-    n = round(d) if -0.5 < d < _MAX_STEPS else -1
-    if n < 0 or abs(d - n) > 2.0 * tol + 4.0 * math.ulp(abs(lo) + abs(hi)):
-        raise LatticeError(
-            "Gamma chain arguments %r and %r are not neighbours on one lattice"
-            % (lo, hi))
-    return n

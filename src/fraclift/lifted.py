@@ -19,24 +19,24 @@ on series without negative-integer exponents, putting exponent n + phase at
 index n (phase 0) or n + 1 (offset 1 - phase).
 
 Both directions evaluate Gamma along the lattice with gamma.gamma_chain,
-one scalar anchor per run of terms and a Pochhammer step per lattice step:
-project divides, 1/Gamma(t+2) = (1/Gamma(t+1))/(t+1), on the arguments
-t+1 = ((j+1)q - p)/q of the exact offset p/q; lift_gen multiplies,
-Gamma(e+2) = (e+1) Gamma(e+1). Poles and values outside the normal double
-range fall back to recip_gamma and gamma, term by term.
+one scalar anchor and a Pochhammer step per lattice step, at arguments
+rounded once from their exact rationals: project divides, 1/Gamma(t+2) =
+(1/Gamma(t+1))/(t+1), on t+1 = j + 1 - offset; lift_gen multiplies,
+Gamma(e+2) = (e+1) Gamma(e+1), on e+1 = n + phase + 1. gamma.lattice_poles
+finds the poles of either lattice with one exact test: project drops those
+indices, and lift_gen refuses a series with a term on one.
 """
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import config
 from .coeffseq import GenSeries, add_values, finite_float, fmt17, nonzero
 from .coeffseq import rational, read_json
-from .errors import BasepointError, ExponentError, GammaPoleError
-from .gamma import gamma_chain, is_pole
+from .errors import BasepointError, ExponentError
+from .gamma import gamma_chain, lattice_poles
 
 
 @dataclass(frozen=True)
@@ -120,18 +120,17 @@ def project(rho: LiftedSeq) -> GenSeries:
     values[j]/Gamma(t+1); entries with t+1 on a Gamma pole vanish exactly.
     At offset 0 this is the projection of a jet's sequence, entry i over i!
     at exponent i."""
-    # offset p/q: index j has t + 1 = num/q with num = (j+1)q - p, and the
-    # int/int divisions round exactly as float(Fraction) would
+    # exponent j - p/q = key + phase with key = j + m, m = floor(-p/q); the
+    # Gamma argument t + 1 = j + (q - p)/q
     p, q = rho.offset.numerator, rho.offset.denominator
-    items = sorted(rho.values.items())
-    if q == 1:  # t + 1 = j + 1 - p: the indices below p sit on the poles
-        items = items[bisect.bisect_left(items, (p,)):]
-    rs = gamma_chain([((j + 1) * q - p) / q for j, _ in items], "recip")
-    # exponent j - p/q = key + phase with key = j + m, m = floor(-p/q)
+    keys = sorted(rho.values)
+    keys = keys[lattice_poles(q - p, q, keys):]
+    rs = gamma_chain(1 - rho.offset, keys, "recip")
     m = -((p + q - 1) // q)
+    values = rho.values
     eps = config.COEF_EPS
     return GenSeries.keyed(rho.basepoint, Fraction(-p - m * q, q), {
-        j + m: w for (j, v), r in zip(items, rs) if abs(w := v * r) >= eps})
+        j + m: w for j, r in zip(keys, rs) if abs(w := values[j] * r) >= eps})
 
 
 def lift_gen(f: GenSeries) -> LiftedSeq:
@@ -140,20 +139,18 @@ def lift_gen(f: GenSeries) -> LiftedSeq:
     0) with coefficient * Gamma(e+1), so that project inverts it exactly.
     Terms at negative integer exponents sit under a Gamma pole and have no
     preimage."""
-    terms = f.terms
-    try:
-        gs = gamma_chain([e + 1.0 for e, _ in terms], "gamma")
-    except GammaPoleError:
-        e = next(e for e, _ in terms if is_pole(e + 1.0))
+    keys = sorted(f.coeffs)
+    p, q = f.phase.numerator, f.phase.denominator
+    if lattice_poles(p + q, q, keys):
         raise ExponentError(
             "term at exponent %r has no preimage under projection "
-            "(Gamma pole)" % e
-        ) from None
+            "(Gamma pole)" % ((keys[0] * q + p) / q))
+    gs = gamma_chain(f.phase + 1, keys, "gamma")
     up = 1 if f.phase else 0
+    coeffs = f.coeffs
     eps = config.COEF_EPS
     return LiftedSeq._keyed(f.basepoint, up - f.phase, {
-        n + up: w for n, (_, c), g in zip(sorted(f.coeffs), terms, gs)
-        if abs(w := c * g) >= eps})
+        n + up: w for n, g in zip(keys, gs) if abs(w := coeffs[n] * g) >= eps})
 
 
 def lifted_to_json(rho: LiftedSeq) -> str:

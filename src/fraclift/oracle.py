@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from . import config
 from .coeffseq import GenSeries, fmt17, series_eval
-from .errors import EvalDomainError, OracleError, TruncationError
+from .errors import EvalDomainError, ExponentError, OracleError, TruncationError
 from .rl import rl_series
 
 
@@ -85,6 +85,11 @@ def rl_oracle_with_error(f, a, k, x, cfg=None):
     a = float(a)
     k = float(k)
     x = float(x)
+    if not (math.isfinite(a) and math.isfinite(x)):
+        raise EvalDomainError(
+            "oracle needs a finite base point and point (x=%r, a=%r)" % (x, a))
+    if not math.isfinite(k):
+        raise ExponentError("order %r is not finite" % k)
     if x <= a:
         raise EvalDomainError("oracle needs x > a (x=%r, a=%r)" % (x, a))
     if k > cfg.max_order:

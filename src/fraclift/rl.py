@@ -11,11 +11,14 @@ derivative. A numerator pole alone (negative-integer exponent, non-integer
 order) is outside the power rule and raises.
 
 rl_series works on keys, with k read as the rational it stands for
-(coeffseq.rational): the result has the exact phase phase - k (mod 1), and
-when that is an integer the annihilated terms are one run of keys, dropped
+(coeffseq.rational): the result has the exact phase phase - k (mod 1). The
+Gamma arguments e+1 and e+1-k of one series lie the same exact distance
+from the integers, so gamma.lattice_poles decides each lattice's poles with
+one test, and the annihilated terms are one run of keys, dropped
 unevaluated. gamma.gamma_chain steps the other ratios along the lattice,
-R(e+1) = R(e) * (e+1)/(e+1-k), and resolves any pole within int_tol by the
-scalar cases above. rl_term evaluates a single term.
+R(e+1) = R(e) * (e+1)/(e+1-k), and gives the joint-pole and numerator-pole
+keys the scalar cases above. rl_term evaluates a single term, and
+rl_kernel_predicate tests one exponent; they are the scalar reference.
 
 This is the non-commutative side of the constructions in `lifted`: composing
 two orders can annihilate a term that the summed order keeps.
@@ -23,13 +26,12 @@ two orders can annihilate a term that the summed order keeps.
 
 from __future__ import annotations
 
-import bisect
 import math
 
 from . import config
 from .coeffseq import GenSeries, Term, rational
 from .errors import ExponentError
-from .gamma import gamma_chain, gamma_ratio, is_pole
+from .gamma import gamma_chain, gamma_ratio, is_pole, lattice_poles
 
 # From 2^52 on every double is an integer, so a pole test there cannot tell.
 _INTEGRAL_FLOATS = 2.0**52
@@ -68,28 +70,38 @@ def rl_term(b, alpha, k):
     return Term(alpha - k, b * ratio)
 
 
+def annihilated_run(f: GenSeries, k):
+    """(keys, lo, hi, r): f's keys in ascending order, of which keys[lo:hi]
+    are the terms order k annihilates (e+1-k a Gamma pole within
+    config.int_tol, e+1 not), and k as the rational r it stands for. Raises
+    ExponentError when |e+1-k| >= 2^52 at either end."""
+    k = float(k)
+    keys = sorted(f.coeffs)
+    p, q = f.phase.numerator, f.phase.denominator
+    if keys:  # |e + 1 - k| is largest at an end of the keys
+        _kernel_arg((keys[0] * q + p) / q, k)
+        _kernel_arg((keys[-1] * q + p) / q, k)
+    r = rational(k)
+    kp, kq = r.numerator, r.denominator
+    # e + 1 = n + (p + q)/q, and e + 1 - k = n + (p kq + q kq - kp q)/(q kq)
+    lo = lattice_poles(p + q, q, keys)
+    hi = lattice_poles((p + q) * kq - kp * q, q * kq, keys)
+    return keys, lo, max(lo, hi), r
+
+
 def rl_series(f: GenSeries, k) -> GenSeries:
     """Termwise differintegral of order k; annihilated terms are removed.
     A truncated input of order N yields a truncated output of order N-k."""
     k = float(k)
-    terms = f.terms
-    if terms:  # |e + 1 - k| is largest at an end of the ascending list
-        _kernel_arg(terms[0].exponent, k)
-        _kernel_arg(terms[-1].exponent, k)
-    psi = f.phase - rational(k)  # exponent n + phase goes to n + psi
+    keys, lo, hi, r = annihilated_run(f, k)
+    if lo < hi:
+        keys = keys[:lo] + keys[hi:]
+    ratios = gamma_chain(f.phase + 1, keys, "ratio", r)
+    psi = f.phase - r  # exponent n + phase goes to n + psi
     m = math.floor(psi)
-    keys = sorted(f.coeffs)
-    if psi == m:
-        # e + 1 - k = n + 1 + m: the keys n <= -1 - m are on denominator
-        # poles, annihilated unless e + 1 is a pole too (phase 0, n <= -1)
-        lo = bisect.bisect_right(keys, -1) if not f.phase else 0
-        hi = bisect.bisect_right(keys, -1 - m)
-        if lo < hi:
-            keys = keys[:lo] + keys[hi:]
-            terms = terms[:lo] + terms[hi:]
-    ratios = gamma_chain([e + 1.0 for e, _ in terms], "ratio", k)
+    coeffs = f.coeffs
     eps = config.COEF_EPS
     order = None if f.truncation_order is None else f.truncation_order - k
     return GenSeries.keyed(f.basepoint, psi - m, {
-        n + m: v for n, (_, c), r in zip(keys, terms, ratios)
-        if abs(v := c * r) >= eps}, order)
+        n + m: v for n, g in zip(keys, ratios)
+        if abs(v := coeffs[n] * g) >= eps}, order)

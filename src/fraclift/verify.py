@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 
 from . import config
 from .coeffseq import (
@@ -164,18 +165,21 @@ def _chain_vs_pointwise(rng, lattices):
         k = (phase + rng.randint(-2, 3) if i % 4 == 1
              else rng.randint(-3072, 3072) / 1024.0)
         n = rng.randint(-30, 0)
-        xs = []
+        keys = []
         for _ in range(rng.randint(1, 40)):
-            xs.append(phase + n)
+            keys.append(n)
             n += rng.randint(1, 4)
         # the numerator pole alone is an error, and Gamma itself has no value
         # at a pole: those terms are left out of "ratio" and "gamma"
-        fin = [x for x in xs if not is_pole(x)]
-        defined = [x for x in xs if not is_pole(x) or is_pole(x - k)]
-        pairs = ((gamma_chain(defined, "ratio", k),
-                  [gamma_ratio(x, x - k) for x in defined]),
-                 (gamma_chain(xs, "recip"), [recip_gamma(x) for x in xs]),
-                 (gamma_chain(fin, "gamma"), [gamma(x) for x in fin]))
+        fin = [n for n in keys if not is_pole(phase + n)]
+        defined = [n for n in keys
+                   if not is_pole(phase + n) or is_pole(phase + n - k)]
+        ph = Fraction(phase)
+        pairs = ((gamma_chain(ph, defined, "ratio", Fraction(k)),
+                  [gamma_ratio(phase + n, phase + n - k) for n in defined]),
+                 (gamma_chain(ph, keys, "recip"),
+                  [recip_gamma(phase + n) for n in keys]),
+                 (gamma_chain(ph, fin, "gamma"), [gamma(phase + n) for n in fin]))
         for chain, point in pairs:
             for c, p in zip(chain, point):
                 if (c == 0.0) != (p == 0.0):

@@ -3,7 +3,10 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 from fraclift.cli import main
+from fraclift.rl import rl_kernel_predicate
 
 
 def run_cli(capsys, *argv):
@@ -147,6 +150,23 @@ class TestKernelCheck:
         assert code == 0
         assert "ANNIHILATED" in out
         assert "kept" in out
+
+    @pytest.mark.parametrize("phase,k", [(0.85, 0.7), (0.85, 1.7),
+                                         (0.15, 2.0), (0.15, 1.0)])
+    def test_wide_tolerance_marks_the_predicate_terms(self, capsys, tmp_path,
+                                                      phase, k):
+        # with int_tol = 0.2, arguments 0.15 from a nonpositive integer are
+        # poles: the annihilated key run is the set rl_kernel_predicate marks
+        exps = [phase + n for n in range(-6, 6)]
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps({"basepoint": 0, "terms": [
+            {"exp": e, "coef": 1.0} for e in exps]}))
+        code, out, _ = run_cli(capsys, "--tol", "0.2", "kernel-check",
+                               "--series-file", str(path), "--k", repr(k))
+        assert code == 0
+        marked = ["ANNIHILATED" in line for line in out.splitlines()]
+        want = [rl_kernel_predicate(e, k) for e in exps]
+        assert marked == want and any(want)
 
     def test_mixed_lattice_input_rejected(self, capsys):
         code, _, err = run_cli(capsys, "kernel-check", "--expr",

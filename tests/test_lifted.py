@@ -185,6 +185,16 @@ class TestLiftedJson:
                 lifted_from_json('{"basepoint": 0, "offset": 0.5, "offset_exact": '
                                  '%s, "values": []}' % bad)
 
+    def test_exact_offset_past_the_double_range_projects(self):
+        # 1/10^400 reads back as offset 0.0; its denominator is no double,
+        # so the pole test may not convert it to one
+        rho = lifted_from_json('{"basepoint": 0, "offset": 0, "offset_exact": '
+                               '"1/%d", "values": [{"index": 0, "value": 1}, '
+                               '{"index": 3, "value": 2}]}' % 10**400)
+        f = project(rho)
+        assert f.exponents() == [0.0, 3.0]
+        assert [c for _, c in f.terms] == [1.0, pytest.approx(1 / 3, rel=1e-15)]
+
     def test_canonical_text(self):
         rho = LiftedSeq(0.0, Fraction(1, 2), {0: 1.0})
         assert lifted_to_json(rho) == (

@@ -3,7 +3,12 @@ import math
 import pytest
 
 from fraclift.coeffseq import monomial, series_eval
-from fraclift.errors import EvalDomainError, OracleError, TruncationError
+from fraclift.errors import (
+    EvalDomainError,
+    ExponentError,
+    OracleError,
+    TruncationError,
+)
 from fraclift.oracle import (
     QuadratureConfig,
     compare,
@@ -37,6 +42,23 @@ class TestRlOracle:
             rl_oracle(lambda t: t, 0.0, 0.5, 0.0)
         with pytest.raises(OracleError):
             rl_oracle(lambda t: t, 0.0, 3.5, 1.0)
+
+    def test_non_finite_inputs_refused_before_quadrature(self):
+        calls = []
+
+        def f(t):
+            calls.append(t)
+            return t
+
+        nan, inf = math.nan, math.inf
+        for a, k, x in ((0.0, 0.5, nan), (nan, 0.5, 1.0), (0.0, 0.5, inf),
+                        (-inf, -0.5, 1.0)):
+            with pytest.raises(EvalDomainError):
+                rl_oracle(f, a, k, x)
+        for k in (nan, inf, -inf):
+            with pytest.raises(ExponentError):
+                rl_oracle_with_error(f, 0.0, k, 1.0)
+        assert not calls
 
     def test_kernel_case_is_numerically_zero(self):
         v = rl_oracle(lambda t: t**-0.5, 0.0, 0.5, 1.0)
