@@ -17,6 +17,7 @@ or all-pass, 1 verification failure, 2 usage or domain error.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from . import config
@@ -43,6 +44,27 @@ def jet_order(v):
         raise argparse.ArgumentTypeError(
             "jet order must be a nonnegative integer, got %r" % v)
     return n
+
+
+def int_at_least(lo):
+    """An argparse type: int(v), refusing values below lo."""
+    def integer(v):
+        n = int(v)
+        if n < lo:
+            raise argparse.ArgumentTypeError(
+                "must be an integer >= %d, got %r" % (lo, v))
+        return n
+    return integer
+
+
+def positive_float(v):
+    """float(v) for a tolerance or step, refusing zero, negatives and
+    non-finite values."""
+    x = float(v)
+    if not 0.0 < x < math.inf:
+        raise argparse.ArgumentTypeError(
+            "must be a positive finite number, got %r" % v)
+    return x
 
 
 def _pretty_num(v):
@@ -99,18 +121,21 @@ def _add_input_opts(p):
                    help="jet truncation order for transcendental input (default %(default)s)")
 
 
-def _annihilated(f: GenSeries, k: float):
-    """(exponent, coefficient, e+1-k) of each term order k annihilates."""
-    keys, lo, hi, _ = annihilated_run(f, k)
-    killed = set(keys[lo:hi])
-    return [(e, c, e + 1.0 - k) for n, (e, c) in zip(sorted(f.coeffs), f.terms)
-            if n in killed]
+def _kernel_terms(f: GenSeries, k: float):
+    """(terms, lo, hi): f's terms as (exponent, coefficient, e+1-k), of which
+    terms[lo:hi] are the ones order k annihilates. e+1-k is rounded once from
+    the term's key, the exact phase and k read as a rational."""
+    keys, lo, hi, r = annihilated_run(f, k)
+    shift = f.phase + 1 - r
+    return ([(e, c, float(n + shift)) for n, (e, c) in zip(keys, f.terms)],
+            lo, hi)
 
 
 def cmd_deriv(args):
     f = _load_series(args)
     k = args.k
-    killed = _annihilated(f, k)
+    terms, lo, hi = _kernel_terms(f, k)
+    killed = terms[lo:hi]
 
     def lifted_path():
         return project(shift(lift_gen(f), k))
@@ -223,11 +248,9 @@ def cmd_oracle_compare(args):
 
 def cmd_kernel_check(args):
     f = _load_series(args)
-    k = args.k
-    killed = {e for e, _, _ in _annihilated(f, k)}
-    for e, c in f.terms:
-        arg = e + 1.0 - k
-        if e in killed:
+    terms, lo, hi = _kernel_terms(f, args.k)
+    for i, (e, c, arg) in enumerate(terms):
+        if lo <= i < hi:
             print("term %s * x^%s: ANNIHILATED (alpha+1-k = %s, nonpositive integer)"
                   % (_pretty_num(c), _pretty_num(e), _pretty_num(arg)))
         else:
@@ -276,7 +299,7 @@ def build_parser():
     p.add_argument("--suite", default="all",
                    choices=tuple(SUITES) + ("all",))
     p.add_argument("--order", type=jet_order, default=config.DEFAULT_ORDER)
-    p.add_argument("--trials", type=int, default=200)
+    p.add_argument("--trials", type=int_at_least(1), default=200)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--perturb-gamma", type=finite_float, default=0.0,
                    help="test hook: multiply nonzero gamma ratios by (1+eps)")
@@ -287,10 +310,10 @@ def build_parser():
     _add_input_opts(p)
     p.add_argument("--k", type=finite_float, required=True)
     p.add_argument("--at", type=finite_float, action="append", required=True)
-    p.add_argument("--abs-tol", type=finite_float, default=1e-9)
-    p.add_argument("--rel-tol", type=finite_float, default=1e-8)
-    p.add_argument("--fd-step", type=finite_float, default=1e-3)
-    p.add_argument("--max-subdivisions", type=int, default=256)
+    p.add_argument("--abs-tol", type=positive_float, default=1e-9)
+    p.add_argument("--rel-tol", type=positive_float, default=1e-8)
+    p.add_argument("--fd-step", type=positive_float, default=1e-3)
+    p.add_argument("--max-subdivisions", type=int_at_least(16), default=256)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(fn=cmd_oracle_compare)
 

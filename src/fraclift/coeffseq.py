@@ -11,12 +11,12 @@ Ordinary truncated Taylor jets are the phase-0 case. The floats in .terms
 are the correctly rounded doubles of n + phase.
 
 Floats join a lattice in one place, the float entry: the positional
-constructor GenSeries(basepoint, pairs, order), series_from_json, and the
-parser's hand-off of its base exponent. The exponent of smallest magnitude
-fixes the phase, read by `rational` as the fraction it stands for, and
-config.int_tol decides whether each other exponent lies on that lattice (a
-member takes the nearest key). Every operation after that builds its
-result from keys and exact rational phases.
+constructor GenSeries(basepoint, pairs, order), series_from_json, and each
+real-exponent literal of an expression (the parser). The exponent of
+smallest magnitude fixes the phase, read by `rational` as the fraction it
+stands for, and config.int_tol decides whether each other exponent lies on
+that lattice (a member takes the nearest key). Every operation after that
+builds its result from keys and exact rational phases.
 
 Coefficient sequences (a jet's entries f^(i)(a), on the integers) are
 lifted sequences at offset 0; see `lifted`.

@@ -186,6 +186,11 @@ def lifted_from_json(text: str) -> LiftedSeq:
                 raise ValueError("offset_exact %s disagrees with offset %s"
                                  % (exact, doc["offset"]))
             offset = exact
+        try:  # every lattice point j - offset needs a double
+            for j in (min(values), max(values)) if values else ():
+                float(j - offset)
+        except OverflowError:
+            raise ValueError("an index lies past the double range") from None
         return LiftedSeq(finite_float(doc["basepoint"]), offset, values)
 
     return read_json(text, "lifted", read)

@@ -18,10 +18,11 @@ single-lattice generalized power series.
 
 Series expansion works in exact rational arithmetic (fractions.Fraction)
 wherever the inputs are rational, so Cauchy products of intrinsic jets carry
-no rounding at all; coefficients convert to floats only at the end. A working
-value keeps one base exponent and integer keys, so its exponents base + n
-share one lattice by construction; the series keeps the keys, and the base
-fixes its phase.
+no rounding at all; coefficients convert to floats only at the end. So do
+exponents: a working value keeps one exact base exponent and integer keys
+n, its exponents base + n on one lattice by construction. coeffseq.rational
+reads each real-exponent literal x^e or (x - a)^e once, then products add
+bases and orders exactly; the series takes its phase as the base mod 1.
 
 An intrinsic of a jet u = u0 + v (v without constant term) to order N is not
 composed from the Taylor polynomial of the intrinsic, which costs O(N^3)
@@ -327,57 +328,40 @@ def to_text(node) -> str:
 class _SVal:
     """Working series value: the sum of coeffs[n] * (x - a)^(base + n) over
     integer keys n, with Fraction (or float) coefficients, plus the order
-    beyond which terms are unknown (math.inf = exact).
-
-    All terms share one base exponent, so one exponent can never be held by
+    beyond which terms are unknown (math.inf = exact). The base (an int or a
+    Fraction) and a finite order are exact, so one exponent is never held by
     two keys, whatever order the products that built it ran in."""
 
     __slots__ = ("base", "coeffs", "order")
 
-    def __init__(self, coeffs, order=math.inf, base=0.0):
+    def __init__(self, coeffs, order=math.inf, base=0):
         self.base = base
         self.coeffs = {n: c for n, c in coeffs.items() if c != 0}
         self.order = order
 
     def prune(self):
-        top = _top_key(self.base, self.order)
-        if top is not None:
+        if self.order != math.inf:  # keep the keys n with base + n <= order
+            top = math.floor(self.order - self.base)
             self.coeffs = {n: c for n, c in self.coeffs.items() if n <= top}
         return self
 
     def min_exponent(self):
-        return self.base + min(self.coeffs) if self.coeffs else 0.0
+        return self.base + min(self.coeffs) if self.coeffs else 0
 
     def constant_value(self):
-        for n, c in self.coeffs.items():
-            if self.base + n == 0.0:
-                return c
-        return Fraction(0)
+        return self.coeffs.get(-self.base, Fraction(0))
 
     def is_constant(self):
-        return all(self.base + n == 0.0 for n in self.coeffs)
-
-
-def _top_key(base, order):
-    """Largest key n whose exponent base + n lies within the order, or None
-    when the order is infinite. The 1e-12 slack absorbs the rounding of an
-    order and a base that reached the same lattice point by different sums."""
-    if order == math.inf:
-        return None
-    limit = order + 1e-12
-    n = math.floor(order - base)
-    if base + (n + 1) <= limit:
-        return n + 1
-    return n if base + n <= limit else n - 1
+        return self.coeffs.keys() <= {-self.base}
 
 
 def _key_shift(a, b):
     """The integer m with b.base = a.base + m, up to config.int_tol."""
     d = b.base - a.base
-    m = math.floor(d + 0.5)
+    m = round(d)
     if abs(d - m) > config.int_tol:
         raise LatticeError("exponents %r and %r lie on different lattices"
-                           % (a.min_exponent(), b.min_exponent()))
+                           % (float(a.min_exponent()), float(b.min_exponent())))
     return m
 
 
@@ -396,10 +380,10 @@ def _scale(a, c):
     return _SVal({n: c * v for n, v in a.coeffs.items()}, a.order, a.base)
 
 
-def _numerators(coeffs, rational):
+def _numerators(coeffs, exact):
     """(sorted (n, numerator) pairs, d) with coeffs[n] = numerator / d: for
-    rational coefficients, integers over their least common denominator."""
-    if not rational:
+    Fraction coefficients, integers over their least common denominator."""
+    if not exact:
         return sorted(coeffs.items()), 1
     d = math.lcm(*(c.denominator for c in coeffs.values()))
     return sorted((n, c.numerator * (d // c.denominator))
@@ -409,20 +393,20 @@ def _numerators(coeffs, rational):
 def _mul(a, b):
     order = min(a.order + b.min_exponent(), b.order + a.min_exponent())
     base = a.base + b.base
-    top = _top_key(base, order)
-    # rational products run on integers, with one Fraction per coefficient
-    rational = all(type(c) is Fraction
-                   for c in (*a.coeffs.values(), *b.coeffs.values()))
-    pa, da = _numerators(a.coeffs, rational)
-    pb, db = _numerators(b.coeffs, rational)
+    top = order if order == math.inf else math.floor(order - base)
+    # exact products run on integers, with one Fraction per coefficient
+    exact = all(type(c) is Fraction
+                for c in (*a.coeffs.values(), *b.coeffs.values()))
+    pa, da = _numerators(a.coeffs, exact)
+    pb, db = _numerators(b.coeffs, exact)
     acc = {}
     for na, ca in pa:
         for nb, cb in pb:
             n = na + nb
-            if top is not None and n > top:
+            if n > top:
                 break
             acc[n] = acc.get(n, 0) + ca * cb
-    if rational:
+    if exact:
         acc = {n: Fraction(v, da * db) for n, v in acc.items()}
     return _SVal(acc, order, base)
 
@@ -441,14 +425,14 @@ def _powi(a, n):
 def _jet(v, what, top):
     """[v_0, ..., v_top]: the Taylor coefficients of an analytic jet."""
     out = [0] * (top + 1)
+    if v.coeffs and (v.base.denominator != 1 or v.min_exponent() < 0):
+        raise ExpansionError(
+            "argument of %s must be an analytic jet (offending exponent %r)"
+            % (what, float(v.min_exponent())))
+    b = v.base.numerator
     for n, c in v.coeffs.items():
-        e = v.base + n
-        if e < 0.0 or e != math.floor(e):
-            raise ExpansionError(
-                "argument of %s must be an analytic jet (offending exponent %r)"
-                % (what, e))
-        if e <= top:
-            out[int(e)] = c
+        if n + b <= top:
+            out[n + b] = c
     return out
 
 
@@ -485,8 +469,8 @@ def _compose_intrinsic(func, inner, order):
     """func(inner) to the jet order: func(u0) combined with func(v), v =
     inner - u0, whose Taylor coefficients come from the recurrences above,
     exactly while v is rational."""
-    trunc = min(float(order), inner.order)
-    top = max(_top_key(0.0, trunc), 0)
+    trunc = min(order, inner.order)
+    top = max(math.floor(trunc), 0)
     u = _jet(inner, func, top)
     u0 = u[0]
     du = [(k, k * u[k]) for k in range(1, top + 1) if u[k] != 0]
@@ -590,7 +574,9 @@ def _expand(node, basepoint, order):
         if not math.isfinite(expo):
             raise ExpansionError("exponent %r is not finite" % expo)
         if _is_centered_atom(node.base, basepoint):
-            return _SVal({0: Fraction(1)}, base=float(expo))
+            e = rational(expo)  # an integer stays an int: ints add fast
+            return _SVal({0: Fraction(1)},
+                         base=e.numerator if e.denominator == 1 else e)
         if expo == math.floor(expo) and abs(expo) <= 1024:
             n = int(expo)
             base = _expand(node.base, basepoint, order)
@@ -632,13 +618,20 @@ def to_series(expr, basepoint: float = 0.0, order: int | None = None) -> GenSeri
     if order < 0:
         raise ExpansionError("jet order must be nonnegative, got %r" % order)
     basepoint = float(basepoint)
-    val = _expand(expr, basepoint, int(order))
-    # the keys are already integers: the base exponent fixes the phase
-    base = rational(val.base)
-    m = math.floor(base)
+    try:
+        val = _expand(expr, basepoint, int(order))
+        # exponents and the order are exact until here, where each is
+        # rounded once: none may lie past the double range
+        m = math.floor(val.base)
+        if val.coeffs:
+            float(min(val.coeffs) + m), float(max(val.coeffs) + m)
+        trunc = None if val.order == math.inf else float(val.order)
+    except OverflowError:
+        raise ExpansionError("an exponent, order or coefficient exceeds "
+                             "double range") from None
     try:
         coeffs = {n + m: finite_float(c) for n, c in val.coeffs.items()}
     except (OverflowError, ValueError):
         raise ExpansionError("a coefficient exceeds double range") from None
-    trunc = None if val.order == math.inf else float(val.order)
-    return GenSeries.keyed(basepoint, base - m, nonzero(coeffs), trunc)
+    return GenSeries.keyed(basepoint, Fraction(val.base - m), nonzero(coeffs),
+                           trunc)

@@ -57,6 +57,21 @@ class TestDeriv:
         doc = json.loads(out1)
         assert doc["k"] == 0.5 and doc["via"] == "rl"
 
+    def test_kernel_args_are_exact(self, capsys):
+        # e+1-k for e = p/q and k = p/q + 2 is -1 exactly, however the
+        # doubles of e and k round
+        for q in range(1, 13):
+            for p in range(q):
+                code, out, _ = run_cli(capsys, "deriv", "--expr",
+                                       "x^(%d/%d)" % (p, q), "--k",
+                                       repr(p / q + 2), "--format", "json")
+                assert code == 0
+                killed = json.loads(out)["annihilated"]
+                assert [t["kernel_arg"] for t in killed] == [-1.0], (p, q)
+        code, out, _ = run_cli(capsys, "deriv", "--expr", "x^(23/12)", "--k",
+                               "3.9166666666666665", "--format", "json")
+        assert '"kernel_arg": -1}' in out
+
     def test_csv_format(self, capsys):
         code, out, _ = run_cli(capsys, "deriv", "--expr", "x^2", "--k", "1",
                                "--format", "csv")
@@ -75,7 +90,14 @@ class TestDeriv:
     def test_oversized_numbers_are_usage_errors(self, capsys):
         for argv in (("--expr", "x^1e400", "--k", "0.5"),
                      ("--expr", "x", "--k", "1e300"),
-                     ("--expr", "x", "--k=-1e300")):
+                     ("--expr", "x", "--k=-1e300"),
+                     # exact exponent and order sums past the double range
+                     ("--expr", "x^(1e308)*x^(1e308)", "--k", "0.5"),
+                     ("--expr", "(x^(1e308))^4", "--k", "0.5"),
+                     ("--expr", "exp(x)*x^(1e308)*x^(1e308)", "--k", "0.5"),
+                     # coefficients past the double range
+                     ("--expr", "(1e-300*exp(1))^(-3)", "--k", "0.5"),
+                     ("--expr", "(1e300*x^0)^2.5", "--k", "0.5")):
             code, out, err = run_cli(capsys, "deriv", *argv)
             assert code == 2 and out == ""
             assert err.startswith("error: ")
@@ -123,6 +145,13 @@ class TestVerify:
         assert code == 0
         assert "all identities pass" in out
 
+    def test_trials_must_be_positive(self, capsys):
+        for trials in ("0", "-3"):
+            with pytest.raises(SystemExit) as exc:
+                main(["verify", "--suite", "gamma", "--trials", trials])
+            assert exc.value.code == 2
+            assert "--trials" in capsys.readouterr().err
+
     def test_perturbation_fails_diagram(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--suite", "diagram",
                                "--perturb-gamma", "1e-6")
@@ -141,6 +170,17 @@ class TestOracleCompare:
         assert len(lines) == 4
         for line in lines[1:]:
             assert float(line.split(",")[3]) <= 1e-5
+
+
+    def test_out_of_range_settings_are_usage_errors(self, capsys):
+        for flag, value in (("--abs-tol", "0"), ("--rel-tol", "0"),
+                            ("--fd-step", "-1"), ("--max-subdivisions", "8"),
+                            ("--rel-tol", "nan")):
+            with pytest.raises(SystemExit) as exc:
+                main(["oracle-compare", "--expr", "x", "--k", "0.5",
+                      "--at", "1", flag, value])
+            assert exc.value.code == 2
+            assert flag in capsys.readouterr().err
 
 
 class TestKernelCheck:

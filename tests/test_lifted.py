@@ -210,6 +210,11 @@ class TestLiftedJson:
                      '{"basepoint": 0, "offset": 0.5, '
                      '"values": [{"index": 1.5, "value": 1}]}',
                      '{"basepoint": 0, "offset": 0.5, '
-                     '"values": [{"index": Infinity, "value": 1}]}'):
+                     '"values": [{"index": Infinity, "value": 1}]}',
+                     # lattice points j - offset past the double range
+                     '{"basepoint": 0, "offset": 0.5, '
+                     '"values": [{"index": %d, "value": 1}]}' % 10**400,
+                     '{"basepoint": 0, "offset": 0.5, "values": [{"index": 0, '
+                     '"value": 1}, {"index": %d, "value": 1}]}' % -10**400):
             with pytest.raises(InputError):
                 lifted_from_json(text)

@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fraclift.coeffseq import Term
@@ -238,6 +238,28 @@ class TestToSeries:
         for text in ("x^(10^400)", "x^(1e200*1e200)", "x^((0-8)^(1/3))"):
             with pytest.raises(ExpansionError):
                 to_series(text, 0, 4)
+
+
+# factors (x^(p/q))^r as (p, q, r) triples, q <= 12
+_power_products = st.lists(st.tuples(st.integers(-40, 40), st.integers(1, 12),
+                                     st.integers(1, 12)),
+                           min_size=2, max_size=4)
+
+
+class TestExactExponents:
+    @settings(max_examples=200, deadline=None)
+    @given(_power_products)
+    @example([(22, 3, 5), (-6, 1, 6)])  # x^(2/3), which float sums miss
+    def test_products_land_on_the_exact_total(self, factors):
+        total = sum(Fraction(p, q) * r for p, q, r in factors)
+        assume(total.denominator <= 1000)  # read exactly as a literal
+        text = " * ".join("(x^(%d/%d))^%d" % f for f in factors)
+        f = to_series(text, 0, 8)
+        key = math.floor(total)
+        assert (f.phase, list(f.coeffs)) == (total - key, [key])
+        g = to_series("%s + x^(%d/%d)" % (text, total.numerator,
+                                          total.denominator), 0, 8)
+        assert (g.phase, g.coeffs) == (total - key, {key: 2.0})
 
 
 def _poly_text(terms):
