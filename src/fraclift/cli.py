@@ -17,7 +17,6 @@ or all-pass, 1 verification failure, 2 usage or domain error.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 
 from . import config
@@ -37,34 +36,30 @@ from .rl import annihilated_run, rl_series
 from .verify import SUITES, run_suites
 
 
-def jet_order(v):
-    """int(v) for a jet order, refusing negatives."""
-    n = int(v)
-    if n < 0:
-        raise argparse.ArgumentTypeError(
-            "jet order must be a nonnegative integer, got %r" % v)
-    return n
-
-
-def int_at_least(lo):
-    """An argparse type: int(v), refusing values below lo."""
+def int_at_least(lo, message):
+    """An argparse type: int(v), refusing values below lo with message."""
     def integer(v):
         n = int(v)
         if n < lo:
-            raise argparse.ArgumentTypeError(
-                "must be an integer >= %d, got %r" % (lo, v))
+            raise argparse.ArgumentTypeError("%s, got %r" % (message, v))
         return n
     return integer
 
 
-def positive_float(v):
-    """float(v) for a tolerance or step, refusing zero, negatives and
-    non-finite values."""
-    x = float(v)
-    if not 0.0 < x < math.inf:
-        raise argparse.ArgumentTypeError(
-            "must be a positive finite number, got %r" % v)
-    return x
+jet_order = int_at_least(0, "jet order must be a nonnegative integer")
+
+
+def quadrature_setting(field, read):
+    """An argparse type for QuadratureConfig's field: read(v), refused as
+    QuadratureConfig refuses it."""
+    def setting(v):
+        x = read(v)
+        try:
+            QuadratureConfig(**{field: x})
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        return x
+    return setting
 
 
 def _pretty_num(v):
@@ -299,7 +294,8 @@ def build_parser():
     p.add_argument("--suite", default="all",
                    choices=tuple(SUITES) + ("all",))
     p.add_argument("--order", type=jet_order, default=config.DEFAULT_ORDER)
-    p.add_argument("--trials", type=int_at_least(1), default=200)
+    p.add_argument("--trials", default=200, type=int_at_least(
+        1, "trial count must be a positive integer"))
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--perturb-gamma", type=finite_float, default=0.0,
                    help="test hook: multiply nonzero gamma ratios by (1+eps)")
@@ -310,10 +306,14 @@ def build_parser():
     _add_input_opts(p)
     p.add_argument("--k", type=finite_float, required=True)
     p.add_argument("--at", type=finite_float, action="append", required=True)
-    p.add_argument("--abs-tol", type=positive_float, default=1e-9)
-    p.add_argument("--rel-tol", type=positive_float, default=1e-8)
-    p.add_argument("--fd-step", type=positive_float, default=1e-3)
-    p.add_argument("--max-subdivisions", type=int_at_least(16), default=256)
+    p.add_argument("--abs-tol", default=1e-9,
+                   type=quadrature_setting("abs_tol", finite_float))
+    p.add_argument("--rel-tol", default=1e-8,
+                   type=quadrature_setting("rel_tol", finite_float))
+    p.add_argument("--fd-step", default=1e-3,
+                   type=quadrature_setting("fd_step", finite_float))
+    p.add_argument("--max-subdivisions", default=256,
+                   type=quadrature_setting("max_subdivisions", int))
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(fn=cmd_oracle_compare)
 

@@ -85,6 +85,13 @@ def finite_float(v):
     return x
 
 
+def has_double(*rs) -> bool:
+    """Whether each exact number r (an int or Fraction) rounds to a finite
+    double: lies below the midpoint of the largest double, 2^1024 - 2^971,
+    and 2^1024, where rounding to even goes up."""
+    return all(abs(r) < 2**1024 - 2**970 for r in rs)
+
+
 def nonzero(values):
     """{key: value} without the values below COEF_EPS in magnitude."""
     eps = config.COEF_EPS

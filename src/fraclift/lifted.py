@@ -33,8 +33,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import config
-from .coeffseq import GenSeries, add_values, finite_float, fmt17, nonzero
-from .coeffseq import rational, read_json
+from .coeffseq import GenSeries, add_values, finite_float, fmt17, has_double
+from .coeffseq import nonzero, rational, read_json
 from .errors import BasepointError, ExponentError
 from .gamma import gamma_chain, lattice_poles
 
@@ -124,6 +124,10 @@ def project(rho: LiftedSeq) -> GenSeries:
     # Gamma argument t + 1 = j + (q - p)/q
     p, q = rho.offset.numerator, rho.offset.denominator
     keys = sorted(rho.values)
+    # the exponents j - offset and Gamma arguments j + 1 - offset need doubles
+    if keys and not has_double(keys[0] - rho.offset,
+                               keys[-1] + 1 - rho.offset):
+        raise ExponentError("an exponent j - offset lies past double range")
     keys = keys[lattice_poles(q - p, q, keys):]
     rs = gamma_chain(1 - rho.offset, keys, "recip")
     m = -((p + q - 1) // q)
@@ -186,11 +190,6 @@ def lifted_from_json(text: str) -> LiftedSeq:
                 raise ValueError("offset_exact %s disagrees with offset %s"
                                  % (exact, doc["offset"]))
             offset = exact
-        try:  # every lattice point j - offset needs a double
-            for j in (min(values), max(values)) if values else ():
-                float(j - offset)
-        except OverflowError:
-            raise ValueError("an index lies past the double range") from None
         return LiftedSeq(finite_float(doc["basepoint"]), offset, values)
 
     return read_json(text, "lifted", read)

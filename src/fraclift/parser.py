@@ -19,10 +19,10 @@ single-lattice generalized power series.
 Series expansion works in exact rational arithmetic (fractions.Fraction)
 wherever the inputs are rational, so Cauchy products of intrinsic jets carry
 no rounding at all; coefficients convert to floats only at the end. So do
-exponents: a working value keeps one exact base exponent and integer keys
-n, its exponents base + n on one lattice by construction. coeffseq.rational
-reads each real-exponent literal x^e or (x - a)^e once, then products add
-bases and orders exactly; the series takes its phase as the base mod 1.
+exponents: coeffseq.rational reads each literal x^e or (x - a)^e once, and
+a working value keeps an exact base exponent and integer keys n, so its
+exponents base + n share one lattice by construction; products add bases
+and orders exactly, and the series takes its phase as the base mod 1.
 
 An intrinsic of a jet u = u0 + v (v without constant term) to order N is not
 composed from the Taylor polynomial of the intrinsic, which costs O(N^3)
@@ -48,7 +48,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import config
-from .coeffseq import GenSeries, finite_float, nonzero, rational
+from .coeffseq import GenSeries, finite_float, has_double, nonzero, rational
 from .errors import ExpansionError, LatticeError, ParseError
 
 _INTRINSICS = ("exp", "sin", "cos")
@@ -328,9 +328,8 @@ def to_text(node) -> str:
 class _SVal:
     """Working series value: the sum of coeffs[n] * (x - a)^(base + n) over
     integer keys n, with Fraction (or float) coefficients, plus the order
-    beyond which terms are unknown (math.inf = exact). The base (an int or a
-    Fraction) and a finite order are exact, so one exponent is never held by
-    two keys, whatever order the products that built it ran in."""
+    beyond which terms are unknown (math.inf = exact). The base and a finite
+    order are exact (int or Fraction), so no exponent has two keys."""
 
     __slots__ = ("base", "coeffs", "order")
 
@@ -390,9 +389,20 @@ def _numerators(coeffs, exact):
                   for n, c in coeffs.items()), d
 
 
+def _snapped(r):
+    """r, or the p/q (q <= 1000) r's double reads as where r holds a literal
+    rational left at its double's value (2^10 divides r's denominator then,
+    and no q <= 1000): 0.0001 + 0.9999 is 1, as their float sum reads."""
+    if type(r) is Fraction and r.denominator % 1024 == 0:
+        s = rational(float(r))
+        return s if s.denominator <= 1000 else r
+    return r
+
+
 def _mul(a, b):
-    order = min(a.order + b.min_exponent(), b.order + a.min_exponent())
-    base = a.base + b.base
+    order = _snapped(min(a.order + b.min_exponent(),
+                         b.order + a.min_exponent()))
+    base = _snapped(a.base + b.base)
     top = order if order == math.inf else math.floor(order - base)
     # exact products run on integers, with one Fraction per coefficient
     exact = all(type(c) is Fraction
@@ -413,11 +423,10 @@ def _mul(a, b):
 
 def _powi(a, n):
     out = _SVal({0: Fraction(1)})
-    base = a
     while n > 0:
         if n & 1:
-            out = _mul(out, base)
-        base = _mul(base, base) if n > 1 else base
+            out = _mul(out, a)
+        a = _mul(a, a) if n > 1 else a
         n >>= 1
     return out
 
@@ -620,18 +629,15 @@ def to_series(expr, basepoint: float = 0.0, order: int | None = None) -> GenSeri
     basepoint = float(basepoint)
     try:
         val = _expand(expr, basepoint, int(order))
-        # exponents and the order are exact until here, where each is
-        # rounded once: none may lie past the double range
+        # exact until here: each exponent and the order rounds to a double
         m = math.floor(val.base)
-        if val.coeffs:
-            float(min(val.coeffs) + m), float(max(val.coeffs) + m)
+        if val.coeffs and not has_double(min(val.coeffs) + m,
+                                         max(val.coeffs) + m):
+            raise OverflowError
         trunc = None if val.order == math.inf else float(val.order)
-    except OverflowError:
-        raise ExpansionError("an exponent, order or coefficient exceeds "
-                             "double range") from None
-    try:
         coeffs = {n + m: finite_float(c) for n, c in val.coeffs.items()}
     except (OverflowError, ValueError):
-        raise ExpansionError("a coefficient exceeds double range") from None
+        raise ExpansionError("an exponent, order or coefficient exceeds "
+                             "double range") from None
     return GenSeries.keyed(basepoint, Fraction(val.base - m), nonzero(coeffs),
                            trunc)

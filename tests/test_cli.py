@@ -127,6 +127,18 @@ class TestLiftProject:
                              str(lifted_path), "--format", "pretty")
         assert "x^0.5" in out2
 
+    def test_shift_past_the_double_range_is_a_usage_error(self, capsys,
+                                                          tmp_path):
+        path = tmp_path / "rho.json"
+        path.write_text('{"basepoint": 0, "offset": 0.5, "values": '
+                        '[{"index": %d, "value": 1}]}' % 10**308)
+        for k in ("0", "-1e308"):
+            code, out, err = run_cli(capsys, "project", "--lifted-file",
+                                     str(path), "--k=" + k)
+            assert (code, out) == ((0, '{"basepoint": 0, "terms": []}\n')
+                                   if k == "0" else (2, ""))
+        assert err.startswith("error: ") and "Traceback" not in err
+
     def test_malformed_files_are_usage_errors(self, capsys, tmp_path):
         empty = tmp_path / "empty.json"
         empty.write_text("")

@@ -261,6 +261,21 @@ class TestExactExponents:
                                           total.denominator), 0, 8)
         assert (g.phase, g.coeffs) == (total - key, {key: 2.0})
 
+    def test_unsnapped_literals_sum_as_their_doubles(self):
+        # 0.0001 and 0.1234 have denominators above 1000, so each enters as
+        # its double's value; sums land where their float sums read
+        for text, phase, keys in (("x^0.0001*x^0.9999", 0, [1]),
+                                  ("x^0.1234*x^0.0766", Fraction(1, 5), [0]),
+                                  ("exp(x^0.0001*x^0.9999)", 0, [0, 1, 2])):
+            f = to_series(text, 0, 2)
+            assert (f.phase, list(f.coeffs)) == (phase, keys)
+        # and an order built the same way keeps the top key
+        f = to_series("exp(x)*x^0.0001*x^0.9999 + exp(x)*x", 0, 2)
+        assert (f.phase, f.coeffs) == (0, {1: 2.0, 2: 2.0, 3: 1.0})
+        # exact sums of snapped literals stay exact past denominator 1000
+        f = to_series("x^(1/7)*x^(1/11)*x^(1/13)")
+        assert f.phase == Fraction(311, 1001)
+
 
 def _poly_text(terms):
     return " + ".join("(%d/%d)*x^%d" % (p, q, k) for k, p, q in terms)
