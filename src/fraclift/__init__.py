@@ -34,15 +34,7 @@ from .errors import (
     ParseError,
     TruncationError,
 )
-from .gamma import (
-    SignedLogGamma,
-    gamma,
-    gamma_ratio,
-    is_pole,
-    recip_gamma,
-    signed_loggamma,
-    sinpi,
-)
+from .gamma import gamma, gamma_ratio, is_pole, recip_gamma, sinpi
 from .lifted import (
     LiftedSeq,
     embed,
@@ -52,7 +44,7 @@ from .lifted import (
     project,
     shift,
 )
-from .oracle import EvalTable, QuadratureConfig, compare, rl_oracle
+from .oracle import EvalTable, compare, rl_oracle
 from .parser import parse, to_series, to_text
 from .rl import rl_kernel_predicate, rl_series, rl_term
 

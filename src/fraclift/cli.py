@@ -30,7 +30,7 @@ from .coeffseq import (
 )
 from .errors import FracliftError
 from .lifted import lift_gen, lifted_from_json, lifted_to_json, project, shift
-from .oracle import QuadratureConfig, compare
+from .oracle import compare
 from .parser import to_series
 from .rl import annihilated_run, rl_series
 from .verify import SUITES, run_suites
@@ -47,19 +47,6 @@ def int_at_least(lo, message):
 
 
 jet_order = int_at_least(0, "jet order must be a nonnegative integer")
-
-
-def quadrature_setting(field, read):
-    """An argparse type for QuadratureConfig's field: read(v), refused as
-    QuadratureConfig refuses it."""
-    def setting(v):
-        x = read(v)
-        try:
-            QuadratureConfig(**{field: x})
-        except ValueError as exc:
-            raise argparse.ArgumentTypeError(str(exc)) from None
-        return x
-    return setting
 
 
 def _pretty_num(v):
@@ -227,10 +214,7 @@ def cmd_verify(args):
 
 def cmd_oracle_compare(args):
     f = _load_series(args)
-    cfg = QuadratureConfig(abs_tol=args.abs_tol, rel_tol=args.rel_tol,
-                           max_subdivisions=args.max_subdivisions,
-                           fd_step=args.fd_step)
-    table = compare(f, args.k, args.at, cfg)
+    table = compare(f, args.k, args.at)
     if args.format == "json":
         rows = ", ".join(
             '{"x": %s, "termwise": %s, "oracle": %s, "abs_diff": %s}'
@@ -306,14 +290,6 @@ def build_parser():
     _add_input_opts(p)
     p.add_argument("--k", type=finite_float, required=True)
     p.add_argument("--at", type=finite_float, action="append", required=True)
-    p.add_argument("--abs-tol", default=1e-9,
-                   type=quadrature_setting("abs_tol", finite_float))
-    p.add_argument("--rel-tol", default=1e-8,
-                   type=quadrature_setting("rel_tol", finite_float))
-    p.add_argument("--fd-step", default=1e-3,
-                   type=quadrature_setting("fd_step", finite_float))
-    p.add_argument("--max-subdivisions", default=256,
-                   type=quadrature_setting("max_subdivisions", int))
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(fn=cmd_oracle_compare)
 

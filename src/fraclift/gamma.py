@@ -1,11 +1,10 @@
 """Gamma kernel with explicit pole semantics.
 
-Four views of the same function, differing in how they treat the poles at
+Three views of the same function, differing in how they treat the poles at
 nonpositive integers:
 
   gamma(x)          value; raises at poles and on overflow
   recip_gamma(x)    the entire reciprocal; exactly 0.0 at poles, never raises
-  signed_loggamma   (log|Gamma|, sign, is_pole) triple for log-space work
   gamma_ratio(p,q)  Gamma(p)/Gamma(q) with the four pole cases resolved:
                     no poles -> value; denominator pole -> 0; both poles ->
                     the joint limit (-1)^(n-m) n!/m!; numerator pole -> error
@@ -59,7 +58,6 @@ the exact factorial paths and equals them bit for bit.
 import bisect
 import math
 import sys
-from dataclasses import dataclass
 from itertools import accumulate
 from operator import mul
 
@@ -67,8 +65,6 @@ from . import config
 from .errors import GammaOverflowError, GammaPoleError
 
 __all__ = [
-    "SignedLogGamma",
-    "signed_loggamma",
     "gamma",
     "recip_gamma",
     "gamma_ratio",
@@ -92,10 +88,6 @@ _FACTORIALS = list(map(float, accumulate(range(1, 171), mul, initial=1)))
 
 _NORMAL_MIN = sys.float_info.min
 _NORMAL_MAX = sys.float_info.max
-
-
-def _tol(tol):
-    return config.int_tol if tol is None else tol
 
 
 def _is_nonpos_int(x, tol):
@@ -140,38 +132,10 @@ def _overflow(p, q):
         "gamma ratio Gamma(%r)/Gamma(%r) exceeds double range" % (p, q))
 
 
-@dataclass(frozen=True)
-class SignedLogGamma:
-    """Magnitude-and-sign representation of Gamma(x).
-
-    When is_pole is False, sign * exp(log_abs) reconstructs Gamma(x); at a
-    pole log_abs is +inf and sign is fixed at +1.
-    """
-
-    log_abs: float
-    sign: float
-    is_pole: bool
-
-    def value(self):
-        if self.is_pole:
-            raise GammaPoleError("gamma pole: no finite value")
-        if self.log_abs > _EXP_OVERFLOW:
-            raise GammaOverflowError("gamma value exceeds double range")
-        return self.sign * math.exp(self.log_abs)
-
-
-def signed_loggamma(x, tol=None):
-    x = float(x)
-    if not math.isfinite(x):
-        if x > 0.0:
-            return SignedLogGamma(math.inf, 1.0, False)
-        return SignedLogGamma(math.nan, math.nan, False)
-    return SignedLogGamma(*_signed_loggamma(x, _tol(tol)))
-
-
 def is_pole(x, tol=None):
-    """True when x is within tolerance of a nonpositive integer."""
-    return _is_nonpos_int(float(x), _tol(tol))
+    """True when x is within tol (config.int_tol when None) of a
+    nonpositive integer."""
+    return _is_nonpos_int(float(x), config.int_tol if tol is None else tol)
 
 
 def sinpi(x):
@@ -193,7 +157,7 @@ def sinpi(x):
     return sign * math.sin(math.pi * r)
 
 
-def gamma(x, tol=None):
+def gamma(x):
     """Gamma(x). Raises GammaPoleError at nonpositive integers and
     GammaOverflowError above ~171.6 and at +inf; -inf and NaN give NaN."""
     x = float(x)
@@ -204,11 +168,11 @@ def gamma(x, tol=None):
     if x == math.floor(x):
         n = int(x)
         if n <= 0:
-            raise GammaPoleError("gamma pole at %d" % n)
+            raise GammaPoleError("gamma pole at %r" % x)
         if n <= 171:
             return _FACTORIALS[n - 1]
-        raise GammaOverflowError("gamma(%d) exceeds double range" % n)
-    log_abs, sign, pole = _signed_loggamma(x, _tol(tol))
+        raise GammaOverflowError("gamma(%r) exceeds double range" % x)
+    log_abs, sign, pole = _signed_loggamma(x, config.int_tol)
     if pole:
         raise GammaPoleError("gamma pole at %r" % x)
     if log_abs > _EXP_OVERFLOW:
@@ -216,7 +180,7 @@ def gamma(x, tol=None):
     return sign * math.exp(log_abs)
 
 
-def recip_gamma(x, tol=None):
+def recip_gamma(x):
     """1/Gamma(x), the entire extension: exactly 0.0 at every nonpositive
     integer. Never raises: +inf gives 0.0, -inf and NaN give NaN."""
     x = float(x)
@@ -228,7 +192,7 @@ def recip_gamma(x, tol=None):
             return 0.0
         if n <= 171:
             return 1.0 / _FACTORIALS[n - 1]
-    log_abs, sign, pole = _signed_loggamma(x, _tol(tol))
+    log_abs, sign, pole = _signed_loggamma(x, config.int_tol)
     if pole:
         return 0.0
     d = -log_abs
@@ -323,7 +287,7 @@ def _perturbed(values):
     return [v * (1.0 + eps) if v != 0.0 else v for v in values]
 
 
-def gamma_ratio(p, q, tol=None):
+def gamma_ratio(p, q):
     """Gamma(p)/Gamma(q) computed in log space with sign tracking.
 
     Pole handling: denominator pole -> exact 0.0; both arguments on poles
@@ -334,7 +298,7 @@ def gamma_ratio(p, q, tol=None):
     +inf over a finite q raises GammaOverflowError, a finite p over +inf
     gives 0.0 (GammaPoleError if p is a pole), anything else NaN.
     """
-    return _perturbed([_ratio(float(p), float(q), _tol(tol))])[0]
+    return _perturbed([_ratio(float(p), float(q), config.int_tol)])[0]
 
 
 # -------------------------------------------------------------------------
@@ -382,11 +346,9 @@ def gamma_chain(c, keys, kind, k=0):
     tol = config.int_tol
     kf = K / Q
     if kind == "gamma":
-        def scalar(x):
-            return gamma(x, tol)
+        scalar = gamma
     elif kind == "recip":
-        def scalar(x):
-            return recip_gamma(x, tol)
+        scalar = recip_gamma
     else:
         def scalar(x):
             return _ratio(x, x - kf, tol)

@@ -400,8 +400,11 @@ def _snapped(r):
 
 
 def _mul(a, b):
-    order = _snapped(min(a.order + b.min_exponent(),
-                         b.order + a.min_exponent()))
+    # an exact factor's order, math.inf, stays out of the sums: inf + r
+    # would round the exact exponent r to a double
+    order = _snapped(min((o + m.min_exponent() for o, m in
+                          ((a.order, b), (b.order, a)) if o != math.inf),
+                         default=math.inf))
     base = _snapped(a.base + b.base)
     top = order if order == math.inf else math.floor(order - base)
     # exact products run on integers, with one Fraction per coefficient
@@ -506,7 +509,8 @@ def _float_op(fn, u0, what):
     try:
         return fn(float(u0))
     except (OverflowError, ValueError):
-        raise ExpansionError("%s(%s) is out of double range" % (what, u0)) from None
+        arg = "%r" % float(u0) if has_double(u0) else "an argument past 2^1024"
+        raise ExpansionError("%s(%s) is out of double range" % (what, arg)) from None
 
 
 def _fold_const(node):

@@ -28,7 +28,7 @@ from .coeffseq import (
 )
 from .gamma import gamma, gamma_chain, gamma_ratio, is_pole, recip_gamma, sinpi
 from .lifted import LiftedSeq, embed, lift_gen, project, shift
-from .oracle import QuadratureConfig, rl_oracle
+from .oracle import rl_oracle
 from .parser import to_series
 from .rl import rl_series
 
@@ -384,7 +384,7 @@ def diagram_inputs(order=config.DEFAULT_ORDER):
     )
 
 
-def suite_diagram(trials=0, seed=4, order=config.DEFAULT_ORDER):
+def suite_diagram(order=config.DEFAULT_ORDER):
     results = []
     fs = diagram_inputs(order)
 
@@ -482,8 +482,7 @@ def suite_semigroup(trials=100, seed=5):
 # oracle suite
 
 
-def suite_oracle(trials=0, seed=6, cfg=None):
-    cfg = cfg or QuadratureConfig()
+def suite_oracle():
     worst = 0.0
     cases = 0
     for alpha in (0.0, 0.5, 1.0, 2.0, 3.5):
@@ -492,7 +491,7 @@ def suite_oracle(trials=0, seed=6, cfg=None):
             g = rl_series(f, k)
             for x in (0.5, 1.0, 2.0):
                 termwise = series_eval(g, x)
-                num = rl_oracle(lambda t: series_eval(f, t), 0.0, k, x, cfg)
+                num = rl_oracle(lambda t: series_eval(f, t), 0.0, k, x)
                 resid = abs(num - termwise) / max(1.0, abs(termwise))
                 worst = max(worst, resid)
                 cases += 1
@@ -526,11 +525,11 @@ def run_suites(names, trials=200, seed=0, order=config.DEFAULT_ORDER):
         if name in ("R", "I"):
             kwargs.update(trials=trials, order=order)
         elif name == "diagram":
-            kwargs.update(order=order)
+            kwargs = {"order": order}
         elif name == "semigroup":
             kwargs.update(trials=min(trials, 100))
         elif name == "oracle":
-            kwargs = {"seed": seed}
+            kwargs = {}
         else:
             kwargs.update(trials=trials)
         out.extend(fn(**kwargs))

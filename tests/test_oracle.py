@@ -9,12 +9,7 @@ from fraclift.errors import (
     OracleError,
     TruncationError,
 )
-from fraclift.oracle import (
-    QuadratureConfig,
-    compare,
-    rl_oracle,
-    rl_oracle_with_error,
-)
+from fraclift.oracle import compare, rl_oracle
 from fraclift.parser import to_series
 from fraclift.rl import rl_series
 
@@ -57,7 +52,7 @@ class TestRlOracle:
                 rl_oracle(f, a, k, x)
         for k in (nan, inf, -inf):
             with pytest.raises(ExponentError):
-                rl_oracle_with_error(f, 0.0, k, 1.0)
+                rl_oracle(f, 0.0, k, 1.0)
         assert not calls
 
     def test_kernel_case_is_numerically_zero(self):
@@ -84,14 +79,23 @@ class TestRlOracle:
                     worst = max(worst, abs(num - termwise) / max(1.0, abs(termwise)))
         assert worst <= 1e-5
 
-    def test_self_consistency(self):
-        cfg = QuadratureConfig()
-        tight = QuadratureConfig(fd_step=cfg.fd_step / 2.0,
-                                 max_subdivisions=cfg.max_subdivisions * 2)
-        for k in (0.5, 1.5):
-            v1, est = rl_oracle_with_error(lambda t: t * t, 0.0, k, 1.0, cfg)
-            v2, _ = rl_oracle_with_error(lambda t: t * t, 0.0, k, 1.0, tight)
-            assert abs(v1 - v2) <= max(est, 1e-12)
+    def test_order_two_is_the_limit(self):
+        # the second difference keeps the suite's 1e-5 on its monomials and
+        # x*exp(x) over 0.25 <= x <= 2; the third loses it (6e-4 at k = 2.1,
+        # 1e-4 at k = 3), so orders above 2 are refused
+        fs = [monomial(alpha) for alpha in (0.0, 0.5, 1.0, 2.0, 3.5)]
+        fs.append(to_series("x*exp(x)", 0, 32))
+        worst = 0.0
+        for f in fs:
+            termwise = rl_series(f, 2.0)
+            for x in (0.25, 0.5, 1.0, 1.5, 2.0):
+                want = series_eval(termwise, x)
+                num = rl_oracle(lambda t: series_eval(f, t), 0.0, 2.0, x)
+                worst = max(worst, abs(num - want) / max(1.0, abs(want)))
+        assert worst <= 1e-5
+        for k in (2.1, 3.0):
+            with pytest.raises(OracleError):
+                rl_oracle(lambda t: t, 0.0, k, 1.0)
 
 
 class TestCompare:
@@ -133,13 +137,3 @@ class TestCompare:
         table2 = compare(monomial(1.0), 0.5, [0.25, 1.0])
         assert table2.to_csv() == text
 
-
-class TestQuadratureConfig:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            QuadratureConfig(abs_tol=0.0)
-        with pytest.raises(ValueError):
-            QuadratureConfig(max_subdivisions=8)
-        cfg = QuadratureConfig()
-        assert cfg.abs_tol == 1e-9 and cfg.rel_tol == 1e-8
-        assert cfg.fd_step == 1e-3 and cfg.max_order == 3.0

@@ -276,6 +276,22 @@ class TestExactExponents:
         f = to_series("x^(1/7)*x^(1/11)*x^(1/13)")
         assert f.phase == Fraction(311, 1001)
 
+    def test_exponents_past_the_double_range_cancel_exactly(self):
+        # an intermediate exponent of 2e308 has no double; the exact product
+        # x^(1e308) does, and an exact factor adds no order
+        f = to_series("x^(1e308)*x^(1e308)*x^(-1e308)")
+        assert f.terms == (Term(1e308, 1.0),)
+        assert f.truncation_order is None
+        g = to_series("exp(x)*x^(1e308)*x^(-1e308)", 0, 3)
+        assert g.terms == to_series("exp(x)", 0, 3).terms
+        assert g.truncation_order == 3.0
+
+    def test_out_of_range_messages_are_short(self):
+        for text in ("exp(1e300 + x)", "sin(1e308 + 1e308 + x)"):
+            with pytest.raises(ExpansionError) as exc:
+                to_series(text)
+            assert len(str(exc.value)) < 120
+
 
 def _poly_text(terms):
     return " + ".join("(%d/%d)*x^%d" % (p, q, k) for k, p, q in terms)
