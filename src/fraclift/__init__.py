@@ -12,7 +12,6 @@ names it, for reports that record which kernel produced their numbers.
 
 from .coeffseq import (
     GenSeries,
-    Term,
     int_antiderivative,
     int_derivative,
     monomial,
@@ -44,7 +43,7 @@ from .lifted import (
     project,
     shift,
 )
-from .oracle import EvalTable, compare, rl_oracle
+from .oracle import compare, rl_oracle
 from .parser import parse, to_series, to_text
 from .rl import rl_kernel_predicate, rl_series, rl_term
 

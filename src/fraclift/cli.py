@@ -71,10 +71,9 @@ def _pretty_series(f: GenSeries) -> str:
     return " + ".join(parts)
 
 
-def _series_csv(f: GenSeries) -> str:
-    lines = ["exp,coef"]
-    for e, c in f.terms:
-        lines.append("%s,%s" % (fmt17(e), fmt17(c)))
+def _csv(header, rows) -> str:
+    """CSV text: the header line, then one line of 17-digit numbers a row."""
+    lines = [header] + [",".join(map(fmt17, row)) for row in rows]
     return "\n".join(lines) + "\n"
 
 
@@ -151,7 +150,7 @@ def cmd_deriv(args):
               '"annihilated": [%s], "values": [%s]}'
               % (fmt17(k), args.via, series_to_json(result), killed_json, values))
     elif args.format == "csv":
-        sys.stdout.write(_series_csv(result))
+        sys.stdout.write(_csv("exp,coef", result.terms))
     else:
         if result.is_zero and killed:
             reasons = ", ".join("alpha+1-k = %s" % _pretty_num(r)
@@ -190,11 +189,14 @@ def cmd_project(args):
 
 
 def cmd_verify(args):
+    perturb = config.gamma_perturb
     if args.perturb_gamma:
         config.gamma_perturb = args.perturb_gamma
-    names = "all" if args.suite == "all" else args.suite
-    results = run_suites(names, trials=args.trials, seed=args.seed,
-                         order=args.order)
+    try:
+        results = run_suites(args.suite, trials=args.trials, seed=args.seed,
+                             order=args.order)
+    finally:
+        config.gamma_perturb = perturb
     failed = 0
     worst = 0.0
     for r in results:
@@ -214,14 +216,14 @@ def cmd_verify(args):
 
 def cmd_oracle_compare(args):
     f = _load_series(args)
-    table = compare(f, args.k, args.at)
+    rows = compare(f, args.k, args.at)
     if args.format == "json":
-        rows = ", ".join(
+        body = ", ".join(
             '{"x": %s, "termwise": %s, "oracle": %s, "abs_diff": %s}'
-            % tuple(fmt17(v) for v in row) for row in table.rows)
-        print('{"k": %s, "rows": [%s]}' % (fmt17(args.k), rows))
+            % tuple(map(fmt17, row)) for row in rows)
+        print('{"k": %s, "rows": [%s]}' % (fmt17(args.k), body))
     else:
-        sys.stdout.write(table.to_csv())
+        sys.stdout.write(_csv("x,termwise,oracle,abs_diff", rows))
     return 0
 
 
@@ -243,9 +245,6 @@ def build_parser():
         prog="fraclift",
         description="Fractional derivatives of generalized power series, "
                     "termwise or through the commuting lifted shift.")
-    ap.add_argument("--tol", type=finite_float, default=None,
-                    help="integer-detection tolerance override "
-                         "(also FRACLIFT_TOL)")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("deriv", help="differintegrate an expression or series")
@@ -304,8 +303,6 @@ def build_parser():
 def main(argv=None):
     ap = build_parser()
     args = ap.parse_args(argv)
-    if args.tol is not None:
-        config.int_tol = args.tol
     try:
         return args.fn(args)
     except FracliftError as exc:

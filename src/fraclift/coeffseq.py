@@ -7,8 +7,9 @@ all lie on one lattice {phase + n : n integer}. It is stored exactly, as
 
 with phase a Fraction in [0, 1): key n stands for the exponent n + phase, so
 an exponent is an integer key, never a float matched within a tolerance.
-Ordinary truncated Taylor jets are the phase-0 case. The floats in .terms
-are the correctly rounded doubles of n + phase.
+Ordinary truncated Taylor jets are the phase-0 case. .terms holds plain
+(exponent, coefficient) float pairs, exponent-sorted; the exponents are the
+correctly rounded doubles of n + phase.
 
 Floats join a lattice in one place, the float entry: the positional
 constructor GenSeries(basepoint, pairs, order), series_from_json, and each
@@ -27,10 +28,8 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import NamedTuple
 
 from . import config
 from .errors import (
@@ -49,11 +48,6 @@ _MAX_DENOMINATOR = 1000
 # read as: a few roundings (as in 0.85 - 1). Rationals with denominators up
 # to 1000 lie at least 1e-6 apart, so at most one is this close.
 _SLACK = 4.0 * sys.float_info.epsilon
-
-
-class Term(NamedTuple):
-    exponent: float
-    coefficient: float
 
 
 def fmt17(v):
@@ -172,7 +166,6 @@ def _lattice(pairs, phase=None):
     return phase, nonzero(coeffs)
 
 
-@dataclass(frozen=True, init=False)
 class GenSeries:
     """Finite generalized power series around a base point: coefficient
     coeffs[n] (at least COEF_EPS in magnitude) at exponent n + phase.
@@ -182,17 +175,14 @@ class GenSeries:
     exponents off a single lattice; GenSeries.keyed takes keys directly.
     truncation_order, when not None, records the order beyond which terms
     are an unrepresented remainder (a truncated transcendental jet).
+    Series compare equal when all four fields do.
     """
 
-    basepoint: float
-    phase: Fraction
-    coeffs: dict
-    truncation_order: float | None
-
     def __init__(self, basepoint, terms=(), truncation_order=None):
-        phase, coeffs = _lattice([(float(e), float(c)) for e, c in terms])
-        self.__dict__.update(basepoint=float(basepoint), phase=phase,
-                             coeffs=coeffs, truncation_order=truncation_order)
+        self.phase, self.coeffs = _lattice(
+            [(float(e), float(c)) for e, c in terms])
+        self.basepoint = float(basepoint)
+        self.truncation_order = truncation_order
 
     @classmethod
     def keyed(cls, basepoint, phase, coeffs, truncation_order=None):
@@ -203,12 +193,24 @@ class GenSeries:
                           truncation_order=truncation_order)
         return f
 
+    def _fields(self):
+        return self.basepoint, self.phase, self.coeffs, self.truncation_order
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __repr__(self):
+        return ("GenSeries(basepoint=%r, phase=%r, coeffs=%r, "
+                "truncation_order=%r)" % self._fields())
+
     @cached_property
-    def terms(self) -> tuple[Term, ...]:
-        """The terms as (exponent, coefficient) floats, exponent-sorted."""
+    def terms(self):
+        """The terms as (exponent, coefficient) float pairs, exponent-sorted."""
         p, q = self.phase.numerator, self.phase.denominator
-        return tuple(Term((n * q + p) / q, c)
-                     for n, c in sorted(self.coeffs.items()))
+        return tuple([((n * q + p) / q, c)
+                      for n, c in sorted(self.coeffs.items())])
 
     @property
     def is_zero(self):
@@ -223,7 +225,7 @@ class GenSeries:
         return self.coeffs.get(round(d), 0.0)
 
     def exponents(self):
-        return [t.exponent for t in self.terms]
+        return [e for e, _ in self.terms]
 
     def __add__(self, other):
         if not isinstance(other, GenSeries):
@@ -269,14 +271,14 @@ def series_eval(f: GenSeries, x) -> float:
     dx = x - f.basepoint
     terms = f.terms
     if dx <= 0.0 and terms:
+        e0 = terms[0][0]
         if f.phase:
             raise EvalDomainError(
                 "non-integer exponent %r needs x > basepoint (x=%r, a=%r)"
-                % (terms[0].exponent, x, f.basepoint))
-        if dx == 0.0 and terms[0].exponent < 0.0:
+                % (e0, x, f.basepoint))
+        if dx == 0.0 and e0 < 0.0:
             raise EvalDomainError(
-                "negative exponent %r undefined at the base point"
-                % terms[0].exponent)
+                "negative exponent %r undefined at the base point" % e0)
     total = 0.0
     try:
         for e, c in terms:

@@ -1,17 +1,15 @@
-"""Shared runtime knobs, overridable through environment variables.
+"""Shared runtime knobs.
 
-FRACLIFT_TOL            integer-detection tolerance (pole tests, and lattice
-                        membership of float exponents); default 1e-9
 FRACLIFT_GAMMA_PERTURB  test hook: multiply every nonzero gamma-ratio by
                         (1 + eps); default 0 (off)
 """
 
 import os
 
-INT_TOL_DEFAULT = 1e-9
-
-# |x - round(x)| <= int_tol with round(x) <= 0 classifies x as a Gamma pole.
-int_tol = float(os.environ.get("FRACLIFT_TOL", INT_TOL_DEFAULT))
+# Integer-detection tolerance: |x - round(x)| <= int_tol with round(x) <= 0
+# classifies x as a Gamma pole, and a float exponent within it of a lattice
+# point joins the lattice. Tests may assign it.
+int_tol = 1e-9
 
 # Verification-sensitivity hook; see cli verify --perturb-gamma.
 gamma_perturb = float(os.environ.get("FRACLIFT_GAMMA_PERTURB", "0.0"))

@@ -29,7 +29,6 @@ indices, and lift_gen refuses a series with a term on one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import config
@@ -39,28 +38,35 @@ from .errors import BasepointError, ExponentError
 from .gamma import gamma_chain, lattice_poles
 
 
-@dataclass(frozen=True)
 class LiftedSeq:
     """Finite-support lifted sequence: values on the lattice Z - offset.
 
     The constructor cleans its input (integer indices, float values, none
-    below COEF_EPS); the library's own results are built as given."""
+    below COEF_EPS); the library's own results are built as given.
+    Sequences compare equal when base point, offset and values do."""
 
-    basepoint: float
-    offset: Fraction = Fraction(0)
-    values: dict[int, float] = field(default_factory=dict)
-
-    def __post_init__(self):
-        object.__setattr__(self, "basepoint", float(self.basepoint))
-        object.__setattr__(self, "offset", Fraction(self.offset))
-        object.__setattr__(self, "values", nonzero(
-            {int(j): float(v) for j, v in self.values.items()}))
+    def __init__(self, basepoint, offset=0, values=None):
+        self.basepoint = float(basepoint)
+        self.offset = Fraction(offset)
+        self.values = nonzero(
+            {int(j): float(v) for j, v in (values or {}).items()})
 
     @classmethod
     def _keyed(cls, basepoint, offset, values):
         rho = object.__new__(cls)
         rho.__dict__.update(basepoint=basepoint, offset=offset, values=values)
         return rho
+
+    def _fields(self):
+        return self.basepoint, self.offset, self.values
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __repr__(self):
+        return "LiftedSeq(basepoint=%r, offset=%r, values=%r)" % self._fields()
 
     @property
     def is_zero(self):

@@ -13,26 +13,30 @@ Negative orders evaluate the fractional integral directly:
 
 Nonnegative orders use the standard differintegral construction: integrate
 down to a negative order, then take an n-th derivative (n = ceil(k)) by
-Richardson-extrapolated central differences (3 levels, from a step of at most
-1e-3). Orders above 2 are refused with OracleError: the n-th difference
-amplifies rounding by h^-n, and at n = 3 the result misses the termwise rule
-by up to 6e-4. The quadrature tolerances (absolute 1e-9, relative 1e-8, 256
+Richardson-extrapolated central differences (3 levels, from a step of
+min(1e-3, (x-a)/(4n)) times max(1, x-a): the step grows with x - a, so at
+large x it stays far above the spacing of the doubles near x). Orders above
+2 are refused with OracleError: the n-th difference amplifies rounding by
+h^-n, and at n = 3 the result misses the termwise rule by up to 6e-4. The quadrature tolerances (absolute 1e-9, relative 1e-8, 256
 subintervals) are module constants; a quadrature whose error estimate stays
 more than 100 times above them raises OracleError.
+
+compare() tabulates the termwise rule against the oracle as plain
+(x, termwise, oracle, abs_diff) rows.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from . import config
-from .coeffseq import GenSeries, fmt17, series_eval
+from .coeffseq import GenSeries, series_eval
 from .errors import EvalDomainError, ExponentError, OracleError, TruncationError
 from .rl import rl_series
 
 # QUADPACK's absolute and relative tolerances and its subinterval limit; the
-# largest central-difference step, and the highest order answered (see above)
+# largest central-difference step (for x - a <= 1), and the highest order
+# answered (see above)
 _ABS_TOL = 1e-9
 _REL_TOL = 1e-8
 _SUBDIVISIONS = 256
@@ -100,7 +104,7 @@ def rl_oracle(f, a, k, x) -> float:
         def g(y):
             return _frac_integral(f, a, -frac, y)
 
-    h0 = min(_FD_STEP, 0.25 * (x - a) / max(1, n))
+    h0 = min(_FD_STEP, 0.25 * (x - a) / max(1, n)) * max(1.0, x - a)
     d0 = _stencil(g, x, n, h0)
     d1 = _stencil(g, x, n, h0 / 2.0)
     d2 = _stencil(g, x, n, h0 / 4.0)
@@ -109,21 +113,9 @@ def rl_oracle(f, a, k, x) -> float:
     return (16.0 * r12 - r01) / 15.0
 
 
-@dataclass
-class EvalTable:
-    """(x, termwise, oracle, |difference|) rows from compare()."""
-
-    rows: list[tuple[float, float, float, float]]
-
-    def to_csv(self) -> str:
-        out = ["x,termwise,oracle,abs_diff"]
-        for x, tv, ov, d in self.rows:
-            out.append(",".join(fmt17(v) for v in (x, tv, ov, d)))
-        return "\n".join(out) + "\n"
-
-
-def compare(f: GenSeries, k, xs) -> EvalTable:
-    """Termwise rule vs. integral oracle on a list of evaluation points.
+def compare(f: GenSeries, k, xs) -> list:
+    """Termwise rule vs. integral oracle on a list of evaluation points: one
+    (x, termwise, oracle, |difference|) row per point.
 
     Every x must lie strictly above the base point; for truncated series a
     last-term heuristic guards against evaluating past the jet's reach."""
@@ -145,4 +137,4 @@ def compare(f: GenSeries, k, xs) -> EvalTable:
         termwise = series_eval(g, x)
         oracle_val = rl_oracle(lambda t: series_eval(f, t), f.basepoint, k, x)
         rows.append((x, termwise, oracle_val, abs(termwise - oracle_val)))
-    return EvalTable(rows)
+    return rows

@@ -1,4 +1,4 @@
-"""Expression front end: text -> AST -> generalized power series.
+"""Expression front end: text -> AST of tag tuples -> generalized power series.
 
 Grammar (EBNF), conventional infix with ^ binding tightest and
 right-associative:
@@ -44,7 +44,7 @@ H. T. Kung, "Fast algorithms for manipulating formal power series", J. ACM
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import operator
 from fractions import Fraction
 
 from . import config
@@ -55,71 +55,13 @@ _INTRINSICS = ("exp", "sin", "cos")
 
 
 # --------------------------------------------------------------------------
-# AST
-
-
-@dataclass(frozen=True)
-class Num:
-    value: float
-
-
-@dataclass(frozen=True)
-class Var:
-    pass
-
-
-@dataclass(frozen=True)
-class Add:
-    lhs: object
-    rhs: object
-
-
-@dataclass(frozen=True)
-class Sub:
-    lhs: object
-    rhs: object
-
-
-@dataclass(frozen=True)
-class Mul:
-    lhs: object
-    rhs: object
-
-
-@dataclass(frozen=True)
-class Div:
-    lhs: object
-    rhs: object
-
-
-@dataclass(frozen=True)
-class Pow:
-    base: object
-    exponent: object
-
-
-@dataclass(frozen=True)
-class Neg:
-    operand: object
-
-
-@dataclass(frozen=True)
-class Call:
-    func: str
-    arg: object
-
-
-# --------------------------------------------------------------------------
-# Tokenizer
-
-
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # num | name | op | end
-    text: str
-    value: float
-    line: int
-    column: int
+# AST: tag tuples
+#
+#     ("num", value)  ("x",)  (op, lhs, rhs) for op in + - * / ^
+#     ("neg", operand)  ("call", name, arg)
+#
+# Tokens are tuples too: (kind, text, value, line, column), kind one of
+# num, name, op and end.
 
 
 def _tokenize(text):
@@ -159,7 +101,7 @@ def _tokenize(text):
             if math.isinf(val):
                 raise ParseError("number %r exceeds double range" % lit,
                                  line, col)
-            tokens.append(_Token("num", lit, val, line, col))
+            tokens.append(("num", lit, val, line, col))
             col += j - i
             i = j
             continue
@@ -167,17 +109,17 @@ def _tokenize(text):
             j = i
             while j < n and text[j].isalnum():
                 j += 1
-            tokens.append(_Token("name", text[i:j], 0.0, line, col))
+            tokens.append(("name", text[i:j], 0.0, line, col))
             col += j - i
             i = j
             continue
         if ch in "+-*/^()":
-            tokens.append(_Token("op", ch, 0.0, line, col))
+            tokens.append(("op", ch, 0.0, line, col))
             col += 1
             i += 1
             continue
         raise ParseError("unexpected character %r" % ch, line, col)
-    tokens.append(_Token("end", "", 0.0, line, col))
+    tokens.append(("end", "", 0.0, line, col))
     return tokens
 
 
@@ -195,79 +137,75 @@ class _Parser:
 
     def advance(self):
         tok = self.tokens[self.pos]
-        if tok.kind != "end":
+        if tok[0] != "end":
             self.pos += 1
         return tok
 
+    def at_op(self, ops):
+        """The operator text of the next token when it is one of ops."""
+        kind, text = self.peek()[:2]
+        return text if kind == "op" and text in ops else None
+
     def expect_op(self, text):
-        tok = self.peek()
-        if tok.kind != "op" or tok.text != text:
-            raise ParseError("expected %r" % text, tok.line, tok.column)
+        if self.at_op(text) is None:
+            raise ParseError("expected %r" % text, *self.peek()[3:])
         return self.advance()
 
     def expr(self):
         node = self.term()
-        while self.peek().kind == "op" and self.peek().text in "+-":
-            op = self.advance().text
-            rhs = self.term()
-            node = Add(node, rhs) if op == "+" else Sub(node, rhs)
+        while op := self.at_op("+-"):
+            self.advance()
+            node = (op, node, self.term())
         return node
 
     def term(self):
         node = self.unary()
-        while self.peek().kind == "op" and self.peek().text in "*/":
-            op = self.advance().text
-            rhs = self.unary()
-            node = Mul(node, rhs) if op == "*" else Div(node, rhs)
+        while op := self.at_op("*/"):
+            self.advance()
+            node = (op, node, self.unary())
         return node
 
     def unary(self):
-        tok = self.peek()
-        if tok.kind == "op" and tok.text == "-":
+        if self.at_op("-"):
             self.advance()
-            return Neg(self.unary())
+            return ("neg", self.unary())
         return self.power()
 
     def power(self):
         base = self.atom()
-        tok = self.peek()
-        if tok.kind == "op" and tok.text == "^":
+        if self.at_op("^"):
             self.advance()
-            return Pow(base, self.unary())  # right-associative
+            return ("^", base, self.unary())  # right-associative
         return base
 
     def atom(self):
-        tok = self.peek()
-        if tok.kind == "num":
-            self.advance()
-            return Num(tok.value)
-        if tok.kind == "name":
-            self.advance()
-            if tok.text == "x":
-                return Var()
-            if tok.text in _INTRINSICS:
+        kind, text, value, line, column = self.advance()
+        if kind == "num":
+            return ("num", value)
+        if kind == "name":
+            if text == "x":
+                return ("x",)
+            if text in _INTRINSICS:
                 self.expect_op("(")
                 arg = self.expr()
                 self.expect_op(")")
-                return Call(tok.text, arg)
-            raise ParseError("unknown identifier %r" % tok.text,
-                             tok.line, tok.column)
-        if tok.kind == "op" and tok.text == "(":
-            self.advance()
+                return ("call", text, arg)
+            raise ParseError("unknown identifier %r" % text, line, column)
+        if kind == "op" and text == "(":
             node = self.expr()
             self.expect_op(")")
             return node
-        raise ParseError("expected expression", tok.line, tok.column)
+        raise ParseError("expected expression", line, column)
 
 
 def parse(text: str):
-    """Parse an expression into its AST; errors carry line and column."""
+    """Parse an expression into its AST of tag tuples (see above); errors
+    carry line and column."""
     p = _Parser(_tokenize(text))
     node = p.expr()
-    tok = p.peek()
-    if tok.kind != "end":
-        raise ParseError("unexpected trailing input %r" % tok.text,
-                         tok.line, tok.column)
+    kind, text, _, line, column = p.peek()
+    if kind != "end":
+        raise ParseError("unexpected trailing input %r" % text, line, column)
     return node
 
 
@@ -284,41 +222,43 @@ def _num_text(v):
     return repr(v)
 
 
-def _print(node, need):
-    if isinstance(node, Num):
-        return _num_text(node.value), _PREC_ATOM
-    if isinstance(node, Var):
+# binary operator: (separator, precedence, lhs need, rhs need). Right
+# children of the left-associative operators print one level tighter, so
+# chains like a * (b / c) re-parse to the same tree; ^ is right-associative.
+_BINARY = {
+    "+": (" + ", _PREC_ADD, _PREC_ADD, _PREC_ADD + 1),
+    "-": (" - ", _PREC_ADD, _PREC_ADD, _PREC_ADD + 1),
+    "*": (" * ", _PREC_MUL, _PREC_MUL, _PREC_MUL + 1),
+    "/": (" / ", _PREC_MUL, _PREC_MUL, _PREC_MUL + 1),
+    "^": ("^", _PREC_POW, _PREC_POW + 1, _PREC_POW),
+}
+
+
+def _wrap(node, need):
+    text, prec = _print(node)
+    return "(" + text + ")" if prec < need else text
+
+
+def _print(node):
+    """(text, precedence) of an AST node."""
+    tag = node[0]
+    if tag == "num":
+        return _num_text(node[1]), _PREC_ATOM
+    if tag == "x":
         return "x", _PREC_ATOM
-    if isinstance(node, Call):
-        inner, _ = _print(node.arg, 0)
-        return "%s(%s)" % (node.func, inner), _PREC_ATOM
-
-    def wrap(child, childneed):
-        text, prec = _print(child, childneed)
-        if prec < childneed:
-            return "(" + text + ")"
-        return text
-
-    # right children of the left-associative operators print one level
-    # tighter so chains like Mul(a, Div(b, c)) re-parse to the same tree
-    if isinstance(node, Add):
-        return "%s + %s" % (wrap(node.lhs, _PREC_ADD), wrap(node.rhs, _PREC_ADD + 1)), _PREC_ADD
-    if isinstance(node, Sub):
-        return "%s - %s" % (wrap(node.lhs, _PREC_ADD), wrap(node.rhs, _PREC_ADD + 1)), _PREC_ADD
-    if isinstance(node, Mul):
-        return "%s * %s" % (wrap(node.lhs, _PREC_MUL), wrap(node.rhs, _PREC_MUL + 1)), _PREC_MUL
-    if isinstance(node, Div):
-        return "%s / %s" % (wrap(node.lhs, _PREC_MUL), wrap(node.rhs, _PREC_MUL + 1)), _PREC_MUL
-    if isinstance(node, Neg):
-        return "-%s" % wrap(node.operand, _PREC_NEG), _PREC_NEG
-    if isinstance(node, Pow):
-        return "%s^%s" % (wrap(node.base, _PREC_POW + 1), wrap(node.exponent, _PREC_POW)), _PREC_POW
-    raise TypeError("not an expression node: %r" % (node,))
+    if tag == "call":
+        return "%s(%s)" % (node[1], _print(node[2])[0]), _PREC_ATOM
+    if tag == "neg":
+        return "-" + _wrap(node[1], _PREC_NEG), _PREC_NEG
+    if tag not in _BINARY:
+        raise TypeError("not an expression node: %r" % (node,))
+    sep, prec, lneed, rneed = _BINARY[tag]
+    return _wrap(node[1], lneed) + sep + _wrap(node[2], rneed), prec
 
 
 def to_text(node) -> str:
     """Render an AST back to parseable text; parse(to_text(e)) == e."""
-    return _print(node, 0)[0]
+    return _print(node)[0]
 
 
 # --------------------------------------------------------------------------
@@ -513,110 +453,109 @@ def _float_op(fn, u0, what):
         raise ExpansionError("%s(%s) is out of double range" % (what, arg)) from None
 
 
+def _div(a, b):
+    if b == 0:
+        raise ExpansionError("division by zero in constant expression")
+    return a / b
+
+
+def _pow(a, b):
+    try:
+        return math.pow(a, b)
+    except (OverflowError, ValueError):
+        raise ExpansionError(
+            "constant power %r^%r is not a finite real" % (a, b)) from None
+
+
+_FOLD = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+         "/": _div, "^": _pow}
+
+
 def _fold_const(node):
     """Evaluate a variable-free subtree to a float, or None."""
-    if isinstance(node, Num):
-        return node.value
-    if isinstance(node, Neg):
-        v = _fold_const(node.operand)
+    tag = node[0]
+    if tag == "num":
+        return node[1]
+    if tag == "neg":
+        v = _fold_const(node[1])
         return None if v is None else -v
-    if isinstance(node, (Add, Sub, Mul, Div)):
-        a = _fold_const(node.lhs)
-        b = _fold_const(node.rhs)
-        if a is None or b is None:
-            return None
-        if isinstance(node, Add):
-            return a + b
-        if isinstance(node, Sub):
-            return a - b
-        if isinstance(node, Mul):
-            return a * b
-        if b == 0:
-            raise ExpansionError("division by zero in constant expression")
-        return a / b
-    if isinstance(node, Pow):
-        a = _fold_const(node.base)
-        b = _fold_const(node.exponent)
-        if a is None or b is None:
-            return None
-        try:
-            return math.pow(a, b)
-        except (OverflowError, ValueError):
-            raise ExpansionError(
-                "constant power %r^%r is not a finite real" % (a, b)) from None
+    if tag not in _FOLD:  # x, or a call
+        return None
+    a = _fold_const(node[1])
+    b = _fold_const(node[2])
+    if a is None or b is None:
+        return None
+    return _FOLD[tag](a, b)
+
+
+def _centered_at(node):
+    """The base point c of a node (x - c), else None."""
+    if node[0] == "-" and node[1] == ("x",) and node[2][0] == "num":
+        return node[2][1]
     return None
 
 
-def _is_centered_atom(node, basepoint):
-    if isinstance(node, Var):
-        return basepoint == 0.0
-    return (isinstance(node, Sub) and isinstance(node.lhs, Var)
-            and isinstance(node.rhs, Num) and node.rhs.value == basepoint)
-
-
 def _expand(node, basepoint, order):
-    if isinstance(node, Num):
-        return _SVal({0: Fraction(node.value)})
-    if isinstance(node, Var):
+    tag = node[0]
+    if tag == "num":
+        return _SVal({0: Fraction(node[1])})
+    if tag == "x":
         return _SVal({0: Fraction(basepoint), 1: Fraction(1)})
-    if isinstance(node, Neg):
-        return _scale(_expand(node.operand, basepoint, order), -1)
-    if isinstance(node, Add):
-        return _add(_expand(node.lhs, basepoint, order),
-                    _expand(node.rhs, basepoint, order))
-    if isinstance(node, Sub):
-        return _add(_expand(node.lhs, basepoint, order),
-                    _expand(node.rhs, basepoint, order), sign=-1)
-    if isinstance(node, Mul):
-        return _mul(_expand(node.lhs, basepoint, order),
-                    _expand(node.rhs, basepoint, order))
-    if isinstance(node, Div):
-        den = _expand(node.rhs, basepoint, order)
+    if tag == "neg":
+        return _scale(_expand(node[1], basepoint, order), -1)
+    if tag == "call":
+        return _compose_intrinsic(node[1], _expand(node[2], basepoint, order),
+                                  order)
+    if tag in ("+", "-", "*"):
+        a = _expand(node[1], basepoint, order)
+        b = _expand(node[2], basepoint, order)
+        return _mul(a, b) if tag == "*" else _add(a, b, 1 if tag == "+" else -1)
+    if tag == "/":
+        den = _expand(node[2], basepoint, order)
         if not den.is_constant():
             raise ExpansionError("division only by nonzero constants")
         c = den.constant_value()
         if c == 0:
             raise ExpansionError("division by zero")
-        num = _expand(node.lhs, basepoint, order)
+        num = _expand(node[1], basepoint, order)
         return _scale(num, (Fraction(1) / c) if isinstance(c, Fraction)
                       else 1.0 / c)
-    if isinstance(node, Pow):
-        expo = _fold_const(node.exponent)
-        if expo is None:
-            raise ExpansionError("exponent must be a constant expression")
-        if not math.isfinite(expo):
-            raise ExpansionError("exponent %r is not finite" % expo)
-        if _is_centered_atom(node.base, basepoint):
-            e = rational(expo)  # an integer stays an int: ints add fast
-            return _SVal({0: Fraction(1)},
-                         base=e.numerator if e.denominator == 1 else e)
-        if expo == math.floor(expo) and abs(expo) <= 1024:
-            n = int(expo)
-            base = _expand(node.base, basepoint, order)
-            if n >= 0:
-                return _powi(base, n)
-            if base.is_constant() and base.constant_value() != 0:
-                return _SVal({0: base.constant_value() ** n})
-            raise ExpansionError(
-                "negative powers are only supported on (x - basepoint)")
-        base = _expand(node.base, basepoint, order)
-        if base.is_constant():
-            c = float(base.constant_value())
-            if c <= 0.0:
-                raise ExpansionError(
-                    "real power of a non-positive constant")
-            return _SVal({0: math.pow(c, expo)})
-        if (isinstance(node.base, Sub) and isinstance(node.base.lhs, Var)
-                and isinstance(node.base.rhs, Num)):
-            raise ExpansionError(
-                "power term centered at %r, expected base point %r"
-                % (node.base.rhs.value, basepoint))
-        raise ExpansionError(
-            "real exponents are only supported on (x - basepoint)")
-    if isinstance(node, Call):
-        inner = _expand(node.arg, basepoint, order)
-        return _compose_intrinsic(node.func, inner, order)
+    if tag == "^":
+        return _expand_pow(node[1], node[2], basepoint, order)
     raise TypeError("not an expression node: %r" % (node,))
+
+
+def _expand_pow(base_node, expo_node, basepoint, order):
+    expo = _fold_const(expo_node)
+    if expo is None:
+        raise ExpansionError("exponent must be a constant expression")
+    if not math.isfinite(expo):
+        raise ExpansionError("exponent %r is not finite" % expo)
+    center = _centered_at(base_node)
+    if center == basepoint or (base_node == ("x",) and basepoint == 0.0):
+        e = rational(expo)  # an integer stays an int: ints add fast
+        return _SVal({0: Fraction(1)},
+                     base=e.numerator if e.denominator == 1 else e)
+    if expo == math.floor(expo) and abs(expo) <= 1024:
+        n = int(expo)
+        base = _expand(base_node, basepoint, order)
+        if n >= 0:
+            return _powi(base, n)
+        if base.is_constant() and base.constant_value() != 0:
+            return _SVal({0: base.constant_value() ** n})
+        raise ExpansionError(
+            "negative powers are only supported on (x - basepoint)")
+    base = _expand(base_node, basepoint, order)
+    if base.is_constant():
+        c = float(base.constant_value())
+        if c <= 0.0:
+            raise ExpansionError("real power of a non-positive constant")
+        return _SVal({0: math.pow(c, expo)})
+    if center is not None:
+        raise ExpansionError("power term centered at %r, expected base point %r"
+                             % (center, basepoint))
+    raise ExpansionError(
+        "real exponents are only supported on (x - basepoint)")
 
 
 def to_series(expr, basepoint: float = 0.0, order: int | None = None) -> GenSeries:

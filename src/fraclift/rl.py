@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 
 from . import config
-from .coeffseq import GenSeries, Term, rational
+from .coeffseq import GenSeries, rational
 from .errors import ExponentError
 from .gamma import gamma_chain, gamma_ratio, is_pole, lattice_poles
 
@@ -59,7 +59,8 @@ def rl_kernel_predicate(alpha, k) -> bool:
 def rl_term(b, alpha, k):
     """Order-k differintegral of a single power term.
 
-    Returns the resulting Term, or None when the term is kernel-annihilated.
+    Returns the resulting (exponent, coefficient) pair, or None when the
+    term is kernel-annihilated.
     Raises GammaPoleError when alpha is a negative integer and k is not an
     integer (numerator pole; undefined coefficient), GammaOverflowError
     when the coefficient's Gamma ratio exceeds double range, and
@@ -67,7 +68,7 @@ def rl_term(b, alpha, k):
     ratio = gamma_ratio(alpha + 1.0, _kernel_arg(alpha, k))
     if ratio == 0.0:
         return None
-    return Term(alpha - k, b * ratio)
+    return alpha - k, b * ratio
 
 
 def annihilated_run(f: GenSeries, k):

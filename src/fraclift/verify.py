@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from . import config
@@ -35,13 +35,8 @@ from .rl import rl_series
 K_SET = (0.5, 1.0, 1.5, -0.5, math.pi / 3.0)
 
 
-@dataclass
-class SuiteResult:
-    name: str
-    passed: bool
-    max_residual: float
-    cases: int
-    note: str = ""
+SuiteResult = namedtuple("SuiteResult", "name passed max_residual cases note",
+                         defaults=("",))
 
 
 def series_residual(f: GenSeries, g: GenSeries, exp_tol=1e-9) -> float:

@@ -58,10 +58,10 @@ def test_criterion_1_gamma_kernel_accuracy():
 
 
 def test_criterion_2_classic_half_derivative():
-    table = compare(monomial(1.0), 0.5, [0.25, 1.0, 2.25])
+    rows = compare(monomial(1.0), 0.5, [0.25, 1.0, 2.25])
     worst_closed = 0.0
     worst_diff = 0.0
-    for x, termwise, oracle_v, diff in table.rows:
+    for x, termwise, oracle_v, diff in rows:
         closed = 2.0 * math.sqrt(x / math.pi)
         worst_closed = max(worst_closed, abs(termwise - closed),
                            abs(oracle_v - closed))

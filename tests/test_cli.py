@@ -1,11 +1,12 @@
 import json
-import os
 import subprocess
 import sys
 
 import pytest
 
+from fraclift import config
 from fraclift.cli import main
+from fraclift.gamma import gamma_ratio
 from fraclift.rl import rl_kernel_predicate
 
 
@@ -177,6 +178,13 @@ class TestVerify:
         assert code == 1
         assert "FAIL" in out
 
+    def test_perturbation_is_undone_after_the_run(self, capsys):
+        before = gamma_ratio(2.5, 1.5)
+        code, _, _ = run_cli(capsys, "verify", "--suite", "gamma",
+                             "--trials", "5", "--perturb-gamma", "1e-6")
+        assert code == 1
+        assert gamma_ratio(2.5, 1.5) == before
+
 
 class TestOracleCompare:
     def test_csv_output(self, capsys):
@@ -209,7 +217,8 @@ class TestKernelCheck:
         path = tmp_path / "f.json"
         path.write_text(json.dumps({"basepoint": 0, "terms": [
             {"exp": e, "coef": 1.0} for e in exps]}))
-        code, out, _ = run_cli(capsys, "--tol", "0.2", "kernel-check",
+        config.int_tol = 0.2
+        code, out, _ = run_cli(capsys, "kernel-check",
                                "--series-file", str(path), "--k", repr(k))
         assert code == 0
         marked = ["ANNIHILATED" in line for line in out.splitlines()]
@@ -231,14 +240,6 @@ class TestProcessLevel:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["k"] == 0.5
-
-    def test_env_tolerance_override(self):
-        env = dict(os.environ, FRACLIFT_TOL="1e-3")
-        proc = subprocess.run(
-            [sys.executable, "-c",
-             "from fraclift import config; print(config.int_tol)"],
-            capture_output=True, text=True, env=env)
-        assert proc.stdout.strip() == "0.001"
 
     def test_usage_error_exit_code(self):
         proc = subprocess.run(
@@ -277,3 +278,16 @@ class TestProcessLevel:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[0] == "False"
         assert proc.stdout.splitlines()[-1] == "False"
+
+    def test_start_up_imports_no_dataclasses_or_inspect(self):
+        # the values of the package are plain classes and tuples, so the CLI's
+        # start-up path pays for neither module
+        probe = ("import sys\n"
+                 "names = ('dataclasses', 'inspect')\n"
+                 "before = {n for n in names if n in sys.modules}\n"
+                 "import fraclift.cli\n"
+                 "print(sorted({n for n in names if n in sys.modules} - before))\n")
+        proc = subprocess.run([sys.executable, "-c", probe],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import assert_series_close
-from fraclift.coeffseq import GenSeries, Term, monomial
+from fraclift.coeffseq import GenSeries, monomial
 from fraclift.errors import BasepointError, ExponentError, InputError
 from fraclift.lifted import (
     LiftedSeq,
@@ -80,7 +80,7 @@ class TestProject:
         # entry i over i! at exponent i; the negative index is annihilated
         sigma = seq({0: 1.0, 2: 4.0, -3: 9.0})
         assert project(embed(sigma)) == project(sigma)
-        assert project(sigma).terms == (Term(0.0, 1.0), Term(2.0, 2.0))
+        assert project(sigma).terms == ((0.0, 1.0), (2.0, 2.0))
 
     def test_identity_on_jets(self):
         f = monomial(1.0)
@@ -89,9 +89,9 @@ class TestProject:
     def test_half_shift_of_x(self):
         rho = shift(lift_gen(monomial(1.0)), 0.5)
         out = project(rho)
-        assert len(out.terms) == 1
-        assert out.terms[0].exponent == 0.5
-        assert out.terms[0].coefficient == pytest.approx(2.0 / SQRT_PI, rel=1e-13)
+        (e, c), = out.terms
+        assert e == 0.5
+        assert c == pytest.approx(2.0 / SQRT_PI, rel=1e-13)
 
     def test_pole_annihilation(self):
         rho = LiftedSeq(0.0, 0, {-1: 5.0})
@@ -128,26 +128,26 @@ class TestLiftGen:
         with pytest.raises(ExponentError):
             lift_gen(monomial(-2.0))
         with pytest.raises(ExponentError):
-            lift_gen(GenSeries(0.0, (Term(1.0, 1.0), Term(-1.0, 2.0))))
+            lift_gen(GenSeries(0.0, ((1.0, 1.0), (-1.0, 2.0))))
 
     def test_round_trip_general_lattices(self):
         rng = random.Random(2)
         for _ in range(100):
             phase = rng.uniform(0.0, 1.0)
             exps = sorted(rng.sample(range(-3, 12), rng.randint(1, 6)))
-            f = GenSeries(0.0, tuple(Term(e + phase, rng.uniform(-10, 10))
+            f = GenSeries(0.0, tuple((e + phase, rng.uniform(-10, 10))
                                      for e in exps))
             try:
                 rho = lift_gen(f)
             except ExponentError:
-                assert any(abs(t.exponent - round(t.exponent)) < 1e-9
-                           and t.exponent < 0 for t in f.terms)
+                assert any(abs(e - round(e)) < 1e-9 and e < 0
+                           for e, _ in f.terms)
                 continue
             assert_series_close(project(rho), f)
 
     def test_linearity(self):
-        f = GenSeries(0.0, (Term(-0.5, 2.0), Term(1.5, 1.0)))
-        g = GenSeries(0.0, (Term(0.5, -1.0), Term(1.5, 3.0)))
+        f = GenSeries(0.0, ((-0.5, 2.0), (1.5, 1.0)))
+        g = GenSeries(0.0, ((0.5, -1.0), (1.5, 3.0)))
         assert_series_close(project(lift_gen(f) + lift_gen(g)),
                             project(lift_gen(f + g)))
 

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from fraclift.cli import main
 from fraclift.coeffseq import monomial, series_eval
 from fraclift.errors import (
     EvalDomainError,
@@ -79,6 +80,17 @@ class TestRlOracle:
                     worst = max(worst, abs(num - termwise) / max(1.0, abs(termwise)))
         assert worst <= 1e-5
 
+    @pytest.mark.parametrize("alpha,k,x", [(0.5, 0.5, 1e12), (0.5, 0.5, 1e14),
+                                           (0.5, 0.5, 1e16), (2.0, 1.5, 1e8)])
+    def test_large_x_agrees_with_termwise_rule(self, alpha, k, x):
+        # the difference step grows with x - a; a step capped at 1e-3 sank
+        # below the spacing of the doubles near x (0.977 and then 0 for the
+        # half-derivative of x^0.5, whose value is 0.886 everywhere)
+        f = monomial(alpha)
+        termwise = series_eval(rl_series(f, k), x)
+        num = rl_oracle(lambda t: series_eval(f, t), 0.0, k, x)
+        assert num == pytest.approx(termwise, rel=1e-8)
+
     def test_order_two_is_the_limit(self):
         # the second difference keeps the suite's 1e-5 on its monomials and
         # x*exp(x) over 0.25 <= x <= 2; the third loses it (6e-4 at k = 2.1,
@@ -100,23 +112,22 @@ class TestRlOracle:
 
 class TestCompare:
     def test_half_derivative_table(self):
-        table = compare(monomial(1.0), 0.5, [0.25, 1.0, 2.25])
-        expected = [2.0 * math.sqrt(x / math.pi) for x, *_ in table.rows]
-        for (x, termwise, oracle_v, diff), want in zip(table.rows, expected):
+        rows = compare(monomial(1.0), 0.5, [0.25, 1.0, 2.25])
+        expected = [2.0 * math.sqrt(x / math.pi) for x, *_ in rows]
+        for (x, termwise, oracle_v, diff), want in zip(rows, expected):
             assert termwise == pytest.approx(want, abs=1e-9)
             assert oracle_v == pytest.approx(want, abs=1e-5)
             assert diff <= 1e-5
 
     def test_classical_derivative_row(self):
-        table = compare(monomial(2.0), 1.0, [1.0])
-        x, termwise, oracle_v, diff = table.rows[0]
+        (x, termwise, oracle_v, diff), = compare(monomial(2.0), 1.0, [1.0])
         assert termwise == 2.0
         assert oracle_v == pytest.approx(2.0, abs=1e-6)
 
     def test_exp_jet(self):
         f = to_series("exp(x)", 0, 24)
-        table = compare(f, 0.5, [0.5])
-        assert table.rows[0][3] <= 1e-5
+        (_, _, _, diff), = compare(f, 0.5, [0.5])
+        assert diff <= 1e-5
 
     def test_truncation_guard(self):
         f = to_series("exp(x)", 0, 6)
@@ -127,13 +138,15 @@ class TestCompare:
         with pytest.raises(EvalDomainError):
             compare(monomial(1.0), 0.5, [0.0])
 
-    def test_csv_shape_and_determinism(self):
-        table = compare(monomial(1.0), 0.5, [0.25, 1.0])
-        text = table.to_csv()
+    def test_csv_shape_and_determinism(self, capsys):
+        argv = ["oracle-compare", "--expr", "x", "--k", "0.5",
+                "--at", "0.25", "--at", "1"]
+        assert main(argv) == 0
+        text = capsys.readouterr().out
         lines = text.strip().split("\n")
         assert lines[0] == "x,termwise,oracle,abs_diff"
         assert len(lines) == 3
         assert all(len(line.split(",")) == 4 for line in lines[1:])
-        table2 = compare(monomial(1.0), 0.5, [0.25, 1.0])
-        assert table2.to_csv() == text
+        assert main(argv) == 0
+        assert capsys.readouterr().out == text
 

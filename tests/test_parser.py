@@ -6,32 +6,24 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from fraclift.coeffseq import Term
 from fraclift.errors import ExpansionError, LatticeError, ParseError
-from fraclift.parser import (
-    Add,
-    Call,
-    Div,
-    Mul,
-    Neg,
-    Num,
-    Pow,
-    Sub,
-    Var,
-    parse,
-    to_series,
-    to_text,
-)
+from fraclift.parser import parse, to_series, to_text
+
+X = ("x",)
+
+
+def num(v):
+    return ("num", v)
 
 
 class TestParse:
     def test_sum_of_powers(self):
-        assert parse("x^2 + 3*x") == Add(Pow(Var(), Num(2.0)),
-                                         Mul(Num(3.0), Var()))
+        assert parse("x^2 + 3*x") == ("+", ("^", X, num(2.0)),
+                                      ("*", num(3.0), X))
 
     def test_scaled_centered_power(self):
-        assert parse("2*(x-1)^0.5") == Mul(Num(2.0),
-                                           Pow(Sub(Var(), Num(1.0)), Num(0.5)))
+        assert parse("2*(x-1)^0.5") == ("*", num(2.0),
+                                        ("^", ("-", X, num(1.0)), num(0.5)))
 
     def test_trailing_operator_position(self):
         with pytest.raises(ParseError) as err:
@@ -50,19 +42,19 @@ class TestParse:
             parse("x 2")
 
     def test_power_right_associative(self):
-        assert parse("x^2^3") == Pow(Var(), Pow(Num(2.0), Num(3.0)))
+        assert parse("x^2^3") == ("^", X, ("^", num(2.0), num(3.0)))
 
     def test_precedence(self):
-        assert parse("1+2*x") == Add(Num(1.0), Mul(Num(2.0), Var()))
-        assert parse("-x^2") == Neg(Pow(Var(), Num(2.0)))
+        assert parse("1+2*x") == ("+", num(1.0), ("*", num(2.0), X))
+        assert parse("-x^2") == ("neg", ("^", X, num(2.0)))
 
     def test_negative_exponent_forms(self):
-        assert parse("x^-0.5") == Pow(Var(), Neg(Num(0.5)))
-        assert parse("(x-0)^(-0.5)") == Pow(Sub(Var(), Num(0.0)),
-                                            Neg(Num(0.5)))
+        assert parse("x^-0.5") == ("^", X, ("neg", num(0.5)))
+        assert parse("(x-0)^(-0.5)") == ("^", ("-", X, num(0.0)),
+                                         ("neg", num(0.5)))
 
     def test_intrinsics(self):
-        assert parse("exp(sin(x))") == Call("exp", Call("sin", Var()))
+        assert parse("exp(sin(x))") == ("call", "exp", ("call", "sin", X))
 
     def test_literal_beyond_double_range(self):
         with pytest.raises(ParseError) as err:
@@ -78,22 +70,15 @@ class TestParse:
 
 def _random_ast(rng, depth):
     if depth == 0:
-        return rng.choice([Num(float(rng.randint(0, 9))),
-                           Num(rng.randint(1, 40) / 8.0), Var()])
-    kind = rng.randint(0, 6)
-    if kind == 0:
-        return Add(_random_ast(rng, depth - 1), _random_ast(rng, depth - 1))
-    if kind == 1:
-        return Sub(_random_ast(rng, depth - 1), _random_ast(rng, depth - 1))
-    if kind == 2:
-        return Mul(_random_ast(rng, depth - 1), _random_ast(rng, depth - 1))
-    if kind == 3:
-        return Div(_random_ast(rng, depth - 1), _random_ast(rng, depth - 1))
-    if kind == 4:
-        return Neg(_random_ast(rng, depth - 1))
-    if kind == 5:
-        return Pow(_random_ast(rng, depth - 1), _random_ast(rng, depth - 1))
-    return Call(rng.choice(["exp", "sin", "cos"]), _random_ast(rng, depth - 1))
+        return rng.choice([num(float(rng.randint(0, 9))),
+                           num(rng.randint(1, 40) / 8.0), X])
+    tag = ("+", "-", "*", "/", "neg", "^", "call")[rng.randint(0, 6)]
+    if tag == "neg":
+        return (tag, _random_ast(rng, depth - 1))
+    if tag == "call":
+        return (tag, rng.choice(["exp", "sin", "cos"]),
+                _random_ast(rng, depth - 1))
+    return (tag, _random_ast(rng, depth - 1), _random_ast(rng, depth - 1))
 
 
 class TestRoundTrip:
@@ -114,25 +99,25 @@ class TestRoundTrip:
 class TestToSeries:
     def test_exp_maclaurin(self):
         f = to_series("exp(x)", 0, 4)
-        assert f.terms == tuple(Term(float(i), float(Fraction(1, math.factorial(i))))
+        assert f.terms == tuple((float(i), float(Fraction(1, math.factorial(i))))
                                 for i in range(5))
         assert f.truncation_order == 4.0
 
     def test_verbatim_power_term(self):
         f = to_series("(x-1)^(-0.5)", 1.0, 10)
         assert f.basepoint == 1.0
-        assert f.terms == (Term(-0.5, 1.0),)
+        assert f.terms == ((-0.5, 1.0),)
         assert f.truncation_order is None
 
     def test_bare_x_power_at_origin(self):
         f = to_series("x^0.5", 0.0, 10)
-        assert f.terms == (Term(0.5, 1.0),)
+        assert f.terms == ((0.5, 1.0),)
 
     def test_cauchy_product(self):
         f = to_series("sin(x)*x", 0, 5)
-        assert f.terms == (Term(2.0, 1.0),
-                           Term(4.0, float(Fraction(-1, 6))),
-                           Term(6.0, float(Fraction(1, 120))))
+        assert f.terms == ((2.0, 1.0),
+                           (4.0, float(Fraction(-1, 6))),
+                           (6.0, float(Fraction(1, 120))))
 
     def test_product_of_jets_is_exact(self):
         # exp(x)*exp(x) convolves to 2^i/i! with no rounding at all
@@ -151,8 +136,8 @@ class TestToSeries:
 
     def test_division_rules(self):
         f = to_series("x/2", 0, 4)
-        assert f.terms == (Term(1.0, 0.5),)
-        assert to_series("x/(1+1)", 0, 4).terms == (Term(1.0, 0.5),)
+        assert f.terms == ((1.0, 0.5),)
+        assert to_series("x/(1+1)", 0, 4).terms == ((1.0, 0.5),)
         with pytest.raises(ExpansionError):
             to_series("1/x", 0, 4)
         with pytest.raises(ExpansionError):
@@ -164,13 +149,13 @@ class TestToSeries:
 
     def test_integer_power_of_subexpression(self):
         f = to_series("(1+x)^3", 0, 8)
-        assert f.terms == (Term(0.0, 1.0), Term(1.0, 3.0),
-                           Term(2.0, 3.0), Term(3.0, 1.0))
+        assert f.terms == ((0.0, 1.0), (1.0, 3.0),
+                           (2.0, 3.0), (3.0, 1.0))
 
     def test_shifted_polynomial_recenters(self):
         # (x-2)^2 expanded at basepoint 1: u = x-1, (u-1)^2 = 1 - 2u + u^2
         f = to_series("(x-2)^2", 1.0, 8)
-        assert f.terms == (Term(0.0, 1.0), Term(1.0, -2.0), Term(2.0, 1.0))
+        assert f.terms == ((0.0, 1.0), (1.0, -2.0), (2.0, 1.0))
 
     def test_recentered_intrinsic(self):
         f = to_series("exp(x)", 1.0, 6)
@@ -202,12 +187,12 @@ class TestToSeries:
 
     def test_constant_exponent_expressions(self):
         f = to_series("x^(1/2)", 0, 4)
-        assert f.terms == (Term(0.5, 1.0),)
+        assert f.terms == ((0.5, 1.0),)
 
     def test_polynomials_are_exact(self):
         f = to_series("x^5 - 2*x + 7", 0, 3)
         assert f.truncation_order is None
-        assert f.terms == (Term(0.0, 7.0), Term(1.0, -2.0), Term(5.0, 1.0))
+        assert f.terms == ((0.0, 7.0), (1.0, -2.0), (5.0, 1.0))
 
     def test_sin_cos_with_constant_term_against_mpmath(self):
         import mpmath as mp
@@ -232,7 +217,7 @@ class TestToSeries:
     def test_negative_order_rejected(self):
         with pytest.raises(ExpansionError):
             to_series("exp(x)", 0, -3)
-        assert to_series("exp(x)", 0, 0).terms == (Term(0.0, 1.0),)
+        assert to_series("exp(x)", 0, 0).terms == ((0.0, 1.0),)
 
     def test_non_finite_constant_exponents_rejected(self):
         for text in ("x^(10^400)", "x^(1e200*1e200)", "x^((0-8)^(1/3))"):
@@ -280,7 +265,7 @@ class TestExactExponents:
         # an intermediate exponent of 2e308 has no double; the exact product
         # x^(1e308) does, and an exact factor adds no order
         f = to_series("x^(1e308)*x^(1e308)*x^(-1e308)")
-        assert f.terms == (Term(1e308, 1.0),)
+        assert f.terms == ((1e308, 1.0),)
         assert f.truncation_order is None
         g = to_series("exp(x)*x^(1e308)*x^(-1e308)", 0, 3)
         assert g.terms == to_series("exp(x)", 0, 3).terms
@@ -332,7 +317,7 @@ def _reference_jets(poly, order):
 
 
 def _terms(coeffs):
-    return tuple(Term(float(i), float(c)) for i, c in enumerate(coeffs) if c)
+    return tuple((float(i), float(c)) for i, c in enumerate(coeffs) if c)
 
 
 class TestRecurrenceIdentities:
@@ -356,11 +341,11 @@ class TestRecurrenceIdentities:
     def test_pythagoras(self, poly, order):
         u = _poly_text(poly)
         f = to_series("sin(%s)^2 + cos(%s)^2" % (u, u), 0, order)
-        assert f.terms == (Term(0.0, 1.0),)
+        assert f.terms == ((0.0, 1.0),)
 
     @settings(max_examples=40, deadline=None)
     @given(_polys, st.integers(0, 48))
     def test_exp_times_exp_of_negation(self, poly, order):
         u = _poly_text(poly)
         f = to_series("exp(%s) * exp(-(%s))" % (u, u), 0, order)
-        assert f.terms == (Term(0.0, 1.0),)
+        assert f.terms == ((0.0, 1.0),)
