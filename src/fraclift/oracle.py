@@ -1,15 +1,29 @@
 """Independent numerical Riemann-Liouville differintegral.
 
 Validates the termwise Gamma-ratio rule from the integral definition, through
-a route that shares no code with the Gamma kernel: quadrature is QUADPACK via
-scipy (Gauss-Jacobi-type weighting absorbs the weak (x-t)^(m-1) endpoint
-singularity exactly), and the 1/Gamma prefactor uses math.gamma from the
-standard library. scipy is imported on the first quadrature, not with the
-module.
+a route that shares no code with the Gamma kernel: the quadrature is
+double-exponential (tanh-sinh, Takahasi & Mori, Publ. RIMS 9, 1974) in the
+standard library, and the 1/Gamma prefactor is math.gamma.
 
 Negative orders evaluate the fractional integral directly:
 
     I^m f(x) = (1/Gamma(m)) * int_a^x f(t) (x-t)^(m-1) dt,   m = -k > 0
+
+The substitution t = a + L(1 + tanh(pi/2 sinh u))/2, L = x - a, makes the
+integrand decay double-exponentially in u at both ends, so the integrable
+singularities of (t-a)^e and of (x-t)^(m-1) need no knowledge of their
+exponents. Each node's distance to the nearer end is L q/(1+q) and to the
+other end L/(1+q), q = exp(-pi sinh|u|): both are taken from q, never by
+subtracting t from x or a, which loses them once t rounds to an end. The
+term f(x) (x-t)^(m-1) is integrated in closed form, f(x) L^m / m, and the
+nodes take the rest, (f(t) - f(x)) (x-t)^(m-1), which vanishes at the
+kernel end: for m near 0 the kernel alone decays too slowly in u to be
+truncated, and its weight overflows at the last nodes. The trapezoid rule
+runs on |u| <= 6.5 with nested steps h = 1/2 ... 1/128 (the node table is
+built on the first quadrature) and returns when two successive levels
+agree to 1e-10 relative. An ArithmeticError or EvalDomainError from f, a
+level sum that is not finite (the integral diverged) and levels that never
+agree raise OracleError.
 
 Nonnegative orders use the standard differintegral construction: integrate
 down to a negative order, then take an n-th derivative (n = ceil(k)) by
@@ -17,9 +31,7 @@ Richardson-extrapolated central differences (3 levels, from a step of
 min(1e-3, (x-a)/(4n)) times max(1, x-a): the step grows with x - a, so at
 large x it stays far above the spacing of the doubles near x). Orders above
 2 are refused with OracleError: the n-th difference amplifies rounding by
-h^-n, and at n = 3 the result misses the termwise rule by up to 6e-4. The quadrature tolerances (absolute 1e-9, relative 1e-8, 256
-subintervals) are module constants; a quadrature whose error estimate stays
-more than 100 times above them raises OracleError.
+h^-n, and at n = 3 the result misses the termwise rule by up to 6e-4.
 
 compare() tabulates the termwise rule against the oracle as plain
 (x, termwise, oracle, abs_diff) rows.
@@ -27,6 +39,7 @@ compare() tabulates the termwise rule against the oracle as plain
 
 from __future__ import annotations
 
+import functools
 import math
 
 from . import config
@@ -34,36 +47,78 @@ from .coeffseq import GenSeries, series_eval
 from .errors import EvalDomainError, ExponentError, OracleError, TruncationError
 from .rl import rl_series
 
-# QUADPACK's absolute and relative tolerances and its subinterval limit; the
-# largest central-difference step (for x - a <= 1), and the highest order
-# answered (see above)
-_ABS_TOL = 1e-9
-_REL_TOL = 1e-8
-_SUBDIVISIONS = 256
+# The trapezoid steps 2^-1 ... 2^-_LEVELS on |u| <= _U_MAX, and the relative
+# agreement of two successive levels that ends the refinement; the largest
+# central-difference step (for x - a <= 1), the highest order answered (see
+# above), and the largest relative size of a truncated series' last term at
+# a comparison point
+_LEVELS = 7
+_U_MAX = 6.5
+_QUAD_TOL = 1e-10
 _FD_STEP = 1e-3
 _MAX_ORDER = 2.0
+_TAIL_TOL = 1e-8
+
+
+@functools.cache
+def _node_levels():
+    """Per level, the nodes u = j h > 0 that level adds (u = 0 is taken
+    apart), as (q/(1+q), 1/(1+q), weight) with weight = pi cosh(u) q/(1+q)^2
+    = (dt/du)/L; built on the first quadrature, not at import."""
+    levels = []
+    for level in range(1, _LEVELS + 1):
+        h = 0.5**level
+        new = []
+        for j in range(1, int(_U_MAX / h) + 1, 1 if level == 1 else 2):
+            u = j * h
+            q = math.exp(-math.pi * math.sinh(u))
+            if q == 0.0:
+                break
+            new.append((q / (1.0 + q), 1.0 / (1.0 + q),
+                        math.pi * math.cosh(u) * q / (1.0 + q) ** 2))
+        levels.append(tuple(new))
+    return tuple(levels)
 
 
 def _frac_integral(f, a, m, x):
     """The order-m fractional integral at x, m > 0."""
-    # scipy is imported here, on the first quadrature, so that importing
-    # fraclift and every command but the oracle's stay free of its start-up
-    from scipy import integrate
-
+    big = x - a
     beta = m - 1.0
-    if abs(beta) <= 1e-12:
-        val, err = integrate.quad(
-            f, a, x, epsabs=_ABS_TOL, epsrel=_REL_TOL, limit=_SUBDIVISIONS)
-    else:
-        val, err = integrate.quad(
-            f, a, x, weight="alg", wvar=(0.0, beta),
-            epsabs=_ABS_TOL, epsrel=_REL_TOL, limit=_SUBDIVISIONS)
-    if not math.isfinite(val):
-        raise OracleError("fractional integral diverged at x=%r" % x)
-    if err > max(100.0 * _ABS_TOL, 100.0 * _REL_TOL * abs(val), 1e-7):
+    total = prev = 0.0
+    try:
+        # f(x) (x-t)^(m-1) integrates to f(x) L^m / m; the nodes take the
+        # rest, (f(t) - f(x)) (x-t)^(m-1), which vanishes at the kernel end
+        fx = f(x)
+        exact = fx * big**m / m
+        # u = 0: the midpoint, weight pi/4
+        s = 0.25 * math.pi * (f(x - 0.5 * big) - fx) * (0.5 * big) ** beta
+        for level, nodes in enumerate(_node_levels(), 1):
+            for near, far, w in nodes:
+                d = big * near
+                # by the kernel end, x - t = d; where t rounds to x the
+                # integrand is 0
+                t = x - d
+                if t < x:
+                    s += w * (f(t) - fx) * d**beta
+                # by the base point, unless t rounds onto a
+                t = a + d
+                if t > a:
+                    s += w * (f(t) - fx) * (big * far) ** beta
+            total = 0.5 * total + 0.5**level * s
+            value = exact + big * total
+            if not math.isfinite(value):
+                raise OracleError("fractional integral diverged at x=%r" % x)
+            if level > 1 and big * abs(total - prev) <= _QUAD_TOL * abs(value):
+                return value / math.gamma(m)
+            prev = total
+            s = 0.0
+    except (ArithmeticError, EvalDomainError) as exc:
         raise OracleError(
-            "quadrature did not converge at x=%r (error estimate %g)" % (x, err))
-    return val / math.gamma(m)
+            "fractional integral diverged at x=%r (%s: %s)"
+            % (x, type(exc).__name__, exc)) from None
+    raise OracleError(
+        "fractional integral did not converge at x=%r (last two levels %g, %g)"
+        % (x, exact + big * prev, value))
 
 
 def _stencil(g, x, n, h):
@@ -77,7 +132,7 @@ def _stencil(g, x, n, h):
 
 def rl_oracle(f, a, k, x) -> float:
     """Numerical differintegral of order k <= 2 at x of a pointwise-evaluable
-    f, with base point a. Negative k: direct weighted quadrature; k >= 0:
+    f, with base point a. Negative k: direct tanh-sinh quadrature; k >= 0:
     differentiate (Richardson central differences) after integrating down."""
     a = float(a)
     k = float(k)
@@ -118,8 +173,12 @@ def compare(f: GenSeries, k, xs) -> list:
     (x, termwise, oracle, |difference|) row per point.
 
     Every x must lie strictly above the base point; for truncated series a
-    last-term heuristic guards against evaluating past the jet's reach."""
+    last-term heuristic guards against evaluating past the jet's reach. The
+    oracle integrates the same coefficients on base point 0 up to x - a, so
+    the integrand's distance to the base point is t itself, to full
+    relative accuracy, whatever a is; its errors name the point x - a."""
     g = rl_series(f, k)
+    at_zero = GenSeries.keyed(0.0, f.phase, f.coeffs)
     rows = []
     for x in xs:
         x = float(x)
@@ -130,11 +189,12 @@ def compare(f: GenSeries, k, xs) -> list:
         if f.truncation_order is not None and f.terms:
             e_last, c_last = f.terms[-1]
             tail = abs(c_last) * abs(x - f.basepoint) ** e_last
-            if tail > _REL_TOL * max(1.0, abs(fx)):
+            if tail > _TAIL_TOL * max(1.0, abs(fx)):
                 raise TruncationError(
                     "series truncation too coarse at x=%r (last term %g)"
                     % (x, tail))
         termwise = series_eval(g, x)
-        oracle_val = rl_oracle(lambda t: series_eval(f, t), f.basepoint, k, x)
+        oracle_val = rl_oracle(lambda t: series_eval(at_zero, t), 0.0, k,
+                               x - f.basepoint)
         rows.append((x, termwise, oracle_val, abs(termwise - oracle_val)))
     return rows

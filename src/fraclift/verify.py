@@ -490,7 +490,7 @@ def suite_oracle():
                 resid = abs(num - termwise) / max(1.0, abs(termwise))
                 worst = max(worst, resid)
                 cases += 1
-    return [SuiteResult("oracle-vs-termwise", worst <= 1e-5, worst, cases)]
+    return [SuiteResult("oracle-vs-termwise", worst <= 1e-7, worst, cases)]
 
 
 SUITES = {

@@ -1,9 +1,12 @@
 import math
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fraclift.cli import main
-from fraclift.coeffseq import monomial, series_eval
+from fraclift.coeffseq import GenSeries, monomial, series_eval
 from fraclift.errors import (
     EvalDomainError,
     ExponentError,
@@ -110,6 +113,74 @@ class TestRlOracle:
                 rl_oracle(lambda t: t, 0.0, k, 1.0)
 
 
+class TestQuadrature:
+    @pytest.mark.parametrize("x", [0.4, 1.0, 1e8])
+    def test_kernel_end_singularity(self, x):
+        # int_0^x (x-t)^(-1/2) dt = 2 sqrt(x), all of it from the closed-form
+        # term f(x) L^m / m; on the nodes alone, dropping those whose t
+        # rounds to x would lose int_0^ulp(x) s^(-1/2) ds, about 1e-8
+        v = rl_oracle(lambda t: 1.0, 0.0, -0.5, x) * SQRT_PI
+        assert v == pytest.approx(2.0 * math.sqrt(x), rel=1e-14)
+
+    @pytest.mark.parametrize("k", [-0.25, 0.25])
+    def test_singular_at_both_ends(self, k):
+        # x^(-3/4) exp(x): (t-a)^e and (x-t)^(m-1) both singular, neither
+        # exponent told to the quadrature
+        f = to_series("x^(-3/4)*exp(x)", 0, 32)
+        g = rl_series(f, k)
+        for x in (0.25, 0.5, 1.0):
+            want = series_eval(g, x)
+            num = rl_oracle(lambda t: series_eval(f, t), 0.0, k, x)
+            assert abs(num - want) <= 1e-10 * max(1.0, abs(want))
+
+    @pytest.mark.parametrize("k", [-0.001, -0.03, 0.97, 0.999, 1.99])
+    def test_orders_just_below_an_integer(self, k):
+        # m = n - k near 0 makes (x-t)^(m-1) nearly 1/(x-t): the term f(x)
+        # of the integrand is integrated in closed form, the nodes take the
+        # rest, which vanishes at the kernel end
+        f = GenSeries(0.0, ((0.5, 1.0), (1.5, 2.0)))
+        g = rl_series(f, k)
+        for x in (0.5, 2.0, 1e4):
+            want = series_eval(g, x)
+            num = rl_oracle(lambda t: series_eval(f, t), 0.0, k, x)
+            assert abs(num - want) <= 1e-8 * max(1.0, abs(want))
+
+    @settings(max_examples=60, deadline=None)
+    @given(q=st.integers(1, 12), data=st.data(),
+           k=st.floats(-2.0, 2.0, exclude_min=True),
+           x=st.floats(0.25, 2.0))
+    def test_agrees_with_termwise_rule(self, q, data, k, x):
+        p = data.draw(st.integers(0, q - 1), label="p")
+        # keys from n0 up, the leading exponent n0 + p/q above -1
+        n0 = data.draw(st.integers(-1 if p else 0, 2), label="n0")
+        coefs = data.draw(st.lists(st.floats(-2.0, 2.0).filter(
+            lambda c: abs(c) >= 1e-3), min_size=1, max_size=4), label="coefs")
+        phase = Fraction(p, q)
+        f = GenSeries.keyed(0.0, phase, {n0 + i: c for i, c in enumerate(coefs)})
+        want = series_eval(rl_series(f, k), x)
+        num = rl_oracle(lambda t: series_eval(f, t), 0.0, k, x)
+        scale = max(1.0, abs(want))
+        n = math.ceil(k)
+        if n > 0:
+            # the central differences act on I^(n-k) f, and their rounding
+            # grows with it (to 10 times |want| when n0 + p/q nears -1)
+            scale = max(scale, abs(series_eval(rl_series(f, k - n), x)))
+        assert abs(num - want) <= 1e-7 * scale
+
+    @pytest.mark.parametrize("f", [
+        lambda t: t**-1.5,              # OverflowError near the base point
+        lambda t: 1.0 / (t - 0.5),      # ZeroDivisionError at the midpoint
+        lambda t: math.inf,             # a level sum that is not finite
+    ])
+    def test_divergent_integrand_is_an_oracle_error(self, f):
+        with pytest.raises(OracleError, match="diverged"):
+            rl_oracle(f, 0.0, -0.5, 1.0)
+
+    def test_unresolved_integrand_is_an_oracle_error(self):
+        with pytest.raises(OracleError, match="did not converge"):
+            rl_oracle(lambda t: math.sin(1e4 * t), 0.0, -0.5, 1.0)
+
+
 class TestCompare:
     def test_half_derivative_table(self):
         rows = compare(monomial(1.0), 0.5, [0.25, 1.0, 2.25])
@@ -133,6 +204,23 @@ class TestCompare:
         f = to_series("exp(x)", 0, 6)
         with pytest.raises(TruncationError):
             compare(f, 0.5, [3.0])
+
+    def test_truncation_guard_bound(self):
+        # the last term may reach 1e-8 of the value, no more
+        for c, ok in ((0.9e-8, True), (1.1e-8, False)):
+            f = GenSeries(0.0, ((0.0, 1.0), (1.0, c)), truncation_order=2)
+            if ok:
+                compare(f, -0.5, [1.0])
+            else:
+                with pytest.raises(TruncationError):
+                    compare(f, -0.5, [1.0])
+
+    @pytest.mark.parametrize("a", [1.0, 3.0, 100.0, -2.5])
+    def test_nonzero_basepoint(self, a):
+        f = GenSeries(a, ((-0.5, 1.0), (0.5, 2.0)))
+        for k in (-0.5, 0.25, 0.75, 1.5):
+            rows = compare(f, k, [a + 0.5, a + 2.0])
+            assert all(diff <= 2e-8 for *_, diff in rows)
 
     def test_point_below_basepoint_rejected(self):
         with pytest.raises(EvalDomainError):

@@ -42,3 +42,13 @@ def test_suites_are_deterministic():
     b = run_suites("R", trials=40, seed=123)
     assert [(r.name, r.passed, r.max_residual) for r in a] == \
            [(r.name, r.passed, r.max_residual) for r in b]
+
+
+def test_gamma_perturbation_breaks_oracle_suite():
+    # the oracle shares no code with the Gamma kernel, and its bound sits
+    # below the 1e-6 error the perturbation puts into every coefficient
+    (clean,) = run_suites("oracle")
+    assert clean.passed
+    config.gamma_perturb = 1e-6
+    (result,) = run_suites("oracle")
+    assert not result.passed
