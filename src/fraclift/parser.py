@@ -27,18 +27,31 @@ and orders exactly, and the series takes its phase as the base mod 1.
 An intrinsic of a jet u = u0 + v (v without constant term) to order N is not
 composed from the Taylor polynomial of the intrinsic, which costs O(N^3)
 coefficient operations, but read off the differential equation it satisfies,
-in O(N^2), or O(N * nnz(v)) since zero v_k are skipped:
+in O(N^2), or O(N * nnz(v)) since zero v_k are skipped. While v is rational
+the recurrences run on integers, the scaled derivatives b_k = D^k v^(k)(0)
+and G_n = D^n g^(n)(0); Leibniz's rule on g' = g v' gives
 
-    g = exp(v):             g' = g v'     n g_n = sum_{k=1..n} k v_k g_{n-k}
-    s = sin(v), c = cos(v): s' = c v'     n s_n = sum_{k=1..n} k v_k c_{n-k}
-                            c' = -s v'    n c_n = -sum_{k=1..n} k v_k s_{n-k}
+    g = exp(v):             G_n = sum_{k=1..n} C(n-1,k-1) b_k G_{n-k}
+    s = sin(v), c = cos(v): S_n = sum_{k=1..n} C(n-1,k-1) b_k C_{n-k}
+                            C_n = -sum_{k=1..n} C(n-1,k-1) b_k S_{n-k}
 
-with g_0 = c_0 = 1, s_0 = 0. The recurrences run on the rational part v, in
-Fraction while v is rational; a nonzero u0 enters once at the end, as the
-factor exp(u0) or through sin(u0 + v) = sin u0 cos v + cos u0 sin v and
-cos(u0 + v) = cos u0 cos v - sin u0 sin v. References: R. P. Brent and
-H. T. Kung, "Fast algorithms for manipulating formal power series", J. ACM
-25(4), 1978; D. E. Knuth, The Art of Computer Programming, vol. 2, sec. 4.7.
+with G_0 = C_0 = 1, S_0 = 0. Each Taylor coefficient is then built once, as
+the Fraction G_n / (D^n n!), with one reduction, where a Fraction loop pays
+a multiply, an add and a divide by n per step, each with its own gcds. The
+integer D makes every b_k whole: walking k upward, it grows only where D^k
+leaves the denominator d_k of v^(k)(0) uncleared, by m = d_k / gcd(d_k, D^k),
+and the earlier b_j take m^j; so v = c x keeps D = den(c), where the lcm of
+all d_k would be far larger. The trade-off: for a long binary literal
+(0.1 x, D = 2^55) the one reduction is a gcd of two 55 n-bit integers, so
+exp(0.1*x) at order 64 is slower than in a Fraction loop, whose gcds each
+have one small side; at the default order 16 it is level. When v holds a
+float (a float u0 upstream, or 2^0.5) the recurrences run in Taylor form,
+n g_n = sum_k k v_k g_{n-k}, on floats. A nonzero u0 enters once at the
+end, as the factor exp(u0) or through sin(u0 + v) = sin u0 cos v + cos u0
+sin v and cos(u0 + v) = cos u0 cos v - sin u0 sin v. References: R. P.
+Brent and H. T. Kung, "Fast algorithms for manipulating formal power
+series", J. ACM 25(4), 1978; D. E. Knuth, The Art of Computer Programming,
+vol. 2, sec. 4.7.
 """
 
 from __future__ import annotations
@@ -388,7 +401,88 @@ def _jet(v, what, top):
     return out
 
 
-def _exp_jet(du, top):
+def _scaled_derivatives(u, top):
+    """(D, [(k, b_k)]) for v = sum_{k>=1} u_k x^k with rational u_k: the
+    nonzero b_k = D^k v^(k)(0) = D^k k! u_k, all integers. D grows only where
+    D^k misses the denominator d_k of k! u_k, by m = d_k / gcd(d_k, D^k), and
+    the earlier b_j then take m^j, so v = c x keeps D = den(c)."""
+    scale, b, fact = 1, [], 1
+    for k in range(1, top + 1):
+        fact *= k
+        if not u[k]:
+            continue
+        g = math.gcd(fact, u[k].denominator)
+        num, den = u[k].numerator * (fact // g), u[k].denominator // g
+        power = scale ** k
+        if power % den:
+            m = den // math.gcd(den, power)
+            scale *= m
+            b = [(j, bj * m ** j) for j, bj in b]
+            power = scale ** k
+        b.append((k, num * (power // den)))
+    return scale, b
+
+
+def _taylor(scaled, scale):
+    """Taylor coefficients F_n / (D^n n!) of scaled derivatives F_n, one
+    Fraction (one reduction) per nonzero coefficient."""
+    out, den = [], 1
+    for n, f in enumerate(scaled):
+        if n:
+            den *= n * scale
+        out.append(Fraction(f, den) if f else 0)
+    return out
+
+
+def _float_du(u, top):
+    """[(k, k u_k)] over the nonzero u_k, k >= 1, for the float loops when
+    one u_k is a float; None when all are rational."""
+    if all(type(c) is Fraction for c in u[1:] if c):
+        return None
+    return [(k, k * u[k]) for k in range(1, top + 1) if u[k] != 0]
+
+
+def _exp_jet(u, top):
+    """exp(v) to order top, v = sum_{k>=1} u_k x^k."""
+    du = _float_du(u, top)
+    if du is not None:
+        return _float_exp_jet(du, top)
+    # G_n = D^n g^(n)(0) from g' = g v': G_n = sum_k C(n-1,k-1) b_k G_(n-k)
+    scale, b = _scaled_derivatives(u, top)
+    g = [1] + [0] * top
+    for n in range(1, top + 1):
+        acc = 0
+        for k, bk in b:
+            if k > n:
+                break
+            acc += math.comb(n - 1, k - 1) * bk * g[n - k]
+        g[n] = acc
+    return _taylor(g, scale)
+
+
+def _sin_cos_jet(u, top):
+    """(sin v, cos v) to order top, v = sum_{k>=1} u_k x^k."""
+    du = _float_du(u, top)
+    if du is not None:
+        return _float_sin_cos_jet(du, top)
+    # S_n = sum_k C(n-1,k-1) b_k C_(n-k), C_n = -sum_k C(n-1,k-1) b_k S_(n-k)
+    scale, b = _scaled_derivatives(u, top)
+    s = [0] * (top + 1)
+    c = [1] + [0] * top
+    for n in range(1, top + 1):
+        acc_s = acc_c = 0
+        for k, bk in b:
+            if k > n:
+                break
+            w = math.comb(n - 1, k - 1) * bk
+            acc_s += w * c[n - k]
+            acc_c -= w * s[n - k]
+        s[n] = acc_s
+        c[n] = acc_c
+    return _taylor(s, scale), _taylor(c, scale)
+
+
+def _float_exp_jet(du, top):
     # g = exp(v) from g' = g v': n g_n = sum_k k v_k g_(n-k)
     g = [Fraction(1)] + [0] * top
     for n in range(1, top + 1):
@@ -401,7 +495,7 @@ def _exp_jet(du, top):
     return g
 
 
-def _sin_cos_jet(du, top):
+def _float_sin_cos_jet(du, top):
     # s = sin(v), c = cos(v) from s' = c v', c' = -s v'
     s = [0] * (top + 1)
     c = [Fraction(1)] + [0] * top
@@ -425,14 +519,13 @@ def _compose_intrinsic(func, inner, order):
     top = max(math.floor(trunc), 0)
     u = _jet(inner, func, top)
     u0 = u[0]
-    du = [(k, k * u[k]) for k in range(1, top + 1) if u[k] != 0]
     if func == "exp":
-        coeffs = _exp_jet(du, top)
+        coeffs = _exp_jet(u, top)
         if u0 != 0:
             e0 = _float_op(math.exp, u0, func)
             coeffs = [e0 * g for g in coeffs]
     else:
-        s, c = _sin_cos_jet(du, top)
+        s, c = _sin_cos_jet(u, top)
         if u0 == 0:
             coeffs = s if func == "sin" else c
         else:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from fraclift import parser
 from fraclift.errors import ExpansionError, LatticeError, ParseError
 from fraclift.parser import parse, to_series, to_text
 
@@ -349,3 +350,153 @@ class TestRecurrenceIdentities:
         u = _poly_text(poly)
         f = to_series("exp(%s) * exp(-(%s))" % (u, u), 0, order)
         assert f.terms == ((0.0, 1.0),)
+
+
+def _fraction_exp_jet(du, top):
+    # the Fraction loop of exp(v): n g_n = sum_k k v_k g_(n-k), du = [(k, k v_k)]
+    g = [Fraction(1)] + [0] * top
+    for n in range(1, top + 1):
+        acc = 0
+        for k, kv in du:
+            if k > n:
+                break
+            acc += kv * g[n - k]
+        g[n] = acc / n if acc else 0
+    return g
+
+
+def _fraction_sin_cos_jet(du, top):
+    # the Fraction loop of sin(v), cos(v): s' = c v', c' = -s v'
+    s = [0] * (top + 1)
+    c = [Fraction(1)] + [0] * top
+    for n in range(1, top + 1):
+        acc_s = acc_c = 0
+        for k, kv in du:
+            if k > n:
+                break
+            acc_s += kv * c[n - k]
+            acc_c -= kv * s[n - k]
+        s[n] = acc_s / n if acc_s else 0
+        c[n] = acc_c / n if acc_c else 0
+    return s, c
+
+
+# jet coefficients: small rationals and the binary doubles literals read as
+_jet_coefs = st.one_of(
+    st.builds(Fraction, st.integers(-9, 9), st.integers(1, 12)),
+    st.sampled_from([Fraction(0.1), Fraction(1.7), Fraction(-0.3)]))
+
+
+@st.composite
+def _inner_jets(draw):
+    """(u, top): u_1..u_top all drawn (dense) or a few of them (sparse); the
+    jets ignore u_0."""
+    top = draw(st.integers(0, 64))
+    u = [draw(_jet_coefs)] + [Fraction(0)] * top
+    if top and draw(st.booleans()):
+        u[1:] = draw(st.lists(_jet_coefs, min_size=top, max_size=top))
+    else:
+        for k in draw(st.lists(st.integers(1, max(top, 1)), max_size=4)):
+            if k <= top:
+                u[k] = draw(_jet_coefs)
+    return u, top
+
+
+def _single(k, c, top):
+    u = [Fraction(0)] * (top + 1)
+    u[k] = c
+    return u, top
+
+
+class TestIntegerJets:
+    """On a rational jet the integer recurrences give the very Fractions the
+    Fraction loops give, so every double downstream is the same."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(_inner_jets())
+    @example(_single(1, Fraction(0.1), 64))
+    @example(_single(2, Fraction(1.7), 64))
+    @example(_single(0, Fraction(1), 0))
+    def test_equal_to_fraction_loops(self, jet):
+        u, top = jet
+        du = [(k, k * u[k]) for k in range(1, top + 1) if u[k]]
+        g = parser._exp_jet(u, top)
+        s, c = parser._sin_cos_jet(u, top)
+        assert g == _fraction_exp_jet(du, top)
+        assert (s, c) == _fraction_sin_cos_jet(du, top)
+        assert all(type(x) is Fraction for x in g + s + c if x)
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.lists(st.tuples(st.integers(-9, 9).filter(bool),
+                              st.integers(1, 9)), min_size=3, max_size=6),
+           st.integers(0, 20))
+    def test_nested_against_taylor_composition(self, dense, order):
+        poly = [(k, p, q) for k, (p, q) in enumerate(dense, 1)]
+        ref = _reference_jets(poly, order)
+
+        def inner(jet):  # a jet less its constant, as (power, p, q) triples
+            return [(k, c, 1) for k, c in enumerate(jet) if k and c]
+
+        cases = {
+            "exp(sin(%s))": _reference_jets(inner(ref["sin"]), order)["exp"],
+            "sin(exp(%s) - 1)": _reference_jets(inner(ref["exp"]), order)["sin"],
+            "cos(cos(%s) - 1)": _reference_jets(inner(ref["cos"]), order)["cos"],
+        }
+        for text, want in cases.items():
+            got = parser._expand(parse(text % _poly_text(poly)), 0.0, order)
+            assert got.coeffs == {n: c for n, c in enumerate(want) if c}
+
+    @pytest.mark.parametrize("order", [16, 32, 64])
+    def test_fraction_count_is_linear(self, monkeypatch, order):
+        # a Fraction loop builds O(N^2) Fractions here (16,974 at N = 64);
+        # the integer recurrences build one per coefficient
+        made = []
+        new = Fraction.__new__
+
+        def counting(cls, *args, **kwargs):
+            made.append(cls)
+            return new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", counting)
+        to_series("cos(sin(exp(x)-1))", 0, order)
+        monkeypatch.undo()
+        assert len(made) <= 6 * (order + 1)
+
+
+class TestFloatJets:
+    """A jet holding a float (a float constant term upstream, or 2^0.5)
+    runs the float loops; against mpmath at 40 digits."""
+
+    @pytest.mark.parametrize("order", [0, 8, 16])
+    def test_against_mpmath(self, monkeypatch, order):
+        import mpmath as mp
+
+        calls = []
+        for name in ("_float_exp_jet", "_float_sin_cos_jet"):
+            def spy(du, top, loop=getattr(parser, name), name=name):
+                calls.append(name)
+                return loop(du, top)
+            monkeypatch.setattr(parser, name, spy)
+        half = mp.mpf(1) / 2
+        cases = (
+            ("exp(exp(x + 1/2))", 0.0, lambda t: mp.exp(mp.exp(t + half)),
+             "_float_exp_jet"),
+            ("exp(sin(x))", 0.3, lambda t: mp.exp(mp.sin(t)), "_float_exp_jet"),
+            ("exp(2^0.5*x)", 0.0, lambda t: mp.exp(mp.mpf(2 ** 0.5) * t),
+             "_float_exp_jet"),
+            ("sin(exp(x + 1/2))", 0.0, lambda t: mp.sin(mp.exp(t + half)),
+             "_float_sin_cos_jet"),
+        )
+        with mp.workdps(40):
+            for text, a, fn, loop in cases:
+                calls.clear()
+                f = to_series(text, a, order)
+                # at order 0 the jet is its constant, with no float to carry
+                assert calls == ([loop] if order else [])
+                ref = mp.taylor(fn, mp.mpf(a), order)
+                # relative to the largest coefficient: exp(sin(x)) at 0.3
+                # cancels to 2e-8 at x^16, which keeps its absolute accuracy
+                scale = max(abs(c) for c in ref)
+                for i, want in enumerate(ref):
+                    got = f.coefficient(float(i))
+                    assert abs(got - want) <= 1e-14 * scale, (text, i)
