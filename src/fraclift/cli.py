@@ -189,14 +189,8 @@ def cmd_project(args):
 
 
 def cmd_verify(args):
-    perturb = config.gamma_perturb
-    if args.perturb_gamma:
-        config.gamma_perturb = args.perturb_gamma
-    try:
-        results = run_suites(args.suite, trials=args.trials, seed=args.seed,
-                             order=args.order)
-    finally:
-        config.gamma_perturb = perturb
+    results = run_suites(args.suite, trials=args.trials, seed=args.seed,
+                         order=args.order)
     failed = 0
     worst = 0.0
     for r in results:
@@ -280,8 +274,6 @@ def build_parser():
     p.add_argument("--trials", default=200, type=int_at_least(
         1, "trial count must be a positive integer"))
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--perturb-gamma", type=finite_float, default=0.0,
-                   help="test hook: multiply nonzero gamma ratios by (1+eps)")
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("oracle-compare",
@@ -304,6 +296,7 @@ def main(argv=None):
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
+        config.perturbation()
         return args.fn(args)
     except FracliftError as exc:
         print("error: %s" % exc, file=sys.stderr)

@@ -289,9 +289,15 @@ def series_eval(f: GenSeries, x) -> float:
     return total
 
 
+def _check_order(n):
+    if not isinstance(n, int) or n < 0:
+        raise ExponentError("order %r is not a nonnegative integer" % (n,))
+
+
 def int_derivative(f: GenSeries, n: int = 1) -> GenSeries:
     """Exact termwise integer-order derivative (falling-factorial products);
-    independent of the Gamma kernel."""
+    independent of the Gamma kernel. n is a nonnegative int."""
+    _check_order(n)
     coeffs = {}
     for key, (exp, c) in zip(sorted(f.coeffs), f.terms):
         for _ in range(n):
@@ -304,8 +310,9 @@ def int_derivative(f: GenSeries, n: int = 1) -> GenSeries:
 
 
 def int_antiderivative(f: GenSeries, n: int = 1) -> GenSeries:
-    """Exact termwise n-fold antiderivative with zero constants; exponent -1
-    terms are outside its domain."""
+    """Exact termwise n-fold antiderivative with zero constants, n a
+    nonnegative int; exponent -1 terms are outside its domain."""
+    _check_order(n)
     coeffs = {}
     for key, (exp, c) in zip(sorted(f.coeffs), f.terms):
         for _ in range(n):

@@ -1,18 +1,23 @@
 """Shared runtime knobs.
 
 FRACLIFT_GAMMA_PERTURB  test hook: multiply every nonzero gamma-ratio by
-                        (1 + eps); default 0 (off)
+                        (1 + eps), eps a finite number above -1 (else
+                        InputError); default 0 (off)
 """
 
+import math
 import os
+
+from .errors import InputError
 
 # Integer-detection tolerance: |x - round(x)| <= int_tol with round(x) <= 0
 # classifies x as a Gamma pole, and a float exponent within it of a lattice
 # point joins the lattice. Tests may assign it.
 int_tol = 1e-9
 
-# Verification-sensitivity hook; see cli verify --perturb-gamma.
-gamma_perturb = float(os.environ.get("FRACLIFT_GAMMA_PERTURB", "0.0"))
+# Verification-sensitivity hook: None until perturbation() reads
+# FRACLIFT_GAMMA_PERTURB. Tests may assign it.
+gamma_perturb = None
 
 # Coefficients below this magnitude are treated as zero and dropped.
 COEF_EPS = 1e-300
@@ -20,3 +25,19 @@ COEF_EPS = 1e-300
 # Jet order used when expanding transcendental expressions, unless the caller
 # passes one explicitly: to_series, and the CLI's and verify's --order.
 DEFAULT_ORDER = 16
+
+
+def perturbation():
+    """gamma_perturb, read from FRACLIFT_GAMMA_PERTURB on the first call."""
+    global gamma_perturb
+    if gamma_perturb is None:
+        text = os.environ.get("FRACLIFT_GAMMA_PERTURB", "0")
+        try:
+            eps = float(text)
+        except ValueError:
+            eps = math.nan
+        if not -1.0 < eps < math.inf:
+            raise InputError("FRACLIFT_GAMMA_PERTURB=%r is not a finite "
+                             "number above -1" % text)
+        gamma_perturb = eps
+    return gamma_perturb

@@ -281,7 +281,7 @@ def _ratio(p, q, tol):
 
 def _perturbed(values):
     # the verification hook: every nonzero ratio scaled by (1 + eps)
-    eps = config.gamma_perturb
+    eps = config.perturbation()
     if eps == 0.0:
         return values
     return [v * (1.0 + eps) if v != 0.0 else v for v in values]

@@ -29,9 +29,10 @@ Nonnegative orders use the standard differintegral construction: integrate
 down to a negative order, then take an n-th derivative (n = ceil(k)) by
 Richardson-extrapolated central differences (3 levels, from a step of
 min(1e-3, (x-a)/(4n)) times max(1, x-a): the step grows with x - a, so at
-large x it stays far above the spacing of the doubles near x). Orders above
-2 are refused with OracleError: the n-th difference amplifies rounding by
-h^-n, and at n = 3 the result misses the termwise rule by up to 6e-4.
+large x it stays far above the spacing of the doubles near x). A step whose
+n-th power underflows, or a result that is not finite, raises OracleError,
+as do orders above 2: the n-th difference amplifies rounding by h^-n, and at
+n = 3 the result misses the termwise rule by up to 6e-4.
 
 compare() tabulates the termwise rule against the oracle as plain
 (x, termwise, oracle, abs_diff) rows.
@@ -160,12 +161,18 @@ def rl_oracle(f, a, k, x) -> float:
             return _frac_integral(f, a, -frac, y)
 
     h0 = min(_FD_STEP, 0.25 * (x - a) / max(1, n)) * max(1.0, x - a)
+    if (h0 / 4.0) ** n == 0.0:
+        raise OracleError("difference step %g at x=%r underflows in h^%d"
+                          % (h0 / 4.0, x, n))
     d0 = _stencil(g, x, n, h0)
     d1 = _stencil(g, x, n, h0 / 2.0)
     d2 = _stencil(g, x, n, h0 / 4.0)
     r01 = (4.0 * d1 - d0) / 3.0
     r12 = (4.0 * d2 - d1) / 3.0
-    return (16.0 * r12 - r01) / 15.0
+    value = (16.0 * r12 - r01) / 15.0
+    if not math.isfinite(value):
+        raise OracleError("difference ladder at x=%r is not finite" % x)
+    return value
 
 
 def compare(f: GenSeries, k, xs) -> list:

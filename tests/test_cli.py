@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -173,18 +174,19 @@ class TestVerify:
             assert exc.value.code == 2
             assert "--trials" in capsys.readouterr().err
 
-    def test_perturbation_fails_diagram(self, capsys):
-        code, out, _ = run_cli(capsys, "verify", "--suite", "diagram",
-                               "--perturb-gamma", "1e-6")
+    def test_perturbation_fails_diagram(self, capsys, monkeypatch):
+        monkeypatch.setenv("FRACLIFT_GAMMA_PERTURB", "1e-6")
+        config.gamma_perturb = None  # read the environment again
+        code, out, _ = run_cli(capsys, "verify", "--suite", "diagram")
         assert code == 1
         assert "FAIL" in out
+        assert config.gamma_perturb == 1e-6
 
-    def test_perturbation_is_undone_after_the_run(self, capsys):
-        before = gamma_ratio(2.5, 1.5)
-        code, _, _ = run_cli(capsys, "verify", "--suite", "gamma",
-                             "--trials", "5", "--perturb-gamma", "1e-6")
-        assert code == 1
-        assert gamma_ratio(2.5, 1.5) == before
+    def test_perturb_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--suite", "gamma", "--perturb-gamma", "1e-6"])
+        assert exc.value.code == 2
+        capsys.readouterr()
 
 
 class TestOracleCompare:
@@ -199,6 +201,14 @@ class TestOracleCompare:
         for line in lines[1:]:
             assert float(line.split(",")[3]) <= 1e-5
 
+    def test_underflowing_step_is_usage_error(self, capsys):
+        # the central-difference step's h^2 underflows to 0 at x = 1e-300
+        for expr, k in (("x^0.5", "1.5"), ("0", "2")):
+            code, out, err = run_cli(capsys, "oracle-compare", "--expr", expr,
+                                     "--k", k, "--at", "1e-300")
+            assert code == 2
+            assert out == ""
+            assert err.startswith("error: difference step") and "h^2" in err
 
     def test_nonzero_basepoint(self, capsys, tmp_path):
         # the oracle integrates the same coefficients from 0 to x - a, so
@@ -296,6 +306,30 @@ class TestProcessLevel:
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "[]"
+
+    @pytest.mark.parametrize("value", ["abc", "nan", "inf"])
+    def test_bad_perturbation_is_usage_error(self, value):
+        # every command refuses it, also one that evaluates no Gamma ratio
+        env = dict(os.environ, FRACLIFT_GAMMA_PERTURB=value)
+        for argv in (["deriv", "--expr", "x", "--k", "0.5", "--at", "1"],
+                     ["lift", "--expr", "x"]):
+            proc = subprocess.run([sys.executable, "-m", "fraclift"] + argv,
+                                  capture_output=True, text=True, env=env)
+            assert proc.returncode == 2
+            assert proc.stdout == ""
+            assert proc.stderr == ("error: FRACLIFT_GAMMA_PERTURB=%r is not a "
+                                   "finite number above -1\n" % value)
+
+    def test_valid_perturbation_scales_the_result(self):
+        env = dict(os.environ, FRACLIFT_GAMMA_PERTURB="1e-6")
+        proc = subprocess.run(
+            [sys.executable, "-m", "fraclift", "deriv", "--expr", "x", "--k",
+             "0.5", "--at", "1", "--format", "json"],
+            capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        # D^(1/2) x = Gamma(2)/Gamma(3/2) x^(1/2), its ratio scaled by 1 + eps
+        value = json.loads(proc.stdout)["values"][0]["value"]
+        assert value == gamma_ratio(2.0, 1.5) * (1 + 1e-6)
 
     def test_divergent_oracle_integral_is_usage_error(self):
         proc = subprocess.run(

@@ -181,6 +181,15 @@ class TestIntCalculusHelpers:
         with pytest.raises(ExponentError):
             int_antiderivative(GenSeries(0.0, ((-1.0, 1.0),)), 1)
 
+    def test_order_must_be_a_nonnegative_int(self):
+        # a negative n used to run no step and move the keys the wrong way
+        f = to_series("x^2 + 3*x")
+        for fn in (int_derivative, int_antiderivative):
+            for n in (-1, -2, 0.5, 1.0, "1"):
+                with pytest.raises(ExponentError, match="nonnegative integer"):
+                    fn(f, n)
+            assert fn(f, 0) == f
+
 
 class TestJson:
     def test_canonical_output(self):

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from fraclift import config
-from fraclift.errors import GammaOverflowError, GammaPoleError
+from fraclift.errors import GammaOverflowError, GammaPoleError, InputError
 from fraclift.gamma import (
     _signed_loggamma,
     gamma,
@@ -169,6 +169,21 @@ class TestGammaRatio:
         config.gamma_perturb = 1e-6
         assert gamma_ratio(2.0, 1.5) == pytest.approx(clean * (1 + 1e-6), rel=1e-15)
         assert gamma_ratio(3.0, 0.0) == 0.0  # zeros stay exact
+
+    def test_perturbation_read_once_from_the_environment(self, monkeypatch):
+        clean = gamma_ratio(2.0, 1.5)
+        monkeypatch.setenv("FRACLIFT_GAMMA_PERTURB", "1e-6")
+        config.gamma_perturb = None
+        assert gamma_ratio(2.0, 1.5) == clean * (1 + 1e-6)
+        monkeypatch.setenv("FRACLIFT_GAMMA_PERTURB", "0")  # not read again
+        assert gamma_ratio(2.0, 1.5) == clean * (1 + 1e-6)
+
+    @pytest.mark.parametrize("value", ["abc", "nan", "inf", "-1", ""])
+    def test_bad_perturbation_is_input_error(self, monkeypatch, value):
+        monkeypatch.setenv("FRACLIFT_GAMMA_PERTURB", value)
+        config.gamma_perturb = None
+        with pytest.raises(InputError, match="FRACLIFT_GAMMA_PERTURB"):
+            gamma_ratio(2.0, 1.5)
 
 
 class TestSignedLogGamma:

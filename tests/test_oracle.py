@@ -42,6 +42,21 @@ class TestRlOracle:
         with pytest.raises(OracleError):
             rl_oracle(lambda t: t, 0.0, 3.5, 1.0)
 
+    def test_underflowing_step_is_oracle_error(self):
+        # h^n of the smallest difference step is 0 at x = 1e-300: the n-th
+        # difference would divide by it
+        with pytest.raises(OracleError, match="underflows"):
+            rl_oracle(lambda t: t**0.5, 0.0, 1.5, 1e-300)
+        with pytest.raises(OracleError, match="underflows"):
+            rl_oracle(lambda t: 0.0, 0.0, 2.0, 1e-300)
+        with pytest.raises(OracleError, match="underflows"):
+            compare(to_series("x^0.5"), 1.5, [1e-300])
+
+    def test_non_finite_ladder_is_oracle_error(self):
+        # a function that overflows near x: every difference is inf - inf
+        with pytest.raises(OracleError, match="not finite"):
+            rl_oracle(lambda t: 1e308 / (t - 0.5) ** 2, 0.0, 1.0, 0.5 + 1e-3)
+
     def test_non_finite_inputs_refused_before_quadrature(self):
         calls = []
 

@@ -1,5 +1,11 @@
-from fraclift import config
-from fraclift.verify import run_suites
+import math
+
+import pytest
+
+from fraclift import config, verify
+from fraclift.coeffseq import GenSeries, monomial
+from fraclift.lifted import LiftedSeq
+from fraclift.verify import run_suites, seq_residual, series_residual
 
 
 def test_every_suite_passes():
@@ -14,7 +20,6 @@ def test_every_suite_passes():
 
 
 def test_unknown_suite_rejected():
-    import pytest
     with pytest.raises(KeyError):
         run_suites("nope")
 
@@ -52,3 +57,50 @@ def test_gamma_perturbation_breaks_oracle_suite():
     config.gamma_perturb = 1e-6
     (result,) = run_suites("oracle")
     assert not result.passed
+
+
+@pytest.mark.parametrize("trials", [1, 2, 3])
+def test_every_result_has_a_case(trials):
+    # D6-D8 run a quarter of the trials, but never none
+    results = run_suites("all", trials=trials)
+    assert len(results) == 28
+    assert all(r.cases >= 1 for r in results), [
+        r.name for r in results if r.cases < 1]
+
+
+def test_residuals_keep_a_nan():
+    f = monomial(1.0)
+    g = GenSeries.keyed(0.0, f.phase, {1: math.nan})
+    assert math.isnan(series_residual(f, g))
+    assert math.isnan(series_residual(g, f))
+    a = LiftedSeq(0.0, 0, {0: 1.0, 1: 2.0})
+    b = LiftedSeq._keyed(0.0, a.offset, {0: 1.0, 1: math.nan})
+    assert math.isnan(seq_residual(a, b))
+    assert math.isnan(seq_residual(b, a))
+
+
+def _failed(results):
+    return {r.name: r for r in results if not r.passed}
+
+
+def test_nan_gamma_fails(monkeypatch):
+    monkeypatch.setattr(verify, "gamma", lambda x: math.nan)
+    failed = _failed(run_suites("gamma", trials=20))
+    for name in ("gamma-reflection", "gamma-recurrence",
+                 "gamma-ratio-vs-product"):
+        assert math.isnan(failed[name].max_residual)
+
+
+def test_nan_termwise_coefficients_fail(monkeypatch):
+    rl_series = verify.rl_series
+
+    def nan_rl_series(f, k):
+        g = rl_series(f, k)
+        return GenSeries.keyed(g.basepoint, g.phase,
+                               {n: math.nan for n in g.coeffs},
+                               g.truncation_order)
+
+    monkeypatch.setattr(verify, "rl_series", nan_rl_series)
+    failed = _failed(run_suites(["diagram", "oracle"]))
+    for name in ("D6'", "D8'", "diagram-kernel-repair", "oracle-vs-termwise"):
+        assert math.isnan(failed[name].max_residual)
