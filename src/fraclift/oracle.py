@@ -30,7 +30,9 @@ down to a negative order, then take an n-th derivative (n = ceil(k)) by
 Richardson-extrapolated central differences (3 levels, from a step of
 min(1e-3, (x-a)/(4n)) times max(1, x-a): the step grows with x - a, so at
 large x it stays far above the spacing of the doubles near x). A step whose
-n-th power underflows, or a result that is not finite, raises OracleError,
+n-th power underflows, to zero or only below the smallest normal double
+(where the difference, rounding noise of f near x, divided by it reads as
+a large wrong value), or a result that is not finite, raises OracleError,
 as do orders above 2: the n-th difference amplifies rounding by h^-n, and at
 n = 3 the result misses the termwise rule by up to 6e-4.
 
@@ -42,6 +44,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 
 from . import config
 from .coeffseq import GenSeries, series_eval
@@ -161,7 +164,7 @@ def rl_oracle(f, a, k, x) -> float:
             return _frac_integral(f, a, -frac, y)
 
     h0 = min(_FD_STEP, 0.25 * (x - a) / max(1, n)) * max(1.0, x - a)
-    if (h0 / 4.0) ** n == 0.0:
+    if (h0 / 4.0) ** n < sys.float_info.min:
         raise OracleError("difference step %g at x=%r underflows in h^%d"
                           % (h0 / 4.0, x, n))
     d0 = _stencil(g, x, n, h0)

@@ -16,13 +16,21 @@ subexpressions may be raised to nonnegative integer powers. Division is by
 nonzero constants only. These restrictions keep every expressible function a
 single-lattice generalized power series.
 
-Series expansion works in exact rational arithmetic (fractions.Fraction)
-wherever the inputs are rational, so Cauchy products of intrinsic jets carry
-no rounding at all; coefficients convert to floats only at the end. So do
-exponents: coeffseq.rational reads each literal x^e or (x - a)^e once, and
-a working value keeps an exact base exponent and integer keys n, so its
-exponents base + n share one lattice by construction; products add bases
-and orders exactly, and the series takes its phase as the base mod 1.
+Series expansion works in exact rational arithmetic wherever the inputs
+are rational, kept on integers: a working value holds integer numerators
+over one integer denominator. A sum rescales the numerators to the least
+common denominator; a product is an integer convolution over the product
+of the denominators, stripped of the factor the numerators share with it
+by one gcd, so no Fraction is built and no gcd taken per coefficient
+(D. E. Knuth, The Art of Computer Programming, vol. 2, sec. 4.5.1). Cauchy products of intrinsic jets carry no rounding at all; each
+coefficient rounds to a double once at the end, as the correctly rounded
+quotient of its numerator and the denominator. A value that holds a float
+(2^0.5, or exp(u0) at a nonzero u0) keeps Fraction and float coefficients,
+combined in one fixed order. Exponents are exact too: coeffseq.rational
+reads each literal x^e or (x - a)^e once, and a working value keeps an
+exact base exponent and integer keys n, so its exponents base + n share one
+lattice by construction; products add bases and orders exactly, and the
+series takes its phase as the base mod 1.
 
 An intrinsic of a jet u = u0 + v (v without constant term) to order N is not
 composed from the Taylor polynomial of the intrinsic, which costs O(N^3)
@@ -35,23 +43,20 @@ and G_n = D^n g^(n)(0); Leibniz's rule on g' = g v' gives
     s = sin(v), c = cos(v): S_n = sum_{k=1..n} C(n-1,k-1) b_k C_{n-k}
                             C_n = -sum_{k=1..n} C(n-1,k-1) b_k S_{n-k}
 
-with G_0 = C_0 = 1, S_0 = 0. Each Taylor coefficient is then built once, as
-the Fraction G_n / (D^n n!), with one reduction, where a Fraction loop pays
-a multiply, an add and a divide by n per step, each with its own gcds. The
-integer D makes every b_k whole: walking k upward, it grows only where D^k
-leaves the denominator d_k of v^(k)(0) uncleared, by m = d_k / gcd(d_k, D^k),
-and the earlier b_j take m^j; so v = c x keeps D = den(c), where the lcm of
-all d_k would be far larger. The trade-off: for a long binary literal
-(0.1 x, D = 2^55) the one reduction is a gcd of two 55 n-bit integers, so
-exp(0.1*x) at order 64 is slower than in a Fraction loop, whose gcds each
-have one small side; at the default order 16 it is level. When v holds a
-float (a float u0 upstream, or 2^0.5) the recurrences run in Taylor form,
-n g_n = sum_k k v_k g_{n-k}, on floats. A nonzero u0 enters once at the
-end, as the factor exp(u0) or through sin(u0 + v) = sin u0 cos v + cos u0
-sin v and cos(u0 + v) = cos u0 cos v - sin u0 sin v. References: R. P.
-Brent and H. T. Kung, "Fast algorithms for manipulating formal power
-series", J. ACM 25(4), 1978; D. E. Knuth, The Art of Computer Programming,
-vol. 2, sec. 4.7.
+with G_0 = C_0 = 1, S_0 = 0. The jet to order N is then the numerators
+G_n D^(N-n) N!/n! over the one denominator D^N N!, stripped of their common
+factor by one gcd, where a Fraction loop pays a multiply, an add and a
+divide by n per step, each with its own gcds. The integer D makes every b_k
+whole: walking k upward, it grows only where D^k leaves the denominator d_k
+of v^(k)(0) uncleared, by m = d_k / gcd(d_k, D^k), and the earlier b_j take
+m^j; so v = c x keeps D = den(c), where the lcm of all d_k would be far
+larger. When v holds a float (a float u0 upstream, or 2^0.5) the
+recurrences run in Taylor form, n g_n = sum_k k v_k g_{n-k}, on floats. A
+nonzero u0 enters once at the end, as the factor exp(u0) or through
+sin(u0 + v) = sin u0 cos v + cos u0 sin v and cos(u0 + v) = cos u0 cos v -
+sin u0 sin v. References: R. P. Brent and H. T. Kung, "Fast algorithms for
+manipulating formal power series", J. ACM 25(4), 1978; D. E. Knuth, The
+Art of Computer Programming, vol. 2, sec. 4.7.
 """
 
 from __future__ import annotations
@@ -279,17 +284,21 @@ def to_text(node) -> str:
 
 
 class _SVal:
-    """Working series value: the sum of coeffs[n] * (x - a)^(base + n) over
-    integer keys n, with Fraction (or float) coefficients, plus the order
-    beyond which terms are unknown (math.inf = exact). The base and a finite
-    order are exact (int or Fraction), so no exponent has two keys."""
+    """Working series value: the sum of coeffs[n] / den * (x - a)^(base + n)
+    over integer keys n, plus the order beyond which terms are unknown
+    (math.inf = exact). An exact value holds integer numerators over one
+    positive integer den; a value that holds a float has den None and
+    Fraction or float coefficients, combined in the order the float
+    results depend on. The base and a finite order are exact (int or
+    Fraction), so no exponent has two keys."""
 
-    __slots__ = ("base", "coeffs", "order")
+    __slots__ = ("base", "coeffs", "order", "den")
 
-    def __init__(self, coeffs, order=math.inf, base=0):
+    def __init__(self, coeffs, order=math.inf, base=0, den=1):
         self.base = base
-        self.coeffs = {n: c for n, c in coeffs.items() if c != 0}
+        self.coeffs = {n: c for n, c in coeffs.items() if c}
         self.order = order
+        self.den = den
 
     def prune(self):
         if self.order != math.inf:  # keep the keys n with base + n <= order
@@ -301,10 +310,30 @@ class _SVal:
         return self.base + min(self.coeffs) if self.coeffs else 0
 
     def constant_value(self):
-        return self.coeffs.get(-self.base, Fraction(0))
+        if self.den is None:
+            return self.coeffs.get(-self.base, Fraction(0))
+        return Fraction(self.coeffs.get(-self.base, 0), self.den)
 
     def is_constant(self):
         return self.coeffs.keys() <= {-self.base}
+
+
+def _mixed(coeffs, order=math.inf, base=0):
+    """A value from Fraction and float coefficients; exact, as integers over
+    their least common denominator, once no float is left."""
+    coeffs = {n: c for n, c in coeffs.items() if c}
+    if any(type(c) is float for c in coeffs.values()):
+        return _SVal(coeffs, order, base, None)
+    den = math.lcm(*(c.denominator for c in coeffs.values()))
+    return _SVal({n: c.numerator * (den // c.denominator)
+                  for n, c in coeffs.items()}, order, base, den)
+
+
+def _values(a):
+    """a's coefficients as Fractions and floats, for arithmetic with a float."""
+    if a.den is None:
+        return a.coeffs
+    return {n: Fraction(c, a.den) for n, c in a.coeffs.items()}
 
 
 def _key_shift(a, b):
@@ -318,28 +347,31 @@ def _key_shift(a, b):
 
 
 def _add(a, b, sign=1):
-    if not a.coeffs:
-        base, coeffs, m = b.base, {}, 0
+    if a.coeffs:
+        base, m = a.base, _key_shift(a, b) if b.coeffs else 0
     else:
-        base, coeffs = a.base, dict(a.coeffs)
-        m = _key_shift(a, b) if b.coeffs else 0
-    for n, c in b.coeffs.items():
+        base, m = b.base, 0
+    order = min(a.order, b.order)
+    if a.den and b.den:  # exact: integers over the least common denominator
+        den = math.lcm(a.den, b.den)
+        sa, sb = den // a.den, sign * (den // b.den)
+        coeffs = {n: c * sa for n, c in a.coeffs.items()}
+        for n, c in b.coeffs.items():
+            coeffs[n + m] = coeffs.get(n + m, 0) + sb * c
+        return _SVal(coeffs, order, base, den).prune()
+    coeffs = dict(_values(a))
+    for n, c in _values(b).items():
         coeffs[n + m] = coeffs.get(n + m, 0) + sign * c
-    return _SVal(coeffs, min(a.order, b.order), base).prune()
+    return _mixed(coeffs, order, base).prune()
 
 
 def _scale(a, c):
-    return _SVal({n: c * v for n, v in a.coeffs.items()}, a.order, a.base)
-
-
-def _numerators(coeffs, exact):
-    """(sorted (n, numerator) pairs, d) with coeffs[n] = numerator / d: for
-    Fraction coefficients, integers over their least common denominator."""
-    if not exact:
-        return sorted(coeffs.items()), 1
-    d = math.lcm(*(c.denominator for c in coeffs.values()))
-    return sorted((n, c.numerator * (d // c.denominator))
-                  for n, c in coeffs.items()), d
+    """a times a nonzero constant c: an int, a Fraction or a float."""
+    if a.den and type(c) is not float:
+        p, q = c.numerator, c.denominator
+        return _SVal({n: p * v for n, v in a.coeffs.items()}, a.order,
+                     a.base, q * a.den)
+    return _mixed({n: c * v for n, v in _values(a).items()}, a.order, a.base)
 
 
 def _snapped(r):
@@ -360,11 +392,9 @@ def _mul(a, b):
                          default=math.inf))
     base = _snapped(a.base + b.base)
     top = order if order == math.inf else math.floor(order - base)
-    # exact products run on integers, with one Fraction per coefficient
-    exact = all(type(c) is Fraction
-                for c in (*a.coeffs.values(), *b.coeffs.values()))
-    pa, da = _numerators(a.coeffs, exact)
-    pb, db = _numerators(b.coeffs, exact)
+    exact = a.den and b.den
+    pa = sorted(a.coeffs.items() if exact else _values(a).items())
+    pb = sorted(b.coeffs.items() if exact else _values(b).items())
     acc = {}
     for na, ca in pa:
         for nb, cb in pb:
@@ -372,13 +402,18 @@ def _mul(a, b):
             if n > top:
                 break
             acc[n] = acc.get(n, 0) + ca * cb
-    if exact:
-        acc = {n: Fraction(v, da * db) for n, v in acc.items()}
-    return _SVal(acc, order, base)
+    if not exact:
+        return _mixed(acc, order, base)
+    # one gcd strips the factor the numerators share with den = da db
+    den = a.den * b.den
+    g = math.gcd(den, *acc.values())
+    if g > 1:
+        acc = {n: v // g for n, v in acc.items()}
+    return _SVal(acc, order, base, den // g)
 
 
 def _powi(a, n):
-    out = _SVal({0: Fraction(1)})
+    out = _SVal({0: 1})
     while n > 0:
         if n & 1:
             out = _mul(out, a)
@@ -387,32 +422,17 @@ def _powi(a, n):
     return out
 
 
-def _jet(v, what, top):
-    """[v_0, ..., v_top]: the Taylor coefficients of an analytic jet."""
-    out = [0] * (top + 1)
-    if v.coeffs and (v.base.denominator != 1 or v.min_exponent() < 0):
-        raise ExpansionError(
-            "argument of %s must be an analytic jet (offending exponent %r)"
-            % (what, float(v.min_exponent())))
-    b = v.base.numerator
-    for n, c in v.coeffs.items():
-        if n + b <= top:
-            out[n + b] = c
-    return out
-
-
-def _scaled_derivatives(u, top):
-    """(D, [(k, b_k)]) for v = sum_{k>=1} u_k x^k with rational u_k: the
-    nonzero b_k = D^k v^(k)(0) = D^k k! u_k, all integers. D grows only where
-    D^k misses the denominator d_k of k! u_k, by m = d_k / gcd(d_k, D^k), and
-    the earlier b_j then take m^j, so v = c x keeps D = den(c)."""
-    scale, b, fact = 1, [], 1
-    for k in range(1, top + 1):
-        fact *= k
-        if not u[k]:
-            continue
-        g = math.gcd(fact, u[k].denominator)
-        num, den = u[k].numerator * (fact // g), u[k].denominator // g
+def _scaled_derivatives(terms):
+    """(D, [(k, b_k)]) for v = sum p_k / q_k x^k over the terms (k, p_k, q_k),
+    k >= 1 ascending, p_k != 0: the b_k = D^k v^(k)(0) = D^k k! p_k / q_k, all
+    integers. D grows only where D^k misses the reduced denominator d_k of
+    k! p_k / q_k, by m = d_k / gcd(d_k, D^k), and the earlier b_j then take
+    m^j, so v = c x keeps D = den(c)."""
+    scale, b = 1, []
+    for k, p, q in terms:
+        num = math.factorial(k) * p
+        g = math.gcd(num, q)
+        num, den = num // g, q // g
         power = scale ** k
         if power % den:
             m = den // math.gcd(den, power)
@@ -424,31 +444,26 @@ def _scaled_derivatives(u, top):
 
 
 def _taylor(scaled, scale):
-    """Taylor coefficients F_n / (D^n n!) of scaled derivatives F_n, one
-    Fraction (one reduction) per nonzero coefficient."""
-    out, den = [], 1
-    for n, f in enumerate(scaled):
-        if n:
-            den *= n * scale
-        out.append(Fraction(f, den) if f else 0)
-    return out
+    """(numerators, den) of the Taylor coefficients F_n / (D^n n!) of scaled
+    derivatives F_n: F_n D^(N-n) N!/n! over D^N N!, N the top order,
+    stripped of their common factor by one gcd."""
+    out = list(scaled)
+    den = 1
+    for n in range(len(out) - 1, 0, -1):
+        out[n] *= den
+        den *= n * scale
+    out[0] *= den
+    g = math.gcd(den, *out)
+    if g > 1:
+        out = [v // g for v in out]
+    return out, den // g
 
 
-def _float_du(u, top):
-    """[(k, k u_k)] over the nonzero u_k, k >= 1, for the float loops when
-    one u_k is a float; None when all are rational."""
-    if all(type(c) is Fraction for c in u[1:] if c):
-        return None
-    return [(k, k * u[k]) for k in range(1, top + 1) if u[k] != 0]
-
-
-def _exp_jet(u, top):
-    """exp(v) to order top, v = sum_{k>=1} u_k x^k."""
-    du = _float_du(u, top)
-    if du is not None:
-        return _float_exp_jet(du, top)
+def _exp_jet(terms, top):
+    """(G, D): the scaled derivatives G_n of exp(v), n <= top, v as in
+    _scaled_derivatives."""
     # G_n = D^n g^(n)(0) from g' = g v': G_n = sum_k C(n-1,k-1) b_k G_(n-k)
-    scale, b = _scaled_derivatives(u, top)
+    scale, b = _scaled_derivatives(terms)
     g = [1] + [0] * top
     for n in range(1, top + 1):
         acc = 0
@@ -457,16 +472,13 @@ def _exp_jet(u, top):
                 break
             acc += math.comb(n - 1, k - 1) * bk * g[n - k]
         g[n] = acc
-    return _taylor(g, scale)
+    return g, scale
 
 
-def _sin_cos_jet(u, top):
-    """(sin v, cos v) to order top, v = sum_{k>=1} u_k x^k."""
-    du = _float_du(u, top)
-    if du is not None:
-        return _float_sin_cos_jet(du, top)
+def _sin_cos_jet(terms, top):
+    """(S, C, D): the scaled derivatives of sin(v) and cos(v), n <= top."""
     # S_n = sum_k C(n-1,k-1) b_k C_(n-k), C_n = -sum_k C(n-1,k-1) b_k S_(n-k)
-    scale, b = _scaled_derivatives(u, top)
+    scale, b = _scaled_derivatives(terms)
     s = [0] * (top + 1)
     c = [1] + [0] * top
     for n in range(1, top + 1):
@@ -479,7 +491,7 @@ def _sin_cos_jet(u, top):
             acc_c -= w * s[n - k]
         s[n] = acc_s
         c[n] = acc_c
-    return _taylor(s, scale), _taylor(c, scale)
+    return s, c, scale
 
 
 def _float_exp_jet(du, top):
@@ -514,28 +526,50 @@ def _float_sin_cos_jet(du, top):
 def _compose_intrinsic(func, inner, order):
     """func(inner) to the jet order: func(u0) combined with func(v), v =
     inner - u0, whose Taylor coefficients come from the recurrences above,
-    exactly while v is rational."""
+    on integers while v is rational."""
     trunc = min(order, inner.order)
     top = max(math.floor(trunc), 0)
-    u = _jet(inner, func, top)
-    u0 = u[0]
-    if func == "exp":
-        coeffs = _exp_jet(u, top)
-        if u0 != 0:
-            e0 = _float_op(math.exp, u0, func)
-            coeffs = [e0 * g for g in coeffs]
-    else:
-        s, c = _sin_cos_jet(u, top)
-        if u0 == 0:
-            coeffs = s if func == "sin" else c
+    if inner.coeffs and (inner.base.denominator != 1 or inner.min_exponent() < 0):
+        raise ExpansionError(
+            "argument of %s must be an analytic jet (offending exponent %r)"
+            % (func, float(inner.min_exponent())))
+    shift = inner.base.numerator
+    u = sorted((n + shift, c) for n, c in inner.coeffs.items()
+               if n + shift <= top)
+    u0 = u.pop(0)[1] if u and u[0][0] == 0 else 0
+    exact = inner.den is not None or all(type(c) is Fraction for _, c in u)
+    # the jets of exp, or of sin and cos: scaled derivatives while exact
+    if exact:
+        if inner.den is None:  # a rational v beside a float u0, or past top
+            terms = [(k, c.numerator, c.denominator) for k, c in u]
         else:
-            s0 = _float_op(math.sin, u0, func)
-            c0 = _float_op(math.cos, u0, func)
-            if func == "sin":  # sin(u0 + v) = sin u0 cos v + cos u0 sin v
-                coeffs = [s0 * cn + c0 * sn for sn, cn in zip(s, c)]
-            else:  # cos(u0 + v) = cos u0 cos v - sin u0 sin v
-                coeffs = [c0 * cn - s0 * sn for sn, cn in zip(s, c)]
-    return _SVal(dict(enumerate(coeffs)), trunc).prune()
+            terms = [(k, c, inner.den) for k, c in u]
+            u0 = Fraction(u0, inner.den) if u0 else 0
+        *jets, scale = (_exp_jet if func == "exp" else _sin_cos_jet)(terms, top)
+    else:
+        du = [(k, k * c) for k, c in u]
+        jets = ([_float_exp_jet(du, top)] if func == "exp"
+                else _float_sin_cos_jet(du, top))
+    if u0 == 0:
+        jet = jets[func == "cos"]
+        if not exact:
+            return _mixed(dict(enumerate(jet)), trunc).prune()
+        nums, den = _taylor(jet, scale)
+        return _SVal(dict(enumerate(nums)), trunc, 0, den).prune()
+    f0 = [_float_op(fn, u0, func) for fn in
+          ((math.exp,) if func == "exp" else (math.sin, math.cos))]
+    if exact:  # each coefficient rounds once, to meet the float func(u0)
+        jets = [[v / den for v in nums] for nums, den in
+                (_taylor(jet, scale) for jet in jets)]
+    if func == "exp":
+        coeffs = [f0[0] * g for g in jets[0]]
+    else:
+        (s0, c0), (s, c) = f0, jets
+        if func == "sin":  # sin(u0 + v) = sin u0 cos v + cos u0 sin v
+            coeffs = [s0 * cn + c0 * sn for sn, cn in zip(s, c)]
+        else:  # cos(u0 + v) = cos u0 cos v - sin u0 sin v
+            coeffs = [c0 * cn - s0 * sn for sn, cn in zip(s, c)]
+    return _mixed(dict(enumerate(coeffs)), trunc).prune()
 
 
 def _float_op(fn, u0, what):
@@ -591,9 +625,11 @@ def _centered_at(node):
 def _expand(node, basepoint, order):
     tag = node[0]
     if tag == "num":
-        return _SVal({0: Fraction(node[1])})
+        p, q = node[1].as_integer_ratio()
+        return _SVal({0: p}, den=q)
     if tag == "x":
-        return _SVal({0: Fraction(basepoint), 1: Fraction(1)})
+        p, q = basepoint.as_integer_ratio()
+        return _SVal({0: p, 1: q}, den=q)
     if tag == "neg":
         return _scale(_expand(node[1], basepoint, order), -1)
     if tag == "call":
@@ -627,15 +663,14 @@ def _expand_pow(base_node, expo_node, basepoint, order):
     center = _centered_at(base_node)
     if center == basepoint or (base_node == ("x",) and basepoint == 0.0):
         e = rational(expo)  # an integer stays an int: ints add fast
-        return _SVal({0: Fraction(1)},
-                     base=e.numerator if e.denominator == 1 else e)
+        return _SVal({0: 1}, base=e.numerator if e.denominator == 1 else e)
     if expo == math.floor(expo) and abs(expo) <= 1024:
         n = int(expo)
         base = _expand(base_node, basepoint, order)
         if n >= 0:
             return _powi(base, n)
         if base.is_constant() and base.constant_value() != 0:
-            return _SVal({0: base.constant_value() ** n})
+            return _mixed({0: base.constant_value() ** n})
         raise ExpansionError(
             "negative powers are only supported on (x - basepoint)")
     base = _expand(base_node, basepoint, order)
@@ -643,7 +678,7 @@ def _expand_pow(base_node, expo_node, basepoint, order):
         c = float(base.constant_value())
         if c <= 0.0:
             raise ExpansionError("real power of a non-positive constant")
-        return _SVal({0: math.pow(c, expo)})
+        return _mixed({0: math.pow(c, expo)})
     if center is not None:
         raise ExpansionError("power term centered at %r, expected base point %r"
                              % (center, basepoint))
@@ -671,7 +706,9 @@ def to_series(expr, basepoint: float = 0.0, order: int | None = None) -> GenSeri
                                          max(val.coeffs) + m):
             raise OverflowError
         trunc = None if val.order == math.inf else float(val.order)
-        coeffs = {n + m: finite_float(c) for n, c in val.coeffs.items()}
+        den = val.den  # an exact coefficient rounds once, as int / int
+        coeffs = {n + m: c / den if den else finite_float(c)
+                  for n, c in val.coeffs.items()}
     except (OverflowError, ValueError):
         raise ExpansionError("an exponent, order or coefficient exceeds "
                              "double range") from None

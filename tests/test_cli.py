@@ -210,6 +210,22 @@ class TestOracleCompare:
             assert out == ""
             assert err.startswith("error: difference step") and "h^2" in err
 
+    def test_subnormal_step_is_usage_error(self, capsys):
+        # h^2 = 9.8e-324 at x = 1e-160 is subnormal: the difference ladder
+        # would print a value off by 1.2% (x) or by 2.45e147 (x^0.5)
+        for expr in ("x", "x^0.5"):
+            code, out, err = run_cli(capsys, "oracle-compare", "--expr", expr,
+                                     "--k", "1.5", "--at", "1e-160")
+            assert (code, out) == (2, "")
+            assert err.startswith("error: difference step") and "h^2" in err
+        # at x = 1e-150 (h^2 = 9.8e-304) it still answers
+        code, out, _ = run_cli(capsys, "oracle-compare", "--expr", "x",
+                               "--k", "1.5", "--at", "1e-150")
+        assert code == 0
+        _, termwise, oracle, diff = map(float, out.strip().split("\n")[1].split(","))
+        assert termwise == pytest.approx(1 / math.sqrt(math.pi * 1e-150), rel=1e-15)
+        assert diff <= 1e-9 * abs(termwise)
+
     def test_nonzero_basepoint(self, capsys, tmp_path):
         # the oracle integrates the same coefficients from 0 to x - a, so
         # (t - a)^(-1/2) keeps its full accuracy near the base point

@@ -52,6 +52,19 @@ class TestRlOracle:
         with pytest.raises(OracleError, match="underflows"):
             compare(to_series("x^0.5"), 1.5, [1e-300])
 
+    def test_subnormal_step_is_oracle_error(self):
+        # at x = 1e-160 the step's h^2 = 9.8e-324 is subnormal, not 0: the
+        # second difference, rounding noise of f near x, divided by it read
+        # 5.576e79 for D^(3/2) x (termwise 5.642e79) and -2.45e147 for
+        # D^(3/2) x^(1/2) (termwise 0)
+        for f in (lambda t: t, lambda t: t**0.5):
+            with pytest.raises(OracleError, match="underflows in h\\^2"):
+                rl_oracle(f, 0.0, 1.5, 1e-160)
+        # at x = 1e-150, h^2 = 9.8e-304 is normal and the ladder answers
+        x = 1e-150
+        want = 1.0 / math.sqrt(math.pi * x)  # D^(3/2) x = x^(-1/2) / Gamma(1/2)
+        assert rl_oracle(lambda t: t, 0.0, 1.5, x) == pytest.approx(want, rel=1e-9)
+
     def test_non_finite_ladder_is_oracle_error(self):
         # a function that overflows near x: every difference is inf - inf
         with pytest.raises(OracleError, match="not finite"):

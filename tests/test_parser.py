@@ -7,6 +7,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fraclift import parser
+from fraclift.coeffseq import GenSeries, nonzero
 from fraclift.errors import ExpansionError, LatticeError, ParseError
 from fraclift.parser import parse, to_series, to_text
 
@@ -408,8 +409,28 @@ def _single(k, c, top):
     return u, top
 
 
+def _rationals(jet):
+    """The exact Taylor coefficients of an integer jet (numerators, den)."""
+    nums, den = jet
+    return [Fraction(v, den) for v in nums]
+
+
+def _fractions_built(monkeypatch, text, order):
+    made = []
+    new = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        made.append(cls)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    to_series(text, 0, order)
+    monkeypatch.undo()
+    return len(made)
+
+
 class TestIntegerJets:
-    """On a rational jet the integer recurrences give the very Fractions the
+    """On a rational jet the integer recurrences give the very rationals the
     Fraction loops give, so every double downstream is the same."""
 
     @settings(max_examples=60, deadline=None)
@@ -420,11 +441,17 @@ class TestIntegerJets:
     def test_equal_to_fraction_loops(self, jet):
         u, top = jet
         du = [(k, k * u[k]) for k in range(1, top + 1) if u[k]]
-        g = parser._exp_jet(u, top)
-        s, c = parser._sin_cos_jet(u, top)
-        assert g == _fraction_exp_jet(du, top)
-        assert (s, c) == _fraction_sin_cos_jet(du, top)
-        assert all(type(x) is Fraction for x in g + s + c if x)
+        # the terms over one common denominator, as an exact value holds them
+        den = math.lcm(*(c.denominator for c in u[1:]))
+        terms = [(k, c.numerator * (den // c.denominator), den)
+                 for k, c in enumerate(u) if k and c]
+        g, scale = parser._exp_jet(terms, top)
+        s, c, scale_sc = parser._sin_cos_jet(terms, top)
+        assert all(type(x) is int for x in g + s + c)
+        assert _rationals(parser._taylor(g, scale)) == _fraction_exp_jet(du, top)
+        assert ((_rationals(parser._taylor(s, scale_sc)),
+                 _rationals(parser._taylor(c, scale_sc)))
+                == _fraction_sin_cos_jet(du, top))
 
     @settings(max_examples=15, deadline=None)
     @given(st.lists(st.tuples(st.integers(-9, 9).filter(bool),
@@ -444,23 +471,171 @@ class TestIntegerJets:
         }
         for text, want in cases.items():
             got = parser._expand(parse(text % _poly_text(poly)), 0.0, order)
-            assert got.coeffs == {n: c for n, c in enumerate(want) if c}
+            assert {n: Fraction(v, got.den) for n, v in got.coeffs.items()} \
+                == {n: c for n, c in enumerate(want) if c}
 
     @pytest.mark.parametrize("order", [16, 32, 64])
     def test_fraction_count_is_linear(self, monkeypatch, order):
         # a Fraction loop builds O(N^2) Fractions here (16,974 at N = 64);
-        # the integer recurrences build one per coefficient
-        made = []
-        new = Fraction.__new__
+        # the integer recurrences build at most one per coefficient
+        made = _fractions_built(monkeypatch, "cos(sin(exp(x)-1))", order)
+        assert made <= 6 * (order + 1)
 
-        def counting(cls, *args, **kwargs):
-            made.append(cls)
-            return new(cls, *args, **kwargs)
+    @pytest.mark.parametrize("text", ["(exp(x)*sin(x)+cos(2*x/3))^6",
+                                      "x^(1/3)*(1+x/3)^3*cos(x+x^2/5)"])
+    def test_products_build_no_fraction_per_coefficient(self, monkeypatch, text):
+        # products, sums and jets run on integers over one denominator: the
+        # Fractions left are the literals' and the exponents', whatever the
+        # order (one per output coefficient made 168 -> 600 and 93 -> 237)
+        made = [_fractions_built(monkeypatch, text, order)
+                for order in (16, 32, 64)]
+        assert made[0] == made[1] == made[2]
 
-        monkeypatch.setattr(Fraction, "__new__", counting)
-        to_series("cos(sin(exp(x)-1))", 0, order)
-        monkeypatch.undo()
-        assert len(made) <= 6 * (order + 1)
+
+# A reference expansion with one Fraction per coefficient, for the
+# expressions drawn below (base point 0): the parser's products, sums and
+# integer powers as they ran before its exact values moved to integers, with
+# the Fraction jet loops above in place of its integer recurrences (they
+# give the same rationals). A value is (base, {n: Fraction or float},
+# order); a product or sum holding a float combines in the same order as the
+# parser's, so the float results agree bit for bit too.
+
+
+def _ref_min_exponent(v):
+    return v[0] + min(v[1]) if v[1] else 0
+
+
+def _ref_value(base, coeffs, order):
+    if order != math.inf:
+        top = math.floor(order - base)
+        coeffs = {n: c for n, c in coeffs.items() if n <= top}
+    return base, {n: c for n, c in coeffs.items() if c != 0}, order
+
+
+def _ref_add(a, b, sign):
+    (ba, ca, oa), (bb, cb, ob) = a, b
+    base, coeffs, m = (ba, dict(ca), int(bb - ba)) if ca else (bb, {}, 0)
+    for n, c in cb.items():
+        coeffs[n + m] = coeffs.get(n + m, 0) + sign * c
+    return _ref_value(base, coeffs, min(oa, ob))
+
+
+def _ref_mul(a, b):
+    order = min((o + _ref_min_exponent(m) for o, m in ((a[2], b), (b[2], a))
+                 if o != math.inf), default=math.inf)
+    base = a[0] + b[0]
+    top = order if order == math.inf else math.floor(order - base)
+    acc = {}
+    for na, ca in sorted(a[1].items()):
+        for nb, cb in sorted(b[1].items()):
+            if na + nb > top:
+                break
+            acc[na + nb] = acc.get(na + nb, 0) + ca * cb
+    return _ref_value(base, acc, order)
+
+
+def _ref_jet(func, inner, order):
+    # a zero-constant polynomial: v = sum u_k x^k over k = n + base >= 1
+    shift = int(inner[0])
+    du = sorted((n + shift, (n + shift) * c) for n, c in inner[1].items()
+                if n + shift <= order)
+    if func == "exp":
+        jet = _fraction_exp_jet(du, order)
+    else:
+        jet = _fraction_sin_cos_jet(du, order)[func == "cos"]
+    return _ref_value(0, dict(enumerate(jet)), order)
+
+
+def _ref_const(node):
+    tag = node[0]
+    if tag == "num":
+        return node[1]
+    if tag == "neg":
+        return -_ref_const(node[1])
+    a, b = _ref_const(node[1]), _ref_const(node[2])
+    return a / b if tag == "/" else math.pow(a, b)
+
+
+def _ref_expand(node, order):
+    tag = node[0]
+    if tag == "num":
+        return _ref_value(0, {0: Fraction(node[1])}, math.inf)
+    if tag == "x":
+        return 0, {1: Fraction(1)}, math.inf
+    if tag == "neg":
+        v = _ref_expand(node[1], order)
+        return v[0], {n: -c for n, c in v[1].items()}, v[2]
+    if tag == "call":
+        return _ref_jet(node[1], _ref_expand(node[2], order), order)
+    if tag in "+-":
+        return _ref_add(_ref_expand(node[1], order), _ref_expand(node[2], order),
+                        1 if tag == "+" else -1)
+    if tag == "*":
+        return _ref_mul(_ref_expand(node[1], order), _ref_expand(node[2], order))
+    if tag == "/":  # times 1/c, c a rational constant
+        v, c = _ref_expand(node[1], order), _ref_expand(node[2], order)[1][0]
+        return v[0], {n: 1 / c * x for n, x in v[1].items()}, v[2]
+    expo = _ref_const(node[2])
+    if node[1] == X:  # x^(p/q), q <= 12
+        return Fraction(expo).limit_denominator(12), {0: Fraction(1)}, math.inf
+    if expo != int(expo):  # 2^0.5
+        return _ref_value(0, {0: math.pow(_ref_const(node[1]), expo)}, math.inf)
+    # by squaring, as the parser's integer powers run
+    out, n = (0, {0: Fraction(1)}, math.inf), int(expo)
+    base = _ref_expand(node[1], order)
+    while n > 0:
+        if n & 1:
+            out = _ref_mul(out, base)
+        base = _ref_mul(base, base) if n > 1 else base
+        n >>= 1
+    return out
+
+
+def _ref_series(text, order):
+    base, coeffs, trunc = _ref_expand(parse(text), order)
+    m = math.floor(base)
+    return GenSeries.keyed(0.0, Fraction(base - m),
+                           nonzero({n + m: float(c) for n, c in coeffs.items()}),
+                           None if trunc == math.inf else float(trunc))
+
+
+_literals = st.sampled_from(["0.1", "1.7", "2^0.5", "(1/3)", "(-5/7)", "3"])
+
+
+@st.composite
+def _zero_constant_polys(draw):
+    powers = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3,
+                           unique=True))
+    return " + ".join("%s*x^%d" % (draw(_literals), k) for k in powers)
+
+
+_leaves = st.one_of(
+    st.just("x"), st.integers(0, 9).map(str), _literals,
+    st.builds("{}({})".format, st.sampled_from(["exp", "sin", "cos"]),
+              _zero_constant_polys()))
+_constants = st.sampled_from(["3", "(2/3)", "(-7/12)", "0.1"])
+_trees = st.recursive(_leaves, lambda t: st.one_of(
+    st.builds("({} + {})".format, t, t),
+    st.builds("({} - {})".format, t, t),
+    st.builds("({}) * ({})".format, t, t),
+    st.builds("({}) / {}".format, t, _constants),
+    st.builds("({})^{}".format, t, st.integers(0, 6))), max_leaves=5)
+_phases = st.lists(st.builds("x^({}/{})".format, st.integers(-12, 12),
+                             st.integers(1, 12)), max_size=2)
+
+
+class TestAgainstFractionReference:
+    @settings(max_examples=300, deadline=None)
+    @given(_phases, _trees, st.integers(0, 24))
+    @example([], "(exp(0.1*x^1) * sin(2^0.5*x^1) + cos((2/3)*x^1))^6", 24)
+    @example(["x^(1/3)"], "(1 + x / 3)^3 * cos(3*x^1 + 1.7*x^2)", 20)
+    @example([], "0 + (x + 1)", 0)  # a zero literal holds no key
+    # 0.1 x stays exact beside a float past the jet order
+    @example([], "x - (x + exp(0.1*x^1 + 2^0.5*x^2))", 1)
+    def test_bit_identical(self, factors, tree, order):
+        text = " * ".join(factors + ["(%s)" % tree])
+        got, want = to_series(text, 0, order), _ref_series(text, order)
+        assert repr(got) == repr(want)
 
 
 class TestFloatJets:
