@@ -136,19 +136,20 @@ def cmd_deriv(args):
         return 0
 
     result = rl_series(f, k) if args.via == "rl" else lifted_path()
+    # evaluated before anything is printed, so a failing point prints nothing
+    values = ([] if args.format == "csv"
+              else [(x, series_eval(result, x)) for x in args.at or ()])
 
     if args.format == "json":
         killed_json = ", ".join(
             '{"exp": %s, "coef": %s, "kernel_arg": %s}' % (fmt17(e), fmt17(c), fmt17(r))
             for e, c, r in killed)
-        values = ""
-        if args.at:
-            values = ", ".join(
-                '{"x": %s, "value": %s}' % (fmt17(x), fmt17(series_eval(result, x)))
-                for x in args.at)
+        values_json = ", ".join('{"x": %s, "value": %s}' % (fmt17(x), fmt17(v))
+                                for x, v in values)
         print('{"k": %s, "via": "%s", "series": %s, '
               '"annihilated": [%s], "values": [%s]}'
-              % (fmt17(k), args.via, series_to_json(result), killed_json, values))
+              % (fmt17(k), args.via, series_to_json(result), killed_json,
+                 values_json))
     elif args.format == "csv":
         sys.stdout.write(_csv("exp,coef", result.terms))
     else:
@@ -161,9 +162,8 @@ def cmd_deriv(args):
             for e, c, r in killed:
                 print("annihilated: %s * x^%s  (kernel: alpha+1-k = %s)"
                       % (_pretty_num(c), _pretty_num(e), _pretty_num(r)))
-        for x in args.at or ():
-            print("value at x = %s: %s"
-                  % (_pretty_num(x), _pretty_num(series_eval(result, x))))
+        for x, v in values:
+            print("value at x = %s: %s" % (_pretty_num(x), _pretty_num(v)))
     return 0
 
 

@@ -302,7 +302,7 @@ class _SVal:
 
     def prune(self):
         if self.order != math.inf:  # keep the keys n with base + n <= order
-            top = math.floor(self.order - self.base)
+            top = _floor_diff(self.order, self.base)
             self.coeffs = {n: c for n, c in self.coeffs.items() if n <= top}
         return self
 
@@ -384,14 +384,28 @@ def _snapped(r):
     return r
 
 
+def _plus(r, s):
+    """r + s for exact r and s, with no Fraction built when either is 0."""
+    return r + s if r and s else r or s
+
+
+def _floor_diff(r, s):
+    """floor(r - s) for exact r and s, on their integer ratios: no Fraction
+    is built."""
+    (p, q), (u, v) = r.as_integer_ratio(), s.as_integer_ratio()
+    return (p * v - u * q) // (q * v)
+
+
 def _mul(a, b):
-    # an exact factor's order, math.inf, stays out of the sums: inf + r
+    # the exponent sums build no Fraction the product does not hold: a zero
+    # base adds nothing, and the order adds the integer key before the base.
+    # An exact factor's order, math.inf, stays out of the sums: inf + r
     # would round the exact exponent r to a double
-    order = _snapped(min((o + m.min_exponent() for o, m in
-                          ((a.order, b), (b.order, a)) if o != math.inf),
-                         default=math.inf))
-    base = _snapped(a.base + b.base)
-    top = order if order == math.inf else math.floor(order - base)
+    order = _snapped(min((_plus(o + min(m.coeffs), m.base) if m.coeffs else o
+                          for o, m in ((a.order, b), (b.order, a))
+                          if o != math.inf), default=math.inf))
+    base = _snapped(_plus(a.base, b.base))
+    top = order if order == math.inf else _floor_diff(order, base)
     exact = a.den and b.den
     pa = sorted(a.coeffs.items() if exact else _values(a).items())
     pb = sorted(b.coeffs.items() if exact else _values(b).items())

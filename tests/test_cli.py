@@ -43,6 +43,16 @@ class TestDeriv:
         assert a[0]["exp"] == b[0]["exp"]
         assert abs(a[0]["coef"] - b[0]["coef"]) <= 1e-12 * abs(a[0]["coef"])
 
+    def test_value_past_double_range_is_usage_error(self, capsys):
+        # 1e308 / Gamma(1/2) * x^-0.5 at x = 1e-10 is 5.6e312: the call used
+        # to print "inf" and exit 0
+        for fmt in ("pretty", "json"):
+            code, out, err = run_cli(capsys, "deriv", "--expr", "1e308", "--k",
+                                     "0.5", "--at", "1e-10", "--format", fmt)
+            assert (code, out) == (2, "")
+            assert err == ("error: series value at x=1e-10 is inf, "
+                           "not a finite double\n")
+
     def test_compare_paths_table(self, capsys):
         code, out, _ = run_cli(capsys, "deriv", "--expr", "x^2 + x", "--k",
                                "0.5", "--compare-paths")

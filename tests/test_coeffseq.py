@@ -1,10 +1,16 @@
 import json
 import math
+import sys
+import tracemalloc
 from fractions import Fraction
 
+import mpmath
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import assert_seq_close, assert_series_close
+from fraclift import coeffseq
 from fraclift.coeffseq import (
     GenSeries,
     int_antiderivative,
@@ -163,6 +169,165 @@ class TestSeriesEval:
     def test_evaluation_at_basepoint(self):
         f = GenSeries(1.0, ((0.0, 5.0), (2.0, 3.0)))
         assert series_eval(f, 1.0) == 5.0
+        gapped = GenSeries(0.0, ((0.0, 5.0), (9.0, 3.0)))
+        assert [series_eval(gapped, 0.0) for _ in range(2)] == [5.0, 5.0]
+
+    def test_value_past_double_range_is_domain_error(self):
+        # each power is finite; the product or the sum is not
+        for f, x in ((monomial(-0.5, 1e308), 1e-10),
+                     (GenSeries(0.0, ((0.0, 1e308), (1.0, 1e308))), 1.0),
+                     (GenSeries(0.0, ((0.0, 1e308), (9.0, 1e308))), 1.0),
+                     (monomial(1.0), math.nan)):
+            for _ in range(2):
+                with pytest.raises(EvalDomainError, match="not a finite"):
+                    series_eval(f, x)
+        with pytest.raises(EvalDomainError, match="exceeds double range"):
+            series_eval(monomial(400.0), 10.0)
+
+    def test_value_does_not_depend_on_earlier_calls(self):
+        # 20 terms, gapped, with holes, evenly spaced: the first call, a
+        # later one and a call on an equal, never evaluated series all give
+        # the same double
+        coeffs = {3 * n + n % 4: (-1.0) ** n / (n + 1) for n in range(20)}
+        holes = {n: c for n, c in enumerate(coeffs.values()) if n % 7 != 3}
+        even = {3 * n: c for n, c in enumerate(coeffs.values())}
+        for keys in (coeffs, holes, even, {n + 10 * (n > 9): c
+                                           for n, c in coeffs.items()}):
+            for x in (0.3, 0.7, 1.9):
+                f, g = (GenSeries.keyed(0.0, Fraction(1, 3), dict(keys))
+                        for _ in range(2))
+                first = series_eval(f, x)
+                assert series_eval(f, x) == first
+                series_eval(g, 0.5)
+                assert series_eval(g, x) == first
+
+    def test_wide_keys_above_one_do_not_overflow(self):
+        # keys -160..160 at dx = 10: every term is finite, and a Horner pass
+        # in dx from the top would reach 10^320 on the way
+        f = GenSeries.keyed(0.0, Fraction(0),
+                            {n: 1.0 for n in range(-160, 161)})
+        want = math.fsum(10.0**n for n in range(-160, 161))
+        for x in (0.1, 10.0, 10.0):
+            assert series_eval(f, x) == pytest.approx(want, rel=1e-13)
+
+
+def _counting_pow(monkeypatch):
+    calls = []
+    real = math.pow
+
+    def pow_(x, y):
+        calls.append(y)
+        return real(x, y)
+
+    monkeypatch.setattr(coeffseq.math, "pow", pow_)
+    return calls
+
+
+class TestEvalCost:
+    """The shape of series_eval's cost, counted, so no timing noise hides a
+    return to one power per term or to work that grows with the key span."""
+
+    def test_evenly_spaced_keys_take_two_powers(self, monkeypatch):
+        calls = _counting_pow(monkeypatch)
+        for g in (1, 2):
+            for x in (0.5, 1.5):
+                f = GenSeries.keyed(0.0, Fraction(1, 3),
+                                    {g * n: 1.0 / (n + 1) for n in range(300)})
+                del calls[:]
+                series_eval(f, x)  # the first evaluation of f
+                assert len(calls) <= 2
+
+    def test_sparse_keys_cost_by_terms_not_span(self, monkeypatch):
+        calls = _counting_pow(monkeypatch)
+        for keys in ((0, 10**6), (0, 10**6, 10**6 + 3)):
+            f = GenSeries.keyed(0.0, Fraction(1, 2), dict.fromkeys(keys, 1.0))
+            del calls[:]
+            tracemalloc.start()
+            try:
+                values = [series_eval(f, x) for x in (0.5, 0.5, 1.0 + 1e-7)]
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert len(calls) <= 3 * len(keys)
+            assert peak < 64 * 1024
+            assert values[0] == values[1] == pytest.approx(0.5**0.5,
+                                                           rel=1e-15)
+
+
+# Accuracy of series_eval against a 60-digit reference: over n terms, with
+# S = sum |c_n dx^e_n|,
+#
+#     |series_eval - exact| <= C (n + 2) u S,   C = 4, u = 2^-53,
+#
+# 2 rounding units per Horner step, 1 more for dx^g or its inverse (or, term
+# by term, for each power), and the first power and the last product.
+# exact sums at the exponents the evaluator is given: Horner shifts the
+# double of e_lo (|dx| <= 1) or of e_hi (|dx| > 1) by integers, a termwise
+# sum takes the double of each e_n.
+_C = 4
+_U = sys.float_info.epsilon / 2
+
+
+def _reference(terms, dx):
+    """(sum, sum of |term|) of c * dx^e over exact (e, c) pairs."""
+    with mpmath.workdps(60):
+        parts = []
+        for e, c in terms:
+            e = Fraction(e)
+            parts.append(mpmath.mpf(c) * mpmath.power(
+                mpmath.mpf(dx), mpmath.mpf(e.numerator) / e.denominator))
+        return mpmath.fsum(parts), mpmath.fsum(abs(t) for t in parts)
+
+
+@st.composite
+def _eval_cases(draw):
+    q = draw(st.integers(1, 12))
+    phase = Fraction(draw(st.integers(0, q - 1)), q)
+    kind = draw(st.sampled_from(["gaps", "even", "run", "sparse"]))
+    if kind != "sparse":
+        start = draw(st.integers(-60, 30))
+        if kind == "gaps":  # keys with gaps of 1..50 around 0
+            gaps = draw(st.lists(st.integers(1, 50), max_size=12))
+        elif kind == "even":  # every g-th key
+            gaps = [draw(st.integers(1, 50))] * draw(st.integers(1, 40))
+        else:  # a long run of consecutive keys
+            gaps = [1] * draw(st.integers(255, 296))
+        keys = [start]
+        for g in gaps:
+            keys.append(keys[-1] + g)
+        mag = draw(st.floats(0.25, 4.0))
+        span = keys[-1] - keys[0]
+        # no term leaves the normal doubles
+        assume(span * abs(math.log(mag)) < 600.0
+               and max(map(abs, keys)) * abs(math.log(mag)) < 600.0)
+    else:  # a gap of 10^6: dx near 1
+        keys = [draw(st.integers(-3, 3))]
+        keys += [keys[0] + 10**6] + [keys[0] + 10**6 + draw(
+            st.integers(1, 5))] * draw(st.booleans())
+        mag = 1.0 + draw(st.floats(-2e-4, 2e-4))
+    coefs = draw(st.lists(st.floats(-4.0, 4.0).filter(lambda c: abs(c) > 1e-3),
+                          min_size=len(keys), max_size=len(keys)))
+    if draw(st.booleans()):  # neighbours that cancel
+        coefs = [c if i % 2 == 0 else -coefs[i - 1] * (1 + 2**-30)
+                 for i, c in enumerate(coefs)]
+    sign = -1.0 if phase == 0 and draw(st.booleans()) else 1.0
+    return phase, dict(zip(keys, coefs)), sign * mag
+
+
+@settings(max_examples=200, deadline=None)
+@given(_eval_cases())
+def test_eval_error_within_horner_bound(case):
+    phase, coeffs, dx = case
+    keys = sorted(coeffs)
+    value = series_eval(GenSeries.keyed(0.0, phase, coeffs), dx)
+    if len({b - a for a, b in zip(keys, keys[1:])}) <= 1:  # Horner
+        n_a = keys[0] if abs(dx) <= 1.0 else keys[-1]
+        e_a = Fraction(float(n_a + phase))
+        exps = [e_a + n - n_a for n in keys]
+    else:
+        exps = [Fraction(float(n + phase)) for n in keys]
+    want, scale = _reference([(e, coeffs[n]) for e, n in zip(exps, keys)], dx)
+    assert abs(value - want) <= _C * (len(keys) + 2) * _U * scale
 
 
 class TestIntCalculusHelpers:

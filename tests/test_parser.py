@@ -273,6 +273,18 @@ class TestExactExponents:
         assert g.terms == to_series("exp(x)", 0, 3).terms
         assert g.truncation_order == 3.0
 
+    def test_product_with_a_power_builds_only_its_order(self, monkeypatch):
+        # x^(1/3) times a jet: the product's order 32 + 1/3 is the one new
+        # Fraction; its base, the power's lowest exponent and the top key
+        # build none (four Fractions a product before)
+        jet = parser._expand(parse("exp(x)*sin(x)"), 0.0, 32)
+        power = parser._expand(parse("x^(1/3)"), 0.0, 32)
+        for a, b in ((power, jet), (jet, power)):
+            assert _fractions_made(monkeypatch, lambda: parser._mul(a, b)) == 1
+            p = parser._mul(a, b)
+            assert (p.base, p.order, max(p.coeffs)) == (
+                Fraction(1, 3), Fraction(97, 3), max(jet.coeffs))
+
     def test_out_of_range_messages_are_short(self):
         for text in ("exp(1e300 + x)", "sin(1e308 + 1e308 + x)"):
             with pytest.raises(ExpansionError) as exc:
@@ -416,6 +428,10 @@ def _rationals(jet):
 
 
 def _fractions_built(monkeypatch, text, order):
+    return _fractions_made(monkeypatch, lambda: to_series(text, 0, order))
+
+
+def _fractions_made(monkeypatch, run):
     made = []
     new = Fraction.__new__
 
@@ -424,7 +440,7 @@ def _fractions_built(monkeypatch, text, order):
         return new(cls, *args, **kwargs)
 
     monkeypatch.setattr(Fraction, "__new__", counting)
-    to_series(text, 0, order)
+    run()
     monkeypatch.undo()
     return len(made)
 
