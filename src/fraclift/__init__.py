@@ -36,7 +36,6 @@ from .errors import (
 from .gamma import gamma, gamma_ratio, is_pole, recip_gamma, sinpi
 from .lifted import (
     LiftedSeq,
-    embed,
     lift_gen,
     lifted_from_json,
     lifted_to_json,
@@ -44,7 +43,7 @@ from .lifted import (
     shift,
 )
 from .oracle import compare, rl_oracle
-from .parser import parse, to_series, to_text
+from .parser import parse, to_series
 from .rl import rl_kernel_predicate, rl_series, rl_term
 
 KERNEL_BACKEND = "python"

@@ -113,6 +113,9 @@ def _kernel_terms(f: GenSeries, k: float):
 
 
 def cmd_deriv(args):
+    if args.at and args.format == "csv":
+        raise FracliftError("--at needs --format pretty or json: the csv "
+                            "format holds the terms only")
     f = _load_series(args)
     k = args.k
     terms, lo, hi = _kernel_terms(f, k)
@@ -125,20 +128,17 @@ def cmd_deriv(args):
         direct = rl_series(f, k)
         other = lifted_path()
         exps = sorted({e for e, _ in direct.terms} | {e for e, _ in other.terms})
-        print("exp,rl_coef,lifted_coef,abs_diff")
-        worst = 0.0
-        for e in exps:
-            ca = direct.coefficient(e)
-            cb = other.coefficient(e)
-            worst = max(worst, abs(ca - cb))
-            print("%s,%s,%s,%s" % (fmt17(e), fmt17(ca), fmt17(cb), fmt17(abs(ca - cb))))
-        print("# max abs diff %s" % fmt17(worst))
+        rows = [(e, direct.coefficient(e), other.coefficient(e)) for e in exps]
+        rows = [(e, ca, cb, abs(ca - cb)) for e, ca, cb in rows]
+        worst = max((d for *_, d in rows), default=0.0)
+        # formatted whole before printing, so a refused number prints nothing
+        sys.stdout.write(_csv("exp,rl_coef,lifted_coef,abs_diff", rows)
+                         + "# max abs diff %s\n" % fmt17(worst))
         return 0
 
     result = rl_series(f, k) if args.via == "rl" else lifted_path()
     # evaluated before anything is printed, so a failing point prints nothing
-    values = ([] if args.format == "csv"
-              else [(x, series_eval(result, x)) for x in args.at or ()])
+    values = [(x, series_eval(result, x)) for x in args.at or ()]
 
     if args.format == "json":
         killed_json = ", ".join(

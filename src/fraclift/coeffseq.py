@@ -48,6 +48,7 @@ from .errors import (
     BasepointError,
     EvalDomainError,
     ExponentError,
+    GammaOverflowError,
     InputError,
     LatticeError,
 )
@@ -63,8 +64,13 @@ _SLACK = 4.0 * sys.float_info.epsilon
 
 def fmt17(v):
     """A float with 17 significant digits, which reads back exactly: the
-    number format of every machine-readable output."""
-    return format(float(v), ".17g")
+    number format of every machine-readable output. A value that is not a
+    finite double raises GammaOverflowError, so no output holds inf or nan."""
+    x = float(v)
+    if not math.isfinite(x):
+        raise GammaOverflowError("an output value is %r, not a finite double"
+                                 % x)
+    return format(x, ".17g")
 
 
 def read_json(text, what, read):
@@ -270,9 +276,6 @@ class GenSeries:
 
     __rmul__ = __mul__
 
-    def __call__(self, x):
-        return series_eval(self, x)
-
 
 def _even_step(items, coeffs):
     """g >= 1 where the keys of the key-sorted items are every g-th integer
@@ -289,9 +292,9 @@ def _even_step(items, coeffs):
     return 0
 
 
-def monomial(exponent, coefficient=1.0, basepoint=0.0):
-    """Single power term coefficient*(x-basepoint)^exponent."""
-    return GenSeries(basepoint, ((exponent, coefficient),))
+def monomial(exponent, coefficient=1.0):
+    """Single power term coefficient*x^exponent."""
+    return GenSeries(0.0, ((exponent, coefficient),))
 
 
 def series_eval(f: GenSeries, x) -> float:
@@ -392,7 +395,8 @@ def int_antiderivative(f: GenSeries, n: int = 1) -> GenSeries:
             if exp == 0.0:
                 raise ExponentError("antiderivative of exponent -1 term")
             c /= exp
-        coeffs[key + n] = c
+        if abs(c) >= config.COEF_EPS:
+            coeffs[key + n] = c
     order = None if f.truncation_order is None else f.truncation_order + n
     return GenSeries.keyed(f.basepoint, f.phase, coeffs, order)
 

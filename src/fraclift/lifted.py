@@ -2,8 +2,9 @@
 
 A LiftedSeq represents a function rho on the real line that vanishes off the
 lattice Z - offset, with rho(j - offset) = values[j] and an exact rational
-offset. A jet's sequence (entry i = f^(i)(a)) is the lifted sequence at
-offset 0, so embed() is the identity and on_integers() restricts back.
+offset. A sequence on the integers (a jet's entries f^(i)(a)) is its own
+embedding, the lifted sequence at offset 0, and on_integers() restricts
+back.
 Fractional differentiation becomes pure offset arithmetic:
 
     shift(rho, k): offset += k, values untouched
@@ -105,12 +106,6 @@ class LiftedSeq:
         k = int(self.offset)
         return LiftedSeq._keyed(self.basepoint, Fraction(0), {
             j - k: v for j, v in self.values.items()})
-
-
-def embed(seq: LiftedSeq) -> LiftedSeq:
-    """Zero-off-lattice embedding of a sequence on the integers: a sequence
-    already is the lifted sequence at offset 0, so this is the identity."""
-    return seq
 
 
 def shift(rho: LiftedSeq, k) -> LiftedSeq:

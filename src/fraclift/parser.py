@@ -1,7 +1,8 @@
 """Expression front end: text -> AST of tag tuples -> generalized power series.
 
 Grammar (EBNF), conventional infix with ^ binding tightest and
-right-associative:
+right-associative; precedence and associativity are Python's with ^ for **,
+so -x^2 is -(x^2), x^-1 is x^(-1) and x^2^3 is x^(2^3):
 
     expr    = term { ("+" | "-") term } ;
     term    = unary { ("*" | "/") unary } ;
@@ -225,58 +226,6 @@ def parse(text: str):
     if kind != "end":
         raise ParseError("unexpected trailing input %r" % text, line, column)
     return node
-
-
-# --------------------------------------------------------------------------
-# Printer
-
-
-_PREC_ADD, _PREC_MUL, _PREC_NEG, _PREC_POW, _PREC_ATOM = 1, 2, 3, 4, 5
-
-
-def _num_text(v):
-    if v == math.floor(v) and abs(v) < 1e16:
-        return str(int(v))
-    return repr(v)
-
-
-# binary operator: (separator, precedence, lhs need, rhs need). Right
-# children of the left-associative operators print one level tighter, so
-# chains like a * (b / c) re-parse to the same tree; ^ is right-associative.
-_BINARY = {
-    "+": (" + ", _PREC_ADD, _PREC_ADD, _PREC_ADD + 1),
-    "-": (" - ", _PREC_ADD, _PREC_ADD, _PREC_ADD + 1),
-    "*": (" * ", _PREC_MUL, _PREC_MUL, _PREC_MUL + 1),
-    "/": (" / ", _PREC_MUL, _PREC_MUL, _PREC_MUL + 1),
-    "^": ("^", _PREC_POW, _PREC_POW + 1, _PREC_POW),
-}
-
-
-def _wrap(node, need):
-    text, prec = _print(node)
-    return "(" + text + ")" if prec < need else text
-
-
-def _print(node):
-    """(text, precedence) of an AST node."""
-    tag = node[0]
-    if tag == "num":
-        return _num_text(node[1]), _PREC_ATOM
-    if tag == "x":
-        return "x", _PREC_ATOM
-    if tag == "call":
-        return "%s(%s)" % (node[1], _print(node[2])[0]), _PREC_ATOM
-    if tag == "neg":
-        return "-" + _wrap(node[1], _PREC_NEG), _PREC_NEG
-    if tag not in _BINARY:
-        raise TypeError("not an expression node: %r" % (node,))
-    sep, prec, lneed, rneed = _BINARY[tag]
-    return _wrap(node[1], lneed) + sep + _wrap(node[2], rneed), prec
-
-
-def to_text(node) -> str:
-    """Render an AST back to parseable text; parse(to_text(e)) == e."""
-    return _print(node)[0]
 
 
 # --------------------------------------------------------------------------

@@ -1,7 +1,16 @@
+import os
+
 import pytest
 
+import fraclift
 from fraclift import config
 from fraclift.verify import seq_residual, series_residual
+
+# child processes (python -m fraclift) import the package these tests import,
+# also where pytest's pythonpath setting, not PYTHONPATH, found it
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (
+    os.path.dirname(os.path.dirname(fraclift.__file__)),
+    os.environ.get("PYTHONPATH"))))
 
 
 @pytest.fixture(autouse=True)

@@ -1,3 +1,4 @@
+import io
 import json
 import math
 import os
@@ -90,6 +91,65 @@ class TestDeriv:
                                "--format", "csv")
         assert code == 0
         assert out.splitlines()[0] == "exp,coef"
+
+    def test_csv_refuses_points(self, capsys):
+        # csv holds the terms only; the points used to be dropped unsaid
+        code, out, err = run_cli(capsys, "deriv", "--expr", "x", "--k", "0.5",
+                                 "--at", "1", "--format", "csv")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: --at") and err.count("\n") == 1
+
+    def test_non_finite_results_are_usage_errors(self, capsys, tmp_path):
+        # 1e16 x at k = 170.5 is -inf * x^-169.5, and 6e308 overflows in the
+        # lift: the calls used to write "-inf" and "inf", which no JSON
+        # reader takes, and exit 0
+        path = tmp_path / "f.json"
+        path.write_text('{"basepoint": 0, "terms": [{"exp": 1, "coef": 1e16}]}')
+        for argv in (("deriv", "--series-file", str(path), "--k", "170.5",
+                      "--format", "json"),
+                     ("deriv", "--series-file", str(path), "--k", "170.5",
+                      "--format", "csv"),
+                     ("deriv", "--series-file", str(path), "--k", "170.5",
+                      "--compare-paths"),
+                     ("lift", "--expr", "1e308*x^3")):
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, out) == (2, ""), argv
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert "inf, not a finite double" in err
+
+    def test_zero_result_pretty(self, capsys):
+        code, out, _ = run_cli(capsys, "deriv", "--expr", "x - x", "--k", "0.5",
+                               "--at", "2")
+        assert code == 0
+        assert out == "result: 0\nvalue at x = 2: 0\n"
+
+    def test_nonzero_basepoint_pretty(self, capsys):
+        # D^(1/2) (x-1)^(3/2) = Gamma(5/2)/Gamma(2) (x-1) = 3 sqrt(pi)/4 (x-1)
+        code, out, _ = run_cli(capsys, "deriv", "--expr", "(x-1)^1.5",
+                               "--basepoint", "1", "--k", "0.5", "--at", "2")
+        assert code == 0
+        assert out == ("result: 1.32934038818 * (x - 1)\n"
+                       "value at x = 2: 1.32934038818\n")
+
+    def test_series_file_from_stdin(self, capsys, monkeypatch, tmp_path):
+        text = '{"basepoint": 0, "terms": [{"exp": 0.5, "coef": 2}]}'
+        path = tmp_path / "f.json"
+        path.write_text(text)
+        argv = ("--k", "0.5", "--format", "json", "--at", "1")
+        code, from_file, _ = run_cli(capsys, "deriv", "--series-file",
+                                     str(path), *argv)
+        assert code == 0
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        code, from_stdin, _ = run_cli(capsys, "deriv", "--series-file", "-",
+                                      *argv)
+        assert code == 0 and from_stdin == from_file
+
+    def test_missing_file_is_usage_error(self, capsys, tmp_path):
+        # the OSError branch of main
+        code, out, err = run_cli(capsys, "deriv", "--series-file",
+                                 str(tmp_path / "absent.json"), "--k", "0.5")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "absent.json" in err
 
     def test_bad_expression_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "deriv", "--expr", "x +", "--k", "0.5")
@@ -210,6 +270,20 @@ class TestOracleCompare:
         assert len(lines) == 4
         for line in lines[1:]:
             assert float(line.split(",")[3]) <= 1e-5
+
+    def test_json_rows_equal_csv(self, capsys):
+        argv = ("oracle-compare", "--expr", "x^0.5 + 2*x^1.5", "--k", "0.5",
+                "--at", "0.25", "--at", "1", "--at", "2.25")
+        code, csv_out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        code, json_out, _ = run_cli(capsys, *argv, "--format", "json")
+        assert code == 0
+        doc = json.loads(json_out)
+        header, *lines = csv_out.strip().split("\n")
+        keys = header.split(",")
+        assert doc["k"] == 0.5
+        assert doc["rows"] == [dict(zip(keys, map(float, line.split(","))))
+                               for line in lines]
 
     def test_underflowing_step_is_usage_error(self, capsys):
         # the central-difference step's h^2 underflows to 0 at x = 1e-300

@@ -13,6 +13,7 @@ from conftest import assert_seq_close, assert_series_close
 from fraclift import coeffseq
 from fraclift.coeffseq import (
     GenSeries,
+    fmt17,
     int_antiderivative,
     int_derivative,
     monomial,
@@ -24,6 +25,7 @@ from fraclift.errors import (
     BasepointError,
     EvalDomainError,
     ExponentError,
+    GammaOverflowError,
     InputError,
     LatticeError,
     TruncationError,
@@ -346,6 +348,12 @@ class TestIntCalculusHelpers:
         with pytest.raises(ExponentError):
             int_antiderivative(GenSeries(0.0, ((-1.0, 1.0),)), 1)
 
+    def test_antiderivative_drops_underflow(self):
+        # 1e-290 / 40! is below COEF_EPS, so no key is kept, as GenSeries.keyed
+        # requires and int_derivative already did
+        g = int_antiderivative(GenSeries(0.0, ((0.0, 1e-290),)), 40)
+        assert g.coeffs == {} and g.is_zero
+
     def test_order_must_be_a_nonnegative_int(self):
         # a negative n used to run no step and move the keys the wrong way
         f = to_series("x^2 + 3*x")
@@ -357,6 +365,14 @@ class TestIntCalculusHelpers:
 
 
 class TestJson:
+    def test_non_finite_numbers_are_refused(self):
+        for v in (math.inf, -math.inf, math.nan):
+            with pytest.raises(GammaOverflowError):
+                fmt17(v)
+        f = GenSeries.keyed(0.0, Fraction(0), {1: math.inf})
+        with pytest.raises(GammaOverflowError):
+            series_to_json(f)
+
     def test_canonical_output(self):
         f = GenSeries(0.0, ((0.5, 1.1283791670955126),))
         text = series_to_json(f)

@@ -3,9 +3,8 @@ called on generated lattices and checked against their suite's bound.
 
 D8' and semigroup-safe are left to the seeded suites: they hold only off
 the kernel, and on a general lattice some terms fall in the annihilated run
-(D8' reaches residual 1 there). R-linearity is left out too: its residual
-is relative to project(a + b), so where a + b cancels, rounding in the parts
-exceeds its 1e-12 bound (8.6e-10 where a + b is 1e-5 of a)."""
+(D8' reaches residual 1 there). I4 is R1' (a sequence on the integers is its
+own embedding), so test_r1_i4_d6 checks it through r1."""
 
 from fractions import Fraction
 
@@ -15,7 +14,8 @@ from hypothesis import strategies as st
 from fraclift.coeffseq import GenSeries
 from fraclift.lifted import LiftedSeq
 from fraclift.verify import (
-    d1, d2, d3, d4, d5, d6, d6_prime, d7, d8, i1, i2, i4, r1, r2, r_kernel,
+    d1, d2, d3, d4, d5, d6, d6_prime, d7, d8, i1, i2, r1, r2, r_kernel,
+    r_linearity,
 )
 
 fuzz = settings(max_examples=150, deadline=None)
@@ -79,7 +79,6 @@ def test_d5(rho, c, k):
 @given(series())
 def test_r1_i4_d6(f):
     assert r1(f) <= 1e-12
-    assert i4(f) <= 1e-12
     assert d6(f) <= 1e-12
 
 
@@ -103,3 +102,23 @@ def test_r2_r_kernel_d7_d8_i1(sigma):
 @given(sequences(), st.integers(-6, 6))
 def test_i2(sigma, k):
     assert i2(sigma, k) == 0.0
+
+
+@st.composite
+def cancelling(draw):
+    """(a, b) on one lattice, b either independent of a or -a (1 - delta)
+    on a's support, delta in [1e-7, 1e-5], so that a + b cancels to 1e-5
+    of a and less."""
+    a = draw(lifted)
+    if draw(st.booleans()):
+        return a, draw(sequences(st.just(a.offset)))
+    return a, LiftedSeq(0.0, a.offset, {
+        j: -v * (1.0 - draw(st.floats(1e-7, 1e-5)))
+        for j, v in a.values.items()})
+
+
+@fuzz
+@given(cancelling(), values)
+def test_r_linearity(pair, c):
+    # c from values: c a must stay far above COEF_EPS, as a itself does
+    assert r_linearity(*pair, c) <= 1e-12

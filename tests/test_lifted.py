@@ -9,7 +9,6 @@ from fraclift.coeffseq import GenSeries, monomial
 from fraclift.errors import BasepointError, ExponentError, InputError
 from fraclift.lifted import (
     LiftedSeq,
-    embed,
     lift_gen,
     lifted_from_json,
     lifted_to_json,
@@ -26,19 +25,21 @@ def seq(values):
 
 
 class TestEmbed:
+    """A sequence on the integers is its own embedding, at offset 0."""
+
     def test_restriction_is_identity(self):
         sigma = seq({1: 1.0, -4: 2.5})
-        rho = embed(sigma)
-        assert rho.offset == 0
-        assert rho.values == sigma.values
-        assert rho.on_integers() == sigma
+        assert sigma.offset == 0
+        assert sigma.on_integers() == sigma
 
     def test_zero(self):
-        assert embed(seq({})).is_zero
+        assert seq({}).on_integers().is_zero
+        # off the integer lattice the restriction is 0
+        assert shift(seq({1: 1.0}), 0.5).on_integers().is_zero
 
     def test_jet_restriction(self):
         sigma = lift_gen(monomial(2.0))
-        assert embed(sigma).on_integers() == sigma
+        assert sigma.on_integers() == sigma
 
 
 class TestShift:
@@ -79,12 +80,11 @@ class TestProject:
     def test_reduces_to_sequence_projection_at_offset_zero(self):
         # entry i over i! at exponent i; the negative index is annihilated
         sigma = seq({0: 1.0, 2: 4.0, -3: 9.0})
-        assert project(embed(sigma)) == project(sigma)
         assert project(sigma).terms == ((0.0, 1.0), (2.0, 2.0))
 
     def test_identity_on_jets(self):
         f = monomial(1.0)
-        assert_series_close(project(embed(lift_gen(f))), f)
+        assert_series_close(project(lift_gen(f)), f)
 
     def test_half_shift_of_x(self):
         rho = shift(lift_gen(monomial(1.0)), 0.5)
@@ -115,7 +115,7 @@ class TestProject:
 class TestLiftGen:
     def test_jet_input_matches_embedding(self):
         # a jet lifts to its sequence on the integers, entry i = i! * c_i
-        assert lift_gen(monomial(1.0)) == embed(seq({1: 1.0}))
+        assert lift_gen(monomial(1.0)) == seq({1: 1.0})
         assert lift_gen(monomial(3.0, 0.5)) == seq({3: 3.0})
 
     def test_half_lattice(self):

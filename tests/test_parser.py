@@ -1,4 +1,5 @@
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from fraclift import parser
 from fraclift.coeffseq import GenSeries, nonzero
 from fraclift.errors import ExpansionError, LatticeError, ParseError
-from fraclift.parser import parse, to_series, to_text
+from fraclift.parser import parse, to_series
 
 X = ("x",)
 
@@ -70,32 +71,83 @@ class TestParse:
         assert err.value.column == 1
 
 
-def _random_ast(rng, depth):
-    if depth == 0:
-        return rng.choice([num(float(rng.randint(0, 9))),
-                           num(rng.randint(1, 40) / 8.0), X])
-    tag = ("+", "-", "*", "/", "neg", "^", "call")[rng.randint(0, 6)]
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+           "/": operator.truediv, "^": operator.pow}
+_CALLS = {"exp": math.exp, "sin": math.sin, "cos": math.cos}
+
+
+def _value(node, x):
+    """The value of an AST at x, by Python's operators and math functions."""
+    tag = node[0]
+    if tag == "num":
+        return node[1]
+    if tag == "x":
+        return x
     if tag == "neg":
-        return (tag, _random_ast(rng, depth - 1))
+        return -_value(node[1], x)
     if tag == "call":
-        return (tag, rng.choice(["exp", "sin", "cos"]),
-                _random_ast(rng, depth - 1))
-    return (tag, _random_ast(rng, depth - 1), _random_ast(rng, depth - 1))
+        return _CALLS[node[1]](_value(node[2], x))
+    return _BINARY[tag](_value(node[1], x), _value(node[2], x))
 
 
-class TestRoundTrip:
+def _outcome(evaluate):
+    """repr of the value, or the type of the error, of evaluate()."""
+    try:
+        return repr(evaluate())
+    except (ArithmeticError, ValueError, TypeError) as exc:
+        return type(exc)
+
+
+def _agrees(text, x):
+    """(whether the AST of text evaluates at x as Python evaluates text with
+    ^ read as **, whose precedence and associativity the grammar shares;
+    whether both sides gave a value)."""
+    python = _outcome(lambda: eval(text.replace("^", "**"),
+                                   {"__builtins__": {}}, {"x": x, **_CALLS}))
+    ours = _outcome(lambda: _value(parse(text), x))
+    return ours == python, type(python) is str
+
+
+def _random_text(rng, depth):
+    """Text drawn without regard to precedence (numbers with a decimal point,
+    x, unary minus, parentheses, calls and the binary operators), so that
+    the parser alone decides how it groups."""
+    if depth == 0:
+        return rng.choice(["x", "%d.%d" % (rng.randint(0, 3), rng.randint(0, 9))])
+    kind = rng.choice(("neg", "paren", "call", "binary", "binary", "binary"))
+    inner = _random_text(rng, depth - 1)
+    if kind == "neg":
+        return "-" + inner
+    if kind == "paren":
+        return "(%s)" % inner
+    if kind == "call":
+        return "%s(%s)" % (rng.choice(list(_CALLS)), inner)
+    return "%s %s %s" % (inner, rng.choice(list(_BINARY)),
+                         _random_text(rng, depth - 1))
+
+
+class TestPythonPrecedence:
+    """The parser against an oracle it shares no code with: Python's own
+    reading of the same text."""
+
     def test_fixed_cases(self):
-        for text in ("x^2 + 3*x", "2*(x-1)^0.5", "-x", "x + -x",
-                     "exp(x)*sin(x) - cos(x^2)", "x^-0.5", "(x - 1)^(-2)",
-                     "1/2*x", "x^2^3", "-(x + 1)*x"):
-            ast = parse(text)
-            assert parse(to_text(ast)) == ast
+        for text in ("-x^2.0", "x^-2.0", "2.0^3.0^2.0", "-2.0^0.5",
+                     "x^2.0^-1.0", "1.0 - 2.0 - x", "8.0 / 4.0 / x",
+                     "2.0 * x / 4.0 * 3.0", "x + -x", "-(x + 1.0)*x",
+                     "exp(x)*sin(x) - cos(x^2.0)", "1.0/2.0*x", "- -x^3.0"):
+            for x in (0.7, -1.3):
+                assert _agrees(text, x)[0], (text, x)
 
     def test_randomized(self):
         rng = random.Random(0)
-        for _ in range(400):
-            ast = _random_ast(rng, rng.randint(1, 4))
-            assert parse(to_text(ast)) == ast
+        valued = 0
+        for _ in range(3000):
+            text = _random_text(rng, rng.randint(1, 4))
+            x = rng.choice((0.7, -1.3, 2.5))
+            agrees, both_valued = _agrees(text, x)
+            assert agrees, (text, x)
+            valued += both_valued
+        assert valued >= 2500
 
 
 class TestToSeries:

@@ -101,6 +101,6 @@ def test_nan_termwise_coefficients_fail(monkeypatch):
                                g.truncation_order)
 
     monkeypatch.setattr(verify, "rl_series", nan_rl_series)
-    failed = _failed(run_suites(["diagram", "oracle"]))
+    failed = _failed(run_suites("diagram") + run_suites("oracle"))
     for name in ("D6'", "D8'", "diagram-kernel-repair", "oracle-vs-termwise"):
         assert math.isnan(failed[name].max_residual)
