@@ -73,6 +73,16 @@ def fmt17(v):
     return format(x, ".17g")
 
 
+def finite_values(values, what):
+    """The dict values, whose every value must be a finite double: the
+    check at each exit that computes coefficients (rl_series, project,
+    lift_gen). One that is not raises GammaOverflowError."""
+    if not all(map(math.isfinite, values.values())):
+        bad = next(v for v in values.values() if not math.isfinite(v))
+        raise GammaOverflowError("%s is %r, not a finite double" % (what, bad))
+    return values
+
+
 def read_json(text, what, read):
     """read(doc) for the JSON document in text. Malformed JSON, a missing
     field or a value of the wrong type raises InputError naming what."""

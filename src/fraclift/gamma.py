@@ -9,13 +9,11 @@ nonpositive integers:
                     no poles -> value; denominator pole -> 0; both poles ->
                     the joint limit (-1)^(n-m) n!/m!; numerator pole -> error
 
-Gamma is evaluated with the 9-term Lanczos approximation (g = 7) on the
-half-line x >= 0.5 and carried to the rest of the real line through the
-reflection formula Gamma(x) Gamma(1-x) = pi / sin(pi x). sin(pi x) uses exact
-argument reduction so reflected values stay accurate arbitrarily close to the
-poles. Exact integer arguments take exact factorial paths: Gamma(n) from
-a table of the doubles of 0!..170!, and a ratio of two as one falling
-factorial, both rounded once.
+Off the poles, log|Gamma(x)| is math.lgamma (inf past its range, x above
+about 2.5e305), and Gamma is negative exactly on (-2j-1, -2j), j >= 0.
+Exact integer arguments take exact factorial paths: Gamma(n) from a table
+of the doubles of 0!..170!, and a ratio of two as one falling factorial,
+both rounded once.
 
 Pole detection is tolerance-based (config.int_tol, default 1e-9) so that
 lattice arithmetic performed in doubles lands on the intended case.
@@ -35,8 +33,8 @@ exact rational c, linked by the Pochhammer step Gamma(x+1) = x Gamma(x)
   "recip"   1/Gamma(x+1) = (1/Gamma(x)) / x
   "ratio"   R(x+1)       = R(x) * x / (x-k)    for R(x) = Gamma(x)/Gamma(x-k)
 
-and one multiply-divide per lattice step replaces a Lanczos evaluation per
-term. The argument at each key is the correctly rounded double of its
+and one multiply-divide per lattice step replaces a log-Gamma evaluation
+per term. The argument at each key is the correctly rounded double of its
 rational (n q + p)/q, evaluated once; a step count is the difference of two
 keys, and the steps go by 1 in doubles from a key's argument. Each chain
 starts from one scalar-kernel anchor at the key with the smallest |x| + |x-k|, where the
@@ -74,8 +72,6 @@ __all__ = [
     "gamma_chain",
 ]
 
-_HALF_LOG_TWO_PI = 0.9189385332046727417803297364  # log(2 pi)/2
-_LOG_PI = 1.1447298858494001741434273514  # log(pi)
 _EXP_OVERFLOW = 709.782712893384  # log(DBL_MAX)
 _EXP_UNDERFLOW = -745.1332191019412  # log of smallest denormal
 
@@ -98,33 +94,20 @@ def _is_nonpos_int(x, tol):
     return r <= 0.0 and abs(x - r) <= tol
 
 
-def _loggamma_pos(x):
-    # Lanczos g=7; requires x >= 0.5 where the rational part is positive.
-    # The nine-term sum is written out and added left to right.
-    z = x - 1.0
-    acc = (0.99999999999980993
-           + 676.5203681218851 / (z + 1.0)
-           - 1259.1392167224028 / (z + 2.0)
-           + 771.32342877765313 / (z + 3.0)
-           - 176.61502916214059 / (z + 4.0)
-           + 12.507343278686905 / (z + 5.0)
-           - 0.13857109526572012 / (z + 6.0)
-           + 9.9843695780195716e-6 / (z + 7.0)
-           + 1.5056327351493116e-7 / (z + 8.0))
-    t = z + 7.5
-    return _HALF_LOG_TWO_PI + (z + 0.5) * math.log(t) - t + math.log(acc)
+def _lgamma(x):
+    # log|Gamma(x)| off the poles; inf where math.lgamma overflows
+    try:
+        return math.lgamma(x)
+    except OverflowError:
+        return math.inf
 
 
 def _signed_loggamma(x, tol):
-    # (log|Gamma(x)|, sign, is_pole) for a float x; (inf, 1.0, True) at poles
+    # (log|Gamma(x)|, sign, is_pole) for a finite float x; (inf, 1.0, True)
+    # at poles. Gamma < 0 exactly on (-2j-1, -2j), j >= 0.
     if _is_nonpos_int(x, tol):
         return math.inf, 1.0, True
-    if x >= 0.5:
-        return _loggamma_pos(x), 1.0, False
-    # reflection: Gamma(x) = pi / (sin(pi x) * Gamma(1 - x))
-    s = sinpi(x)
-    log_abs = _LOG_PI - math.log(abs(s)) - _loggamma_pos(1.0 - x)
-    return log_abs, (1.0 if s > 0.0 else -1.0), False
+    return _lgamma(x), -1.0 if x < 0.0 and math.floor(x) % 2 else 1.0, False
 
 
 def _overflow(p, q):
@@ -236,7 +219,7 @@ def _log_ratio(p, q, tol):
         m = -math.floor(p + 0.5)
         n = -math.floor(q + 0.5)
         sign = 1.0 if math.fmod(n - m, 2.0) == 0.0 else -1.0
-        d = _loggamma_pos(n + 1.0) - _loggamma_pos(m + 1.0)
+        d = _lgamma(n + 1.0) - _lgamma(m + 1.0)
         if d > _EXP_OVERFLOW:
             raise _overflow(p, q)
         return sign * math.exp(d)

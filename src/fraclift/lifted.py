@@ -33,8 +33,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import config
-from .coeffseq import GenSeries, add_values, finite_float, fmt17, has_double
-from .coeffseq import nonzero, rational, read_json
+from .coeffseq import GenSeries, add_values, finite_float, finite_values, fmt17
+from .coeffseq import has_double, nonzero, rational, read_json
 from .errors import BasepointError, ExponentError
 from .gamma import gamma_chain, lattice_poles
 
@@ -134,8 +134,9 @@ def project(rho: LiftedSeq) -> GenSeries:
     m = -((p + q - 1) // q)
     values = rho.values
     eps = config.COEF_EPS
-    return GenSeries.keyed(rho.basepoint, Fraction(-p - m * q, q), {
-        j + m: w for j, r in zip(keys, rs) if abs(w := values[j] * r) >= eps})
+    coeffs = finite_values({j + m: w for j, r in zip(keys, rs)
+                            if abs(w := values[j] * r) >= eps}, "a coefficient")
+    return GenSeries.keyed(rho.basepoint, Fraction(-p - m * q, q), coeffs)
 
 
 def lift_gen(f: GenSeries) -> LiftedSeq:
@@ -154,8 +155,9 @@ def lift_gen(f: GenSeries) -> LiftedSeq:
     up = 1 if f.phase else 0
     coeffs = f.coeffs
     eps = config.COEF_EPS
-    return LiftedSeq._keyed(f.basepoint, up - f.phase, {
-        n + up: w for n, g in zip(keys, gs) if abs(w := coeffs[n] * g) >= eps})
+    values = finite_values({n + up: w for n, g in zip(keys, gs)
+                            if abs(w := coeffs[n] * g) >= eps}, "a lifted value")
+    return LiftedSeq._keyed(f.basepoint, up - f.phase, values)
 
 
 def lifted_to_json(rho: LiftedSeq) -> str:

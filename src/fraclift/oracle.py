@@ -1,9 +1,12 @@
 """Independent numerical Riemann-Liouville differintegral.
 
 Validates the termwise Gamma-ratio rule from the integral definition, through
-a route that shares no code with the Gamma kernel: the quadrature is
+a route that shares no fraclift code with the Gamma kernel: the quadrature is
 double-exponential (tanh-sinh, Takahasi & Mori, Publ. RIMS 9, 1974) in the
-standard library, and the 1/Gamma prefactor is math.gamma.
+standard library, and the 1/Gamma prefactor is math.gamma. The kernel's
+log|Gamma| is math.lgamma, so the two share CPython's Gamma code, at other
+arguments: the oracle's Gamma at the integral's order m, the kernel's at
+e + 1 and e + 1 - k for each exponent e.
 
 Negative orders evaluate the fractional integral directly:
 

@@ -221,7 +221,11 @@ def parse(text: str):
     """Parse an expression into its AST of tag tuples (see above); errors
     carry line and column."""
     p = _Parser(_tokenize(text))
-    node = p.expr()
+    try:
+        node = p.expr()
+    except RecursionError:
+        raise ParseError("expression nested too deeply",
+                         *p.peek()[3:]) from None
     kind, text, _, line, column = p.peek()
     if kind != "end":
         raise ParseError("unexpected trailing input %r" % text, line, column)
@@ -585,6 +589,9 @@ def _centered_at(node):
     return None
 
 
+_CHAIN = ("+", "-", "*")
+
+
 def _expand(node, basepoint, order):
     tag = node[0]
     if tag == "num":
@@ -598,10 +605,19 @@ def _expand(node, basepoint, order):
     if tag == "call":
         return _compose_intrinsic(node[1], _expand(node[2], basepoint, order),
                                   order)
-    if tag in ("+", "-", "*"):
-        a = _expand(node[1], basepoint, order)
-        b = _expand(node[2], basepoint, order)
-        return _mul(a, b) if tag == "*" else _add(a, b, 1 if tag == "+" else -1)
+    if tag in _CHAIN:
+        # a left-deep chain of + - * folds left to right in a loop, so a sum
+        # or product of any length expands without recursing along it
+        chain = []
+        while node[0] in _CHAIN:
+            chain.append(node)
+            node = node[1]
+        acc = _expand(node, basepoint, order)
+        for tag, _, right in reversed(chain):
+            b = _expand(right, basepoint, order)
+            acc = (_mul(acc, b) if tag == "*"
+                   else _add(acc, b, 1 if tag == "+" else -1))
+        return acc
     if tag == "/":
         den = _expand(node[2], basepoint, order)
         if not den.is_constant():
@@ -675,5 +691,7 @@ def to_series(expr, basepoint: float = 0.0, order: int | None = None) -> GenSeri
     except (OverflowError, ValueError):
         raise ExpansionError("an exponent, order or coefficient exceeds "
                              "double range") from None
+    except RecursionError:
+        raise ExpansionError("expression nested too deeply") from None
     return GenSeries.keyed(basepoint, Fraction(val.base - m), nonzero(coeffs),
                            trunc)

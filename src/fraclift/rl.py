@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 
 from . import config
-from .coeffseq import GenSeries, rational
+from .coeffseq import GenSeries, finite_values, rational
 from .errors import ExponentError
 from .gamma import gamma_chain, gamma_ratio, is_pole, lattice_poles
 
@@ -103,6 +103,6 @@ def rl_series(f: GenSeries, k) -> GenSeries:
     coeffs = f.coeffs
     eps = config.COEF_EPS
     order = None if f.truncation_order is None else f.truncation_order - k
-    return GenSeries.keyed(f.basepoint, psi - m, {
-        n + m: v for n, g in zip(keys, ratios)
-        if abs(v := coeffs[n] * g) >= eps}, order)
+    out = finite_values({n + m: v for n, g in zip(keys, ratios)
+                         if abs(v := coeffs[n] * g) >= eps}, "a coefficient")
+    return GenSeries.keyed(f.basepoint, psi - m, out, order)

@@ -124,7 +124,10 @@ class TestScalarCases:
         assert rl_series(f, k).terms == want
 
     def test_integer_lattice_lift_is_bit_identical(self):
-        f = GenSeries(0.0, tuple((float(n), 1.0 + n / 7) for n in range(0, 171)))
+        # the top term's coefficient is 1: (1 + 170/7) * 170! passes the
+        # double range, which lift_gen refuses
+        f = GenSeries(0.0, tuple((float(n), 1.0 + n / 7) for n in range(0, 170))
+                      + ((170.0, 1.0),))
         assert lift_gen(f).values == {
             int(e): c * gamma(e + 1.0) for e, c in f.terms}
         rho = LiftedSeq(0.0, 0, {j: 1.0 for j in range(-5, 300)})
@@ -151,6 +154,16 @@ class TestScalarCases:
             gamma_chain(Fraction(1, 2), list(range(180)), "gamma")
         with pytest.raises(GammaOverflowError):
             gamma_chain(0, list(range(1, 180)), "gamma")
+
+    def test_non_finite_coefficients_raise(self):
+        # 1e16 x at k = 170.5 is -inf * x^-169.5 by either route, and
+        # (1 + 170/7) * 170! passes the double range in the lift
+        f = monomial(1.0, 1e16)
+        for make in (lambda: rl_series(f, 170.5),
+                     lambda: project(shift(lift_gen(f), 170.5)),
+                     lambda: lift_gen(monomial(170.0, 1.0 + 170 / 7))):
+            with pytest.raises(GammaOverflowError, match="inf, not a finite"):
+                make()
 
     def test_underflowing_ratios_match_scalar(self):
         # k = -160 on {1/4 + n}: far from the anchor the ratios leave the

@@ -117,6 +117,28 @@ class TestDeriv:
             assert err.startswith("error: ") and err.count("\n") == 1
             assert "inf, not a finite double" in err
 
+    def test_non_finite_pretty_result_is_usage_error(self, capsys, tmp_path):
+        # the pretty output used to print "result: -inf * x^-169.5", exit 0
+        path = tmp_path / "f.json"
+        path.write_text('{"basepoint": 0, "terms": [{"exp": 1, "coef": 1e16}]}')
+        for via in ("rl", "lifted"):
+            code, out, err = run_cli(capsys, "deriv", "--series-file",
+                                     str(path), "--k", "170.5", "--via", via)
+            assert (code, out) == (2, ""), via
+            assert err == "error: a coefficient is -inf, not a finite double\n"
+
+    def test_deep_input_is_a_usage_error(self, capsys):
+        # a long sum answers; nesting past the recursion limit exits 2 with
+        # one line, not a RecursionError traceback
+        code, out, _ = run_cli(capsys, "deriv", "--expr",
+                               "+".join(["x"] * 2000), "--k", "1")
+        assert (code, out) == (0, "result: 2000\n")
+        code, out, err = run_cli(capsys, "deriv", "--expr",
+                                 "(" * 500 + "x" + ")" * 500, "--k", "1")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: expression nested too deeply")
+        assert err.count("\n") == 1
+
     def test_zero_result_pretty(self, capsys):
         code, out, _ = run_cli(capsys, "deriv", "--expr", "x - x", "--k", "0.5",
                                "--at", "2")

@@ -1,7 +1,11 @@
 import math
 import random
+import sys
 
+import mpmath
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from fraclift import config
 from fraclift.errors import GammaOverflowError, GammaPoleError, InputError
@@ -50,6 +54,36 @@ class TestGamma:
             if abs(x - round(x)) < 1e-6 or x > 140:
                 continue
             assert gamma(x) == pytest.approx(math.gamma(x), rel=1e-12)
+
+
+def _normal(v):
+    # a double past the normal range's edges by a factor of 2 either way
+    return 2 * sys.float_info.min <= abs(v) <= sys.float_info.max / 2
+
+
+def _off_integers(x):
+    return abs(x - round(x)) >= 1e-8
+
+
+class TestAgainstMpmath:
+    """The kernel against mpmath at 40 digits, a reference that shares no
+    code with the math module the kernel calls."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(-171.0, 171.5, exclude_min=True, exclude_max=True),
+           st.floats(-3.0, 3.0))
+    def test_gamma_recip_and_ratio(self, x, k):
+        assume(_off_integers(x))
+        y = x - k
+        with mpmath.workdps(40):
+            g = mpmath.gamma(x)
+            pairs = [(gamma(x), g), (recip_gamma(x), 1 / g)]
+            if _off_integers(y):
+                pairs.append((gamma_ratio(x, y), g / mpmath.gamma(y)))
+        for got, want in pairs:
+            want = float(want)
+            if _normal(want):
+                assert abs(got - want) <= 1e-12 * abs(want), (got, x, k)
 
 
 class TestRecipGamma:

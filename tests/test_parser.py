@@ -273,6 +273,22 @@ class TestToSeries:
             to_series("exp(x)", 0, -3)
         assert to_series("exp(x)", 0, 0).terms == ((0.0, 1.0),)
 
+    def test_long_sums_and_products_expand(self):
+        # a left-deep chain of + - * folds in a loop, whatever its length
+        assert to_series("+".join(["x"] * 2000), 0, 4).terms == ((1.0, 2000.0),)
+        assert to_series("*".join(["x"] * 2000), 0, 4).terms == ((2000.0, 1.0),)
+        f = to_series("+".join("x^%d" % i for i in range(1, 1001)), 0, 4)
+        assert f.terms == tuple((float(i), 1.0) for i in range(1, 1001))
+
+    def test_deep_nesting_is_an_error(self):
+        with pytest.raises(ParseError, match="nested too deeply"):
+            parse("(" * 500 + "x" + ")" * 500)
+        tree = X
+        for _ in range(5000):
+            tree = ("neg", tree)
+        with pytest.raises(ExpansionError, match="nested too deeply"):
+            to_series(tree, 0, 4)
+
     def test_non_finite_constant_exponents_rejected(self):
         for text in ("x^(10^400)", "x^(1e200*1e200)", "x^((0-8)^(1/3))"):
             with pytest.raises(ExpansionError):
