@@ -41,7 +41,6 @@ import json
 import math
 import sys
 from fractions import Fraction
-from functools import cached_property
 
 from . import config
 from .errors import (
@@ -61,6 +60,9 @@ _MAX_DENOMINATOR = 1000
 # read as: a few roundings (as in 0.85 - 1). Rationals with denominators up
 # to 1000 lie at least 1e-6 apart, so at most one is this close.
 _SLACK = 4.0 * sys.float_info.epsilon
+
+# Halfway from the largest double (2^1024 - 2^971) to 2^1024; ties round up
+_DOUBLE_BOUND = 2**1024 - 2**970
 
 def fmt17(v):
     """A float with 17 significant digits, which reads back exactly: the
@@ -106,11 +108,11 @@ def finite_float(v):
     return x
 
 
-def has_double(*rs) -> bool:
-    """Whether each exact number r (an int or Fraction) rounds to a finite
-    double: lies below the midpoint of the largest double, 2^1024 - 2^971,
-    and 2^1024, where rounding to even goes up."""
-    return all(abs(r) < 2**1024 - 2**970 for r in rs)
+def has_double(q, *ns) -> bool:
+    """Whether each exact number n/q (ints, q > 0) rounds to a finite
+    double: lies below _DOUBLE_BOUND in magnitude."""
+    bound = _DOUBLE_BOUND * q
+    return all(-bound < n < bound for n in ns)
 
 
 def nonzero(values):
@@ -205,15 +207,16 @@ class GenSeries:
     Series compare equal when all four fields do.
     """
 
-    # series_eval's Horner step, set with .terms. A slot: as a sixth entry
-    # of the instance dict it made each dict resize (184 to 272 bytes).
-    __slots__ = ("_step", "__dict__")
+    # .terms (None until read) and series_eval's Horner step, set with it.
+    # Slots: as dict entries they resized the dict; cached_property locks.
+    __slots__ = ("_terms", "_step", "__dict__")
 
     def __init__(self, basepoint, terms=(), truncation_order=None):
         self.phase, self.coeffs = _lattice(
             [(float(e), float(c)) for e, c in terms])
         self.basepoint = float(basepoint)
         self.truncation_order = truncation_order
+        self._terms = None
 
     @classmethod
     def keyed(cls, basepoint, phase, coeffs, truncation_order=None):
@@ -222,6 +225,7 @@ class GenSeries:
         f = object.__new__(cls)
         f.__dict__.update(basepoint=basepoint, phase=phase, coeffs=coeffs,
                           truncation_order=truncation_order)
+        f._terms = None
         return f
 
     def _fields(self):
@@ -236,14 +240,16 @@ class GenSeries:
         return ("GenSeries(basepoint=%r, phase=%r, coeffs=%r, "
                 "truncation_order=%r)" % self._fields())
 
-    @cached_property
+    @property
     def terms(self):
         """The terms as (exponent, coefficient) float pairs, exponent-sorted."""
-        p, q = self.phase.numerator, self.phase.denominator
-        items = sorted(self.coeffs.items())
-        # series_eval's Horner step, read from this one sort of the keys
-        self._step = _even_step(items, self.coeffs)
-        return tuple([((n * q + p) / q, c) for n, c in items])
+        if self._terms is None:
+            p, q = self.phase.numerator, self.phase.denominator
+            items = sorted(self.coeffs.items())
+            # series_eval's Horner step, read from this one sort of the keys
+            self._step = _even_step(items, self.coeffs)
+            self._terms = tuple([((n * q + p) / q, c) for n, c in items])
+        return self._terms
 
     @property
     def is_zero(self):
@@ -336,7 +342,7 @@ def series_eval(f: GenSeries, x) -> float:
     a finite double, raises EvalDomainError."""
     x = float(x)
     dx = x - f.basepoint
-    terms = f.terms
+    terms = f._terms or f.terms  # the slot once built: no property call
     if not terms:
         return 0.0
     if dx <= 0.0:

@@ -19,7 +19,7 @@ exactly the sequences on the negative indices. lift_gen inverts projection
 on series without negative-integer exponents, putting exponent n + phase at
 index n (phase 0) or n + 1 (offset 1 - phase).
 
-Both directions evaluate Gamma along the lattice with gamma.gamma_chain,
+Both directions evaluate Gamma along the lattice with gamma.lattice_chain,
 one scalar anchor and a Pochhammer step per lattice step, at arguments
 rounded once from their exact rationals: project divides, 1/Gamma(t+2) =
 (1/Gamma(t+1))/(t+1), on t+1 = j + 1 - offset; lift_gen multiplies,
@@ -36,7 +36,7 @@ from . import config
 from .coeffseq import GenSeries, add_values, finite_float, finite_values, fmt17
 from .coeffseq import has_double, nonzero, rational, read_json
 from .errors import BasepointError, ExponentError
-from .gamma import gamma_chain, lattice_poles
+from .gamma import lattice_chain, lattice_poles
 
 
 class LiftedSeq:
@@ -110,8 +110,9 @@ class LiftedSeq:
 
 def shift(rho: LiftedSeq, k) -> LiftedSeq:
     """Apply the order-k shift (differentiation by k after projection)."""
-    return LiftedSeq._keyed(rho.basepoint, rho.offset + rational(k),
-                            rho.values)
+    r, p, q = rational(k), rho.offset.numerator, rho.offset.denominator
+    return LiftedSeq._keyed(rho.basepoint, Fraction(
+        p * r.denominator + r.numerator * q, q * r.denominator), rho.values)
 
 
 def project(rho: LiftedSeq) -> GenSeries:
@@ -126,11 +127,10 @@ def project(rho: LiftedSeq) -> GenSeries:
     p, q = rho.offset.numerator, rho.offset.denominator
     keys = sorted(rho.values)
     # the exponents j - offset and Gamma arguments j + 1 - offset need doubles
-    if keys and not has_double(keys[0] - rho.offset,
-                               keys[-1] + 1 - rho.offset):
+    if keys and not has_double(q, keys[0] * q - p, (keys[-1] + 1) * q - p):
         raise ExponentError("an exponent j - offset lies past double range")
     keys = keys[lattice_poles(q - p, q, keys):]
-    rs = gamma_chain(1 - rho.offset, keys, "recip")
+    rs = lattice_chain(q - p, q, 0, keys, "recip")
     m = -((p + q - 1) // q)
     values = rho.values
     eps = config.COEF_EPS
@@ -151,13 +151,14 @@ def lift_gen(f: GenSeries) -> LiftedSeq:
         raise ExponentError(
             "term at exponent %r has no preimage under projection "
             "(Gamma pole)" % ((keys[0] * q + p) / q))
-    gs = gamma_chain(f.phase + 1, keys, "gamma")
-    up = 1 if f.phase else 0
+    gs = lattice_chain(p + q, q, 0, keys, "gamma")
+    up = 1 if p else 0
     coeffs = f.coeffs
     eps = config.COEF_EPS
     values = finite_values({n + up: w for n, g in zip(keys, gs)
                             if abs(w := coeffs[n] * g) >= eps}, "a lifted value")
-    return LiftedSeq._keyed(f.basepoint, up - f.phase, values)
+    return LiftedSeq._keyed(f.basepoint,
+                            Fraction(q - p, q) if p else f.phase, values)
 
 
 def lifted_to_json(rho: LiftedSeq) -> str:

@@ -371,9 +371,16 @@ def _mul(a, b):
             acc[n] = acc.get(n, 0) + ca * cb
     if not exact:
         return _mixed(acc, order, base)
-    # one gcd strips the factor the numerators share with den = da db
+    # one gcd strips the factor the numerators share with den = da db. Past
+    # 1024 bits it is mostly the power of two of a float literal (1e-300 is
+    # odd over 2^1049), shifted off so the division takes the odd part only
     den = a.den * b.den
     g = math.gcd(den, *acc.values())
+    if g.bit_length() > 1024:
+        t = (g & -g).bit_length() - 1
+        acc = {n: v >> t for n, v in acc.items()}
+        den >>= t
+        g >>= t
     if g > 1:
         acc = {n: v // g for n, v in acc.items()}
     return _SVal(acc, order, base, den // g)
@@ -543,7 +550,8 @@ def _float_op(fn, u0, what):
     try:
         return fn(float(u0))
     except (OverflowError, ValueError):
-        arg = "%r" % float(u0) if has_double(u0) else "an argument past 2^1024"
+        fits = type(u0) is float or has_double(u0.denominator, u0.numerator)
+        arg = "%r" % float(u0) if fits else "an argument past 2^1024"
         raise ExpansionError("%s(%s) is out of double range" % (what, arg)) from None
 
 
@@ -681,7 +689,7 @@ def to_series(expr, basepoint: float = 0.0, order: int | None = None) -> GenSeri
         val = _expand(expr, basepoint, int(order))
         # exact until here: each exponent and the order rounds to a double
         m = math.floor(val.base)
-        if val.coeffs and not has_double(min(val.coeffs) + m,
+        if val.coeffs and not has_double(1, min(val.coeffs) + m,
                                          max(val.coeffs) + m):
             raise OverflowError
         trunc = None if val.order == math.inf else float(val.order)

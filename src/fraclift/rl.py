@@ -15,7 +15,7 @@ rl_series works on keys, with k read as the rational it stands for
 Gamma arguments e+1 and e+1-k of one series lie the same exact distance
 from the integers, so gamma.lattice_poles decides each lattice's poles with
 one test, and the annihilated terms are one run of keys, dropped
-unevaluated. gamma.gamma_chain steps the other ratios along the lattice,
+unevaluated. gamma.lattice_chain steps the other ratios along the lattice,
 R(e+1) = R(e) * (e+1)/(e+1-k), and gives the joint-pole and numerator-pole
 keys the scalar cases above. rl_term evaluates a single term, and
 rl_kernel_predicate tests one exponent; they are the scalar reference.
@@ -26,12 +26,12 @@ two orders can annihilate a term that the summed order keeps.
 
 from __future__ import annotations
 
-import math
+from fractions import Fraction
 
 from . import config
 from .coeffseq import GenSeries, finite_values, rational
 from .errors import ExponentError
-from .gamma import gamma_chain, gamma_ratio, is_pole, lattice_poles
+from .gamma import gamma_ratio, is_pole, lattice_chain, lattice_poles
 
 # From 2^52 on every double is an integer, so a pole test there cannot tell.
 _INTEGRAL_FLOATS = 2.0**52
@@ -97,12 +97,15 @@ def rl_series(f: GenSeries, k) -> GenSeries:
     keys, lo, hi, r = annihilated_run(f, k)
     if lo < hi:
         keys = keys[:lo] + keys[hi:]
-    ratios = gamma_chain(f.phase + 1, keys, "ratio", r)
-    psi = f.phase - r  # exponent n + phase goes to n + psi
-    m = math.floor(psi)
+    # e + 1 = n + (p + q)/q; n + p/q goes to n + m + s/d, s/d in [0, 1)
+    p, q = f.phase.numerator, f.phase.denominator
+    kp, kq = r.numerator, r.denominator
+    d = q * kq
+    ratios = lattice_chain((p + q) * kq, d, kp * q, keys, "ratio")
+    m, s = divmod(p * kq - kp * q, d)
     coeffs = f.coeffs
     eps = config.COEF_EPS
     order = None if f.truncation_order is None else f.truncation_order - k
     out = finite_values({n + m: v for n, g in zip(keys, ratios)
                          if abs(v := coeffs[n] * g) >= eps}, "a coefficient")
-    return GenSeries.keyed(f.basepoint, psi - m, out, order)
+    return GenSeries.keyed(f.basepoint, Fraction(s, d), out, order)

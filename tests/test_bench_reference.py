@@ -1,8 +1,8 @@
 """The benchmark's own reference checks (fracbench/reference.py and
-fracbench/cli_worker.py), run in process on the first requests of the
-series workloads and on the whole seed-0 expand list (112 requests, every
-family and jet order, 14 through the oracle), so that an output they would
-refuse fails here before it fails a benchmark run."""
+fracbench/cli_worker.py), run in process on the whole seed-0 lists of the
+in-process workloads (series_small 128 requests, series_large 112, expand
+112: every family and jet order, 14 through the oracle), so that an output
+they would refuse fails here before it fails a benchmark run."""
 
 import os
 import sys
@@ -19,14 +19,10 @@ import spans  # noqa: E402
 import worker  # noqa: E402
 
 
-# requests checked per workload: None checks the whole list
-FIRST = {"series_small": 16, "series_large": 16, "expand": None}
-
-
 @pytest.mark.parametrize("workload", ["series_small", "series_large", "expand"])
 def test_first_requests_pass_the_reference_checks(workload):
     make, prepare, run, check = worker.WORKLOADS[workload]
-    for req in make(0)[:FIRST[workload]]:
+    for req in make(0):
         out = run(fraclift, prepare(req), spans.NullTracer())
         assert check(req, out) == [], req
 

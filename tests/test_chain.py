@@ -13,7 +13,14 @@ from hypothesis import strategies as st
 from fraclift import config
 from fraclift.coeffseq import GenSeries, monomial
 from fraclift.errors import ExponentError, GammaOverflowError, GammaPoleError
-from fraclift.gamma import gamma, gamma_chain, gamma_ratio, is_pole, recip_gamma
+from fraclift.gamma import (
+    _FACTORIALS,
+    gamma,
+    gamma_chain,
+    gamma_ratio,
+    is_pole,
+    recip_gamma,
+)
 from fraclift.lifted import LiftedSeq, lift_gen, project, shift
 from fraclift.rl import rl_kernel_predicate, rl_series, rl_term
 
@@ -196,6 +203,51 @@ class TestScalarCases:
     def test_nan_order_is_refused(self):
         with pytest.raises(ExponentError):
             rl_series(monomial(1.0), math.nan)
+
+
+def hexes(values):
+    return [v.hex() for v in values]
+
+
+class TestIntegerLatticeTables:
+    """On the integer lattice Gamma and 1/Gamma come from the factorial
+    tables at arguments 1..171 and from the scalar kernel elsewhere: the
+    chain equals gamma and recip_gamma bit for bit on both sides of each
+    edge, with the same zeros, subnormals and errors."""
+
+    @pytest.mark.parametrize("c", [0, 3, -2])
+    def test_recip_across_0_and_172(self, c):
+        args = range(-6, 200)
+        keys = [x - c for x in args]
+        point = [recip_gamma(float(x)) for x in args]
+        assert hexes(gamma_chain(c, keys, "recip")) == hexes(point)
+        # poles, table values, the subnormal 1/171! at 172, and underflow
+        assert point[:7] == [0.0] * 7 and point[7] == 1.0
+        assert 0.0 < point[args.index(172)] < 2.2250738585072014e-308
+        assert point[-1] == 0.0
+
+    @pytest.mark.parametrize("c", [0, 5, -3])
+    def test_gamma_up_to_171(self, c):
+        args = range(1, 172)
+        point = [gamma(float(x)) for x in args]
+        assert hexes(gamma_chain(c, [x - c for x in args], "gamma")) == hexes(
+            point)
+        assert point[-1] == _FACTORIALS[170]
+
+    @pytest.mark.parametrize("args", [range(-3, 5), range(0, 3),
+                                      range(165, 175), range(171, 173)])
+    def test_gamma_raises_as_the_scalar_kernel(self, args):
+        with pytest.raises((GammaPoleError, GammaOverflowError)) as want:
+            [gamma(float(x)) for x in args]
+        with pytest.raises(want.type) as got:
+            gamma_chain(0, list(args), "gamma")
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    def test_ratio_is_the_falling_factorial(self, k):
+        keys = list(range(-6, 320))
+        point = [gamma_ratio(float(n), float(n - k)) for n in keys]
+        assert hexes(gamma_chain(0, keys, "ratio", k)) == hexes(point)
 
 
 phases = st.integers(0, 63).map(lambda i: Fraction(i, 64))

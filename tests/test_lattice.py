@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from fraclift.cli import main
 from fraclift.coeffseq import (
     GenSeries,
+    has_double,
     monomial,
     rational,
     series_eval,
@@ -19,9 +20,17 @@ from fraclift.coeffseq import (
     series_to_json,
 )
 from fraclift.errors import ExpansionError, ExponentError, InputError, LatticeError
-from fraclift.lifted import lift_gen, lifted_from_json, lifted_to_json, project, shift
+from fraclift.gamma import gamma_chain, is_pole
+from fraclift.lifted import (
+    LiftedSeq,
+    lift_gen,
+    lifted_from_json,
+    lifted_to_json,
+    project,
+    shift,
+)
 from fraclift.parser import to_series
-from fraclift.rl import rl_series
+from fraclift.rl import annihilated_run, rl_series
 from fraclift.verify import series_residual
 
 
@@ -190,3 +199,89 @@ def test_project_inverts_lift(lattice):
     g = project(lift_gen(f))
     assert g.phase == f.phase and set(g.coeffs) == set(f.coeffs)
     assert series_residual(g, f) <= 1e-12
+
+
+# Exact phase and offset arithmetic. The series layers compute phases,
+# offsets and Gamma lattices from numerator and denominator ints; each
+# result must be the one Fraction arithmetic gives. Phases are p/q with
+# q <= 12, or binary: the phase of pi/3, a fraction over 2^52 that
+# `rational` keeps, and its multiples.
+_BINARY = rational(math.pi / 3) - 1
+exact_phases = st.one_of(
+    st.integers(1, 12).flatmap(
+        lambda q: st.integers(0, q - 1).map(lambda p: Fraction(p, q))),
+    st.integers(1, 6).map(lambda j: j * _BINARY % 1))
+float_orders = st.one_of(
+    st.integers(1, 12).flatmap(
+        lambda q: st.integers(-3 * q, 3 * q).map(lambda p: p / q)),
+    st.integers(-3, 3).map(lambda j: j * math.pi / 3))
+
+
+@st.composite
+def keyed_series(draw):
+    phase = draw(exact_phases)
+    keys = draw(st.lists(st.integers(0 if phase == 0 else -40, 40),
+                         min_size=1, max_size=24, unique=True))
+    coefs = draw(st.lists(st.floats(0.5, 8.0) | st.floats(-8.0, -0.5),
+                          min_size=len(keys), max_size=len(keys)))
+    return GenSeries.keyed(0.0, phase, dict(zip(keys, coefs)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(keyed_series(), float_orders)
+def test_rl_series_phase_is_exact(f, k):
+    r = rational(k)
+    g = rl_series(f, k)
+    psi = f.phase - r
+    m = math.floor(psi)
+    assert g.phase == psi % 1 == psi - m
+    keys, lo, hi, _ = annihilated_run(f, k)
+    kept = keys[:lo] + keys[hi:]
+    ratios = gamma_chain(f.phase + 1, kept, "ratio", r)
+    assert g.coeffs == {n + m: f.coeffs[n] * v for n, v in zip(kept, ratios)}
+    assert g.exponents() == [float(n + psi) for n in kept]
+
+
+@settings(max_examples=200, deadline=None)
+@given(keyed_series(), float_orders)
+def test_lifted_offsets_are_exact(f, k):
+    rho = lift_gen(f)
+    assert rho.offset == (1 - f.phase) % 1
+    up = 1 if f.phase else 0
+    gs = gamma_chain(f.phase + 1, sorted(f.coeffs), "gamma")
+    assert rho.values == {n + up: f.coeffs[n] * g
+                          for n, g in zip(sorted(f.coeffs), gs)}
+    moved = shift(rho, k)
+    assert moved.offset == rho.offset + rational(k)
+    assert moved.values is rho.values
+
+
+@settings(max_examples=200, deadline=None)
+@given(exact_phases, st.integers(-3, 3),
+       st.dictionaries(st.integers(-40, 40), st.floats(0.5, 8.0),
+                       min_size=1, max_size=24))
+def test_project_phase_is_exact(frac, whole, values):
+    rho = LiftedSeq(0.0, frac + whole, values)
+    g = project(rho)
+    assert g.phase == -rho.offset % 1
+    m = math.floor(-rho.offset)
+    kept = [j for j in sorted(values) if not is_pole(float(j + 1 - rho.offset))]
+    rs = gamma_chain(1 - rho.offset, kept, "recip")
+    assert g.coeffs == {j + m: values[j] * v for j, v in zip(kept, rs)}
+
+
+@pytest.mark.parametrize("q", [1, 3, 10, 2**52, 7**40])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_has_double_at_the_bound(q, sign):
+    # 2^1024 - 2^970 is the midpoint of the largest double and 2^1024:
+    # below it n/q rounds to a finite double, from it on to inf
+    bound = 2**1024 - 2**970
+    for n in (bound * q - 1, bound * q, bound * q + 1, (bound - 2**969) * q,
+              2**1024 * q, 5):
+        n *= sign
+        try:
+            fits = math.isfinite(n / q)
+        except OverflowError:
+            fits = False
+        assert has_double(q, n) == fits == (abs(Fraction(n, q)) < bound)
+    assert has_double(q, sign) and not has_double(q, sign, sign * bound * q)
