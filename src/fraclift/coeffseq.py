@@ -15,7 +15,7 @@ Floats join a lattice in one place, the float entry: the positional
 constructor GenSeries(basepoint, pairs, order), series_from_json, and each
 real-exponent literal of an expression (the parser). The exponent of
 smallest magnitude fixes the phase, read by `rational` as the fraction it
-stands for, and config.int_tol decides whether each other exponent lies on
+stands for, and config.INT_TOL decides whether each other exponent lies on
 that lattice (a member takes the nearest key). Every operation after that
 builds its result from keys and exact rational phases.
 
@@ -168,7 +168,7 @@ def _phase_of(exponents):
 def _lattice(pairs, phase=None):
     """(phase, {n: c}) for float (exponent, coefficient) pairs: the float
     entry. Unless given, the phase is read from the exponents; an exponent
-    within config.int_tol of n + phase joins key n, and equal keys add.
+    within config.INT_TOL of n + phase joins key n, and equal keys add.
     Raises ExponentError for a non-finite exponent, InputError for a
     non-finite coefficient and LatticeError for one off the lattice."""
     if not pairs:
@@ -180,7 +180,7 @@ def _lattice(pairs, phase=None):
     if phase is None:
         phase = _phase_of(exps)
     ph = phase.numerator / phase.denominator
-    tol = config.int_tol
+    tol = config.INT_TOL
     coeffs = {}
     for e, c in pairs:
         d = e - ph
@@ -256,10 +256,10 @@ class GenSeries:
         return not self.coeffs
 
     def coefficient(self, exponent):
-        """The coefficient at the lattice point within config.int_tol of
+        """The coefficient at the lattice point within config.INT_TOL of
         exponent, or 0.0."""
         d = exponent - self.phase.numerator / self.phase.denominator
-        if not math.isfinite(d) or abs(d - round(d)) > config.int_tol:
+        if not math.isfinite(d) or abs(d - round(d)) > config.INT_TOL:
             return 0.0
         return self.coeffs.get(round(d), 0.0)
 

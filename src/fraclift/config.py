@@ -1,23 +1,20 @@
-"""Shared runtime knobs.
+"""Shared runtime constants and the one perturbation switch.
 
 FRACLIFT_GAMMA_PERTURB  test hook: multiply every nonzero gamma-ratio by
                         (1 + eps), eps a finite number above -1 (else
                         InputError); default 0 (off)
 """
 
+import functools
 import math
 import os
 
 from .errors import InputError
 
-# Integer-detection tolerance: |x - round(x)| <= int_tol with round(x) <= 0
+# Integer-detection tolerance: |x - round(x)| <= INT_TOL with round(x) <= 0
 # classifies x as a Gamma pole, and a float exponent within it of a lattice
-# point joins the lattice. Tests may assign it.
-int_tol = 1e-9
-
-# Verification-sensitivity hook: None until perturbation() reads
-# FRACLIFT_GAMMA_PERTURB. Tests may assign it.
-gamma_perturb = None
+# point joins the lattice.
+INT_TOL = 1e-9
 
 # Coefficients below this magnitude are treated as zero and dropped.
 COEF_EPS = 1e-300
@@ -27,17 +24,15 @@ COEF_EPS = 1e-300
 DEFAULT_ORDER = 16
 
 
+@functools.cache
 def perturbation():
-    """gamma_perturb, read from FRACLIFT_GAMMA_PERTURB on the first call."""
-    global gamma_perturb
-    if gamma_perturb is None:
-        text = os.environ.get("FRACLIFT_GAMMA_PERTURB", "0")
-        try:
-            eps = float(text)
-        except ValueError:
-            eps = math.nan
-        if not -1.0 < eps < math.inf:
-            raise InputError("FRACLIFT_GAMMA_PERTURB=%r is not a finite "
-                             "number above -1" % text)
-        gamma_perturb = eps
-    return gamma_perturb
+    """eps, read from FRACLIFT_GAMMA_PERTURB on the first call and cached."""
+    text = os.environ.get("FRACLIFT_GAMMA_PERTURB", "0")
+    try:
+        eps = float(text)
+    except ValueError:
+        eps = math.nan
+    if not -1.0 < eps < math.inf:
+        raise InputError("FRACLIFT_GAMMA_PERTURB=%r is not a finite "
+                         "number above -1" % text)
+    return eps

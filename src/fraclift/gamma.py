@@ -15,8 +15,8 @@ Exact integer arguments take exact factorial paths: Gamma(n) and 1/Gamma(n)
 from tables of the doubles of 0!..170! and of their reciprocals, and a
 ratio of two as one falling factorial, math.perm, each rounded once.
 
-Pole detection is tolerance-based (config.int_tol, default 1e-9) so that
-lattice arithmetic performed in doubles lands on the intended case.
+Pole detection is tolerance-based (the constant config.INT_TOL, 1e-9) so
+that lattice arithmetic performed in doubles lands on the intended case.
 
 Non-finite arguments never reach the floor-based tests: NaN and -inf have
 no limit and give NaN (is_pole gives False); +inf gives Gamma = +inf, so
@@ -44,8 +44,9 @@ Stability of Numerical Algorithms, 2nd ed., ch. 3), while a log-space value
 carries an error proportional to |log Gamma|.
 
 Every n + c lies the same exact distance from the integers, so one test of
-that distance against int_tol decides a lattice's poles, and they are its
-leading keys (lattice_poles); those get the scalar cases. The key after a
+that distance against INT_TOL decides a lattice's poles, and they are its
+leading keys (lattice_poles). The caller, which has already decided them,
+passes their count, and those keys get the scalar cases. The key after a
 gap of more than _MAX_GAP steps, or after a running value that left the
 normal double range, is re-anchored by the scalar kernel, which also raises
 the overflow errors and returns the underflow zeros. The integer lattice
@@ -61,6 +62,7 @@ from itertools import accumulate
 from operator import mul
 
 from . import config
+from .config import INT_TOL
 from .errors import GammaOverflowError, GammaPoleError
 
 __all__ = [
@@ -89,12 +91,12 @@ _NORMAL_MIN = sys.float_info.min
 _NORMAL_MAX = sys.float_info.max
 
 
-def _is_nonpos_int(x, tol):
+def _is_nonpos_int(x):
     try:
         r = math.floor(x + 0.5)
     except (OverflowError, ValueError):  # +-inf, NaN: never a pole
         return False
-    return r <= 0.0 and abs(x - r) <= tol
+    return r <= 0.0 and abs(x - r) <= INT_TOL
 
 
 def _lgamma(x):
@@ -110,23 +112,14 @@ def _sign(x):
     return -1.0 if x < 0.0 and math.floor(x) % 2 else 1.0
 
 
-def _signed_loggamma(x, tol):
-    # (log|Gamma(x)|, sign, is_pole) for a finite float x; (inf, 1.0, True)
-    # at poles
-    if _is_nonpos_int(x, tol):
-        return math.inf, 1.0, True
-    return _lgamma(x), _sign(x), False
-
-
 def _overflow(p, q):
     return GammaOverflowError(
         "gamma ratio Gamma(%r)/Gamma(%r) exceeds double range" % (p, q))
 
 
-def is_pole(x, tol=None):
-    """True when x is within tol (config.int_tol when None) of a
-    nonpositive integer."""
-    return _is_nonpos_int(float(x), config.int_tol if tol is None else tol)
+def is_pole(x):
+    """True when x is within config.INT_TOL of a nonpositive integer."""
+    return _is_nonpos_int(float(x))
 
 
 def sinpi(x):
@@ -163,12 +156,12 @@ def gamma(x):
         if n <= 171:
             return _FACTORIALS[n - 1]
         raise GammaOverflowError("gamma(%r) exceeds double range" % x)
-    log_abs, sign, pole = _signed_loggamma(x, config.int_tol)
-    if pole:
+    if _is_nonpos_int(x):
         raise GammaPoleError("gamma pole at %r" % x)
+    log_abs = _lgamma(x)
     if log_abs > _EXP_OVERFLOW:
         raise GammaOverflowError("gamma(%r) exceeds double range" % x)
-    return sign * math.exp(log_abs)
+    return _sign(x) * math.exp(log_abs)
 
 
 def recip_gamma(x):
@@ -183,15 +176,14 @@ def recip_gamma(x):
             return 0.0
         if n <= 171:
             return _RECIP_FACTORIALS[n - 1]
-    log_abs, sign, pole = _signed_loggamma(x, config.int_tol)
-    if pole:
+    if _is_nonpos_int(x):
         return 0.0
-    d = -log_abs
+    d = -_lgamma(x)
     if d > _EXP_OVERFLOW:
-        return sign * math.inf
+        return _sign(x) * math.inf
     if d < _EXP_UNDERFLOW:
         return 0.0
-    return sign * math.exp(d)
+    return _sign(x) * math.exp(d)
 
 
 def _exact_int(x):
@@ -218,11 +210,11 @@ def _exact_ratio(p, q):
     return -v if pi < 1 and (a - b) % 2 else v
 
 
-def _log_ratio(p, q, tol):
+def _log_ratio(p, q):
     # Gamma(p)/Gamma(q) in log space for arguments that are not both exact
     # integers; tolerance-snapped poles take the same four cases
-    p_pole = _is_nonpos_int(p, tol)
-    q_pole = _is_nonpos_int(q, tol)
+    p_pole = _is_nonpos_int(p)
+    q_pole = _is_nonpos_int(q)
     if p_pole and q_pole:
         m = -math.floor(p + 0.5)
         n = -math.floor(q + 0.5)
@@ -245,7 +237,7 @@ def _log_ratio(p, q, tol):
     return _sign(p) * _sign(q) * math.exp(d)
 
 
-def _non_finite_ratio(p, q, tol):
+def _non_finite_ratio(p, q):
     # Gamma(+inf) = +inf; NaN and -inf have no limit
     if math.isnan(p) or math.isnan(q) or p == -math.inf or q == -math.inf:
         return math.nan
@@ -253,19 +245,19 @@ def _non_finite_ratio(p, q, tol):
         raise _overflow(p, q)
     if p == math.inf:
         return math.nan
-    if _is_nonpos_int(p, tol):
+    if _is_nonpos_int(p):
         raise GammaPoleError(
             "gamma ratio undefined: numerator pole at %r" % p)
     return 0.0
 
 
-def _ratio(p, q, tol):
+def _ratio(p, q):
     # Gamma(p)/Gamma(q) of floats, before the perturbation hook
     if not (math.isfinite(p) and math.isfinite(q)):
-        return _non_finite_ratio(p, q, tol)
+        return _non_finite_ratio(p, q)
     if _exact_int(p) and _exact_int(q):
         return _exact_ratio(p, q)
-    return _log_ratio(p, q, tol)
+    return _log_ratio(p, q)
 
 
 def _perturbed(values):
@@ -287,7 +279,7 @@ def gamma_ratio(p, q):
     +inf over a finite q raises GammaOverflowError, a finite p over +inf
     gives 0.0 (GammaPoleError if p is a pole), anything else NaN.
     """
-    return _perturbed([_ratio(float(p), float(q), config.int_tol)])[0]
+    return _perturbed([_ratio(float(p), float(q))])[0]
 
 
 # -------------------------------------------------------------------------
@@ -306,34 +298,37 @@ _MAX_GAP = 32
 
 def lattice_poles(p, q, keys):
     """How many of the ascending integer keys n put n + p/q (q > 0) on a
-    Gamma pole, within config.int_tol of a nonpositive integer. Every n + p/q
+    Gamma pole, within config.INT_TOL of a nonpositive integer. Every n + p/q
     lies the same exact distance from the integers, so one test decides the
     lattice: the poles are the leading keys n <= -m, m the integer nearest
     p/q, or there are none."""
     m = (2 * p + q) // (2 * q)  # floor(p/q + 1/2)
-    if abs(p - m * q) / q > config.int_tol:  # int/int: q may pass 2^1024
+    if abs(p - m * q) / q > INT_TOL:  # int/int: q may pass 2^1024
         return 0
     return bisect.bisect_right(keys, -m)
 
 
 def gamma_chain(c, keys, kind, k=0):
-    """lattice_chain at n + c for exact rationals c and k (Fraction or int)."""
+    """lattice_chain at n + c for exact rationals c and k (Fraction or int),
+    its poles counted by lattice_poles."""
+    a, b = _CHAIN_KINDS[kind]
     kp, kq = (k.numerator, k.denominator) if kind == "ratio" else (0, 1)
-    return lattice_chain(c.numerator * kq, c.denominator * kq,
-                         kp * c.denominator, keys, kind)
+    P, Q, K = c.numerator * kq, c.denominator * kq, kp * c.denominator
+    return lattice_chain(P, Q, K, keys, kind, max(
+        a and lattice_poles(P, Q, keys), b and lattice_poles(P - K, Q, keys)))
 
 
-def lattice_chain(P, Q, K, keys, kind):
+def lattice_chain(P, Q, K, keys, kind, poles):
     """[q(x) for x = (n Q + P)/Q, n in keys] for q = gamma ("gamma"),
     recip_gamma ("recip") or x -> gamma_ratio(x, x - K/Q) ("ratio"; K = 0
     for the others), by Pochhammer steps between neighbours. keys are
     ascending ints, and P, K and Q > 0 ints. Each argument is the correctly
     rounded double of its rational, and each value follows the pole,
     overflow, underflow-to-zero and perturbation rules of the scalar
-    function it stands for: the leading keys on a pole (lattice_poles) get
+    function it stands for. The caller counts poles, the leading keys that
+    put x, or a ratio's x - K/Q, on a pole (lattice_poles); those keys get
     the scalar cases."""
     a, b = _CHAIN_KINDS[kind]
-    tol = config.int_tol
     kf = K / Q
     if kind == "gamma":
         scalar, table = gamma, _FACTORIALS
@@ -341,7 +336,7 @@ def lattice_chain(P, Q, K, keys, kind):
         scalar, table = recip_gamma, _RECIP_FACTORIALS
     else:
         def scalar(x):
-            return _ratio(x, x - kf, tol)
+            return _ratio(x, x - kf)
     integral = not (P % Q or K % Q)
     if integral and kind != "ratio":
         i = P // Q - 1  # table index of the key n: x - 1 = n + i
@@ -351,8 +346,7 @@ def lattice_chain(P, Q, K, keys, kind):
     e = len(keys)
     # the keys the scalar kernel takes term by term: those on a pole, or a
     # ratio's whole integer lattice under an integer order (math.perm)
-    h = e if integral else max(a and lattice_poles(P, Q, keys),
-                               b and lattice_poles(P - K, Q, keys))
+    h = e if integral else poles
     out = [0.0] * e
     for i in range(h):
         out[i] = scalar(xs[i])

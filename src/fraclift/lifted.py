@@ -130,7 +130,7 @@ def project(rho: LiftedSeq) -> GenSeries:
     if keys and not has_double(q, keys[0] * q - p, (keys[-1] + 1) * q - p):
         raise ExponentError("an exponent j - offset lies past double range")
     keys = keys[lattice_poles(q - p, q, keys):]
-    rs = lattice_chain(q - p, q, 0, keys, "recip")
+    rs = lattice_chain(q - p, q, 0, keys, "recip", 0)
     m = -((p + q - 1) // q)
     values = rho.values
     eps = config.COEF_EPS
@@ -151,7 +151,7 @@ def lift_gen(f: GenSeries) -> LiftedSeq:
         raise ExponentError(
             "term at exponent %r has no preimage under projection "
             "(Gamma pole)" % ((keys[0] * q + p) / q))
-    gs = lattice_chain(p + q, q, 0, keys, "gamma")
+    gs = lattice_chain(p + q, q, 0, keys, "gamma", 0)
     up = 1 if p else 0
     coeffs = f.coeffs
     eps = config.COEF_EPS

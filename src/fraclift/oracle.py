@@ -33,11 +33,11 @@ down to a negative order, then take an n-th derivative (n = ceil(k)) by
 Richardson-extrapolated central differences (3 levels, from a step of
 min(1e-3, (x-a)/(4n)) times max(1, x-a): the step grows with x - a, so at
 large x it stays far above the spacing of the doubles near x). A step whose
-n-th power underflows, to zero or only below the smallest normal double
-(where the difference, rounding noise of f near x, divided by it reads as
-a large wrong value), or a result that is not finite, raises OracleError,
-as do orders above 2: the n-th difference amplifies rounding by h^-n, and at
-n = 3 the result misses the termwise rule by up to 6e-4.
+n-th power overflows, or underflows, to zero or only below the smallest
+normal double (where the difference, rounding noise of f near x, divided by
+it reads as a large wrong value), or a result that is not finite, raises
+OracleError, as do orders above 2: the n-th difference amplifies rounding
+by h^-n, and at n = 3 the result misses the termwise rule by up to 6e-4.
 
 compare() tabulates the termwise rule against the oracle as plain
 (x, termwise, oracle, abs_diff) rows.
@@ -153,20 +153,24 @@ def rl_oracle(f, a, k, x) -> float:
         raise EvalDomainError("oracle needs x > a (x=%r, a=%r)" % (x, a))
     if k > _MAX_ORDER:
         raise OracleError("order %r above oracle limit %r" % (k, _MAX_ORDER))
-    tol = config.int_tol
-    if k < -tol:
+    if k < -config.INT_TOL:
         return _frac_integral(f, a, -k, x)
-    n = math.ceil(k - tol)
+    n = math.ceil(k - config.INT_TOL)
     if n == 0:
         return f(x)
     frac = k - n  # in [-1, 0)
-    if abs(frac) <= tol:
+    if abs(frac) <= config.INT_TOL:
         g = f
     else:
         def g(y):
             return _frac_integral(f, a, -frac, y)
 
     h0 = min(_FD_STEP, 0.25 * (x - a) / max(1, n)) * max(1.0, x - a)
+    try:  # the stencils divide by h^n for h = h0, h0/2 and h0/4
+        h0 ** n
+    except OverflowError:
+        raise OracleError("difference step %g at x=%r overflows in h^%d"
+                          % (h0, x, n)) from None
     if (h0 / 4.0) ** n < sys.float_info.min:
         raise OracleError("difference step %g at x=%r underflows in h^%d"
                           % (h0 / 4.0, x, n))

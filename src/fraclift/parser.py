@@ -290,10 +290,10 @@ def _values(a):
 
 
 def _key_shift(a, b):
-    """The integer m with b.base = a.base + m, up to config.int_tol."""
+    """The integer m with b.base = a.base + m, up to config.INT_TOL."""
     d = b.base - a.base
     m = round(d)
-    if abs(d - m) > config.int_tol:
+    if abs(d - m) > config.INT_TOL:
         raise LatticeError("exponents %r and %r lie on different lattices"
                            % (float(a.min_exponent()), float(b.min_exponent())))
     return m

@@ -16,9 +16,9 @@ Gamma arguments e+1 and e+1-k of one series lie the same exact distance
 from the integers, so gamma.lattice_poles decides each lattice's poles with
 one test, and the annihilated terms are one run of keys, dropped
 unevaluated. gamma.lattice_chain steps the other ratios along the lattice,
-R(e+1) = R(e) * (e+1)/(e+1-k), and gives the joint-pole and numerator-pole
-keys the scalar cases above. rl_term evaluates a single term, and
-rl_kernel_predicate tests one exponent; they are the scalar reference.
+R(e+1) = R(e) * (e+1)/(e+1-k), and gives the keys before that run (joint
+and numerator poles) the scalar cases above. rl_term evaluates a single
+term, and rl_kernel_predicate tests one exponent: the scalar reference.
 
 This is the non-commutative side of the constructions in `lifted`: composing
 two orders can annihilate a term that the summed order keeps.
@@ -52,7 +52,7 @@ def _kernel_arg(alpha, k):
 def rl_kernel_predicate(alpha, k) -> bool:
     """True when the term (x-a)^alpha is annihilated by order k: alpha+1-k is
     a nonpositive integer and alpha+1 is not itself a pole (within
-    config.int_tol). Raises ExponentError when |alpha+1-k| >= 2^52."""
+    config.INT_TOL). Raises ExponentError when |alpha+1-k| >= 2^52."""
     return is_pole(_kernel_arg(alpha, k)) and not is_pole(alpha + 1.0)
 
 
@@ -72,9 +72,9 @@ def rl_term(b, alpha, k):
 
 
 def annihilated_run(f: GenSeries, k):
-    """(keys, lo, hi, r): f's keys in ascending order, of which keys[lo:hi]
-    are the terms order k annihilates (e+1-k a Gamma pole within
-    config.int_tol, e+1 not), and k as the rational r it stands for. Raises
+    """(keys, lo, hi, r): f's ascending keys, of which keys[:lo] put e+1 on
+    a Gamma pole (within config.INT_TOL) and order k annihilates keys[lo:hi]
+    (e+1-k a pole, e+1 not), and k as the rational r it stands for. Raises
     ExponentError when |e+1-k| >= 2^52 at either end."""
     k = float(k)
     keys = sorted(f.coeffs)
@@ -101,7 +101,7 @@ def rl_series(f: GenSeries, k) -> GenSeries:
     p, q = f.phase.numerator, f.phase.denominator
     kp, kq = r.numerator, r.denominator
     d = q * kq
-    ratios = lattice_chain((p + q) * kq, d, kp * q, keys, "ratio")
+    ratios = lattice_chain((p + q) * kq, d, kp * q, keys, "ratio", lo)
     m, s = divmod(p * kq - kp * q, d)
     coeffs = f.coeffs
     eps = config.COEF_EPS

@@ -4,6 +4,7 @@ import pytest
 
 import fraclift
 from fraclift import config
+from fraclift.gamma import is_pole
 from fraclift.verify import seq_residual, series_residual
 
 # child processes (python -m fraclift) import the package these tests import,
@@ -15,10 +16,42 @@ os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (
 
 @pytest.fixture(autouse=True)
 def _restore_config():
-    tol, perturb = config.int_tol, config.gamma_perturb
+    # perturbation() reads FRACLIFT_GAMMA_PERTURB once and caches it; clearing
+    # the cache around every test keeps a perturbed kernel from leaking on
+    config.perturbation.cache_clear()
     yield
-    config.int_tol = tol
-    config.gamma_perturb = perturb
+    config.perturbation.cache_clear()
+
+
+@pytest.fixture
+def perturb(monkeypatch):
+    """perturb("1e-6") perturbs the Gamma kernel for the rest of the test,
+    through FRACLIFT_GAMMA_PERTURB, read afresh."""
+    def set_perturbation(value):
+        monkeypatch.setenv("FRACLIFT_GAMMA_PERTURB", value)
+        config.perturbation.cache_clear()
+    return set_perturbation
+
+
+# Lattices strictly inside the pole window config.INT_TOL = 1e-9: exponents
+# n + phase for n in range(-6, 6), whose Gamma arguments e+1 or e+1-k lie
+# 2^-32 from an integer. Each case is (phase, k, the count of terms order k
+# annihilates, or None where a numerator pole makes rl_series raise).
+W = 2.0**-32
+WINDOW_CASES = {
+    "numerator-pole": (1 - W, 0.5, None),
+    "joint-poles": (1 - W, 1.0, 1),
+    "denominator-poles": (0.5, 0.5 + W, 6),
+    "k=0": (W, 0.0, 0),
+    "k=2": (W, 2.0, 2),
+}
+
+
+def window_args(exps, k):
+    """How many of the arguments e+1 and e+1-k is_pole marks without their
+    being integers: a case with none tests nothing of the window."""
+    return sum(is_pole(x) and x != round(x)
+               for e in exps for x in (e + 1.0, e + 1.0 - k))
 
 
 def assert_series_close(f, g, rel=1e-12, exp_tol=1e-9):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fraclift import config
+from conftest import WINDOW_CASES, window_args
 from fraclift.coeffseq import GenSeries, monomial
 from fraclift.errors import ExponentError, GammaOverflowError, GammaPoleError
 from fraclift.gamma import (
@@ -100,24 +100,27 @@ class TestScalarCases:
         with pytest.raises(GammaPoleError):
             rl_series(f, 0.5)
 
-    @pytest.mark.parametrize("phase,k", [(0.85, 1.5), (0.85, 0.0), (0.15, 2.0),
-                                         (0.5, 0.35), (0.85, -0.3)])
-    def test_wide_tolerance_matches_rl_term(self, phase, k):
-        # with int_tol = 0.2, arguments 0.15 from a nonpositive integer are
-        # poles: numerator poles raise and denominator poles annihilate, term
-        # by term as in rl_term
-        config.int_tol = 0.2
+    @pytest.mark.parametrize("phase,k,annihilated",
+                             list(WINDOW_CASES.values()), ids=list(WINDOW_CASES))
+    def test_window_matches_rl_term(self, phase, k, annihilated):
+        # arguments 2^-32 from a nonpositive integer are poles: numerator
+        # poles raise, joint poles take the limit and denominator poles
+        # annihilate, term by term as in rl_term
         f = GenSeries(0.0, tuple((phase + n, 1.0) for n in range(-6, 6)))
-        try:
-            want = [rl_term(c, e, k) for e, c in f.terms]
-        except GammaPoleError:
+        assert window_args(f.exponents(), k)
+        if annihilated is None:
+            with pytest.raises(GammaPoleError):
+                [rl_term(c, e, k) for e, c in f.terms]
             with pytest.raises(GammaPoleError):
                 rl_series(f, k)
             return
+        want = [rl_term(c, e, k) for e, c in f.terms]
+        assert want.count(None) == annihilated
         kept = [t for t in want if t is not None]
         got = rl_series(f, k).terms
-        assert [e for e, _ in got] == [
-            minus(e, k) for (e, _), t in zip(f.terms, want) if t is not None]
+        # e - k is exact in doubles here, so rl_term's exponents are the
+        # correctly rounded ones rl_series keeps
+        assert [e for e, _ in got] == [e for e, _ in kept]
         assert worst_rel([c for _, c in got],
                          [c for _, c in kept]) <= 1e-13
         assert [e for e, _ in f.terms if rl_kernel_predicate(e, k)] == [
@@ -143,11 +146,11 @@ class TestScalarCases:
         assert project(shift(rho, 2)) == GenSeries(0.0, tuple(
             (float(j - 2), recip_gamma(j - 1.0)) for j in range(2, 300)))
 
-    def test_perturbation_scales_every_coefficient(self):
+    def test_perturbation_scales_every_coefficient(self, perturb):
         f = GenSeries(0.0, tuple((0.25 + n, 1.0) for n in range(-20, 20))
                       + ((-0.75, 3.0),))
         clean = rl_series(f, 0.25)
-        config.gamma_perturb = 1e-6
+        perturb("1e-6")
         perturbed = rl_series(f, 0.25)
         assert len(perturbed.terms) == len(clean.terms)
         for (e1, c1), (e2, c2) in zip(clean.terms, perturbed.terms):

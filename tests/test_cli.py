@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from conftest import WINDOW_CASES, window_args
 from fraclift import config
 from fraclift.cli import main
 from fraclift.gamma import gamma_ratio
@@ -266,13 +267,12 @@ class TestVerify:
             assert exc.value.code == 2
             assert "--trials" in capsys.readouterr().err
 
-    def test_perturbation_fails_diagram(self, capsys, monkeypatch):
-        monkeypatch.setenv("FRACLIFT_GAMMA_PERTURB", "1e-6")
-        config.gamma_perturb = None  # read the environment again
+    def test_perturbation_fails_diagram(self, capsys, perturb):
+        perturb("1e-6")
         code, out, _ = run_cli(capsys, "verify", "--suite", "diagram")
         assert code == 1
         assert "FAIL" in out
-        assert config.gamma_perturb == 1e-6
+        assert config.perturbation() == 1e-6
 
     def test_perturb_flag_is_gone(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -316,6 +316,15 @@ class TestOracleCompare:
             assert out == ""
             assert err.startswith("error: difference step") and "h^2" in err
 
+    def test_overflowing_step_is_usage_error(self, capsys):
+        # the step grows with x: at x = 2e157 it is 2e154, whose square, the
+        # widest stencil's divisor, passes the double range
+        for at in ("2e157", "1e300"):
+            code, out, err = run_cli(capsys, "oracle-compare", "--expr", "x",
+                                     "--k", "2", "--at", at)
+            assert (code, out) == (2, "")
+            assert err.startswith("error: difference step") and "overflows" in err
+
     def test_subnormal_step_is_usage_error(self, capsys):
         # h^2 = 9.8e-324 at x = 1e-160 is subnormal: the difference ladder
         # would print a value off by 1.2% (x) or by 2.45e147 (x^0.5)
@@ -358,23 +367,23 @@ class TestKernelCheck:
         assert "ANNIHILATED" in out
         assert "kept" in out
 
-    @pytest.mark.parametrize("phase,k", [(0.85, 0.7), (0.85, 1.7),
-                                         (0.15, 2.0), (0.15, 1.0)])
-    def test_wide_tolerance_marks_the_predicate_terms(self, capsys, tmp_path,
-                                                      phase, k):
-        # with int_tol = 0.2, arguments 0.15 from a nonpositive integer are
-        # poles: the annihilated key run is the set rl_kernel_predicate marks
+    @pytest.mark.parametrize("phase,k,annihilated",
+                             list(WINDOW_CASES.values()), ids=list(WINDOW_CASES))
+    def test_window_marks_the_predicate_terms(self, capsys, tmp_path, phase,
+                                              k, annihilated):
+        # arguments 2^-32 from a nonpositive integer are poles: the
+        # annihilated key run is the set rl_kernel_predicate marks
         exps = [phase + n for n in range(-6, 6)]
+        assert window_args(exps, k)
         path = tmp_path / "f.json"
         path.write_text(json.dumps({"basepoint": 0, "terms": [
             {"exp": e, "coef": 1.0} for e in exps]}))
-        config.int_tol = 0.2
         code, out, _ = run_cli(capsys, "kernel-check",
                                "--series-file", str(path), "--k", repr(k))
         assert code == 0
         marked = ["ANNIHILATED" in line for line in out.splitlines()]
-        want = [rl_kernel_predicate(e, k) for e in exps]
-        assert marked == want and any(want)
+        assert marked == [rl_kernel_predicate(e, k) for e in exps]
+        assert marked.count(True) == (annihilated or 0)
 
     def test_mixed_lattice_input_rejected(self, capsys):
         code, _, err = run_cli(capsys, "kernel-check", "--expr",

@@ -1,6 +1,7 @@
 import math
 import random
 import sys
+from fractions import Fraction
 
 import mpmath
 import pytest
@@ -10,10 +11,10 @@ from hypothesis import strategies as st
 from fraclift import config
 from fraclift.errors import GammaOverflowError, GammaPoleError, InputError
 from fraclift.gamma import (
-    _signed_loggamma,
     gamma,
     gamma_ratio,
     is_pole,
+    lattice_poles,
     recip_gamma,
     sinpi,
 )
@@ -198,46 +199,46 @@ class TestGammaRatio:
             assert gamma_ratio(p, q) == pytest.approx(
                 gamma(p) * recip_gamma(q), rel=1e-10)
 
-    def test_perturbation_hook(self):
+    def test_perturbation_hook(self, perturb):
         clean = gamma_ratio(2.0, 1.5)
-        config.gamma_perturb = 1e-6
+        perturb("1e-6")
         assert gamma_ratio(2.0, 1.5) == pytest.approx(clean * (1 + 1e-6), rel=1e-15)
         assert gamma_ratio(3.0, 0.0) == 0.0  # zeros stay exact
 
     def test_perturbation_read_once_from_the_environment(self, monkeypatch):
         clean = gamma_ratio(2.0, 1.5)
         monkeypatch.setenv("FRACLIFT_GAMMA_PERTURB", "1e-6")
-        config.gamma_perturb = None
+        config.perturbation.cache_clear()
         assert gamma_ratio(2.0, 1.5) == clean * (1 + 1e-6)
         monkeypatch.setenv("FRACLIFT_GAMMA_PERTURB", "0")  # not read again
         assert gamma_ratio(2.0, 1.5) == clean * (1 + 1e-6)
 
     @pytest.mark.parametrize("value", ["abc", "nan", "inf", "-1", ""])
-    def test_bad_perturbation_is_input_error(self, monkeypatch, value):
-        monkeypatch.setenv("FRACLIFT_GAMMA_PERTURB", value)
-        config.gamma_perturb = None
+    def test_bad_perturbation_is_input_error(self, perturb, value):
+        perturb(value)
         with pytest.raises(InputError, match="FRACLIFT_GAMMA_PERTURB"):
             gamma_ratio(2.0, 1.5)
 
 
 class TestSignedLogGamma:
     def test_reconstruction(self):
+        # the sign rule (Gamma < 0 exactly on (-2j-1, -2j)) and exp of
+        # log|Gamma|, against the standard library's Gamma
         rng = random.Random(8)
         for _ in range(2000):
             x = rng.uniform(-170.0, 170.0)
             if abs(x - round(x)) < 1e-6:
                 continue
-            log_abs, sign, pole = _signed_loggamma(x, 1e-9)
-            assert not pole
-            assert sign in (1.0, -1.0)
-            if log_abs < 700.0:
-                assert sign * math.exp(log_abs) == gamma(x)
-                assert gamma(x) == pytest.approx(math.gamma(x), rel=1e-12)
+            assert gamma(x) == pytest.approx(math.gamma(x), rel=1e-12)
+            assert recip_gamma(x) == pytest.approx(1 / math.gamma(x), rel=1e-12)
 
     def test_pole_flag(self):
-        assert _signed_loggamma(-4.0, 1e-9) == (math.inf, 1.0, True)
         with pytest.raises(GammaPoleError):
             gamma(-4.0)
+        with pytest.raises(GammaPoleError):
+            gamma(-4.0 + 5e-10)
+        for x in (0.0, -4.0, -4.0 + 5e-10, -4.0 - 5e-10, -170.0):
+            assert recip_gamma(x) == 0.0
 
 
 class TestReflection:
@@ -260,11 +261,38 @@ class TestReflection:
             assert gamma(x + 1.0) / (x * gamma(x)) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_sinpi_exact_reduction():
+    assert sinpi(0.5) == 1.0
+    assert sinpi(-0.5) == -1.0
+    assert sinpi(1.0) == 0.0
+    assert sinpi(100.0) == 0.0
+    # near-integer arguments keep full relative accuracy; odd integer part
+    # flips the sign, and x - 25 is exact here (Sterbenz)
+    x = 25.0 + 1e-8
+    r = x - 25.0
+    assert sinpi(x) == pytest.approx(-math.sin(math.pi * r), rel=1e-12)
+
+
 def test_is_pole_tolerance_and_env_override():
+    # the window is the constant config.INT_TOL = 1e-9, which no setting
+    # overrides
+    assert config.INT_TOL == 1e-9
     assert is_pole(-2.0 + 5e-10)
     assert not is_pole(-2.0 + 1e-8)
-    config.int_tol = 1e-6
-    assert is_pole(-2.0 + 1e-8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(m=st.integers(-4, 4), sign=st.sampled_from((-1, 1)),
+       a=st.integers(4, 64), lo=st.integers(-24, 4),
+       gaps=st.lists(st.integers(1, 3), max_size=16))
+def test_lattice_poles_count_the_scalar_poles(m, sign, a, lo, gaps):
+    # phases a 2^-35 (2^-33 ... 2^-29) from the integer m, around the
+    # window's edge 1e-9 = 34.4 2^-35. Each n + c is a double exactly, so
+    # the one lattice test and the scalar test see one distance
+    c = m + sign * Fraction(a, 2**35)
+    keys = [lo + sum(gaps[:i]) for i in range(len(gaps) + 1)]
+    assert lattice_poles(c.numerator, c.denominator, keys) == sum(
+        is_pole(float(n + c)) for n in keys)
 
 
 def test_ratio_overflow_raises():

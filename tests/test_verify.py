@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from fraclift import config, verify
+from fraclift import verify
 from fraclift.coeffseq import GenSeries, monomial
 from fraclift.lifted import LiftedSeq
 from fraclift.verify import run_suites, seq_residual, series_residual
@@ -30,14 +30,14 @@ def test_single_suite_selection():
                            for r in results)
 
 
-def test_gamma_perturbation_breaks_diagram_suite():
-    config.gamma_perturb = 1e-6
+def test_gamma_perturbation_breaks_diagram_suite(perturb):
+    perturb("1e-6")
     results = run_suites("diagram")
     assert any(not r.passed for r in results)
 
 
-def test_gamma_perturbation_breaks_semigroup_suite():
-    config.gamma_perturb = 1e-6
+def test_gamma_perturbation_breaks_semigroup_suite(perturb):
+    perturb("1e-6")
     results = run_suites("semigroup", trials=20)
     assert any(not r.passed for r in results)
 
@@ -49,12 +49,12 @@ def test_suites_are_deterministic():
            [(r.name, r.passed, r.max_residual) for r in b]
 
 
-def test_gamma_perturbation_breaks_oracle_suite():
+def test_gamma_perturbation_breaks_oracle_suite(perturb):
     # the oracle shares no code with the Gamma kernel, and its bound sits
     # below the 1e-6 error the perturbation puts into every coefficient
     (clean,) = run_suites("oracle")
     assert clean.passed
-    config.gamma_perturb = 1e-6
+    perturb("1e-6")
     (result,) = run_suites("oracle")
     assert not result.passed
 
