@@ -12,7 +12,6 @@ names it, for reports that record which kernel produced their numbers.
 
 from .coeffseq import (
     GenSeries,
-    int_antiderivative,
     int_derivative,
     monomial,
     series_eval,

@@ -11,7 +11,8 @@ Subcommands:
 
 Numeric output in machine formats (json, csv) is printed with 17 significant
 digits and is byte-deterministic for identical inputs. Exit codes: 0 success
-or all-pass, 1 verification failure, 2 usage or domain error.
+or all-pass, 1 verification failure, 2 usage or domain error (such as a
+deriv --at point past a truncated jet's reach).
 """
 
 from __future__ import annotations
@@ -22,9 +23,9 @@ import sys
 from . import config
 from .coeffseq import (
     GenSeries,
+    eval_within_reach,
     finite_float,
     fmt17,
-    series_eval,
     series_from_json,
     series_to_json,
 )
@@ -138,7 +139,9 @@ def cmd_deriv(args):
 
     result = rl_series(f, k) if args.via == "rl" else lifted_path()
     # evaluated before anything is printed, so a failing point prints nothing
-    values = [(x, series_eval(result, x)) for x in args.at or ()]
+    truncated = f.truncation_order is not None
+    values = [(x, eval_within_reach(result, x, truncated))
+              for x in args.at or ()]
 
     if args.format == "json":
         killed_json = ", ".join(

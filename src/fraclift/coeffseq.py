@@ -32,7 +32,8 @@ pass of its own, and every evaluation of a series at a point gives the
 same double.
 
 Coefficient sequences (a jet's entries f^(i)(a), on the integers) are
-lifted sequences at offset 0; see `lifted`.
+lifted sequences at offset 0. Both kinds share one class body,
+LatticeValues, and rl_series, project and lift_gen one scale step, scaled.
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ from .errors import (
     GammaOverflowError,
     InputError,
     LatticeError,
+    TruncationError,
 )
 
 # Largest denominator `rational` tries: decimals with up to three digits
@@ -64,6 +66,9 @@ _SLACK = 4.0 * sys.float_info.epsilon
 # Halfway from the largest double (2^1024 - 2^971) to 2^1024; ties round up
 _DOUBLE_BOUND = 2**1024 - 2**970
 
+# The largest relative size of a truncated series' last term where it is read
+_TAIL_TOL = 1e-8
+
 def fmt17(v):
     """A float with 17 significant digits, which reads back exactly: the
     number format of every machine-readable output. A value that is not a
@@ -73,16 +78,6 @@ def fmt17(v):
         raise GammaOverflowError("an output value is %r, not a finite double"
                                  % x)
     return format(x, ".17g")
-
-
-def finite_values(values, what):
-    """The dict values, whose every value must be a finite double: the
-    check at each exit that computes coefficients (rl_series, project,
-    lift_gen). One that is not raises GammaOverflowError."""
-    if not all(map(math.isfinite, values.values())):
-        bad = next(v for v in values.values() if not math.isfinite(v))
-        raise GammaOverflowError("%s is %r, not a finite double" % (what, bad))
-    return values
 
 
 def read_json(text, what, read):
@@ -119,6 +114,19 @@ def nonzero(values):
     """{key: value} without the values below COEF_EPS in magnitude."""
     eps = config.COEF_EPS
     return {n: v for n, v in values.items() if abs(v) >= eps}
+
+
+def scaled(values, keys, factors, m, what):
+    """{n + m: values[n] * g} for n, g in zip(keys, factors) without products
+    below COEF_EPS in magnitude, the last step of rl_series, project and
+    lift_gen; one that is not a finite double raises GammaOverflowError."""
+    eps = config.COEF_EPS
+    out = {n + m: v for n, g in zip(keys, factors)
+           if abs(v := values[n] * g) >= eps}
+    if not all(map(math.isfinite, out.values())):
+        bad = next(v for v in out.values() if not math.isfinite(v))
+        raise GammaOverflowError("%s is %r, not a finite double" % (what, bad))
+    return out
 
 
 def add_values(a, b):
@@ -195,7 +203,61 @@ def _lattice(pairs, phase=None):
     return phase, nonzero(coeffs)
 
 
-class GenSeries:
+class LatticeValues:
+    """Values on a shifted integer lattice: the fields _names names, a base
+    point, the lattice's exact rational place, a map {int: float} with no
+    value below COEF_EPS in magnitude, then the subclass's own. _keyed takes
+    them by name as given; instances compare and print field by field, add
+    at one base point (the subclass's _sum adds the maps) and scale."""
+
+    # a __dict__ slot keeps attribute reads fast on the dict _keyed installs
+    __slots__ = ("__dict__",)
+    _names = ()
+    _noun = ""  # what the error messages call two instances
+
+    @classmethod
+    def _keyed(cls, **fields):
+        x = object.__new__(cls)
+        x.__dict__ = fields
+        return x
+
+    def _fields(self):
+        return tuple([self.__dict__[name] for name in self._names])
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__name__, ", ".join(
+            "%s=%r" % pair for pair in zip(self._names, self._fields())))
+
+    @property
+    def is_zero(self):
+        return not self._fields()[2]
+
+    def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        if self.basepoint != other.basepoint:
+            raise BasepointError(
+                "cannot add %s at base points %r and %r"
+                % (self._noun, self.basepoint, other.basepoint))
+        return self._sum(other)
+
+    def __mul__(self, c):
+        if not isinstance(c, (int, float)):
+            return NotImplemented
+        fields = dict(zip(self._names, self._fields()))
+        name = self._names[2]
+        fields[name] = nonzero({n: c * v for n, v in fields[name].items()})
+        return self._keyed(**fields)
+
+    __rmul__ = __mul__
+
+
+class GenSeries(LatticeValues):
     """Finite generalized power series around a base point: coefficient
     coeffs[n] (at least COEF_EPS in magnitude) at exponent n + phase.
 
@@ -204,41 +266,25 @@ class GenSeries:
     exponents off a single lattice; GenSeries.keyed takes keys directly.
     truncation_order, when not None, records the order beyond which terms
     are an unrepresented remainder (a truncated transcendental jet).
-    Series compare equal when all four fields do.
     """
 
-    # .terms (None until read) and series_eval's Horner step, set with it.
-    # Slots: as dict entries they resized the dict; cached_property locks.
-    __slots__ = ("_terms", "_step", "__dict__")
+    _names = ("basepoint", "phase", "coeffs", "truncation_order")
+    _noun = "series"
+    # .terms and series_eval's Horner step, set together on the first read
+    _terms = None
 
     def __init__(self, basepoint, terms=(), truncation_order=None):
         self.phase, self.coeffs = _lattice(
             [(float(e), float(c)) for e, c in terms])
         self.basepoint = float(basepoint)
         self.truncation_order = truncation_order
-        self._terms = None
 
     @classmethod
     def keyed(cls, basepoint, phase, coeffs, truncation_order=None):
         """sum coeffs[n] * (x-basepoint)^(n + phase) as given: phase a
         Fraction in [0, 1), coeffs {int: float}, none below COEF_EPS."""
-        f = object.__new__(cls)
-        f.__dict__.update(basepoint=basepoint, phase=phase, coeffs=coeffs,
+        return cls._keyed(basepoint=basepoint, phase=phase, coeffs=coeffs,
                           truncation_order=truncation_order)
-        f._terms = None
-        return f
-
-    def _fields(self):
-        return self.basepoint, self.phase, self.coeffs, self.truncation_order
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __repr__(self):
-        return ("GenSeries(basepoint=%r, phase=%r, coeffs=%r, "
-                "truncation_order=%r)" % self._fields())
 
     @property
     def terms(self):
@@ -251,10 +297,6 @@ class GenSeries:
             self._terms = tuple([((n * q + p) / q, c) for n, c in items])
         return self._terms
 
-    @property
-    def is_zero(self):
-        return not self.coeffs
-
     def coefficient(self, exponent):
         """The coefficient at the lattice point within config.INT_TOL of
         exponent, or 0.0."""
@@ -266,31 +308,15 @@ class GenSeries:
     def exponents(self):
         return [e for e, _ in self.terms]
 
-    def __add__(self, other):
-        if not isinstance(other, GenSeries):
-            return NotImplemented
-        if self.basepoint != other.basepoint:
-            raise BasepointError(
-                "cannot add series at base points %r and %r"
-                % (self.basepoint, other.basepoint)
-            )
-        orders = [o for o in (self.truncation_order, other.truncation_order)
-                  if o is not None]
-        order = min(orders) if orders else None
+    def _sum(self, other):
+        order = min((o for o in (self.truncation_order, other.truncation_order)
+                     if o is not None), default=None)
         a, b = (self, other) if self.coeffs else (other, self)
         if b.coeffs and a.phase != b.phase:
             # two phases: the exponents enter again as floats
             return GenSeries(self.basepoint, a.terms + b.terms, order)
         return GenSeries.keyed(self.basepoint, a.phase,
                                add_values(a.coeffs, b.coeffs), order)
-
-    def __mul__(self, c):
-        if not isinstance(c, (int, float)):
-            return NotImplemented
-        return GenSeries.keyed(self.basepoint, self.phase, nonzero(
-            {n: c * v for n, v in self.coeffs.items()}), self.truncation_order)
-
-    __rmul__ = __mul__
 
 
 def _even_step(items, coeffs):
@@ -380,40 +406,41 @@ def series_eval(f: GenSeries, x) -> float:
     return value
 
 
-def _check_order(n):
-    if not isinstance(n, int) or n < 0:
-        raise ExponentError("order %r is not a nonnegative integer" % (n,))
+def eval_within_reach(f: GenSeries, x, truncated) -> float:
+    """series_eval(f, x). When f stands for a truncated jet (truncated; the
+    lifted route's results do not record it), a last term at x above
+    _TAIL_TOL max(1, |value|) raises TruncationError: a heuristic guard
+    against evaluating past the jet's reach."""
+    value = series_eval(f, x)
+    if truncated and f.terms:
+        e_last, c_last = f.terms[-1]
+        tail = abs(c_last) * abs(x - f.basepoint) ** e_last
+        if tail > _TAIL_TOL * max(1.0, abs(value)):
+            raise TruncationError(
+                "series truncation too coarse at x=%r (last term %g)"
+                % (x, tail))
+    return value
 
 
 def int_derivative(f: GenSeries, n: int = 1) -> GenSeries:
-    """Exact termwise integer-order derivative (falling-factorial products);
-    independent of the Gamma kernel. n is a nonnegative int."""
-    _check_order(n)
+    """Exact termwise derivative of integer order n (falling-factorial
+    products), independent of the Gamma kernel; for n < 0 the (-n)-fold
+    antiderivative with zero constants, which refuses exponent -1."""
+    if not isinstance(n, int):
+        raise ExponentError("order %r is not an integer" % (n,))
     coeffs = {}
     for key, (exp, c) in zip(sorted(f.coeffs), f.terms):
         for _ in range(n):
             c *= exp
             exp -= 1.0
-        if abs(c) >= config.COEF_EPS:
-            coeffs[key - n] = c
-    order = None if f.truncation_order is None else f.truncation_order - n
-    return GenSeries.keyed(f.basepoint, f.phase, coeffs, order)
-
-
-def int_antiderivative(f: GenSeries, n: int = 1) -> GenSeries:
-    """Exact termwise n-fold antiderivative with zero constants, n a
-    nonnegative int; exponent -1 terms are outside its domain."""
-    _check_order(n)
-    coeffs = {}
-    for key, (exp, c) in zip(sorted(f.coeffs), f.terms):
-        for _ in range(n):
+        for _ in range(-n):
             exp += 1.0
             if exp == 0.0:
                 raise ExponentError("antiderivative of exponent -1 term")
             c /= exp
         if abs(c) >= config.COEF_EPS:
-            coeffs[key + n] = c
-    order = None if f.truncation_order is None else f.truncation_order + n
+            coeffs[key - n] = c
+    order = None if f.truncation_order is None else f.truncation_order - n
     return GenSeries.keyed(f.basepoint, f.phase, coeffs, order)
 
 

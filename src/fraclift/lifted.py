@@ -2,9 +2,9 @@
 
 A LiftedSeq represents a function rho on the real line that vanishes off the
 lattice Z - offset, with rho(j - offset) = values[j] and an exact rational
-offset. A sequence on the integers (a jet's entries f^(i)(a)) is its own
-embedding, the lifted sequence at offset 0, and on_integers() restricts
-back.
+offset (a float one read as the rational it stands for, coeffseq.rational).
+A sequence on the integers (a jet's entries f^(i)(a)) is its own embedding,
+the lifted sequence at offset 0, and on_integers() restricts back.
 Fractional differentiation becomes pure offset arithmetic:
 
     shift(rho, k): offset += k, values untouched
@@ -32,87 +32,54 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from . import config
-from .coeffseq import GenSeries, add_values, finite_float, finite_values, fmt17
-from .coeffseq import has_double, nonzero, rational, read_json
+from .coeffseq import GenSeries, LatticeValues, add_values, finite_float
+from .coeffseq import fmt17, has_double, nonzero, rational, read_json, scaled
 from .errors import BasepointError, ExponentError
 from .gamma import lattice_chain, lattice_poles
 
 
-class LiftedSeq:
+class LiftedSeq(LatticeValues):
     """Finite-support lifted sequence: values on the lattice Z - offset.
 
-    The constructor cleans its input (integer indices, float values, none
-    below COEF_EPS); the library's own results are built as given.
-    Sequences compare equal when base point, offset and values do."""
+    The constructor cleans its input: integer indices, float values, none
+    below COEF_EPS, and an int or Fraction offset exact, a float one read
+    by `rational`. The library's own results are built as given."""
+
+    _names = ("basepoint", "offset", "values")
+    _noun = "lifted sequences"
 
     def __init__(self, basepoint, offset=0, values=None):
         self.basepoint = float(basepoint)
-        self.offset = Fraction(offset)
+        self.offset = (rational(offset) if isinstance(offset, float)
+                       else Fraction(offset))
         self.values = nonzero(
             {int(j): float(v) for j, v in (values or {}).items()})
 
-    @classmethod
-    def _keyed(cls, basepoint, offset, values):
-        rho = object.__new__(cls)
-        rho.__dict__.update(basepoint=basepoint, offset=offset, values=values)
-        return rho
-
-    def _fields(self):
-        return self.basepoint, self.offset, self.values
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __repr__(self):
-        return "LiftedSeq(basepoint=%r, offset=%r, values=%r)" % self._fields()
-
-    @property
-    def is_zero(self):
-        return not self.values
-
-    def __add__(self, other):
-        if not isinstance(other, LiftedSeq):
-            return NotImplemented
-        if self.basepoint != other.basepoint:
-            raise BasepointError(
-                "cannot add lifted sequences at base points %r and %r"
-                % (self.basepoint, other.basepoint)
-            )
+    def _sum(self, other):
         if self.offset != other.offset:
             raise BasepointError(
                 "cannot add lifted sequences on different lattices "
-                "(offsets %s and %s)" % (self.offset, other.offset)
-            )
-        return LiftedSeq._keyed(self.basepoint, self.offset,
-                                add_values(self.values, other.values))
-
-    def __mul__(self, c):
-        if not isinstance(c, (int, float)):
-            return NotImplemented
-        return LiftedSeq._keyed(self.basepoint, self.offset, nonzero(
-            {j: c * v for j, v in self.values.items()}))
-
-    __rmul__ = __mul__
+                "(offsets %s and %s)" % (self.offset, other.offset))
+        return LiftedSeq._keyed(basepoint=self.basepoint, offset=self.offset,
+                                values=add_values(self.values, other.values))
 
     def on_integers(self) -> LiftedSeq:
         """Restriction to the integer lattice, as a sequence at offset 0.
         Zero unless the offset is an integer (the function vanishes off its
         own lattice)."""
-        if self.offset.denominator != 1:
-            return LiftedSeq._keyed(self.basepoint, Fraction(0), {})
-        k = int(self.offset)
-        return LiftedSeq._keyed(self.basepoint, Fraction(0), {
-            j - k: v for j, v in self.values.items()})
+        k = self.offset
+        values = ({j - int(k): v for j, v in self.values.items()}
+                  if k.denominator == 1 else {})
+        return LiftedSeq._keyed(basepoint=self.basepoint, offset=Fraction(0),
+                                values=values)
 
 
 def shift(rho: LiftedSeq, k) -> LiftedSeq:
     """Apply the order-k shift (differentiation by k after projection)."""
     r, p, q = rational(k), rho.offset.numerator, rho.offset.denominator
-    return LiftedSeq._keyed(rho.basepoint, Fraction(
-        p * r.denominator + r.numerator * q, q * r.denominator), rho.values)
+    offset = Fraction(p * r.denominator + r.numerator * q, q * r.denominator)
+    return LiftedSeq._keyed(basepoint=rho.basepoint, offset=offset,
+                            values=rho.values)
 
 
 def project(rho: LiftedSeq) -> GenSeries:
@@ -132,11 +99,10 @@ def project(rho: LiftedSeq) -> GenSeries:
     keys = keys[lattice_poles(q - p, q, keys):]
     rs = lattice_chain(q - p, q, 0, keys, "recip", 0)
     m = -((p + q - 1) // q)
-    values = rho.values
-    eps = config.COEF_EPS
-    coeffs = finite_values({j + m: w for j, r in zip(keys, rs)
-                            if abs(w := values[j] * r) >= eps}, "a coefficient")
-    return GenSeries.keyed(rho.basepoint, Fraction(-p - m * q, q), coeffs)
+    return GenSeries._keyed(
+        basepoint=rho.basepoint, phase=Fraction(-p - m * q, q),
+        coeffs=scaled(rho.values, keys, rs, m, "a coefficient"),
+        truncation_order=None)
 
 
 def lift_gen(f: GenSeries) -> LiftedSeq:
@@ -152,34 +118,32 @@ def lift_gen(f: GenSeries) -> LiftedSeq:
             "term at exponent %r has no preimage under projection "
             "(Gamma pole)" % ((keys[0] * q + p) / q))
     gs = lattice_chain(p + q, q, 0, keys, "gamma", 0)
-    up = 1 if p else 0
-    coeffs = f.coeffs
-    eps = config.COEF_EPS
-    values = finite_values({n + up: w for n, g in zip(keys, gs)
-                            if abs(w := coeffs[n] * g) >= eps}, "a lifted value")
-    return LiftedSeq._keyed(f.basepoint,
-                            Fraction(q - p, q) if p else f.phase, values)
+    return LiftedSeq._keyed(
+        basepoint=f.basepoint, offset=Fraction(q - p, q) if p else f.phase,
+        values=scaled(f.coeffs, keys, gs, 1 if p else 0, "a lifted value"))
 
 
 def lifted_to_json(rho: LiftedSeq) -> str:
     """Canonical JSON: {"basepoint": a, "offset": k, "values":
     [{"index": j, "value": v}...]}, index-sorted, 17 significant digits.
-    An offset that no double holds exactly (1/3, or shifts by 0.1 and then
-    0.2) is written a second time as "offset_exact": "p/q", which a reader
-    prefers."""
+    An offset that no double holds (1/3), or whose double `rational` reads
+    as another (the binary value of 0.1 + 0.2, as 3/10), is written a second
+    time as "offset_exact": "p/q", which a reader prefers."""
     parts = ", ".join(
         '{"index": %d, "value": %s}' % (j, fmt17(v))
         for j, v in sorted(rho.values.items())
     )
     offset = fmt17(rho.offset)
-    if Fraction(float(rho.offset)) != rho.offset:
+    x = float(rho.offset)
+    if Fraction(x) != rho.offset or rational(x) != rho.offset:
         offset += ', "offset_exact": "%s"' % rho.offset
     return '{"basepoint": %s, "offset": %s, "values": [%s]}' % (
         fmt17(rho.basepoint), offset, parts)
 
 
 def lifted_from_json(text: str) -> LiftedSeq:
-    """Inverse of lifted_to_json; malformed input raises InputError."""
+    """Inverse of lifted_to_json ("offset" alone is read by `rational`);
+    malformed input raises InputError."""
     def read(doc):
         values = {}
         for v in doc["values"]:
@@ -187,7 +151,7 @@ def lifted_from_json(text: str) -> LiftedSeq:
             if j != int(j):
                 raise ValueError("index %r is not an integer" % (j,))
             values[int(j)] = finite_float(v["value"])
-        offset = Fraction(finite_float(doc["offset"]))
+        offset = finite_float(doc["offset"])
         if "offset_exact" in doc:
             exact = Fraction(doc["offset_exact"])
             if float(exact) != offset:

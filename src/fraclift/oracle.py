@@ -50,21 +50,19 @@ import math
 import sys
 
 from . import config
-from .coeffseq import GenSeries, series_eval
-from .errors import EvalDomainError, ExponentError, OracleError, TruncationError
+from .coeffseq import GenSeries, eval_within_reach, series_eval
+from .errors import EvalDomainError, ExponentError, OracleError
 from .rl import rl_series
 
 # The trapezoid steps 2^-1 ... 2^-_LEVELS on |u| <= _U_MAX, and the relative
 # agreement of two successive levels that ends the refinement; the largest
-# central-difference step (for x - a <= 1), the highest order answered (see
-# above), and the largest relative size of a truncated series' last term at
-# a comparison point
+# central-difference step (for x - a <= 1) and the highest order answered
+# (see above)
 _LEVELS = 7
 _U_MAX = 6.5
 _QUAD_TOL = 1e-10
 _FD_STEP = 1e-3
 _MAX_ORDER = 2.0
-_TAIL_TOL = 1e-8
 
 
 @functools.cache
@@ -189,11 +187,11 @@ def compare(f: GenSeries, k, xs) -> list:
     """Termwise rule vs. integral oracle on a list of evaluation points: one
     (x, termwise, oracle, |difference|) row per point.
 
-    Every x must lie strictly above the base point; for truncated series a
-    last-term heuristic guards against evaluating past the jet's reach. The
-    oracle integrates the same coefficients on base point 0 up to x - a, so
-    the integrand's distance to the base point is t itself, to full
-    relative accuracy, whatever a is; its errors name the point x - a."""
+    Every x must lie strictly above the base point, and a truncated series
+    within its reach there (coeffseq.eval_within_reach). The oracle
+    integrates the same coefficients on base point 0 up to x - a, so the
+    integrand's distance to the base point is t itself, to full relative
+    accuracy, whatever a is; its errors name the point x - a."""
     g = rl_series(f, k)
     at_zero = GenSeries.keyed(0.0, f.phase, f.coeffs)
     rows = []
@@ -202,14 +200,7 @@ def compare(f: GenSeries, k, xs) -> list:
         if x <= f.basepoint:
             raise EvalDomainError(
                 "comparison point %r not above base point %r" % (x, f.basepoint))
-        fx = series_eval(f, x)
-        if f.truncation_order is not None and f.terms:
-            e_last, c_last = f.terms[-1]
-            tail = abs(c_last) * abs(x - f.basepoint) ** e_last
-            if tail > _TAIL_TOL * max(1.0, abs(fx)):
-                raise TruncationError(
-                    "series truncation too coarse at x=%r (last term %g)"
-                    % (x, tail))
+        eval_within_reach(f, x, f.truncation_order is not None)
         termwise = series_eval(g, x)
         oracle_val = rl_oracle(lambda t: series_eval(at_zero, t), 0.0, k,
                                x - f.basepoint)

@@ -17,8 +17,9 @@ from the integers, so gamma.lattice_poles decides each lattice's poles with
 one test, and the annihilated terms are one run of keys, dropped
 unevaluated. gamma.lattice_chain steps the other ratios along the lattice,
 R(e+1) = R(e) * (e+1)/(e+1-k), and gives the keys before that run (joint
-and numerator poles) the scalar cases above. rl_term evaluates a single
-term, and rl_kernel_predicate tests one exponent: the scalar reference.
+and numerator poles) the scalar cases above; coeffseq.scaled applies the
+ratios. rl_term evaluates a single term, and rl_kernel_predicate tests one
+exponent: the scalar reference.
 
 This is the non-commutative side of the constructions in `lifted`: composing
 two orders can annihilate a term that the summed order keeps.
@@ -28,8 +29,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from . import config
-from .coeffseq import GenSeries, finite_values, rational
+from .coeffseq import GenSeries, rational, scaled
 from .errors import ExponentError
 from .gamma import gamma_ratio, is_pole, lattice_chain, lattice_poles
 
@@ -103,9 +103,8 @@ def rl_series(f: GenSeries, k) -> GenSeries:
     d = q * kq
     ratios = lattice_chain((p + q) * kq, d, kp * q, keys, "ratio", lo)
     m, s = divmod(p * kq - kp * q, d)
-    coeffs = f.coeffs
-    eps = config.COEF_EPS
     order = None if f.truncation_order is None else f.truncation_order - k
-    out = finite_values({n + m: v for n, g in zip(keys, ratios)
-                         if abs(v := coeffs[n] * g) >= eps}, "a coefficient")
-    return GenSeries.keyed(f.basepoint, Fraction(s, d), out, order)
+    return GenSeries._keyed(
+        basepoint=f.basepoint, phase=Fraction(s, d),
+        coeffs=scaled(f.coeffs, keys, ratios, m, "a coefficient"),
+        truncation_order=order)

@@ -55,6 +55,23 @@ class TestDeriv:
             assert err == ("error: series value at x=1e-10 is inf, "
                            "not a finite double\n")
 
+    def test_points_past_a_jets_reach_are_refused(self, capsys):
+        # exp(x) at order 16: e^20 = 4.85e8 and e^10 = 22026.5, where the
+        # truncated jet gives 7.59e7 and 20952.9; at x = 3 it is off from
+        # the 7th digit. Each route refuses, and prints nothing
+        for x in ("20", "10", "3"):
+            for via in ("rl", "lifted"):
+                code, out, err = run_cli(capsys, "deriv", "--expr", "exp(x)",
+                                         "--k", "1", "--at", x, "--via", via)
+                assert (code, out) == (2, "")
+                assert err.startswith("error: series truncation too coarse")
+        # within reach (last term 2.8e-13 of the value) the value prints
+        code, out, _ = run_cli(capsys, "deriv", "--expr", "exp(x)", "--k", "1",
+                               "--at", "1", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["values"][0]["value"] == pytest.approx(
+            math.e, rel=1e-13)
+
     def test_compare_paths_table(self, capsys):
         code, out, _ = run_cli(capsys, "deriv", "--expr", "x^2 + x", "--k",
                                "0.5", "--compare-paths")
@@ -221,6 +238,17 @@ class TestLiftProject:
         series = json.loads(out2)
         assert series["terms"][0]["exp"] == -0.5
         assert abs(series["terms"][0]["coef"] - 1.0) <= 1e-12
+
+    def test_float_offset_projects_at_its_rational(self, capsys, tmp_path):
+        path = tmp_path / "rho.json"
+        path.write_text('{"basepoint": 0, "offset": 0.3333333333333333, '
+                        '"values": [{"index": 1, "value": 1}]}')
+        code, out, _ = run_cli(capsys, "project", "--lifted-file", str(path))
+        assert code == 0
+        doc = json.loads(out)
+        assert [t["exp"] for t in doc["terms"]] == [2 / 3]
+        assert '"exp": 0.66666666666666663' in out
+        assert "phase_exact" not in doc
 
     def test_lift_shift_project_pipeline(self, capsys, tmp_path):
         _, out, _ = run_cli(capsys, "lift", "--expr", "x", "--k", "0.5")

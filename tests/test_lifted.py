@@ -3,9 +3,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import assert_series_close
-from fraclift.coeffseq import GenSeries, monomial
+from fraclift.coeffseq import GenSeries, monomial, rational
 from fraclift.errors import BasepointError, ExponentError, InputError
 from fraclift.lifted import (
     LiftedSeq,
@@ -189,9 +191,11 @@ class TestLiftedJson:
         assert lifted_from_json(lifted_to_json(shift(back, 0.7))) == shift(rho, 0.7)
 
     def test_files_without_exact_offset_stay_readable(self):
+        # without "offset_exact" the float offset is read by `rational`, as
+        # the float entry reads a phase: the double of 0.1 + 0.2 is 3/10
         rho = lifted_from_json('{"basepoint": 0, "offset": 0.30000000000000004, '
                                '"values": [{"index": 0, "value": 1}]}')
-        assert rho.offset == Fraction(0.30000000000000004)
+        assert rho.offset == Fraction(3, 10)
         for bad in ('"1/0"', '"abc"', '3', '"1/3"'):
             with pytest.raises(InputError):
                 lifted_from_json('{"basepoint": 0, "offset": 0.5, "offset_exact": '
@@ -206,6 +210,31 @@ class TestLiftedJson:
         f = project(rho)
         assert f.exponents() == [0.0, 3.0]
         assert [c for _, c in f.terms] == [1.0, pytest.approx(1 / 3, rel=1e-15)]
+
+    def test_float_offsets_enter_as_rationals(self):
+        text = ('{"basepoint": 0, "offset": 0.3333333333333333, '
+                '"values": [{"index": 1, "value": 1}]}')
+        rho = lifted_from_json(text)
+        assert rho.offset == Fraction(1, 3)
+        assert rho == LiftedSeq(0, 1 / 3, {1: 1.0})
+        assert rho == shift(LiftedSeq(0, 0, {1: 1.0}), 1 / 3)
+        f = project(rho)
+        assert f.phase == Fraction(2, 3)
+        assert f.exponents() == [2 / 3]
+        # an int or Fraction offset stays exact; pi/3 keeps its binary value
+        assert LiftedSeq(0, 10**30, {}).offset == 10**30
+        assert LiftedSeq(0, Fraction(1, 3) + Fraction(1, 2**60), {}).offset \
+            == Fraction(1, 3) + Fraction(1, 2**60)
+        assert LiftedSeq(0, math.pi / 3, {}).offset == Fraction(math.pi / 3)
+
+    def test_binary_offset_near_a_rational_is_written_exactly(self):
+        # the double's own value, 2^-54 from 3/10: `rational` would read the
+        # float alone as 3/10, so the file states the offset a second time
+        offset = Fraction(0.1 + 0.2)
+        rho = LiftedSeq(0, offset, {0: 1.0})
+        text = lifted_to_json(rho)
+        assert '"offset_exact": "%s"' % offset in text
+        assert lifted_from_json(text) == rho
 
     def test_canonical_text(self):
         rho = LiftedSeq(0.0, Fraction(1, 2), {0: 1.0})
@@ -225,3 +254,32 @@ class TestLiftedJson:
                      '"values": [{"index": Infinity, "value": 1}]}'):
             with pytest.raises(InputError):
                 lifted_from_json(text)
+
+
+# Offsets p/q with q <= 1000, the doubles up to 8 ulps from such a p/q (so
+# within and just past `rational`'s 4 eps) at their binary values, arbitrary
+# doubles, and p/q + n 2^-60: each must come back from its file exactly.
+def _ulps_from(x, n):
+    for _ in range(abs(n)):
+        x = math.nextafter(x, math.copysign(math.inf, n))
+    return Fraction(x)
+
+
+_near = st.builds(lambda p, q, n: _ulps_from(p / q, n), st.integers(-3000, 3000),
+                  st.integers(1, 1000), st.integers(-8, 8))
+_exact = st.builds(Fraction, st.integers(-3000, 3000), st.integers(1, 1000))
+_binary = st.floats(-1e6, 1e6, allow_nan=False).map(Fraction)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_exact, _near, _binary,
+                 st.builds(lambda p, q, n: Fraction(p, q) + Fraction(n, 2**60),
+                           st.integers(-30, 30), st.integers(1, 12),
+                           st.integers(-64, 64))))
+def test_offsets_round_trip_through_json(offset):
+    rho = LiftedSeq._keyed(basepoint=0.0, offset=offset,
+                           values={0: 1.0, 3: -2.5})
+    back = lifted_from_json(lifted_to_json(rho))
+    assert back.offset == offset and back == rho
+    # the float alone is read as the rational it stands for
+    assert LiftedSeq(0.0, float(offset)).offset == rational(float(offset))
