@@ -139,9 +139,7 @@ def cmd_deriv(args):
 
     result = rl_series(f, k) if args.via == "rl" else lifted_path()
     # evaluated before anything is printed, so a failing point prints nothing
-    truncated = f.truncation_order is not None
-    values = [(x, eval_within_reach(result, x, truncated))
-              for x in args.at or ()]
+    values = [(x, eval_within_reach(result, x)) for x in args.at or ()]
 
     if args.format == "json":
         killed_json = ", ".join(

@@ -3,13 +3,15 @@
 A GenSeries is a finite sum of real-power terms b*(x-a)^e whose exponents
 all lie on one lattice {phase + n : n integer}. It is stored exactly, as
 
-    (basepoint, phase, {n: b}, truncation_order)
+    (basepoint, phase, keys, vals, truncation_order)
 
-with phase a Fraction in [0, 1): key n stands for the exponent n + phase, so
-an exponent is an integer key, never a float matched within a tolerance.
-Ordinary truncated Taylor jets are the phase-0 case. .terms holds plain
-(exponent, coefficient) float pairs, exponent-sorted; the exponents are the
-correctly rounded doubles of n + phase.
+with phase a Fraction in [0, 1), keys ascending ints and vals the aligned
+float coefficients: key n stands for the exponent n + phase, so an exponent
+is an integer key, never a float matched within a tolerance. Ordinary
+truncated Taylor jets are the phase-0 case. .coeffs is a read-only {n: b}
+view, and .terms the (exponent, coefficient) float pairs, the exponents
+being the correctly rounded doubles of n + phase; both are built on first
+read.
 
 Floats join a lattice in one place, the float entry: the positional
 constructor GenSeries(basepoint, pairs, order), series_from_json, and each
@@ -26,14 +28,13 @@ phase) is then dx^e_lo times a polynomial in dx^g, run from the highest
 key in dx^g when |dx| <= 1 and from the lowest key in dx^-g, times dx^e_hi,
 when |dx| > 1, so no partial sum overflows where no term does: at most two
 powers per evaluation, and an error of a few rounding units per term
-relative to sum |c_n dx^e_n|. Other keys take one power per term. The rule
-reads the one sort of the keys that .terms is built from, so it costs no
-pass of its own, and every evaluation of a series at a point gives the
-same double.
+relative to sum |c_n dx^e_n|. Other keys take one power per term. g is
+found once per series, so every evaluation at a point gives the same double.
 
 Coefficient sequences (a jet's entries f^(i)(a), on the integers) are
 lifted sequences at offset 0. Both kinds share one class body,
-LatticeValues, and rl_series, project and lift_gen one scale step, scaled.
+LatticeValues, and every computed value one step, `kept`, which refuses a
+value that is not a finite double and drops those below COEF_EPS.
 """
 
 from __future__ import annotations
@@ -42,6 +43,9 @@ import json
 import math
 import sys
 from fractions import Fraction
+from itertools import compress, islice, repeat
+from operator import lt, mul, sub
+from types import MappingProxyType
 
 from . import config
 from .errors import (
@@ -110,31 +114,25 @@ def has_double(q, *ns) -> bool:
     return all(-bound < n < bound for n in ns)
 
 
-def nonzero(values):
-    """{key: value} without the values below COEF_EPS in magnitude."""
+def kept(keys, vals, m, error, what):
+    """(keys moved by m, vals) without the values below COEF_EPS in
+    magnitude; a value that is not a finite double raises error."""
+    if not all(map(math.isfinite, vals)):
+        bad = next(v for v in vals if not math.isfinite(v))
+        raise error("%s is %r, not a finite double" % (what, bad))
+    if m:
+        keys = [n + m for n in keys]
     eps = config.COEF_EPS
-    return {n: v for n, v in values.items() if abs(v) >= eps}
+    if vals and min(map(abs, vals)) < eps:
+        keep = [abs(v) >= eps for v in vals]
+        keys, vals = list(compress(keys, keep)), list(compress(vals, keep))
+    return keys, vals
 
 
-def scaled(values, keys, factors, m, what):
-    """{n + m: values[n] * g} for n, g in zip(keys, factors) without products
-    below COEF_EPS in magnitude, the last step of rl_series, project and
-    lift_gen; one that is not a finite double raises GammaOverflowError."""
-    eps = config.COEF_EPS
-    out = {n + m: v for n, g in zip(keys, factors)
-           if abs(v := values[n] * g) >= eps}
-    if not all(map(math.isfinite, out.values())):
-        bad = next(v for v in out.values() if not math.isfinite(v))
-        raise GammaOverflowError("%s is %r, not a finite double" % (what, bad))
-    return out
-
-
-def add_values(a, b):
-    """The keywise sum of two {key: value} maps, without zeros."""
-    out = dict(a)
-    for n, v in b.items():
-        out[n] = out.get(n, 0.0) + v
-    return nonzero(out)
+def scaled(keys, vals, factors, m, what, error=GammaOverflowError):
+    """kept(keys, vals times factors, m): the last step of rl_series,
+    project, lift_gen and c * x."""
+    return kept(keys, list(map(mul, vals, factors)), m, error, what)
 
 
 def rational(x) -> Fraction:
@@ -170,59 +168,89 @@ def _phase_of(exponents):
     # the lattice phase the float entry reads: that of the exponent of
     # smallest magnitude, whose fractional part carries the most bits
     r = rational(min(exponents, key=abs))
-    return r - math.floor(r)
+    return Fraction(r.numerator % r.denominator, r.denominator)
 
 
 def _lattice(pairs, phase=None):
-    """(phase, {n: c}) for float (exponent, coefficient) pairs: the float
-    entry. Unless given, the phase is read from the exponents; an exponent
-    within config.INT_TOL of n + phase joins key n, and equal keys add.
-    Raises ExponentError for a non-finite exponent, InputError for a
-    non-finite coefficient and LatticeError for one off the lattice."""
+    """(phase, keys, vals) for (exponent, coefficient) pairs read as floats:
+    the float entry. Unless given, the phase is read from the exponents; an
+    exponent within config.INT_TOL of n + phase joins key n, and equal keys
+    add in input order. Raises ExponentError for a non-finite exponent,
+    LatticeError for one off the lattice and InputError for a coefficient
+    that is not a finite double."""
+    if not isinstance(pairs, (list, tuple)):
+        pairs = list(pairs)
     if not pairs:
-        return Fraction(0), {}
-    exps = [e for e, _ in pairs]
+        return Fraction(0), [], []
+    # two lists, no n-tuples: CPython keeps up to 2000 freed tuples of each
+    # length below 20, which a column tuple per series would fill
+    exps = [float(e) for e, _ in pairs]
+    vals = [float(c) for _, c in pairs]
     if not all(map(math.isfinite, exps)):
         raise ExponentError("exponent %r is not finite"
                             % next(e for e in exps if not math.isfinite(e)))
     if phase is None:
         phase = _phase_of(exps)
     ph = phase.numerator / phase.denominator
-    tol = config.INT_TOL
-    coeffs = {}
-    for e, c in pairs:
-        d = e - ph
-        n = round(d)
-        if abs(d - n) > tol:
-            raise LatticeError(
-                "exponents %r and %r lie on different lattices"
-                % (min(exps, key=abs), e))
-        coeffs[n] = coeffs.get(n, 0.0) + c
-    if not all(map(math.isfinite, coeffs.values())):
-        raise InputError("a coefficient is not finite")
-    return phase, nonzero(coeffs)
+    ds = [e - ph for e in exps] if ph else exps
+    keys = list(map(float.__round__, ds))  # round(), without its dispatch
+    if max(map(abs, map(sub, ds, keys))) > config.INT_TOL:
+        raise LatticeError(
+            "exponents %r and %r lie on different lattices"
+            % (min(exps, key=abs), next(e for e, d, n in zip(exps, ds, keys)
+                                        if abs(d - n) > config.INT_TOL)))
+    if not all(map(lt, keys, islice(keys, 1, None))):
+        # out of order or repeated: sort, adding equal keys in input order
+        acc = dict.fromkeys(sorted(keys), 0.0)
+        for n, c in zip(keys, vals):
+            acc[n] += c
+        keys, vals = list(acc), list(acc.values())
+    return (phase, *kept(keys, vals, 0, InputError, "a coefficient"))
 
 
 class LatticeValues:
-    """Values on a shifted integer lattice: the fields _names names, a base
-    point, the lattice's exact rational place, a map {int: float} with no
-    value below COEF_EPS in magnitude, then the subclass's own. _keyed takes
-    them by name as given; instances compare and print field by field, add
-    at one base point (the subclass's _sum adds the maps) and scale."""
+    """Values on a shifted integer lattice: a base point, the lattice's
+    exact rational place (the field _place names), ascending int keys and
+    the aligned float vals, none below COEF_EPS in magnitude, and a
+    truncation order or None. _of takes them as given; columns are shared
+    and never changed in place. The view _view names is built on first
+    read."""
 
-    # a __dict__ slot keeps attribute reads fast on the dict _keyed installs
+    # a __dict__ slot keeps attribute reads fast on the dict _of installs
     __slots__ = ("__dict__",)
-    _names = ()
+    _place = ""  # "phase" or "offset"
+    _view = ""  # "coeffs" or "values"
     _noun = ""  # what the error messages call two instances
+    _map = None
 
     @classmethod
-    def _keyed(cls, **fields):
+    def _of(cls, basepoint, place, keys, vals, truncation_order=None):
         x = object.__new__(cls)
-        x.__dict__ = fields
+        x.__dict__ = {"basepoint": basepoint, cls._place: place, "keys": keys,
+                      "vals": vals, "truncation_order": truncation_order}
         return x
 
+    @classmethod
+    def keyed(cls, basepoint, place, mapping, truncation_order=None):
+        """The instance holding mapping {key: value} as given: no value is
+        checked or dropped."""
+        keys = sorted(mapping)
+        return cls._of(basepoint, place, keys, [mapping[n] for n in keys],
+                       truncation_order)
+
     def _fields(self):
-        return tuple([self.__dict__[name] for name in self._names])
+        d = self.__dict__
+        return (d["basepoint"], d[self._place], d["keys"], d["vals"],
+                d["truncation_order"])
+
+    def _with(self, keys, vals, truncation_order):
+        return self._of(self.basepoint, self._fields()[1], keys, vals,
+                        truncation_order)
+
+    def _mapping(self):
+        if self._map is None:
+            self._map = MappingProxyType(dict(zip(self.keys, self.vals)))
+        return self._map
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -230,12 +258,14 @@ class LatticeValues:
         return self._fields() == other._fields()
 
     def __repr__(self):
-        return "%s(%s)" % (type(self).__name__, ", ".join(
-            "%s=%r" % pair for pair in zip(self._names, self._fields())))
+        b, place, _, _, order = self._fields()
+        return "%s(basepoint=%r, %s=%r, %s=%r, truncation_order=%r)" % (
+            type(self).__name__, b, self._place, place, self._view,
+            dict(self._mapping()), order)
 
     @property
     def is_zero(self):
-        return not self._fields()[2]
+        return not self.keys
 
     def __add__(self, other):
         if type(other) is not type(self):
@@ -244,22 +274,32 @@ class LatticeValues:
             raise BasepointError(
                 "cannot add %s at base points %r and %r"
                 % (self._noun, self.basepoint, other.basepoint))
-        return self._sum(other)
+        order = min((o for o in (self.truncation_order, other.truncation_order)
+                     if o is not None), default=None)
+        return self._sum(other, order)
+
+    def _merged(self, other, order):
+        # the keywise sum on one lattice
+        acc = dict(zip(self.keys, self.vals))
+        for n, v in zip(other.keys, other.vals):
+            acc[n] = acc.get(n, 0.0) + v
+        keys = sorted(acc)
+        return self._with(*kept(keys, [acc[n] for n in keys], 0, InputError,
+                                "a sum"), order)
 
     def __mul__(self, c):
         if not isinstance(c, (int, float)):
             return NotImplemented
-        fields = dict(zip(self._names, self._fields()))
-        name = self._names[2]
-        fields[name] = nonzero({n: c * v for n, v in fields[name].items()})
-        return self._keyed(**fields)
+        return self._with(*scaled(self.keys, self.vals, repeat(c), 0,
+                                  "a product", InputError),
+                          self.truncation_order)
 
     __rmul__ = __mul__
 
 
 class GenSeries(LatticeValues):
     """Finite generalized power series around a base point: coefficient
-    coeffs[n] (at least COEF_EPS in magnitude) at exponent n + phase.
+    vals[i] (at least COEF_EPS in magnitude) at exponent keys[i] + phase.
 
     GenSeries(basepoint, pairs, truncation_order) is the float entry for
     (exponent, coefficient) pairs, which merges equal exponents and rejects
@@ -268,34 +308,35 @@ class GenSeries(LatticeValues):
     are an unrepresented remainder (a truncated transcendental jet).
     """
 
-    _names = ("basepoint", "phase", "coeffs", "truncation_order")
+    _place = "phase"
+    _view = "coeffs"
     _noun = "series"
-    # .terms and series_eval's Horner step, set together on the first read
-    _terms = None
+    _terms = None  # .terms, built on the first read
+    _plan = None  # series_eval's Horner step and end exponents, likewise
 
     def __init__(self, basepoint, terms=(), truncation_order=None):
-        self.phase, self.coeffs = _lattice(
-            [(float(e), float(c)) for e, c in terms])
+        self.phase, self.keys, self.vals = _lattice(terms)
         self.basepoint = float(basepoint)
         self.truncation_order = truncation_order
 
-    @classmethod
-    def keyed(cls, basepoint, phase, coeffs, truncation_order=None):
-        """sum coeffs[n] * (x-basepoint)^(n + phase) as given: phase a
-        Fraction in [0, 1), coeffs {int: float}, none below COEF_EPS."""
-        return cls._keyed(basepoint=basepoint, phase=phase, coeffs=coeffs,
-                          truncation_order=truncation_order)
+    coeffs = property(LatticeValues._mapping)
 
     @property
     def terms(self):
         """The terms as (exponent, coefficient) float pairs, exponent-sorted."""
         if self._terms is None:
-            p, q = self.phase.numerator, self.phase.denominator
-            items = sorted(self.coeffs.items())
-            # series_eval's Horner step, read from this one sort of the keys
-            self._step = _even_step(items, self.coeffs)
-            self._terms = tuple([((n * q + p) / q, c) for n, c in items])
+            # from a list: tuple() of an iterator takes a length-10 tuple
+            # from CPython's free lists and resizes it, so freed ones pile
+            # up in the lists of other lengths
+            self._terms = tuple([*zip(self.exponents(), self.vals)])
         return self._terms
+
+    def exponents(self):
+        """The exponents n + phase as doubles, ascending."""
+        p, q = self.phase.numerator, self.phase.denominator
+        if q == 1:
+            return list(map(float, self.keys))
+        return [(n * q + p) / q for n in self.keys]
 
     def coefficient(self, exponent):
         """The coefficient at the lattice point within config.INT_TOL of
@@ -305,33 +346,12 @@ class GenSeries(LatticeValues):
             return 0.0
         return self.coeffs.get(round(d), 0.0)
 
-    def exponents(self):
-        return [e for e, _ in self.terms]
-
-    def _sum(self, other):
-        order = min((o for o in (self.truncation_order, other.truncation_order)
-                     if o is not None), default=None)
-        a, b = (self, other) if self.coeffs else (other, self)
-        if b.coeffs and a.phase != b.phase:
+    def _sum(self, other, order):
+        a, b = (self, other) if self.keys else (other, self)
+        if b.keys and a.phase != b.phase:
             # two phases: the exponents enter again as floats
             return GenSeries(self.basepoint, a.terms + b.terms, order)
-        return GenSeries.keyed(self.basepoint, a.phase,
-                               add_values(a.coeffs, b.coeffs), order)
-
-
-def _even_step(items, coeffs):
-    """g >= 1 where the keys of the key-sorted items are every g-th integer
-    from the lowest one, else 0."""
-    n = len(items)
-    if n < 3:
-        return items[1][0] - items[0][0] if n == 2 else 1
-    lo, hi = items[0][0], items[-1][0]
-    g = items[1][0] - lo
-    # n distinct keys fill the n points lo, lo + g, ..., hi
-    if hi - lo == g * (n - 1) and all(
-            map(coeffs.__contains__, range(lo + g, hi, g))):
-        return g
-    return 0
+        return a._merged(b, order)
 
 
 def monomial(exponent, coefficient=1.0):
@@ -368,35 +388,41 @@ def series_eval(f: GenSeries, x) -> float:
     a finite double, raises EvalDomainError."""
     x = float(x)
     dx = x - f.basepoint
-    terms = f._terms or f.terms  # the slot once built: no property call
-    if not terms:
+    vals = f.vals
+    if not vals:
         return 0.0
+    plan = f._plan
+    if plan is None:  # g >= 1 where the keys are every g-th integer, else 0
+        keys, p, q = f.keys, f.phase.numerator, f.phase.denominator
+        g = keys[1] - keys[0] if len(keys) > 1 else 1
+        if keys != list(range(keys[0], keys[0] + g * len(keys), g)):
+            g = 0
+        plan = f._plan = (g, (keys[0] * q + p) / q, (keys[-1] * q + p) / q)
+    g, e_lo, e_hi = plan
     if dx <= 0.0:
-        e0 = terms[0][0]
         if f.phase:
             raise EvalDomainError(
                 "non-integer exponent %r needs x > basepoint (x=%r, a=%r)"
-                % (e0, x, f.basepoint))
-        if dx == 0.0 and e0 < 0.0:
+                % (e_lo, x, f.basepoint))
+        if dx == 0.0 and e_lo < 0.0:
             raise EvalDomainError(
-                "negative exponent %r undefined at the base point" % e0)
-    g = f._step
+                "negative exponent %r undefined at the base point" % e_lo)
     s = 0.0
     try:
         if not g:
-            for e, c in terms:
+            for e, c in f.terms:
                 s += c * math.pow(dx, e)
             value = s
         elif -1.0 <= dx <= 1.0:
             m = dx if g == 1 else math.pow(dx, g)
-            for _, c in reversed(terms):
+            for c in reversed(vals):
                 s = s * m + c
-            value = s * math.pow(dx, terms[0][0])
+            value = s * math.pow(dx, e_lo)
         else:
             m = 1.0 / dx if g == 1 else math.pow(dx, -g)
-            for _, c in terms:
+            for c in vals:
                 s = s * m + c
-            value = s * math.pow(dx, terms[-1][0])
+            value = s * math.pow(dx, e_hi)
     except OverflowError:
         raise EvalDomainError(
             "series value at x=%r exceeds double range" % x) from None
@@ -406,13 +432,13 @@ def series_eval(f: GenSeries, x) -> float:
     return value
 
 
-def eval_within_reach(f: GenSeries, x, truncated) -> float:
-    """series_eval(f, x). When f stands for a truncated jet (truncated; the
-    lifted route's results do not record it), a last term at x above
-    _TAIL_TOL max(1, |value|) raises TruncationError: a heuristic guard
-    against evaluating past the jet's reach."""
+def eval_within_reach(f: GenSeries, x) -> float:
+    """series_eval(f, x). When f is a truncated jet (its truncation_order
+    is set), a last term at x above _TAIL_TOL max(1, |value|) raises
+    TruncationError: a heuristic guard against evaluating past the jet's
+    reach."""
     value = series_eval(f, x)
-    if truncated and f.terms:
+    if f.truncation_order is not None and f.keys:
         e_last, c_last = f.terms[-1]
         tail = abs(c_last) * abs(x - f.basepoint) ** e_last
         if tail > _TAIL_TOL * max(1.0, abs(value)):
@@ -425,11 +451,13 @@ def eval_within_reach(f: GenSeries, x, truncated) -> float:
 def int_derivative(f: GenSeries, n: int = 1) -> GenSeries:
     """Exact termwise derivative of integer order n (falling-factorial
     products), independent of the Gamma kernel; for n < 0 the (-n)-fold
-    antiderivative with zero constants, which refuses exponent -1."""
+    antiderivative with zero constants, which refuses exponent -1. A
+    coefficient that leaves the double range raises GammaOverflowError, as
+    rl_series does."""
     if not isinstance(n, int):
         raise ExponentError("order %r is not an integer" % (n,))
-    coeffs = {}
-    for key, (exp, c) in zip(sorted(f.coeffs), f.terms):
+    vals = []
+    for exp, c in f.terms:
         for _ in range(n):
             c *= exp
             exp -= 1.0
@@ -438,10 +466,10 @@ def int_derivative(f: GenSeries, n: int = 1) -> GenSeries:
             if exp == 0.0:
                 raise ExponentError("antiderivative of exponent -1 term")
             c /= exp
-        if abs(c) >= config.COEF_EPS:
-            coeffs[key - n] = c
+        vals.append(c)
     order = None if f.truncation_order is None else f.truncation_order - n
-    return GenSeries.keyed(f.basepoint, f.phase, coeffs, order)
+    return f._with(*kept(f.keys, vals, -n, GammaOverflowError,
+                         "a coefficient"), order)
 
 
 def series_to_json(f: GenSeries) -> str:
@@ -475,8 +503,8 @@ def series_from_json(text: str) -> GenSeries:
             if not 0 <= phase < 1:
                 raise ValueError("phase_exact %s is not in [0, 1)" % phase)
         order = doc.get("truncation_order")
-        return GenSeries.keyed(finite_float(doc["basepoint"]),
-                               *_lattice(pairs, phase),
-                               None if order is None else finite_float(order))
+        return GenSeries._of(finite_float(doc["basepoint"]),
+                             *_lattice(pairs, phase),
+                             None if order is None else finite_float(order))
 
     return read_json(text, "series", read)

@@ -3,21 +3,25 @@
 A LiftedSeq represents a function rho on the real line that vanishes off the
 lattice Z - offset, with rho(j - offset) = values[j] and an exact rational
 offset (a float one read as the rational it stands for, coeffseq.rational).
-A sequence on the integers (a jet's entries f^(i)(a)) is its own embedding,
-the lifted sequence at offset 0, and on_integers() restricts back.
-Fractional differentiation becomes pure offset arithmetic:
+It holds the indices j and the values as the key and value columns of
+coeffseq.LatticeValues. A sequence on the integers (a jet's entries
+f^(i)(a)) is its own embedding, the lifted sequence at offset 0, and
+on_integers() restricts back. Fractional differentiation becomes pure
+offset arithmetic:
 
     shift(rho, k): offset += k, values untouched
 
 which commutes exactly, by construction, for all real orders (an order
-enters as the rational it stands for, coeffseq.rational).
+enters as the rational it stands for, coeffseq.rational). A lifted jet
+keeps its truncation order N as an exact rational, and shift lowers it by
+k, so the lifted route reports N - k as the termwise route does.
 
 Projection sends index j to exponent t = j - offset with coefficient
 values[j] / Gamma(t+1). At an integer offset the poles t+1 <= 0 are the
-indices j < offset, dropped at once, so at offset 0 projection annihilates
-exactly the sequences on the negative indices. lift_gen inverts projection
-on series without negative-integer exponents, putting exponent n + phase at
-index n (phase 0) or n + 1 (offset 1 - phase).
+indices j < offset, sliced off at once, so at offset 0 projection
+annihilates exactly the sequences on the negative indices. lift_gen inverts
+projection on series without negative-integer exponents, putting exponent
+n + phase at index n (phase 0) or n + 1 (offset 1 - phase).
 
 Both directions evaluate Gamma along the lattice with gamma.lattice_chain,
 one scalar anchor and a Pochhammer step per lattice step, at arguments
@@ -32,54 +36,67 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .coeffseq import GenSeries, LatticeValues, add_values, finite_float
-from .coeffseq import fmt17, has_double, nonzero, rational, read_json, scaled
-from .errors import BasepointError, ExponentError
+from .coeffseq import GenSeries, LatticeValues, finite_float, fmt17
+from .coeffseq import has_double, kept, rational, read_json, scaled
+from .errors import BasepointError, ExponentError, InputError
 from .gamma import lattice_chain, lattice_poles
+
+
+def _exact(x) -> Fraction:
+    # an int or Fraction as it is, a float as the rational it stands for
+    return rational(x) if isinstance(x, float) else Fraction(x)
 
 
 class LiftedSeq(LatticeValues):
     """Finite-support lifted sequence: values on the lattice Z - offset.
 
     The constructor cleans its input: integer indices, float values, none
-    below COEF_EPS, and an int or Fraction offset exact, a float one read
-    by `rational`. The library's own results are built as given."""
+    below COEF_EPS, and an int or Fraction offset or truncation order
+    exact, a float one read by `rational`; a value that is not a finite
+    double raises InputError. LiftedSeq.keyed takes the values as given."""
 
-    _names = ("basepoint", "offset", "values")
+    _place = "offset"
+    _view = "values"
     _noun = "lifted sequences"
 
-    def __init__(self, basepoint, offset=0, values=None):
+    def __init__(self, basepoint, offset=0, values=None,
+                 truncation_order=None):
         self.basepoint = float(basepoint)
-        self.offset = (rational(offset) if isinstance(offset, float)
-                       else Fraction(offset))
-        self.values = nonzero(
-            {int(j): float(v) for j, v in (values or {}).items()})
+        self.offset = _exact(offset)
+        self.truncation_order = (None if truncation_order is None
+                                 else _exact(truncation_order))
+        values = {int(j): float(v) for j, v in (values or {}).items()}
+        keys = sorted(values)
+        self.keys, self.vals = kept(keys, [values[j] for j in keys], 0,
+                                    InputError, "a lifted value")
 
-    def _sum(self, other):
+    values = property(LatticeValues._mapping)
+
+    def _sum(self, other, order):
         if self.offset != other.offset:
             raise BasepointError(
                 "cannot add lifted sequences on different lattices "
                 "(offsets %s and %s)" % (self.offset, other.offset))
-        return LiftedSeq._keyed(basepoint=self.basepoint, offset=self.offset,
-                                values=add_values(self.values, other.values))
+        return self._merged(other, order)
 
     def on_integers(self) -> LiftedSeq:
         """Restriction to the integer lattice, as a sequence at offset 0.
         Zero unless the offset is an integer (the function vanishes off its
         own lattice)."""
         k = self.offset
-        values = ({j - int(k): v for j, v in self.values.items()}
-                  if k.denominator == 1 else {})
-        return LiftedSeq._keyed(basepoint=self.basepoint, offset=Fraction(0),
-                                values=values)
+        keys, vals = (([j - int(k) for j in self.keys], self.vals)
+                      if k.denominator == 1 else ([], []))
+        return LiftedSeq._of(self.basepoint, Fraction(0), keys, vals,
+                             self.truncation_order)
 
 
 def shift(rho: LiftedSeq, k) -> LiftedSeq:
     """Apply the order-k shift (differentiation by k after projection)."""
     r, p, q = rational(k), rho.offset.numerator, rho.offset.denominator
     offset = Fraction(p * r.denominator + r.numerator * q, q * r.denominator)
-    return LiftedSeq._keyed(basepoint=rho.basepoint, offset=offset,
-                            values=rho.values)
+    order = rho.truncation_order
+    return LiftedSeq._of(rho.basepoint, offset, rho.keys, rho.vals,
+                         None if order is None else order - r)
 
 
 def project(rho: LiftedSeq) -> GenSeries:
@@ -88,21 +105,22 @@ def project(rho: LiftedSeq) -> GenSeries:
     Index j lands at exponent t = j - offset with coefficient
     values[j]/Gamma(t+1); entries with t+1 on a Gamma pole vanish exactly.
     At offset 0 this is the projection of a jet's sequence, entry i over i!
-    at exponent i."""
+    at exponent i. The series' truncation order is rho's, as a double."""
     # exponent j - p/q = key + phase with key = j + m, m = floor(-p/q); the
     # Gamma argument t + 1 = j + (q - p)/q
     p, q = rho.offset.numerator, rho.offset.denominator
-    keys = sorted(rho.values)
+    keys = rho.keys
     # the exponents j - offset and Gamma arguments j + 1 - offset need doubles
     if keys and not has_double(q, keys[0] * q - p, (keys[-1] + 1) * q - p):
         raise ExponentError("an exponent j - offset lies past double range")
-    keys = keys[lattice_poles(q - p, q, keys):]
+    poles = lattice_poles(q - p, q, keys)
+    keys, vals = keys[poles:], rho.vals[poles:]
     rs = lattice_chain(q - p, q, 0, keys, "recip", 0)
     m = -((p + q - 1) // q)
-    return GenSeries._keyed(
-        basepoint=rho.basepoint, phase=Fraction(-p - m * q, q),
-        coeffs=scaled(rho.values, keys, rs, m, "a coefficient"),
-        truncation_order=None)
+    order = rho.truncation_order
+    return GenSeries._of(rho.basepoint, Fraction(-p - m * q, q),
+                         *scaled(keys, vals, rs, m, "a coefficient"),
+                         None if order is None else float(order))
 
 
 def lift_gen(f: GenSeries) -> LiftedSeq:
@@ -110,17 +128,42 @@ def lift_gen(f: GenSeries) -> LiftedSeq:
     index n + 1 at offset 1 - phase (index n at offset 0 when the phase is
     0) with coefficient * Gamma(e+1), so that project inverts it exactly.
     Terms at negative integer exponents sit under a Gamma pole and have no
-    preimage."""
-    keys = sorted(f.coeffs)
+    preimage. A truncated jet's order is kept, read by `rational`."""
+    keys = f.keys
     p, q = f.phase.numerator, f.phase.denominator
     if lattice_poles(p + q, q, keys):
         raise ExponentError(
             "term at exponent %r has no preimage under projection "
             "(Gamma pole)" % ((keys[0] * q + p) / q))
     gs = lattice_chain(p + q, q, 0, keys, "gamma", 0)
-    return LiftedSeq._keyed(
-        basepoint=f.basepoint, offset=Fraction(q - p, q) if p else f.phase,
-        values=scaled(f.coeffs, keys, gs, 1 if p else 0, "a lifted value"))
+    order = f.truncation_order
+    return LiftedSeq._of(f.basepoint, Fraction(q - p, q) if p else f.phase,
+                         *scaled(keys, f.vals, gs, 1 if p else 0,
+                                 "a lifted value"),
+                         None if order is None else rational(order))
+
+
+def _exact_json(name, r):
+    # '"name": r' in 17 digits, and '"name_exact": "p/q"' after it when no
+    # double holds r or `rational` reads r's double as another rational
+    x = float(r)
+    text = '"%s": %s' % (name, fmt17(x))
+    if Fraction(x) != r or rational(x) != r:
+        text += ', "%s_exact": "%s"' % (name, r)
+    return text
+
+
+def _read_exact(doc, name):
+    # the field _exact_json wrote: "name_exact" if present, which must
+    # round to "name", else "name" read by `rational`
+    x = finite_float(doc[name])
+    if name + "_exact" not in doc:
+        return rational(x)
+    exact = Fraction(doc[name + "_exact"])
+    if float(exact) != x:
+        raise ValueError("%s_exact %s disagrees with %s %s"
+                         % (name, exact, name, doc[name]))
+    return exact
 
 
 def lifted_to_json(rho: LiftedSeq) -> str:
@@ -128,22 +171,21 @@ def lifted_to_json(rho: LiftedSeq) -> str:
     [{"index": j, "value": v}...]}, index-sorted, 17 significant digits.
     An offset that no double holds (1/3), or whose double `rational` reads
     as another (the binary value of 0.1 + 0.2, as 3/10), is written a second
-    time as "offset_exact": "p/q", which a reader prefers."""
+    time as "offset_exact": "p/q", which a reader prefers. A truncation
+    order comes last, when set, in the same form."""
     parts = ", ".join(
         '{"index": %d, "value": %s}' % (j, fmt17(v))
-        for j, v in sorted(rho.values.items())
+        for j, v in zip(rho.keys, rho.vals)
     )
-    offset = fmt17(rho.offset)
-    x = float(rho.offset)
-    if Fraction(x) != rho.offset or rational(x) != rho.offset:
-        offset += ', "offset_exact": "%s"' % rho.offset
-    return '{"basepoint": %s, "offset": %s, "values": [%s]}' % (
-        fmt17(rho.basepoint), offset, parts)
+    order = rho.truncation_order
+    return '{"basepoint": %s, %s, "values": [%s]%s}' % (
+        fmt17(rho.basepoint), _exact_json("offset", rho.offset), parts,
+        "" if order is None else ", " + _exact_json("truncation_order", order))
 
 
 def lifted_from_json(text: str) -> LiftedSeq:
-    """Inverse of lifted_to_json ("offset" alone is read by `rational`);
-    malformed input raises InputError."""
+    """Inverse of lifted_to_json ("offset" or "truncation_order" alone is
+    read by `rational`); malformed input raises InputError."""
     def read(doc):
         values = {}
         for v in doc["values"]:
@@ -151,13 +193,9 @@ def lifted_from_json(text: str) -> LiftedSeq:
             if j != int(j):
                 raise ValueError("index %r is not an integer" % (j,))
             values[int(j)] = finite_float(v["value"])
-        offset = finite_float(doc["offset"])
-        if "offset_exact" in doc:
-            exact = Fraction(doc["offset_exact"])
-            if float(exact) != offset:
-                raise ValueError("offset_exact %s disagrees with offset %s"
-                                 % (exact, doc["offset"]))
-            offset = exact
-        return LiftedSeq(finite_float(doc["basepoint"]), offset, values)
+        order = (_read_exact(doc, "truncation_order")
+                 if "truncation_order" in doc else None)
+        return LiftedSeq(finite_float(doc["basepoint"]),
+                         _read_exact(doc, "offset"), values, order)
 
     return read_json(text, "lifted", read)

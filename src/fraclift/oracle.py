@@ -193,14 +193,14 @@ def compare(f: GenSeries, k, xs) -> list:
     integrand's distance to the base point is t itself, to full relative
     accuracy, whatever a is; its errors name the point x - a."""
     g = rl_series(f, k)
-    at_zero = GenSeries.keyed(0.0, f.phase, f.coeffs)
+    at_zero = GenSeries._of(0.0, f.phase, f.keys, f.vals)
     rows = []
     for x in xs:
         x = float(x)
         if x <= f.basepoint:
             raise EvalDomainError(
                 "comparison point %r not above base point %r" % (x, f.basepoint))
-        eval_within_reach(f, x, f.truncation_order is not None)
+        eval_within_reach(f, x)
         termwise = series_eval(g, x)
         oracle_val = rl_oracle(lambda t: series_eval(at_zero, t), 0.0, k,
                                x - f.basepoint)

@@ -67,7 +67,7 @@ import operator
 from fractions import Fraction
 
 from . import config
-from .coeffseq import GenSeries, finite_float, has_double, nonzero, rational
+from .coeffseq import GenSeries, finite_float, has_double, kept, rational
 from .errors import ExpansionError, LatticeError, ParseError
 
 _INTRINSICS = ("exp", "sin", "cos")
@@ -694,12 +694,14 @@ def to_series(expr, basepoint: float = 0.0, order: int | None = None) -> GenSeri
             raise OverflowError
         trunc = None if val.order == math.inf else float(val.order)
         den = val.den  # an exact coefficient rounds once, as int / int
-        coeffs = {n + m: c / den if den else finite_float(c)
-                  for n, c in val.coeffs.items()}
+        keys = sorted(val.coeffs)
+        vals = [c / den if den else finite_float(c)
+                for c in map(val.coeffs.__getitem__, keys)]
     except (OverflowError, ValueError):
         raise ExpansionError("an exponent, order or coefficient exceeds "
                              "double range") from None
     except RecursionError:
         raise ExpansionError("expression nested too deeply") from None
-    return GenSeries.keyed(basepoint, Fraction(val.base - m), nonzero(coeffs),
-                           trunc)
+    return GenSeries._of(basepoint, Fraction(val.base - m),
+                         *kept(keys, vals, m, ExpansionError, "a coefficient"),
+                         trunc)

@@ -14,12 +14,13 @@ rl_series works on keys, with k read as the rational it stands for
 (coeffseq.rational): the result has the exact phase phase - k (mod 1). The
 Gamma arguments e+1 and e+1-k of one series lie the same exact distance
 from the integers, so gamma.lattice_poles decides each lattice's poles with
-one test, and the annihilated terms are one run of keys, dropped
-unevaluated. gamma.lattice_chain steps the other ratios along the lattice,
-R(e+1) = R(e) * (e+1)/(e+1-k), and gives the keys before that run (joint
-and numerator poles) the scalar cases above; coeffseq.scaled applies the
-ratios. rl_term evaluates a single term, and rl_kernel_predicate tests one
-exponent: the scalar reference.
+one test, and the annihilated terms are one run of keys, sliced off the
+key and value columns unevaluated. gamma.lattice_chain steps the other
+ratios along the lattice, R(e+1) = R(e) * (e+1)/(e+1-k), and gives the keys
+before that run (joint and numerator poles) the scalar cases above;
+coeffseq.scaled multiplies the value column by the ratios. rl_term
+evaluates a single term, and rl_kernel_predicate tests one exponent: the
+scalar reference.
 
 This is the non-commutative side of the constructions in `lifted`: composing
 two orders can annihilate a term that the summed order keeps.
@@ -77,7 +78,7 @@ def annihilated_run(f: GenSeries, k):
     (e+1-k a pole, e+1 not), and k as the rational r it stands for. Raises
     ExponentError when |e+1-k| >= 2^52 at either end."""
     k = float(k)
-    keys = sorted(f.coeffs)
+    keys = f.keys
     p, q = f.phase.numerator, f.phase.denominator
     if keys:  # |e + 1 - k| is largest at an end of the keys
         _kernel_arg((keys[0] * q + p) / q, k)
@@ -95,8 +96,9 @@ def rl_series(f: GenSeries, k) -> GenSeries:
     A truncated input of order N yields a truncated output of order N-k."""
     k = float(k)
     keys, lo, hi, r = annihilated_run(f, k)
+    vals = f.vals
     if lo < hi:
-        keys = keys[:lo] + keys[hi:]
+        keys, vals = keys[:lo] + keys[hi:], vals[:lo] + vals[hi:]
     # e + 1 = n + (p + q)/q; n + p/q goes to n + m + s/d, s/d in [0, 1)
     p, q = f.phase.numerator, f.phase.denominator
     kp, kq = r.numerator, r.denominator
@@ -104,7 +106,6 @@ def rl_series(f: GenSeries, k) -> GenSeries:
     ratios = lattice_chain((p + q) * kq, d, kp * q, keys, "ratio", lo)
     m, s = divmod(p * kq - kp * q, d)
     order = None if f.truncation_order is None else f.truncation_order - k
-    return GenSeries._keyed(
-        basepoint=f.basepoint, phase=Fraction(s, d),
-        coeffs=scaled(f.coeffs, keys, ratios, m, "a coefficient"),
-        truncation_order=order)
+    return GenSeries._of(f.basepoint, Fraction(s, d),
+                         *scaled(keys, vals, ratios, m, "a coefficient"),
+                         order)

@@ -72,6 +72,15 @@ class TestDeriv:
         assert json.loads(out)["values"][0]["value"] == pytest.approx(
             math.e, rel=1e-13)
 
+    def test_both_routes_report_the_truncation_order(self, capsys):
+        # the lifted route printed no "truncation_order" where rl printed 7.5
+        for via in ("rl", "lifted"):
+            code, out, _ = run_cli(capsys, "deriv", "--expr", "exp(x)", "--k",
+                                   "0.5", "--order", "8", "--via", via,
+                                   "--format", "json")
+            assert code == 0
+            assert json.loads(out)["series"]["truncation_order"] == 7.5
+
     def test_compare_paths_table(self, capsys):
         code, out, _ = run_cli(capsys, "deriv", "--expr", "x^2 + x", "--k",
                                "0.5", "--compare-paths")
@@ -238,6 +247,17 @@ class TestLiftProject:
         series = json.loads(out2)
         assert series["terms"][0]["exp"] == -0.5
         assert abs(series["terms"][0]["coef"] - 1.0) <= 1e-12
+
+    def test_truncation_order_survives_the_lifted_file(self, capsys,
+                                                      tmp_path):
+        code, out, _ = run_cli(capsys, "lift", "--expr", "exp(x)", "--order",
+                               "8")
+        assert code == 0 and json.loads(out)["truncation_order"] == 8
+        path = tmp_path / "rho.json"
+        path.write_text(out)
+        code, out, _ = run_cli(capsys, "project", "--lifted-file", str(path),
+                               "--k", "0.5")
+        assert code == 0 and json.loads(out)["truncation_order"] == 7.5
 
     def test_float_offset_projects_at_its_rational(self, capsys, tmp_path):
         path = tmp_path / "rho.json"

@@ -88,6 +88,70 @@ class TestGenSeries:
         assert g.terms == ((1.0, 1.0), (2.0, 3.0))
 
 
+class TestFiniteValues:
+    """c * x, x + y and the LiftedSeq constructor pass their values through
+    the one step of the float entry and the Gamma layers: a value that is
+    not a finite double raises InputError, where a NaN product used to
+    vanish and an infinite one to be stored."""
+
+    def test_scaling_by_a_non_finite_number_is_refused(self):
+        f = monomial(1.0, 2.0)
+        for c in (math.nan, math.inf, -math.inf):
+            with pytest.raises(InputError, match="not a finite double"):
+                f * c
+            with pytest.raises(InputError, match="not a finite double"):
+                c * seq({0: 1.0})
+        with pytest.raises(InputError, match="a product is inf"):
+            f * 1e308
+        assert (f * 1e-310).is_zero  # below COEF_EPS, as before
+
+    def test_overflowing_sum_is_refused(self):
+        big = monomial(1.0, 1e308)
+        with pytest.raises(InputError, match="a sum is inf"):
+            big + big
+        with pytest.raises(InputError, match="a sum is inf"):
+            seq({0: 1e308}) + seq({0: 1e308})
+        assert (big + -1.0 * big).is_zero
+
+    def test_lifted_constructor_refuses_non_finite_values(self):
+        for values in ({1: math.inf, 2: math.nan}, {2: math.nan},
+                       {0: 1.0, 1: -math.inf}):
+            with pytest.raises(InputError, match="a lifted value is"):
+                LiftedSeq(0, 0, values)
+
+    def test_keyed_instances_stay_raw(self):
+        # the keyed constructors check nothing: verify's residuals read NaN
+        f = GenSeries.keyed(0.0, Fraction(0), {1: math.nan, 2: 1e-310})
+        assert f.keys == [1, 2] and math.isnan(f.vals[0])
+
+    def test_integer_derivative_refuses_overflow(self):
+        # as rl_series at the same integer order does
+        for refuse in (lambda f: int_derivative(f, 1), lambda f: rl_series(f, 1)):
+            with pytest.raises(GammaOverflowError, match="a coefficient is inf"):
+                refuse(monomial(10.0, 1e308))
+
+
+class TestViews:
+    def test_views_are_read_only_and_built_once(self):
+        f = to_series("1 + 2*x")
+        rho = lift_gen(f)
+        with pytest.raises(TypeError):
+            f.coeffs[0] = 5.0
+        with pytest.raises(TypeError):
+            rho.values[0] = 5.0
+        with pytest.raises(TypeError):
+            del f.coeffs[1]
+        assert f.coeffs is f.coeffs and rho.values is rho.values
+        assert f.coeffs == {0: 1.0, 1: 2.0} and rho.values == {0: 1.0, 1: 2.0}
+        assert (f.keys, f.vals) == ([0, 1], [1.0, 2.0])
+
+    def test_columns_are_sorted_whatever_the_input_order(self):
+        f = GenSeries(0.0, ((3.0, 1.0), (-1.0, 2.0), (3.0, 4.0), (0.0, 1e-301)))
+        assert (f.keys, f.vals) == ([-1, 3], [2.0, 5.0])
+        rho = LiftedSeq(0, 0, {5: 1.0, -2: 3.0, 1: 0.0})
+        assert (rho.keys, rho.vals) == ([-2, 5], [3.0, 1.0])
+
+
 class TestProjection:
     def test_divides_by_factorials(self):
         f = project(seq({0: 1.0, 1: 1.0, 2: 1.0}))

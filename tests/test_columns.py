@@ -1,0 +1,260 @@
+"""The column layout against the dict-based loops it replaced, bit for bit.
+
+GenSeries and LiftedSeq hold ascending keys and an aligned value list. The
+reference functions below are the earlier dict-based forms of the float
+entry, rl_series, lift_gen, project and series_eval: a {key: value} map,
+sorted at each step, filtered and re-keyed by comprehensions. They share
+only the Gamma chain (gamma.lattice_chain, gamma.lattice_poles) and
+`rational` with the library, so a difference is a difference in how the
+columns are built, sliced, scaled or summed. Inputs are shuffled, repeat
+exponents, cancel, fall below COEF_EPS and hit pole and annihilated runs.
+"""
+
+import math
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fraclift.coeffseq import GenSeries, rational, series_eval
+from fraclift.config import COEF_EPS, INT_TOL
+from fraclift.errors import (
+    EvalDomainError,
+    ExponentError,
+    FracliftError,
+    GammaOverflowError,
+    InputError,
+    LatticeError,
+)
+from fraclift.gamma import lattice_chain, lattice_poles
+from fraclift.lifted import LiftedSeq, lift_gen, project
+from fraclift.rl import rl_series
+
+
+def ref_nonzero(values):
+    return {n: v for n, v in values.items() if abs(v) >= COEF_EPS}
+
+
+def ref_scaled(values, keys, factors, m):
+    out = {n + m: v for n, g in zip(keys, factors)
+           if abs(v := values[n] * g) >= COEF_EPS}
+    if not all(map(math.isfinite, out.values())):
+        raise GammaOverflowError("a value is not finite")
+    return out
+
+
+def ref_lattice(pairs):
+    """(phase, {n: c}): the float entry as a loop over the pairs."""
+    if not pairs:
+        return Fraction(0), {}
+    exps = [e for e, _ in pairs]
+    if not all(map(math.isfinite, exps)):
+        raise ExponentError("exponent not finite")
+    r = rational(min(exps, key=abs))
+    phase = r - math.floor(r)
+    ph = phase.numerator / phase.denominator
+    coeffs = {}
+    for e, c in pairs:
+        d = e - ph
+        n = round(d)
+        if abs(d - n) > INT_TOL:
+            raise LatticeError("off the lattice")
+        coeffs[n] = coeffs.get(n, 0.0) + c
+    if not all(map(math.isfinite, coeffs.values())):
+        raise InputError("a coefficient is not finite")
+    return phase, ref_nonzero(coeffs)
+
+
+def ref_rl_series(phase, coeffs, k):
+    keys = sorted(coeffs)
+    p, q = phase.numerator, phase.denominator
+    r = rational(k)
+    kp, kq = r.numerator, r.denominator
+    lo = lattice_poles(p + q, q, keys)
+    hi = max(lo, lattice_poles((p + q) * kq - kp * q, q * kq, keys))
+    keys = keys[:lo] + keys[hi:]
+    d = q * kq
+    ratios = lattice_chain((p + q) * kq, d, kp * q, keys, "ratio", lo)
+    m, s = divmod(p * kq - kp * q, d)
+    return Fraction(s, d), ref_scaled(coeffs, keys, ratios, m)
+
+
+def ref_lift_gen(phase, coeffs):
+    keys = sorted(coeffs)
+    p, q = phase.numerator, phase.denominator
+    if lattice_poles(p + q, q, keys):
+        raise ExponentError("no preimage")
+    gs = lattice_chain(p + q, q, 0, keys, "gamma", 0)
+    offset = Fraction(q - p, q) if p else phase
+    return offset, ref_scaled(coeffs, keys, gs, 1 if p else 0)
+
+
+def ref_project(offset, values):
+    p, q = offset.numerator, offset.denominator
+    keys = sorted(values)
+    keys = keys[lattice_poles(q - p, q, keys):]
+    rs = lattice_chain(q - p, q, 0, keys, "recip", 0)
+    m = -((p + q - 1) // q)
+    return Fraction(-p - m * q, q), ref_scaled(values, keys, rs, m)
+
+
+def ref_series_eval(phase, coeffs, x):
+    """Horner over evenly spaced keys, found by membership tests on the
+    map, else one power per term, over the key-sorted items."""
+    p, q = phase.numerator, phase.denominator
+    items = sorted(coeffs.items())
+    terms = [((n * q + p) / q, c) for n, c in items]
+    if not terms:
+        return 0.0
+    dx = x - 0.0
+    if dx <= 0.0 and (phase or dx == 0.0 and terms[0][0] < 0.0):
+        raise EvalDomainError("outside the domain")
+    n = len(items)
+    if n < 3:
+        g = items[1][0] - items[0][0] if n == 2 else 1
+    else:
+        lo, hi = items[0][0], items[-1][0]
+        g = items[1][0] - lo
+        if not (hi - lo == g * (n - 1) and all(
+                map(coeffs.__contains__, range(lo + g, hi, g)))):
+            g = 0
+    s = 0.0
+    try:
+        if not g:
+            for e, c in terms:
+                s += c * math.pow(dx, e)
+            value = s
+        elif -1.0 <= dx <= 1.0:
+            m = dx if g == 1 else math.pow(dx, g)
+            for _, c in reversed(terms):
+                s = s * m + c
+            value = s * math.pow(dx, terms[0][0])
+        else:
+            m = 1.0 / dx if g == 1 else math.pow(dx, -g)
+            for _, c in terms:
+                s = s * m + c
+            value = s * math.pow(dx, terms[-1][0])
+    except OverflowError:
+        raise EvalDomainError("overflow") from None
+    if not math.isfinite(value):
+        raise EvalDomainError("not finite")
+    return value
+
+
+def bits(values):
+    """{key: value} as sorted (key, hex) pairs: equal only bit for bit."""
+    return sorted((n, float(v).hex()) for n, v in values.items())
+
+
+def outcome(fn, *args):
+    """fn(*args), or the class of the library error it raises."""
+    try:
+        return fn(*args)
+    except FracliftError as exc:
+        return type(exc)
+
+
+PHASES = [Fraction(0), Fraction(1, 4), Fraction(1, 3), Fraction(1, 2),
+          Fraction(2, 3)]
+COEFS = st.one_of(
+    st.floats(-8.0, 8.0, allow_nan=False),
+    st.sampled_from([1e-301, -1e-305, 5e-324, 0.0, -0.0, 1e300, -1e300]))
+
+
+@st.composite
+def float_pairs(draw):
+    """(exponent, coefficient) pairs on one lattice, shuffled, with repeated
+    exponents, cancelling pairs and values below COEF_EPS."""
+    phase = draw(st.sampled_from(PHASES))
+    keys = draw(st.lists(st.integers(-12, 30), max_size=30))
+    pairs = [(float(n + phase), draw(COEFS)) for n in keys]
+    for e, c in draw(st.lists(st.sampled_from(pairs), max_size=4)
+                     if pairs else st.just([])):
+        pairs.append((e, -c))  # cancels, or halves a repeated key's sum
+    return draw(st.permutations(pairs))
+
+
+def orders(phase):
+    # orders congruent to the phase annihilate a run; others do not
+    return st.builds(lambda j, f: float(phase + j + f),
+                     st.integers(-2, 3),
+                     st.sampled_from([Fraction(0), Fraction(0), Fraction(1, 2),
+                                      Fraction(1, 3), Fraction(3, 4)]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(float_pairs())
+def test_float_entry_matches_the_dict_loop(pairs):
+    want = outcome(ref_lattice, pairs)
+    got = outcome(GenSeries, 0.0, pairs)
+    if isinstance(want, type):
+        assert got is want
+        return
+    phase, coeffs = want
+    assert got.phase == phase
+    assert bits(got.coeffs) == bits(coeffs)
+    assert got.keys == sorted(coeffs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(float_pairs(), st.data())
+def test_rl_series_matches_the_dict_loop(pairs, data):
+    f = outcome(GenSeries, 0.0, pairs)
+    if isinstance(f, type):
+        return
+    k = data.draw(orders(f.phase))
+    want = outcome(ref_rl_series, f.phase, dict(f.coeffs), k)
+    got = outcome(rl_series, f, k)
+    if isinstance(want, type):
+        assert got is want
+        return
+    assert (got.phase, bits(got.coeffs)) == (want[0], bits(want[1]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(float_pairs())
+def test_lift_gen_matches_the_dict_loop(pairs):
+    f = outcome(GenSeries, 0.0, pairs)
+    if isinstance(f, type):
+        return
+    want = outcome(ref_lift_gen, f.phase, dict(f.coeffs))
+    got = outcome(lift_gen, f)
+    if isinstance(want, type):
+        assert got is want
+        return
+    assert (got.offset, bits(got.values)) == (want[0], bits(want[1]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(PHASES), st.integers(-3, 3),
+       st.dictionaries(st.integers(-12, 30), COEFS, max_size=30))
+def test_project_matches_the_dict_loop(frac, whole, values):
+    # integer offsets put a run of leading indices on Gamma poles
+    rho = LiftedSeq(0.0, frac + whole, values)
+    want = outcome(ref_project, rho.offset, ref_nonzero(values))
+    got = outcome(project, rho)
+    if isinstance(want, type):
+        assert got is want
+        return
+    assert (got.phase, bits(got.coeffs)) == (want[0], bits(want[1]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    float_pairs(),
+    # evenly spaced keys, where the sum runs by Horner's rule
+    st.builds(lambda phase, lo, g, cs: [(float(lo + g * i + phase), c)
+                                        for i, c in enumerate(cs)],
+              st.sampled_from(PHASES), st.integers(-6, 6), st.integers(1, 3),
+              st.lists(st.floats(-8.0, 8.0), min_size=1, max_size=24))),
+    st.sampled_from([0.1, 0.5, 0.999, 1.0, 1.5, 7.0, -0.5, 0.0]))
+def test_series_eval_matches_the_sorted_items(pairs, x):
+    f = outcome(GenSeries, 0.0, pairs)
+    if isinstance(f, type):
+        return
+    want = outcome(ref_series_eval, f.phase, dict(f.coeffs), x)
+    got = outcome(series_eval, f, x)
+    if isinstance(want, type):
+        assert got is want
+    else:
+        assert got.hex() == want.hex()

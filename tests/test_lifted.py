@@ -7,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import assert_series_close
-from fraclift.coeffseq import GenSeries, monomial, rational
+from fraclift.coeffseq import GenSeries, fmt17, monomial, rational
+from fraclift.parser import to_series
+from fraclift.rl import rl_series
 from fraclift.errors import BasepointError, ExponentError, InputError
 from fraclift.lifted import (
     LiftedSeq,
@@ -173,6 +175,58 @@ class TestLiftedAlgebra:
         assert rho.on_integers().is_zero
 
 
+class TestTruncationOrder:
+    """A lifted jet keeps its truncation order N, exactly; shift lowers it
+    by k, so project reports N - k as rl_series does."""
+
+    def test_both_routes_report_the_order(self):
+        f = to_series("exp(x)", 0, 8)
+        rho = lift_gen(f)
+        assert rho.truncation_order == 8
+        assert project(rho).truncation_order == 8.0
+        for k in (0.5, 1 / 3, -1.5, 2.0, 0.25):
+            lifted = project(shift(rho, k))
+            assert lifted.truncation_order == rl_series(f, k).truncation_order
+        assert project(shift(rho, 1 / 3)).truncation_order == 23 / 3
+
+    def test_shift_commutes_exactly(self):
+        rho = lift_gen(to_series("sin(x)", 0, 9))
+        once = shift(rho, 0.3)
+        assert once.truncation_order == Fraction(87, 10)
+        assert shift(shift(rho, 0.1), 0.2) == shift(shift(rho, 0.2), 0.1) == once
+        assert shift(shift(rho, 1 / 3), -1 / 3) == rho
+
+    def test_exact_series_stay_exact(self):
+        rho = lift_gen(monomial(0.5))
+        assert rho.truncation_order is None
+        assert project(shift(rho, 0.5)).truncation_order is None
+        assert LiftedSeq(0, 0, {0: 1.0}).truncation_order is None
+
+    def test_sums_keep_the_lower_order_and_products_theirs(self):
+        a = lift_gen(to_series("exp(x)", 0, 8))
+        b = lift_gen(to_series("cos(x)", 0, 5))
+        assert (a + b).truncation_order == 5
+        assert (a + lift_gen(to_series("1 + x"))).truncation_order == 8
+        assert (2.0 * a).truncation_order == 8
+
+    def test_lift_file_project_round_trip(self):
+        rho = shift(lift_gen(to_series("exp(x)", 0, 8)), 0.5)
+        text = lifted_to_json(rho)
+        assert text.endswith(', "truncation_order": 7.5}')
+        back = lifted_from_json(text)
+        assert back == rho
+        assert project(back) == project(rho)
+        assert project(back).truncation_order == 7.5
+        # an order whose double `rational` reads otherwise is written twice
+        odd = LiftedSeq(0, 0, {0: 1.0}, Fraction(1, 3001))
+        text = lifted_to_json(odd)
+        assert text.endswith('"truncation_order_exact": "1/3001"}')
+        assert lifted_from_json(text) == odd
+        for bad in ('"eight"', 'Infinity'):
+            with pytest.raises(InputError):
+                lifted_from_json(text.replace(fmt17(1 / 3001), bad, 1))
+
+
 class TestLiftedJson:
     def test_round_trip(self):
         rho = shift(seq({1: 1.0, -2: 0.5}), 0.75)
@@ -277,8 +331,7 @@ _binary = st.floats(-1e6, 1e6, allow_nan=False).map(Fraction)
                            st.integers(-30, 30), st.integers(1, 12),
                            st.integers(-64, 64))))
 def test_offsets_round_trip_through_json(offset):
-    rho = LiftedSeq._keyed(basepoint=0.0, offset=offset,
-                           values={0: 1.0, 3: -2.5})
+    rho = LiftedSeq.keyed(0.0, offset, {0: 1.0, 3: -2.5})
     back = lifted_from_json(lifted_to_json(rho))
     assert back.offset == offset and back == rho
     # the float alone is read as the rational it stands for

@@ -8,7 +8,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fraclift import parser
-from fraclift.coeffseq import GenSeries, nonzero
+from fraclift.coeffseq import GenSeries
+from fraclift.config import COEF_EPS
 from fraclift.errors import ExpansionError, LatticeError, ParseError
 from fraclift.parser import parse, to_series
 
@@ -679,7 +680,8 @@ def _ref_series(text, order):
     base, coeffs, trunc = _ref_expand(parse(text), order)
     m = math.floor(base)
     return GenSeries.keyed(0.0, Fraction(base - m),
-                           nonzero({n + m: float(c) for n, c in coeffs.items()}),
+                           {n + m: v for n, c in coeffs.items()
+                            if abs(v := float(c)) >= COEF_EPS},
                            None if trunc == math.inf else float(trunc))
 
 

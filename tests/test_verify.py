@@ -74,8 +74,7 @@ def test_residuals_keep_a_nan():
     assert math.isnan(series_residual(f, g))
     assert math.isnan(series_residual(g, f))
     a = LiftedSeq(0.0, 0, {0: 1.0, 1: 2.0})
-    b = LiftedSeq._keyed(basepoint=0.0, offset=a.offset,
-                         values={0: 1.0, 1: math.nan})
+    b = LiftedSeq.keyed(0.0, a.offset, {0: 1.0, 1: math.nan})
     assert math.isnan(seq_residual(a, b))
     assert math.isnan(seq_residual(b, a))
 
