@@ -33,25 +33,27 @@ exact rational c, linked by the Pochhammer step Gamma(x+1) = x Gamma(x)
   "recip"   1/Gamma(x+1) = (1/Gamma(x)) / x
   "ratio"   R(x+1)       = R(x) * x / (x-k)    for R(x) = Gamma(x)/Gamma(x-k)
 
-and one multiply-divide per lattice step replaces a log-Gamma evaluation
-per term. The argument at each key is the correctly rounded double of its
-rational (n q + p)/q, evaluated once; a step count is the difference of two
-keys, and the steps go by 1 in doubles from a key's argument. Each chain
-starts from one scalar-kernel anchor at the key with the smallest |x| + |x-k|, where the
-log-space value is most accurate, and walks up and down from it: a product
-chain's rounding error grows linearly with its length (Higham, Accuracy and
-Stability of Numerical Algorithms, 2nd ed., ch. 3), while a log-space value
-carries an error proportional to |log Gamma|.
+Each lattice and kind has a table of its values at consecutive lattice
+points, kept by this module: one scalar-kernel anchor, at the point past
+the poles with the smallest |x| + |x-k| among those with x and x-k above
+-1/2, where a log-space value is most accurate, and one step per point on
+from it, its factor x/(x-k) rounded once from the exact rationals. A
+product chain's rounding error grows linearly with its length (Higham,
+Accuracy and Stability of Numerical Algorithms, 2nd ed., ch. 3), while a
+log-space value carries an error proportional to |log Gamma|. A call walks
+its lattice's table on to its keys; later calls read it. So a value
+depends only on its lattice, key and order, and each argument is the
+correctly rounded double of its rational (n q + p)/q.
 
 Every n + c lies the same exact distance from the integers, so one test of
 that distance against INT_TOL decides a lattice's poles, and they are its
 leading keys (lattice_poles). The caller, which has already decided them,
-passes their count, and those keys get the scalar cases. The key after a
-gap of more than _MAX_GAP steps, or after a running value that left the
-normal double range, is re-anchored by the scalar kernel, which also raises
-the overflow errors and returns the underflow zeros. The integer lattice
-under an integer order takes the exact factorial paths term by term, the
-tables at arguments 1..171 and the scalar kernel elsewhere, bit for bit. The
+passes their count, and those keys get the scalar cases. So do the keys
+more than _SPAN steps from the anchor or past a value that left the normal
+double range: the scalar kernel raises the overflow errors and returns the
+underflow zeros. On the integer lattice Gamma and 1/Gamma read the
+factorial tables at arguments 1..171, and a ratio under an integer order
+tables the scalar kernel's falling factorials, bit for bit. The
 series layers pass c and k to lattice_chain as ints, building no Fraction.
 """
 
@@ -289,11 +291,20 @@ def gamma_ratio(p, q):
 # Gamma(x)**a / Gamma(x - k)**b
 _CHAIN_KINDS = {"gamma": (1, 0), "recip": (0, 1), "ratio": (1, 1)}
 
-# Longest gap between neighbouring keys bridged by stepping; the term after
-# a wider one is re-anchored by the scalar kernel. On CPython 3.11 a step
-# takes about 0.11 us, a scalar ratio 1.2 us (10 steps) and a scalar Gamma
-# or 1/Gamma 0.6-0.75 us (5-7 steps); the bound decides outputs, so it stays.
-_MAX_GAP = 32
+# The values of each lattice and kind, (r, Q, K, kind) -> (lo, vals, floor,
+# ceil): vals[j] at index lo + j, x = (index Q + r)/Q; only the indices in
+# [floor, ceil] are tabled, at most _SPAN steps from the anchor. All tables
+# are dropped once they hold more than _CEILING values (about 2 MB).
+_SPAN = 4096
+_CEILING = 1 << 16
+_tables = {}
+_held = 0
+
+
+def _pole_top(p, q):
+    # the highest n with n + p/q (q > 0) within INT_TOL of a pole, or None
+    m = (2 * p + q) // (2 * q)  # floor(p/q + 1/2)
+    return None if abs(p - m * q) / q > INT_TOL else -m  # q may pass 2^1024
 
 
 def lattice_poles(p, q, keys):
@@ -302,10 +313,8 @@ def lattice_poles(p, q, keys):
     lies the same exact distance from the integers, so one test decides the
     lattice: the poles are the leading keys n <= -m, m the integer nearest
     p/q, or there are none."""
-    m = (2 * p + q) // (2 * q)  # floor(p/q + 1/2)
-    if abs(p - m * q) / q > INT_TOL:  # int/int: q may pass 2^1024
-        return 0
-    return bisect.bisect_right(keys, -m)
+    top = _pole_top(p, q)
+    return 0 if top is None else bisect.bisect_right(keys, top)
 
 
 def gamma_chain(c, keys, kind, k=0):
@@ -321,14 +330,13 @@ def gamma_chain(c, keys, kind, k=0):
 def lattice_chain(P, Q, K, keys, kind, poles):
     """[q(x) for x = (n Q + P)/Q, n in keys] for q = gamma ("gamma"),
     recip_gamma ("recip") or x -> gamma_ratio(x, x - K/Q) ("ratio"; K = 0
-    for the others), by Pochhammer steps between neighbours. keys are
-    ascending ints, and P, K and Q > 0 ints. Each argument is the correctly
-    rounded double of its rational, and each value follows the pole,
-    overflow, underflow-to-zero and perturbation rules of the scalar
-    function it stands for. The caller counts poles, the leading keys that
-    put x, or a ratio's x - K/Q, on a pole (lattice_poles); those keys get
-    the scalar cases."""
-    a, b = _CHAIN_KINDS[kind]
+    for the others), read from the lattice's table. keys are ascending ints,
+    and P, K and Q > 0 ints. Each argument is the correctly rounded double
+    of its rational, and each value follows the pole, overflow,
+    underflow-to-zero and perturbation rules of the scalar function it
+    stands for. The caller counts poles, the leading keys that put x, or a
+    ratio's x - K/Q, on a pole (lattice_poles); those keys get the scalar
+    cases."""
     kf = K / Q
     if kind == "gamma":
         scalar, table = gamma, _FACTORIALS
@@ -337,64 +345,90 @@ def lattice_chain(P, Q, K, keys, kind, poles):
     else:
         def scalar(x):
             return _ratio(x, x - kf)
-    integral = not (P % Q or K % Q)
-    if integral and kind != "ratio":
+    if kind != "ratio" and P % Q == 0:
         i = P // Q - 1  # table index of the key n: x - 1 = n + i
         return [table[j] if 0 <= (j := n + i) <= 170 else scalar(float(j + 1))
                 for n in keys]
-    xs = [(n * Q + P) / Q for n in keys]
-    e = len(keys)
-    # the keys the scalar kernel takes term by term: those on a pole, or a
-    # ratio's whole integer lattice under an integer order (math.perm)
-    h = e if integral else poles
-    out = [0.0] * e
-    for i in range(h):
-        out[i] = scalar(xs[i])
-    if h < e:
-        # the anchor is where |x| + |x - k|, convex in x, is smallest: at the
-        # first key with x >= k/2 (2(n Q + P) >= K), or at the key before it
-        m = bisect.bisect_left(keys, -((2 * P - K) // (2 * Q)), h)
-        if m == e or m > h and (abs(xs[m - 1]) + abs(xs[m - 1] - kf)
-                                <= abs(xs[m]) + abs(xs[m] - kf)):
-            m -= 1
-        out[m] = scalar(xs[m])
-        # up:   V(x+1) = V(x) * x**a / (x-k)**b     for x = x_m, x_m + 1, ...
-        _walk(keys, xs, out, m, e, 1, (a, 0.0, b, kf), scalar)
-        # down: V(x) = V(x+1) * (x-k)**b / x**a     for x = x_m - 1, ...
-        _walk(keys, xs, out, m, h - 1, -1, (b, kf, a, 0.0), scalar)
+    out = [scalar((n * Q + P) / Q) for n in keys[:poles]]
+    if poles < len(keys):
+        # the table of the lattice (P, Q, K)/g holds key n at index n + i
+        g = math.gcd(P, Q, K)
+        i, r = divmod(P // g, Q // g)
+        keys = keys[poles:]
+        lo, vals, j, e = _table(r, Q // g, K // g, kind, keys, i)
+        mid, d = keys[j:e], i - lo
+        out += [scalar((n * Q + P) / Q) for n in keys[:j]]
+        out += (vals[mid[0] + d:mid[-1] + d + 1]  # consecutive keys: a slice
+                if mid and mid[-1] - mid[0] == e - j - 1
+                else [vals[n + d] for n in mid])
+        out += [scalar((n * Q + P) / Q) for n in keys[e:]]
     return _perturbed(out) if kind == "ratio" else out
 
 
-def _walk(keys, xs, out, m, stop, step, factors, scalar):
-    # out[t] for t = m + step, m + 2 step, ... before stop, from out[m]: each
-    # lattice step multiplies by (z - nk) if na and divides by (z - dk) if da,
-    # for z running up from the previous key's argument, or down from it
-    # minus 1; the step count is the keys' difference. The key past a gap
-    # wider than _MAX_GAP, or after a value out of normal range, is
-    # re-anchored by the scalar kernel. The range is checked at the end of
-    # each gap: a step scales |V| by |z/(z-k)|, which crosses 1 only at
-    # z = k/2, next to the anchor, so away from it |V| only grows or only
-    # shrinks (for Gamma alone, up to its O(1) dip between 0 and 2), and a
-    # value that leaves the range inside a gap is still out of it at the end.
-    na, nk, da, dk = factors
-    dz = float(step)
-    shift = 0.0 if step > 0 else -1.0
-    lo, hi, gap = _NORMAL_MIN, _NORMAL_MAX, _MAX_GAP
-    v, n0, y = out[m], keys[m], xs[m]
-    for t in range(m + step, stop, step):
-        n = keys[t]
-        steps = (n - n0) * step
-        x = xs[t]
-        if steps > gap or not lo <= abs(v) <= hi:
-            v = scalar(x)
+def _table(r, Q, K, kind, keys, i):
+    # (lo, vals, j, e): the table of the lattice x = index + r/Q, order K/Q
+    # and kind, walked on to the indices n + i of keys[j:e], the keys within
+    # its bounds. A new one starts at the anchor: the first index past the
+    # poles with x > max(0, k) - 1/2, where |x| + |x - k| is |k| for x
+    # between 0 and k and grows outside
+    global _held
+    key = (r, Q, K, kind)
+    entry = _tables.get(key)
+    if entry is None:
+        a, b = _CHAIN_KINDS[kind]
+        t = (2 * max(K, 0) - Q - 2 * r) // (2 * Q) + 1
+        tops = [_pole_top(p, Q) for p, used in ((r, a), (r - K, b)) if used]
+        floor = max([t - _SPAN] + [n + 1 for n in tops if n is not None])
+        t = max(t, floor)
+        vals = _walk(r, Q, K, kind, t - 1, None, 1, 1)
+        entry = (t, vals, floor, t + _SPAN) if vals else (t, [], t, t - 1)
+        _held += len(vals)
+    lo, vals, floor, ceil = entry
+    j = bisect.bisect_left(keys, floor - i)
+    e = bisect.bisect_right(keys, ceil - i, j)
+    down = lo - keys[j] - i if j < e else 0
+    up = keys[e - 1] + i - lo - len(vals) + 1 if j < e else 0
+    if down > 0:
+        more = _walk(r, Q, K, kind, lo, vals[0], down, -1)
+        lo, vals = lo - len(more), more[::-1] + vals
+        floor = lo if len(more) < down else floor
+    if up > 0:
+        more = _walk(r, Q, K, kind, lo + len(vals) - 1, vals[-1], up, 1)
+        vals = vals + more
+        ceil = lo + len(vals) - 1 if len(more) < up else ceil
+    if down > 0 or up > 0 or key not in _tables:
+        _held += len(vals) - len(entry[1])
+        if _held > _CEILING:
+            _tables.clear()
+            _held = len(vals)
+        _tables[key] = (lo, vals, floor, ceil)
+    return (lo, vals, bisect.bisect_left(keys, floor - i),
+            bisect.bisect_right(keys, ceil - i))
+
+
+def _walk(r, Q, K, kind, t, v, count, step):
+    # the values at t + step, t + 2 step, ... (count of them) on from v at
+    # t, cut short before the first that leaves the normal double range: one
+    # Pochhammer step each, or the scalar kernel, at x and x - k rounded
+    # once, for the anchor (v None) and on the integer lattice (Q = 1, a
+    # ratio under an integer order: exact falling factorials)
+    a, b = _CHAIN_KINDS[kind]
+    out = []
+    for w in range(t + step, t + step * (count + 1), step):
+        if v is None or Q == 1:
+            n = w * Q + r
+            try:
+                v = (_ratio(n / Q, (n - K) / Q) if a and b
+                     else gamma(n / Q) if a else recip_gamma(n / Q))
+            except GammaOverflowError:
+                break
         else:
-            z = y + shift
-            while steps:
-                v = v * (z - nk if na else 1.0) / (z - dk if da else 1.0)
-                z += dz
-                steps -= 1
-            if not lo <= abs(v) <= hi:
-                v = scalar(x)
-        out[t] = v
-        n0 = n
-        y = x
+            # up: V(x+1) = V(x) f at x = w - 1 + r/Q, down: V(x) = V(x+1) / f
+            # at x = w + r/Q, for f = x**a / (x-k)**b rounded once
+            n = (w - 1 if step > 0 else w) * Q + r
+            f = (n if a else Q) / (n - K if b else Q)
+            v = v * f if step > 0 else v / f
+        if not _NORMAL_MIN <= abs(v) <= _NORMAL_MAX:
+            break
+        out.append(v)
+    return out

@@ -23,11 +23,12 @@ annihilates exactly the sequences on the negative indices. lift_gen inverts
 projection on series without negative-integer exponents, putting exponent
 n + phase at index n (phase 0) or n + 1 (offset 1 - phase).
 
-Both directions evaluate Gamma along the lattice with gamma.lattice_chain,
-one scalar anchor and a Pochhammer step per lattice step, at arguments
-rounded once from their exact rationals: project divides, 1/Gamma(t+2) =
-(1/Gamma(t+1))/(t+1), on t+1 = j + 1 - offset; lift_gen multiplies,
-Gamma(e+2) = (e+1) Gamma(e+1), on e+1 = n + phase + 1. gamma.lattice_poles
+Both directions read Gamma along the lattice from gamma.lattice_chain's
+tables, each walked once from one scalar anchor by Pochhammer steps, at
+arguments rounded once from their exact rationals: project divides,
+1/Gamma(t+2) = (1/Gamma(t+1))/(t+1), on t+1 = j + 1 - offset; lift_gen
+multiplies, Gamma(e+2) = (e+1) Gamma(e+1), on e+1 = n + phase + 1. So
+a lifted value depends only on its own index. gamma.lattice_poles
 finds the poles of either lattice with one exact test: project drops those
 indices, and lift_gen refuses a series with a term on one.
 """

@@ -15,10 +15,12 @@ rl_series works on keys, with k read as the rational it stands for
 Gamma arguments e+1 and e+1-k of one series lie the same exact distance
 from the integers, so gamma.lattice_poles decides each lattice's poles with
 one test, and the annihilated terms are one run of keys, sliced off the
-key and value columns unevaluated. gamma.lattice_chain steps the other
-ratios along the lattice, R(e+1) = R(e) * (e+1)/(e+1-k), and gives the keys
-before that run (joint and numerator poles) the scalar cases above;
-coeffseq.scaled multiplies the value column by the ratios. rl_term
+key and value columns unevaluated. gamma.lattice_chain reads the other
+ratios from the lattice's table, stepped once from one anchor by R(e+1) =
+R(e) * (e+1)/(e+1-k), and gives the keys before that run (joint and
+numerator poles) the scalar cases above; coeffseq.scaled multiplies the
+value column by the ratios. The truncation order N - k is rounded once
+from the rationals N and k stand for, as on the lifted route. rl_term
 evaluates a single term, and rl_kernel_predicate tests one exponent: the
 scalar reference.
 
@@ -105,7 +107,8 @@ def rl_series(f: GenSeries, k) -> GenSeries:
     d = q * kq
     ratios = lattice_chain((p + q) * kq, d, kp * q, keys, "ratio", lo)
     m, s = divmod(p * kq - kp * q, d)
-    order = None if f.truncation_order is None else f.truncation_order - k
+    order = (None if f.truncation_order is None
+             else float(rational(f.truncation_order) - r))
     return GenSeries._of(f.basepoint, Fraction(s, d),
                          *scaled(keys, vals, ratios, m, "a coefficient"),
                          order)

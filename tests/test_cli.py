@@ -2,6 +2,7 @@ import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 
@@ -10,8 +11,8 @@ import pytest
 from conftest import WINDOW_CASES, window_args
 from fraclift import config
 from fraclift.cli import main
-from fraclift.gamma import gamma_ratio
-from fraclift.rl import rl_kernel_predicate
+from fraclift.coeffseq import monomial, rational
+from fraclift.rl import rl_kernel_predicate, rl_series
 
 
 def run_cli(capsys, *argv):
@@ -80,6 +81,29 @@ class TestDeriv:
                                    "--format", "json")
             assert code == 0
             assert json.loads(out)["series"]["truncation_order"] == 7.5
+
+    def test_both_routes_round_the_truncation_order_once(self, capsys,
+                                                        tmp_path):
+        # rl_series took N - k in doubles, the lifted route N - k exactly: for
+        # N = 7.5 and k the double of 4990/997 they printed 2.494984954864594
+        # and 2.4949849548645937
+        rng = random.Random(0)
+        pairs = [(7.5, 4990 / 997)] + [
+            (rng.choice((4.0, 8.0, 16.0, 32.0, 7.5)),
+             rng.randint(-5000, 5000) / rng.randint(1, 1000))
+            for _ in range(60)]
+        path = tmp_path / "f.json"
+        for n, k in pairs:
+            path.write_text('{"basepoint": 0, "terms": [{"exp": 1, "coef": 1}]'
+                            ', "truncation_order": %r}' % n)
+            orders = []
+            for via in ("rl", "lifted"):
+                code, out, err = run_cli(capsys, "deriv", "--series-file",
+                                         str(path), "--k=%r" % k, "--via", via,
+                                         "--format", "json")
+                assert code == 0, err
+                orders.append(json.loads(out)["series"]["truncation_order"])
+            assert orders == [float(rational(n) - rational(k))] * 2, (n, k)
 
     def test_compare_paths_table(self, capsys):
         code, out, _ = run_cli(capsys, "deriv", "--expr", "x^2 + x", "--k",
@@ -506,9 +530,11 @@ class TestProcessLevel:
              "0.5", "--at", "1", "--format", "json"],
             capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr
-        # D^(1/2) x = Gamma(2)/Gamma(3/2) x^(1/2), its ratio scaled by 1 + eps
+        # D^(1/2) x = Gamma(2)/Gamma(3/2) x^(1/2), its ratio scaled by 1 + eps:
+        # the unperturbed coefficient of this process, times 1 + eps
         value = json.loads(proc.stdout)["values"][0]["value"]
-        assert value == gamma_ratio(2.0, 1.5) * (1 + 1e-6)
+        (_, coef), = rl_series(monomial(1.0), 0.5).terms
+        assert value == coef * (1 + 1e-6)
 
     def test_divergent_oracle_integral_is_usage_error(self):
         proc = subprocess.run(
