@@ -189,16 +189,26 @@ def _lattice(pairs, phase=None):
     if not all(map(math.isfinite, exps)):
         raise ExponentError("exponent %r is not finite"
                             % next(e for e in exps if not math.isfinite(e)))
-    if phase is None:
+    read = phase is None
+    if read:
         phase = _phase_of(exps)
     ph = phase.numerator / phase.denominator
     ds = [e - ph for e in exps] if ph else exps
     keys = list(map(float.__round__, ds))  # round(), without its dispatch
     if max(map(abs, map(sub, ds, keys))) > config.INT_TOL:
-        raise LatticeError(
-            "exponents %r and %r lie on different lattices"
-            % (min(exps, key=abs), next(e for e, d, n in zip(exps, ds, keys)
-                                        if abs(d - n) > config.INT_TOL)))
+        off = [e for e, d, n in zip(exps, ds, keys)
+               if abs(d - n) > config.INT_TOL]
+        first = min(exps, key=abs)
+        if not read:
+            raise LatticeError("exponent %r lies off the lattice %s + n"
+                               % (off[0], phase))
+        if first in off:  # the exponent the phase was read from
+            raise LatticeError(
+                "exponent %r has a fractional part below what rational "
+                "resolves at its magnitude (%.2g)"
+                % (first, _SLACK * abs(first)))
+        raise LatticeError("exponents %r and %r lie on different lattices"
+                           % (first, off[0]))
     if not all(map(lt, keys, islice(keys, 1, None))):
         # out of order or repeated: sort, adding equal keys in input order
         acc = dict.fromkeys(sorted(keys), 0.0)

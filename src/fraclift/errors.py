@@ -23,7 +23,8 @@ class LatticeError(FracliftError):
 
 
 class ExponentError(FracliftError):
-    """Exponent or order outside an operation's domain (a non-finite one, or
+    """Exponent, order or Gamma argument outside an operation's domain (a
+    non-finite one: the scalar Gamma functions take finite doubles only, or
     a negative-integer exponent with no preimage under projection)."""
 
 

@@ -4,25 +4,30 @@ Three views of the same function, differing in how they treat the poles at
 nonpositive integers:
 
   gamma(x)          value; raises at poles and on overflow
-  recip_gamma(x)    the entire reciprocal; exactly 0.0 at poles, never raises
+  recip_gamma(x)    the entire reciprocal; exactly 0.0 at poles, raises on
+                    overflow
   gamma_ratio(p,q)  Gamma(p)/Gamma(q) with the four pole cases resolved:
                     no poles -> value; denominator pole -> 0; both poles ->
                     the joint limit (-1)^(n-m) n!/m!; numerator pole -> error
+
+These three, sinpi and is_pole take finite doubles only: an infinity or a NaN
+raises ExponentError. Every result is a finite double, or a FracliftError.
 
 Off the poles, log|Gamma(x)| is math.lgamma (inf past its range, x above
 about 2.5e305), and Gamma is negative exactly on (-2j-1, -2j), j >= 0.
 Exact integer arguments take exact factorial paths: Gamma(n) and 1/Gamma(n)
 from tables of the doubles of 0!..170! and of their reciprocals, and a
-ratio of two as one falling factorial, math.perm, each rounded once.
+ratio of two at most 301 apart (or both within 301 of 0) as one falling
+factorial, math.perm, each rounded once. A ratio whose arguments both lie
+past 172 on one side takes the difference of Stirling's series (DLMF
+5.11.1), from x and the order k = x - y, negative arguments after the
+reflection Gamma(x) Gamma(1-x) = pi/sin(pi x) (DLMF 5.5.3): no two large
+log|Gamma| values are subtracted. A chain passes its exact order, and the
+phase of its lattice for the sines, where the doubles x and x - k, far
+out, no longer carry them.
 
 Pole detection is tolerance-based (the constant config.INT_TOL, 1e-9) so
 that lattice arithmetic performed in doubles lands on the intended case.
-
-Non-finite arguments never reach the floor-based tests: NaN and -inf have
-no limit and give NaN (is_pole gives False); +inf gives Gamma = +inf, so
-gamma(+inf) and +inf over a finite q in gamma_ratio raise
-GammaOverflowError, while 1/Gamma(+inf) and a finite, non-pole numerator
-over Gamma(+inf) give 0.0.
 
 gamma_chain evaluates one of these quantities along a whole series. Its
 arguments are the lattice points n + c for ascending integer keys n and an
@@ -65,7 +70,7 @@ from operator import mul
 
 from . import config
 from .config import INT_TOL
-from .errors import GammaOverflowError, GammaPoleError
+from .errors import ExponentError, GammaOverflowError, GammaPoleError
 
 __all__ = [
     "gamma",
@@ -81,8 +86,17 @@ __all__ = [
 _EXP_OVERFLOW = 709.782712893384  # log(DBL_MAX)
 _EXP_UNDERFLOW = -745.1332191019412  # log of smallest denormal
 
-# largest exact-integer argument of a factorial ratio in gamma_ratio
+# largest order of a falling-factorial ratio in gamma_ratio, and the
+# largest argument of one with any order
 _MAX_EXACT_FACT = 301
+
+# past this magnitude (where Gamma itself leaves the double range) a ratio
+# of two arguments on one side takes the Stirling difference
+_STIRLING = 172.0
+
+# B_2j / (2j (2j-1)) and 1 - 2j of Stirling's series, j = 1, 2, 3; the next
+# term is below 2e-19 past _STIRLING
+_STIRLING_TERMS = ((1 / 12, -1), (-1 / 360, -3), (1 / 1260, -5))
 
 # 0!, 1!, ..., 170!, each the correctly rounded double of the exact integer
 # (171! exceeds the double range), and the doubles of their reciprocals
@@ -93,12 +107,17 @@ _NORMAL_MIN = sys.float_info.min
 _NORMAL_MAX = sys.float_info.max
 
 
+def _finite(x):
+    # the domain of every scalar function: a finite double
+    x = float(x)
+    if not math.isfinite(x):
+        raise ExponentError("Gamma argument %r is not a finite double" % x)
+    return x
+
+
 def _is_nonpos_int(x):
-    try:
-        r = math.floor(x + 0.5)
-    except (OverflowError, ValueError):  # +-inf, NaN: never a pole
-        return False
-    return r <= 0.0 and abs(x - r) <= INT_TOL
+    r = round(x)  # exact, where floor(x + 0.5) rounds past 2^52
+    return r <= 0 and abs(x - r) <= INT_TOL
 
 
 def _lgamma(x):
@@ -120,16 +139,15 @@ def _overflow(p, q):
 
 
 def is_pole(x):
-    """True when x is within config.INT_TOL of a nonpositive integer."""
-    return _is_nonpos_int(float(x))
+    """True when the finite double x is within config.INT_TOL of a
+    nonpositive integer; ExponentError at +-inf and NaN."""
+    return _is_nonpos_int(_finite(x))
 
 
 def sinpi(x):
-    """sin(pi*x) with exact argument reduction (accurate near every
-    integer); NaN at +-inf and NaN."""
-    x = float(x)
-    if not math.isfinite(x):
-        return math.nan
+    """sin(pi*x) of a finite double with exact argument reduction (accurate
+    near every integer); ExponentError at +-inf and NaN."""
+    x = _finite(x)
     sign = 1.0
     if x < 0.0:
         x = -x
@@ -144,13 +162,10 @@ def sinpi(x):
 
 
 def gamma(x):
-    """Gamma(x). Raises GammaPoleError at nonpositive integers and
-    GammaOverflowError above ~171.6 and at +inf; -inf and NaN give NaN."""
-    x = float(x)
-    if not math.isfinite(x):
-        if x > 0.0:
-            raise GammaOverflowError("gamma(inf) exceeds double range")
-        return math.nan
+    """Gamma(x) of a finite double. Raises GammaPoleError at nonpositive
+    integers, GammaOverflowError above ~171.6 and ExponentError at +-inf and
+    NaN."""
+    x = _finite(x)
     if x == math.floor(x):
         n = int(x)
         if n <= 0:
@@ -167,11 +182,11 @@ def gamma(x):
 
 
 def recip_gamma(x):
-    """1/Gamma(x), the entire extension: exactly 0.0 at every nonpositive
-    integer. Never raises: +inf gives 0.0, -inf and NaN give NaN."""
-    x = float(x)
-    if not math.isfinite(x):
-        return 0.0 if x > 0.0 else math.nan
+    """1/Gamma(x) of a finite double, the entire extension: exactly 0.0 at
+    every nonpositive integer, and 0.0 where it underflows. Raises
+    GammaOverflowError where it leaves the double range (x below about
+    -171.6, off the poles) and ExponentError at +-inf and NaN."""
+    x = _finite(x)
     if x == math.floor(x):
         n = int(x)
         if n <= 0:
@@ -182,21 +197,17 @@ def recip_gamma(x):
         return 0.0
     d = -_lgamma(x)
     if d > _EXP_OVERFLOW:
-        return _sign(x) * math.inf
+        raise GammaOverflowError("1/gamma(%r) exceeds double range" % x)
     if d < _EXP_UNDERFLOW:
         return 0.0
     return _sign(x) * math.exp(d)
 
 
-def _exact_int(x):
-    # exact, small-enough integer for factorial arithmetic
-    return x == math.floor(x) and abs(x) <= _MAX_EXACT_FACT
-
-
-def _exact_ratio(p, q):
-    # both arguments exact integers: the factorial ratio a!/b! as a falling
-    # factorial, correctly rounded by float(int) or int/int true division
-    pi, qi = int(p), int(q)
+def _exact_ratio(p, q, k):
+    # p and k integers: the factorial ratio a!/b! as a falling factorial of
+    # k steps from p, correctly rounded by float(int) or int/int true division
+    pi = int(p)
+    qi = pi - int(k)
     if pi >= 1 and qi >= 1:  # (p-1)!/(q-1)!
         a, b = pi - 1, qi - 1
     elif pi >= 1:  # denominator pole only
@@ -212,54 +223,60 @@ def _exact_ratio(p, q):
     return -v if pi < 1 and (a - b) % 2 else v
 
 
-def _log_ratio(p, q):
+def _stirling(x, y, k):
+    # log(Gamma(x)/Gamma(y)) for x, y > _STIRLING and k = x - y: the
+    # difference of Stirling's series (DLMF 5.11.1), whose leading terms
+    # take k itself, not x - y
+    if k < 0.0:
+        return -_stirling(y, x, -k)
+    d = (x - 0.5) * math.log1p(k / y) + k * math.log(y) - k
+    return d + sum(c * (x ** e - y ** e) for c, e in _STIRLING_TERMS)
+
+
+def _log_ratio(p, q, k, twins):
     # Gamma(p)/Gamma(q) in log space for arguments that are not both exact
-    # integers; tolerance-snapped poles take the same four cases
+    # integers; tolerance-snapped poles take the same four cases. twins are
+    # two points whose sines have the ratio of p's and q's, for the reflection
     p_pole = _is_nonpos_int(p)
     q_pole = _is_nonpos_int(q)
+    x, y, sign = p, q, 1.0
     if p_pole and q_pole:
-        m = -math.floor(p + 0.5)
-        n = -math.floor(q + 0.5)
+        # the joint limit at p=-m, q=-n: (-1)^(n-m) Gamma(n+1)/Gamma(m+1)
+        m, n = -round(p), -round(q)
         sign = 1.0 if math.fmod(n - m, 2.0) == 0.0 else -1.0
-        d = _lgamma(n + 1.0) - _lgamma(m + 1.0)
-        if d > _EXP_OVERFLOW:
-            raise _overflow(p, q)
-        return sign * math.exp(d)
-    if q_pole:
+        x, y, k = n + 1.0, m + 1.0, float(n - m)
+    elif q_pole:
         return 0.0
-    if p_pole:
+    elif p_pole:
         raise GammaPoleError(
             "gamma ratio undefined: numerator pole at %r with finite denominator" % p
         )
-    d = _lgamma(p) - _lgamma(q)  # neither is a pole
+    if min(x, y) > _STIRLING:
+        d = _stirling(x, y, k)
+    elif max(x, y) < -_STIRLING:
+        # Gamma(x)/Gamma(y) = sin(pi y)/sin(pi x) Gamma(1-y)/Gamma(1-x)
+        s = sinpi(twins[1]) / sinpi(twins[0])
+        d = _stirling(1.0 - y, 1.0 - x, k) + math.log(abs(s))
+        sign = math.copysign(1.0, s)
+    else:
+        d, sign = _lgamma(x) - _lgamma(y), sign * _sign(x) * _sign(y)
     if d > _EXP_OVERFLOW:
         raise _overflow(p, q)
     if d < _EXP_UNDERFLOW:
         return 0.0
-    return _sign(p) * _sign(q) * math.exp(d)
+    return sign * math.exp(d)
 
 
-def _non_finite_ratio(p, q):
-    # Gamma(+inf) = +inf; NaN and -inf have no limit
-    if math.isnan(p) or math.isnan(q) or p == -math.inf or q == -math.inf:
-        return math.nan
-    if q != math.inf:  # p = +inf over a finite Gamma(q)
-        raise _overflow(p, q)
-    if p == math.inf:
-        return math.nan
-    if _is_nonpos_int(p):
-        raise GammaPoleError(
-            "gamma ratio undefined: numerator pole at %r" % p)
-    return 0.0
-
-
-def _ratio(p, q):
-    # Gamma(p)/Gamma(q) of floats, before the perturbation hook
-    if not (math.isfinite(p) and math.isfinite(q)):
-        return _non_finite_ratio(p, q)
-    if _exact_int(p) and _exact_int(q):
-        return _exact_ratio(p, q)
-    return _log_ratio(p, q)
+def _ratio(p, q, k, twins=None):
+    # Gamma(p)/Gamma(q) of finite doubles for the order k = p - q, before
+    # the perturbation hook. A chain passes its order exactly, and as twins
+    # its lattice's point n = 0 and that point less k, each reduced mod 2 from
+    # the rationals: far out, the doubles p and q no longer carry the phase
+    # on which the reflection's sines depend
+    if p.is_integer() and k.is_integer() and min(
+            abs(k), max(abs(p), abs(q))) <= _MAX_EXACT_FACT:
+        return _exact_ratio(p, q, k)
+    return _log_ratio(p, q, k, twins or (p, q))
 
 
 def _perturbed(values):
@@ -271,17 +288,19 @@ def _perturbed(values):
 
 
 def gamma_ratio(p, q):
-    """Gamma(p)/Gamma(q) computed in log space with sign tracking.
+    """Gamma(p)/Gamma(q) of finite doubles, in log space with sign tracking.
 
     Pole handling: denominator pole -> exact 0.0; both arguments on poles
     p=-m, q=-n -> the joint limit (-1)^(n-m)*n!/m!; numerator pole alone ->
-    GammaPoleError. A ratio beyond double range raises GammaOverflowError.
-    Exact integer arguments are resolved by exact factorial arithmetic, so
-    e.g. gamma_ratio(n+1, n) == n without rounding. Non-finite arguments:
-    +inf over a finite q raises GammaOverflowError, a finite p over +inf
-    gives 0.0 (GammaPoleError if p is a pole), anything else NaN.
+    GammaPoleError. A ratio beyond double range raises GammaOverflowError,
+    and an infinite or NaN argument ExponentError. Integer arguments at most
+    301 apart, or both within 301 of 0, are resolved by exact factorial
+    arithmetic, so e.g. gamma_ratio(n+1, n) == n without rounding. Two
+    arguments past 172 on one side take the Stirling difference, accurate to
+    a few units in the last place of log|Gamma(p)/Gamma(q)|.
     """
-    return _perturbed([_ratio(float(p), float(q))])[0]
+    p, q = _finite(p), _finite(q)
+    return _perturbed([_ratio(p, q, p - q)])[0]
 
 
 # -------------------------------------------------------------------------
@@ -334,17 +353,20 @@ def lattice_chain(P, Q, K, keys, kind, poles):
     and P, K and Q > 0 ints. Each argument is the correctly rounded double
     of its rational, and each value follows the pole, overflow,
     underflow-to-zero and perturbation rules of the scalar function it
-    stands for. The caller counts poles, the leading keys that put x, or a
-    ratio's x - K/Q, on a pole (lattice_poles); those keys get the scalar
-    cases."""
+    stands for; a ratio's scalar cases take the order K/Q and the lattice's
+    phase exactly, not as the difference of two rounded doubles. The caller
+    counts poles, the leading keys that put x, or a ratio's x - K/Q, on a
+    pole (lattice_poles); those keys get the scalar cases."""
     kf = K / Q
     if kind == "gamma":
         scalar, table = gamma, _FACTORIALS
     elif kind == "recip":
         scalar, table = recip_gamma, _RECIP_FACTORIALS
     else:
+        twins = (P % (2 * Q) / Q, (P - K) % (2 * Q) / Q)
+
         def scalar(x):
-            return _ratio(x, x - kf)
+            return _ratio(x, x - kf, kf, twins)
     if kind != "ratio" and P % Q == 0:
         i = P // Q - 1  # table index of the key n: x - 1 = n + i
         return [table[j] if 0 <= (j := n + i) <= 170 else scalar(float(j + 1))
@@ -418,7 +440,7 @@ def _walk(r, Q, K, kind, t, v, count, step):
         if v is None or Q == 1:
             n = w * Q + r
             try:
-                v = (_ratio(n / Q, (n - K) / Q) if a and b
+                v = (_ratio(n / Q, (n - K) / Q, K / Q) if a and b
                      else gamma(n / Q) if a else recip_gamma(n / Q))
             except GammaOverflowError:
                 break

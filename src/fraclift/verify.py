@@ -218,17 +218,31 @@ def r2(sigma):
     return seq_residual(lift_gen(project(sigma)), _from(sigma, 0))
 
 
+# how far above COEF_EPS the homogeneity law's values must lie, so that
+# no rounding moves one of them across the threshold on one side only
+_EPS_MARGIN = 16.0
+
+
 def r_linearity(a, b, c):
     """project(a + b) = project(a) + project(b) and project(c a) =
     c project(a). The sum is measured per key relative to the larger part,
     max(|project(a)_n|, |project(b)_n|): where a + b cancels, the sum keeps
-    the rounding of the parts, however small it is itself."""
+    the rounding of the parts, however small it is itself. The homogeneity
+    half is 0.0 off its domain: where a value of c a, of project(a) or of
+    c project(a), before the threshold, lies below _EPS_MARGIN COEF_EPS,
+    projection may drop it on one side only."""
     pa, pb, ps = project(a).coeffs, project(b).coeffs, project(a + b).coeffs
     add = []
     for n in pa.keys() | pb.keys() | ps.keys():
         u, v = pa.get(n, 0.0), pb.get(n, 0.0)
         d = abs(ps.get(n, 0.0) - (u + v))
         add.append(d / (max(abs(u), abs(v)) or d) if d else 0.0)
+    # each value over Gamma(n + 1 - offset), 0.0 on its poles
+    rs = gamma_chain(1 - a.offset, a.keys, "recip")
+    low = _EPS_MARGIN * config.COEF_EPS
+    if any(min(abs(c * v), abs(v * r), abs(c * v * r)) < low
+           for v, r in zip(a.vals, rs) if r):
+        return _worst(add)
     return _worst(add + [series_residual(project(c * a), c * project(a))])
 
 

@@ -363,3 +363,22 @@ def test_sparse_keys_are_within_1e14_of_mpmath(phase, k, start, gaps):
             if kind == "ratio":
                 want *= mpmath.gamma(x)
             assert abs(c - want) <= 1e-14 * abs(want)
+
+
+@settings(max_examples=150, deadline=None)
+@given(phase=twelfths.filter(lambda p: p != 0), k=twelfth_orders,
+       n=st.builds(lambda sign, e: sign * int(10.0 ** e),
+                   st.sampled_from((-1, 1)), st.floats(3.7, 13.0)))
+def test_far_ratios_are_within_1e12_of_mpmath(phase, k, n):
+    """A ratio key past a table's span, out to |n| = 1e13, takes the scalar
+    kernel with the exact order and, for the reflection, the lattice's
+    exact phase: within 1e-12 of mpmath at the exact rationals, where the
+    doubles n + phase and n + phase - k hold neither."""
+    if is_pole(float(n + phase - k)):
+        return
+    [c] = gamma_chain(phase, [n], "ratio", k)
+    x, y = (mpmath.mpf(r.numerator) / r.denominator
+            for r in (n + phase, n + phase - k))
+    want = mpmath.gamma(x) / mpmath.gamma(y)
+    if 1e-300 < abs(want) < 1e300:
+        assert abs(c - want) <= 1e-12 * abs(want)

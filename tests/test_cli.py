@@ -9,6 +9,7 @@ import sys
 import pytest
 
 from conftest import WINDOW_CASES, window_args
+import fraclift
 from fraclift import config
 from fraclift.cli import main
 from fraclift.coeffseq import monomial, rational
@@ -465,6 +466,18 @@ class TestKernelCheck:
 
 
 class TestProcessLevel:
+    def test_standard_library_only(self):
+        # without site (-S) no installed package is on the path: the library
+        # and its CLI load nothing outside fraclift and the standard library
+        src = os.path.dirname(os.path.dirname(fraclift.__file__))
+        code = ("import sys, fraclift, fraclift.cli; print(sorted(n for n in"
+                " sys.modules if n.partition('.')[0] not in"
+                " sys.stdlib_module_names | {'fraclift', '__main__'}))")
+        proc = subprocess.run([sys.executable, "-S", "-c", code],
+                              capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=src))
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
     def test_module_entry_point(self):
         proc = subprocess.run(
             [sys.executable, "-m", "fraclift", "deriv", "--expr", "x",

@@ -5,11 +5,17 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fraclift import config
-from fraclift.errors import GammaOverflowError, GammaPoleError, InputError
+from fraclift.errors import (
+    ExponentError,
+    FracliftError,
+    GammaOverflowError,
+    GammaPoleError,
+    InputError,
+)
 from fraclift.gamma import (
     gamma,
     gamma_ratio,
@@ -66,25 +72,40 @@ def _off_integers(x):
     return abs(x - round(x)) >= 1e-8
 
 
+# |x| up to 1e15 on a log scale, either sign
+_far = st.builds(lambda sign, e: sign * 10.0 ** e,
+                 st.sampled_from((-1.0, 1.0)), st.floats(0.0, 15.0))
+
+
 class TestAgainstMpmath:
     """The kernel against mpmath at 40 digits, a reference that shares no
-    code with the math module the kernel calls."""
+    code with the math module the kernel calls: Gamma and 1/Gamma where
+    they are normal doubles, and ratios out to |x| = 1e15, where two
+    log|Gamma| values of up to 3e16 would cancel."""
 
-    @settings(max_examples=300, deadline=None)
-    @given(st.floats(-171.0, 171.5, exclude_min=True, exclude_max=True),
+    @settings(max_examples=400, deadline=None)
+    @given(st.one_of(st.floats(-171.0, 171.5, exclude_min=True,
+                               exclude_max=True), _far),
            st.floats(-3.0, 3.0))
+    @example(5000.25, 0.5)
+    @example(1000001.5, 0.5)
+    @example(1e12 + 0.5, 0.5)
+    @example(4e14 + 1.0, 1 / 3)
+    @example(-1e6 + 0.3, 0.5)
+    @example(-999.75, -2.5)
     def test_gamma_recip_and_ratio(self, x, k):
         assume(_off_integers(x))
         y = x - k
         with mpmath.workdps(40):
             g = mpmath.gamma(x)
-            pairs = [(gamma(x), g), (recip_gamma(x), 1 / g)]
+            cases = [(gamma, (x,), g), (recip_gamma, (x,), 1 / g)]
             if _off_integers(y):
-                pairs.append((gamma_ratio(x, y), g / mpmath.gamma(y)))
-        for got, want in pairs:
+                cases.append((gamma_ratio, (x, y), g / mpmath.gamma(y)))
+        for f, args, want in cases:
             want = float(want)
             if _normal(want):
-                assert abs(got - want) <= 1e-12 * abs(want), (got, x, k)
+                got = f(*args)
+                assert abs(got - want) <= 1e-12 * abs(want), (f, got, x, k)
 
 
 class TestRecipGamma:
@@ -98,15 +119,25 @@ class TestRecipGamma:
             v = recip_gamma(float(-n))
             assert v == 0.0 and math.copysign(1.0, v) == 1.0
 
-    def test_never_raises(self):
+    def test_raises_only_past_the_double_range(self):
+        # |1/Gamma(x)| passes the largest double only below x = -171.6
         rng = random.Random(4)
+        raised = 0
         for _ in range(2000):
-            recip_gamma(rng.uniform(-300.0, 300.0))
+            x = rng.uniform(-300.0, 300.0)
+            try:
+                assert math.isfinite(recip_gamma(x))
+            except GammaOverflowError:
+                assert x < -171.0
+                raised += 1
+        assert 0 < raised < 2000
+        assert recip_gamma(-170.5) == pytest.approx(
+            1 / math.gamma(-170.5), rel=1e-12)
 
     def test_non_finite_arguments(self):
-        assert recip_gamma(math.inf) == 0.0
-        assert math.isnan(recip_gamma(-math.inf))
-        assert math.isnan(recip_gamma(math.nan))
+        for x in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ExponentError, match="not a finite double"):
+                recip_gamma(x)
 
     def test_matches_reciprocal(self):
         rng = random.Random(5)
@@ -179,6 +210,21 @@ class TestGammaRatio:
     def test_huge_arguments_stay_finite(self):
         v = gamma_ratio(300.5, 299.5)
         assert v == pytest.approx(299.5, rel=1e-11)
+
+    def test_integer_ratios_past_301_are_exact(self):
+        # a falling factorial of at most 301 steps, from any integer
+        assert gamma_ratio(302.0, 301.0) == 301.0
+        assert gamma_ratio(5001.0, 5000.0) == 5000.0
+        assert gamma_ratio(1e6 + 1, 1e6 - 2) == float(
+            10**6 * (10**6 - 1) * (10**6 - 2))
+        assert gamma_ratio(2e15, 2e15 + 3) == 1 / math.perm(2 * 10**15 + 2, 3)
+        assert gamma_ratio(-500.0, -502.0) == 502.0 * 501.0
+        assert gamma_ratio(-500.0, -501.0) == -501.0
+        assert gamma_ratio(1000.0, -5.0) == 0.0
+        with pytest.raises(GammaPoleError):
+            gamma_ratio(-5.0, 1000.0)
+        with pytest.raises(GammaOverflowError):
+            gamma_ratio(1e6 + 301, 1e6)
 
     def test_inverse_pairs(self):
         rng = random.Random(6)
@@ -303,32 +349,48 @@ def test_ratio_overflow_raises():
 
 
 class TestNonFinite:
-    """Every entry point returns a value or raises a FracliftError at +-inf
-    and NaN; none lets math.floor's OverflowError/ValueError through."""
+    """The scalar functions take finite doubles only: +-inf and NaN raise
+    ExponentError, and every finite double gives a finite double (a bool
+    for is_pole) or a FracliftError."""
 
     def test_gamma(self):
-        with pytest.raises(GammaOverflowError):
-            gamma(math.inf)
-        assert math.isnan(gamma(-math.inf))
-        assert math.isnan(gamma(math.nan))
+        for x in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ExponentError, match="not a finite double"):
+                gamma(x)
 
     def test_is_pole(self):
         for x in (math.inf, -math.inf, math.nan):
-            assert is_pole(x) is False
+            with pytest.raises(ExponentError):
+                is_pole(x)
 
     def test_gamma_ratio(self):
         inf, nan = math.inf, math.nan
-        with pytest.raises(GammaOverflowError):
-            gamma_ratio(inf, 2.0)
-        with pytest.raises(GammaOverflowError):
-            gamma_ratio(inf, -3.0)
-        assert gamma_ratio(2.5, inf) == 0.0
-        with pytest.raises(GammaPoleError):
-            gamma_ratio(-2.0, inf)
-        for p, q in ((inf, inf), (-inf, 2.0), (2.0, -inf), (nan, 2.0),
+        for p, q in ((inf, 2.0), (inf, -3.0), (2.5, inf), (-2.0, inf),
+                     (inf, inf), (-inf, 2.0), (2.0, -inf), (nan, 2.0),
                      (2.0, nan), (nan, inf)):
-            assert math.isnan(gamma_ratio(p, q))
+            with pytest.raises(ExponentError):
+                gamma_ratio(p, q)
 
     def test_sinpi(self):
         for x in (math.inf, -math.inf, math.nan):
-            assert math.isnan(sinpi(x))
+            with pytest.raises(ExponentError):
+                sinpi(x)
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.floats(), st.floats())
+    @example(-1e306, -2e306)
+    @example(200.0, 1e308)
+    @example(-1e308, 1e308)
+    @example(-180.5, 0.5)
+    @example(1.0, -4503599627370497.0)  # an odd pole past 2^52
+    def test_finite_double_or_library_error(self, x, y):
+        for f, args in ((gamma, (x,)), (recip_gamma, (x,)), (sinpi, (x,)),
+                        (is_pole, (x,)), (gamma_ratio, (x, y))):
+            try:
+                v = f(*args)
+            except FracliftError:
+                continue
+            if f is is_pole:
+                assert v is True or v is False
+            else:
+                assert math.isfinite(v), (f, args, v)

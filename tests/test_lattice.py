@@ -69,6 +69,19 @@ class TestFloatEntry:
         with pytest.raises(LatticeError):
             GenSeries(0.0, ((1 / 3, 1.0), (0.5, 1.0)))
 
+    def test_unresolved_fraction_names_one_exponent(self):
+        # the phase is read from 1e15 + 0.5 itself, whose fraction lies
+        # inside rational's slack of 4 eps |x| = 0.89: the message says so
+        # rather than naming the exponent twice as two lattices
+        with pytest.raises(LatticeError) as exc:
+            GenSeries(0.0, [(1e15 + 0.5, 1.0)])
+        assert str(exc.value) == (
+            "exponent 1000000000000000.5 has a fractional part below what "
+            "rational resolves at its magnitude (0.89)")
+        with pytest.raises(LatticeError, match="1/4 \\+ n"):
+            series_from_json('{"basepoint": 0, "terms": [{"exp": 0.5, '
+                             '"coef": 1}], "phase_exact": "1/4"}')
+
     def test_infinite_exponent_is_refused(self):
         with pytest.raises(ExponentError):
             GenSeries(0.0, ((math.inf, 1.0),))

@@ -8,10 +8,11 @@ own embedding), so test_r1_i4_d6 checks it through r1."""
 
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fraclift.coeffseq import GenSeries
+from fraclift import verify
 from fraclift.lifted import LiftedSeq
 from fraclift.verify import (
     d1, d2, d3, d4, d5, d6, d6_prime, d7, d8, i1, i2, r1, r2, r_kernel,
@@ -118,7 +119,29 @@ def cancelling(draw):
 
 
 @fuzz
-@given(cancelling(), values)
+@given(cancelling(), st.floats(-5.0, 5.0))
+@example((LiftedSeq(0.0, Fraction(1, 2), {0: 1.0, 1: 1.0, 2: 1.0, 3: 1.0,
+                                          -4: 5.0}),
+          LiftedSeq(0.0, Fraction(1, 2), {0: 2.0})), 6.1e-302)
 def test_r_linearity(pair, c):
-    # c from values: c a must stay far above COEF_EPS, as a itself does
+    # c down to 0 and the subnormals: where c a or c project(a) nears
+    # COEF_EPS, the homogeneity half is off its domain, 0.0. In the example
+    # c a drops every value before projection, while c project(a) keeps the
+    # -4 term (c 5/Gamma(-3.5) = 1.1e-300)
     assert r_linearity(*pair, c) <= 1e-12
+
+
+def test_r_linearity_sees_a_lost_term(monkeypatch):
+    # a projection that loses key 0 of the scaled sequence: the two sides of
+    # the homogeneity half differ by a term of size 2, on the law's domain
+    real = verify.project
+
+    def lossy(rho):
+        if rho.values.get(0) == 2.0:
+            rho = LiftedSeq(rho.basepoint, rho.offset,
+                            {j: v for j, v in rho.values.items() if j})
+        return real(rho)
+
+    monkeypatch.setattr(verify, "project", lossy)
+    a = LiftedSeq(0.0, 0, {0: 1.0, 1: 1.0})
+    assert r_linearity(a, LiftedSeq(0.0, 0, {2: 1.0}), 2.0) == 1.0

@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import assert_series_close
 from fraclift.coeffseq import GenSeries, int_derivative, monomial
@@ -79,6 +81,20 @@ class TestRlSeries:
             for n in (2, 3):
                 assert_series_close(rl_series(f, float(n)),
                                     int_derivative(f, n), rel=1e-14)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(0, 10**6), min_size=1, max_size=12,
+                    unique=True),
+           st.sampled_from((-1, 1, 2, 3)), st.integers(-8, 8))
+    @example([0, 300, 301, 302, 4999, 5000, 123456, 10**6], 3, 0)
+    def test_integer_orders_exact_out_to_a_million(self, exps, n, j):
+        # unit coefficients scaled by 2^j: both sides round each product of
+        # at most three factors below 2^53 once, the termwise rule through
+        # its falling factorial, so they agree bit for bit at every key,
+        # past the 301 bound of the small factorial arguments and past the
+        # span of a Gamma table
+        f = GenSeries(0.0, tuple((float(e), 2.0**j) for e in exps))
+        assert rl_series(f, n) == int_derivative(f, n)
 
     def test_truncation_order_propagates(self):
         f = to_series("exp(x)", 0, 8)

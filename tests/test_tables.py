@@ -38,11 +38,13 @@ def hexes(values):
 
 def defined(phase, k, kind, keys):
     """The keys on which the chain of this kind is a value: off the poles of
-    x (gamma, ratio) and of x - k (recip, ratio), and below Gamma's
-    overflow."""
+    x (gamma, ratio) and of x - k (recip, ratio), below Gamma's overflow
+    and, off its poles, above 1/Gamma's."""
     return [n for n in keys
             if not (kind != "recip" and is_pole(float(n + phase)))
             and not (kind == "gamma" and n + phase > 171)
+            and not (kind == "recip" and n + phase < -171
+                     and not is_pole(float(n + phase)))
             and not (kind != "gamma" and is_pole(float(n + phase - k)))]
 
 
