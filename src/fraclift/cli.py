@@ -29,7 +29,7 @@ from .coeffseq import (
     series_from_json,
     series_to_json,
 )
-from .errors import FracliftError
+from .errors import FracliftError, InputError
 from .lifted import lift_gen, lifted_from_json, lifted_to_json, project, shift
 from .oracle import compare
 from .parser import to_series
@@ -79,10 +79,13 @@ def _csv(header, rows) -> str:
 
 
 def _read_text(path):
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise InputError("%s is not UTF-8 text: %s" % (path, exc)) from None
 
 
 def _load_series(args) -> GenSeries:

@@ -91,6 +91,8 @@ def read_json(text, what, read):
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError("%s JSON: %s" % (what, exc)) from None
+    except RecursionError:
+        raise InputError("%s JSON nested too deeply" % what) from None
     try:
         return read(doc)
     except KeyError as exc:

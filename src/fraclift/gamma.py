@@ -1,30 +1,31 @@
 """Gamma kernel with explicit pole semantics.
 
-Three views of the same function, differing in how they treat the poles at
-nonpositive integers:
+One scalar body, the ratio Gamma(p)/Gamma(q), and three views of it that
+differ in how they treat the poles at nonpositive integers:
 
-  gamma(x)          value; raises at poles and on overflow
-  recip_gamma(x)    the entire reciprocal; exactly 0.0 at poles, raises on
-                    overflow
   gamma_ratio(p,q)  Gamma(p)/Gamma(q) with the four pole cases resolved:
                     no poles -> value; denominator pole -> 0; both poles ->
                     the joint limit (-1)^(n-m) n!/m!; numerator pole -> error
+  gamma(x)          Gamma(x)/Gamma(1): raises at poles and on overflow
+  recip_gamma(x)    Gamma(1)/Gamma(x), the entire reciprocal: exactly 0.0 at
+                    poles, raises on overflow
 
 These three, sinpi and is_pole take finite doubles only: an infinity or a NaN
 raises ExponentError. Every result is a finite double, or a FracliftError.
 
 Off the poles, log|Gamma(x)| is math.lgamma (inf past its range, x above
 about 2.5e305), and Gamma is negative exactly on (-2j-1, -2j), j >= 0.
-Exact integer arguments take exact factorial paths: Gamma(n) and 1/Gamma(n)
-from tables of the doubles of 0!..170! and of their reciprocals, and a
-ratio of two at most 301 apart (or both within 301 of 0) as one falling
-factorial, math.perm, each rounded once. A ratio whose arguments both lie
-past 172 on one side takes the difference of Stirling's series (DLMF
-5.11.1), from x and the order k = x - y, negative arguments after the
-reflection Gamma(x) Gamma(1-x) = pi/sin(pi x) (DLMF 5.5.3): no two large
-log|Gamma| values are subtracted. A chain passes its exact order, and the
-phase of its lattice for the sines, where the doubles x and x - k, far
-out, no longer carry them.
+log Gamma(1) is exactly 0, so gamma and recip_gamma keep every bit of the
+log-space value. Exact integer arguments take one exact factorial path: a
+ratio of two at most 301 apart (or both within 301 of 0) is one falling
+factorial, math.perm, rounded once from the exact integer or quotient, so
+Gamma(n) and 1/Gamma(n) are the doubles of (n-1)! and 1/(n-1)!. A ratio
+whose arguments both lie past 172 on one side takes the difference of
+Stirling's series (DLMF 5.11.1), from x and the order k = x - y, negative
+arguments after the reflection Gamma(x) Gamma(1-x) = pi/sin(pi x) (DLMF
+5.5.3): no two large log|Gamma| values are subtracted. A chain passes its
+exact order, and the phase of its lattice for the sines, where the doubles
+x and x - k, far out, no longer carry them.
 
 Pole detection is tolerance-based (the constant config.INT_TOL, 1e-9) so
 that lattice arithmetic performed in doubles lands on the intended case.
@@ -52,14 +53,14 @@ correctly rounded double of its rational (n q + p)/q.
 
 Every n + c lies the same exact distance from the integers, so one test of
 that distance against INT_TOL decides a lattice's poles, and they are its
-leading keys (lattice_poles). The caller, which has already decided them,
-passes their count, and those keys get the scalar cases. So do the keys
-more than _SPAN steps from the anchor or past a value that left the normal
-double range: the scalar kernel raises the overflow errors and returns the
-underflow zeros. On the integer lattice Gamma and 1/Gamma read the
-factorial tables at arguments 1..171, and a ratio under an integer order
-tables the scalar kernel's falling factorials, bit for bit. The
-series layers pass c and k to lattice_chain as ints, building no Fraction.
+leading keys (lattice_poles). A table's floor lies above them, so the keys
+below it get the scalar cases, as do the keys more than _SPAN steps from
+the anchor or past a value that left the normal double range: the scalar
+kernel raises the overflow errors and returns the underflow zeros. On the
+integer lattice Gamma and 1/Gamma read tables of the doubles of 0!..170! and
+of their reciprocals at arguments 1..171, and a ratio under an integer order
+tables the scalar kernel's falling factorials, bit for bit. The series layers pass c and k to
+lattice_chain as ints, building no Fraction.
 """
 
 import bisect
@@ -98,10 +99,11 @@ _STIRLING = 172.0
 # term is below 2e-19 past _STIRLING
 _STIRLING_TERMS = ((1 / 12, -1), (-1 / 360, -3), (1 / 1260, -5))
 
-# 0!, 1!, ..., 170!, each the correctly rounded double of the exact integer
-# (171! exceeds the double range), and the doubles of their reciprocals
+# 0!, 1!, ..., 170! (171! exceeds the double range) and their reciprocals
+# for the integer lattice, each the correctly rounded double of the exact
+# integer or quotient, as the scalar kernel's falling factorial gives it
 _FACTORIALS = list(map(float, accumulate(range(1, 171), mul, initial=1)))
-_RECIP_FACTORIALS = [1.0 / f for f in _FACTORIALS]
+_RECIP_FACTORIALS = [1 / f for f in accumulate(range(1, 171), mul, initial=1)]
 
 _NORMAL_MIN = sys.float_info.min
 _NORMAL_MAX = sys.float_info.max
@@ -162,45 +164,21 @@ def sinpi(x):
 
 
 def gamma(x):
-    """Gamma(x) of a finite double. Raises GammaPoleError at nonpositive
-    integers, GammaOverflowError above ~171.6 and ExponentError at +-inf and
-    NaN."""
+    """Gamma(x) of a finite double, the ratio Gamma(x)/Gamma(1). Raises
+    GammaPoleError at nonpositive integers, GammaOverflowError above ~171.6
+    and ExponentError at +-inf and NaN."""
     x = _finite(x)
-    if x == math.floor(x):
-        n = int(x)
-        if n <= 0:
-            raise GammaPoleError("gamma pole at %r" % x)
-        if n <= 171:
-            return _FACTORIALS[n - 1]
-        raise GammaOverflowError("gamma(%r) exceeds double range" % x)
-    if _is_nonpos_int(x):
-        raise GammaPoleError("gamma pole at %r" % x)
-    log_abs = _lgamma(x)
-    if log_abs > _EXP_OVERFLOW:
-        raise GammaOverflowError("gamma(%r) exceeds double range" % x)
-    return _sign(x) * math.exp(log_abs)
+    return _ratio(x, 1.0, x - 1.0)
 
 
 def recip_gamma(x):
-    """1/Gamma(x) of a finite double, the entire extension: exactly 0.0 at
-    every nonpositive integer, and 0.0 where it underflows. Raises
-    GammaOverflowError where it leaves the double range (x below about
-    -171.6, off the poles) and ExponentError at +-inf and NaN."""
+    """1/Gamma(x) of a finite double, the ratio Gamma(1)/Gamma(x): the entire
+    extension, exactly 0.0 at every nonpositive integer, and 0.0 where it
+    underflows. Raises GammaOverflowError where it leaves the double range
+    (x below about -171.6, off the poles) and ExponentError at +-inf and
+    NaN."""
     x = _finite(x)
-    if x == math.floor(x):
-        n = int(x)
-        if n <= 0:
-            return 0.0
-        if n <= 171:
-            return _RECIP_FACTORIALS[n - 1]
-    if _is_nonpos_int(x):
-        return 0.0
-    d = -_lgamma(x)
-    if d > _EXP_OVERFLOW:
-        raise GammaOverflowError("1/gamma(%r) exceeds double range" % x)
-    if d < _EXP_UNDERFLOW:
-        return 0.0
-    return _sign(x) * math.exp(d)
+    return _ratio(1.0, x, 1.0 - x)
 
 
 def _exact_ratio(p, q, k):
@@ -337,16 +315,13 @@ def lattice_poles(p, q, keys):
 
 
 def gamma_chain(c, keys, kind, k=0):
-    """lattice_chain at n + c for exact rationals c and k (Fraction or int),
-    its poles counted by lattice_poles."""
-    a, b = _CHAIN_KINDS[kind]
+    """lattice_chain at n + c for exact rationals c and k (Fraction or int)."""
     kp, kq = (k.numerator, k.denominator) if kind == "ratio" else (0, 1)
-    P, Q, K = c.numerator * kq, c.denominator * kq, kp * c.denominator
-    return lattice_chain(P, Q, K, keys, kind, max(
-        a and lattice_poles(P, Q, keys), b and lattice_poles(P - K, Q, keys)))
+    return lattice_chain(c.numerator * kq, c.denominator * kq,
+                         kp * c.denominator, keys, kind)
 
 
-def lattice_chain(P, Q, K, keys, kind, poles):
+def lattice_chain(P, Q, K, keys, kind):
     """[q(x) for x = (n Q + P)/Q, n in keys] for q = gamma ("gamma"),
     recip_gamma ("recip") or x -> gamma_ratio(x, x - K/Q) ("ratio"; K = 0
     for the others), read from the lattice's table. keys are ascending ints,
@@ -354,9 +329,9 @@ def lattice_chain(P, Q, K, keys, kind, poles):
     of its rational, and each value follows the pole, overflow,
     underflow-to-zero and perturbation rules of the scalar function it
     stands for; a ratio's scalar cases take the order K/Q and the lattice's
-    phase exactly, not as the difference of two rounded doubles. The caller
-    counts poles, the leading keys that put x, or a ratio's x - K/Q, on a
-    pole (lattice_poles); those keys get the scalar cases."""
+    phase exactly, not as the difference of two rounded doubles. The keys
+    that put x, or a ratio's x - K/Q, on a pole lie below the table's floor
+    and get the scalar cases."""
     kf = K / Q
     if kind == "gamma":
         scalar, table = gamma, _FACTORIALS
@@ -371,19 +346,18 @@ def lattice_chain(P, Q, K, keys, kind, poles):
         i = P // Q - 1  # table index of the key n: x - 1 = n + i
         return [table[j] if 0 <= (j := n + i) <= 170 else scalar(float(j + 1))
                 for n in keys]
-    out = [scalar((n * Q + P) / Q) for n in keys[:poles]]
-    if poles < len(keys):
-        # the table of the lattice (P, Q, K)/g holds key n at index n + i
-        g = math.gcd(P, Q, K)
-        i, r = divmod(P // g, Q // g)
-        keys = keys[poles:]
-        lo, vals, j, e = _table(r, Q // g, K // g, kind, keys, i)
-        mid, d = keys[j:e], i - lo
-        out += [scalar((n * Q + P) / Q) for n in keys[:j]]
-        out += (vals[mid[0] + d:mid[-1] + d + 1]  # consecutive keys: a slice
-                if mid and mid[-1] - mid[0] == e - j - 1
-                else [vals[n + d] for n in mid])
-        out += [scalar((n * Q + P) / Q) for n in keys[e:]]
+    if not keys:
+        return []
+    # the table of the lattice (P, Q, K)/g holds key n at index n + i
+    g = math.gcd(P, Q, K)
+    i, r = divmod(P // g, Q // g)
+    lo, vals, j, e = _table(r, Q // g, K // g, kind, keys, i)
+    mid, d = keys[j:e], i - lo
+    out = [scalar((n * Q + P) / Q) for n in keys[:j]]
+    out += (vals[mid[0] + d:mid[-1] + d + 1]  # consecutive keys: a slice
+            if mid and mid[-1] - mid[0] == e - j - 1
+            else [vals[n + d] for n in mid])
+    out += [scalar((n * Q + P) / Q) for n in keys[e:]]
     return _perturbed(out) if kind == "ratio" else out
 
 

@@ -43,6 +43,17 @@ from .errors import BasepointError, ExponentError, InputError
 from .gamma import lattice_chain, lattice_poles
 
 
+def _index(j) -> int:
+    # an integral index as an int; InputError for anything else
+    try:
+        n = int(j)
+    except (TypeError, ValueError, OverflowError):
+        n = None
+    if n is None or n != j:
+        raise InputError("lifted index %r is not an integer" % (j,))
+    return n
+
+
 def _exact(x) -> Fraction:
     # an int or Fraction as it is, a float as the rational it stands for
     return rational(x) if isinstance(x, float) else Fraction(x)
@@ -51,10 +62,11 @@ def _exact(x) -> Fraction:
 class LiftedSeq(LatticeValues):
     """Finite-support lifted sequence: values on the lattice Z - offset.
 
-    The constructor cleans its input: integer indices, float values, none
-    below COEF_EPS, and an int or Fraction offset or truncation order
-    exact, a float one read by `rational`; a value that is not a finite
-    double raises InputError. LiftedSeq.keyed takes the values as given."""
+    The constructor cleans its input: integral indices as ints, float
+    values, none below COEF_EPS, and an int or Fraction offset or truncation
+    order exact, a float one read by `rational`; an index that is not an
+    integer or a value that is not a finite double raises InputError.
+    LiftedSeq.keyed takes the values as given."""
 
     _place = "offset"
     _view = "values"
@@ -66,7 +78,7 @@ class LiftedSeq(LatticeValues):
         self.offset = _exact(offset)
         self.truncation_order = (None if truncation_order is None
                                  else _exact(truncation_order))
-        values = {int(j): float(v) for j, v in (values or {}).items()}
+        values = {_index(j): float(v) for j, v in (values or {}).items()}
         keys = sorted(values)
         self.keys, self.vals = kept(keys, [values[j] for j in keys], 0,
                                     InputError, "a lifted value")
@@ -116,7 +128,7 @@ def project(rho: LiftedSeq) -> GenSeries:
         raise ExponentError("an exponent j - offset lies past double range")
     poles = lattice_poles(q - p, q, keys)
     keys, vals = keys[poles:], rho.vals[poles:]
-    rs = lattice_chain(q - p, q, 0, keys, "recip", 0)
+    rs = lattice_chain(q - p, q, 0, keys, "recip")
     m = -((p + q - 1) // q)
     order = rho.truncation_order
     return GenSeries._of(rho.basepoint, Fraction(-p - m * q, q),
@@ -136,7 +148,7 @@ def lift_gen(f: GenSeries) -> LiftedSeq:
         raise ExponentError(
             "term at exponent %r has no preimage under projection "
             "(Gamma pole)" % ((keys[0] * q + p) / q))
-    gs = lattice_chain(p + q, q, 0, keys, "gamma", 0)
+    gs = lattice_chain(p + q, q, 0, keys, "gamma")
     order = f.truncation_order
     return LiftedSeq._of(f.basepoint, Fraction(q - p, q) if p else f.phase,
                          *scaled(keys, f.vals, gs, 1 if p else 0,
@@ -188,12 +200,7 @@ def lifted_from_json(text: str) -> LiftedSeq:
     """Inverse of lifted_to_json ("offset" or "truncation_order" alone is
     read by `rational`); malformed input raises InputError."""
     def read(doc):
-        values = {}
-        for v in doc["values"]:
-            j = v["index"]
-            if j != int(j):
-                raise ValueError("index %r is not an integer" % (j,))
-            values[int(j)] = finite_float(v["value"])
+        values = {v["index"]: finite_float(v["value"]) for v in doc["values"]}
         order = (_read_exact(doc, "truncation_order")
                  if "truncation_order" in doc else None)
         return LiftedSeq(finite_float(doc["basepoint"]),

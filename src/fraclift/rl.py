@@ -105,7 +105,7 @@ def rl_series(f: GenSeries, k) -> GenSeries:
     p, q = f.phase.numerator, f.phase.denominator
     kp, kq = r.numerator, r.denominator
     d = q * kq
-    ratios = lattice_chain((p + q) * kq, d, kp * q, keys, "ratio", lo)
+    ratios = lattice_chain((p + q) * kq, d, kp * q, keys, "ratio")
     m, s = divmod(p * kq - kp * q, d)
     order = (None if f.truncation_order is None
              else float(rational(f.truncation_order) - r))

@@ -225,6 +225,24 @@ class TestDeriv:
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and "absent.json" in err
 
+    @pytest.mark.parametrize("command", [
+        ("deriv", "--k", "0.5", "--series-file"),
+        ("project", "--lifted-file")])
+    def test_unreadable_files_are_usage_errors(self, capsys, tmp_path,
+                                               command):
+        # nesting past the recursion limit, and bytes that are not UTF-8,
+        # exit 2 with one line, not a RecursionError or UnicodeDecodeError
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 200000 + "]" * 200000)
+        utf16 = tmp_path / "utf16.json"
+        utf16.write_bytes(b"\xff\xfe" + "{}".encode("utf-16-le"))
+        for path, message in ((deep, "JSON nested too deeply"),
+                              (utf16, "is not UTF-8 text")):
+            code, out, err = run_cli(capsys, *command, str(path))
+            assert (code, out) == (2, "")
+            assert err.startswith("error: ") and message in err
+            assert err.count("\n") == 1
+
     def test_bad_expression_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "deriv", "--expr", "x +", "--k", "0.5")
         assert code == 2

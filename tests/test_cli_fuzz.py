@@ -1,6 +1,8 @@
 """cli.main in process over generated expressions, series JSON and lifted
 JSON: every call exits 0, 1 or 2, raises nothing else, and prints no inf or
-nan when it exits 0."""
+nan when it exits 0. Input files that no reader accepts (any bytes, nesting
+past the recursion limit, lifted indices that are not integers) exit 2 with
+one line."""
 
 import contextlib
 import io
@@ -8,6 +10,7 @@ import json
 import re
 import sys
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -135,3 +138,49 @@ def test_every_call_ends_in_an_answer_or_a_usage_error(call):
     assert code in (0, 1, 2), (argv, stdin, code, err)
     if code == 0:
         assert not NON_FINITE.search(out), (argv, stdin, out)
+
+
+@st.composite
+def off_lattice_lifted_json(draw):
+    """A lifted file with one index that is not an integer."""
+    doc = json.loads(draw(lifted_json()))
+    index = draw(st.one_of(
+        st.floats().filter(lambda j: not j.is_integer()),
+        st.sampled_from(["1", None, [1], {"index": 1}])))
+    doc["values"].insert(draw(st.integers(0, len(doc["values"]))),
+                         {"index": index, "value": draw(coefficients)})
+    return json.dumps(doc).encode()
+
+
+def _nested(depth, brackets, field):
+    # a document nested far past the recursion limit, alone or as a field
+    opening, inner, closing = brackets
+    body = opening * depth + inner + closing * depth
+    if field is not None:
+        body = '{"basepoint": 0, "%s": %s}' % (field, body)
+    return body.encode()
+
+
+nested = st.builds(_nested, st.sampled_from([20000, 200000]),
+                   st.sampled_from([("[", "", "]"), ('{"a": ', "0", "}")]),
+                   st.sampled_from([None, "terms", "values", "offset"]))
+unreadable = st.one_of(st.binary(max_size=200), nested,
+                       off_lattice_lifted_json())
+file_commands = st.sampled_from([
+    ["deriv", "--k=0.5", "--series-file"],
+    ["lift", "--series-file"],
+    ["project", "--lifted-file"]])
+
+
+@pytest.fixture(scope="module")
+def input_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "input.json"
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(file_commands, unreadable)
+def test_unreadable_files_are_usage_errors(input_file, command, data):
+    input_file.write_bytes(data)
+    code, out, err = run(command + [str(input_file)], "")
+    assert (code, out) == (2, ""), (command, data[:80], err)
+    assert err.startswith("error: ") and err.count("\n") == 1, err

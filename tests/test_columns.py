@@ -74,7 +74,7 @@ def ref_rl_series(phase, coeffs, k):
     hi = max(lo, lattice_poles((p + q) * kq - kp * q, q * kq, keys))
     keys = keys[:lo] + keys[hi:]
     d = q * kq
-    ratios = lattice_chain((p + q) * kq, d, kp * q, keys, "ratio", lo)
+    ratios = lattice_chain((p + q) * kq, d, kp * q, keys, "ratio")
     m, s = divmod(p * kq - kp * q, d)
     return Fraction(s, d), ref_scaled(coeffs, keys, ratios, m)
 
@@ -84,7 +84,7 @@ def ref_lift_gen(phase, coeffs):
     p, q = phase.numerator, phase.denominator
     if lattice_poles(p + q, q, keys):
         raise ExponentError("no preimage")
-    gs = lattice_chain(p + q, q, 0, keys, "gamma", 0)
+    gs = lattice_chain(p + q, q, 0, keys, "gamma")
     offset = Fraction(q - p, q) if p else phase
     return offset, ref_scaled(coeffs, keys, gs, 1 if p else 0)
 
@@ -93,7 +93,7 @@ def ref_project(offset, values):
     p, q = offset.numerator, offset.denominator
     keys = sorted(values)
     keys = keys[lattice_poles(q - p, q, keys):]
-    rs = lattice_chain(q - p, q, 0, keys, "recip", 0)
+    rs = lattice_chain(q - p, q, 0, keys, "recip")
     m = -((p + q - 1) // q)
     return Fraction(-p - m * q, q), ref_scaled(values, keys, rs, m)
 

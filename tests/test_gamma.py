@@ -48,6 +48,12 @@ class TestGamma:
         with pytest.raises(GammaOverflowError):
             gamma(171.9)
 
+    def test_underflow_is_positive_zero(self):
+        # below about -178 |Gamma| underflows; the zero is +0.0 on both
+        # signs of Gamma, as gamma_ratio's and recip_gamma's are
+        for x in (-190.5, -200.5, -1000.25):
+            assert math.copysign(1.0, gamma(x)) == 1.0 and gamma(x) == 0.0
+
     def test_messages_print_the_argument_as_a_double(self):
         for x, err in ((-1e308, GammaPoleError), (1e308, GammaOverflowError)):
             with pytest.raises(err) as exc:
@@ -185,10 +191,12 @@ class TestGammaRatio:
 
     def test_integer_paths_round_factorials_once(self):
         # every exact-integer value is the correctly rounded quotient of
-        # factorials, joint poles included, up to the 301 bound
+        # factorials, joint poles included, up to the 301 bound; 1/(n-1)!
+        # is int true division, not 1.0 over the rounded (n-1)!
         for n in range(1, 172):
             assert gamma(float(n)) == float(math.factorial(n - 1))
-            assert recip_gamma(float(n)) == 1.0 / math.factorial(n - 1)
+            assert recip_gamma(float(n)) == 1 / math.factorial(n - 1)
+            assert recip_gamma(float(n)) == gamma_ratio(1.0, float(n))
         args = [-301, -200, -171, -40, -3, -1, 0, 1, 2, 5, 40, 171, 172, 250, 301]
         for p in args:
             for q in args:

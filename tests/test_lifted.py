@@ -46,6 +46,17 @@ class TestEmbed:
         assert sigma.on_integers() == sigma
 
 
+class TestIndices:
+    def test_only_integral_indices_are_taken(self):
+        rho = seq({2.0: 1.0, Fraction(6, 2): 2.0, -1: 3.0})
+        assert rho.keys == [-1, 2, 3]
+        assert all(type(j) is int for j in rho.keys)
+        # truncating 1.5 and -0.7 would put both values on the wrong points
+        for j in (1.5, -0.7, Fraction(1, 3), math.nan, math.inf, "1", None):
+            with pytest.raises(InputError, match="not an integer"):
+                seq({j: 2.0, 0: 1.0})
+
+
 class TestShift:
     def test_halves_compose_to_one(self):
         rho = seq({1: 1.0, 3: -2.0})
@@ -302,6 +313,8 @@ class TestLiftedJson:
 
     def test_malformed_input_raises_input_error(self):
         for text in ('', '{"basepoint": 0, "offset": 0.5}',
+                     '{"basepoint": 0, "offset": 0.5, '
+                     '"values": [{"index": "1", "value": 1}]}',
                      '{"basepoint": 0, "offset": 0.5, '
                      '"values": [{"index": 1.5, "value": 1}]}',
                      '{"basepoint": 0, "offset": 0.5, '
