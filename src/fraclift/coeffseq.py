@@ -101,12 +101,22 @@ def read_json(text, what, read):
         raise InputError("malformed %s JSON: %s" % (what, exc)) from None
 
 
-def finite_float(v):
-    """float(v), refusing infinities and NaN with ValueError."""
-    x = float(v)
+def finite_float(v, error=ValueError, what="number"):
+    """float(v), refusing with error what is no finite number: an infinity,
+    NaN, a string or an int past the double range."""
+    try:
+        x = float(v)
+    except (TypeError, ValueError, OverflowError):
+        x = math.nan
     if not math.isfinite(x):
-        raise ValueError("not a finite number: %r" % (v,))
+        raise error("%s is not a finite %s" % (_shown(v), what))
     return x
+
+
+def _shown(v):
+    # repr(v), cut to 60 characters
+    r = repr(v)
+    return r if len(r) <= 60 else r[:57] + "..."
 
 
 def has_double(q, *ns) -> bool:
@@ -143,10 +153,8 @@ def rational(x) -> Fraction:
     the convergents of x's continued fraction, else the double's own binary
     value. So the doubles of 1/3, 0.1 and -5/3, and 0.85 - 1 as computed in
     doubles, read as 1/3, 1/10, -5/3 and -3/20, while pi/3 keeps its binary
-    value. Non-finite x raises ExponentError."""
-    x = float(x)
-    if not math.isfinite(x):
-        raise ExponentError("%r is not a finite exponent or order" % x)
+    value. x that is no finite number raises ExponentError."""
+    x = finite_float(x, ExponentError, "exponent or order")
     slack = _SLACK * max(1.0, abs(x))
     n0 = math.floor(x)
     y = x - n0
@@ -186,8 +194,11 @@ def _lattice(pairs, phase=None):
         return Fraction(0), [], []
     # two lists, no n-tuples: CPython keeps up to 2000 freed tuples of each
     # length below 20, which a column tuple per series would fill
-    exps = [float(e) for e, _ in pairs]
-    vals = [float(c) for _, c in pairs]
+    try:
+        exps = [float(e) for e, _ in pairs]
+        vals = [float(c) for _, c in pairs]
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InputError("a term is not a pair of numbers: %s" % exc) from None
     if not all(map(math.isfinite, exps)):
         raise ExponentError("exponent %r is not finite"
                             % next(e for e in exps if not math.isfinite(e)))
@@ -317,7 +328,8 @@ class GenSeries(LatticeValues):
     (exponent, coefficient) pairs, which merges equal exponents and rejects
     exponents off a single lattice; GenSeries.keyed takes keys directly.
     truncation_order, when not None, records the order beyond which terms
-    are an unrepresented remainder (a truncated transcendental jet).
+    are an unrepresented remainder (a truncated transcendental jet). A
+    basepoint, order or term that is no finite number raises InputError.
     """
 
     _place = "phase"
@@ -328,8 +340,10 @@ class GenSeries(LatticeValues):
 
     def __init__(self, basepoint, terms=(), truncation_order=None):
         self.phase, self.keys, self.vals = _lattice(terms)
-        self.basepoint = float(basepoint)
-        self.truncation_order = truncation_order
+        self.basepoint = finite_float(basepoint, InputError, "basepoint")
+        self.truncation_order = (
+            None if truncation_order is None
+            else finite_float(truncation_order, InputError, "truncation order"))
 
     coeffs = property(LatticeValues._mapping)
 
@@ -398,7 +412,11 @@ def series_eval(f: GenSeries, x) -> float:
     Non-integer exponents (a nonzero phase) require x > a; negative
     exponents require x != a. A power that overflows, or a value that is not
     a finite double, raises EvalDomainError."""
-    x = float(x)
+    try:
+        x = float(x)
+    except (TypeError, ValueError, OverflowError):
+        raise InputError("evaluation point %s is not a number"
+                         % _shown(x)) from None
     dx = x - f.basepoint
     vals = f.vals
     if not vals:
@@ -465,19 +483,24 @@ def int_derivative(f: GenSeries, n: int = 1) -> GenSeries:
     products), independent of the Gamma kernel; for n < 0 the (-n)-fold
     antiderivative with zero constants, which refuses exponent -1. A
     coefficient that leaves the double range raises GammaOverflowError, as
-    rl_series does."""
+    rl_series does. A term stops at its first zero or non-finite
+    coefficient, so a huge n costs no more than a small one."""
     if not isinstance(n, int):
         raise ExponentError("order %r is not an integer" % (n,))
     vals = []
     for exp, c in f.terms:
+        if n <= exp < 0.0 and exp.is_integer():  # passes exponent -1
+            raise ExponentError("antiderivative of exponent -1 term")
         for _ in range(n):
             c *= exp
             exp -= 1.0
+            if c == 0.0 or not math.isfinite(c):
+                break
         for _ in range(-n):
             exp += 1.0
-            if exp == 0.0:
-                raise ExponentError("antiderivative of exponent -1 term")
             c /= exp
+            if c == 0.0 or not math.isfinite(c):
+                break
         vals.append(c)
     order = None if f.truncation_order is None else f.truncation_order - n
     return f._with(*kept(f.keys, vals, -n, GammaOverflowError,

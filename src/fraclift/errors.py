@@ -52,7 +52,8 @@ class ParseError(FracliftError):
 
 class InputError(FracliftError):
     """Series or lifted-sequence JSON that does not parse, lacks a field or
-    holds a value of the wrong type, or a non-finite series coefficient."""
+    holds a value of the wrong type, a non-finite series coefficient, or a
+    constructor or evaluation argument that is no finite number."""
 
 
 class ExpansionError(FracliftError):

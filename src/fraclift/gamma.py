@@ -56,18 +56,17 @@ that distance against INT_TOL decides a lattice's poles, and they are its
 leading keys (lattice_poles). A table's floor lies above them, so the keys
 below it get the scalar cases, as do the keys more than _SPAN steps from
 the anchor or past a value that left the normal double range: the scalar
-kernel raises the overflow errors and returns the underflow zeros. On the
-integer lattice Gamma and 1/Gamma read tables of the doubles of 0!..170! and
-of their reciprocals at arguments 1..171, and a ratio under an integer order
-tables the scalar kernel's falling factorials, bit for bit. The series layers pass c and k to
-lattice_chain as ints, building no Fraction.
+kernel raises the overflow errors and returns the underflow zeros. The
+integer lattice takes the same path: each step of its table is a scalar
+kernel value, an exact falling factorial rounded once, so Gamma(n) and
+1/Gamma(n) read the doubles of (n-1)! and 1/(n-1)!, and a ratio under an
+integer order the scalar kernel's values, bit for bit. The series layers
+pass c and k to lattice_chain as ints, building no Fraction.
 """
 
 import bisect
 import math
 import sys
-from itertools import accumulate
-from operator import mul
 
 from . import config
 from .config import INT_TOL
@@ -98,12 +97,6 @@ _STIRLING = 172.0
 # B_2j / (2j (2j-1)) and 1 - 2j of Stirling's series, j = 1, 2, 3; the next
 # term is below 2e-19 past _STIRLING
 _STIRLING_TERMS = ((1 / 12, -1), (-1 / 360, -3), (1 / 1260, -5))
-
-# 0!, 1!, ..., 170! (171! exceeds the double range) and their reciprocals
-# for the integer lattice, each the correctly rounded double of the exact
-# integer or quotient, as the scalar kernel's falling factorial gives it
-_FACTORIALS = list(map(float, accumulate(range(1, 171), mul, initial=1)))
-_RECIP_FACTORIALS = [1 / f for f in accumulate(range(1, 171), mul, initial=1)]
 
 _NORMAL_MIN = sys.float_info.min
 _NORMAL_MAX = sys.float_info.max
@@ -334,18 +327,14 @@ def lattice_chain(P, Q, K, keys, kind):
     and get the scalar cases."""
     kf = K / Q
     if kind == "gamma":
-        scalar, table = gamma, _FACTORIALS
+        scalar = gamma
     elif kind == "recip":
-        scalar, table = recip_gamma, _RECIP_FACTORIALS
+        scalar = recip_gamma
     else:
         twins = (P % (2 * Q) / Q, (P - K) % (2 * Q) / Q)
 
         def scalar(x):
             return _ratio(x, x - kf, kf, twins)
-    if kind != "ratio" and P % Q == 0:
-        i = P // Q - 1  # table index of the key n: x - 1 = n + i
-        return [table[j] if 0 <= (j := n + i) <= 170 else scalar(float(j + 1))
-                for n in keys]
     if not keys:
         return []
     # the table of the lattice (P, Q, K)/g holds key n at index n + i

@@ -56,7 +56,12 @@ def _index(j) -> int:
 
 def _exact(x) -> Fraction:
     # an int or Fraction as it is, a float as the rational it stands for
-    return rational(x) if isinstance(x, float) else Fraction(x)
+    if isinstance(x, float):
+        return rational(x)
+    try:
+        return Fraction(x)
+    except (TypeError, ValueError, ArithmeticError):
+        raise InputError("%.60r is not a rational number" % (x,)) from None
 
 
 class LiftedSeq(LatticeValues):
@@ -64,8 +69,9 @@ class LiftedSeq(LatticeValues):
 
     The constructor cleans its input: integral indices as ints, float
     values, none below COEF_EPS, and an int or Fraction offset or truncation
-    order exact, a float one read by `rational`; an index that is not an
-    integer or a value that is not a finite double raises InputError.
+    order exact, a float one read by `rational`; a basepoint or value that
+    is not a finite double, an index that is not an integer or an offset
+    that is no number raises InputError.
     LiftedSeq.keyed takes the values as given."""
 
     _place = "offset"
@@ -74,11 +80,14 @@ class LiftedSeq(LatticeValues):
 
     def __init__(self, basepoint, offset=0, values=None,
                  truncation_order=None):
-        self.basepoint = float(basepoint)
+        self.basepoint = finite_float(basepoint, InputError, "basepoint")
         self.offset = _exact(offset)
         self.truncation_order = (None if truncation_order is None
                                  else _exact(truncation_order))
-        values = {_index(j): float(v) for j, v in (values or {}).items()}
+        try:
+            values = {_index(j): float(v) for j, v in (values or {}).items()}
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise InputError("a lifted value is not a number: %s" % exc) from None
         keys = sorted(values)
         self.keys, self.vals = kept(keys, [values[j] for j in keys], 0,
                                     InputError, "a lifted value")

@@ -11,27 +11,28 @@ so -x^2 is -(x^2), x^-1 is x^(-1) and x^2^3 is x^(2^3):
     atom    = NUMBER | "x" | NAME "(" expr ")" | "(" expr ")" ;
     NAME    = "exp" | "sin" | "cos" ;
 
-Real (non-integer) exponents are permitted only on the centered variable
-atom x or (x - a) where a is the expansion base point; arbitrary
-subexpressions may be raised to nonnegative integer powers. Division is by
-nonzero constants only. These restrictions keep every expressible function a
-single-lattice generalized power series.
+An exponent is any constant expression, read as the double of its exact
+value. It may be real on a constant or on any subexpression equal to x - a,
+a the expansion base point (x at a = 0; x - 1/2 or -0.5 + x at a = 0.5), and
+a nonnegative integer on any other. Division is by nonzero constants only.
+So every expressible function is a single-lattice generalized power series.
 
 Series expansion works in exact rational arithmetic wherever the inputs
 are rational, kept on integers: a working value holds integer numerators
 over one integer denominator. A sum rescales the numerators to the least
-common denominator; a product is an integer convolution over the product
-of the denominators, stripped of the factor the numerators share with it
-by one gcd, so no Fraction is built and no gcd taken per coefficient
-(D. E. Knuth, The Art of Computer Programming, vol. 2, sec. 4.5.1). Cauchy products of intrinsic jets carry no rounding at all; each
-coefficient rounds to a double once at the end, as the correctly rounded
-quotient of its numerator and the denominator. A value that holds a float
-(2^0.5, or exp(u0) at a nonzero u0) keeps Fraction and float coefficients,
-combined in one fixed order. Exponents are exact too: coeffseq.rational
-reads each literal x^e or (x - a)^e once, and a working value keeps an
-exact base exponent and integer keys n, so its exponents base + n share one
-lattice by construction; products add bases and orders exactly, and the
-series takes its phase as the base mod 1.
+common denominator; a constant divisor scales them by its integer ratio; a
+product is an integer convolution over the product of the denominators,
+stripped of the factor the numerators share with it by one gcd, so no
+Fraction is built and no gcd taken per coefficient (D. E. Knuth, The Art
+of Computer Programming, vol. 2, sec. 4.5.1). Cauchy products of intrinsic
+jets carry no rounding at all; each coefficient rounds to a double once at
+the end, as the correctly rounded quotient of its numerator and the
+denominator. A value that holds a float (2^0.5, or exp(u0) at a nonzero u0)
+keeps Fraction and float coefficients, combined in one fixed order.
+Exponents are exact too: coeffseq.rational reads each power of x - a once,
+and a working value keeps an exact base exponent and integer keys n, so its
+exponents base + n share one lattice by construction; products add bases
+and orders exactly, and the series takes its phase as the base mod 1.
 
 An intrinsic of a jet u = u0 + v (v without constant term) to order N is not
 composed from the Taylor polynomial of the intrinsic, which costs O(N^3)
@@ -63,7 +64,6 @@ Art of Computer Programming, vol. 2, sec. 4.7.
 from __future__ import annotations
 
 import math
-import operator
 from fractions import Fraction
 
 from . import config
@@ -262,11 +262,6 @@ class _SVal:
     def min_exponent(self):
         return self.base + min(self.coeffs) if self.coeffs else 0
 
-    def constant_value(self):
-        if self.den is None:
-            return self.coeffs.get(-self.base, Fraction(0))
-        return Fraction(self.coeffs.get(-self.base, 0), self.den)
-
     def is_constant(self):
         return self.coeffs.keys() <= {-self.base}
 
@@ -318,12 +313,12 @@ def _add(a, b, sign=1):
     return _mixed(coeffs, order, base).prune()
 
 
-def _scale(a, c):
-    """a times a nonzero constant c: an int, a Fraction or a float."""
-    if a.den and type(c) is not float:
-        p, q = c.numerator, c.denominator
+def _scale(a, p, q=1):
+    """a times p/q: ints p != 0 and q > 0, or a float p and q = 1."""
+    if a.den and type(p) is not float:
         return _SVal({n: p * v for n, v in a.coeffs.items()}, a.order,
                      a.base, q * a.den)
+    c = p if q == 1 else Fraction(p, q)
     return _mixed({n: c * v for n, v in _values(a).items()}, a.order, a.base)
 
 
@@ -555,48 +550,6 @@ def _float_op(fn, u0, what):
         raise ExpansionError("%s(%s) is out of double range" % (what, arg)) from None
 
 
-def _div(a, b):
-    if b == 0:
-        raise ExpansionError("division by zero in constant expression")
-    return a / b
-
-
-def _pow(a, b):
-    try:
-        return math.pow(a, b)
-    except (OverflowError, ValueError):
-        raise ExpansionError(
-            "constant power %r^%r is not a finite real" % (a, b)) from None
-
-
-_FOLD = {"+": operator.add, "-": operator.sub, "*": operator.mul,
-         "/": _div, "^": _pow}
-
-
-def _fold_const(node):
-    """Evaluate a variable-free subtree to a float, or None."""
-    tag = node[0]
-    if tag == "num":
-        return node[1]
-    if tag == "neg":
-        v = _fold_const(node[1])
-        return None if v is None else -v
-    if tag not in _FOLD:  # x, or a call
-        return None
-    a = _fold_const(node[1])
-    b = _fold_const(node[2])
-    if a is None or b is None:
-        return None
-    return _FOLD[tag](a, b)
-
-
-def _centered_at(node):
-    """The base point c of a node (x - c), else None."""
-    if node[0] == "-" and node[1] == ("x",) and node[2][0] == "num":
-        return node[2][1]
-    return None
-
-
 _CHAIN = ("+", "-", "*")
 
 
@@ -630,47 +583,69 @@ def _expand(node, basepoint, order):
         den = _expand(node[2], basepoint, order)
         if not den.is_constant():
             raise ExpansionError("division only by nonzero constants")
-        c = den.constant_value()
-        if c == 0:
+        c = den.coeffs.get(-den.base, 0)
+        if not c:
             raise ExpansionError("division by zero")
         num = _expand(node[1], basepoint, order)
-        return _scale(num, (Fraction(1) / c) if isinstance(c, Fraction)
-                      else 1.0 / c)
+        if den.den is None:  # a float c
+            return _scale(num, 1.0 / c)
+        return _scale(num, den.den, c) if c > 0 else _scale(num, -den.den, -c)
     if tag == "^":
         return _expand_pow(node[1], node[2], basepoint, order)
     raise TypeError("not an expression node: %r" % (node,))
 
 
+# The most bits an exact constant power c^n may give its numerator or
+# denominator, judged from c's before c^n is computed: (2^1000)^1000 fits
+_POWER_BITS = 1 << 21
+
+
+def _holds_x(node):
+    return "x" in node or any(_holds_x(n) for n in node[1:] if type(n) is tuple)
+
+
 def _expand_pow(base_node, expo_node, basepoint, order):
-    expo = _fold_const(expo_node)
-    if expo is None:
+    # the exponent: the correctly rounded double of the constant it expands
+    # to; a truncated one only where no x can hide past its order
+    e = _expand(expo_node, basepoint, order)
+    if not e.is_constant() or e.order != math.inf and _holds_x(expo_node):
         raise ExpansionError("exponent must be a constant expression")
+    c = e.coeffs.get(-e.base, 0)
+    expo = c / e.den if e.den else c
     if not math.isfinite(expo):
         raise ExpansionError("exponent %r is not finite" % expo)
-    center = _centered_at(base_node)
-    if center == basepoint or (base_node == ("x",) and basepoint == 0.0):
+    base = _expand(base_node, basepoint, order)
+    if base.order == math.inf and base.coeffs == {1 - base.base: base.den}:
+        # the base is x - basepoint: the power term, verbatim
         e = rational(expo)  # an integer stays an int: ints add fast
         return _SVal({0: 1}, base=e.numerator if e.denominator == 1 else e)
-    if expo == math.floor(expo) and abs(expo) <= 1024:
+    c = base.coeffs.get(-base.base, 0) if base.is_constant() else None
+    if base.den and c is not None:  # an exact constant base, as a Fraction
+        c = Fraction(c, base.den)
+    if expo.is_integer() and abs(expo) <= 1024:
         n = int(expo)
-        base = _expand(base_node, basepoint, order)
+        if type(c) is Fraction and _POWER_BITS < abs(n) * max(
+                c.numerator.bit_length(), c.denominator.bit_length()):
+            raise ExpansionError("constant power ^%d passes %d bits"
+                                 % (n, _POWER_BITS))
         if n >= 0:
             return _powi(base, n)
-        if base.is_constant() and base.constant_value() != 0:
-            return _mixed({0: base.constant_value() ** n})
+        if c:
+            return _mixed({0: c ** n})
         raise ExpansionError(
             "negative powers are only supported on (x - basepoint)")
-    base = _expand(base_node, basepoint, order)
-    if base.is_constant():
-        c = float(base.constant_value())
-        if c <= 0.0:
+    if c is not None:
+        if c <= 0:
             raise ExpansionError("real power of a non-positive constant")
-        return _mixed({0: math.pow(c, expo)})
-    if center is not None:
-        raise ExpansionError("power term centered at %r, expected base point %r"
-                             % (center, basepoint))
-    raise ExpansionError(
-        "real exponents are only supported on (x - basepoint)")
+        return _mixed({0: math.pow(float(c), expo)})
+    if (base.base == 0 and base.coeffs.keys() == {0, 1}
+            and base.coeffs[1] == base.den):  # x - c, c not the base point
+        p, q = basepoint.as_integer_ratio()
+        c = Fraction(p * base.den - base.coeffs[0] * q, q * base.den)
+        shown = float(c) if float(c) != basepoint else c  # c exact if need be
+        raise ExpansionError("power term centered at %s, expected base point "
+                             "%r" % (shown, basepoint))
+    raise ExpansionError("real exponents are only supported on (x - basepoint)")
 
 
 def to_series(expr, basepoint: float = 0.0, order: int | None = None) -> GenSeries:

@@ -1,4 +1,6 @@
+import contextlib
 import os
+import signal
 
 import pytest
 
@@ -21,6 +23,23 @@ def _restore_config():
     config.perturbation.cache_clear()
     yield
     config.perturbation.cache_clear()
+
+
+@contextlib.contextmanager
+def deadline(seconds):
+    """Raise TimeoutError in the block once it has run the seconds given, so
+    a call that runs away fails its test instead of holding up the suite
+    (at the next bytecode: one long integer operation runs to its end)."""
+    def stop(signum, frame):
+        raise TimeoutError("still running after %g s" % seconds)
+
+    old = signal.signal(signal.SIGALRM, stop)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
 
 
 @pytest.fixture

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_seq_close, assert_series_close
+from conftest import assert_seq_close, assert_series_close, deadline
 from fraclift import coeffseq
 from fraclift.coeffseq import (
     GenSeries,
@@ -24,6 +24,7 @@ from fraclift.errors import (
     BasepointError,
     EvalDomainError,
     ExponentError,
+    FracliftError,
     GammaOverflowError,
     InputError,
     LatticeError,
@@ -118,6 +119,24 @@ class TestFiniteValues:
                        {0: 1.0, 1: -math.inf}):
             with pytest.raises(InputError, match="a lifted value is"):
                 LiftedSeq(0, 0, values)
+
+    @pytest.mark.parametrize("call", [
+        lambda: GenSeries(math.nan, [(1.0, 1.0)]),
+        lambda: LiftedSeq(math.inf, 0, {0: 1.0}),
+        lambda: GenSeries(0.0, [(1.0, 1.0)], truncation_order=math.nan),
+        lambda: GenSeries(0.0, [(0.5, "x")]),
+        lambda: LiftedSeq(0, 0, {1: "x"}),
+        lambda: LiftedSeq(0, "abc"),
+        lambda: series_eval(monomial(0.5), "a"),
+        lambda: shift(lift_gen(monomial(0.5)), 10**400),
+    ], ids=["nan-basepoint", "inf-lifted-basepoint", "nan-order",
+            "string-coefficient", "string-lifted-value", "string-offset",
+            "string-point", "shift-past-double-range"])
+    def test_constructors_and_calls_end_in_a_library_error(self, call):
+        # each used to be accepted, or to raise a bare ValueError or
+        # OverflowError
+        with pytest.raises(FracliftError):
+            call()
 
     def test_keyed_instances_stay_raw(self):
         # the keyed constructors check nothing: verify's residuals read NaN
@@ -425,6 +444,39 @@ class TestIntCalculusHelpers:
         # requires and the positive orders already did
         g = int_derivative(GenSeries(0.0, ((0.0, 1e-290),)), -40)
         assert g.coeffs == {} and g.is_zero
+
+    @pytest.mark.parametrize("f, n", [(monomial(2.0), 10**9),
+                                      (monomial(0.5), -10**9)])
+    def test_huge_order_ends_at_the_zero_series(self, f, n):
+        # each term stops at its first zero coefficient: x^2 at its third
+        # derivative, x^0.5 where 1/Gamma underflows
+        with deadline(1.0):
+            g = int_derivative(f, n)
+        assert g.is_zero
+
+    def test_huge_order_ends_at_the_overflow(self):
+        # the coefficient of x^(0.5 - n) passes the double range near n = 170
+        with deadline(1.0):
+            with pytest.raises(GammaOverflowError, match="a coefficient is inf"):
+                int_derivative(monomial(0.5), 10**9)
+
+    def test_finite_results_are_unchanged(self):
+        # the stop at a decided coefficient leaves every finite result's bits
+        for f in (to_series("exp(x) + x^5", 0, 12),
+                  to_series("x^(1/3)*(exp(x) + x^5)", 0, 12)):
+            for n in (1, 4, 7, -3):
+                want = []
+                for key, (e, c) in zip(f.keys, f.terms):
+                    for _ in range(n):  # every step, as before the stop
+                        c *= e
+                        e -= 1.0
+                    for _ in range(-n):
+                        e += 1.0
+                        c /= e
+                    if c:
+                        want.append((key - n, c))
+                g = int_derivative(f, n)
+                assert list(zip(g.keys, g.vals)) == want
 
     def test_order_must_be_an_int(self):
         f = to_series("x^2 + 3*x")

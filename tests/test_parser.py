@@ -7,7 +7,9 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from conftest import deadline
 from fraclift import parser
+from fraclift.cli import main
 from fraclift.coeffseq import GenSeries
 from fraclift.config import COEF_EPS
 from fraclift.errors import ExpansionError, LatticeError, ParseError
@@ -294,6 +296,88 @@ class TestToSeries:
         for text in ("x^(10^400)", "x^(1e200*1e200)", "x^((0-8)^(1/3))"):
             with pytest.raises(ExpansionError):
                 to_series(text, 0, 4)
+
+
+@st.composite
+def _spelled_powers(draw):
+    """(text, reference text, base point): (x - a)^e with x - a and e
+    spelled several ways, against x - a with a one literal. a = p/2^k is a
+    double, so every spelling of it is exact."""
+    p, k = draw(st.integers(-40, 40)), draw(st.integers(0, 4))
+    a = p / 2**k
+    split = draw(st.integers(-40, 40))
+    spell_a = draw(st.sampled_from([
+        repr(a), "%d/%d" % (p, 2**k),
+        "%d/%d + %r" % (split, 2**k, (p - split) / 2**k)]))
+    c = draw(st.sampled_from(["2", "3", "7", "0.1"]))
+    base = draw(st.sampled_from(["x - (%s)", "-(%s) + x", "x + (-(%s))",
+                                 c + "*(x - (%s))/" + c])) % spell_a
+    r, q = draw(st.integers(-12, 12)), draw(st.sampled_from([1, 2, 3, 4, 8]))
+    expo = draw(st.sampled_from([repr(r / q), "(%d/%d)" % (r, q),
+                                 "(cos(0)*%d/%d)" % (r, q)]))
+    return ("(%s)^%s" % (base, expo), "(x - %r)^(%d/%d)" % (a, r, q), a)
+
+
+class TestPowersByValue:
+    """A power reads its exponent, and its base x - a, from their
+    expansions: the value decides, not the spelling."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(_spelled_powers())
+    def test_spellings_of_a_centered_power_agree(self, case):
+        text, ref, a = case
+        assert repr(to_series(text, a, 8)) == repr(to_series(ref, a, 8))
+
+    @pytest.mark.parametrize("text, a, ref", [
+        ("(x - 1/2)^0.5", 0.5, "(x - 0.5)^0.5"),
+        ("(-0.5 + x)^0.5", 0.5, "(x - 0.5)^0.5"),
+        ("(x + -0.5)^0.5", 0.5, "(x - 0.5)^0.5"),
+        ("(2*(x-1)/2)^0.5", 1.0, "(x - 1)^0.5"),
+        ("x^(cos(0)/2)", 0.0, "x^0.5"),
+    ])
+    def test_other_spellings_of_the_power_term(self, text, a, ref):
+        assert to_series(text, a, 8) == to_series(ref, a, 8)
+
+    def test_wrong_center_is_named(self):
+        with pytest.raises(ExpansionError,
+                           match=r"centered at 1\.0, expected base point 0\.0"):
+            to_series("(x-1)^0.5", 0.0, 8)
+        # a center whose double is the base point's is shown exactly
+        with pytest.raises(ExpansionError, match="centered at 1/3, expected"):
+            to_series("(x - 1/3)^0.5", 1 / 3, 8)
+
+    def test_exponent_constant_only_by_truncation_is_refused(self):
+        # sin(x) at order 0 and sin(x) - x at order 2 expand to 0, with the
+        # x that the jet order cut off; an x-free truncated constant, as
+        # cos(0), and an exact one, as x - x, are exponents
+        for text, order in (("x^sin(x)", 0), ("x^(sin(x) - x)", 2),
+                            ("x^(sin(x)^2 + cos(x)^2)", 8)):
+            with pytest.raises(ExpansionError, match="constant expression"):
+                to_series(text, 0, order)
+        assert to_series("x^(cos(0)*3)", 0, 0) == to_series("x^3", 0, 0)
+        assert to_series("2*x^(x - x)", 0, 0).terms == ((0.0, 2.0),)
+
+    def test_constant_division_builds_no_fraction(self, monkeypatch):
+        for text in ("3/2", "x/(1+1)", "(x + 1/3)/(-7)"):
+            made = _fractions_made(
+                monkeypatch, lambda: parser._expand(parse(text), 0.0, 8))
+            assert made == 0, text
+
+    @pytest.mark.parametrize("text", ["x^(((10^1000)^1000)^1000)",
+                                      "((2^1024)^1024)^1024",
+                                      "((10^1000)^1000)^1000 + x",
+                                      "(((1/3)^1000)^1000)^1000"])
+    def test_runaway_constant_powers_are_refused(self, capsys, text):
+        with deadline(1.0):
+            code = main(["deriv", "--expr", text, "--k", "0.5"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1 and "passes" in err
+
+    def test_constant_powers_under_the_bound_answer_exactly(self):
+        assert to_series("(10^400)^2/10^799").terms == ((0.0, 10.0),)
+        assert to_series("(2^1000)^1000/(2^999)^1000").terms == (
+            (0.0, float(2**1000)),)
 
 
 # factors (x^(p/q))^r as (p, q, r) triples, q <= 12
