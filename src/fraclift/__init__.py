@@ -42,7 +42,7 @@ from .lifted import (
     shift,
 )
 from .oracle import compare, rl_oracle
-from .parser import parse, to_series
+from .parser import parse, to_lifted, to_series
 from .rl import rl_kernel_predicate, rl_series, rl_term
 
 KERNEL_BACKEND = "python"

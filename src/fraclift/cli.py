@@ -32,7 +32,7 @@ from .coeffseq import (
 from .errors import FracliftError, InputError
 from .lifted import lift_gen, lifted_from_json, lifted_to_json, project, shift
 from .oracle import compare
-from .parser import to_series
+from .parser import to_lifted, to_series, to_series_and_lifted
 from .rl import annihilated_run, rl_series
 from .verify import SUITES, run_suites
 
@@ -120,13 +120,19 @@ def cmd_deriv(args):
     if args.at and args.format == "csv":
         raise FracliftError("--at needs --format pretty or json: the csv "
                             "format holds the terms only")
-    f = _load_series(args)
+    # an expression on the lifted path lifts exactly (to_lifted), from the
+    # expansion its series comes from; a series file lifts by lift_gen
+    rho = None
+    if args.expr and (args.via == "lifted" or args.compare_paths):
+        f, rho = to_series_and_lifted(args.expr, args.basepoint, args.order)
+    else:
+        f = _load_series(args)
     k = args.k
     terms, lo, hi = _kernel_terms(f, k)
     killed = terms[lo:hi]
 
     def lifted_path():
-        return project(shift(lift_gen(f), k))
+        return project(shift(lift_gen(f) if rho is None else rho, k))
 
     if args.compare_paths:
         direct = rl_series(f, k)
@@ -172,8 +178,8 @@ def cmd_deriv(args):
 
 
 def cmd_lift(args):
-    f = _load_series(args)
-    rho = lift_gen(f)
+    rho = (to_lifted(args.expr, args.basepoint, args.order) if args.expr
+           else lift_gen(_load_series(args)))
     if args.k:
         rho = shift(rho, args.k)
     print(lifted_to_json(rho))

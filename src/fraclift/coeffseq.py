@@ -502,7 +502,11 @@ def int_derivative(f: GenSeries, n: int = 1) -> GenSeries:
             if c == 0.0 or not math.isfinite(c):
                 break
         vals.append(c)
-    order = None if f.truncation_order is None else f.truncation_order - n
+    order = f.truncation_order
+    if order is not None:
+        if not has_double(1, n):
+            raise ExponentError("order %s passes the double range" % _shown(n))
+        order -= n
     return f._with(*kept(f.keys, vals, -n, GammaOverflowError,
                          "a coefficient"), order)
 

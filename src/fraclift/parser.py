@@ -14,25 +14,42 @@ so -x^2 is -(x^2), x^-1 is x^(-1) and x^2^3 is x^(2^3):
 An exponent is any constant expression, read as the double of its exact
 value. It may be real on a constant or on any subexpression equal to x - a,
 a the expansion base point (x at a = 0; x - 1/2 or -0.5 + x at a = 0.5), and
-a nonnegative integer on any other. Division is by nonzero constants only.
-So every expressible function is a single-lattice generalized power series.
+a nonnegative integer on any other. Division is by nonzero constants only,
+not by one that is constant only because the jet order cut its x off, and
+such a base takes no negative or real power either. So every expressible
+function is a single-lattice generalized power series.
 
 Series expansion works in exact rational arithmetic wherever the inputs
-are rational, kept on integers: a working value holds integer numerators
-over one integer denominator. A sum rescales the numerators to the least
-common denominator; a constant divisor scales them by its integer ratio; a
-product is an integer convolution over the product of the denominators,
-stripped of the factor the numerators share with it by one gcd, so no
-Fraction is built and no gcd taken per coefficient (D. E. Knuth, The Art
-of Computer Programming, vol. 2, sec. 4.5.1). Cauchy products of intrinsic
-jets carry no rounding at all; each coefficient rounds to a double once at
-the end, as the correctly rounded quotient of its numerator and the
-denominator. A value that holds a float (2^0.5, or exp(u0) at a nonzero u0)
-keeps Fraction and float coefficients, combined in one fixed order.
-Exponents are exact too: coeffseq.rational reads each power of x - a once,
-and a working value keeps an exact base exponent and integer keys n, so its
-exponents base + n share one lattice by construction; products add bases
-and orders exactly, and the series takes its phase as the base mod 1.
+are rational, kept on integers. A jet (a value of finite order) is in
+derivative form: it holds integers A_n over one denominator den and a scale
+D, and stands for the sum of A_n / (den D^n n!) (x - a)^(base + n) over keys
+n >= 0, so A_n / (den D^n) is the n-th derivative at a of the value over
+(x - a)^base. A product of jets is the binomial convolution c_n = sum_i
+C(n, i) a_i b_(n-i), the product of exponential generating functions (P.
+Flajolet and R. Sedgewick, Analytic Combinatorics, 2009, ch. II), summed
+over Pascal rows or, for a short or sparse factor, pair by pair, and
+stripped of the factor it shares with den by one gcd. An exact value of
+infinite order, a polynomial, holds Taylor numerators A_n / den instead,
+which carry no n!: polynomials add and multiply as plain integer
+convolutions, and one takes its n! at its first sum or product with a jet.
+A factor that is one term at its base, such as x^p or a constant, only
+relabels or scales the other. A sum takes the lower base and moves the
+other operand's keys up, by falling factorials in derivative form, over the
+least common den and scale; a constant divisor scales den by its integer
+ratio. No Fraction is built and no gcd taken per coefficient (D. E. Knuth,
+The Art of Computer Programming, vol. 2, sec. 4.5.1), and a jet's integers
+carry no N!/n!, as Taylor numerators over one denominator would. Each
+coefficient rounds to a double once at the end, as the correctly rounded
+quotient of two integers, A_n / (den D^n n!) or A_n / den, and the lift of
+an expression at phase 0 rounds its derivatives, i! times that quotient at
+i = base + n, once the same way (to_lifted). A value that holds a float
+(2^0.5, or exp(u0) at a nonzero u0), or a jet whose keys would span more
+than _KEYS (x^-5000 + exp(x)), keeps Taylor coefficients, Fraction and
+float, combined in one fixed order. Exponents are exact too:
+coeffseq.rational reads each power of x - a once, and a working value keeps
+an exact base exponent and integer keys n, so its exponents base + n share
+one lattice by construction; products add bases and orders exactly, and the
+series takes its phase as the base mod 1.
 
 An intrinsic of a jet u = u0 + v (v without constant term) to order N is not
 composed from the Taylor polynomial of the intrinsic, which costs O(N^3)
@@ -45,30 +62,34 @@ and G_n = D^n g^(n)(0); Leibniz's rule on g' = g v' gives
     s = sin(v), c = cos(v): S_n = sum_{k=1..n} C(n-1,k-1) b_k C_{n-k}
                             C_n = -sum_{k=1..n} C(n-1,k-1) b_k S_{n-k}
 
-with G_0 = C_0 = 1, S_0 = 0. The jet to order N is then the numerators
-G_n D^(N-n) N!/n! over the one denominator D^N N!, stripped of their common
-factor by one gcd, where a Fraction loop pays a multiply, an add and a
-divide by n per step, each with its own gcds. The integer D makes every b_k
-whole: walking k upward, it grows only where D^k leaves the denominator d_k
-of v^(k)(0) uncleared, by m = d_k / gcd(d_k, D^k), and the earlier b_j take
-m^j; so v = c x keeps D = den(c), where the lcm of all d_k would be far
-larger. When v holds a float (a float u0 upstream, or 2^0.5) the
-recurrences run in Taylor form, n g_n = sum_k k v_k g_{n-k}, on floats. A
-nonzero u0 enters once at the end, as the factor exp(u0) or through
-sin(u0 + v) = sin u0 cos v + cos u0 sin v and cos(u0 + v) = cos u0 cos v -
-sin u0 sin v. References: R. P. Brent and H. T. Kung, "Fast algorithms for
-manipulating formal power series", J. ACM 25(4), 1978; D. E. Knuth, The
-Art of Computer Programming, vol. 2, sec. 4.7.
+with G_0 = C_0 = 1, S_0 = 0: the jet in derivative form, over den 1 with
+scale D, where a Fraction loop pays a multiply, an add and a divide by n per
+step, each with its own gcds. The integer D makes every b_k whole: walking
+k upward, it grows only where D^k leaves the denominator d_k of v^(k)(0)
+uncleared, by m = d_k / gcd(d_k, D^k), and the earlier b_j take m^j; so
+v = c x keeps D = den(c), where the lcm of all d_k would be far larger, and
+the integers of exp(1e-300 x) stay near 53 n bits. When v holds a float (a
+float u0 upstream, or 2^0.5) the recurrences run in Taylor form,
+n g_n = sum_k k v_k g_{n-k}, on floats. A nonzero u0 enters once at the
+end, as the factor exp(u0) or through sin(u0 + v) = sin u0 cos v +
+cos u0 sin v and cos(u0 + v) = cos u0 cos v - sin u0 sin v. References:
+R. P. Brent and H. T. Kung, "Fast algorithms for manipulating formal power
+series", J. ACM 25(4), 1978; D. E. Knuth, The Art of Computer Programming,
+vol. 2, sec. 4.7.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import repeat
+from operator import add, eq, mul, truediv
 
 from . import config
 from .coeffseq import GenSeries, finite_float, has_double, kept, rational
-from .errors import ExpansionError, LatticeError, ParseError
+from .errors import ExpansionError, ExponentError, GammaOverflowError
+from .errors import LatticeError, ParseError
+from .lifted import LiftedSeq, lift_gen
 
 _INTRINSICS = ("exp", "sin", "cos")
 
@@ -237,26 +258,36 @@ def parse(text: str):
 
 
 class _SVal:
-    """Working series value: the sum of coeffs[n] / den * (x - a)^(base + n)
-    over integer keys n, plus the order beyond which terms are unknown
-    (math.inf = exact). An exact value holds integer numerators over one
-    positive integer den; a value that holds a float has den None and
-    Fraction or float coefficients, combined in the order the float
-    results depend on. The base and a finite order are exact (int or
-    Fraction), so no exponent has two keys."""
+    """Working series value. An exact value holds integers A_n over one
+    positive integer den and a positive integer scale D at keys n >= 0, the
+    base at or below the lowest exponent. A jet (finite order) is in
+    derivative form and stands for the sum of A_n / (den D^n n!) *
+    (x - a)^(base + n): A_n / (den D^n) is the n-th derivative at a of the
+    value divided by (x - a)^base. An exact value of infinite order (a
+    polynomial, D = 1) holds Taylor numerators, the sum of A_n / den *
+    (x - a)^(base + n), whose integers carry no n!; it takes the n! at its
+    first sum or product with a jet (_jet). A value that holds a float has
+    den None and Taylor coefficients, Fraction or float, at integer keys n
+    of either sign, combined in the order the float results depend on. All
+    carry the order beyond which terms are unknown (math.inf = exact). The
+    base and a finite order are exact (int or Fraction), so no exponent has
+    two keys."""
 
-    __slots__ = ("base", "coeffs", "order", "den")
+    __slots__ = ("base", "coeffs", "order", "den", "scale")
 
-    def __init__(self, coeffs, order=math.inf, base=0, den=1):
+    def __init__(self, coeffs, order=math.inf, base=0, den=1, scale=1):
         self.base = base
-        self.coeffs = {n: c for n, c in coeffs.items() if c}
+        self.coeffs = coeffs  # nonzero, or pruned next
         self.order = order
         self.den = den
+        self.scale = scale
 
     def prune(self):
-        if self.order != math.inf:  # keep the keys n with base + n <= order
-            top = _floor_diff(self.order, self.base)
-            self.coeffs = {n: c for n, c in self.coeffs.items() if n <= top}
+        """Drop the zero coefficients and the keys n past the order, where
+        base + n > order."""
+        top = (math.inf if self.order == math.inf
+               else _floor_diff(self.order, self.base))
+        self.coeffs = {n: c for n, c in self.coeffs.items() if c and n <= top}
         return self
 
     def min_exponent(self):
@@ -266,22 +297,71 @@ class _SVal:
         return self.coeffs.keys() <= {-self.base}
 
 
+def _denominators(den, scale, top):
+    """[den D^n n! for n = 0..top]."""
+    out = [den]
+    for n in range(1, top + 1):
+        den *= scale * n
+        out.append(den)
+    return out
+
+
+def _at(a, e):
+    """(p, q): the Taylor coefficient p/q of an exact value at the integer
+    exponent e (0 where a has no term there)."""
+    n = e - a.base
+    if n not in a.coeffs:
+        return 0, 1
+    if a.order == math.inf:
+        return a.coeffs[n], a.den
+    n = int(n)
+    return a.coeffs[n], a.den * a.scale ** n * math.factorial(n)
+
+
+def _jet(a, order, top):
+    """a in derivative form to key top, for a sum or product of the finite
+    order given: a polynomial's Taylor numerators take n!, a jet stands."""
+    if a.order != math.inf or a.den is None:
+        return a
+    return _SVal({n: c * math.factorial(n) for n, c in a.coeffs.items()
+                  if n <= top}, order, a.base, a.den)
+
+
+# The most keys a jet spans in derivative form. Past it, as in
+# x^-5000 + exp(x), the factorials would dwarf the coefficients, and the
+# value keeps Taylor Fractions as a value with a float does
+_KEYS = 4096
+
+
 def _mixed(coeffs, order=math.inf, base=0):
-    """A value from Fraction and float coefficients; exact, as integers over
-    their least common denominator, once no float is left."""
+    """A value from Taylor coefficients, Fraction or float; exact once no
+    float is left, over the least common denominator: Taylor numerators
+    at infinite order, else in derivative form while its keys span at most
+    _KEYS."""
     coeffs = {n: c for n, c in coeffs.items() if c}
-    if any(type(c) is float for c in coeffs.values()):
+    lo = min(coeffs, default=0)
+    if (any(type(c) is float for c in coeffs.values())
+            or order != math.inf and max(coeffs, default=0) - lo > _KEYS):
         return _SVal(coeffs, order, base, None)
+    if lo < 0:
+        coeffs = {n - lo: c for n, c in coeffs.items()}
+        base = _plus(base, lo)
+    if order != math.inf:
+        coeffs = {n: c * math.factorial(n) for n, c in coeffs.items()}
     den = math.lcm(*(c.denominator for c in coeffs.values()))
     return _SVal({n: c.numerator * (den // c.denominator)
                   for n, c in coeffs.items()}, order, base, den)
 
 
 def _values(a):
-    """a's coefficients as Fractions and floats, for arithmetic with a float."""
+    """a's Taylor coefficients as Fractions and floats, for the Taylor-form
+    path (a float, or keys past _KEYS)."""
     if a.den is None:
         return a.coeffs
-    return {n: Fraction(c, a.den) for n, c in a.coeffs.items()}
+    if a.order == math.inf:
+        return {n: Fraction(c, a.den) for n, c in a.coeffs.items()}
+    qs = _denominators(a.den, a.scale, max(a.coeffs, default=0))
+    return {n: Fraction(c, qs[n]) for n, c in a.coeffs.items()}
 
 
 def _key_shift(a, b):
@@ -294,19 +374,43 @@ def _key_shift(a, b):
     return m
 
 
+def _moved(a, t, scale, s):
+    """a's numerators times s, moved up t keys and onto the scale D, a
+    multiple of a's: A_n (D/D_a)^n D^t (n+t)!/n! at key n + t."""
+    coeffs = _rescaled(a, scale)
+    if t == 0:
+        return {n: c * s for n, c in coeffs.items()}
+    s *= scale ** t
+    return {n + t: c * s * math.perm(n + t, t) for n, c in coeffs.items()}
+
+
 def _add(a, b, sign=1):
     if a.coeffs:
         base, m = a.base, _key_shift(a, b) if b.coeffs else 0
     else:
         base, m = b.base, 0
     order = min(a.order, b.order)
-    if a.den and b.den:  # exact: integers over the least common denominator
+    lo = min(m, 0)
+    if a.den and b.den and order == math.inf:
+        # two polynomials: the lower base takes both Taylor numerators
         den = math.lcm(a.den, b.den)
-        sa, sb = den // a.den, sign * (den // b.den)
-        coeffs = {n: c * sa for n, c in a.coeffs.items()}
+        coeffs = {n - lo: c * (den // a.den) for n, c in a.coeffs.items()}
+        sb = sign * (den // b.den)
         for n, c in b.coeffs.items():
-            coeffs[n + m] = coeffs.get(n + m, 0) + sb * c
-        return _SVal(coeffs, order, base, den).prune()
+            coeffs[n + m - lo] = coeffs.get(n + m - lo, 0) + sb * c
+        return _SVal(coeffs, order, _plus(base, lo), den).prune()
+    if a.den and b.den:
+        top = _floor_diff(order, _plus(base, lo))
+        a, b = _jet(a, order, top + lo), _jet(b, order, top + lo - m)
+    if a.den and b.den and max(max(a.coeffs, default=0) - lo,
+                               max(b.coeffs, default=0) + m - lo) <= _KEYS:
+        # two exact values, one a jet: the lower base takes both in
+        # derivative form, over one den
+        den, scale = math.lcm(a.den, b.den), math.lcm(a.scale, b.scale)
+        coeffs = _moved(a, -lo, scale, den // a.den)
+        for n, c in _moved(b, m - lo, scale, sign * (den // b.den)).items():
+            coeffs[n] = coeffs.get(n, 0) + c
+        return _SVal(coeffs, order, _plus(base, lo), den, scale).prune()
     coeffs = dict(_values(a))
     for n, c in _values(b).items():
         coeffs[n + m] = coeffs.get(n + m, 0) + sign * c
@@ -317,7 +421,7 @@ def _scale(a, p, q=1):
     """a times p/q: ints p != 0 and q > 0, or a float p and q = 1."""
     if a.den and type(p) is not float:
         return _SVal({n: p * v for n, v in a.coeffs.items()}, a.order,
-                     a.base, q * a.den)
+                     a.base, q * a.den, a.scale)
     c = p if q == 1 else Fraction(p, q)
     return _mixed({n: c * v for n, v in _values(a).items()}, a.order, a.base)
 
@@ -344,28 +448,77 @@ def _floor_diff(r, s):
     return (p * v - u * q) // (q * v)
 
 
+# Pascal rows kept between calls, C(n, i) for n up to this order; a longer
+# product walks its higher rows again, so what stays behind is bounded
+_ROW_CACHE = 128
+_ROWS = [[1]]
+
+
+def _pascal(top):
+    """The rows [C(n, 0), ..., C(n, n)] for n = 0..top, by Pascal's rule."""
+    rows = _ROWS
+    while len(rows) <= min(top, _ROW_CACHE):
+        row = rows[-1]
+        rows.append([1, *map(add, row, row[1:]), 1])
+    yield from rows[:top + 1]
+    row = rows[-1]
+    for _ in range(len(rows), top + 1):
+        row = [1, *map(add, row, row[1:]), 1]
+        yield row
+
+
 def _mul(a, b):
     # the exponent sums build no Fraction the product does not hold: a zero
     # base adds nothing, and the order adds the integer key before the base.
     # An exact factor's order, math.inf, stays out of the sums: inf + r
     # would round the exact exponent r to a double
-    order = _snapped(min((_plus(o + min(m.coeffs), m.base) if m.coeffs else o
-                          for o, m in ((a.order, b), (b.order, a))
-                          if o != math.inf), default=math.inf))
+    order = math.inf
+    for o, m in ((a.order, b), (b.order, a)):
+        if o != math.inf:
+            order = min(order, _plus(o + min(m.coeffs), m.base)
+                        if m.coeffs else o)
+    order = _snapped(order)
     base = _snapped(_plus(a.base, b.base))
     top = order if order == math.inf else _floor_diff(order, base)
-    exact = a.den and b.den
-    pa = sorted(a.coeffs.items() if exact else _values(a).items())
-    pb = sorted(b.coeffs.items() if exact else _values(b).items())
-    acc = {}
-    for na, ca in pa:
-        for nb, cb in pb:
-            n = na + nb
-            if n > top:
-                break
-            acc[n] = acc.get(n, 0) + ca * cb
-    if not exact:
+    if not (a.den and b.den) or order != math.inf and _KEYS < min(
+            top, max(a.coeffs, default=0) + max(b.coeffs, default=0)):
+        # Taylor coefficients, in the fixed order
+        acc = {}
+        pb = sorted(_values(b).items())
+        for na, ca in sorted(_values(a).items()):
+            for nb, cb in pb:
+                n = na + nb
+                if n > top:
+                    break
+                acc[n] = acc.get(n, 0) + ca * cb
         return _mixed(acc, order, base)
+    if not (a.coeffs and b.coeffs):
+        return _SVal({}, order, base)
+    jet = order != math.inf  # else two polynomials, in Taylor form
+    if jet:
+        a, b = _jet(a, order, top), _jet(b, order, top)
+    if a.coeffs.keys() == {0}:
+        a, b = b, a
+    if b.coeffs.keys() == {0}:
+        # a single term at key 0, such as x^p or a constant, relabels the
+        # other factor and scales it by its coefficient
+        c = b.coeffs[0]
+        coeffs = {n: v for n, v in a.coeffs.items() if n <= top}
+        if c == b.den:
+            return _SVal(coeffs, order, base, a.den, a.scale)
+        return _SVal({n: c * v for n, v in coeffs.items()}, order, base,
+                     a.den * b.den, a.scale)
+    # c_n = sum_i a_i b_(n-i) on Taylor numerators, or on the derivatives
+    # over the common scale the binomial convolution c_n = sum_i C(n, i)
+    # a_i b_(n-i): pair by pair where that takes less than _ROW_COST steps
+    # per row the row sums would walk, so a product with a short polynomial
+    # or of sparse ones walks no rows
+    scale = math.lcm(a.scale, b.scale)
+    pa, pb = _rescaled(a, scale), _rescaled(b, scale)
+    rows = min(top, max(pa) + max(pb)) + 1
+    pairwise = len(pa) * len(pb) < _ROW_COST * rows
+    acc = (_pairs if pairwise else _convolved)(pa, pb, top, jet)
+    acc = {n: v for n, v in acc.items() if v}
     # one gcd strips the factor the numerators share with den = da db. Past
     # 1024 bits it is mostly the power of two of a float literal (1e-300 is
     # odd over 2^1049), shifted off so the division takes the odd part only
@@ -378,7 +531,67 @@ def _mul(a, b):
         g >>= t
     if g > 1:
         acc = {n: v // g for n, v in acc.items()}
-    return _SVal(acc, order, base, den // g)
+    return _SVal(acc, order, base, den // g, scale)
+
+
+def _rescaled(a, scale):
+    """a's numerators on the scale D, a multiple of a's: A_n (D/D_a)^n."""
+    r = scale // a.scale
+    if r == 1:
+        return a.coeffs
+    return {n: c * r ** n for n, c in a.coeffs.items()}
+
+
+# One row of _convolved costs about as much as this many pair steps of
+# _pairs: a polynomial of t terms times the jet of exp(x/2) or cos(x/2) at
+# orders 16 to 256 convolves faster pair by pair up to about t = 16
+_ROW_COST = 16
+
+
+def _pairs(pa, pb, top, binomial):
+    """The convolution of {n: a_n} and {n: b_n} to key top, binomial or
+    not, one pair of terms at a time."""
+    acc = {}
+    pb = sorted(pb.items())
+    for i, x in sorted(pa.items()):
+        for j, y in pb:
+            n = i + j
+            if n > top:
+                break
+            xy = x * y
+            acc[n] = acc.get(n, 0) + (math.comb(n, i) * xy if binomial
+                                      else xy)
+    return acc
+
+
+def _convolved(pa, pb, top, binomial):
+    """The convolution of {n: a_n} and {n: b_n} to key top, binomial or
+    not, row by row: each c_n is one sum, over the Pascal row n if binomial,
+    stepping over the keys of the factor with the wider stride only (2 for
+    sin and cos)."""
+    ka, kb = min(pa), min(pb)
+    sa, sb = math.gcd(*(n - ka for n in pa)), math.gcd(*(n - kb for n in pb))
+    if sa < sb:
+        pa, pb, sa, sb, ka, kb = pb, pa, sb, sa, kb, ka
+    na, nb = max(pa), max(pb)
+    va, rb = [0] * (na + 1), [0] * (nb + 1)  # rb[nb - j] = b_j
+    for n, c in pa.items():
+        va[n] = c
+    for n, c in pb.items():
+        rb[nb - n] = c
+    g = math.gcd(sa, sb)  # c_n = 0 unless n = ka + kb mod g
+    last = min(top, na + nb)
+    acc = {}
+    for n, row in enumerate(_pascal(last) if binomial
+                            else repeat(None, last + 1)):
+        lo, hi = max(ka, n - nb), min(na, n - kb) + 1
+        lo += (ka - lo) % sa
+        if lo < hi and (n - ka - kb) % g == 0:
+            terms = va[lo:hi:sa]
+            if binomial:
+                terms = map(mul, row[lo:hi:sa], terms)
+            acc[n] = sum(map(mul, terms, rb[nb - n + lo:nb - n + hi:sa]))
+    return acc
 
 
 def _powi(a, n):
@@ -392,14 +605,13 @@ def _powi(a, n):
 
 
 def _scaled_derivatives(terms):
-    """(D, [(k, b_k)]) for v = sum p_k / q_k x^k over the terms (k, p_k, q_k),
-    k >= 1 ascending, p_k != 0: the b_k = D^k v^(k)(0) = D^k k! p_k / q_k, all
+    """(D, [(k, b_k)]) for v with v^(k)(0) = p_k / q_k over the terms
+    (k, p_k, q_k), k >= 1 ascending, p_k != 0: the b_k = D^k p_k / q_k, all
     integers. D grows only where D^k misses the reduced denominator d_k of
-    k! p_k / q_k, by m = d_k / gcd(d_k, D^k), and the earlier b_j then take
+    p_k / q_k, by m = d_k / gcd(d_k, D^k), and the earlier b_j then take
     m^j, so v = c x keeps D = den(c)."""
     scale, b = 1, []
-    for k, p, q in terms:
-        num = math.factorial(k) * p
+    for k, num, q in terms:
         g = math.gcd(num, q)
         num, den = num // g, q // g
         power = scale ** k
@@ -412,26 +624,10 @@ def _scaled_derivatives(terms):
     return scale, b
 
 
-def _taylor(scaled, scale):
-    """(numerators, den) of the Taylor coefficients F_n / (D^n n!) of scaled
-    derivatives F_n: F_n D^(N-n) N!/n! over D^N N!, N the top order,
-    stripped of their common factor by one gcd."""
-    out = list(scaled)
-    den = 1
-    for n in range(len(out) - 1, 0, -1):
-        out[n] *= den
-        den *= n * scale
-    out[0] *= den
-    g = math.gcd(den, *out)
-    if g > 1:
-        out = [v // g for v in out]
-    return out, den // g
-
-
 def _exp_jet(terms, top):
-    """(G, D): the scaled derivatives G_n of exp(v), n <= top, v as in
-    _scaled_derivatives."""
-    # G_n = D^n g^(n)(0) from g' = g v': G_n = sum_k C(n-1,k-1) b_k G_(n-k)
+    """(G, D): the scaled derivatives G_n = D^n g^(n)(0) of g = exp(v),
+    n <= top, v as in _scaled_derivatives."""
+    # G_n from g' = g v': G_n = sum_k C(n-1,k-1) b_k G_(n-k)
     scale, b = _scaled_derivatives(terms)
     g = [1] + [0] * top
     for n in range(1, top + 1):
@@ -494,8 +690,8 @@ def _float_sin_cos_jet(du, top):
 
 def _compose_intrinsic(func, inner, order):
     """func(inner) to the jet order: func(u0) combined with func(v), v =
-    inner - u0, whose Taylor coefficients come from the recurrences above,
-    on integers while v is rational."""
+    inner - u0, whose derivatives come from the recurrences above, on
+    integers while v is rational."""
     trunc = min(order, inner.order)
     top = max(math.floor(trunc), 0)
     if inner.coeffs and (inner.base.denominator != 1 or inner.min_exponent() < 0):
@@ -503,33 +699,37 @@ def _compose_intrinsic(func, inner, order):
             "argument of %s must be an analytic jet (offending exponent %r)"
             % (func, float(inner.min_exponent())))
     shift = inner.base.numerator
-    u = sorted((n + shift, c) for n, c in inner.coeffs.items()
-               if n + shift <= top)
-    u0 = u.pop(0)[1] if u and u[0][0] == 0 else 0
-    exact = inner.den is not None or all(type(c) is Fraction for _, c in u)
+    if inner.den:  # v^(k)(0) = k! p / q, p / q its Taylor coefficient
+        u = [(k, math.factorial(k) * p, q) for k, (p, q) in
+             ((n + shift, _at(inner, n + inner.base))
+              for n in sorted(inner.coeffs) if n + shift <= top)]
+        u0 = Fraction(*u.pop(0)[1:]) if u and u[0][0] == 0 else 0
+        exact = True
+    else:  # Taylor coefficients
+        u = sorted((n + shift, c) for n, c in inner.coeffs.items()
+                   if n + shift <= top)
+        u0 = u.pop(0)[1] if u and u[0][0] == 0 else 0
+        exact = all(type(c) is Fraction for _, c in u)
+        if exact:  # a rational v beside a float u0, or past top
+            u = [(k, c.numerator * math.factorial(k), c.denominator)
+                 for k, c in u]
     # the jets of exp, or of sin and cos: scaled derivatives while exact
     if exact:
-        if inner.den is None:  # a rational v beside a float u0, or past top
-            terms = [(k, c.numerator, c.denominator) for k, c in u]
-        else:
-            terms = [(k, c, inner.den) for k, c in u]
-            u0 = Fraction(u0, inner.den) if u0 else 0
-        *jets, scale = (_exp_jet if func == "exp" else _sin_cos_jet)(terms, top)
+        *jets, scale = (_exp_jet if func == "exp" else _sin_cos_jet)(u, top)
     else:
         du = [(k, k * c) for k, c in u]
         jets = ([_float_exp_jet(du, top)] if func == "exp"
                 else _float_sin_cos_jet(du, top))
     if u0 == 0:
-        jet = jets[func == "cos"]
+        jet = dict(enumerate(jets[func == "cos"]))
         if not exact:
-            return _mixed(dict(enumerate(jet)), trunc).prune()
-        nums, den = _taylor(jet, scale)
-        return _SVal(dict(enumerate(nums)), trunc, 0, den).prune()
+            return _mixed(jet, trunc).prune()
+        return _SVal(jet, trunc, 0, 1, scale).prune()
     f0 = [_float_op(fn, u0, func) for fn in
           ((math.exp,) if func == "exp" else (math.sin, math.cos))]
     if exact:  # each coefficient rounds once, to meet the float func(u0)
-        jets = [[v / den for v in nums] for nums, den in
-                (_taylor(jet, scale) for jet in jets)]
+        qs = _denominators(1, scale, top)
+        jets = [list(map(truediv, jet, qs)) for jet in jets]
     if func == "exp":
         coeffs = [f0[0] * g for g in jets[0]]
     else:
@@ -557,10 +757,10 @@ def _expand(node, basepoint, order):
     tag = node[0]
     if tag == "num":
         p, q = node[1].as_integer_ratio()
-        return _SVal({0: p}, den=q)
-    if tag == "x":
+        return _SVal({0: p} if p else {}, den=q)
+    if tag == "x":  # x^1 at base point 0, else a + (x - a)
         p, q = basepoint.as_integer_ratio()
-        return _SVal({0: p, 1: q}, den=q)
+        return _SVal({0: p, 1: q}, den=q) if p else _SVal({0: 1}, base=1)
     if tag == "neg":
         return _scale(_expand(node[1], basepoint, order), -1)
     if tag == "call":
@@ -580,16 +780,20 @@ def _expand(node, basepoint, order):
                    else _add(acc, b, 1 if tag == "+" else -1))
         return acc
     if tag == "/":
+        # a nonzero constant; a truncated one only where no x can hide past
+        # its order
         den = _expand(node[2], basepoint, order)
-        if not den.is_constant():
+        if not den.is_constant() or (den.order != math.inf
+                                     and _holds_x(node[2])):
             raise ExpansionError("division only by nonzero constants")
-        c = den.coeffs.get(-den.base, 0)
-        if not c:
+        if den.den is None:  # a float c
+            c = den.coeffs[-den.base]
+            return _scale(_expand(node[1], basepoint, order), 1.0 / c)
+        p, q = _at(den, 0)
+        if not p:
             raise ExpansionError("division by zero")
         num = _expand(node[1], basepoint, order)
-        if den.den is None:  # a float c
-            return _scale(num, 1.0 / c)
-        return _scale(num, den.den, c) if c > 0 else _scale(num, -den.den, -c)
+        return _scale(num, q, p) if p > 0 else _scale(num, -q, -p)
     if tag == "^":
         return _expand_pow(node[1], node[2], basepoint, order)
     raise TypeError("not an expression node: %r" % (node,))
@@ -610,55 +814,65 @@ def _expand_pow(base_node, expo_node, basepoint, order):
     e = _expand(expo_node, basepoint, order)
     if not e.is_constant() or e.order != math.inf and _holds_x(expo_node):
         raise ExpansionError("exponent must be a constant expression")
-    c = e.coeffs.get(-e.base, 0)
-    expo = c / e.den if e.den else c
+    expo = truediv(*_at(e, 0)) if e.den else e.coeffs[-e.base]
     if not math.isfinite(expo):
         raise ExpansionError("exponent %r is not finite" % expo)
     base = _expand(base_node, basepoint, order)
-    if base.order == math.inf and base.coeffs == {1 - base.base: base.den}:
+    if (base.order == math.inf and base.den and len(base.coeffs) == 1
+            and eq(*_at(base, 1))):
         # the base is x - basepoint: the power term, verbatim
         e = rational(expo)  # an integer stays an int: ints add fast
         return _SVal({0: 1}, base=e.numerator if e.denominator == 1 else e)
-    c = base.coeffs.get(-base.base, 0) if base.is_constant() else None
-    if base.den and c is not None:  # an exact constant base, as a Fraction
-        c = Fraction(c, base.den)
+    c = None
+    if base.is_constant():  # an exact constant base as a Fraction
+        c = Fraction(*_at(base, 0)) if base.den else base.coeffs[-base.base]
+    # a constant only because the jet order cut its x off keeps its order
+    # through nonnegative integer powers alone, as the products keep it
+    cut = base.order != math.inf and _holds_x(base_node)
     if expo.is_integer() and abs(expo) <= 1024:
         n = int(expo)
-        if type(c) is Fraction and _POWER_BITS < abs(n) * max(
-                c.numerator.bit_length(), c.denominator.bit_length()):
+        if n < 0 and (not c or cut):
+            raise ExpansionError(
+                "negative powers are only supported on (x - basepoint)")
+        if type(c) is not Fraction or not c:  # zero keeps its exponent
+            return _powi(base, n) if n >= 0 else _mixed({0: c ** n})
+        if _POWER_BITS < abs(n) * max(c.numerator.bit_length(),
+                                      c.denominator.bit_length()):
             raise ExpansionError("constant power ^%d passes %d bits"
                                  % (n, _POWER_BITS))
-        if n >= 0:
-            return _powi(base, n)
-        if c:
-            return _mixed({0: c ** n})
-        raise ExpansionError(
-            "negative powers are only supported on (x - basepoint)")
-    if c is not None:
+        # one exact power, whose coprime parts need no gcd; a truncated
+        # base keeps its order, as the products would
+        order = (_snapped(base.order) if n > 0 and base.order != math.inf
+                 else math.inf)
+        p, q = (c ** n).as_integer_ratio()
+        return _SVal({0: p} if p else {}, order, 0, q)
+    if c is not None and not cut:
         if c <= 0:
             raise ExpansionError("real power of a non-positive constant")
         return _mixed({0: math.pow(float(c), expo)})
-    if (base.base == 0 and base.coeffs.keys() == {0, 1}
-            and base.coeffs[1] == base.den):  # x - c, c not the base point
+    p1, q1 = _at(base, 1) if base.den else (0, 1)
+    if len(base.coeffs) == 2 and p1 == q1:  # x - c, c not the base point
+        p0, q0 = _at(base, 0)
         p, q = basepoint.as_integer_ratio()
-        c = Fraction(p * base.den - base.coeffs[0] * q, q * base.den)
+        c = Fraction(p * q0 - p0 * q, q * q0)
         shown = float(c) if float(c) != basepoint else c  # c exact if need be
         raise ExpansionError("power term centered at %s, expected base point "
                              "%r" % (shown, basepoint))
     raise ExpansionError("real exponents are only supported on (x - basepoint)")
 
 
-def to_series(expr, basepoint: float = 0.0, order: int | None = None) -> GenSeries:
-    """Expand an expression (AST or text) into a truncated generalized power
-    series at the base point. `order` bounds intrinsic jet expansions
-    (config.DEFAULT_ORDER when None); exact algebraic content (polynomials,
-    verbatim power terms) is kept verbatim."""
+def _expanded(expr, basepoint, order, *finish):
+    """[fn(val, basepoint, m) for fn in finish]: val the working value of
+    expr (AST or text) at the base point, m = floor(val.base)."""
     if isinstance(expr, str):
         expr = parse(expr)
     if order is None:
         order = config.DEFAULT_ORDER
     if order < 0:
         raise ExpansionError("jet order must be nonnegative, got %r" % order)
+    if order > config.MAX_JET_ORDER:
+        raise ExpansionError("jet order %r passes the limit %d"
+                             % (order, config.MAX_JET_ORDER))
     basepoint = float(basepoint)
     try:
         val = _expand(expr, basepoint, int(order))
@@ -667,16 +881,82 @@ def to_series(expr, basepoint: float = 0.0, order: int | None = None) -> GenSeri
         if val.coeffs and not has_double(1, min(val.coeffs) + m,
                                          max(val.coeffs) + m):
             raise OverflowError
-        trunc = None if val.order == math.inf else float(val.order)
-        den = val.den  # an exact coefficient rounds once, as int / int
-        keys = sorted(val.coeffs)
-        vals = [c / den if den else finite_float(c)
-                for c in map(val.coeffs.__getitem__, keys)]
+        return [fn(val, basepoint, m) for fn in finish]
     except (OverflowError, ValueError):
         raise ExpansionError("an exponent, order or coefficient exceeds "
                              "double range") from None
     except RecursionError:
         raise ExpansionError("expression nested too deeply") from None
-    return GenSeries._of(basepoint, Fraction(val.base - m),
-                         *kept(keys, vals, m, ExpansionError, "a coefficient"),
-                         trunc)
+
+
+def _rounded(val, m):
+    """(keys, qs, vals): the keys n to_series keeps, moved by m, the
+    denominators {n: q_n} of their Taylor coefficients A_n / q_n, and those
+    coefficients rounded once as int / int; refused where to_series refuses
+    a coefficient."""
+    keys = sorted(val.coeffs)
+    if val.order == math.inf:
+        qs = dict.fromkeys(keys, val.den)
+    else:
+        qs = _denominators(val.den, val.scale, keys[-1] if keys else 0)
+    keys, vals = kept(keys, [val.coeffs[n] / qs[n] for n in keys], m,
+                      ExpansionError, "a coefficient")
+    return keys, qs, vals
+
+
+def _series(val, basepoint, m):
+    if val.den:
+        keys, _, vals = _rounded(val, m)
+    else:
+        keys = sorted(val.coeffs)
+        keys, vals = kept(keys, [finite_float(val.coeffs[n]) for n in keys],
+                          m, ExpansionError, "a coefficient")
+    return GenSeries._of(basepoint, Fraction(val.base - m), keys, vals,
+                         None if val.order == math.inf else float(val.order))
+
+
+def to_series(expr, basepoint: float = 0.0, order: int | None = None) -> GenSeries:
+    """Expand an expression (AST or text) into a truncated generalized power
+    series at the base point. `order` bounds intrinsic jet expansions
+    (config.DEFAULT_ORDER when None, at most config.MAX_JET_ORDER); exact
+    algebraic content (polynomials, verbatim power terms) is kept verbatim."""
+    return _expanded(expr, basepoint, order, _series)[0]
+
+
+def _lifted(val, basepoint, m):
+    # a float, a phase other than 0, or an index whose factorial would
+    # overflow every value (x^1e300)
+    if not val.den or val.base != m or max(val.coeffs, default=0) + m > _KEYS:
+        return lift_gen(_series(val, basepoint, m))
+    # the terms to_series keeps; the one at index i = base + n lifts to
+    # i! A_n / (den D^n n!), rounded once
+    index, qs, _ = _rounded(val, m)
+    if index and index[0] < 0:  # refused as lift_gen refuses it
+        raise ExponentError("term at exponent %r has no preimage under "
+                            "projection (Gamma pole)" % float(index[0]))
+    vals = []
+    for i in index:
+        p, q = val.coeffs[i - m] * math.factorial(i), qs[i - m]
+        # past the double range an infinity, which kept refuses
+        vals.append(p / q if has_double(q, p)
+                    else math.inf if p > 0 else -math.inf)
+    return LiftedSeq._of(basepoint, Fraction(0),
+                         *kept(index, vals, 0, GammaOverflowError,
+                               "a lifted value"),
+                         None if val.order == math.inf
+                         else rational(float(val.order)))
+
+
+def to_lifted(expr, basepoint: float = 0.0,
+              order: int | None = None) -> LiftedSeq:
+    """Expand an expression as to_series does and lift it: at phase 0, the
+    exact derivatives f^(i)(a) at the indices i, each rounded once to a
+    double; at any other phase, or where the expansion holds a float,
+    lift_gen of to_series. Refuses what lift_gen refuses."""
+    return _expanded(expr, basepoint, order, _lifted)[0]
+
+
+def to_series_and_lifted(expr, basepoint: float = 0.0,
+                         order: int | None = None):
+    """(to_series, to_lifted) of the expression, from one expansion."""
+    return tuple(_expanded(expr, basepoint, order, _series, _lifted))

@@ -419,8 +419,10 @@ def kernel_repair():
 
 
 def diagram_inputs(order=config.DEFAULT_ORDER):
+    # sin one order past exp, but no further than the jet-order limit, so
+    # every order the CLI takes runs
     return (monomial(1.0), monomial(2.0), to_series("exp(x)", 0.0, order),
-            to_series("sin(x)", 0.0, order + 1))
+            to_series("sin(x)", 0.0, min(order + 1, config.MAX_JET_ORDER)))
 
 
 def suite_diagram(trials=None, seed=None, order=config.DEFAULT_ORDER):

@@ -365,6 +365,14 @@ class TestVerify:
         assert "FAIL" in out
         assert config.perturbation() == 1e-6
 
+    def test_diagram_runs_at_the_jet_order_limit(self, capsys):
+        # sin expands one order past exp, but not past the limit: the suite
+        # ran into "jet order 1025 passes the limit 1024" and exit 2
+        code, out, err = run_cli(capsys, "verify", "--suite", "diagram",
+                                 "--order", str(config.MAX_JET_ORDER))
+        assert code != 2 and err == ""
+        assert "suite D6':" in out and "PASS" in out
+
     def test_perturb_flag_is_gone(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--suite", "gamma", "--perturb-gamma", "1e-6"])

@@ -460,6 +460,14 @@ class TestIntCalculusHelpers:
             with pytest.raises(GammaOverflowError, match="a coefficient is inf"):
                 int_derivative(monomial(0.5), 10**9)
 
+    def test_order_past_the_double_range_on_a_jet(self):
+        # the truncation order N - n has no double; it was a bare
+        # OverflowError
+        with pytest.raises(ExponentError, match="passes the double range"):
+            int_derivative(to_series("exp(x)", 0, 4), 10**400)
+        assert int_derivative(to_series("exp(x)", 0, 4),
+                              10**300).truncation_order == -1e300
+
     def test_finite_results_are_unchanged(self):
         # the stop at a decided coefficient leaves every finite result's bits
         for f in (to_series("exp(x) + x^5", 0, 12),

@@ -1,3 +1,4 @@
+import json
 import math
 import operator
 import random
@@ -11,9 +12,11 @@ from conftest import deadline
 from fraclift import parser
 from fraclift.cli import main
 from fraclift.coeffseq import GenSeries
-from fraclift.config import COEF_EPS
-from fraclift.errors import ExpansionError, LatticeError, ParseError
-from fraclift.parser import parse, to_series
+from fraclift.config import COEF_EPS, MAX_JET_ORDER
+from fraclift.errors import ExpansionError, ExponentError, GammaOverflowError
+from fraclift.errors import LatticeError, ParseError
+from fraclift.lifted import lift_gen
+from fraclift.parser import parse, to_lifted, to_series
 
 X = ("x",)
 
@@ -574,10 +577,10 @@ def _single(k, c, top):
     return u, top
 
 
-def _rationals(jet):
-    """The exact Taylor coefficients of an integer jet (numerators, den)."""
-    nums, den = jet
-    return [Fraction(v, den) for v in nums]
+def _rationals(jet, scale):
+    """The exact Taylor coefficients G_n / (D^n n!) of scaled derivatives."""
+    return [Fraction(v, scale**n * math.factorial(n))
+            for n, v in enumerate(jet)]
 
 
 def _fractions_built(monkeypatch, text, order):
@@ -610,16 +613,15 @@ class TestIntegerJets:
     def test_equal_to_fraction_loops(self, jet):
         u, top = jet
         du = [(k, k * u[k]) for k in range(1, top + 1) if u[k]]
-        # the terms over one common denominator, as an exact value holds them
+        # the derivatives v^(k)(0) = k! u_k over one common denominator
         den = math.lcm(*(c.denominator for c in u[1:]))
-        terms = [(k, c.numerator * (den // c.denominator), den)
-                 for k, c in enumerate(u) if k and c]
+        terms = [(k, math.factorial(k) * c.numerator * (den // c.denominator),
+                  den) for k, c in enumerate(u) if k and c]
         g, scale = parser._exp_jet(terms, top)
         s, c, scale_sc = parser._sin_cos_jet(terms, top)
         assert all(type(x) is int for x in g + s + c)
-        assert _rationals(parser._taylor(g, scale)) == _fraction_exp_jet(du, top)
-        assert ((_rationals(parser._taylor(s, scale_sc)),
-                 _rationals(parser._taylor(c, scale_sc)))
+        assert _rationals(g, scale) == _fraction_exp_jet(du, top)
+        assert ((_rationals(s, scale_sc), _rationals(c, scale_sc))
                 == _fraction_sin_cos_jet(du, top))
 
     @settings(max_examples=15, deadline=None)
@@ -640,8 +642,9 @@ class TestIntegerJets:
         }
         for text, want in cases.items():
             got = parser._expand(parse(text % _poly_text(poly)), 0.0, order)
-            assert {n: Fraction(v, got.den) for n, v in got.coeffs.items()} \
-                == {n: c for n, c in enumerate(want) if c}
+            assert got.base == 0
+            assert parser._values(got) == {n: c for n, c in enumerate(want)
+                                           if c}
 
     @pytest.mark.parametrize("order", [16, 32, 64])
     def test_fraction_count_is_linear(self, monkeypatch, order):
@@ -806,6 +809,251 @@ class TestAgainstFractionReference:
         text = " * ".join(factors + ["(%s)" % tree])
         got, want = to_series(text, 0, order), _ref_series(text, order)
         assert repr(got) == repr(want)
+
+
+class TestAgainstFractionReferenceToOrder128:
+    """The same reference at jet orders up to 128, where the derivative
+    form's binomial convolutions run on dense Pascal rows."""
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(_phases, _trees, st.integers(0, 128))
+    @example([], "(exp(0.1*x^1) * sin(2^0.5*x^1) + cos((2/3)*x^1))^2", 128)
+    @example(["x^(-5/3)"], "exp(x) * sin((-5/7)*x^2 + 3*x^1) - x^2", 128)
+    def test_bit_identical(self, factors, tree, order):
+        text = " * ".join(factors + ["(%s)" % tree])
+        got, want = to_series(text, 0, order), _ref_series(text, order)
+        assert repr(got) == repr(want)
+
+
+def _convolutions(monkeypatch):
+    calls = []
+    for name in ("_pairs", "_convolved"):
+        def spy(pa, pb, *args, run=getattr(parser, name)):
+            calls.append((len(pa), len(pb)))
+            return run(pa, pb, *args)
+        monkeypatch.setattr(parser, name, spy)
+    return calls
+
+
+class TestDerivativeForm:
+    """Jets hold derivatives: products convolve with binomial weights, and
+    a single term at key 0 only relabels the other factor."""
+
+    def test_key_zero_factors_relabel(self, monkeypatch):
+        calls = _convolutions(monkeypatch)
+        for text in ("x^(1/3)*exp(x)", "exp(x)*x^(-2/3)", "(2/3)*sin(x)*7",
+                     "x*cos(x)", "x^2*x^3*exp(x)"):
+            to_series(text, 0, 32)
+        assert calls == []
+        to_series("exp(x)*sin(x)", 0, 32)
+        assert calls == [(33, 16)]
+
+    def test_row_cache_is_bounded(self):
+        f = to_series("exp(x)*sin(x)", 0, MAX_JET_ORDER)
+        assert f.coefficient(1.0) == 1.0 and f.coefficient(2.0) == 1.0
+        assert len(parser._ROWS) <= parser._ROW_CACHE + 1
+
+    def test_wide_sums_take_no_factorials_of_their_span(self):
+        # a polynomial holds Taylor numerators, and a jet spanning more than
+        # _KEYS keys keeps Taylor Fractions: no n! of a wide span is built
+        with deadline(1.0):
+            assert to_series("x^1e300 + x").terms == ((1.0, 1.0), (1e300, 1.0))
+            f = to_series("(x^5000 + 1/3)*(x^5000 - 1/3)")
+            g = to_series("(x^5000 + 1/3)*(x^5000 - 1/3)*exp(x)", 0, 2)
+            h = to_series("x^-5000 + exp(x)", 0, 2)
+        assert f.terms == ((0.0, -1 / 9), (10000.0, 1.0))
+        assert g.terms == ((0.0, -1 / 9), (1.0, -1 / 9), (2.0, -1 / 18))
+        assert h.terms == ((-5000.0, 1.0), (0.0, 1.0), (1.0, 1.0), (2.0, 0.5))
+
+
+def _trinomial_power(n):
+    """The integer coefficients of (1 + x + x^2)^n."""
+    p = [1]
+    for _ in range(n):
+        p = [sum(p[max(i - 2, 0):i + 1]) for i in range(len(p) + 2)]
+    return p
+
+
+class TestPolynomials:
+    """An exact value of infinite order keeps Taylor numerators, which
+    carry no n!, until it meets a jet."""
+
+    def test_high_degree_products_within_two_seconds(self):
+        # their factorials made these take 2.6 s to 6 s in derivative form
+        with deadline(2.0):
+            f = to_series("(1+x)^1000")
+            g = to_series("(x^100 + 1)^40")
+            h = to_series("(1 + x + x^2)^300")
+            to_series("(x^300)^4*(1 + x)^2", 0.5, 0)
+        assert f.terms == tuple((float(k), float(math.comb(1000, k)))
+                                for k in range(1001))
+        assert g.terms == tuple((100.0 * j, float(math.comb(40, j)))
+                                for j in range(41))
+        assert h.terms == tuple((float(k), float(c))
+                                for k, c in enumerate(_trinomial_power(300)))
+
+    def test_taylor_numerators_until_a_jet(self):
+        f = parser._expand(parse("(1 + x/3)^3 - 2*x^2"), 0.0, 8)
+        assert (f.coeffs, f.den, f.order) == ({0: 27, 1: 27, 2: -45, 3: 1},
+                                               27, math.inf)
+        g = parser._mul(f, parser._expand(parse("exp(x)"), 0.0, 8))
+        assert parser._values(g) == {
+            n: c for n, c in _ref_expand(parse("((1 + x/3)^3 - 2*x^2)"
+                                               " * exp(x)"), 8)[1].items()}
+
+
+class TestConstantPowers:
+    def test_one_exact_power_within_a_second(self, capsys):
+        # 1.66M bits: repeated squarings took about 9 s in their gcds
+        with deadline(1.0):
+            code = main(["deriv", "--expr", "((2/3)^1024)^1024", "--k", "0"])
+        assert (code, capsys.readouterr().out) == (0, "result: 0\n")
+        assert to_series("((2/3)^3)^4").terms == (
+            (0.0, float(Fraction(2, 3)**12)),)
+
+    def test_truncated_constants_keep_their_order(self):
+        # as a product of truncated constants: the order stays, and ^0 is 1
+        for text, terms, order in (("cos(0)^3", ((0.0, 1.0),), 8.0),
+                                   ("(sin(x) + 2)^2", ((0.0, 4.0),), 0.0),
+                                   ("sin(x)^3", (), 0.0),
+                                   ("(sin(x) + 2)^0", ((0.0, 1.0),), None)):
+            f = to_series(text, 0, 0 if "sin" in text else 8)
+            assert (f.terms, f.truncation_order) == (terms, order), text
+
+
+class TestTruncatedDivisors:
+    @pytest.mark.parametrize("text, order", [("x/(1+sin(x))", 0),
+                                             ("x/(1 + sin(x) - x)", 2)])
+    def test_refused(self, capsys, text, order):
+        # each divisor is constant only because the order cut its x off
+        with pytest.raises(ExpansionError, match="division only by nonzero"):
+            to_series(text, 0, order)
+        code = main(["deriv", "--expr", text, "--k", "0.5", "--order",
+                     str(order)])
+        err = capsys.readouterr().err
+        assert code == 2 and err.count("\n") == 1
+
+    @pytest.mark.parametrize("text, order, what", [
+        ("x*(1+sin(x))^-1", 0, "negative powers"),
+        ("x*(1 + sin(x) - x)^-1", 2, "negative powers"),
+        ("(1+sin(x))^0.5", 0, "real exponents")])
+    def test_powers_refused(self, text, order, what):
+        # the same bases as powers: only a nonnegative integer power keeps
+        # the order the base was cut at
+        with pytest.raises(ExpansionError, match=what):
+            to_series(text, 0, order)
+
+    def test_x_free_powers_answer(self):
+        assert to_series("cos(0)^-1", 0, 4).terms == ((0.0, 1.0),)
+        assert to_series("cos(0)^0.5", 0, 4).terms == ((0.0, 1.0),)
+        assert to_series("(x - x + 2)^-2", 0, 4).terms == ((0.0, 0.25),)
+
+    def test_exact_or_x_free_divisors_answer(self):
+        assert to_series("x/cos(0)", 0, 4).terms == ((1.0, 1.0),)
+        assert to_series("x/(1+1)", 0, 4).terms == ((1.0, 0.5),)
+        assert to_series("x/(x - x + 4)", 0, 4).terms == ((1.0, 0.25),)
+
+
+class TestOrderLimit:
+    def test_api(self):
+        with pytest.raises(ExpansionError, match="passes the limit"):
+            to_series("exp(x)", 0, MAX_JET_ORDER + 1)
+        with pytest.raises(ExpansionError, match="passes the limit"):
+            to_lifted("x", 0, 10**7)
+        f = to_series("exp(x)", 0, MAX_JET_ORDER)
+        assert f.truncation_order == MAX_JET_ORDER
+
+    @pytest.mark.parametrize("argv", [
+        ["deriv", "--expr", "exp(x)", "--k", "0.5", "--order", "10000000"],
+        ["lift", "--expr", "exp(x)", "--order", "3000000"]])
+    def test_cli(self, capsys, argv):
+        with deadline(1.0):
+            code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 2 and err.count("\n") == 1 and "limit" in err
+
+
+def _exp_sin_derivatives(n):
+    """d^n/dx^n exp(x) sin(x) at 0, Im((1 + i)^n), as an int."""
+    z = (1, 0)
+    for _ in range(n):
+        z = (z[0] - z[1], z[0] + z[1])
+    return z[1]
+
+
+class TestToLifted:
+    """At phase 0 an expression lifts to its exact derivatives, each
+    rounded once; lift_gen of its series rounds twice."""
+
+    def test_exact_derivatives(self):
+        rho = to_lifted("exp(x)", 0, 64)
+        assert rho.keys == list(range(65)) and set(rho.vals) == {1.0}
+        assert rho.truncation_order == 64 and rho.offset == 0
+        rho = to_lifted("exp(x)*sin(x)", 0, 48)
+        want = {n: float(_exp_sin_derivatives(n)) for n in range(49)}
+        assert rho.values == {n: v for n, v in want.items() if v}
+        # cos(x)^2 = (1 + cos 2x)/2: 2^(n-1) cos(n pi/2) for n >= 1
+        rho = to_lifted("cos(x)^2", 0, 32)
+        want = {0: 1.0, **{n: float((-1) ** (n // 2) * 2 ** (n - 1))
+                          for n in range(2, 33, 2)}}
+        assert rho.values == want
+        # the double rounding this replaces: 13 of 65 values of exp(x)
+        old = lift_gen(to_series("exp(x)", 0, 64))
+        assert sum(v != 1.0 for v in old.vals) == 13
+
+    def test_integer_bases_move_to_their_index(self):
+        # x^3 exp(x): the i-th derivative at 0 is i!/(i-3)!
+        rho = to_lifted("x^3*exp(x)", 0, 6)
+        assert rho.values == {i: float(math.perm(i, 3)) for i in range(3, 10)}
+        rho = to_lifted("x^-2*(exp(x) - 1 - x)", 0, 6)
+        assert rho.values == {i: 1.0 / ((i + 1) * (i + 2)) for i in range(5)}
+
+    @pytest.mark.parametrize("text, a", [("x^(1/3)*exp(x)", 0.0),
+                                         ("2^0.5*exp(x)", 0.0),
+                                         ("exp(x)*sin(x)", 0.5),
+                                         ("(x - 1/2)^(-1/2)*cos(x)", 0.5)])
+    def test_other_phases_and_floats_lift_their_series(self, text, a):
+        assert to_lifted(text, a, 12) == lift_gen(to_series(text, a, 12))
+
+    def test_refuses_what_lift_gen_refuses(self):
+        for text in ("x^-1 + exp(x)", "x^-3*cos(x)"):
+            with pytest.raises(ExponentError, match="no preimage"):
+                lift_gen(to_series(text, 0, 8))
+            with pytest.raises(ExponentError, match="no preimage"):
+                to_lifted(text, 0, 8)
+        # a term to_series drops below COEF_EPS is no term
+        assert to_lifted("1e-301*x^-1 + 1", 0, 8).values == {0: 1.0}
+        # a value past the double range, at once however far past
+        for text in ("1e308*x^3", "x^1e300*exp(x)"):
+            with deadline(1.0):
+                with pytest.raises(GammaOverflowError):
+                    to_lifted(text, 0, 8)
+
+    def test_keeps_what_to_series_keeps(self):
+        # a Taylor coefficient below COEF_EPS is no term, though its lift
+        # 200! * 1e-301 would be a double
+        for text in ("1e-301*x^200", "1e-301*x^200 + exp(x)"):
+            assert to_lifted(text, 0, 4) == lift_gen(to_series(text, 0, 4))
+        # a coefficient past the double range is refused as to_series does
+        for expand in (to_series, to_lifted):
+            with pytest.raises(ExpansionError, match="double range"):
+                expand("1e300*1e300*x", 0, 4)
+
+    def test_deriv_expands_once(self, monkeypatch, capsys):
+        calls = []
+        run = parser._expanded
+        monkeypatch.setattr(parser, "_expanded",
+                            lambda *a: calls.append(a) or run(*a))
+        for via in (["--via", "lifted"], ["--compare-paths"], []):
+            calls.clear()
+            assert main(["deriv", "--expr", "exp(x)", "--k", "0.5", *via]) == 0
+            assert len(calls) == 1, via
+        capsys.readouterr()
+
+    def test_cli_lifts_an_expression_exactly(self, capsys):
+        assert main(["lift", "--expr", "exp(x)", "--order", "64"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert [v["value"] for v in doc["values"]] == [1] * 65
 
 
 class TestFloatJets:
