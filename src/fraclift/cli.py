@@ -103,7 +103,9 @@ def _add_input_opts(p):
     p.add_argument("--basepoint", type=finite_float, default=0.0,
                    help="expansion base point (default 0)")
     p.add_argument("--order", type=jet_order, default=config.DEFAULT_ORDER,
-                   help="jet truncation order for transcendental input (default %(default)s)")
+                   help="jet truncation order for transcendental input "
+                   "(default %%(default)s, at most config.MAX_JET_ORDER = %d)"
+                   % config.MAX_JET_ORDER)
 
 
 def _kernel_terms(f: GenSeries, k: float):
@@ -280,7 +282,10 @@ def build_parser():
     p = sub.add_parser("verify", help="run identity suites")
     p.add_argument("--suite", default="all",
                    choices=tuple(SUITES) + ("all",))
-    p.add_argument("--order", type=jet_order, default=config.DEFAULT_ORDER)
+    p.add_argument("--order", type=jet_order, default=config.DEFAULT_ORDER,
+                   help="jet order of the suites' jets (default "
+                   "%%(default)s, at most config.MAX_JET_ORDER = %d)"
+                   % config.MAX_JET_ORDER)
     p.add_argument("--trials", default=200, type=int_at_least(
         1, "trial count must be a positive integer"))
     p.add_argument("--seed", type=int, default=0)

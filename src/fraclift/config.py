@@ -25,7 +25,8 @@ DEFAULT_ORDER = 16
 
 # The highest jet order to_series, to_lifted and the CLI's --order take. At
 # it, exp(x)*sin(x) expands in about 0.15 s and x^(1/3)*sin(x)*exp(x/3) in
-# about 0.4 s, each about 8 times its cost at half the order.
+# about 0.4 s, each about 8 times its cost at half the order. A product or
+# integer power of polynomials may hold at most 2 MAX_JET_ORDER + 1 terms.
 MAX_JET_ORDER = 1024
 
 

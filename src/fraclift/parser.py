@@ -14,10 +14,12 @@ so -x^2 is -(x^2), x^-1 is x^(-1) and x^2^3 is x^(2^3):
 An exponent is any constant expression, read as the double of its exact
 value. It may be real on a constant or on any subexpression equal to x - a,
 a the expansion base point (x at a = 0; x - 1/2 or -0.5 + x at a = 0.5), and
-a nonnegative integer on any other. Division is by nonzero constants only,
-not by one that is constant only because the jet order cut its x off, and
-such a base takes no negative or real power either. So every expressible
-function is a single-lattice generalized power series.
+a nonnegative integer on any other. A product or power of polynomials that
+could hold more than 2 config.MAX_JET_ORDER + 1 terms is refused before it
+is computed. Division is by nonzero constants only, not by one that is
+constant only because the jet order cut its x off, and such a base takes no
+negative or real power either. So every expressible function is a
+single-lattice generalized power series.
 
 Series expansion works in exact rational arithmetic wherever the inputs
 are rational, kept on integers. A jet (a value of finite order) is in
@@ -31,58 +33,61 @@ over Pascal rows or, for a short or sparse factor, pair by pair, and
 stripped of the factor it shares with den by one gcd. An exact value of
 infinite order, a polynomial, holds Taylor numerators A_n / den instead,
 which carry no n!: polynomials add and multiply as plain integer
-convolutions, and one takes its n! at its first sum or product with a jet.
-A factor that is one term at its base, such as x^p or a constant, only
-relabels or scales the other. A sum takes the lower base and moves the
-other operand's keys up, by falling factorials in derivative form, over the
-least common den and scale; a constant divisor scales den by its integer
-ratio. No Fraction is built and no gcd taken per coefficient (D. E. Knuth,
-The Art of Computer Programming, vol. 2, sec. 4.5.1), and a jet's integers
-carry no N!/n!, as Taylor numerators over one denominator would. Each
-coefficient rounds to a double once at the end, as the correctly rounded
-quotient of two integers, A_n / (den D^n n!) or A_n / den, and the lift of
-an expression at phase 0 rounds its derivatives, i! times that quotient at
-i = base + n, once the same way (to_lifted). A value that holds a float
-(2^0.5, or exp(u0) at a nonzero u0), or a jet whose keys would span more
-than _KEYS (x^-5000 + exp(x)), keeps Taylor coefficients, Fraction and
-float, combined in one fixed order. Exponents are exact too:
-coeffseq.rational reads each power of x - a once, and a working value keeps
-an exact base exponent and integer keys n, so its exponents base + n share
-one lattice by construction; products add bases and orders exactly, and the
-series takes its phase as the base mod 1.
+convolutions, the same loops without the binomials, and one takes its n!
+at its first sum or product with a jet. A factor that is one term at its
+base, such as x^p or a constant, only relabels or scales the other. A sum
+takes the lower base and moves the other operand's keys up, by falling
+factorials in derivative form, over the least common den and scale; a
+constant divisor scales den by its integer ratio. No Fraction is built and
+no gcd taken per coefficient (D. E. Knuth, The Art of Computer Programming,
+vol. 2, sec. 4.5.1), and a jet's integers carry no N!/n!, as Taylor
+numerators over one denominator would. Each coefficient rounds to a double
+once at the end, as the correctly rounded quotient of two integers,
+A_n / (den D^n n!) or A_n / den, and the lift of an expression at phase 0
+rounds its derivatives, i! times that quotient at i = base + n, once the
+same way (to_lifted). A value that holds a float (2^0.5, or exp(u0) at a
+nonzero u0), or a jet whose keys would span more than _KEYS
+(x^-5000 + exp(x)), keeps Taylor coefficients, Fraction and float, combined
+in one fixed order. Exponents are exact too: coeffseq.rational reads each
+power of x - a once, and a working value keeps an exact base exponent and
+integer keys n, so its exponents base + n share one lattice by
+construction; products add bases and orders exactly, and the series takes
+its phase as the base mod 1.
 
 An intrinsic of a jet u = u0 + v (v without constant term) to order N is not
 composed from the Taylor polynomial of the intrinsic, which costs O(N^3)
 coefficient operations, but read off the differential equation it satisfies,
-in O(N^2), or O(N * nnz(v)) since zero v_k are skipped. While v is rational
-the recurrences run on integers, the scaled derivatives b_k = D^k v^(k)(0)
-and G_n = D^n g^(n)(0); Leibniz's rule on g' = g v' gives
+in O(N^2), or O(N * nnz(v)) since zero v_k are skipped. Leibniz's rule on
+g' = g v' gives one recurrence in two forms. In derivative form, on the
+scaled derivatives b_k = D^k v^(k)(0) and G_n = D^n g^(n)(0),
 
     g = exp(v):             G_n = sum_{k=1..n} C(n-1,k-1) b_k G_{n-k}
     s = sin(v), c = cos(v): S_n = sum_{k=1..n} C(n-1,k-1) b_k C_{n-k}
                             C_n = -sum_{k=1..n} C(n-1,k-1) b_k S_{n-k}
 
-with G_0 = C_0 = 1, S_0 = 0: the jet in derivative form, over den 1 with
-scale D, where a Fraction loop pays a multiply, an add and a divide by n per
-step, each with its own gcds. The integer D makes every b_k whole: walking
-k upward, it grows only where D^k leaves the denominator d_k of v^(k)(0)
-uncleared, by m = d_k / gcd(d_k, D^k), and the earlier b_j take m^j; so
-v = c x keeps D = den(c), where the lcm of all d_k would be far larger, and
-the integers of exp(1e-300 x) stay near 53 n bits. When v holds a float (a
-float u0 upstream, or 2^0.5) the recurrences run in Taylor form,
-n g_n = sum_k k v_k g_{n-k}, on floats. A nonzero u0 enters once at the
-end, as the factor exp(u0) or through sin(u0 + v) = sin u0 cos v +
-cos u0 sin v and cos(u0 + v) = cos u0 cos v - sin u0 sin v. References:
-R. P. Brent and H. T. Kung, "Fast algorithms for manipulating formal power
-series", J. ACM 25(4), 1978; D. E. Knuth, The Art of Computer Programming,
-vol. 2, sec. 4.7.
+with G_0 = C_0 = 1, S_0 = 0; in Taylor form the same sums without the
+binomials, over b_k = k v_k, give n g_n, n s_n and n c_n. While v is rational
+the derivative form runs on integers and gives the jet over den 1 with scale
+D, where a Fraction loop pays a multiply, an add and a divide by n per step,
+each with its own gcds; its binomials come from the Pascal rows, cut past
+the cached ones to b's highest key. The integer D makes every b_k whole:
+walking k upward, it grows only where D^k leaves the denominator d_k of
+v^(k)(0) uncleared, by m = d_k / gcd(d_k, D^k), and the earlier b_j take
+m^j; so v = c x keeps D = den(c), where the lcm of all d_k would be far
+larger, and the integers of exp(1e-300 x) stay near 53 n bits. When v holds a
+float (a float u0 upstream, or 2^0.5) the Taylor form runs, on floats. A
+nonzero u0 enters once at the end, as the factor exp(u0) or through
+sin(u0 + v) = sin u0 cos v + cos u0 sin v and cos(u0 + v) = cos u0 cos v -
+sin u0 sin v. References: R. P. Brent and H. T. Kung, "Fast algorithms for
+manipulating formal power series", J. ACM 25(4), 1978; D. E. Knuth, The Art
+of Computer Programming, vol. 2, sec. 4.7.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import repeat
+from itertools import chain, repeat
 from operator import add, eq, mul, truediv
 
 from . import config
@@ -260,18 +265,14 @@ def parse(text: str):
 class _SVal:
     """Working series value. An exact value holds integers A_n over one
     positive integer den and a positive integer scale D at keys n >= 0, the
-    base at or below the lowest exponent. A jet (finite order) is in
-    derivative form and stands for the sum of A_n / (den D^n n!) *
-    (x - a)^(base + n): A_n / (den D^n) is the n-th derivative at a of the
-    value divided by (x - a)^base. An exact value of infinite order (a
-    polynomial, D = 1) holds Taylor numerators, the sum of A_n / den *
-    (x - a)^(base + n), whose integers carry no n!; it takes the n! at its
-    first sum or product with a jet (_jet). A value that holds a float has
-    den None and Taylor coefficients, Fraction or float, at integer keys n
-    of either sign, combined in the order the float results depend on. All
-    carry the order beyond which terms are unknown (math.inf = exact). The
-    base and a finite order are exact (int or Fraction), so no exponent has
-    two keys."""
+    base at or below the lowest exponent: a jet (finite order) stands for
+    the sum of A_n / (den D^n n!) (x - a)^(base + n), a polynomial (infinite
+    order, D = 1) for that of A_n / den (x - a)^(base + n), and takes its n!
+    at its first sum or product with a jet (_jet). A value that holds a
+    float has den None and Taylor coefficients, Fraction or float, at
+    integer keys n of either sign. All carry the order beyond which terms
+    are unknown (math.inf = exact); the base and a finite order are exact
+    (int or Fraction), so no exponent has two keys."""
 
     __slots__ = ("base", "coeffs", "order", "den", "scale")
 
@@ -310,12 +311,7 @@ def _at(a, e):
     """(p, q): the Taylor coefficient p/q of an exact value at the integer
     exponent e (0 where a has no term there)."""
     n = e - a.base
-    if n not in a.coeffs:
-        return 0, 1
-    if a.order == math.inf:
-        return a.coeffs[n], a.den
-    n = int(n)
-    return a.coeffs[n], a.den * a.scale ** n * math.factorial(n)
+    return _ratios(a, math.floor(n)).get(n, (0, 1))
 
 
 def _jet(a, order, top):
@@ -353,15 +349,23 @@ def _mixed(coeffs, order=math.inf, base=0):
                   for n, c in coeffs.items()}, order, base, den)
 
 
+def _ratios(a, top=math.inf):
+    """{n: (p, q)}: a's Taylor coefficients p / q at the keys n up to top,
+    cut before any is converted; a float p stands over q = 1."""
+    if a.den is None:
+        return {n: (c, 1) if type(c) is float else c.as_integer_ratio()
+                for n, c in a.coeffs.items() if n <= top}
+    if a.order == math.inf:
+        return {n: (c, a.den) for n, c in a.coeffs.items() if n <= top}
+    qs = _denominators(a.den, a.scale, min(top, max(a.coeffs, default=0)))
+    return {n: (c, qs[n]) for n, c in a.coeffs.items() if n <= top}
+
+
 def _values(a):
     """a's Taylor coefficients as Fractions and floats, for the Taylor-form
     path (a float, or keys past _KEYS)."""
-    if a.den is None:
-        return a.coeffs
-    if a.order == math.inf:
-        return {n: Fraction(c, a.den) for n, c in a.coeffs.items()}
-    qs = _denominators(a.den, a.scale, max(a.coeffs, default=0))
-    return {n: Fraction(c, qs[n]) for n, c in a.coeffs.items()}
+    return a.coeffs if a.den is None else {
+        n: Fraction(p, q) for n, (p, q) in _ratios(a).items()}
 
 
 def _key_shift(a, b):
@@ -374,12 +378,13 @@ def _key_shift(a, b):
     return m
 
 
-def _moved(a, t, scale, s):
+def _moved(a, t, scale, s, jet):
     """a's numerators times s, moved up t keys and onto the scale D, a
-    multiple of a's: A_n (D/D_a)^n D^t (n+t)!/n! at key n + t."""
+    multiple of a's: A_n (D/D_a)^n D^t (n+t)!/n! at key n + t for a jet,
+    A_n at key n + t for a polynomial's Taylor numerators (D = 1)."""
     coeffs = _rescaled(a, scale)
-    if t == 0:
-        return {n: c * s for n, c in coeffs.items()}
+    if t == 0 or not jet:
+        return {n + t: c * s for n, c in coeffs.items()}
     s *= scale ** t
     return {n + t: c * s * math.perm(n + t, t) for n, c in coeffs.items()}
 
@@ -391,24 +396,18 @@ def _add(a, b, sign=1):
         base, m = b.base, 0
     order = min(a.order, b.order)
     lo = min(m, 0)
-    if a.den and b.den and order == math.inf:
-        # two polynomials: the lower base takes both Taylor numerators
-        den = math.lcm(a.den, b.den)
-        coeffs = {n - lo: c * (den // a.den) for n, c in a.coeffs.items()}
-        sb = sign * (den // b.den)
-        for n, c in b.coeffs.items():
-            coeffs[n + m - lo] = coeffs.get(n + m - lo, 0) + sb * c
-        return _SVal(coeffs, order, _plus(base, lo), den).prune()
-    if a.den and b.den:
+    exact, jet = a.den and b.den, order != math.inf
+    if exact and jet:
         top = _floor_diff(order, _plus(base, lo))
         a, b = _jet(a, order, top + lo), _jet(b, order, top + lo - m)
-    if a.den and b.den and max(max(a.coeffs, default=0) - lo,
-                               max(b.coeffs, default=0) + m - lo) <= _KEYS:
-        # two exact values, one a jet: the lower base takes both in
-        # derivative form, over one den
+    if exact and (not jet or max(max(a.coeffs, default=0) - lo,
+                                 max(b.coeffs, default=0) + m - lo) <= _KEYS):
+        # two exact values: the lower base takes both over one den, as
+        # Taylor numerators if both are polynomials, else in derivative form
         den, scale = math.lcm(a.den, b.den), math.lcm(a.scale, b.scale)
-        coeffs = _moved(a, -lo, scale, den // a.den)
-        for n, c in _moved(b, m - lo, scale, sign * (den // b.den)).items():
+        coeffs = _moved(a, -lo, scale, den // a.den, jet)
+        for n, c in _moved(b, m - lo, scale, sign * (den // b.den),
+                           jet).items():
             coeffs[n] = coeffs.get(n, 0) + c
         return _SVal(coeffs, order, _plus(base, lo), den, scale).prune()
     coeffs = dict(_values(a))
@@ -448,23 +447,31 @@ def _floor_diff(r, s):
     return (p * v - u * q) // (q * v)
 
 
+# The most terms a product or power of polynomials may hold, as many as two
+# of degree config.MAX_JET_ORDER multiply to; judged before it is computed
+_TERMS = 2 * config.MAX_JET_ORDER + 1
+
 # Pascal rows kept between calls, C(n, i) for n up to this order; a longer
 # product walks its higher rows again, so what stays behind is bounded
 _ROW_CACHE = 128
 _ROWS = [[1]]
 
 
-def _pascal(top):
-    """The rows [C(n, 0), ..., C(n, n)] for n = 0..top, by Pascal's rule."""
+def _pascal(top, width):
+    """The rows [C(n, 0), ..., C(n, n)] for n = 0..top, by Pascal's rule;
+    past the cached ones each is cut to its first width entries, all that
+    the next cut row needs, so a row cut to one entry stays [1]."""
     rows = _ROWS
     while len(rows) <= min(top, _ROW_CACHE):
         row = rows[-1]
         rows.append([1, *map(add, row, row[1:]), 1])
-    yield from rows[:top + 1]
-    row = rows[-1]
-    for _ in range(len(rows), top + 1):
-        row = [1, *map(add, row, row[1:]), 1]
-        yield row
+    if top < len(rows):
+        return rows[:top + 1]
+    row = rows[-1][:width]
+    if width == 1:
+        return chain(rows, repeat(row, top + 1 - len(rows)))
+    return chain(rows, (row := [1, *map(add, row, row[1:]), 1][:width]
+                        for _ in range(len(rows), top + 1)))
 
 
 def _mul(a, b):
@@ -479,22 +486,17 @@ def _mul(a, b):
                         if m.coeffs else o)
     order = _snapped(order)
     base = _snapped(_plus(a.base, b.base))
-    top = order if order == math.inf else _floor_diff(order, base)
-    if not (a.den and b.den) or order != math.inf and _KEYS < min(
+    jet = order != math.inf  # else both factors are polynomials
+    top = _floor_diff(order, base) if jet else order
+    if not jet and len(a.coeffs) * len(b.coeffs) > _TERMS and _TERMS <= (
+            max(a.coeffs) - min(a.coeffs) + max(b.coeffs) - min(b.coeffs)):
+        raise ExpansionError("polynomial product passes %d terms" % _TERMS)
+    if not (a.den and b.den) or jet and _KEYS < min(
             top, max(a.coeffs, default=0) + max(b.coeffs, default=0)):
         # Taylor coefficients, in the fixed order
-        acc = {}
-        pb = sorted(_values(b).items())
-        for na, ca in sorted(_values(a).items()):
-            for nb, cb in pb:
-                n = na + nb
-                if n > top:
-                    break
-                acc[n] = acc.get(n, 0) + ca * cb
-        return _mixed(acc, order, base)
+        return _mixed(_pairs(_values(a), _values(b), top, False), order, base)
     if not (a.coeffs and b.coeffs):
         return _SVal({}, order, base)
-    jet = order != math.inf  # else two polynomials, in Taylor form
     if jet:
         a, b = _jet(a, order, top), _jet(b, order, top)
     if a.coeffs.keys() == {0}:
@@ -582,7 +584,7 @@ def _convolved(pa, pb, top, binomial):
     g = math.gcd(sa, sb)  # c_n = 0 unless n = ka + kb mod g
     last = min(top, na + nb)
     acc = {}
-    for n, row in enumerate(_pascal(last) if binomial
+    for n, row in enumerate(_pascal(last, last + 1) if binomial
                             else repeat(None, last + 1)):
         lo, hi = max(ka, n - nb), min(na, n - kb) + 1
         lo += (ka - lo) % sa
@@ -624,67 +626,42 @@ def _scaled_derivatives(terms):
     return scale, b
 
 
-def _exp_jet(terms, top):
-    """(G, D): the scaled derivatives G_n = D^n g^(n)(0) of g = exp(v),
-    n <= top, v as in _scaled_derivatives."""
-    # G_n from g' = g v': G_n = sum_k C(n-1,k-1) b_k G_(n-k)
-    scale, b = _scaled_derivatives(terms)
-    g = [1] + [0] * top
-    for n in range(1, top + 1):
+def _exp_jet(b, top, taylor):
+    """g = exp(v) to key top, from g' = g v': in derivative form the scaled
+    derivatives G_n, b the [(k, b_k)] of _scaled_derivatives; in Taylor
+    form the coefficients g_n, b the [(k, k v_k)]."""
+    # G_n = sum_k C(n-1,k-1) b_k G_(n-k), or n g_n = sum_k b_k g_(n-k)
+    g = [Fraction(1) if taylor else 1] + [0] * top
+    rows = (repeat(None, top) if taylor
+            else _pascal(top - 1, b[-1][0] if b else 1))
+    for n, row in enumerate(rows, 1):
         acc = 0
         for k, bk in b:
             if k > n:
                 break
-            acc += math.comb(n - 1, k - 1) * bk * g[n - k]
-        g[n] = acc
-    return g, scale
-
-
-def _sin_cos_jet(terms, top):
-    """(S, C, D): the scaled derivatives of sin(v) and cos(v), n <= top."""
-    # S_n = sum_k C(n-1,k-1) b_k C_(n-k), C_n = -sum_k C(n-1,k-1) b_k S_(n-k)
-    scale, b = _scaled_derivatives(terms)
-    s = [0] * (top + 1)
-    c = [1] + [0] * top
-    for n in range(1, top + 1):
-        acc_s = acc_c = 0
-        for k, bk in b:
-            if k > n:
-                break
-            w = math.comb(n - 1, k - 1) * bk
-            acc_s += w * c[n - k]
-            acc_c -= w * s[n - k]
-        s[n] = acc_s
-        c[n] = acc_c
-    return s, c, scale
-
-
-def _float_exp_jet(du, top):
-    # g = exp(v) from g' = g v': n g_n = sum_k k v_k g_(n-k)
-    g = [Fraction(1)] + [0] * top
-    for n in range(1, top + 1):
-        acc = 0
-        for k, kv in du:
-            if k > n:
-                break
-            acc += kv * g[n - k]
-        g[n] = acc / n if acc else 0
+            acc += (row[k - 1] * bk if row else bk) * g[n - k]
+        g[n] = (acc / n if acc else 0) if taylor else acc
     return g
 
 
-def _float_sin_cos_jet(du, top):
-    # s = sin(v), c = cos(v) from s' = c v', c' = -s v'
+def _sin_cos_jet(b, top, taylor):
+    """(s, c): s = sin(v) and c = cos(v) to key top, from s' = c v' and
+    c' = -s v', in either form as _exp_jet."""
+    # S_n = sum_k C(n-1,k-1) b_k C_(n-k), C_n = -sum_k C(n-1,k-1) b_k S_(n-k)
     s = [0] * (top + 1)
-    c = [Fraction(1)] + [0] * top
-    for n in range(1, top + 1):
+    c = [Fraction(1) if taylor else 1] + [0] * top
+    rows = (repeat(None, top) if taylor
+            else _pascal(top - 1, b[-1][0] if b else 1))
+    for n, row in enumerate(rows, 1):
         acc_s = acc_c = 0
-        for k, kv in du:
+        for k, bk in b:
             if k > n:
                 break
-            acc_s += kv * c[n - k]
-            acc_c -= kv * s[n - k]
-        s[n] = acc_s / n if acc_s else 0
-        c[n] = acc_c / n if acc_c else 0
+            w = row[k - 1] * bk if row else bk
+            acc_s += w * c[n - k]
+            acc_c -= w * s[n - k]
+        s[n] = (acc_s / n if acc_s else 0) if taylor else acc_s
+        c[n] = (acc_c / n if acc_c else 0) if taylor else acc_c
     return s, c
 
 
@@ -698,36 +675,30 @@ def _compose_intrinsic(func, inner, order):
         raise ExpansionError(
             "argument of %s must be an analytic jet (offending exponent %r)"
             % (func, float(inner.min_exponent())))
+    # v's Taylor coefficients u_k = p / q, k = n + base <= top
     shift = inner.base.numerator
-    if inner.den:  # v^(k)(0) = k! p / q, p / q its Taylor coefficient
-        u = [(k, math.factorial(k) * p, q) for k, (p, q) in
-             ((n + shift, _at(inner, n + inner.base))
-              for n in sorted(inner.coeffs) if n + shift <= top)]
-        u0 = Fraction(*u.pop(0)[1:]) if u and u[0][0] == 0 else 0
-        exact = True
-    else:  # Taylor coefficients
-        u = sorted((n + shift, c) for n, c in inner.coeffs.items()
-                   if n + shift <= top)
-        u0 = u.pop(0)[1] if u and u[0][0] == 0 else 0
-        exact = all(type(c) is Fraction for _, c in u)
-        if exact:  # a rational v beside a float u0, or past top
-            u = [(k, c.numerator * math.factorial(k), c.denominator)
-                 for k, c in u]
-    # the jets of exp, or of sin and cos: scaled derivatives while exact
-    if exact:
-        *jets, scale = (_exp_jet if func == "exp" else _sin_cos_jet)(u, top)
+    u = sorted((n + shift, p, q)
+               for n, (p, q) in _ratios(inner, top - shift).items())
+    _, p, q = u.pop(0) if u and u[0][0] == 0 else (0, 0, 1)
+    u0 = Fraction(p, q) if type(p) is int and p else p
+    # the jets of exp, or of sin and cos: scaled derivatives while v is
+    # rational (a float u0 beside it enters at the end), else Taylor form
+    taylor = not inner.den and any(type(p) is float for _, p, _ in u)
+    if taylor:
+        b = [(k, k * p if type(p) is float else Fraction(k * p, q))
+             for k, p, q in u]
     else:
-        du = [(k, k * c) for k, c in u]
-        jets = ([_float_exp_jet(du, top)] if func == "exp"
-                else _float_sin_cos_jet(du, top))
+        scale, b = _scaled_derivatives((k, math.factorial(k) * p, q)
+                                       for k, p, q in u)
+    jets = ([_exp_jet(b, top, taylor)] if func == "exp"
+            else _sin_cos_jet(b, top, taylor))
     if u0 == 0:
         jet = dict(enumerate(jets[func == "cos"]))
-        if not exact:
-            return _mixed(jet, trunc).prune()
-        return _SVal(jet, trunc, 0, 1, scale).prune()
+        return (_mixed(jet, trunc) if taylor
+                else _SVal(jet, trunc, 0, 1, scale)).prune()
     f0 = [_float_op(fn, u0, func) for fn in
           ((math.exp,) if func == "exp" else (math.sin, math.cos))]
-    if exact:  # each coefficient rounds once, to meet the float func(u0)
+    if not taylor:  # each coefficient rounds once, to meet the float func(u0)
         qs = _denominators(1, scale, top)
         jets = [list(map(truediv, jet, qs)) for jet in jets]
     if func == "exp":
@@ -834,6 +805,13 @@ def _expand_pow(base_node, expo_node, basepoint, order):
         if n < 0 and (not c or cut):
             raise ExpansionError(
                 "negative powers are only supported on (x - basepoint)")
+        # a polynomial's power, judged before its squarings as _mul judges each
+        t = len(base.coeffs)
+        if (n > 1 and t > 1 and base.order == math.inf
+                and math.comb(n + t - 1, t - 1) > _TERMS
+                and n * (max(base.coeffs) - min(base.coeffs)) >= _TERMS):
+            raise ExpansionError("polynomial power ^%d passes %d terms"
+                                 % (n, _TERMS))
         if type(c) is not Fraction or not c:  # zero keeps its exponent
             return _powi(base, n) if n >= 0 else _mixed({0: c ** n})
         if _POWER_BITS < abs(n) * max(c.numerator.bit_length(),

@@ -617,11 +617,12 @@ class TestIntegerJets:
         den = math.lcm(*(c.denominator for c in u[1:]))
         terms = [(k, math.factorial(k) * c.numerator * (den // c.denominator),
                   den) for k, c in enumerate(u) if k and c]
-        g, scale = parser._exp_jet(terms, top)
-        s, c, scale_sc = parser._sin_cos_jet(terms, top)
+        scale, b = parser._scaled_derivatives(terms)
+        g = parser._exp_jet(b, top, False)
+        s, c = parser._sin_cos_jet(b, top, False)
         assert all(type(x) is int for x in g + s + c)
         assert _rationals(g, scale) == _fraction_exp_jet(du, top)
-        assert ((_rationals(s, scale_sc), _rationals(c, scale_sc))
+        assert ((_rationals(s, scale), _rationals(c, scale))
                 == _fraction_sin_cos_jet(du, top))
 
     @settings(max_examples=15, deadline=None)
@@ -662,6 +663,61 @@ class TestIntegerJets:
         made = [_fractions_built(monkeypatch, text, order)
                 for order in (16, 32, 64)]
         assert made[0] == made[1] == made[2]
+
+
+# Taylor-form recurrence input [(k, k v_k)], k ascending: floats, or floats
+# beside Fractions
+_taylor_coefs = st.one_of(
+    st.floats(-4, 4).filter(bool),
+    st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(1, 12)))
+
+
+@st.composite
+def _taylor_inputs(draw):
+    top = draw(st.integers(0, 48))
+    ks = draw(st.lists(st.integers(1, max(top, 1)), unique=True,
+                       max_size=top))
+    return sorted((k, k * draw(_taylor_coefs)) for k in ks), top
+
+
+class TestTaylorForm:
+    """In Taylor form the recurrences are the float loops they replaced,
+    which _fraction_exp_jet and _fraction_sin_cos_jet spell out: equal bit
+    for bit, Fraction and float alike."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(_taylor_inputs())
+    @example(([(1, 0.1), (2, 2 * 1.7)], 32))
+    @example(([(1, Fraction(1, 3)), (3, 3 * 2 ** 0.5)], 24))
+    def test_equal_to_the_float_loops(self, case):
+        du, top = case
+        assert (repr(parser._exp_jet(du, top, True))
+                == repr(_fraction_exp_jet(du, top)))
+        assert (repr(parser._sin_cos_jet(du, top, True))
+                == repr(_fraction_sin_cos_jet(du, top)))
+
+
+class TestDenseRecurrences:
+    """The recurrences read their binomials from the Pascal rows, walked
+    again past the cached ones, cut to the argument's highest key."""
+
+    def test_nested_intrinsic_at_the_order_limit(self):
+        # math.comb per term made this take about 4 s
+        with deadline(2.0):
+            f = to_series("exp(sin(x))", 0, MAX_JET_ORDER)
+        g = to_series("exp(sin(x))", 0, 64)
+        assert all(f.coefficient(float(n)) == g.coefficient(float(n))
+                   for n in range(65))
+        assert [f.coefficient(float(n)) for n in range(6)] == [
+            1.0, 1.0, 0.5, 0.0, -0.125, -1 / 15]
+
+    @pytest.mark.parametrize("text", ["exp(sin(x))", "cos(exp(x) - 1)",
+                                      "sin(x^2 + x)", "exp(x/3)",
+                                      "cos(x^3 + x^140)"])
+    def test_past_the_cached_rows_against_fraction_reference(self, text):
+        order = parser._ROW_CACHE + 72
+        assert repr(to_series(text, 0, order)) == repr(_ref_series(text,
+                                                                   order))
 
 
 # A reference expansion with one Fraction per coefficient, for the
@@ -902,6 +958,59 @@ class TestPolynomials:
                                                " * exp(x)"), 8)[1].items()}
 
 
+class TestPolynomialPowers:
+    """A product or power of polynomials that could hold more terms than a
+    product of two polynomials of degree MAX_JET_ORDER is refused before it
+    is computed: a product of polynomials of s and t terms spanning p and q
+    keys bounds min(p + q + 1, s t) terms, and a power ^n of t terms
+    spanning p keys min(n p + 1, C(n + t - 1, t - 1)), judged before its
+    squarings run."""
+
+    @pytest.mark.parametrize("text, a", [("(x^400)^7", "1"),
+                                         ("(x^400)^7", "-2.5"),
+                                         ("((1+x)^1000)^1000", "0"),
+                                         ("((1+x)^100)^100", "0"),
+                                         ("(1 + x^16 + x^33)^64", "0")])
+    def test_refused_within_a_second(self, capsys, text, a):
+        # computed, the first ran about 4 s and 35 s before it passed the
+        # double range, and ((1+x)^100)^100 ran past 45 s; the last bounds
+        # 2113 terms
+        with deadline(1.0):
+            with pytest.raises(ExpansionError, match="polynomial power"):
+                to_series(text, float(a), 16)
+        with deadline(1.0):
+            code = main(["deriv", "--expr", text, "--basepoint=" + a,
+                         "--k", "0.5"])
+        err = capsys.readouterr().err
+        assert code == 2 and err.count("\n") == 1
+        assert "passes %d terms" % (2 * MAX_JET_ORDER + 1) in err
+
+    def test_written_out_products_refused(self, capsys):
+        # each factor answers on its own
+        text = "(1+x)^1000*(1+x^2)^600"
+        with deadline(1.0):
+            with pytest.raises(ExpansionError, match="polynomial product"):
+                to_series(text)
+        assert main(["deriv", "--expr", text, "--k", "0.5"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "passes 2049 terms" in err
+        # refused at its sixth factor, where the parent computed all seven
+        # and then passed the double range
+        with pytest.raises(ExpansionError, match="polynomial product"):
+            to_series("*".join(["x^400"] * 7), 1.0, 16)
+
+    def test_within_the_limit_answer(self):
+        f = to_series("(x^100)^7", 1.0, 16)
+        g = to_series("x^400*x^400", 1.0, 16)
+        for series, n in ((f, 700), (g, 800)):
+            assert series.terms == tuple((float(k), float(math.comb(n, k)))
+                                         for k in range(n + 1))
+        # bounded by 64 * 32 + 1 = 2049 terms, the most a power holds
+        h = to_series("(1 + x^16 + x^32)^64")
+        assert h.terms == tuple((16.0 * k, float(c)) for k, c in
+                                enumerate(_trinomial_power(64)))
+
+
 class TestConstantPowers:
     def test_one_exact_power_within_a_second(self, capsys):
         # 1.66M bits: repeated squarings took about 9 s in their gcds
@@ -1058,27 +1167,28 @@ class TestToLifted:
 
 class TestFloatJets:
     """A jet holding a float (a float constant term upstream, or 2^0.5)
-    runs the float loops; against mpmath at 40 digits."""
+    runs the recurrences in Taylor form; against mpmath at 40 digits."""
 
     @pytest.mark.parametrize("order", [0, 8, 16])
     def test_against_mpmath(self, monkeypatch, order):
         import mpmath as mp
 
         calls = []
-        for name in ("_float_exp_jet", "_float_sin_cos_jet"):
-            def spy(du, top, loop=getattr(parser, name), name=name):
-                calls.append(name)
-                return loop(du, top)
+        for name in ("_exp_jet", "_sin_cos_jet"):
+            def spy(b, top, taylor, loop=getattr(parser, name), name=name):
+                if taylor:
+                    calls.append(name)
+                return loop(b, top, taylor)
             monkeypatch.setattr(parser, name, spy)
         half = mp.mpf(1) / 2
         cases = (
             ("exp(exp(x + 1/2))", 0.0, lambda t: mp.exp(mp.exp(t + half)),
-             "_float_exp_jet"),
-            ("exp(sin(x))", 0.3, lambda t: mp.exp(mp.sin(t)), "_float_exp_jet"),
+             "_exp_jet"),
+            ("exp(sin(x))", 0.3, lambda t: mp.exp(mp.sin(t)), "_exp_jet"),
             ("exp(2^0.5*x)", 0.0, lambda t: mp.exp(mp.mpf(2 ** 0.5) * t),
-             "_float_exp_jet"),
+             "_exp_jet"),
             ("sin(exp(x + 1/2))", 0.0, lambda t: mp.sin(mp.exp(t + half)),
-             "_float_sin_cos_jet"),
+             "_sin_cos_jet"),
         )
         with mp.workdps(40):
             for text, a, fn, loop in cases:
