@@ -47,4 +47,50 @@ from .rl import rl_kernel_predicate, rl_series, rl_term
 
 KERNEL_BACKEND = "python"
 
+__all__ = [
+    # series and lifted sequences
+    "GenSeries",
+    "LiftedSeq",
+    "monomial",
+    "series_eval",
+    "int_derivative",
+    "series_to_json",
+    "series_from_json",
+    "lifted_to_json",
+    "lifted_from_json",
+    # the termwise rule and the lifted route
+    "rl_series",
+    "rl_term",
+    "rl_kernel_predicate",
+    "lift_gen",
+    "shift",
+    "project",
+    # expressions
+    "parse",
+    "to_series",
+    "to_lifted",
+    # the Gamma kernel and the oracle
+    "gamma",
+    "recip_gamma",
+    "gamma_ratio",
+    "sinpi",
+    "is_pole",
+    "rl_oracle",
+    "compare",
+    # errors
+    "FracliftError",
+    "BasepointError",
+    "EvalDomainError",
+    "ExpansionError",
+    "ExponentError",
+    "GammaOverflowError",
+    "GammaPoleError",
+    "InputError",
+    "LatticeError",
+    "OracleError",
+    "ParseError",
+    "TruncationError",
+    "KERNEL_BACKEND",
+]
+
 __version__ = "0.1.0"

@@ -39,6 +39,7 @@ value that is not a finite double and drops those below COEF_EPS.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import sys
@@ -113,6 +114,16 @@ def finite_float(v, error=ValueError, what="number"):
     return x
 
 
+def point(v, what="evaluation point"):
+    """float(v) of a point or base point, refusing with InputError what is
+    no number of double range: a string, None or an int past 2^1024. An
+    infinity or NaN passes, for the caller's domain to decide."""
+    try:
+        return float(v)
+    except (TypeError, ValueError, OverflowError):
+        raise InputError("%s %s is not a number" % (what, _shown(v))) from None
+
+
 def _shown(v):
     # repr(v), cut to 60 characters
     r = repr(v)
@@ -153,8 +164,19 @@ def rational(x) -> Fraction:
     the convergents of x's continued fraction, else the double's own binary
     value. So the doubles of 1/3, 0.1 and -5/3, and 0.85 - 1 as computed in
     doubles, read as 1/3, 1/10, -5/3 and -3/20, while pi/3 keeps its binary
-    value. x that is no finite number raises ExponentError."""
-    x = finite_float(x, ExponentError, "exponent or order")
+    value. x that is no finite number raises ExponentError.
+
+    x is checked first; the answer is then a plan, cached per double, as
+    the per-lattice plans of rl, lifted and gamma.lattice_chain are: each
+    cache keeps config.PLAN_CACHE entries, least recently used dropped
+    first, and holds only exact values, so a call's result never depends on
+    the calls before it."""
+    return _rational(finite_float(x, ExponentError, "exponent or order"))
+
+
+@functools.lru_cache(maxsize=config.PLAN_CACHE)
+def _rational(x):
+    # rational's plan: x a finite double
     slack = _SLACK * max(1.0, abs(x))
     n0 = math.floor(x)
     y = x - n0
@@ -412,11 +434,7 @@ def series_eval(f: GenSeries, x) -> float:
     Non-integer exponents (a nonzero phase) require x > a; negative
     exponents require x != a. A power that overflows, or a value that is not
     a finite double, raises EvalDomainError."""
-    try:
-        x = float(x)
-    except (TypeError, ValueError, OverflowError):
-        raise InputError("evaluation point %s is not a number"
-                         % _shown(x)) from None
+    x = point(x)
     dx = x - f.basepoint
     vals = f.vals
     if not vals:

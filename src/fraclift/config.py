@@ -29,6 +29,13 @@ DEFAULT_ORDER = 16
 # integer power of polynomials may hold at most 2 MAX_JET_ORDER + 1 terms.
 MAX_JET_ORDER = 1024
 
+# How many entries each per-lattice plan cache keeps (coeffseq.rational,
+# rl, lifted and gamma.lattice_chain): the exact-rational work a series call
+# needs once per lattice and order, least recently used dropped first. A
+# workload meets a few hundred lattices and orders; 1024 entries of each
+# plan take well under 1 MB.
+PLAN_CACHE = 1024
+
 
 @functools.cache
 def perturbation():

@@ -65,10 +65,12 @@ pass c and k to lattice_chain as ints, building no Fraction.
 """
 
 import bisect
+import functools
 import math
 import sys
 
 from . import config
+from .coeffseq import finite_float
 from .config import INT_TOL
 from .errors import ExponentError, GammaOverflowError, GammaPoleError
 
@@ -78,6 +80,8 @@ __all__ = [
     "gamma_ratio",
     "sinpi",
     "is_pole",
+    "pole_top",
+    "poles",
     "lattice_poles",
     "gamma_chain",
     "lattice_chain",
@@ -104,10 +108,7 @@ _NORMAL_MAX = sys.float_info.max
 
 def _finite(x):
     # the domain of every scalar function: a finite double
-    x = float(x)
-    if not math.isfinite(x):
-        raise ExponentError("Gamma argument %r is not a finite double" % x)
-    return x
+    return finite_float(x, ExponentError, "double (a Gamma argument)")
 
 
 def _is_nonpos_int(x):
@@ -285,26 +286,39 @@ _CHAIN_KINDS = {"gamma": (1, 0), "recip": (0, 1), "ratio": (1, 1)}
 # ceil): vals[j] at index lo + j, x = (index Q + r)/Q; only the indices in
 # [floor, ceil] are tabled, at most _SPAN steps from the anchor. All tables
 # are dropped once they hold more than _CEILING values (about 2 MB).
+#
+# Before the table, a call reads its chain's plan, cached per (P, Q, K,
+# kind) under config.PLAN_CACHE as the series layers' plans are: the scalar
+# function of the keys off the table (a ratio's a closure on the exact order
+# and the twins of its phase, no perturbation in it) and the table's lattice,
+# reduced by gcd(P, Q, K), with the index shift of its keys. The perturbation
+# is applied to each call's values after the table is read.
 _SPAN = 4096
 _CEILING = 1 << 16
 _tables = {}
 _held = 0
 
 
-def _pole_top(p, q):
-    # the highest n with n + p/q (q > 0) within INT_TOL of a pole, or None
+def pole_top(p, q):
+    """The highest integer n that puts n + p/q (ints, q > 0) on a Gamma pole,
+    within config.INT_TOL of a nonpositive integer, or None. Every n + p/q
+    lies the same exact distance from the integers, so one test decides the
+    lattice: the poles are the n <= -m, m the integer nearest p/q, or there
+    are none."""
     m = (2 * p + q) // (2 * q)  # floor(p/q + 1/2)
     return None if abs(p - m * q) / q > INT_TOL else -m  # q may pass 2^1024
 
 
+def poles(top, keys):
+    """How many of the ascending integer keys lie at or below top, a
+    pole_top: the leading keys on the poles."""
+    return 0 if top is None else bisect.bisect_right(keys, top)
+
+
 def lattice_poles(p, q, keys):
     """How many of the ascending integer keys n put n + p/q (q > 0) on a
-    Gamma pole, within config.INT_TOL of a nonpositive integer. Every n + p/q
-    lies the same exact distance from the integers, so one test decides the
-    lattice: the poles are the leading keys n <= -m, m the integer nearest
-    p/q, or there are none."""
-    top = _pole_top(p, q)
-    return 0 if top is None else bisect.bisect_right(keys, top)
+    Gamma pole: poles(pole_top(p, q), keys)."""
+    return poles(pole_top(p, q), keys)
 
 
 def gamma_chain(c, keys, kind, k=0):
@@ -325,22 +339,10 @@ def lattice_chain(P, Q, K, keys, kind):
     phase exactly, not as the difference of two rounded doubles. The keys
     that put x, or a ratio's x - K/Q, on a pole lie below the table's floor
     and get the scalar cases."""
-    kf = K / Q
-    if kind == "gamma":
-        scalar = gamma
-    elif kind == "recip":
-        scalar = recip_gamma
-    else:
-        twins = (P % (2 * Q) / Q, (P - K) % (2 * Q) / Q)
-
-        def scalar(x):
-            return _ratio(x, x - kf, kf, twins)
     if not keys:
         return []
-    # the table of the lattice (P, Q, K)/g holds key n at index n + i
-    g = math.gcd(P, Q, K)
-    i, r = divmod(P // g, Q // g)
-    lo, vals, j, e = _table(r, Q // g, K // g, kind, keys, i)
+    scalar, i, r, q, k = _chain_plan(P, Q, K, kind)
+    lo, vals, j, e = _table(r, q, k, kind, keys, i)
     mid, d = keys[j:e], i - lo
     out = [scalar((n * Q + P) / Q) for n in keys[:j]]
     out += (vals[mid[0] + d:mid[-1] + d + 1]  # consecutive keys: a slice
@@ -348,6 +350,27 @@ def lattice_chain(P, Q, K, keys, kind):
             else [vals[n + d] for n in mid])
     out += [scalar((n * Q + P) / Q) for n in keys[e:]]
     return _perturbed(out) if kind == "ratio" else out
+
+
+@functools.lru_cache(maxsize=config.PLAN_CACHE)
+def _chain_plan(P, Q, K, kind):
+    # lattice_chain's plan: the scalar function of the keys off the table (a
+    # ratio's a closure on the exact order and the twins of its phase), and
+    # the table's lattice (r, Q, K)/g, g = gcd(P, Q, K), which holds key n at
+    # index n + i
+    if kind == "gamma":
+        scalar = gamma
+    elif kind == "recip":
+        scalar = recip_gamma
+    else:
+        kf = K / Q
+        twins = (P % (2 * Q) / Q, (P - K) % (2 * Q) / Q)
+
+        def scalar(x):
+            return _ratio(x, x - kf, kf, twins)
+    g = math.gcd(P, Q, K)
+    i, r = divmod(P // g, Q // g)
+    return scalar, i, r, Q // g, K // g
 
 
 def _table(r, Q, K, kind, keys, i):
@@ -362,7 +385,7 @@ def _table(r, Q, K, kind, keys, i):
     if entry is None:
         a, b = _CHAIN_KINDS[kind]
         t = (2 * max(K, 0) - Q - 2 * r) // (2 * Q) + 1
-        tops = [_pole_top(p, Q) for p, used in ((r, a), (r - K, b)) if used]
+        tops = [pole_top(p, Q) for p, used in ((r, a), (r - K, b)) if used]
         floor = max([t - _SPAN] + [n + 1 for n in tops if n is not None])
         t = max(t, floor)
         vals = _walk(r, Q, K, kind, t - 1, None, 1, 1)

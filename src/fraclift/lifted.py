@@ -28,19 +28,30 @@ tables, each walked once from one scalar anchor by Pochhammer steps, at
 arguments rounded once from their exact rationals: project divides,
 1/Gamma(t+2) = (1/Gamma(t+1))/(t+1), on t+1 = j + 1 - offset; lift_gen
 multiplies, Gamma(e+2) = (e+1) Gamma(e+1), on e+1 = n + phase + 1. So
-a lifted value depends only on its own index. gamma.lattice_poles
+a lifted value depends only on its own index. gamma.pole_top
 finds the poles of either lattice with one exact test: project drops those
 indices, and lift_gen refuses a series with a term on one.
+
+What depends only on the lattice is a plan, cached: shift's per (offset
+p/q, order k as a checked double) holds k's rational r and the new offset;
+lift_gen's per phase p/q and project's per offset p/q hold the lattice's
+pole top, the key shift and the result's offset or phase. A call keeps the
+work on its keys (the double-range test at its end keys, the pole
+bisection, slicing, the table read and the scaling). Each plan cache keeps
+config.PLAN_CACHE entries and holds only ints and Fractions, so no result
+depends on the calls before it.
 """
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
+from . import config
 from .coeffseq import GenSeries, LatticeValues, finite_float, fmt17
 from .coeffseq import has_double, kept, rational, read_json, scaled
 from .errors import BasepointError, ExponentError, InputError
-from .gamma import lattice_chain, lattice_poles
+from .gamma import lattice_chain, pole_top, poles
 
 
 def _index(j) -> int:
@@ -112,13 +123,31 @@ class LiftedSeq(LatticeValues):
                              self.truncation_order)
 
 
+@functools.lru_cache(maxsize=config.PLAN_CACHE)
+def _shift_plan(p, q, k):
+    # (r, offset): the order k (a finite double) as the rational r it stands
+    # for, and the offset p/q + r
+    r = rational(k)
+    return r, Fraction(p * r.denominator + r.numerator * q, q * r.denominator)
+
+
 def shift(rho: LiftedSeq, k) -> LiftedSeq:
-    """Apply the order-k shift (differentiation by k after projection)."""
-    r, p, q = rational(k), rho.offset.numerator, rho.offset.denominator
-    offset = Fraction(p * r.denominator + r.numerator * q, q * r.denominator)
+    """Apply the order-k shift (differentiation by k after projection).
+    An order that is no finite number raises ExponentError."""
+    k = finite_float(k, ExponentError, "order")
+    r, offset = _shift_plan(rho.offset.numerator, rho.offset.denominator, k)
     order = rho.truncation_order
     return LiftedSeq._of(rho.basepoint, offset, rho.keys, rho.vals,
                          None if order is None else order - r)
+
+
+@functools.lru_cache(maxsize=config.PLAN_CACHE)
+def _project_plan(p, q):
+    # (top, m, phase) at offset p/q: exponent j - p/q = key + phase with
+    # key = j + m, m = floor(-p/q), and the pole top of the Gamma argument
+    # t + 1 = j + (q - p)/q
+    m = -((p + q - 1) // q)
+    return pole_top(q - p, q), m, Fraction(-p - m * q, q)
 
 
 def project(rho: LiftedSeq) -> GenSeries:
@@ -128,21 +157,28 @@ def project(rho: LiftedSeq) -> GenSeries:
     values[j]/Gamma(t+1); entries with t+1 on a Gamma pole vanish exactly.
     At offset 0 this is the projection of a jet's sequence, entry i over i!
     at exponent i. The series' truncation order is rho's, as a double."""
-    # exponent j - p/q = key + phase with key = j + m, m = floor(-p/q); the
-    # Gamma argument t + 1 = j + (q - p)/q
     p, q = rho.offset.numerator, rho.offset.denominator
     keys = rho.keys
     # the exponents j - offset and Gamma arguments j + 1 - offset need doubles
     if keys and not has_double(q, keys[0] * q - p, (keys[-1] + 1) * q - p):
         raise ExponentError("an exponent j - offset lies past double range")
-    poles = lattice_poles(q - p, q, keys)
-    keys, vals = keys[poles:], rho.vals[poles:]
+    top, m, phase = _project_plan(p, q)
+    n = poles(top, keys)
+    keys, vals = keys[n:], rho.vals[n:]
     rs = lattice_chain(q - p, q, 0, keys, "recip")
-    m = -((p + q - 1) // q)
     order = rho.truncation_order
-    return GenSeries._of(rho.basepoint, Fraction(-p - m * q, q),
+    return GenSeries._of(rho.basepoint, phase,
                          *scaled(keys, vals, rs, m, "a coefficient"),
                          None if order is None else float(order))
+
+
+@functools.lru_cache(maxsize=config.PLAN_CACHE)
+def _lift_plan(p, q):
+    # (top, m, offset) at phase p/q: the pole top of e + 1 = n + (p + q)/q,
+    # and key n going to index n + m at the offset, 1 - p/q (n and 0 at
+    # phase 0)
+    return (pole_top(p + q, q), 1 if p else 0,
+            Fraction(q - p, q) if p else Fraction(0))
 
 
 def lift_gen(f: GenSeries) -> LiftedSeq:
@@ -153,21 +189,23 @@ def lift_gen(f: GenSeries) -> LiftedSeq:
     preimage. A truncated jet's order is kept, read by `rational`."""
     keys = f.keys
     p, q = f.phase.numerator, f.phase.denominator
-    if lattice_poles(p + q, q, keys):
+    top, m, offset = _lift_plan(p, q)
+    if poles(top, keys):
         raise ExponentError(
             "term at exponent %r has no preimage under projection "
             "(Gamma pole)" % ((keys[0] * q + p) / q))
     gs = lattice_chain(p + q, q, 0, keys, "gamma")
     order = f.truncation_order
-    return LiftedSeq._of(f.basepoint, Fraction(q - p, q) if p else f.phase,
-                         *scaled(keys, f.vals, gs, 1 if p else 0,
-                                 "a lifted value"),
+    return LiftedSeq._of(f.basepoint, offset,
+                         *scaled(keys, f.vals, gs, m, "a lifted value"),
                          None if order is None else rational(order))
 
 
 def _exact_json(name, r):
     # '"name": r' in 17 digits, and '"name_exact": "p/q"' after it when no
     # double holds r or `rational` reads r's double as another rational
+    if not has_double(r.denominator, r.numerator):
+        raise ExponentError("the %s lies past double range" % name)
     x = float(r)
     text = '"%s": %s' % (name, fmt17(x))
     if Fraction(x) != r or rational(x) != r:

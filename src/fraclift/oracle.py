@@ -50,7 +50,8 @@ import math
 import sys
 
 from . import config
-from .coeffseq import GenSeries, eval_within_reach, series_eval
+from .coeffseq import GenSeries, eval_within_reach, finite_float, point
+from .coeffseq import series_eval
 from .errors import EvalDomainError, ExponentError, OracleError
 from .rl import rl_series
 
@@ -138,15 +139,16 @@ def _stencil(g, x, n, h):
 def rl_oracle(f, a, k, x) -> float:
     """Numerical differintegral of order k <= 2 at x of a pointwise-evaluable
     f, with base point a. Negative k: direct tanh-sinh quadrature; k >= 0:
-    differentiate (Richardson central differences) after integrating down."""
-    a = float(a)
-    k = float(k)
-    x = float(x)
+    differentiate (Richardson central differences) after integrating down.
+    A base point or point that is no number raises InputError, an infinite
+    or NaN one EvalDomainError, and an order that is no finite number
+    ExponentError."""
+    a = point(a, "base point")
+    x = point(x, "point")
     if not (math.isfinite(a) and math.isfinite(x)):
         raise EvalDomainError(
             "oracle needs a finite base point and point (x=%r, a=%r)" % (x, a))
-    if not math.isfinite(k):
-        raise ExponentError("order %r is not finite" % k)
+    k = finite_float(k, ExponentError, "order")
     if x <= a:
         raise EvalDomainError("oracle needs x > a (x=%r, a=%r)" % (x, a))
     if k > _MAX_ORDER:
@@ -196,7 +198,7 @@ def compare(f: GenSeries, k, xs) -> list:
     at_zero = GenSeries._of(0.0, f.phase, f.keys, f.vals)
     rows = []
     for x in xs:
-        x = float(x)
+        x = point(x, "comparison point")
         if x <= f.basepoint:
             raise EvalDomainError(
                 "comparison point %r not above base point %r" % (x, f.basepoint))

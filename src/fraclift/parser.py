@@ -93,7 +93,7 @@ from operator import add, eq, mul, truediv
 from . import config
 from .coeffseq import GenSeries, finite_float, has_double, kept, rational
 from .errors import ExpansionError, ExponentError, GammaOverflowError
-from .errors import LatticeError, ParseError
+from .errors import InputError, LatticeError, ParseError
 from .lifted import LiftedSeq, lift_gen
 
 _INTRINSICS = ("exp", "sin", "cos")
@@ -846,12 +846,14 @@ def _expanded(expr, basepoint, order, *finish):
         expr = parse(expr)
     if order is None:
         order = config.DEFAULT_ORDER
+    elif not isinstance(order, int):
+        order = finite_float(order, ExponentError, "jet order")
     if order < 0:
         raise ExpansionError("jet order must be nonnegative, got %r" % order)
     if order > config.MAX_JET_ORDER:
         raise ExpansionError("jet order %r passes the limit %d"
                              % (order, config.MAX_JET_ORDER))
-    basepoint = float(basepoint)
+    basepoint = finite_float(basepoint, InputError, "basepoint")
     try:
         val = _expand(expr, basepoint, int(order))
         # exact until here: each exponent and the order rounds to a double
@@ -897,7 +899,9 @@ def to_series(expr, basepoint: float = 0.0, order: int | None = None) -> GenSeri
     """Expand an expression (AST or text) into a truncated generalized power
     series at the base point. `order` bounds intrinsic jet expansions
     (config.DEFAULT_ORDER when None, at most config.MAX_JET_ORDER); exact
-    algebraic content (polynomials, verbatim power terms) is kept verbatim."""
+    algebraic content (polynomials, verbatim power terms) is kept verbatim.
+    A base point that is no finite number raises InputError, and an order
+    that is no finite number ExponentError."""
     return _expanded(expr, basepoint, order, _series)[0]
 
 

@@ -4,10 +4,28 @@ import signal
 
 import pytest
 
+import importlib
+
 import fraclift
-from fraclift import config
+from fraclift import config, coeffseq, lifted, rl
 from fraclift.gamma import is_pole
 from fraclift.verify import seq_residual, series_residual
+
+# Every per-lattice plan cache: rational's, rl's, shift's, lift_gen's,
+# project's and lattice_chain's (the gamma module, which the package's
+# `gamma` function shadows as an attribute)
+PLANS = (coeffseq._rational, rl._plan, lifted._shift_plan, lifted._lift_plan,
+         lifted._project_plan,
+         importlib.import_module("fraclift.gamma")._chain_plan)
+
+
+def clear_plans():
+    for plan in PLANS:
+        plan.cache_clear()
+
+
+def plan_sizes():
+    return [plan.cache_info().currsize for plan in PLANS]
 
 # child processes (python -m fraclift) import the package these tests import,
 # also where pytest's pythonpath setting, not PYTHONPATH, found it

@@ -3,7 +3,9 @@ fracbench/cli_worker.py), run in process on the whole seed-0 lists of the
 in-process workloads (series_small 128 requests, series_large 112, expand
 112: every family and jet order, 14 through the oracle), so that an output
 they would refuse fails here before it fails a benchmark run. The series
-workloads run on seed 1 as well, the seed speed claims are measured on."""
+workloads run on seed 1 as well, the seed speed claims are measured on.
+worker.py requires every round to reproduce round 0 exactly; the
+series_small list runs twice here, from cold plans and then warm."""
 
 import os
 import sys
@@ -11,6 +13,7 @@ import sys
 import pytest
 
 import fraclift
+from conftest import clear_plans
 from fraclift.cli import main
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "fracbench"))
@@ -35,6 +38,19 @@ def test_first_requests_pass_the_reference_checks(workload):
 @pytest.mark.parametrize("workload", ["series_small", "series_large"])
 def test_seed_one_passes_the_reference_checks(workload):
     _check_list(workload, 1)
+
+
+def test_a_second_round_reproduces_the_first():
+    # the round rule of worker.py: round 0 runs on cold plans, round 1 on
+    # the plans round 0 built, and their outputs must be repr-identical
+    make, prepare, run, _ = worker.WORKLOADS["series_small"]
+    inputs = [prepare(req) for req in make(0)]
+    rounds = []
+    clear_plans()
+    for _ in range(2):
+        rounds.append(repr([run(fraclift, inp, spans.NullTracer())
+                            for inp in inputs]))
+    assert rounds[1] == rounds[0]
 
 
 def test_cli_cycle_passes_the_reference_checks(capsys, monkeypatch, tmp_path):
