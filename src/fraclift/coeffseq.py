@@ -44,8 +44,8 @@ import json
 import math
 import sys
 from fractions import Fraction
-from itertools import compress, islice, repeat
-from operator import lt, mul, sub
+from itertools import compress, islice
+from operator import lt, sub
 from types import MappingProxyType
 
 from . import config
@@ -87,7 +87,11 @@ def fmt17(v):
 
 def read_json(text, what, read):
     """read(doc) for the JSON document in text. Malformed JSON, a missing
-    field or a value of the wrong type raises InputError naming what."""
+    field or a value of the wrong type raises InputError naming what, and
+    so does text that is not a str (None, bytes)."""
+    if not isinstance(text, str):
+        raise InputError("%s JSON must be text, not %s"
+                         % (what, type(text).__name__))
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -152,12 +156,6 @@ def kept(keys, vals, m, error, what):
     return keys, vals
 
 
-def scaled(keys, vals, factors, m, what, error=GammaOverflowError):
-    """kept(keys, vals times factors, m): the last step of rl_series,
-    project, lift_gen and c * x."""
-    return kept(keys, list(map(mul, vals, factors)), m, error, what)
-
-
 def rational(x) -> Fraction:
     """The exact rational a float exponent or order stands for: the p/q with
     q <= 1000 within a few roundings of x (4 eps max(1, |x|)), found among
@@ -167,16 +165,20 @@ def rational(x) -> Fraction:
     value. x that is no finite number raises ExponentError.
 
     x is checked first; the answer is then a plan, cached per double, as
-    the per-lattice plans of rl, lifted and gamma.lattice_chain are: each
-    cache keeps config.PLAN_CACHE entries, least recently used dropped
-    first, and holds only exact values, so a call's result never depends on
-    the calls before it."""
+    the float entry's phase and the per-lattice plans of rl, lifted and
+    gamma.lattice_scaled are: each cache keeps config.PLAN_CACHE entries,
+    least recently used dropped first, and holds only exact values, so a
+    call's result never depends on the calls before it."""
     return _rational(finite_float(x, ExponentError, "exponent or order"))
 
 
 @functools.lru_cache(maxsize=config.PLAN_CACHE)
 def _rational(x):
-    # rational's plan: x a finite double
+    # rational's plan: x a finite double. A negative x is read through -x,
+    # whose fractional part x - floor(x) is exact, so rational(-x) is
+    # -rational(x) and a shift by -k undoes the shift by k
+    if x < 0.0:
+        return -_rational(-x)
     slack = _SLACK * max(1.0, abs(x))
     n0 = math.floor(x)
     y = x - n0
@@ -199,7 +201,14 @@ def _rational(x):
 def _phase_of(exponents):
     # the lattice phase the float entry reads: that of the exponent of
     # smallest magnitude, whose fractional part carries the most bits
-    r = rational(min(exponents, key=abs))
+    return _phase(min(exponents, key=abs))
+
+
+@functools.lru_cache(maxsize=config.PLAN_CACHE)
+def _phase(x):
+    # _phase_of's plan, cached per finite double x as rational's is: the
+    # fractional part of the rational x stands for
+    r = _rational(x)
     return Fraction(r.numerator % r.denominator, r.denominator)
 
 
@@ -209,9 +218,13 @@ def _lattice(pairs, phase=None):
     exponent within config.INT_TOL of n + phase joins key n, and equal keys
     add in input order. Raises ExponentError for a non-finite exponent,
     LatticeError for one off the lattice and InputError for a coefficient
-    that is not a finite double."""
+    that is not a finite double or pairs that are no sequence of pairs."""
     if not isinstance(pairs, (list, tuple)):
-        pairs = list(pairs)
+        try:
+            pairs = list(pairs)
+        except TypeError:
+            raise InputError("the terms %s are not a sequence of pairs"
+                             % _shown(pairs)) from None
     if not pairs:
         return Fraction(0), [], []
     # two lists, no n-tuples: CPython keeps up to 2000 freed tuples of each
@@ -335,8 +348,8 @@ class LatticeValues:
     def __mul__(self, c):
         if not isinstance(c, (int, float)):
             return NotImplemented
-        return self._with(*scaled(self.keys, self.vals, repeat(c), 0,
-                                  "a product", InputError),
+        return self._with(*kept(self.keys, [v * c for v in self.vals], 0,
+                                InputError, "a product"),
                           self.truncation_order)
 
     __rmul__ = __mul__
@@ -351,7 +364,8 @@ class GenSeries(LatticeValues):
     exponents off a single lattice; GenSeries.keyed takes keys directly.
     truncation_order, when not None, records the order beyond which terms
     are an unrepresented remainder (a truncated transcendental jet). A
-    basepoint, order or term that is no finite number raises InputError.
+    basepoint, order or term that is no finite number, or terms that are
+    not a sequence of pairs, raise InputError.
     """
 
     _place = "phase"

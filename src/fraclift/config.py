@@ -29,11 +29,11 @@ DEFAULT_ORDER = 16
 # integer power of polynomials may hold at most 2 MAX_JET_ORDER + 1 terms.
 MAX_JET_ORDER = 1024
 
-# How many entries each per-lattice plan cache keeps (coeffseq.rational,
-# rl, lifted and gamma.lattice_chain): the exact-rational work a series call
-# needs once per lattice and order, least recently used dropped first. A
-# workload meets a few hundred lattices and orders; 1024 entries of each
-# plan take well under 1 MB.
+# How many entries each per-lattice plan cache keeps (coeffseq.rational and
+# the float entry's phase, rl, lifted and gamma.lattice_scaled): the
+# exact-rational work a series call needs once per lattice and order, least
+# recently used dropped first. A workload meets a few hundred lattices and
+# orders; 1024 entries of each plan take well under 1 MB.
 PLAN_CACHE = 1024
 
 

@@ -61,13 +61,17 @@ integer lattice takes the same path: each step of its table is a scalar
 kernel value, an exact falling factorial rounded once, so Gamma(n) and
 1/Gamma(n) read the doubles of (n-1)! and 1/(n-1)!, and a ratio under an
 integer order the scalar kernel's values, bit for bit. The series layers
-pass c and k to lattice_chain as ints, building no Fraction.
+pass c and k as ints, building no Fraction, and their value column to
+lattice_scaled, which multiplies each value by its factor as it reads the
+table: keys wholly on the table take one slice (consecutive keys) or one
+lookup each, and no factor list is built for them.
 """
 
-import bisect
 import functools
 import math
 import sys
+from bisect import bisect_left, bisect_right
+from operator import mul
 
 from . import config
 from .coeffseq import finite_float
@@ -85,6 +89,7 @@ __all__ = [
     "lattice_poles",
     "gamma_chain",
     "lattice_chain",
+    "lattice_scaled",
 ]
 
 _EXP_OVERFLOW = 709.782712893384  # log(DBL_MAX)
@@ -292,7 +297,8 @@ _CHAIN_KINDS = {"gamma": (1, 0), "recip": (0, 1), "ratio": (1, 1)}
 # function of the keys off the table (a ratio's a closure on the exact order
 # and the twins of its phase, no perturbation in it) and the table's lattice,
 # reduced by gcd(P, Q, K), with the index shift of its keys. The perturbation
-# is applied to each call's values after the table is read.
+# is applied to each call's factors after the table is read, before they
+# multiply the call's values.
 _SPAN = 4096
 _CEILING = 1 << 16
 _tables = {}
@@ -312,7 +318,7 @@ def pole_top(p, q):
 def poles(top, keys):
     """How many of the ascending integer keys lie at or below top, a
     pole_top: the leading keys on the poles."""
-    return 0 if top is None else bisect.bisect_right(keys, top)
+    return 0 if top is None else bisect_right(keys, top)
 
 
 def lattice_poles(p, q, keys):
@@ -338,18 +344,37 @@ def lattice_chain(P, Q, K, keys, kind):
     stands for; a ratio's scalar cases take the order K/Q and the lattice's
     phase exactly, not as the difference of two rounded doubles. The keys
     that put x, or a ratio's x - K/Q, on a pole lie below the table's floor
-    and get the scalar cases."""
+    and get the scalar cases. This is lattice_scaled on a column of ones,
+    whose products are the factors themselves."""
+    return lattice_scaled(P, Q, K, keys, [1.0] * len(keys), kind)
+
+
+def lattice_scaled(P, Q, K, keys, vals, kind):
+    """[v * f for v, f in zip(vals, lattice_chain(P, Q, K, keys, kind))]:
+    the value column vals, aligned with keys, each value multiplied once by
+    its factor, in one pass over the table where every key lies on it (one
+    slice for consecutive keys). The keys off the table take the scalar
+    cases first, a ratio's factors take the perturbation, and then the
+    column is multiplied; the products are not checked."""
     if not keys:
         return []
     scalar, i, r, q, k = _chain_plan(P, Q, K, kind)
-    lo, vals, j, e = _table(r, q, k, kind, keys, i)
-    mid, d = keys[j:e], i - lo
+    lo, table, j, e = _table(r, q, k, kind, keys, i)
+    d = i - lo
+    if (j == 0 and e == len(keys)
+            and (kind != "ratio" or not config.perturbation())):
+        if keys[-1] - keys[0] == e - 1:  # consecutive keys: one slice
+            return list(map(mul, vals, table[keys[0] + d:keys[-1] + d + 1]))
+        return [v * table[n + d] for n, v in zip(keys, vals)]
+    mid = keys[j:e]
     out = [scalar((n * Q + P) / Q) for n in keys[:j]]
-    out += (vals[mid[0] + d:mid[-1] + d + 1]  # consecutive keys: a slice
+    out += (table[mid[0] + d:mid[-1] + d + 1]
             if mid and mid[-1] - mid[0] == e - j - 1
-            else [vals[n + d] for n in mid])
+            else [table[n + d] for n in mid])
     out += [scalar((n * Q + P) / Q) for n in keys[e:]]
-    return _perturbed(out) if kind == "ratio" else out
+    if kind == "ratio":
+        out = _perturbed(out)
+    return list(map(mul, vals, out))
 
 
 @functools.lru_cache(maxsize=config.PLAN_CACHE)
@@ -378,11 +403,13 @@ def _table(r, Q, K, kind, keys, i):
     # and kind, walked on to the indices n + i of keys[j:e], the keys within
     # its bounds. A new one starts at the anchor: the first index past the
     # poles with x > max(0, k) - 1/2, where |x| + |x - k| is |k| for x
-    # between 0 and k and grows outside
+    # between 0 and k and grows outside. A stored table that needs no walk
+    # is returned as it is
     global _held
     key = (r, Q, K, kind)
     entry = _tables.get(key)
-    if entry is None:
+    stored = entry is not None
+    if not stored:
         a, b = _CHAIN_KINDS[kind]
         t = (2 * max(K, 0) - Q - 2 * r) // (2 * Q) + 1
         tops = [pole_top(p, Q) for p, used in ((r, a), (r - K, b)) if used]
@@ -390,12 +417,13 @@ def _table(r, Q, K, kind, keys, i):
         t = max(t, floor)
         vals = _walk(r, Q, K, kind, t - 1, None, 1, 1)
         entry = (t, vals, floor, t + _SPAN) if vals else (t, [], t, t - 1)
-        _held += len(vals)
     lo, vals, floor, ceil = entry
-    j = bisect.bisect_left(keys, floor - i)
-    e = bisect.bisect_right(keys, ceil - i, j)
+    j = bisect_left(keys, floor - i)
+    e = bisect_right(keys, ceil - i, j)
     down = lo - keys[j] - i if j < e else 0
     up = keys[e - 1] + i - lo - len(vals) + 1 if j < e else 0
+    if stored and down <= 0 and up <= 0:
+        return lo, vals, j, e
     if down > 0:
         more = _walk(r, Q, K, kind, lo, vals[0], down, -1)
         lo, vals = lo - len(more), more[::-1] + vals
@@ -404,14 +432,13 @@ def _table(r, Q, K, kind, keys, i):
         more = _walk(r, Q, K, kind, lo + len(vals) - 1, vals[-1], up, 1)
         vals = vals + more
         ceil = lo + len(vals) - 1 if len(more) < up else ceil
-    if down > 0 or up > 0 or key not in _tables:
-        _held += len(vals) - len(entry[1])
-        if _held > _CEILING:
-            _tables.clear()
-            _held = len(vals)
-        _tables[key] = (lo, vals, floor, ceil)
-    return (lo, vals, bisect.bisect_left(keys, floor - i),
-            bisect.bisect_right(keys, ceil - i))
+    _held += len(vals) - (len(entry[1]) if stored else 0)
+    if _held > _CEILING:
+        _tables.clear()
+        _held = len(vals)
+    _tables[key] = (lo, vals, floor, ceil)
+    return (lo, vals, bisect_left(keys, floor - i),
+            bisect_right(keys, ceil - i))
 
 
 def _walk(r, Q, K, kind, t, v, count, step):

@@ -23,11 +23,14 @@ annihilates exactly the sequences on the negative indices. lift_gen inverts
 projection on series without negative-integer exponents, putting exponent
 n + phase at index n (phase 0) or n + 1 (offset 1 - phase).
 
-Both directions read Gamma along the lattice from gamma.lattice_chain's
-tables, each walked once from one scalar anchor by Pochhammer steps, at
-arguments rounded once from their exact rationals: project divides,
-1/Gamma(t+2) = (1/Gamma(t+1))/(t+1), on t+1 = j + 1 - offset; lift_gen
-multiplies, Gamma(e+2) = (e+1) Gamma(e+1), on e+1 = n + phase + 1. So
+Both directions multiply their value column by Gamma along the lattice in
+one pass, gamma.lattice_scaled, as they read it from the lattice's table,
+walked once from one scalar anchor by Pochhammer steps, at arguments
+rounded once from their exact rationals; coeffseq.kept then drops the
+products below COEF_EPS and refuses a non-finite one. project's table
+divides, 1/Gamma(t+2) = (1/Gamma(t+1))/(t+1), on t+1 = j + 1 - offset;
+lift_gen's multiplies, Gamma(e+2) = (e+1) Gamma(e+1), on e+1 = n + phase
++ 1. So
 a lifted value depends only on its own index. gamma.pole_top
 finds the poles of either lattice with one exact test: project drops those
 indices, and lift_gen refuses a series with a term on one.
@@ -37,7 +40,7 @@ p/q, order k as a checked double) holds k's rational r and the new offset;
 lift_gen's per phase p/q and project's per offset p/q hold the lattice's
 pole top, the key shift and the result's offset or phase. A call keeps the
 work on its keys (the double-range test at its end keys, the pole
-bisection, slicing, the table read and the scaling). Each plan cache keeps
+bisection, slicing and the scaled table read). Each plan cache keeps
 config.PLAN_CACHE entries and holds only ints and Fractions, so no result
 depends on the calls before it.
 """
@@ -49,9 +52,10 @@ from fractions import Fraction
 
 from . import config
 from .coeffseq import GenSeries, LatticeValues, finite_float, fmt17
-from .coeffseq import has_double, kept, rational, read_json, scaled
-from .errors import BasepointError, ExponentError, InputError
-from .gamma import lattice_chain, pole_top, poles
+from .coeffseq import has_double, kept, rational, read_json
+from .errors import BasepointError, ExponentError, GammaOverflowError
+from .errors import InputError
+from .gamma import lattice_scaled, pole_top, poles
 
 
 def _index(j) -> int:
@@ -81,8 +85,8 @@ class LiftedSeq(LatticeValues):
     The constructor cleans its input: integral indices as ints, float
     values, none below COEF_EPS, and an int or Fraction offset or truncation
     order exact, a float one read by `rational`; a basepoint or value that
-    is not a finite double, an index that is not an integer or an offset
-    that is no number raises InputError.
+    is not a finite double, an index that is not an integer, an offset
+    that is no number or values that are not a mapping raise InputError.
     LiftedSeq.keyed takes the values as given."""
 
     _place = "offset"
@@ -96,7 +100,12 @@ class LiftedSeq(LatticeValues):
         self.truncation_order = (None if truncation_order is None
                                  else _exact(truncation_order))
         try:
-            values = {_index(j): float(v) for j, v in (values or {}).items()}
+            items = (values or {}).items()
+        except AttributeError:
+            raise InputError("the lifted values %.60r are not a mapping of "
+                             "index to value" % (values,)) from None
+        try:
+            values = {_index(j): float(v) for j, v in items}
         except (TypeError, ValueError, OverflowError) as exc:
             raise InputError("a lifted value is not a number: %s" % exc) from None
         keys = sorted(values)
@@ -164,11 +173,12 @@ def project(rho: LiftedSeq) -> GenSeries:
         raise ExponentError("an exponent j - offset lies past double range")
     top, m, phase = _project_plan(p, q)
     n = poles(top, keys)
-    keys, vals = keys[n:], rho.vals[n:]
-    rs = lattice_chain(q - p, q, 0, keys, "recip")
+    keys = keys[n:]
+    vals = lattice_scaled(q - p, q, 0, keys, rho.vals[n:], "recip")
     order = rho.truncation_order
     return GenSeries._of(rho.basepoint, phase,
-                         *scaled(keys, vals, rs, m, "a coefficient"),
+                         *kept(keys, vals, m, GammaOverflowError,
+                               "a coefficient"),
                          None if order is None else float(order))
 
 
@@ -194,10 +204,11 @@ def lift_gen(f: GenSeries) -> LiftedSeq:
         raise ExponentError(
             "term at exponent %r has no preimage under projection "
             "(Gamma pole)" % ((keys[0] * q + p) / q))
-    gs = lattice_chain(p + q, q, 0, keys, "gamma")
+    vals = lattice_scaled(p + q, q, 0, keys, f.vals, "gamma")
     order = f.truncation_order
     return LiftedSeq._of(f.basepoint, offset,
-                         *scaled(keys, f.vals, gs, m, "a lifted value"),
+                         *kept(keys, vals, m, GammaOverflowError,
+                               "a lifted value"),
                          None if order is None else rational(order))
 
 

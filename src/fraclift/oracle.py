@@ -52,7 +52,8 @@ import sys
 from . import config
 from .coeffseq import GenSeries, eval_within_reach, finite_float, point
 from .coeffseq import series_eval
-from .errors import EvalDomainError, ExponentError, OracleError
+from .errors import EvalDomainError, ExponentError, InputError
+from .errors import OracleError
 from .rl import rl_series
 
 # The trapezoid steps 2^-1 ... 2^-_LEVELS on |u| <= _U_MAX, and the relative
@@ -193,7 +194,13 @@ def compare(f: GenSeries, k, xs) -> list:
     within its reach there (coeffseq.eval_within_reach). The oracle
     integrates the same coefficients on base point 0 up to x - a, so the
     integrand's distance to the base point is t itself, to full relative
-    accuracy, whatever a is; its errors name the point x - a."""
+    accuracy, whatever a is; its errors name the point x - a. xs that is
+    not a sequence raises InputError."""
+    try:
+        xs = list(xs)
+    except TypeError:
+        raise InputError("the comparison points %.60r are not a sequence"
+                         % (xs,)) from None
     g = rl_series(f, k)
     at_zero = GenSeries._of(0.0, f.phase, f.keys, f.vals)
     rows = []

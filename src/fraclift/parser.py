@@ -245,7 +245,11 @@ class _Parser:
 
 def parse(text: str):
     """Parse an expression into its AST of tag tuples (see above); errors
-    carry line and column."""
+    carry line and column. An argument that is not text (None, bytes)
+    raises ParseError."""
+    if not isinstance(text, str):
+        raise ParseError("an expression must be text, not %s"
+                         % type(text).__name__)
     p = _Parser(_tokenize(text))
     try:
         node = p.expr()
@@ -734,7 +738,7 @@ def _expand(node, basepoint, order):
         return _SVal({0: p, 1: q}, den=q) if p else _SVal({0: 1}, base=1)
     if tag == "neg":
         return _scale(_expand(node[1], basepoint, order), -1)
-    if tag == "call":
+    if tag == "call" and node[1] in _INTRINSICS:
         return _compose_intrinsic(node[1], _expand(node[2], basepoint, order),
                                   order)
     if tag in _CHAIN:
@@ -745,8 +749,8 @@ def _expand(node, basepoint, order):
             chain.append(node)
             node = node[1]
         acc = _expand(node, basepoint, order)
-        for tag, _, right in reversed(chain):
-            b = _expand(right, basepoint, order)
+        for link in reversed(chain):  # by index: a short node is no tree
+            tag, b = link[0], _expand(link[2], basepoint, order)
             acc = (_mul(acc, b) if tag == "*"
                    else _add(acc, b, 1 if tag == "+" else -1))
         return acc
@@ -841,9 +845,14 @@ def _expand_pow(base_node, expo_node, basepoint, order):
 
 def _expanded(expr, basepoint, order, *finish):
     """[fn(val, basepoint, m) for fn in finish]: val the working value of
-    expr (AST or text) at the base point, m = floor(val.base)."""
-    if isinstance(expr, str):
+    expr (AST or text) at the base point, m = floor(val.base). An expr that
+    is neither, or a tuple not of parse's shape, raises InputError."""
+    tree = not isinstance(expr, str)
+    if not tree:
         expr = parse(expr)
+    elif type(expr) is not tuple:
+        raise InputError("an expression must be text or a tree from parse, "
+                         "not %s" % type(expr).__name__)
     if order is None:
         order = config.DEFAULT_ORDER
     elif not isinstance(order, int):
@@ -867,6 +876,10 @@ def _expanded(expr, basepoint, order, *finish):
                              "double range") from None
     except RecursionError:
         raise ExpansionError("expression nested too deeply") from None
+    except (TypeError, IndexError, AttributeError, KeyError):
+        if not tree:  # parse's trees have its shape
+            raise
+        raise InputError("%.60r is not an expression tree" % (expr,)) from None
 
 
 def _rounded(val, m):
@@ -900,8 +913,9 @@ def to_series(expr, basepoint: float = 0.0, order: int | None = None) -> GenSeri
     series at the base point. `order` bounds intrinsic jet expansions
     (config.DEFAULT_ORDER when None, at most config.MAX_JET_ORDER); exact
     algebraic content (polynomials, verbatim power terms) is kept verbatim.
-    A base point that is no finite number raises InputError, and an order
-    that is no finite number ExponentError."""
+    A base point that is no finite number, or an expr that is neither text
+    nor a tree of parse's shape, raises InputError, and an order that is no
+    finite number ExponentError."""
     return _expanded(expr, basepoint, order, _series)[0]
 
 

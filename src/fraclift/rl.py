@@ -15,20 +15,22 @@ rl_series works on keys, with k read as the rational it stands for
 Gamma arguments e+1 and e+1-k of one series lie the same exact distance
 from the integers, so gamma.lattice_poles decides each lattice's poles with
 one test, and the annihilated terms are one run of keys, sliced off the
-key and value columns unevaluated. gamma.lattice_chain reads the other
-ratios from the lattice's table, stepped once from one anchor by R(e+1) =
-R(e) * (e+1)/(e+1-k), and gives the keys before that run (joint and
-numerator poles) the scalar cases above; coeffseq.scaled multiplies the
-value column by the ratios. The truncation order N - k is rounded once
-from the rationals N and k stand for, as on the lifted route. rl_term
-evaluates a single term, and rl_kernel_predicate tests one exponent: the
-scalar reference.
+key and value columns unevaluated. gamma.lattice_scaled multiplies the
+other coefficients by their ratios in one pass as it reads them from the
+lattice's table, stepped once from one anchor by R(e+1) = R(e) *
+(e+1)/(e+1-k), and gives the keys before that run (joint and numerator
+poles) the scalar cases above; coeffseq.kept then drops the products below
+COEF_EPS and refuses a non-finite one. The truncation order N - k is
+rounded once from the rationals N and k stand for, as on the lifted route.
+rl_term evaluates a single term, refusing a non-finite coefficient as
+rl_series does, and rl_kernel_predicate tests one exponent: the scalar
+reference.
 
 The exact work that depends only on the lattice and the order is a plan,
 cached per (phase p/q, order k as a checked double): k's rational r, the
 pole tops of e+1 and e+1-k, the ratio chain's lattice and the result's key
 shift and phase. A call keeps the work on its keys: the 2^52 test at the two
-end keys, the pole bisections, slicing, the table read and the scaling.
+end keys, the pole bisections, slicing and the scaled table read.
 Each plan cache keeps config.PLAN_CACHE entries and holds only ints and
 Fractions, so no result depends on the calls before it.
 
@@ -39,12 +41,13 @@ two orders can annihilate a term that the summed order keeps.
 from __future__ import annotations
 
 import functools
+import math
 from fractions import Fraction
 
 from . import config
-from .coeffseq import GenSeries, finite_float, rational, scaled
-from .errors import ExponentError, InputError
-from .gamma import gamma_ratio, is_pole, lattice_chain, pole_top, poles
+from .coeffseq import GenSeries, finite_float, kept, rational
+from .errors import ExponentError, GammaOverflowError, InputError
+from .gamma import gamma_ratio, is_pole, lattice_scaled, pole_top, poles
 
 # From 2^52 on every double is an integer, so a pole test there cannot tell.
 _INTEGRAL_FLOATS = 2.0**52
@@ -83,15 +86,19 @@ def rl_term(b, alpha, k):
     term is kernel-annihilated.
     Raises GammaPoleError when alpha is a negative integer and k is not an
     integer (numerator pole; undefined coefficient), GammaOverflowError
-    when the coefficient's Gamma ratio exceeds double range, ExponentError
-    when alpha or k is no finite number or |alpha+1-k| >= 2^52, and
-    InputError when b is no finite number."""
+    when the coefficient or its Gamma ratio exceeds double range, as
+    rl_series raises, ExponentError when alpha or k is no finite number or
+    |alpha+1-k| >= 2^52, and InputError when b is no finite number."""
     b = finite_float(b, InputError, "coefficient")
     alpha, k = _exponent_and_order(alpha, k)
     ratio = gamma_ratio(alpha + 1.0, _kernel_arg(alpha, k))
     if ratio == 0.0:
         return None
-    return alpha - k, b * ratio
+    c = b * ratio
+    if not math.isfinite(c):
+        raise GammaOverflowError("a coefficient is %r, not a finite double"
+                                 % c)
+    return alpha - k, c
 
 
 @functools.lru_cache(maxsize=config.PLAN_CACHE)
@@ -140,9 +147,9 @@ def rl_series(f: GenSeries, k) -> GenSeries:
     vals = f.vals
     if lo < hi:
         keys, vals = keys[:lo] + keys[hi:], vals[:lo] + vals[hi:]
-    ratios = lattice_chain(P, Q, K, keys, "ratio")
+    vals = lattice_scaled(P, Q, K, keys, vals, "ratio")
     order = (None if f.truncation_order is None
              else float(rational(f.truncation_order) - r))
     return GenSeries._of(f.basepoint, phase,
-                         *scaled(keys, vals, ratios, m, "a coefficient"),
-                         order)
+                         *kept(keys, vals, m, GammaOverflowError,
+                               "a coefficient"), order)

@@ -11,17 +11,23 @@ from fraclift import config, coeffseq, lifted, rl
 from fraclift.gamma import is_pole
 from fraclift.verify import seq_residual, series_residual
 
-# Every per-lattice plan cache: rational's, rl's, shift's, lift_gen's,
-# project's and lattice_chain's (the gamma module, which the package's
-# `gamma` function shadows as an attribute)
-PLANS = (coeffseq._rational, rl._plan, lifted._shift_plan, lifted._lift_plan,
-         lifted._project_plan,
-         importlib.import_module("fraclift.gamma")._chain_plan)
+# the gamma module, which the package's `gamma` function shadows as an
+# attribute
+gamma_mod = importlib.import_module("fraclift.gamma")
+
+# Every per-lattice plan cache: rational's, the float entry's phase, rl's,
+# shift's, lift_gen's, project's and lattice_scaled's
+PLANS = (coeffseq._rational, coeffseq._phase, rl._plan, lifted._shift_plan,
+         lifted._lift_plan, lifted._project_plan, gamma_mod._chain_plan)
 
 
 def clear_plans():
+    """Every plan cache and every Gamma table emptied: the next call starts
+    cold."""
     for plan in PLANS:
         plan.cache_clear()
+    gamma_mod._tables.clear()
+    gamma_mod._held = 0
 
 
 def plan_sizes():

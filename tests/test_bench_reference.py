@@ -41,8 +41,9 @@ def test_seed_one_passes_the_reference_checks(workload):
 
 
 def test_a_second_round_reproduces_the_first():
-    # the round rule of worker.py: round 0 runs on cold plans, round 1 on
-    # the plans round 0 built, and their outputs must be repr-identical
+    # the round rule of worker.py: round 0 runs on cold plans and Gamma
+    # tables, round 1 on those round 0 built, and their outputs must be
+    # repr-identical
     make, prepare, run, _ = worker.WORKLOADS["series_small"]
     inputs = [prepare(req) for req in make(0)]
     rounds = []

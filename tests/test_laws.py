@@ -59,6 +59,8 @@ def test_d1_d2(rho, a, b):
 
 @fuzz
 @given(lifted, st.one_of(orders, st.floats(-3.0, 3.0)))
+# a tiny order whose negation, read through its floor, rounds to 0
+@example(LiftedSeq(0.0, 0, {0: 1.0}), 9.388365368576758e-16)
 def test_d3(rho, a):
     assert d3(rho, a) == 0.0
 

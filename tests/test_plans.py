@@ -1,9 +1,9 @@
-"""The per-lattice plans behind rational, rl_series, shift, lift_gen,
-project and gamma.lattice_chain: each call's exact-rational work, cached
-per lattice and order. A result is the same bit for bit whether the plans
-are cold or warm, each cache keeps at most config.PLAN_CACHE entries, the
-perturbation is applied after the plans are read, and an input refused on
-entry builds no plan."""
+"""The per-lattice plans behind rational, the float entry's phase,
+rl_series, shift, lift_gen, project and gamma.lattice_scaled: each call's
+exact-rational work, cached per lattice and order. A result is the same bit
+for bit whether the plans and the Gamma tables are cold or warm, each cache
+keeps at most config.PLAN_CACHE entries, the perturbation is applied after
+the plans are read, and an input refused on entry builds no plan."""
 
 import math
 from fractions import Fraction
@@ -69,6 +69,7 @@ def test_each_cache_stays_within_its_bound():
         k = 0.001 * j + 0.0005  # a distinct double and rational per j
         rl_series(f, k)
         shift(rho, k)
+        GenSeries(0.0, [(k, 1.0)])  # a phase read from a distinct double
         # distinct lattices p/q: q = j + 2 for lift_gen, project and chains
         phase = Fraction(1, j + 2)
         g = GenSeries.keyed(0.0, phase, {0: 1.0})
