@@ -18,8 +18,14 @@ constructor GenSeries(basepoint, pairs, order), series_from_json, and each
 real-exponent literal of an expression (the parser). The exponent of
 smallest magnitude fixes the phase, read by `rational` as the fraction it
 stands for, and config.INT_TOL decides whether each other exponent lies on
-that lattice (a member takes the nearest key). Every operation after that
-builds its result from keys and exact rational phases.
+that lattice (a member takes the nearest key). The entry builds the
+lattice's own doubles for the rounded keys, the list .exponents() gives,
+and one list comparison with the input exponents settles membership where
+every key lies within 2^21 of 0; only a column that differs, or keys past
+that bound, take the tolerance scan. Where no key merged and no value was
+dropped, that checked list is kept as the series' exponent column, which
+.terms reads. Every operation after that builds its result from keys and
+exact rational phases.
 
 series_eval sums a series by Horner's rule where its keys are evenly
 spaced, every g-th integer (g = 1: consecutive keys, a Taylor jet; g = 2:
@@ -34,7 +40,9 @@ found once per series, so every evaluation at a point gives the same double.
 Coefficient sequences (a jet's entries f^(i)(a), on the integers) are
 lifted sequences at offset 0. Both kinds share one class body,
 LatticeValues, and every computed value one step, `kept`, which refuses a
-value that is not a finite double and drops those below COEF_EPS.
+value that is not a finite double and drops those below COEF_EPS. A column
+is tested finite by one C-level sum; it is scanned value by value only
+where that sum is not finite.
 """
 
 from __future__ import annotations
@@ -73,6 +81,13 @@ _DOUBLE_BOUND = 2**1024 - 2**970
 
 # The largest relative size of a truncated series' last term where it is read
 _TAIL_TOL = 1e-8
+
+# The largest key magnitude at which an exponent equal to its key's lattice
+# double is a lattice member without the tolerance scan: below it a half-ulp
+# of the exponent, and of the exponent less the phase, is at most 2^-32, so
+# |fl(e - phase) - n| stays under config.INT_TOL. Past it equality proves
+# nothing and the scan decides.
+_EXACT_KEYS = 2**21
 
 def fmt17(v):
     """A float with 17 significant digits, which reads back exactly: the
@@ -141,11 +156,21 @@ def has_double(q, *ns) -> bool:
     return all(-bound < n < bound for n in ns)
 
 
+def _not_finite(column):
+    # the first value of a float column that is not finite, else None: one
+    # C-level sum, and a scan only where the sum is not finite, to name the
+    # bad value or clear finite values whose sum overflowed
+    if math.isfinite(sum(column)):
+        return None
+    return next((v for v in column if not math.isfinite(v)), None)
+
+
 def kept(keys, vals, m, error, what):
     """(keys moved by m, vals) without the values below COEF_EPS in
-    magnitude; a value that is not a finite double raises error."""
-    if not all(map(math.isfinite, vals)):
-        bad = next(v for v in vals if not math.isfinite(v))
+    magnitude; a value that is not a finite double raises error. The values
+    are tested finite by their sum, and scanned only when it is not."""
+    bad = _not_finite(vals)
+    if bad is not None:
         raise error("%s is %r, not a finite double" % (what, bad))
     if m:
         keys = [n + m for n in keys]
@@ -212,13 +237,22 @@ def _phase(x):
     return Fraction(r.numerator % r.denominator, r.denominator)
 
 
+def _doubles(keys, p, q):
+    # the exponents n + p/q of keys as correctly rounded doubles
+    if q == 1:
+        return list(map(float, keys))
+    return [(n * q + p) / q for n in keys]
+
+
 def _lattice(pairs, phase=None):
-    """(phase, keys, vals) for (exponent, coefficient) pairs read as floats:
-    the float entry. Unless given, the phase is read from the exponents; an
-    exponent within config.INT_TOL of n + phase joins key n, and equal keys
-    add in input order. Raises ExponentError for a non-finite exponent,
-    LatticeError for one off the lattice and InputError for a coefficient
-    that is not a finite double or pairs that are no sequence of pairs."""
+    """(phase, keys, vals, exps) for (exponent, coefficient) pairs read as
+    floats: the float entry. Unless given, the phase is read from the
+    exponents; an exponent within config.INT_TOL of n + phase joins key n,
+    and equal keys add in input order. exps is the keys' lattice doubles
+    where no key merged and no value was dropped, else None. Raises
+    ExponentError for a non-finite exponent, LatticeError for one off the
+    lattice and InputError for a coefficient that is not a finite double or
+    pairs that are no sequence of pairs."""
     if not isinstance(pairs, (list, tuple)):
         try:
             pairs = list(pairs)
@@ -226,7 +260,7 @@ def _lattice(pairs, phase=None):
             raise InputError("the terms %s are not a sequence of pairs"
                              % _shown(pairs)) from None
     if not pairs:
-        return Fraction(0), [], []
+        return Fraction(0), [], [], None
     # two lists, no n-tuples: CPython keeps up to 2000 freed tuples of each
     # length below 20, which a column tuple per series would fill
     try:
@@ -234,16 +268,22 @@ def _lattice(pairs, phase=None):
         vals = [float(c) for _, c in pairs]
     except (TypeError, ValueError, OverflowError) as exc:
         raise InputError("a term is not a pair of numbers: %s" % exc) from None
-    if not all(map(math.isfinite, exps)):
-        raise ExponentError("exponent %r is not finite"
-                            % next(e for e in exps if not math.isfinite(e)))
+    bad = _not_finite(exps)
+    if bad is not None:
+        raise ExponentError("exponent %r is not finite" % bad)
     read = phase is None
     if read:
         phase = _phase_of(exps)
-    ph = phase.numerator / phase.denominator
+    p, q = phase.numerator, phase.denominator
+    ph = p / q
     ds = [e - ph for e in exps] if ph else exps
     keys = list(map(float.__round__, ds))  # round(), without its dispatch
-    if max(map(abs, map(sub, ds, keys))) > config.INT_TOL:
+    ascending = all(map(lt, keys, islice(keys, 1, None)))
+    lo, hi = (keys[0], keys[-1]) if ascending else (min(keys), max(keys))
+    lattice = _doubles(keys, p, q)
+    # membership by equality first (_EXACT_KEYS); the scan where it fails
+    if ((lattice != exps or lo < -_EXACT_KEYS or hi > _EXACT_KEYS)
+            and max(map(abs, map(sub, ds, keys))) > config.INT_TOL):
         off = [e for e, d, n in zip(exps, ds, keys)
                if abs(d - n) > config.INT_TOL]
         first = min(exps, key=abs)
@@ -257,13 +297,15 @@ def _lattice(pairs, phase=None):
                 % (first, _SLACK * abs(first)))
         raise LatticeError("exponents %r and %r lie on different lattices"
                            % (first, off[0]))
-    if not all(map(lt, keys, islice(keys, 1, None))):
+    if not ascending:
         # out of order or repeated: sort, adding equal keys in input order
         acc = dict.fromkeys(sorted(keys), 0.0)
         for n, c in zip(keys, vals):
             acc[n] += c
-        keys, vals = list(acc), list(acc.values())
-    return (phase, *kept(keys, vals, 0, InputError, "a coefficient"))
+        keys, vals, lattice = list(acc), list(acc.values()), None
+    size = len(vals)
+    keys, vals = kept(keys, vals, 0, InputError, "a coefficient")
+    return phase, keys, vals, lattice if len(vals) == size else None
 
 
 class LatticeValues:
@@ -373,9 +415,10 @@ class GenSeries(LatticeValues):
     _noun = "series"
     _terms = None  # .terms, built on the first read
     _plan = None  # series_eval's Horner step and end exponents, likewise
+    _exps = None  # the float entry's checked exponent column, if it holds
 
     def __init__(self, basepoint, terms=(), truncation_order=None):
-        self.phase, self.keys, self.vals = _lattice(terms)
+        self.phase, self.keys, self.vals, self._exps = _lattice(terms)
         self.basepoint = finite_float(basepoint, InputError, "basepoint")
         self.truncation_order = (
             None if truncation_order is None
@@ -390,15 +433,15 @@ class GenSeries(LatticeValues):
             # from a list: tuple() of an iterator takes a length-10 tuple
             # from CPython's free lists and resizes it, so freed ones pile
             # up in the lists of other lengths
-            self._terms = tuple([*zip(self.exponents(), self.vals)])
+            exps = self._exps
+            self._terms = tuple([*zip(
+                self.exponents() if exps is None else exps, self.vals)])
         return self._terms
 
     def exponents(self):
-        """The exponents n + phase as doubles, ascending."""
-        p, q = self.phase.numerator, self.phase.denominator
-        if q == 1:
-            return list(map(float, self.keys))
-        return [(n * q + p) / q for n in self.keys]
+        """The exponents n + phase as doubles, ascending, in a new list."""
+        return _doubles(self.keys, self.phase.numerator,
+                        self.phase.denominator)
 
     def coefficient(self, exponent):
         """The coefficient at the lattice point within config.INT_TOL of
@@ -433,8 +476,11 @@ def series_eval(f: GenSeries, x) -> float:
     dx = 10 would pass 10^320 in dx. Other keys are summed term by term, so
     time and memory follow the term count whatever the key span: a Horner
     pass across uneven gaps costs more than the powers it saves unless the
-    series is evaluated many times, and the caller that does (the
-    quadrature oracle's integrand) meets Taylor jets, evenly spaced.
+    series is evaluated many times. The caller that does, the quadrature
+    oracle's integrand, mostly meets evenly spaced Taylor jets, but not
+    always: x^(1/2) * cos(-x/2 + x^2) has keys 0, 2, 3, ... (cos(-x/2 +
+    x^2) has no x^1 term), so each of its evaluations takes one power per
+    term.
 
     Error (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
     ch. 5): over n terms, at most about (3n + 4) u times sum
@@ -574,8 +620,11 @@ def series_from_json(text: str) -> GenSeries:
             if not 0 <= phase < 1:
                 raise ValueError("phase_exact %s is not in [0, 1)" % phase)
         order = doc.get("truncation_order")
-        return GenSeries._of(finite_float(doc["basepoint"]),
-                             *_lattice(pairs, phase),
-                             None if order is None else finite_float(order))
+        basepoint = finite_float(doc["basepoint"])
+        phase, keys, vals, exps = _lattice(pairs, phase)
+        f = GenSeries._of(basepoint, phase, keys, vals,
+                          None if order is None else finite_float(order))
+        f._exps = exps
+        return f
 
     return read_json(text, "series", read)

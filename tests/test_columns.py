@@ -8,15 +8,27 @@ only the Gamma chain (gamma.lattice_chain, gamma.lattice_poles) and
 `rational` with the library, so a difference is a difference in how the
 columns are built, sliced, scaled or summed. Inputs are shuffled, repeat
 exponents, cancel, fall below COEF_EPS and hit pole and annihilated runs.
+
+The float entry settles membership by comparing the input exponents with
+the lattice's own doubles, and scans the tolerance only where they differ
+or a key lies past 2^21; nudged_pairs reaches that scan. A column is tested
+finite by its sum, and scanned only where the sum is not finite.
 """
 
 import math
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fraclift.coeffseq import GenSeries, rational, series_eval
+from fraclift.coeffseq import (
+    _EXACT_KEYS,
+    GenSeries,
+    rational,
+    series_eval,
+    series_from_json,
+)
 from fraclift.config import COEF_EPS, INT_TOL
 from fraclift.errors import (
     EvalDomainError,
@@ -146,6 +158,16 @@ def bits(values):
     return sorted((n, float(v).hex()) for n, v in values.items())
 
 
+def lattice_terms(f):
+    """f's terms as the lattice gives them, [((n*q + p)/q, c)], in hex."""
+    p, q = f.phase.numerator, f.phase.denominator
+    return [(((n * q + p) / q).hex(), c.hex()) for n, c in zip(f.keys, f.vals)]
+
+
+def hex_terms(f):
+    return [(e.hex(), c.hex()) for e, c in f.terms]
+
+
 def outcome(fn, *args):
     """fn(*args), or the class of the library error it raises."""
     try:
@@ -182,9 +204,42 @@ def orders(phase):
                                       Fraction(1, 3), Fraction(3, 4)]))
 
 
-@settings(max_examples=300, deadline=None)
-@given(float_pairs())
-def test_float_entry_matches_the_dict_loop(pairs):
+# keys near and past 2^21, where equal doubles stop proving membership
+FAR_KEYS = [_EXACT_KEYS - 1, _EXACT_KEYS, _EXACT_KEYS + 1, -_EXACT_KEYS,
+            -_EXACT_KEYS - 1, 2**22 + 5, 2**30, 2**33, -2**33, 2**40, 2**52]
+
+
+@st.composite
+def nudged_pairs(draw):
+    """Pairs on one lattice, some exponents moved off their doubles: by 1-4
+    ulps, by up to INT_TOL and by 2 INT_TOL; keys at and past +-2^21; and
+    now and then one exponent that is not finite among finite ones."""
+    phase = draw(st.sampled_from(PHASES))
+    keys = draw(st.lists(st.one_of(st.integers(-12, 30),
+                                   st.sampled_from(FAR_KEYS)),
+                         min_size=1, max_size=12))
+    pairs = []
+    for n in keys:
+        e = float(n + phase)
+        move = draw(st.sampled_from(["none", "ulps", "tol", "twice"]))
+        if move == "ulps":
+            to = draw(st.sampled_from([-math.inf, math.inf]))
+            for _ in range(draw(st.integers(1, 4))):
+                e = math.nextafter(e, to)
+        elif move == "tol":
+            e += draw(st.floats(-INT_TOL, INT_TOL))
+        elif move == "twice":
+            e += draw(st.sampled_from([-2 * INT_TOL, 2 * INT_TOL]))
+        pairs.append((e, draw(COEFS)))
+    if draw(st.integers(0, 15)) == 0:
+        bad = draw(st.sampled_from([math.inf, -math.inf, math.nan]))
+        pairs.insert(draw(st.integers(0, len(pairs))), (bad, 1.0))
+    return pairs
+
+
+def check_float_entry(pairs):
+    """GenSeries(0.0, pairs) against ref_lattice, bit for bit: the phase,
+    keys and coefficients, and .terms as the lattice's doubles."""
     want = outcome(ref_lattice, pairs)
     got = outcome(GenSeries, 0.0, pairs)
     if isinstance(want, type):
@@ -194,6 +249,118 @@ def test_float_entry_matches_the_dict_loop(pairs):
     assert got.phase == phase
     assert bits(got.coeffs) == bits(coeffs)
     assert got.keys == sorted(coeffs)
+    assert hex_terms(got) == lattice_terms(got)
+
+
+@settings(max_examples=300, deadline=None)
+@given(float_pairs())
+def test_float_entry_matches_the_dict_loop(pairs):
+    check_float_entry(pairs)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(nudged_pairs())
+def test_nudged_float_entry_matches_the_dict_loop(pairs):
+    check_float_entry(pairs)
+
+
+def test_keys_near_powers_of_two_match_the_dict_loop():
+    # past 2^21 an exponent can equal its key's lattice double and still
+    # lie off the lattice by more than INT_TOL once the phase is taken off
+    # (2^30 + 1/3: 1.2e-7), so equality alone must not admit it
+    for k in range(19, 54):
+        for n in (2**k - 1, 2**k, 2**k + 1):
+            for sign in (1, -1):
+                for phase in PHASES:
+                    e = float(sign * n + phase)
+                    check_float_entry([(e, 1.0)])
+                    check_float_entry([(float(phase), 1.0), (e, 2.0)])
+
+
+def test_exact_key_bound_keeps_members_within_int_tol():
+    # an exponent e below 2 _EXACT_KEYS in magnitude, and e - phase, each
+    # round by at most half an ulp; together with the phase's rounding they
+    # must stay within INT_TOL of the key
+    assert math.ulp(2.0 * _EXACT_KEYS) / 2 + 2.0**-53 <= INT_TOL
+
+
+class TestFiniteColumns:
+    """Columns are tested finite by their sum: finite values whose sum
+    overflows pass, and a column with a non-finite value among finite ones
+    is refused with a message naming its first such value."""
+
+    def test_overflowing_sums_of_finite_values_pass(self):
+        big = {0: 1e308, 1: 1e308}
+        f = GenSeries(0.0, [(0.0, 1e308), (1.0, 1e308)])
+        assert dict(f.coeffs) == big
+        assert dict(LiftedSeq(0.0, 0, big).values) == big
+        assert dict(rl_series(f, 0.0).coeffs) == big
+        assert dict(project(LiftedSeq(0.0, 0, big)).coeffs) == big
+        g = GenSeries(0.0, [(1e308, 1.0), (1.7e308, 2.0)])
+        assert g.terms == ((1e308, 1.0), (1.7e308, 2.0))
+
+    @pytest.mark.parametrize("make, error, message", [
+        (lambda: GenSeries(0.0, [(0.0, 1.0), (1.0, math.nan),
+                                 (2.0, -math.inf)]),
+         InputError, "a coefficient is nan, not a finite double"),
+        (lambda: GenSeries(0.0, [(0.0, 1.0), (-math.inf, 1.0),
+                                 (math.nan, 2.0)]),
+         ExponentError, "exponent -inf is not finite"),
+        (lambda: GenSeries(0.0, [(0.0, 1.0), (math.nan, 1.0),
+                                 (math.inf, 2.0)]),
+         ExponentError, "exponent nan is not finite"),
+        (lambda: LiftedSeq(0.0, 0, {0: 1.0, 1: -math.inf, 2: math.nan}),
+         InputError, "a lifted value is -inf, not a finite double"),
+        (lambda: rl_series(GenSeries(0.0, [(5.0, 1.0), (10.0, 1e308)]), 5.0),
+         GammaOverflowError, "a coefficient is inf, not a finite double"),
+        (lambda: project(LiftedSeq(0.0, 0.5, {-170: 1e308, 0: 1.0})),
+         GammaOverflowError, "a coefficient is inf, not a finite double"),
+    ], ids=["coefficient", "exponent-inf", "exponent-nan", "lifted-value",
+            "rl_series", "project"])
+    def test_a_non_finite_value_is_named(self, make, error, message):
+        with pytest.raises(error) as exc:
+            make()
+        assert str(exc.value) == message
+
+
+class TestEntryColumn:
+    """A float-entry series' .terms are the lattice's doubles of its keys,
+    [((n*q + p)/q, c)], wherever the entry kept its checked column and
+    wherever it did not."""
+
+    @pytest.mark.parametrize("pairs", [
+        [(-0.0, 1.0), (1.0, 2.0)],  # -0.0 reads back as 0.0
+        [(1.0, 1.0), (0.0, 3.0), (1.0, 2.0)],  # merged equal keys
+        [(0.0, 1e-301), (1.0, 1.0), (2.0, -5e-324)],  # values dropped
+        [(0.0, 1.0), (1.0, 2.0), (3.0, 4.0)],  # phase 0
+        [(1 / 3, 1.0), (4 / 3, 2.0), (10 / 3, 4.0)],  # phase 1/3
+        [(-2 / 3, 1.0), (1 / 3, 2.0), (1 / 3, 4.0), (4 / 3, 1e-305)],
+    ])
+    def test_terms_are_the_lattice_doubles(self, pairs):
+        f = GenSeries(0.0, pairs)
+        assert hex_terms(f) == lattice_terms(f)
+
+    def test_negative_zero_exponent_reads_as_zero(self):
+        text = ('{"basepoint": 0, "terms": [{"exp": -0.0, "coef": 1.0}, '
+                '{"exp": 1.0, "coef": 2.0}]}')
+        for f in (GenSeries(0.0, [(-0.0, 1.0), (1.0, 2.0)]),
+                  series_from_json(text)):
+            assert f.terms[0][0].hex() == (0.0).hex()
+            assert f.exponents()[0].hex() == (0.0).hex()
+            assert hex_terms(f) == lattice_terms(f)
+
+    def test_exponents_returns_a_new_list(self):
+        for pairs in ([(0.0, 1.0), (1.0, 2.0)], [(1 / 3, 1.0), (4 / 3, 2.0)]):
+            f = GenSeries(0.0, pairs)
+            want = lattice_terms(f)
+            es = f.exponents()
+            es[0] = 99.0
+            es.append(7.0)
+            assert f.exponents() == [float.fromhex(e) for e, _ in want]
+            assert hex_terms(f) == want
+            es = f.exponents()
+            es[1] = -1.0
+            assert hex_terms(f) == want
 
 
 @settings(max_examples=300, deadline=None)
