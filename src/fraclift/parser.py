@@ -16,7 +16,8 @@ value. It may be real on a constant or on any subexpression equal to x - a,
 a the expansion base point (x at a = 0; x - 1/2 or -0.5 + x at a = 0.5), and
 a nonnegative integer on any other. A product or power of polynomials that
 could hold more than 2 config.MAX_JET_ORDER + 1 terms is refused before it
-is computed. Division is by nonzero constants only, not by one that is
+is computed. The tokenizer keeps where each token starts, and the line and
+column are counted from it only for an error. Division is by nonzero constants only, not by one that is
 constant only because the jet order cut its x off, and such a base takes no
 negative or real power either. So every expressible function is a
 single-lattice generalized power series.
@@ -34,11 +35,19 @@ stripped of the factor it shares with den by one gcd. An exact value of
 infinite order, a polynomial, holds Taylor numerators A_n / den instead,
 which carry no n!: polynomials add and multiply as plain integer
 convolutions, the same loops without the binomials, and one takes its n!
-at its first sum or product with a jet. A factor that is one term at its
-base, such as x^p or a constant, only relabels or scales the other. A sum
-takes the lower base and moves the other operand's keys up, by falling
-factorials in derivative form, over the least common den and scale; a
-constant divisor scales den by its integer ratio. No Fraction is built and
+at its first sum or product with a jet. A factor that is one term at key
+0, such as x^p or a constant, takes none of the product's bookkeeping: the
+other factor keeps its keys, relabelled to the product's base, and its
+integers take the term's coefficient (_relabel). A subtree with no x and no
+call folds once into its value, an exact rational as an integer pair or,
+where the working values would hold one, a double, and meets a working
+value only where it scales, adds to or divides one. A float constant in a
+run of products waits until the run's other products are done and scales
+their product once, so exact products cancel before anything rounds:
+2^0.5*exp(x)*sin(x) holds no x^8. A sum takes the lower base and moves the
+other operand's keys up, by falling factorials in derivative form, over the
+least common den and scale; a constant divisor scales den by its integer
+ratio. No Fraction is built and
 no gcd taken per coefficient (D. E. Knuth, The Art of Computer Programming,
 vol. 2, sec. 4.5.1), and a jet's integers carry no N!/n!, as Taylor
 numerators over one denominator would. Each coefficient rounds to a double
@@ -51,8 +60,10 @@ nonzero u0), or a jet whose keys would span more than _KEYS
 in one fixed order. Exponents are exact too: coeffseq.rational reads each
 power of x - a once, and a working value keeps an exact base exponent and
 integer keys n, so its exponents base + n share one lattice by
-construction; products add bases and orders exactly, and the series takes
-its phase as the base mod 1.
+construction; products add bases and orders exactly, on their integer
+ratios, into an int where the sum is whole, so no Fraction arithmetic runs
+on them and no finite order meets math.inf; the series takes its phase as
+the base mod 1.
 
 An intrinsic of a jet u = u0 + v (v without constant term) to order N is not
 composed from the Taylor polynomial of the intrinsic, which costs O(N^3)
@@ -105,28 +116,28 @@ _INTRINSICS = ("exp", "sin", "cos")
 #     ("num", value)  ("x",)  (op, lhs, rhs) for op in + - * / ^
 #     ("neg", operand)  ("call", name, arg)
 #
-# Tokens are tuples too: (kind, text, value, line, column), kind one of
-# num, name, op and end.
+# The tokens are two columns: their kinds, the operator itself for
+# + - * / ^ ( ), else num, name or end; and (text, value, start) tuples,
+# start the index in the text where the token begins. Line and column are
+# counted from it only where an error names them.
+
+_OPERATORS = "+-*/^()"
 
 
 def _tokenize(text):
-    tokens = []
-    line = 1
-    col = 1
+    kinds, tokens = [], []
     i = 0
     n = len(text)
     while i < n:
         ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
+        if ch in _OPERATORS:
+            kinds.append(ch)
+            tokens.append((ch, 0.0, i))
             i += 1
-            continue
-        if ch.isspace():
-            col += 1
+        elif ch.isspace():
             i += 1
-            continue
-        if ch.isdigit() or (ch == "." and i + 1 < n and text[i + 1].isdigit()):
+        elif ch.isdigit() or (ch == "." and i + 1 < n
+                              and text[i + 1].isdigit()):
             j = i
             while j < n and (text[j].isdigit() or text[j] == "."):
                 j += 1
@@ -142,105 +153,36 @@ def _tokenize(text):
             try:
                 val = float(lit)
             except ValueError:
-                raise ParseError("bad number %r" % lit, line, col)
+                raise ParseError("bad number %r" % lit,
+                                 *_position(text, i)) from None
             if math.isinf(val):
                 raise ParseError("number %r exceeds double range" % lit,
-                                 line, col)
-            tokens.append(("num", lit, val, line, col))
-            col += j - i
+                                 *_position(text, i))
+            kinds.append("num")
+            tokens.append((lit, val, i))
             i = j
-            continue
-        if ch.isalpha():
+        elif ch.isalpha():
             j = i
             while j < n and text[j].isalnum():
                 j += 1
-            tokens.append(("name", text[i:j], 0.0, line, col))
-            col += j - i
+            kinds.append("name")
+            tokens.append((text[i:j], 0.0, i))
             i = j
-            continue
-        if ch in "+-*/^()":
-            tokens.append(("op", ch, 0.0, line, col))
-            col += 1
-            i += 1
-            continue
-        raise ParseError("unexpected character %r" % ch, line, col)
-    tokens.append(("end", "", 0.0, line, col))
-    return tokens
+        else:
+            raise ParseError("unexpected character %r" % ch,
+                             *_position(text, i))
+    kinds.append("end")
+    tokens.append(("", 0.0, n))
+    return kinds, tokens
+
+
+def _position(text, i):
+    """(line, column) of the index i, both from 1."""
+    return text.count("\n", 0, i) + 1, i - text.rfind("\n", 0, i)
 
 
 # --------------------------------------------------------------------------
 # Parser (recursive descent)
-
-
-class _Parser:
-    def __init__(self, tokens):
-        self.tokens = tokens
-        self.pos = 0
-
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def advance(self):
-        tok = self.tokens[self.pos]
-        if tok[0] != "end":
-            self.pos += 1
-        return tok
-
-    def at_op(self, ops):
-        """The operator text of the next token when it is one of ops."""
-        kind, text = self.peek()[:2]
-        return text if kind == "op" and text in ops else None
-
-    def expect_op(self, text):
-        if self.at_op(text) is None:
-            raise ParseError("expected %r" % text, *self.peek()[3:])
-        return self.advance()
-
-    def expr(self):
-        node = self.term()
-        while op := self.at_op("+-"):
-            self.advance()
-            node = (op, node, self.term())
-        return node
-
-    def term(self):
-        node = self.unary()
-        while op := self.at_op("*/"):
-            self.advance()
-            node = (op, node, self.unary())
-        return node
-
-    def unary(self):
-        if self.at_op("-"):
-            self.advance()
-            return ("neg", self.unary())
-        return self.power()
-
-    def power(self):
-        base = self.atom()
-        if self.at_op("^"):
-            self.advance()
-            return ("^", base, self.unary())  # right-associative
-        return base
-
-    def atom(self):
-        kind, text, value, line, column = self.advance()
-        if kind == "num":
-            return ("num", value)
-        if kind == "name":
-            if text == "x":
-                return ("x",)
-            if text in _INTRINSICS:
-                self.expect_op("(")
-                arg = self.expr()
-                self.expect_op(")")
-                return ("call", text, arg)
-            raise ParseError("unknown identifier %r" % text, line, column)
-        if kind == "op" and text == "(":
-            node = self.expr()
-            self.expect_op(")")
-            return node
-        raise ParseError("expected expression", line, column)
 
 
 def parse(text: str):
@@ -250,15 +192,79 @@ def parse(text: str):
     if not isinstance(text, str):
         raise ParseError("an expression must be text, not %s"
                          % type(text).__name__)
-    p = _Parser(_tokenize(text))
+    kinds, tokens = _tokenize(text)
+    pos = 0
+
+    def error(message, at):
+        return ParseError(message, *_position(text, tokens[at][2]))
+
+    def expect(op):
+        nonlocal pos
+        if kinds[pos] != op:
+            raise error("expected %r" % op, pos)
+        pos += 1
+
+    def expr():
+        nonlocal pos
+        node = term()
+        while (op := kinds[pos]) == "+" or op == "-":
+            pos += 1
+            node = (op, node, term())
+        return node
+
+    def term():
+        nonlocal pos
+        node = unary()
+        while (op := kinds[pos]) == "*" or op == "/":
+            pos += 1
+            node = (op, node, unary())
+        return node
+
+    def unary():
+        nonlocal pos
+        if kinds[pos] == "-":
+            pos += 1
+            return ("neg", unary())
+        return power()
+
+    def power():
+        nonlocal pos
+        base = atom()
+        if kinds[pos] == "^":
+            pos += 1
+            return ("^", base, unary())  # right-associative
+        return base
+
+    def atom():
+        nonlocal pos
+        at, kind = pos, kinds[pos]
+        if kind == "end":
+            raise error("expected expression", at)
+        pos += 1
+        if kind == "num":
+            return ("num", tokens[at][1])
+        if kind == "name":
+            name = tokens[at][0]
+            if name == "x":
+                return ("x",)
+            if name in _INTRINSICS:
+                expect("(")
+                arg = expr()
+                expect(")")
+                return ("call", name, arg)
+            raise error("unknown identifier %r" % name, at)
+        if kind == "(":
+            node = expr()
+            expect(")")
+            return node
+        raise error("expected expression", at)
+
     try:
-        node = p.expr()
+        node = expr()
     except RecursionError:
-        raise ParseError("expression nested too deeply",
-                         *p.peek()[3:]) from None
-    kind, text, _, line, column = p.peek()
-    if kind != "end":
-        raise ParseError("unexpected trailing input %r" % text, line, column)
+        raise error("expression nested too deeply", pos) from None
+    if kinds[pos] != "end":
+        raise error("unexpected trailing input %r" % tokens[pos][0], pos)
     return node
 
 
@@ -275,8 +281,11 @@ class _SVal:
     at its first sum or product with a jet (_jet). A value that holds a
     float has den None and Taylor coefficients, Fraction or float, at
     integer keys n of either sign. All carry the order beyond which terms
-    are unknown (math.inf = exact); the base and a finite order are exact
-    (int or Fraction), so no exponent has two keys."""
+    are unknown: math.inf, the one float it takes, marks an exact value.
+    The base and a finite order are exact, an int where whole, else a
+    Fraction, so no exponent has two keys; both are read by type, never
+    compared with math.inf. A coeffs dict is never changed in place, so
+    values may share one."""
 
     __slots__ = ("base", "coeffs", "order", "den", "scale")
 
@@ -290,13 +299,16 @@ class _SVal:
     def prune(self):
         """Drop the zero coefficients and the keys n past the order, where
         base + n > order."""
-        top = (math.inf if self.order == math.inf
-               else _floor_diff(self.order, self.base))
-        self.coeffs = {n: c for n, c in self.coeffs.items() if c and n <= top}
+        if type(self.order) is float:
+            self.coeffs = {n: c for n, c in self.coeffs.items() if c}
+        else:
+            top = _floor_diff(self.order, self.base)
+            self.coeffs = {n: c for n, c in self.coeffs.items()
+                           if c and n <= top}
         return self
 
     def min_exponent(self):
-        return self.base + min(self.coeffs) if self.coeffs else 0
+        return _plus(self.base, min(self.coeffs)) if self.coeffs else 0
 
     def is_constant(self):
         return self.coeffs.keys() <= {-self.base}
@@ -321,7 +333,7 @@ def _at(a, e):
 def _jet(a, order, top):
     """a in derivative form to key top, for a sum or product of the finite
     order given: a polynomial's Taylor numerators take n!, a jet stands."""
-    if a.order != math.inf or a.den is None:
+    if type(a.order) is not float or a.den is None:
         return a
     return _SVal({n: c * math.factorial(n) for n, c in a.coeffs.items()
                   if n <= top}, order, a.base, a.den)
@@ -340,13 +352,13 @@ def _mixed(coeffs, order=math.inf, base=0):
     _KEYS."""
     coeffs = {n: c for n, c in coeffs.items() if c}
     lo = min(coeffs, default=0)
-    if (any(type(c) is float for c in coeffs.values())
-            or order != math.inf and max(coeffs, default=0) - lo > _KEYS):
+    if (any(type(c) is float for c in coeffs.values()) or type(order)
+            is not float and max(coeffs, default=0) - lo > _KEYS):
         return _SVal(coeffs, order, base, None)
     if lo < 0:
         coeffs = {n - lo: c for n, c in coeffs.items()}
         base = _plus(base, lo)
-    if order != math.inf:
+    if type(order) is not float:
         coeffs = {n: c * math.factorial(n) for n, c in coeffs.items()}
     den = math.lcm(*(c.denominator for c in coeffs.values()))
     return _SVal({n: c.numerator * (den // c.denominator)
@@ -359,7 +371,7 @@ def _ratios(a, top=math.inf):
     if a.den is None:
         return {n: (c, 1) if type(c) is float else c.as_integer_ratio()
                 for n, c in a.coeffs.items() if n <= top}
-    if a.order == math.inf:
+    if type(a.order) is float:
         return {n: (c, a.den) for n, c in a.coeffs.items() if n <= top}
     qs = _denominators(a.den, a.scale, min(top, max(a.coeffs, default=0)))
     return {n: (c, qs[n]) for n, c in a.coeffs.items() if n <= top}
@@ -373,10 +385,15 @@ def _values(a):
 
 
 def _key_shift(a, b):
-    """The integer m with b.base = a.base + m, up to config.INT_TOL."""
-    d = b.base - a.base
-    m = round(d)
-    if abs(d - m) > config.INT_TOL:
+    """The integer m with b.base = a.base + m, up to config.INT_TOL, read
+    on the bases' integer ratios against the tolerance's exact value."""
+    if type(a.base) is int is type(b.base):
+        return b.base - a.base
+    (p, q), (u, v) = a.base.as_integer_ratio(), b.base.as_integer_ratio()
+    n, d = u * q - p * v, q * v  # b.base - a.base = n / d
+    m = (2 * n + d) // (2 * d)
+    t, s = config.INT_TOL.as_integer_ratio()
+    if abs(n - m * d) * s > t * d:
         raise LatticeError("exponents %r and %r lie on different lattices"
                            % (float(a.min_exponent()), float(b.min_exponent())))
     return m
@@ -398,9 +415,9 @@ def _add(a, b, sign=1):
         base, m = a.base, _key_shift(a, b) if b.coeffs else 0
     else:
         base, m = b.base, 0
-    order = min(a.order, b.order)
+    order = _least(a.order, b.order)
     lo = min(m, 0)
-    exact, jet = a.den and b.den, order != math.inf
+    exact, jet = a.den and b.den, type(order) is not float
     if exact and jet:
         top = _floor_diff(order, _plus(base, lo))
         a, b = _jet(a, order, top + lo), _jet(b, order, top + lo - m)
@@ -440,8 +457,33 @@ def _snapped(r):
 
 
 def _plus(r, s):
-    """r + s for exact r and s, with no Fraction built when either is 0."""
-    return r + s if r and s else r or s
+    """r + s for exact r and s (int or Fraction), on their integer ratios:
+    an int where whole, and no Fraction built where either is 0."""
+    if not s:
+        return r
+    if not r:
+        return s
+    if type(r) is int is type(s):
+        return r + s
+    (p, q), (u, v) = r.as_integer_ratio(), s.as_integer_ratio()
+    return _exact(p * v + u * q, q * v)
+
+
+def _exact(p, q):
+    """The exponent or order p/q (ints, q > 0): an int where whole, else
+    a Fraction, the one built."""
+    return p // q if p % q == 0 else Fraction(p, q)
+
+
+def _least(r, s):
+    """min(r, s) for orders, exact or math.inf, compared on integer
+    ratios: no Fraction's comparison with a float or another Fraction."""
+    if type(s) is float:
+        return r
+    if type(r) is float:
+        return s
+    (p, q), (u, v) = r.as_integer_ratio(), s.as_integer_ratio()
+    return s if u * q < p * v else r
 
 
 def _floor_diff(r, s):
@@ -479,18 +521,59 @@ def _pascal(top, width):
 
 
 def _mul(a, b):
-    # the exponent sums build no Fraction the product does not hold: a zero
-    # base adds nothing, and the order adds the integer key before the base.
-    # An exact factor's order, math.inf, stays out of the sums: inf + r
-    # would round the exact exponent r to a double
+    # a factor that is one exact term at key 0, such as x^p or a constant,
+    # relabels the other; any other pair, or one _relabel declines, takes
+    # the general product
+    one, other = (a, b) if len(a.coeffs) == 1 and 0 in a.coeffs else (b, a)
+    if len(one.coeffs) == 1 and 0 in one.coeffs and one.den:
+        out = _relabel(other, one.coeffs[0], one.den, *_exponents(a, b))
+        if out is not None:
+            return out
+    return _product(a, b)
+
+
+def _exponents(a, b):
+    """(order, base) of the product a * b: each finite order adds the
+    other factor's lowest exponent and the least sum is the order, and the
+    bases add. Exact, on integer ratios, so the sums build no Fraction the
+    product does not hold; an exact factor's order, math.inf, stays out of
+    them, since inf + r would round r to a double."""
     order = math.inf
     for o, m in ((a.order, b), (b.order, a)):
-        if o != math.inf:
-            order = min(order, _plus(o + min(m.coeffs), m.base)
-                        if m.coeffs else o)
-    order = _snapped(order)
-    base = _snapped(_plus(a.base, b.base))
-    jet = order != math.inf  # else both factors are polynomials
+        if type(o) is not float:
+            if m.coeffs:
+                o = _plus(o, _plus(min(m.coeffs), m.base))
+            order = _least(order, o)
+    return _snapped(order), _snapped(_plus(a.base, b.base))
+
+
+def _relabel(a, c, d, order, base):
+    """a times a term c/d at key 0, the product's order and base given:
+    a's keys stay, relabelled from a.base to base, and its numerators take
+    c over den d a.den, a polynomial's first its n! in a jet. None where the
+    general product must run: a holds a float, or could pass _TERMS or
+    _KEYS."""
+    jet = type(order) is not float
+    top = _floor_diff(order, base) if jet else order
+    if not a.den or (jet and _KEYS < min(top, max(a.coeffs, default=0))
+                     or not jet and len(a.coeffs) > _TERMS):
+        return None
+    if not a.coeffs:
+        return _SVal({}, order, base)
+    if jet:
+        a = _jet(a, order, top)
+    coeffs = a.coeffs
+    if jet and max(coeffs, default=top) > top:
+        coeffs = {n: v for n, v in coeffs.items() if n <= top}
+    if c == d:
+        return _SVal(coeffs, order, base, a.den, a.scale)
+    return _SVal({n: c * v for n, v in coeffs.items()}, order, base,
+                 a.den * d, a.scale)
+
+
+def _product(a, b):
+    order, base = _exponents(a, b)
+    jet = type(order) is not float  # else both factors are polynomials
     top = _floor_diff(order, base) if jet else order
     if not jet and len(a.coeffs) * len(b.coeffs) > _TERMS and _TERMS <= (
             max(a.coeffs) - min(a.coeffs) + max(b.coeffs) - min(b.coeffs)):
@@ -503,17 +586,6 @@ def _mul(a, b):
         return _SVal({}, order, base)
     if jet:
         a, b = _jet(a, order, top), _jet(b, order, top)
-    if a.coeffs.keys() == {0}:
-        a, b = b, a
-    if b.coeffs.keys() == {0}:
-        # a single term at key 0, such as x^p or a constant, relabels the
-        # other factor and scales it by its coefficient
-        c = b.coeffs[0]
-        coeffs = {n: v for n, v in a.coeffs.items() if n <= top}
-        if c == b.den:
-            return _SVal(coeffs, order, base, a.den, a.scale)
-        return _SVal({n: c * v for n, v in coeffs.items()}, order, base,
-                     a.den * b.den, a.scale)
     # c_n = sum_i a_i b_(n-i) on Taylor numerators, or on the derivatives
     # over the common scale the binomial convolution c_n = sum_i C(n, i)
     # a_i b_(n-i): pair by pair where that takes less than _ROW_COST steps
@@ -556,17 +628,21 @@ _ROW_COST = 16
 
 def _pairs(pa, pb, top, binomial):
     """The convolution of {n: a_n} and {n: b_n} to key top, binomial or
-    not, one pair of terms at a time."""
-    acc = {}
+    not, one pair of terms at a time; the binomials read from the cached
+    Pascal rows where the product's keys stay within them."""
+    acc, rows = {}, None
     pb = sorted(pb.items())
+    if binomial and (last := min(top, max(pa) + pb[-1][0])) <= _ROW_CACHE:
+        rows = _pascal(last, last + 1)
     for i, x in sorted(pa.items()):
         for j, y in pb:
             n = i + j
             if n > top:
                 break
             xy = x * y
-            acc[n] = acc.get(n, 0) + (math.comb(n, i) * xy if binomial
-                                      else xy)
+            if binomial:
+                xy *= rows[n][i] if rows else math.comb(n, i)
+            acc[n] = acc.get(n, 0) + xy
     return acc
 
 
@@ -673,8 +749,9 @@ def _compose_intrinsic(func, inner, order):
     """func(inner) to the jet order: func(u0) combined with func(v), v =
     inner - u0, whose derivatives come from the recurrences above, on
     integers while v is rational."""
-    trunc = min(order, inner.order)
-    top = max(math.floor(trunc), 0)
+    trunc = _least(order, inner.order)
+    cut = math.floor(trunc)  # past it no key is known: below 0, none
+    top = max(cut, 0)
     if inner.coeffs and (inner.base.denominator != 1 or inner.min_exponent() < 0):
         raise ExpansionError(
             "argument of %s must be an analytic jet (offending exponent %r)"
@@ -697,9 +774,11 @@ def _compose_intrinsic(func, inner, order):
     jets = ([_exp_jet(b, top, taylor)] if func == "exp"
             else _sin_cos_jet(b, top, taylor))
     if u0 == 0:
-        jet = dict(enumerate(jets[func == "cos"]))
-        return (_mixed(jet, trunc) if taylor
-                else _SVal(jet, trunc, 0, 1, scale)).prune()
+        jet = jets[func == "cos"]
+        if taylor:
+            return _mixed(dict(enumerate(jet)), trunc).prune()
+        return _SVal({n: c for n, c in enumerate(jet) if c and n <= cut},
+                     trunc, 0, 1, scale)
     f0 = [_float_op(fn, u0, func) for fn in
           ((math.exp,) if func == "exp" else (math.sin, math.cos))]
     if not taylor:  # each coefficient rounds once, to meet the float func(u0)
@@ -725,53 +804,209 @@ def _float_op(fn, u0, what):
         raise ExpansionError("%s(%s) is out of double range" % (what, arg)) from None
 
 
+# --------------------------------------------------------------------------
+# Folded constants
+#
+# A subtree with no x and no call expands once into its value: an exact
+# rational as a reduced pair (p, q), q > 0, or a double, never 0.0. They
+# combine as the working values they stand for would: exact arithmetic
+# while both are exact, else the doubles, each exact one rounded once as
+# Fraction's float() rounds it; a float result of 0.0 is the exact 0, as
+# _mixed drops it, and every error is the one the working values raise.
+
+_ZERO = (0, 1)
+
+
+def _val(c):
+    """The working value of c, a folded constant or already one."""
+    if type(c) is _SVal:
+        return c
+    if type(c) is float:
+        return _SVal({0: c}, math.inf, 0, None)
+    p, q = c
+    return _SVal({0: p} if p else {}, den=q)
+
+
+def _ratio(p, q):
+    """The reduced pair of p/q, q > 0."""
+    g = math.gcd(p, q)
+    return (p, q) if g == 1 else (p // g, q // g)
+
+
+def _double(c):
+    """The double of a folded constant."""
+    return c if type(c) is float else c[0] / c[1]
+
+
+def _floated(x):
+    """A float result as a folded constant: 0.0 is the exact 0."""
+    return x if x else _ZERO
+
+
+def _folded_sum(a, b, sign):
+    """a + sign b."""
+    if type(a) is tuple and type(b) is tuple:
+        (p, q), (u, v) = a, b
+        return _ratio(p * v + sign * u * q, q * v)
+    if b == _ZERO:
+        return a
+    if a == _ZERO:
+        return sign * b
+    return _floated(_double(a) + sign * _double(b))
+
+
+def _folded_product(a, b):
+    if type(a) is tuple and type(b) is tuple:
+        (p, q), (u, v) = a, b
+        return _ratio(p * u, q * v)
+    if a == _ZERO or b == _ZERO:
+        return _ZERO
+    return _floated(_double(a) * _double(b))
+
+
+def _folded_power(c, expo):
+    """c^expo, expo a finite double, as _power takes a constant base: an
+    integer power up to 1024 exactly, or on a float by squarings in
+    _powi's order; any other by math.pow."""
+    if expo.is_integer() and abs(expo) <= 1024:
+        n = int(expo)
+        if n < 0 and c == _ZERO:
+            raise ExpansionError(
+                "negative powers are only supported on (x - basepoint)")
+        if type(c) is float:
+            if n < 0:
+                return _floated(c ** n)
+            out = (1, 1)
+            while n > 0:
+                if n & 1:
+                    out = _folded_product(out, c)
+                c = _folded_product(c, c) if n > 1 else c
+                n >>= 1
+            return out
+        p, q = c
+        if not p:  # zero keeps its exponent
+            return _ZERO if n else (1, 1)
+        if _POWER_BITS < abs(n) * max(p.bit_length(), q.bit_length()):
+            raise ExpansionError("constant power ^%d passes %d bits"
+                                 % (n, _POWER_BITS))
+        if n >= 0:  # coprime parts need no gcd
+            return p ** n, q ** n
+        p, q = q ** -n, p ** -n
+        return (p, q) if q > 0 else (-p, -q)
+    if (c if type(c) is float else c[0]) <= 0:
+        raise ExpansionError("real power of a non-positive constant")
+    return _floated(math.pow(_double(c), expo))
+
+
+# --------------------------------------------------------------------------
+# The tree walk
+
 _CHAIN = ("+", "-", "*")
 
 
 def _expand(node, basepoint, order):
+    """The working value of an expression tree."""
+    return _val(_value(node, basepoint, order))
+
+
+def _value(node, basepoint, order):
+    """node's working value, or its folded constant where it holds no x
+    and no call."""
     tag = node[0]
     if tag == "num":
         p, q = node[1].as_integer_ratio()
-        return _SVal({0: p} if p else {}, den=q)
+        return p, q
     if tag == "x":  # x^1 at base point 0, else a + (x - a)
         p, q = basepoint.as_integer_ratio()
         return _SVal({0: p, 1: q}, den=q) if p else _SVal({0: 1}, base=1)
     if tag == "neg":
-        return _scale(_expand(node[1], basepoint, order), -1)
+        a = _value(node[1], basepoint, order)
+        if type(a) is _SVal:
+            return _scale(a, -1)
+        return -a if type(a) is float else (-a[0], a[1])
     if tag == "call" and node[1] in _INTRINSICS:
         return _compose_intrinsic(node[1], _expand(node[2], basepoint, order),
                                   order)
     if tag in _CHAIN:
-        # a left-deep chain of + - * folds left to right in a loop, so a sum
-        # or product of any length expands without recursing along it
-        chain = []
-        while node[0] in _CHAIN:
-            chain.append(node)
-            node = node[1]
-        acc = _expand(node, basepoint, order)
-        for link in reversed(chain):  # by index: a short node is no tree
-            tag, b = link[0], _expand(link[2], basepoint, order)
-            acc = (_mul(acc, b) if tag == "*"
-                   else _add(acc, b, 1 if tag == "+" else -1))
-        return acc
+        return _chain(node, basepoint, order)
     if tag == "/":
-        # a nonzero constant; a truncated one only where no x can hide past
-        # its order
-        den = _expand(node[2], basepoint, order)
-        if not den.is_constant() or (den.order != math.inf
-                                     and _holds_x(node[2])):
+        return _quotient(node[1], node[2], basepoint, order)
+    if tag == "^":
+        return _power(node[1], node[2], basepoint, order)
+    raise TypeError("not an expression node: %r" % (node,))
+
+
+def _chain(node, basepoint, order):
+    # a left-deep chain of + - * folds left to right in a loop, so a sum or
+    # product of any length expands without recursing along it. A float
+    # constant met by a working value waits, the float constants after it
+    # multiplied in as they come, until the run of products it stands in
+    # is done, and then scales the run's product once: exact products
+    # cancel before any rounding. A factor that could pass _TERMS is
+    # multiplied in order, so its product is refused where it was
+    chain = []
+    while node[0] in _CHAIN:
+        chain.append(node)
+        node = node[1]
+    acc = _value(node, basepoint, order)
+    k = None  # the float factor waiting
+    for link in reversed(chain):  # by index: a short node is no tree
+        tag, b = link[0], _value(link[2], basepoint, order)
+        if tag == "*":
+            if type(acc) is not _SVal and type(b) is not _SVal:
+                acc = _folded_product(acc, b)
+            elif type(b) is tuple and b[0] and (
+                    out := _scaled(acc, b)) is not None:
+                acc = out
+            elif type(acc) is tuple and acc[0] and (
+                    out := _scaled(b, acc)) is not None:
+                acc = out
+            elif type(acc) is float and len(b.coeffs) <= _TERMS:
+                k, acc = acc, b
+            elif type(b) is float and len(acc.coeffs) <= _TERMS:
+                k = b if k is None else k * b
+            else:
+                acc = _mul(_val(acc), _val(b))
+            continue
+        if k is not None:
+            acc, k = _mul(_val(_floated(k)), acc), None
+        sign = 1 if tag == "+" else -1
+        if type(acc) is not _SVal and type(b) is not _SVal:
+            acc = _folded_sum(acc, b, sign)
+        else:
+            acc = _add(_val(acc), _val(b), sign)
+    if k is not None:
+        acc = _mul(_val(_floated(k)), acc)
+    return acc
+
+
+def _scaled(a, c):
+    """a times the nonzero exact constant c, as _mul relabels it, or None
+    where the general product must run."""
+    return _relabel(a, *c, _snapped(a.order), _snapped(a.base))
+
+
+def _quotient(num_node, den_node, basepoint, order):
+    # a nonzero constant; a truncated one only where no x can hide past its
+    # order. The divisor expands first, and a zero one is refused before
+    # the numerator expands
+    den = _value(den_node, basepoint, order)
+    if type(den) is _SVal:
+        if not den.is_constant() or (type(den.order) is not float
+                                     and _holds_x(den_node)):
             raise ExpansionError("division only by nonzero constants")
-        if den.den is None:  # a float c
-            c = den.coeffs[-den.base]
-            return _scale(_expand(node[1], basepoint, order), 1.0 / c)
-        p, q = _at(den, 0)
+        den = den.coeffs[-den.base] if den.den is None else _at(den, 0)
+    if type(den) is float:
+        inv = 1.0 / den
+    else:
+        p, q = den
         if not p:
             raise ExpansionError("division by zero")
-        num = _expand(node[1], basepoint, order)
-        return _scale(num, q, p) if p > 0 else _scale(num, -q, -p)
-    if tag == "^":
-        return _expand_pow(node[1], node[2], basepoint, order)
-    raise TypeError("not an expression node: %r" % (node,))
+        inv = _ratio(q, p) if p > 0 else _ratio(-q, -p)
+    num = _value(num_node, basepoint, order)
+    if type(num) is not _SVal:
+        return _folded_product(inv, num)
+    return _scale(num, inv) if type(inv) is float else _scale(num, *inv)
 
 
 # The most bits an exact constant power c^n may give its numerator or
@@ -779,31 +1014,45 @@ def _expand(node, basepoint, order):
 _POWER_BITS = 1 << 21
 
 
+def _power_term(expo):
+    """(x - basepoint)^expo, verbatim: an integer exponent stays an int,
+    since ints add fast."""
+    e = rational(expo)
+    return _SVal({0: 1}, base=e.numerator if e.denominator == 1 else e)
+
+
 def _holds_x(node):
     return "x" in node or any(_holds_x(n) for n in node[1:] if type(n) is tuple)
 
 
-def _expand_pow(base_node, expo_node, basepoint, order):
+def _power(base_node, expo_node, basepoint, order):
     # the exponent: the correctly rounded double of the constant it expands
     # to; a truncated one only where no x can hide past its order
-    e = _expand(expo_node, basepoint, order)
-    if not e.is_constant() or e.order != math.inf and _holds_x(expo_node):
+    e = _value(expo_node, basepoint, order)
+    if type(e) is not _SVal:
+        expo = _double(e)
+    elif not e.is_constant() or (type(e.order) is not float
+                                 and _holds_x(expo_node)):
         raise ExpansionError("exponent must be a constant expression")
-    expo = truediv(*_at(e, 0)) if e.den else e.coeffs[-e.base]
+    else:
+        expo = truediv(*_at(e, 0)) if e.den else e.coeffs[-e.base]
     if not math.isfinite(expo):
         raise ExpansionError("exponent %r is not finite" % expo)
-    base = _expand(base_node, basepoint, order)
-    if (base.order == math.inf and base.den and len(base.coeffs) == 1
+    if base_node[0] == "x" and not basepoint:
+        return _power_term(expo)
+    base = _value(base_node, basepoint, order)
+    if type(base) is not _SVal:
+        return _folded_power(base, expo)
+    exact = type(base.order) is float
+    if (exact and base.den and len(base.coeffs) == 1
             and eq(*_at(base, 1))):
-        # the base is x - basepoint: the power term, verbatim
-        e = rational(expo)  # an integer stays an int: ints add fast
-        return _SVal({0: 1}, base=e.numerator if e.denominator == 1 else e)
+        return _power_term(expo)
     c = None
     if base.is_constant():  # an exact constant base as a Fraction
         c = Fraction(*_at(base, 0)) if base.den else base.coeffs[-base.base]
     # a constant only because the jet order cut its x off keeps its order
     # through nonnegative integer powers alone, as the products keep it
-    cut = base.order != math.inf and _holds_x(base_node)
+    cut = not exact and _holds_x(base_node)
     if expo.is_integer() and abs(expo) <= 1024:
         n = int(expo)
         if n < 0 and (not c or cut):
@@ -811,7 +1060,7 @@ def _expand_pow(base_node, expo_node, basepoint, order):
                 "negative powers are only supported on (x - basepoint)")
         # a polynomial's power, judged before its squarings as _mul judges each
         t = len(base.coeffs)
-        if (n > 1 and t > 1 and base.order == math.inf
+        if (n > 1 and t > 1 and exact
                 and math.comb(n + t - 1, t - 1) > _TERMS
                 and n * (max(base.coeffs) - min(base.coeffs)) >= _TERMS):
             raise ExpansionError("polynomial power ^%d passes %d terms"
@@ -824,8 +1073,7 @@ def _expand_pow(base_node, expo_node, basepoint, order):
                                  % (n, _POWER_BITS))
         # one exact power, whose coprime parts need no gcd; a truncated
         # base keeps its order, as the products would
-        order = (_snapped(base.order) if n > 0 and base.order != math.inf
-                 else math.inf)
+        order = _snapped(base.order) if n > 0 and not exact else math.inf
         p, q = (c ** n).as_integer_ratio()
         return _SVal({0: p} if p else {}, order, 0, q)
     if c is not None and not cut:
@@ -888,7 +1136,7 @@ def _rounded(val, m):
     coefficients rounded once as int / int; refused where to_series refuses
     a coefficient."""
     keys = sorted(val.coeffs)
-    if val.order == math.inf:
+    if type(val.order) is float:
         qs = dict.fromkeys(keys, val.den)
     else:
         qs = _denominators(val.den, val.scale, keys[-1] if keys else 0)
@@ -904,8 +1152,19 @@ def _series(val, basepoint, m):
         keys = sorted(val.coeffs)
         keys, vals = kept(keys, [finite_float(val.coeffs[n]) for n in keys],
                           m, ExpansionError, "a coefficient")
-    return GenSeries._of(basepoint, Fraction(val.base - m), keys, vals,
-                         None if val.order == math.inf else float(val.order))
+    return GenSeries._of(basepoint, _phase(val.base, m), keys, vals,
+                         None if type(val.order) is float
+                         else float(val.order))
+
+
+def _phase(base, m):
+    """base - m as a Fraction, m = floor(base): no Fraction wraps one."""
+    if type(base) is not Fraction:
+        return Fraction(base - m)
+    if not m:
+        return base
+    p, q = base.as_integer_ratio()
+    return Fraction(p - m * q, q)
 
 
 def to_series(expr, basepoint: float = 0.0, order: int | None = None) -> GenSeries:
@@ -939,7 +1198,7 @@ def _lifted(val, basepoint, m):
     return LiftedSeq._of(basepoint, Fraction(0),
                          *kept(index, vals, 0, GammaOverflowError,
                                "a lifted value"),
-                         None if val.order == math.inf
+                         None if type(val.order) is float
                          else rational(float(val.order)))
 
 

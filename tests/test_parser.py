@@ -190,6 +190,25 @@ class TestToSeries:
         with pytest.raises(LatticeError):
             to_series("x^0.5 + x^0.25", 0, 8)
 
+    @pytest.mark.parametrize("text, phase, keys", [
+        # bases an integer apart up to config.INT_TOL join one lattice, on
+        # the lower operand's base; 1.1e-9 apart they do not
+        ("x^0.3333333343 + x^(1/3)",
+         Fraction(1501199880143645, 4503599627370496), [0]),
+        ("x^(1/3) + x^1.3333333343", Fraction(1, 3), [0, 1]),
+        ("x^(-2/3) + x^0.3333333343", Fraction(1, 3), [-1, 0]),
+        ("x^(1/3) + x^(-5.6666666657)", Fraction(1, 3), [-6, 0]),
+        ("x^0.3333333344 + x^(1/3)", None, None),
+        ("x^(1/3) + x^(-5.6666666656)", None, None),
+    ])
+    def test_lattice_tolerance_of_sums(self, text, phase, keys):
+        if phase is None:
+            with pytest.raises(LatticeError, match="different lattices"):
+                to_series(text, 0, 4)
+        else:
+            f = to_series(text, 0, 4)
+            assert (f.phase, f.keys) == (phase, keys)
+
     def test_power_term_at_wrong_center(self):
         with pytest.raises(ExpansionError):
             to_series("(x-1)^0.5", 0.0, 8)
@@ -799,7 +818,7 @@ def _ref_expand(node, order):
         return _ref_add(_ref_expand(node[1], order), _ref_expand(node[2], order),
                         1 if tag == "+" else -1)
     if tag == "*":
-        return _ref_mul(_ref_expand(node[1], order), _ref_expand(node[2], order))
+        return _ref_product(node, order)
     if tag == "/":  # times 1/c, c a rational constant
         v, c = _ref_expand(node[1], order), _ref_expand(node[2], order)[1][0]
         return v[0], {n: 1 / c * x for n, x in v[1].items()}, v[2]
@@ -817,6 +836,43 @@ def _ref_expand(node, order):
         base = _ref_mul(base, base) if n > 1 else base
         n >>= 1
     return out
+
+
+def _folds(node):
+    """Whether the parser folds node to a constant: a number, or + - * and
+    unary minus over folded operands, or a folded base or dividend under a
+    constant exponent or divisor."""
+    tag = node[0]
+    if tag in ("^", "/"):
+        return _folds(node[1])
+    return tag == "num" or tag in ("neg", "+", "-", "*") and all(
+        map(_folds, node[1:]))
+
+
+def _ref_product(node, order):
+    # a run of products, left to right: constants fold in order, and a
+    # float constant met by any other value waits, the float constants
+    # after it multiplied in, and scales the run's product once at its end
+    factors = []
+    while node[0] == "*":
+        factors.append(node[2])
+        node = node[1]
+    factors.append(node)
+    factors.reverse()
+    acc, folded, k = _ref_expand(factors[0], order), _folds(factors[0]), None
+    for f in factors[1:]:
+        b = _ref_expand(f, order)
+        if folded and _folds(f):
+            acc = _ref_mul(acc, b)
+        elif folded and type(acc[1].get(0)) is float:
+            acc, folded, k = b, False, acc[1][0]
+        elif _folds(f) and type(b[1].get(0)) is float:
+            k = b[1][0] if k is None else k * b[1][0]
+        else:
+            acc, folded = _ref_mul(acc, b), False
+    if k is not None:
+        acc = _ref_mul(_ref_value(0, {0: k}, math.inf), acc)
+    return acc
 
 
 def _ref_series(text, order):
@@ -1028,6 +1084,213 @@ class TestConstantPowers:
                                    ("(sin(x) + 2)^0", ((0.0, 1.0),), None)):
             f = to_series(text, 0, 0 if "sin" in text else 8)
             assert (f.terms, f.truncation_order) == (terms, order), text
+
+
+def _stripped(v):
+    """(base, order, scale, den, {key: integer}) of an exact working value,
+    its integers and den divided by their gcd, as the general product
+    strips them; the scale only where a key above 0 reads it."""
+    g = math.gcd(v.den, *v.coeffs.values())
+    return (v.base, v.order, v.scale if max(v.coeffs, default=0) else None,
+            v.den // g, {n: c // g for n, c in v.coeffs.items()})
+
+
+def _ref_order(a, b):
+    """The product's order: each finite order plus the other factor's
+    lowest exponent, the least of them."""
+    return min((Fraction(o) + (m.base + min(m.coeffs) if m.coeffs else 0)
+                for o, m in ((a.order, b), (b.order, a)) if o != math.inf),
+               default=math.inf)
+
+
+@st.composite
+def _relabel_cases(draw):
+    """(text of a jet or polynomial, text of c x^p, jet order)."""
+    form = draw(st.sampled_from([
+        "%s", "1 + %s", "(1 + %s)^2", "x^(1/3)*(2 + %s)", "exp(%s)",
+        "sin(%s)", "x^(1/3)*cos(%s)", "x^(-2/3)*exp(%s)*sin(x)"]))
+    c = draw(st.integers(-9, 9).filter(bool))
+    q = draw(st.integers(1, 9))
+    p = draw(st.sampled_from(["0", "1/4", "1/3", "1/2", "-3/4", "-2/3", "2"]))
+    return (form % _poly_text(draw(_polys)), "(%d/%d)*x^(%s)" % (c, q, p),
+            draw(st.integers(0, 24)))
+
+
+class TestRelabel:
+    """A factor that is one term at key 0 relabels the other factor: the
+    same value, order and base as the general product."""
+
+    @pytest.mark.parametrize("text, order, phase, terms, trunc", [
+        ("0*x^(1/3)", 4, Fraction(1, 3), {}, None),
+        ("x^(1/3)*0", 4, Fraction(1, 3), {}, None),
+        ("x^(1/3) - x^(1/3)", 4, Fraction(1, 3), {}, None),
+        ("x^(1/3)*(exp(x)-exp(x))", 4, Fraction(1, 3), {}, 13 / 3),
+        ("x^(1/3)*x^(2/3)", 4, 0, {1: 1.0}, None),
+        ("x^(-1/3)*x^(1/3)", 4, 0, {0: 1.0}, None),
+        ("(x^(1/3))^0", 4, 0, {0: 1.0}, None),
+        ("0*exp(x)", 4, 0, {}, 4.0),
+        ("x^(1/3)*exp(x)", 4.5, Fraction(1, 3),
+         {0: 1.0, 1: 1.0, 2: 1 / 2, 3: 1 / 6, 4: 1 / 24}, 13 / 3),
+        # a polynomial relabelled by a one-term jet takes its n! first
+        ("cos(0)*(1 + x)^3", 2, 0, {0: 1.0, 1: 3.0, 2: 3.0}, 2.0),
+        # a jet whose keys reach past the one-term factor's order is cut
+        ("(1 + (sin(x) - x)^2) * cos(x^5)", 4, 0, {0: 1.0}, 4.0),
+    ])
+    def test_edge_cases(self, text, order, phase, terms, trunc):
+        f = to_series(text, 0, order)
+        assert (f.phase, f.coeffs, f.truncation_order) == (phase, terms, trunc)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(_relabel_cases())
+    def test_against_the_general_product(self, case):
+        text, single, order = case
+        a = parser._expand(parse(text), 0.0, order)
+        b = parser._expand(parse(single), 0.0, order)
+        assert b.coeffs.keys() == {0}
+        want = parser._product(a, b)  # pair by pair, one gcd strip
+        assert (want.order, want.base) == (_ref_order(a, b), a.base + b.base)
+        got = [parser._mul(a, b), parser._mul(b, a)]
+        if b.base == 0:  # a constant, as a chain of products scales by it
+            got.append(parser._scaled(a, Fraction(b.coeffs[0],
+                                                  b.den).as_integer_ratio()))
+        for v in got:
+            assert _stripped(v) == _stripped(want), text
+
+
+# x-free trees over small integers and the literals 0.1, 0.0001 and 1e-300,
+# with integer, negative and real powers
+_fold_leaves = st.sampled_from(["0", "1", "2", "3", "0.1", "0.0001", "1e-300"])
+_fold_exponents = st.sampled_from(["0", "2", "3", "(-1)", "(-2)", "0.5",
+                                   "(1/3)", "(-3/4)"])
+_fold_trees = st.recursive(_fold_leaves, lambda t: st.one_of(
+    st.builds("(-{})".format, t),
+    st.builds("({} + {})".format, t, t),
+    st.builds("({} - {})".format, t, t),
+    st.builds("({} * {})".format, t, t),
+    st.builds("({} / {})".format, t, t),
+    st.builds("({})^{}".format, t, st.one_of(_fold_exponents, t))),
+    max_leaves=8)
+
+
+def _exact_zero(v):
+    # a double 0.0 is the exact 0, as the parser drops a zero coefficient
+    return v if v or type(v) is Fraction else Fraction(0)
+
+
+def _ref_times(a, b):
+    if a == 0 and type(a) is Fraction or b == 0 and type(b) is Fraction:
+        return Fraction(0)  # an exact 0 has no term to multiply
+    return _exact_zero(a * b)
+
+
+def _ref_fold(node):
+    """The value of an x-free tree: Fraction arithmetic while both operands
+    are exact, else the doubles, as Python mixes a Fraction with a float;
+    an integer power of a float by squarings, a real one by math.pow; the
+    parser's refusals by its words."""
+    tag = node[0]
+    if tag == "num":
+        return Fraction(node[1])
+    if tag == "neg":
+        return -_ref_fold(node[1])
+    if tag in "+-":
+        a, b = _ref_fold(node[1]), _ref_fold(node[2])
+        return _exact_zero(a + b if tag == "+" else a - b)
+    if tag == "*":
+        return _ref_times(_ref_fold(node[1]), _ref_fold(node[2]))
+    if tag == "/":  # times the divisor's reciprocal, exact or a double
+        d = _ref_fold(node[2])
+        if d == 0:
+            raise ExpansionError("division by zero")
+        return _ref_times(1 / d, _ref_fold(node[1]))
+    e = float(_ref_fold(node[2]))
+    if not math.isfinite(e):
+        raise ExpansionError("exponent %r is not finite" % e)
+    c = _ref_fold(node[1])
+    if not (e.is_integer() and abs(e) <= 1024):
+        if c <= 0:
+            raise ExpansionError("real power of a non-positive constant")
+        return _exact_zero(math.pow(float(c), e))
+    n = int(e)
+    if n < 0 and c == 0:
+        raise ExpansionError(
+            "negative powers are only supported on (x - basepoint)")
+    if type(c) is float:
+        if n < 0:
+            return _exact_zero(c ** n)
+        out = Fraction(1)
+        while n > 0:
+            if n & 1:
+                out = _ref_times(out, c)
+            c = _ref_times(c, c) if n > 1 else c
+            n >>= 1
+        return out
+    if c and 1 << 21 < abs(n) * max(c.numerator.bit_length(),
+                                    c.denominator.bit_length()):
+        raise ExpansionError("constant power ^%d passes %d bits"
+                             % (n, 1 << 21))
+    return c ** n
+
+
+def _outcome_of(run):
+    """The folded value, exact or the double's hex, or the refusal."""
+    try:
+        v = run()
+    except ExpansionError as exc:
+        return "refused", str(exc)
+    except (OverflowError, ValueError) as exc:  # past the double range
+        return "range", type(exc).__name__
+    return (v, "exact") if type(v) is Fraction else (v.hex(), "float")
+
+
+def _folded(text):
+    v = parser._expand(parse(text), 0.0, 8)
+    assert (v.base, v.order, v.coeffs.keys() <= {0}) == (0, math.inf, True)
+    if v.den is None:
+        return v.coeffs[0]
+    return Fraction(v.coeffs.get(0, 0), v.den)
+
+
+class TestFoldedConstants:
+    """An x-free subtree folds once into its value, exact or a double, with
+    the refusals the working values give."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(_fold_trees)
+    @example("(1 / (0.1 - 0.1))")
+    @example("((0 - 2))^0.5")
+    @example("((2)^1000)^3000")
+    @example("((2)^1000)^2000")
+    @example("((0.5)^2 * (2)^0.5)^3")
+    @example("((1e-300)^0.5)^3")
+    @example("((2)^0.5)^5")  # by squarings: (2^0.5)**5 rounds otherwise
+    @example("(0 - (2)^0.5)")
+    def test_against_fraction_arithmetic(self, text):
+        assert (_outcome_of(lambda: _folded(text))
+                == _outcome_of(lambda: _ref_fold(parse(text))))
+
+
+class TestFloatFactors:
+    """A float constant in a run of products scales the run's exact
+    product once, after it has cancelled."""
+
+    def test_no_rounding_residue(self):
+        want = to_series("2^0.5*(exp(x)*sin(x))", 0, 16)
+        # exp(x) sin(x) has no x^4, x^8, x^12 or x^16 term
+        assert not {4, 8, 12, 16} & set(want.keys)
+        for text in ("2^0.5*exp(x)*sin(x)", "exp(x)*2^0.5*sin(x)",
+                     "exp(x)*sin(x)*2^0.5"):
+            got = to_series(text, 0, 16)
+            assert ([(n, v.hex()) for n, v in zip(got.keys, got.vals)]
+                    == [(n, v.hex()) for n, v in zip(want.keys, want.vals)])
+
+    def test_a_long_polynomial_is_refused_in_order(self):
+        # the float factor does not wait past a product it makes refused,
+        # so the divisor after it is never reached
+        poly = "+".join("x^%d" % k for k in range(1, 2051))
+        for text in ("2^0.5*(%s)*(1/0)", "(%s)*2^0.5*(1/0)"):
+            with pytest.raises(ExpansionError, match="passes 2049 terms"):
+                to_series(text % poly, 0, 4)
 
 
 class TestTruncatedDivisors:
