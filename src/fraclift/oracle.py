@@ -24,20 +24,31 @@ kernel end: for m near 0 the kernel alone decays too slowly in u to be
 truncated, and its weight overflows at the last nodes. The trapezoid rule
 runs on |u| <= 6.5 with nested steps h = 1/2 ... 1/128 (the node table is
 built on the first quadrature) and returns when two successive levels
-agree to 1e-10 relative. An ArithmeticError or EvalDomainError from f, a
-level sum that is not finite (the integral diverged) and levels that never
+agree to 1e-10 relative. The first level walks each end outward in u;
+among the nodes within 1e-3 (x - a) of that end, the first whose term is
+at most 2^-60 of the running level-1 value ends that end's walk, on every
+level (the tail cut of Bailey, Jeyabalan & Li, Experimental Mathematics
+14, 2005). A smooth integrand's walks end by u = 3.5, while a slowly
+decaying end such as t^-0.95 at the base point never gets that small and
+keeps all its nodes. An ArithmeticError or EvalDomainError from f, a level
+sum that is not finite (the integral diverged) and levels that never
 agree raise OracleError.
 
 Nonnegative orders use the standard differintegral construction: integrate
 down to a negative order, then take an n-th derivative (n = ceil(k)) by
-Richardson-extrapolated central differences (3 levels, from a step of
-min(1e-3, (x-a)/(4n)) times max(1, x-a): the step grows with x - a, so at
-large x it stays far above the spacing of the doubles near x). A step whose
-n-th power overflows, or underflows, to zero or only below the smallest
-normal double (where the difference, rounding noise of f near x, divided by
-it reads as a large wrong value), or a result that is not finite, raises
-OracleError, as do orders above 2: the n-th difference amplifies rounding
-by h^-n, and at n = 3 the result misses the termwise rule by up to 6e-4.
+Richardson-extrapolated central differences at steps h0, h0/2 and h0/4,
+h0 = min(1e-3, (x-a)/(4n)) times max(1, x-a): the step grows with x - a, so
+at large x it stays far above the spacing of the doubles near x. When the
+h0 and h0/2 differences agree to 1e-6 max(1, |d1|), their extrapolation is
+the result and h0/4 is never taken; at small x - a, where the step is a
+fixed share of x - a, they do not agree and the third level runs. An even
+n's stencil has x itself as its middle point at every step, and the
+integral there is taken once. A step whose n-th power overflows, or
+underflows, to zero or only below the smallest normal double (where the
+difference, rounding noise of f near x, divided by it reads as a large
+wrong value), or a result that is not finite, raises OracleError, as do
+orders above 2: the n-th difference amplifies rounding by h^-n, and at
+n = 3 the result misses the termwise rule by up to 6e-4.
 
 compare() tabulates the termwise rule against the oracle as plain
 (x, termwise, oracle, abs_diff) rows.
@@ -57,13 +68,18 @@ from .errors import OracleError
 from .rl import rl_series
 
 # The trapezoid steps 2^-1 ... 2^-_LEVELS on |u| <= _U_MAX, and the relative
-# agreement of two successive levels that ends the refinement; the largest
-# central-difference step (for x - a <= 1) and the highest order answered
-# (see above)
+# agreement of two successive levels that ends the refinement; the node
+# distance to its end (as a share of x - a) inside which a term of at most
+# _TAIL of the running level-1 value ends its side's walk; the largest
+# central-difference step (for x - a <= 1), the agreement of the first two
+# stencils that ends the ladder, and the highest order answered (see above)
 _LEVELS = 7
 _U_MAX = 6.5
 _QUAD_TOL = 1e-10
+_TAIL_NEAR = 1e-3
+_TAIL = 2.0**-60
 _FD_STEP = 1e-3
+_LADDER_TOL = 1e-6
 _MAX_ORDER = 2.0
 
 
@@ -92,6 +108,9 @@ def _frac_integral(f, a, m, x):
     big = x - a
     beta = m - 1.0
     total = prev = 0.0
+    # each side's walk in u ends past the node whose `near` is its cut; no
+    # cut is 0.0, past every node
+    cut_kernel = cut_base = 0.0
     try:
         # f(x) (x-t)^(m-1) integrates to f(x) L^m / m; the nodes take the
         # rest, (f(t) - f(x)) (x-t)^(m-1), which vanishes at the kernel end
@@ -101,16 +120,28 @@ def _frac_integral(f, a, m, x):
         s = 0.25 * math.pi * (f(x - 0.5 * big) - fx) * (0.5 * big) ** beta
         for level, nodes in enumerate(_node_levels(), 1):
             for near, far, w in nodes:
+                if near <= cut_kernel and near <= cut_base:
+                    break
                 d = big * near
                 # by the kernel end, x - t = d; where t rounds to x the
                 # integrand is 0
                 t = x - d
-                if t < x:
-                    s += w * (f(t) - fx) * d**beta
+                if near > cut_kernel and t < x:
+                    term = w * (f(t) - fx) * d**beta
+                    s += term
+                    # level 1 (value exact + L s / 2) sets the cut, once
+                    # the node lies near the end
+                    if (level == 1 and near < _TAIL_NEAR and big * abs(term)
+                            <= _TAIL * abs(2.0 * exact + big * s)):
+                        cut_kernel = near
                 # by the base point, unless t rounds onto a
                 t = a + d
-                if t > a:
-                    s += w * (f(t) - fx) * (big * far) ** beta
+                if near > cut_base and t > a:
+                    term = w * (f(t) - fx) * (big * far) ** beta
+                    s += term
+                    if (level == 1 and near < _TAIL_NEAR and big * abs(term)
+                            <= _TAIL * abs(2.0 * exact + big * s)):
+                        cut_base = near
             total = 0.5 * total + 0.5**level * s
             value = exact + big * total
             if not math.isfinite(value):
@@ -128,12 +159,13 @@ def _frac_integral(f, a, m, x):
         % (x, exact + big * prev, value))
 
 
-def _stencil(g, x, n, h):
-    # n-th central difference, O(h^2)
+def _stencil(g, x, n, h, centre):
+    # n-th central difference, O(h^2); an even n's middle point is x itself,
+    # whose value g(x) the caller passes as centre
     s = 0.0
     for i in range(n + 1):
         c = math.comb(n, i) * (1.0 if i % 2 == 0 else -1.0)
-        s += c * g(x + (n / 2.0 - i) * h)
+        s += c * (centre if 2 * i == n else g(x + (n / 2.0 - i) * h))
     return s / h**n
 
 
@@ -175,12 +207,16 @@ def rl_oracle(f, a, k, x) -> float:
     if (h0 / 4.0) ** n < sys.float_info.min:
         raise OracleError("difference step %g at x=%r underflows in h^%d"
                           % (h0 / 4.0, x, n))
-    d0 = _stencil(g, x, n, h0)
-    d1 = _stencil(g, x, n, h0 / 2.0)
-    d2 = _stencil(g, x, n, h0 / 4.0)
+    centre = g(x) if n % 2 == 0 else None
+    d0 = _stencil(g, x, n, h0, centre)
+    d1 = _stencil(g, x, n, h0 / 2.0, centre)
     r01 = (4.0 * d1 - d0) / 3.0
-    r12 = (4.0 * d2 - d1) / 3.0
-    value = (16.0 * r12 - r01) / 15.0
+    if abs(d1 - d0) <= _LADDER_TOL * max(1.0, abs(d1)):
+        value = r01
+    else:
+        d2 = _stencil(g, x, n, h0 / 4.0, centre)
+        r12 = (4.0 * d2 - d1) / 3.0
+        value = (16.0 * r12 - r01) / 15.0
     if not math.isfinite(value):
         raise OracleError("difference ladder at x=%r is not finite" % x)
     return value

@@ -1048,8 +1048,10 @@ def _power(base_node, expo_node, basepoint, order):
             and eq(*_at(base, 1))):
         return _power_term(expo)
     c = None
-    if base.is_constant():  # an exact constant base as a Fraction
-        c = Fraction(*_at(base, 0)) if base.den else base.coeffs[-base.base]
+    if base.is_constant():  # an exact constant base as a Fraction; a
+        # float-holding one pruned empty reads 0.0
+        c = (Fraction(*_at(base, 0)) if base.den
+             else base.coeffs.get(-base.base, 0.0))
     # a constant only because the jet order cut its x off keeps its order
     # through nonnegative integer powers alone, as the products keep it
     cut = not exact and _holds_x(base_node)

@@ -503,7 +503,7 @@ def oracle_vs_termwise(alpha, k, x):
 
 def suite_oracle(trials=None, seed=None, order=None):
     """A fixed grid of exponents, orders and points; no argument is used."""
-    return [_check("oracle-vs-termwise", 1e-7,
+    return [_check("oracle-vs-termwise", 1e-8,
                    (oracle_vs_termwise(alpha, k, x)
                     for alpha in (0.0, 0.5, 1.0, 2.0, 3.5)
                     for k in (-1.0, -0.5, 0.5, 1.0, 1.5)

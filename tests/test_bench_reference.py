@@ -40,6 +40,19 @@ def test_seed_one_passes_the_reference_checks(workload):
     _check_list(workload, 1)
 
 
+def test_oracle_integrand_count():
+    # the traced counter of expand's 14 oracle requests: 3088 integrand
+    # calls with the tanh-sinh tail cut and the two-stencil ladder stop,
+    # 6384 without them
+    make, prepare, run, _ = worker.WORKLOADS["expand"]
+    tr = spans.Tracer()
+    reqs = [req for req in make(0) if req.oracle]
+    for req in reqs:
+        run(fraclift, prepare(req), tr)
+    assert len(reqs) == 14
+    assert tr.counts["oracle.integrand_evals"] <= 3500
+
+
 def test_a_second_round_reproduces_the_first():
     # the round rule of worker.py: round 0 runs on cold plans and Gamma
     # tables, round 1 on those round 0 built, and their outputs must be

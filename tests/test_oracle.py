@@ -65,6 +65,18 @@ class TestRlOracle:
         want = 1.0 / math.sqrt(math.pi * x)  # D^(3/2) x = x^(-1/2) / Gamma(1/2)
         assert rl_oracle(lambda t: t, 0.0, 1.5, x) == pytest.approx(want, rel=1e-9)
 
+    def test_second_difference_integrates_its_centre_once(self):
+        # the middle point of every step's stencil is x itself
+        at_x = []
+
+        def f(t):
+            if t == 1.0:
+                at_x.append(t)
+            return t**0.5
+
+        rl_oracle(f, 0.0, 1.5, 1.0)
+        assert len(at_x) == 1
+
     def test_non_finite_ladder_is_oracle_error(self):
         # a function that overflows near x: every difference is inf - inf
         with pytest.raises(OracleError, match="not finite"):
@@ -149,6 +161,15 @@ class TestQuadrature:
         # rounds to x would lose int_0^ulp(x) s^(-1/2) ds, about 1e-8
         v = rl_oracle(lambda t: 1.0, 0.0, -0.5, x) * SQRT_PI
         assert v == pytest.approx(2.0 * math.sqrt(x), rel=1e-14)
+
+    @pytest.mark.parametrize("e", [-0.9, -0.95])
+    @pytest.mark.parametrize("k", [-0.5, 0.25, 0.5])
+    def test_slowly_decaying_end_keeps_its_nodes(self, e, k):
+        # the base end of t^e decays in u like q^(e+1): its far terms stay
+        # above the tail cut, and dropping them would miss by about 1e-5
+        want = math.gamma(e + 1.0) / math.gamma(e + 1.0 - k)
+        num = rl_oracle(lambda t: t**e, 0.0, k, 1.0)
+        assert num == pytest.approx(want, rel=1e-10)
 
     @pytest.mark.parametrize("k", [-0.25, 0.25])
     def test_singular_at_both_ends(self, k):

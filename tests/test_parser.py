@@ -1315,6 +1315,24 @@ class TestTruncatedDivisors:
         with pytest.raises(ExpansionError, match=what):
             to_series(text, 0, order)
 
+    @pytest.mark.parametrize("power, what", [
+        ("2", None), ("0.5", "real exponents"), ("(-1)", "negative powers")])
+    def test_base_cut_to_nothing(self, capsys, power, what):
+        # at order 2 the float-holding base keeps no coefficient, not even
+        # at key 0
+        text = "(2^0.5*x^5 + (sin(x) - sin(x)))^" + power
+        code = main(["deriv", "--expr", text, "--k", "0.5", "--order", "2"])
+        out, err = capsys.readouterr()
+        if what is None:
+            f = to_series(text, 0, 2)
+            assert (f.terms, f.truncation_order) == ((), 2.0)
+            assert (code, out, err) == (0, "result: 0\n", "")
+        else:
+            with pytest.raises(ExpansionError, match=what):
+                to_series(text, 0, 2)
+            assert (code, out) == (2, "")
+            assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_x_free_powers_answer(self):
         assert to_series("cos(0)^-1", 0, 4).terms == ((0.0, 1.0),)
         assert to_series("cos(0)^0.5", 0, 4).terms == ((0.0, 1.0),)
