@@ -17,10 +17,11 @@ a the expansion base point (x at a = 0; x - 1/2 or -0.5 + x at a = 0.5), and
 a nonnegative integer on any other. A product or power of polynomials that
 could hold more than 2 config.MAX_JET_ORDER + 1 terms is refused before it
 is computed. The tokenizer keeps where each token starts, and the line and
-column are counted from it only for an error. Division is by nonzero constants only, not by one that is
-constant only because the jet order cut its x off, and such a base takes no
-negative or real power either. So every expressible function is a
-single-lattice generalized power series.
+column are counted from it only for an error. Division is by nonzero
+constants only, not by a constant working value of finite order, which the
+jet order truncated and may hide x past it; such a base takes positive
+integer powers only, which keep its order, and ^0. So every expressible
+function is a single-lattice generalized power series.
 
 Series expansion works in exact rational arithmetic wherever the inputs
 are rational, kept on integers. A jet (a value of finite order) is in
@@ -38,19 +39,23 @@ convolutions, the same loops without the binomials, and one takes its n!
 at its first sum or product with a jet. A factor that is one term at key
 0, such as x^p or a constant, takes none of the product's bookkeeping: the
 other factor keeps its keys, relabelled to the product's base, and its
-integers take the term's coefficient (_relabel). A subtree with no x and no
-call folds once into its value, an exact rational as an integer pair or,
-where the working values would hold one, a double, and meets a working
-value only where it scales, adds to or divides one. A float constant in a
-run of products waits until the run's other products are done and scales
-their product once, so exact products cancel before anything rounds:
-2^0.5*exp(x)*sin(x) holds no x^8. A sum takes the lower base and moves the
-other operand's keys up, by falling factorials in derivative form, over the
-least common den and scale; a constant divisor scales den by its integer
-ratio. No Fraction is built and
-no gcd taken per coefficient (D. E. Knuth, The Art of Computer Programming,
-vol. 2, sec. 4.5.1), and a jet's integers carry no N!/n!, as Taylor
-numerators over one denominator would. Each coefficient rounds to a double
+integers take the term's coefficient (_relabel). Every subtree with no x
+folds once into its value, an exact rational as an integer pair or, where
+the working values would hold one, a double, and meets a working value only
+where it scales, adds to or divides one. Calls fold too: a call of a
+constant carries no truncation order, exp and cos of an exact 0 are 1 and
+sin of it 0, any other is the double of the function. So every working
+value holds x, and a constant one is truncated exactly when its order is
+finite. A float constant in a run of products, 2^0.5 or a float-valued
+call such as exp(1), waits until the run's other products are done and
+scales their product once, so exact products cancel before anything
+rounds: 2^0.5*exp(x)*sin(x) holds no x^8. A sum takes the lower base and
+moves the other operand's keys up, by falling factorials in derivative
+form, over the least common den and scale; a constant divisor scales den by
+its integer ratio. No Fraction is built and no gcd taken per coefficient
+(D. E. Knuth, The Art of Computer Programming, vol. 2, sec. 4.5.1), and a
+jet's integers carry no N!/n!, as Taylor numerators over one denominator
+would. Each coefficient rounds to a double
 once at the end, as the correctly rounded quotient of two integers,
 A_n / (den D^n n!) or A_n / den, and the lift of an expression at phase 0
 rounds its derivatives, i! times that quotient at i = base + n, once the
@@ -437,13 +442,18 @@ def _add(a, b, sign=1):
     return _mixed(coeffs, order, base).prune()
 
 
-def _scale(a, p, q=1):
-    """a times p/q: ints p != 0 and q > 0, or a float p and q = 1."""
-    if a.den and type(p) is not float:
-        return _SVal({n: p * v for n, v in a.coeffs.items()}, a.order,
-                     a.base, q * a.den, a.scale)
-    c = p if q == 1 else Fraction(p, q)
-    return _mixed({n: c * v for n, v in _values(a).items()}, a.order, a.base)
+def _scale(a, c):
+    """a times the folded constant c, a's order and base kept: an exact c
+    scales a's numerators and den, a float one its Taylor coefficients."""
+    if c == _ZERO:
+        return _SVal({}, a.order, a.base)
+    if type(c) is float or not a.den:
+        c = c if type(c) is float else Fraction(*c)
+        return _mixed({n: c * v for n, v in _values(a).items()}, a.order,
+                      a.base)
+    p, q = c
+    return _SVal({n: p * v for n, v in a.coeffs.items()}, a.order, a.base,
+                 q * a.den, a.scale)
 
 
 def _snapped(r):
@@ -761,7 +771,7 @@ def _compose_intrinsic(func, inner, order):
     u = sorted((n + shift, p, q)
                for n, (p, q) in _ratios(inner, top - shift).items())
     _, p, q = u.pop(0) if u and u[0][0] == 0 else (0, 0, 1)
-    u0 = Fraction(p, q) if type(p) is int and p else p
+    u0 = p if type(p) is float else (p, q)
     # the jets of exp, or of sin and cos: scaled derivatives while v is
     # rational (a float u0 beside it enters at the end), else Taylor form
     taylor = not inner.den and any(type(p) is float for _, p, _ in u)
@@ -773,7 +783,7 @@ def _compose_intrinsic(func, inner, order):
                                        for k, p, q in u)
     jets = ([_exp_jet(b, top, taylor)] if func == "exp"
             else _sin_cos_jet(b, top, taylor))
-    if u0 == 0:
+    if not p:
         jet = jets[func == "cos"]
         if taylor:
             return _mixed(dict(enumerate(jet)), trunc).prune()
@@ -796,20 +806,21 @@ def _compose_intrinsic(func, inner, order):
 
 
 def _float_op(fn, u0, what):
+    """fn at the double of u0, a float or an integer pair (p, q), q > 0."""
     try:
-        return fn(float(u0))
+        return fn(_double(u0))
     except (OverflowError, ValueError):
-        fits = type(u0) is float or has_double(u0.denominator, u0.numerator)
-        arg = "%r" % float(u0) if fits else "an argument past 2^1024"
+        fits = type(u0) is float or has_double(u0[1], u0[0])
+        arg = "%r" % _double(u0) if fits else "an argument past 2^1024"
         raise ExpansionError("%s(%s) is out of double range" % (what, arg)) from None
 
 
 # --------------------------------------------------------------------------
 # Folded constants
 #
-# A subtree with no x and no call expands once into its value: an exact
-# rational as a reduced pair (p, q), q > 0, or a double, never 0.0. They
-# combine as the working values they stand for would: exact arithmetic
+# A subtree with no x, calls included, expands once into its value: an
+# exact rational as a reduced pair (p, q), q > 0, or a double, never 0.0.
+# They combine as the working values they stand for would: exact arithmetic
 # while both are exact, else the doubles, each exact one rounded once as
 # Fraction's float() rounds it; a float result of 0.0 is the exact 0, as
 # _mixed drops it, and every error is the one the working values raise.
@@ -817,14 +828,22 @@ def _float_op(fn, u0, what):
 _ZERO = (0, 1)
 
 
-def _val(c):
-    """The working value of c, a folded constant or already one."""
+def _val(c, order=math.inf):
+    """The working value of c, a folded constant or already one, at the
+    order given."""
     if type(c) is _SVal:
         return c
     if type(c) is float:
-        return _SVal({0: c}, math.inf, 0, None)
+        return _SVal({0: c}, order, 0, None)
     p, q = c
-    return _SVal({0: p} if p else {}, den=q)
+    return _SVal({0: p} if p else {}, order, den=q)
+
+
+def _constant(v):
+    """The folded constant of a constant working value."""
+    if not v.coeffs:
+        return _ZERO
+    return v.coeffs[-v.base] if v.den is None else _ratio(*_at(v, 0))
 
 
 def _ratio(p, q):
@@ -865,27 +884,16 @@ def _folded_product(a, b):
 
 
 def _folded_power(c, expo):
-    """c^expo, expo a finite double, as _power takes a constant base: an
-    integer power up to 1024 exactly, or on a float by squarings in
-    _powi's order; any other by math.pow."""
+    """c^expo, expo a finite double: an integer power up to 1024 exactly,
+    or on a float by _powi's squarings; any other by math.pow."""
     if expo.is_integer() and abs(expo) <= 1024:
         n = int(expo)
         if n < 0 and c == _ZERO:
             raise ExpansionError(
                 "negative powers are only supported on (x - basepoint)")
         if type(c) is float:
-            if n < 0:
-                return _floated(c ** n)
-            out = (1, 1)
-            while n > 0:
-                if n & 1:
-                    out = _folded_product(out, c)
-                c = _folded_product(c, c) if n > 1 else c
-                n >>= 1
-            return out
+            return _floated(c ** n) if n < 0 else _constant(_powi(_val(c), n))
         p, q = c
-        if not p:  # zero keeps its exponent
-            return _ZERO if n else (1, 1)
         if _POWER_BITS < abs(n) * max(p.bit_length(), q.bit_length()):
             raise ExpansionError("constant power ^%d passes %d bits"
                                  % (n, _POWER_BITS))
@@ -910,8 +918,7 @@ def _expand(node, basepoint, order):
 
 
 def _value(node, basepoint, order):
-    """node's working value, or its folded constant where it holds no x
-    and no call."""
+    """node's working value, or its folded constant where it holds no x."""
     tag = node[0]
     if tag == "num":
         p, q = node[1].as_integer_ratio()
@@ -922,11 +929,17 @@ def _value(node, basepoint, order):
     if tag == "neg":
         a = _value(node[1], basepoint, order)
         if type(a) is _SVal:
-            return _scale(a, -1)
+            return _scale(a, (-1, 1))
         return -a if type(a) is float else (-a[0], a[1])
     if tag == "call" and node[1] in _INTRINSICS:
-        return _compose_intrinsic(node[1], _expand(node[2], basepoint, order),
-                                  order)
+        # a call of a folded constant folds too: it is exact at an exact 0,
+        # else the double of the function, and carries no jet order
+        a = _value(node[2], basepoint, order)
+        if type(a) is _SVal:
+            return _compose_intrinsic(node[1], a, order)
+        if a == _ZERO:
+            return _ZERO if node[1] == "sin" else (1, 1)
+        return _floated(_float_op(getattr(math, node[1]), a, node[1]))
     if tag in _CHAIN:
         return _chain(node, basepoint, order)
     if tag == "/":
@@ -942,8 +955,9 @@ def _chain(node, basepoint, order):
     # constant met by a working value waits, the float constants after it
     # multiplied in as they come, until the run of products it stands in
     # is done, and then scales the run's product once: exact products
-    # cancel before any rounding. A factor that could pass _TERMS is
-    # multiplied in order, so its product is refused where it was
+    # cancel before any rounding; an exact constant scales the working
+    # value at once. A factor that could pass _TERMS is multiplied in
+    # order, so its product is refused where it was
     chain = []
     while node[0] in _CHAIN:
         chain.append(node)
@@ -955,58 +969,45 @@ def _chain(node, basepoint, order):
         if tag == "*":
             if type(acc) is not _SVal and type(b) is not _SVal:
                 acc = _folded_product(acc, b)
-            elif type(b) is tuple and b[0] and (
-                    out := _scaled(acc, b)) is not None:
-                acc = out
-            elif type(acc) is tuple and acc[0] and (
-                    out := _scaled(b, acc)) is not None:
-                acc = out
-            elif type(acc) is float and len(b.coeffs) <= _TERMS:
-                k, acc = acc, b
-            elif type(b) is float and len(acc.coeffs) <= _TERMS:
-                k = b if k is None else k * b
-            else:
+                continue
+            a, c = (acc, b) if type(b) is not _SVal else (b, acc)
+            if type(c) is _SVal or len(a.coeffs) > _TERMS:
                 acc = _mul(_val(acc), _val(b))
+            elif type(c) is float:
+                k, acc = c if k is None else k * c, a
+            else:
+                acc = _scale(a, c)
             continue
         if k is not None:
-            acc, k = _mul(_val(_floated(k)), acc), None
+            acc, k = _scale(acc, _floated(k)), None
         sign = 1 if tag == "+" else -1
         if type(acc) is not _SVal and type(b) is not _SVal:
             acc = _folded_sum(acc, b, sign)
         else:
             acc = _add(_val(acc), _val(b), sign)
-    if k is not None:
-        acc = _mul(_val(_floated(k)), acc)
-    return acc
-
-
-def _scaled(a, c):
-    """a times the nonzero exact constant c, as _mul relabels it, or None
-    where the general product must run."""
-    return _relabel(a, *c, _snapped(a.order), _snapped(a.base))
+    return acc if k is None else _scale(acc, _floated(k))
 
 
 def _quotient(num_node, den_node, basepoint, order):
-    # a nonzero constant; a truncated one only where no x can hide past its
-    # order. The divisor expands first, and a zero one is refused before
-    # the numerator expands
+    # a nonzero constant, not one the jet order truncated, which may hide
+    # x past its order. The divisor expands first, and a zero one is
+    # refused before the numerator expands
     den = _value(den_node, basepoint, order)
     if type(den) is _SVal:
-        if not den.is_constant() or (type(den.order) is not float
-                                     and _holds_x(den_node)):
+        if not den.is_constant() or type(den.order) is not float:
             raise ExpansionError("division only by nonzero constants")
-        den = den.coeffs[-den.base] if den.den is None else _at(den, 0)
+        den = _constant(den)
     if type(den) is float:
         inv = 1.0 / den
     else:
         p, q = den
         if not p:
             raise ExpansionError("division by zero")
-        inv = _ratio(q, p) if p > 0 else _ratio(-q, -p)
+        inv = (q, p) if p > 0 else (-q, -p)
     num = _value(num_node, basepoint, order)
     if type(num) is not _SVal:
         return _folded_product(inv, num)
-    return _scale(num, inv) if type(inv) is float else _scale(num, *inv)
+    return _scale(num, inv)
 
 
 # The most bits an exact constant power c^n may give its numerator or
@@ -1021,21 +1022,15 @@ def _power_term(expo):
     return _SVal({0: 1}, base=e.numerator if e.denominator == 1 else e)
 
 
-def _holds_x(node):
-    return "x" in node or any(_holds_x(n) for n in node[1:] if type(n) is tuple)
-
-
 def _power(base_node, expo_node, basepoint, order):
     # the exponent: the correctly rounded double of the constant it expands
-    # to; a truncated one only where no x can hide past its order
+    # to, not of one the jet order truncated
     e = _value(expo_node, basepoint, order)
-    if type(e) is not _SVal:
-        expo = _double(e)
-    elif not e.is_constant() or (type(e.order) is not float
-                                 and _holds_x(expo_node)):
-        raise ExpansionError("exponent must be a constant expression")
-    else:
-        expo = truediv(*_at(e, 0)) if e.den else e.coeffs[-e.base]
+    if type(e) is _SVal:
+        if not e.is_constant() or type(e.order) is not float:
+            raise ExpansionError("exponent must be a constant expression")
+        e = _constant(e)
+    expo = _double(e)
     if not math.isfinite(expo):
         raise ExpansionError("exponent %r is not finite" % expo)
     if base_node[0] == "x" and not basepoint:
@@ -1047,17 +1042,15 @@ def _power(base_node, expo_node, basepoint, order):
     if (exact and base.den and len(base.coeffs) == 1
             and eq(*_at(base, 1))):
         return _power_term(expo)
-    c = None
-    if base.is_constant():  # an exact constant base as a Fraction; a
-        # float-holding one pruned empty reads 0.0
-        c = (Fraction(*_at(base, 0)) if base.den
-             else base.coeffs.get(-base.base, 0.0))
-    # a constant only because the jet order cut its x off keeps its order
-    # through nonnegative integer powers alone, as the products keep it
-    cut = not exact and _holds_x(base_node)
-    if expo.is_integer() and abs(expo) <= 1024:
-        n = int(expo)
-        if n < 0 and (not c or cut):
+    n = int(expo) if expo.is_integer() and abs(expo) <= 1024 else None
+    # a constant base powers as a folded one: an exact one always, one the
+    # jet order truncated under positive integer powers alone, keeping its
+    # order as the products would. A zero base's positive powers run _powi
+    # below, which keeps its exponent
+    if base.is_constant() and (base.coeffs if n and n > 0 else exact):
+        return _val(_folded_power(_constant(base), expo), base.order)
+    if n is not None:
+        if n < 0:
             raise ExpansionError(
                 "negative powers are only supported on (x - basepoint)")
         # a polynomial's power, judged before its squarings as _mul judges each
@@ -1067,21 +1060,7 @@ def _power(base_node, expo_node, basepoint, order):
                 and n * (max(base.coeffs) - min(base.coeffs)) >= _TERMS):
             raise ExpansionError("polynomial power ^%d passes %d terms"
                                  % (n, _TERMS))
-        if type(c) is not Fraction or not c:  # zero keeps its exponent
-            return _powi(base, n) if n >= 0 else _mixed({0: c ** n})
-        if _POWER_BITS < abs(n) * max(c.numerator.bit_length(),
-                                      c.denominator.bit_length()):
-            raise ExpansionError("constant power ^%d passes %d bits"
-                                 % (n, _POWER_BITS))
-        # one exact power, whose coprime parts need no gcd; a truncated
-        # base keeps its order, as the products would
-        order = _snapped(base.order) if n > 0 and not exact else math.inf
-        p, q = (c ** n).as_integer_ratio()
-        return _SVal({0: p} if p else {}, order, 0, q)
-    if c is not None and not cut:
-        if c <= 0:
-            raise ExpansionError("real power of a non-positive constant")
-        return _mixed({0: math.pow(float(c), expo)})
+        return _powi(base, n)
     p1, q1 = _at(base, 1) if base.den else (0, 1)
     if len(base.coeffs) == 2 and p1 == q1:  # x - c, c not the base point
         p0, q0 = _at(base, 0)

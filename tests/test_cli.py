@@ -274,6 +274,35 @@ class TestDeriv:
             code, _, err = run_cli(capsys, *argv)
             assert code == 2 and len(err.encode()) < 120
 
+    @pytest.mark.parametrize("argv, out", [
+        (("deriv", "--expr", "exp(1)", "--k", "0.5", "--at", "2"),
+         "result: 1.53362629276 * x^-0.5\nvalue at x = 2: 1.08443755142\n"),
+        (("deriv", "--expr", "cos(0)*x^2", "--k", "1", "--at", "3"),
+         "result: 2 * x\nvalue at x = 3: 6\n"),
+        (("deriv", "--expr", "1/(3+x*sin(0))", "--k", "0.5"),
+         "result: 0.188063194516 * x^-0.5\n"),
+        (("oracle-compare", "--expr", "cos(0)*x", "--k", "0.5", "--at", "2"),
+         None)])
+    def test_calls_of_constants_carry_no_order(self, capsys, argv, out):
+        # a call of a constant is a constant: no truncation order, so no
+        # "truncation too coarse" and no refused divisor
+        code, got, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "") and got == (out or got)
+
+    def test_calls_of_constants_print_no_truncation_order(self, capsys):
+        code, out, _ = run_cli(capsys, "deriv", "--expr", "cos(0)*x^2",
+                               "--k", "0.5", "--format", "json")
+        assert code == 0 and '"truncation_order"' not in out
+
+    @pytest.mark.parametrize("expr", [
+        "exp(1e308)", "exp(exp(exp(10)))", "sin((2)^2000)", "1/sin(0)",
+        "sin(0)^(-1)", "(1+sin(x)-x)^(-1)"])
+    def test_calls_of_constants_refused(self, capsys, expr):
+        code, out, err = run_cli(capsys, "deriv", "--expr", expr, "--k", "0.5",
+                                 "--order", "2")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestLiftProject:
     def test_round_trip_through_files(self, capsys, tmp_path):

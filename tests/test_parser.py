@@ -1078,11 +1078,12 @@ class TestConstantPowers:
 
     def test_truncated_constants_keep_their_order(self):
         # as a product of truncated constants: the order stays, and ^0 is 1
-        for text, terms, order in (("cos(0)^3", ((0.0, 1.0),), 8.0),
-                                   ("(sin(x) + 2)^2", ((0.0, 4.0),), 0.0),
-                                   ("sin(x)^3", (), 0.0),
-                                   ("(sin(x) + 2)^0", ((0.0, 1.0),), None)):
-            f = to_series(text, 0, 0 if "sin" in text else 8)
+        for text, jet, terms, order in (
+                ("(2 + sin(x) - x)^3", 2, ((0.0, 8.0),), 2.0),
+                ("(sin(x) + 2)^2", 0, ((0.0, 4.0),), 0.0),
+                ("sin(x)^3", 0, (), 0.0),
+                ("(sin(x) + 2)^0", 0, ((0.0, 1.0),), None)):
+            f = to_series(text, 0, jet)
             assert (f.terms, f.truncation_order) == (terms, order), text
 
 
@@ -1132,7 +1133,7 @@ class TestRelabel:
         ("x^(1/3)*exp(x)", 4.5, Fraction(1, 3),
          {0: 1.0, 1: 1.0, 2: 1 / 2, 3: 1 / 6, 4: 1 / 24}, 13 / 3),
         # a polynomial relabelled by a one-term jet takes its n! first
-        ("cos(0)*(1 + x)^3", 2, 0, {0: 1.0, 1: 3.0, 2: 3.0}, 2.0),
+        ("(1 + sin(x) - x)*(1 + x)^3", 2, 0, {0: 1.0, 1: 3.0, 2: 3.0}, 2.0),
         # a jet whose keys reach past the one-term factor's order is cut
         ("(1 + (sin(x) - x)^2) * cos(x^5)", 4, 0, {0: 1.0}, 4.0),
     ])
@@ -1151,14 +1152,14 @@ class TestRelabel:
         assert (want.order, want.base) == (_ref_order(a, b), a.base + b.base)
         got = [parser._mul(a, b), parser._mul(b, a)]
         if b.base == 0:  # a constant, as a chain of products scales by it
-            got.append(parser._scaled(a, Fraction(b.coeffs[0],
-                                                  b.den).as_integer_ratio()))
+            got.append(parser._scale(a, Fraction(b.coeffs[0],
+                                                 b.den).as_integer_ratio()))
         for v in got:
             assert _stripped(v) == _stripped(want), text
 
 
 # x-free trees over small integers and the literals 0.1, 0.0001 and 1e-300,
-# with integer, negative and real powers
+# with integer, negative and real powers and calls of exp, sin and cos
 _fold_leaves = st.sampled_from(["0", "1", "2", "3", "0.1", "0.0001", "1e-300"])
 _fold_exponents = st.sampled_from(["0", "2", "3", "(-1)", "(-2)", "0.5",
                                    "(1/3)", "(-3/4)"])
@@ -1168,7 +1169,8 @@ _fold_trees = st.recursive(_fold_leaves, lambda t: st.one_of(
     st.builds("({} - {})".format, t, t),
     st.builds("({} * {})".format, t, t),
     st.builds("({} / {})".format, t, t),
-    st.builds("({})^{}".format, t, st.one_of(_fold_exponents, t))),
+    st.builds("({})^{}".format, t, st.one_of(_fold_exponents, t)),
+    st.builds("{}({})".format, st.sampled_from(["exp", "sin", "cos"]), t)),
     max_leaves=8)
 
 
@@ -1186,11 +1188,25 @@ def _ref_times(a, b):
 def _ref_fold(node):
     """The value of an x-free tree: Fraction arithmetic while both operands
     are exact, else the doubles, as Python mixes a Fraction with a float;
-    an integer power of a float by squarings, a real one by math.pow; the
+    an integer power of a float by squarings, a real one by math.pow; a
+    call exact at an exact 0, else math's function of the double; the
     parser's refusals by its words."""
     tag = node[0]
     if tag == "num":
         return Fraction(node[1])
+    if tag == "call":
+        c = _ref_fold(node[2])
+        if c == 0 and type(c) is Fraction:
+            return Fraction(node[1] != "sin")
+        try:
+            return _exact_zero(getattr(math, node[1])(float(c)))
+        except (OverflowError, ValueError):
+            try:
+                arg = repr(float(c))
+            except OverflowError:
+                arg = "an argument past 2^1024"
+            raise ExpansionError("%s(%s) is out of double range"
+                                 % (node[1], arg)) from None
     if tag == "neg":
         return -_ref_fold(node[1])
     if tag in "+-":
