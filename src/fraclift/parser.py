@@ -828,22 +828,21 @@ def _float_op(fn, u0, what):
 _ZERO = (0, 1)
 
 
-def _val(c, order=math.inf):
-    """The working value of c, a folded constant or already one, at the
-    order given."""
+def _val(c):
+    """The working value of c, a folded constant or already one."""
     if type(c) is _SVal:
         return c
     if type(c) is float:
-        return _SVal({0: c}, order, 0, None)
+        return _SVal({0: c}, math.inf, 0, None)
     p, q = c
-    return _SVal({0: p} if p else {}, order, den=q)
+    return _SVal({0: p} if p else {}, den=q)
 
 
 def _constant(v):
-    """The folded constant of a constant working value."""
-    if not v.coeffs:
-        return _ZERO
-    return v.coeffs[-v.base] if v.den is None else _ratio(*_at(v, 0))
+    """The folded constant of a constant working value, of either form: a
+    Taylor coefficient the prune left a Fraction reads as its pair."""
+    p, q = _at(v, 0)
+    return p if type(p) is float else _ratio(p, q)
 
 
 def _ratio(p, q):
@@ -1048,7 +1047,9 @@ def _power(base_node, expo_node, basepoint, order):
     # order as the products would. A zero base's positive powers run _powi
     # below, which keeps its exponent
     if base.is_constant() and (base.coeffs if n and n > 0 else exact):
-        return _val(_folded_power(_constant(base), expo), base.order)
+        out = _val(_folded_power(_constant(base), expo))
+        out.order = base.order
+        return out
     if n is not None:
         if n < 0:
             raise ExpansionError(

@@ -294,6 +294,13 @@ class TestDeriv:
                                "--k", "0.5", "--format", "json")
         assert code == 0 and '"truncation_order"' not in out
 
+    def test_power_of_a_pruned_float_holding_constant(self, capsys):
+        # the order cuts 2^0.5*x^5 and leaves the constant 1 in Taylor form
+        code, out, err = run_cli(capsys, "deriv", "--expr",
+                                 "(1 + 2^0.5*x^5 + (sin(x) - sin(x)))^2",
+                                 "--k", "0.5", "--order", "2")
+        assert (code, out, err) == (0, "result: 0.564189583548 * x^-0.5\n", "")
+
     @pytest.mark.parametrize("expr", [
         "exp(1e308)", "exp(exp(exp(10)))", "sin((2)^2000)", "1/sin(0)",
         "sin(0)^(-1)", "(1+sin(x)-x)^(-1)"])

@@ -1080,6 +1080,9 @@ class TestConstantPowers:
         # as a product of truncated constants: the order stays, and ^0 is 1
         for text, jet, terms, order in (
                 ("(2 + sin(x) - x)^3", 2, ((0.0, 8.0),), 2.0),
+                # the prune of x^5 leaves the Taylor coefficient 1 a Fraction
+                ("(1 + 2^0.5*x^5 + (sin(x) - sin(x)))^2", 2, ((0.0, 1.0),),
+                 2.0),
                 ("(sin(x) + 2)^2", 0, ((0.0, 4.0),), 0.0),
                 ("sin(x)^3", 0, (), 0.0),
                 ("(sin(x) + 2)^0", 0, ((0.0, 1.0),), None)):
