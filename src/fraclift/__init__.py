@@ -8,6 +8,12 @@ and reproduces the termwise operator wherever the latter is defined.
 
 The Gamma kernel is pure Python (fraclift.gamma); `fraclift.KERNEL_BACKEND`
 names it, for reports that record which kernel produced their numbers.
+
+`import fraclift` loads the series layers (coeffseq, gamma, rl, lifted) and
+neither the expression front end nor the quadrature oracle: `parse`,
+`to_series` and `to_lifted` import fraclift.parser, and `rl_oracle` and
+`compare` import fraclift.oracle, on their first read (PEP 562). Nothing it
+loads imports json; only reading a JSON document does.
 """
 
 from .coeffseq import (
@@ -41,11 +47,41 @@ from .lifted import (
     project,
     shift,
 )
-from .oracle import compare, rl_oracle
-from .parser import parse, to_lifted, to_series
 from .rl import rl_kernel_predicate, rl_series, rl_term
 
 KERNEL_BACKEND = "python"
+
+# Where each name that a series call never needs is defined: the module
+# loads on the first read of one of its names, or of the module itself
+_LAZY = {"parse": "parser", "to_series": "parser", "to_lifted": "parser",
+         "rl_oracle": "oracle", "compare": "oracle"}
+
+
+def __getattr__(name):
+    # called only for a name the module globals lack; the module's names
+    # are stored there, so later reads are plain lookups
+    home = name if name in _LAZY.values() else _LAZY.get(name)
+    if home is None:
+        raise AttributeError("module %r has no attribute %r"
+                             % (__name__, name))
+    import importlib  # loaded by site; without it (python -S), only here
+
+    module = importlib.import_module("." + home, __name__)
+    names = globals()
+    names[home] = module
+    names.update((n, getattr(module, n)) for n, h in _LAZY.items()
+                 if h == home)
+    # CPython specializes no attribute read on a module whose dict holds
+    # __getattr__, so each fraclift.<name> read takes about twice as long
+    # while it stays: it leaves once nothing is left to load
+    if names.keys() >= _LAZY.keys():
+        names.pop("__getattr__", None)
+    return names[name]
+
+
+def __dir__():
+    return sorted(set(globals()).union(__all__))
+
 
 __all__ = [
     # series and lifted sequences

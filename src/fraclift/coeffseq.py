@@ -48,7 +48,6 @@ where that sum is not finite.
 from __future__ import annotations
 
 import functools
-import json
 import math
 import sys
 from fractions import Fraction
@@ -103,7 +102,10 @@ def fmt17(v):
 def read_json(text, what, read):
     """read(doc) for the JSON document in text. Malformed JSON, a missing
     field or a value of the wrong type raises InputError naming what, and
-    so does text that is not a str (None, bytes)."""
+    so does text that is not a str (None, bytes). json is imported here,
+    by its only user: every writer builds its text by hand."""
+    import json
+
     if not isinstance(text, str):
         raise InputError("%s JSON must be text, not %s"
                          % (what, type(text).__name__))

@@ -22,8 +22,8 @@ term f(x) (x-t)^(m-1) is integrated in closed form, f(x) L^m / m, and the
 nodes take the rest, (f(t) - f(x)) (x-t)^(m-1), which vanishes at the
 kernel end: for m near 0 the kernel alone decays too slowly in u to be
 truncated, and its weight overflows at the last nodes. The trapezoid rule
-runs on |u| <= 6.5 with nested steps h = 1/2 ... 1/128 (the node table is
-built on the first quadrature) and returns when two successive levels
+runs on |u| <= 6.5 with nested steps h = 1/2 ... 1/128 (a level's nodes
+are built when first reached) and returns when two successive levels
 agree to 1e-10 relative. The first level walks each end outward in u;
 among the nodes within 1e-3 (x - a) of that end, the first whose term is
 at most 2^-60 of the running level-1 value ends that end's walk, on every
@@ -84,23 +84,21 @@ _MAX_ORDER = 2.0
 
 
 @functools.cache
-def _node_levels():
-    """Per level, the nodes u = j h > 0 that level adds (u = 0 is taken
-    apart), as (q/(1+q), 1/(1+q), weight) with weight = pi cosh(u) q/(1+q)^2
-    = (dt/du)/L; built on the first quadrature, not at import."""
-    levels = []
-    for level in range(1, _LEVELS + 1):
-        h = 0.5**level
-        new = []
-        for j in range(1, int(_U_MAX / h) + 1, 1 if level == 1 else 2):
-            u = j * h
-            q = math.exp(-math.pi * math.sinh(u))
-            if q == 0.0:
-                break
-            new.append((q / (1.0 + q), 1.0 / (1.0 + q),
-                        math.pi * math.cosh(u) * q / (1.0 + q) ** 2))
-        levels.append(tuple(new))
-    return tuple(levels)
+def _level_nodes(level):
+    """The nodes u = j h > 0, h = 2^-level, that the level adds (u = 0 is
+    taken apart), as (q/(1+q), 1/(1+q), weight) with weight = pi cosh(u)
+    q/(1+q)^2 = (dt/du)/L; built the first time a quadrature reaches the
+    level, not at import."""
+    h = 0.5**level
+    new = []
+    for j in range(1, int(_U_MAX / h) + 1, 1 if level == 1 else 2):
+        u = j * h
+        q = math.exp(-math.pi * math.sinh(u))
+        if q == 0.0:
+            break
+        new.append((q / (1.0 + q), 1.0 / (1.0 + q),
+                    math.pi * math.cosh(u) * q / (1.0 + q) ** 2))
+    return tuple(new)
 
 
 def _frac_integral(f, a, m, x):
@@ -118,8 +116,8 @@ def _frac_integral(f, a, m, x):
         exact = fx * big**m / m
         # u = 0: the midpoint, weight pi/4
         s = 0.25 * math.pi * (f(x - 0.5 * big) - fx) * (0.5 * big) ** beta
-        for level, nodes in enumerate(_node_levels(), 1):
-            for near, far, w in nodes:
+        for level in range(1, _LEVELS + 1):
+            for near, far, w in _level_nodes(level):
                 if near <= cut_kernel and near <= cut_base:
                     break
                 d = big * near

@@ -955,8 +955,7 @@ def _chain(node, basepoint, order):
     # multiplied in as they come, until the run of products it stands in
     # is done, and then scales the run's product once: exact products
     # cancel before any rounding; an exact constant scales the working
-    # value at once. A factor that could pass _TERMS is multiplied in
-    # order, so its product is refused where it was
+    # value at once
     chain = []
     while node[0] in _CHAIN:
         chain.append(node)
@@ -970,7 +969,7 @@ def _chain(node, basepoint, order):
                 acc = _folded_product(acc, b)
                 continue
             a, c = (acc, b) if type(b) is not _SVal else (b, acc)
-            if type(c) is _SVal or len(a.coeffs) > _TERMS:
+            if type(c) is _SVal:
                 acc = _mul(_val(acc), _val(b))
             elif type(c) is float:
                 k, acc = c if k is None else k * c, a

@@ -301,6 +301,20 @@ class TestDeriv:
                                  "--k", "0.5", "--order", "2")
         assert (code, out, err) == (0, "result: 0.564189583548 * x^-0.5\n", "")
 
+    @pytest.mark.parametrize("factor, code", [("3*", 0), ("x*", 2)])
+    def test_a_constant_scales_a_long_polynomial(self, capsys, factor, code):
+        # a constant factor scales a sum of 2050 terms; x times it is a
+        # product that could pass 2049 terms
+        poly = "(%s)" % "+".join("x^%d" % k for k in range(1, 2051))
+        got, out, err = run_cli(capsys, "deriv", "--expr", factor + poly,
+                                "--k", "0", "--format", "json")
+        assert got == code
+        if code == 0:
+            terms = json.loads(out)["series"]["terms"]
+            assert terms == [{"exp": n, "coef": 3} for n in range(1, 2051)]
+        else:
+            assert err == "error: polynomial product passes 2049 terms\n"
+
     @pytest.mark.parametrize("expr", [
         "exp(1e308)", "exp(exp(exp(10)))", "sin((2)^2000)", "1/sin(0)",
         "sin(0)^(-1)", "(1+sin(x)-x)^(-1)"])
@@ -553,6 +567,36 @@ class TestProcessLevel:
                               env=dict(os.environ, PYTHONPATH=src))
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
+    def test_import_loads_neither_front_end_nor_oracle(self):
+        # a series call needs neither module, nor json: `import fraclift`
+        # leaves them out, and a lazy name loads its module on first read
+        src = os.path.dirname(os.path.dirname(fraclift.__file__))
+        code = (
+            "import sys, fraclift\n"
+            "names = ('fraclift.parser', 'fraclift.oracle', 'fraclift.verify',"
+            " 'json')\n"
+            "print(sorted(n for n in names if n in sys.modules))\n"
+            "print(fraclift.parse is fraclift.parser.parse,"
+            " fraclift.rl_oracle is fraclift.oracle.rl_oracle)\n"
+            "star = {}\n"
+            "exec('from fraclift import *', star)\n"
+            "print(sorted(set(fraclift.__all__) - set(star)))\n"
+            "print(set(fraclift.__all__) <= set(dir(fraclift)))\n"
+            # with nothing left to load the hook leaves, so that reads of
+            # the package's names are specialized again
+            "print('__getattr__' in vars(fraclift))\n"
+            "try:\n"
+            "    fraclift.no_such_name\n"
+            "except AttributeError as exc:\n"
+            "    print(exc)\n")
+        proc = subprocess.run([sys.executable, "-S", "-c", code],
+                              capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=src))
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout.splitlines() == [
+            "[]", "True True", "[]", "True", "False",
+            "module 'fraclift' has no attribute 'no_such_name'"]
+
     def test_module_entry_point(self):
         proc = subprocess.run(
             [sys.executable, "-m", "fraclift", "deriv", "--expr", "x",
@@ -644,3 +688,21 @@ class TestProcessLevel:
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    def test_deriv_imports_no_json(self):
+        # every JSON writer builds its text by hand, so only reading a file
+        # (--series-file, --lifted-file) loads json
+        probe = ("import runpy, sys\n"
+                 "before = 'json' in sys.modules\n"
+                 "sys.argv[1:] = ['deriv', '--expr', 'x', '--k', '0.5', "
+                 "'--at', '1']\n"
+                 "try:\n"
+                 "    runpy.run_module('fraclift', run_name='__main__')\n"
+                 "except SystemExit as exc:\n"
+                 "    print(exc.code, before or 'json' not in sys.modules)\n")
+        proc = subprocess.run([sys.executable, "-c", probe],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [
+            "result: 1.1283791671 * x^0.5", "value at x = 1: 1.1283791671",
+            "0 True"]

@@ -1,10 +1,13 @@
 import math
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fraclift import oracle
 from fraclift.cli import main
 from fraclift.coeffseq import GenSeries, monomial, series_eval
 from fraclift.errors import (
@@ -228,6 +231,39 @@ class TestQuadrature:
     def test_unresolved_integrand_is_an_oracle_error(self):
         with pytest.raises(OracleError, match="did not converge"):
             rl_oracle(lambda t: math.sin(1e4 * t), 0.0, -0.5, 1.0)
+
+    def test_a_quadrature_builds_only_the_levels_it_reaches(self):
+        # a constant integrand leaves only the closed-form term, so levels
+        # 1 and 2 agree and the quadrature stops there
+        probe = ("import fraclift.oracle as o\n"
+                 "print(o._level_nodes.cache_info().currsize)\n"
+                 "o.rl_oracle(lambda t: 1.0, 0.0, -0.5, 1.0)\n"
+                 "print(o._level_nodes.cache_info().currsize)\n")
+        proc = subprocess.run([sys.executable, "-c", probe],
+                              capture_output=True, text=True)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout.splitlines() == ["0", "2"]
+
+    def test_levels_equal_the_whole_table(self):
+        # the reference builds all seven levels in one loop; each level
+        # built on its own holds the same doubles in the same order
+        table = []
+        for level in range(1, 8):
+            h = 0.5**level
+            new = []
+            for j in range(1, int(6.5 / h) + 1, 1 if level == 1 else 2):
+                u = j * h
+                q = math.exp(-math.pi * math.sinh(u))
+                if q == 0.0:
+                    break
+                new.append((q / (1.0 + q), 1.0 / (1.0 + q),
+                            math.pi * math.cosh(u) * q / (1.0 + q) ** 2))
+            table.append(new)
+        assert sum(map(len, table)) == 788
+        for level, want in enumerate(table, 1):
+            got = oracle._level_nodes(level)
+            assert ([[v.hex() for v in node] for node in got]
+                    == [[v.hex() for v in node] for node in want])
 
 
 class TestCompare:

@@ -1303,13 +1303,22 @@ class TestFloatFactors:
             assert ([(n, v.hex()) for n, v in zip(got.keys, got.vals)]
                     == [(n, v.hex()) for n, v in zip(want.keys, want.vals)])
 
-    def test_a_long_polynomial_is_refused_in_order(self):
-        # the float factor does not wait past a product it makes refused,
-        # so the divisor after it is never reached
-        poly = "+".join("x^%d" % k for k in range(1, 2051))
-        for text in ("2^0.5*(%s)*(1/0)", "(%s)*2^0.5*(1/0)"):
-            with pytest.raises(ExpansionError, match="passes 2049 terms"):
+    def test_a_constant_scales_a_long_polynomial(self):
+        # a constant factor scales a sum of 2050 terms, as negation and
+        # division do, and nothing refuses it before the divisor after it;
+        # x times the sum is a product that could pass 2049 terms
+        poly = "(%s)" % "+".join("x^%d" % k for k in range(1, 2051))
+        for text, c in (("-" + poly, -1.0), (poly + "/3", 1 / 3),
+                        ("(-1)*" + poly, -1.0), ("3*" + poly, 3.0),
+                        (poly + "*1", 1.0), ("2^0.5*" + poly, 2**0.5),
+                        (poly + "*2^0.5", 2**0.5)):
+            f = to_series(text, 0, 4)
+            assert (f.keys, f.vals) == (list(range(1, 2051)), [c] * 2050)
+        for text in ("2^0.5*%s*(1/0)", "%s*2^0.5*(1/0)"):
+            with pytest.raises(ExpansionError, match="division by zero"):
                 to_series(text % poly, 0, 4)
+        with pytest.raises(ExpansionError, match="passes 2049 terms"):
+            to_series("x*" + poly, 0, 4)
 
 
 class TestTruncatedDivisors:
