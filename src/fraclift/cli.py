@@ -13,6 +13,13 @@ Numeric output in machine formats (json, csv) is printed with 17 significant
 digits and is byte-deterministic for identical inputs. Exit codes: 0 success
 or all-pass, 1 verification failure, 2 usage or domain error (such as a
 deriv --at point past a truncated jet's reach).
+
+A call builds the arguments of its own subcommand only, and loads what that
+command runs: the series layers always, the expression front end
+(fraclift.parser) for --expr input, the quadrature oracle (fraclift.oracle)
+for oracle-compare, and fraclift.verify for verify, whose suites load the
+front end and the oracle only when they run (diagram and oracle). project,
+and deriv or lift on a --series-file, load none of the three.
 """
 
 from __future__ import annotations
@@ -31,10 +38,7 @@ from .coeffseq import (
 )
 from .errors import FracliftError, InputError
 from .lifted import lift_gen, lifted_from_json, lifted_to_json, project, shift
-from .oracle import compare
-from .parser import to_lifted, to_series, to_series_and_lifted
 from .rl import annihilated_run, rl_series
-from .verify import SUITES, run_suites
 
 
 def int_at_least(lo, message):
@@ -88,12 +92,25 @@ def _read_text(path):
         raise InputError("%s is not UTF-8 text: %s" % (path, exc)) from None
 
 
+def _expr(args):
+    """The --expr text, or None when the input is a --series-file; refuses
+    both inputs and neither. An empty --expr is an expression, which the
+    parser refuses."""
+    if args.expr is None:
+        if args.series_file is None:
+            raise FracliftError("provide --expr or --series-file")
+        return None
+    if args.series_file is not None:
+        raise FracliftError("give --expr or --series-file, not both")
+    return args.expr
+
+
 def _load_series(args) -> GenSeries:
-    if getattr(args, "expr", None):
-        return to_series(args.expr, args.basepoint, args.order)
-    if getattr(args, "series_file", None):
+    expr = _expr(args)
+    if expr is None:
         return series_from_json(_read_text(args.series_file))
-    raise FracliftError("provide --expr or --series-file")
+    from .parser import to_series
+    return to_series(expr, args.basepoint, args.order)
 
 
 def _add_input_opts(p):
@@ -125,7 +142,8 @@ def cmd_deriv(args):
     # an expression on the lifted path lifts exactly (to_lifted), from the
     # expansion its series comes from; a series file lifts by lift_gen
     rho = None
-    if args.expr and (args.via == "lifted" or args.compare_paths):
+    if (args.via == "lifted" or args.compare_paths) and _expr(args) is not None:
+        from .parser import to_series_and_lifted
         f, rho = to_series_and_lifted(args.expr, args.basepoint, args.order)
     else:
         f = _load_series(args)
@@ -180,8 +198,11 @@ def cmd_deriv(args):
 
 
 def cmd_lift(args):
-    rho = (to_lifted(args.expr, args.basepoint, args.order) if args.expr
-           else lift_gen(_load_series(args)))
+    if _expr(args) is None:
+        rho = lift_gen(_load_series(args))
+    else:
+        from .parser import to_lifted
+        rho = to_lifted(args.expr, args.basepoint, args.order)
     if args.k:
         rho = shift(rho, args.k)
     print(lifted_to_json(rho))
@@ -201,6 +222,7 @@ def cmd_project(args):
 
 
 def cmd_verify(args):
+    from .verify import run_suites
     results = run_suites(args.suite, trials=args.trials, seed=args.seed,
                          order=args.order)
     failed = 0
@@ -221,6 +243,7 @@ def cmd_verify(args):
 
 
 def cmd_oracle_compare(args):
+    from .oracle import compare
     f = _load_series(args)
     rows = compare(f, args.k, args.at)
     if args.format == "json":
@@ -246,14 +269,7 @@ def cmd_kernel_check(args):
     return 0
 
 
-def build_parser():
-    ap = argparse.ArgumentParser(
-        prog="fraclift",
-        description="Fractional derivatives of generalized power series, "
-                    "termwise or through the commuting lifted shift.")
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("deriv", help="differintegrate an expression or series")
+def _deriv_args(p):
     _add_input_opts(p)
     p.add_argument("--k", type=finite_float, required=True, help="order (real)")
     p.add_argument("--at", type=finite_float, action="append",
@@ -265,13 +281,15 @@ def build_parser():
                    default="pretty")
     p.set_defaults(fn=cmd_deriv)
 
-    p = sub.add_parser("lift", help="lift input to the shifted-lattice form")
+
+def _lift_args(p):
     _add_input_opts(p)
     p.add_argument("--k", type=finite_float, default=0.0,
                    help="apply a shift after lifting")
     p.set_defaults(fn=cmd_lift)
 
-    p = sub.add_parser("project", help="project a lifted JSON file to a series")
+
+def _project_args(p):
     p.add_argument("--lifted-file", required=True,
                    help="lifted JSON path ('-' for stdin)")
     p.add_argument("--k", type=finite_float, default=0.0,
@@ -279,7 +297,9 @@ def build_parser():
     p.add_argument("--format", choices=("pretty", "json"), default="json")
     p.set_defaults(fn=cmd_project)
 
-    p = sub.add_parser("verify", help="run identity suites")
+
+def _verify_args(p):
+    from .verify import SUITES
     p.add_argument("--suite", default="all",
                    choices=tuple(SUITES) + ("all",))
     p.add_argument("--order", type=jet_order, default=config.DEFAULT_ORDER,
@@ -291,25 +311,54 @@ def build_parser():
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_verify)
 
-    p = sub.add_parser("oracle-compare",
-                       help="termwise vs. quadrature oracle table")
+
+def _oracle_compare_args(p):
     _add_input_opts(p)
     p.add_argument("--k", type=finite_float, required=True)
     p.add_argument("--at", type=finite_float, action="append", required=True)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(fn=cmd_oracle_compare)
 
-    p = sub.add_parser("kernel-check",
-                       help="evaluate the kernel predicate per term")
+
+def _kernel_check_args(p):
     _add_input_opts(p)
     p.add_argument("--k", type=finite_float, required=True)
     p.set_defaults(fn=cmd_kernel_check)
+
+
+# each subcommand: its help line and the function that adds its arguments
+COMMANDS = {
+    "deriv": ("differintegrate an expression or series", _deriv_args),
+    "lift": ("lift input to the shifted-lattice form", _lift_args),
+    "project": ("project a lifted JSON file to a series", _project_args),
+    "verify": ("run identity suites", _verify_args),
+    "oracle-compare": ("termwise vs. quadrature oracle table",
+                       _oracle_compare_args),
+    "kernel-check": ("evaluate the kernel predicate per term",
+                     _kernel_check_args),
+}
+
+
+def build_parser(commands=None):
+    """The parser of every subcommand. Only the subcommands named in
+    commands get their arguments, all of them when it is None."""
+    ap = argparse.ArgumentParser(
+        prog="fraclift",
+        description="Fractional derivatives of generalized power series, "
+                    "termwise or through the commuting lifted shift.")
+    sub = ap.add_subparsers(dest="command", required=True)
+    for name, (help_, add_args) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_)
+        if commands is None or name in commands:
+            add_args(p)
     return ap
 
 
 def main(argv=None):
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # argparse runs at most one subparser, the one a word of argv names
+    # exactly: the others' arguments are never read, so none are built
+    args = build_parser(set(argv)).parse_args(argv)
     try:
         config.perturbation()
         return args.fn(args)

@@ -50,6 +50,7 @@ from __future__ import annotations
 import functools
 import math
 import sys
+from bisect import bisect_left
 from fractions import Fraction
 from itertools import compress, islice
 from operator import lt, sub
@@ -225,10 +226,24 @@ def _rational(x):
     return Fraction(x)
 
 
+def _smallest(exponents):
+    # the exponent of smallest magnitude, the first of equal ones: one of
+    # the two at the sign change of the sorted column (sorting an ascending
+    # column is one pass, with no key call per exponent). Only a tie
+    # between them in an unsorted column needs the column's own order
+    s = sorted(exponents)
+    i = bisect_left(s, 0.0)
+    below = -s[i - 1] if i else math.inf
+    above = s[i] if i < len(s) else math.inf
+    if below == above and s != exponents:
+        return min(exponents, key=abs)
+    return s[i - 1] if below <= above else s[i]
+
+
 def _phase_of(exponents):
     # the lattice phase the float entry reads: that of the exponent of
     # smallest magnitude, whose fractional part carries the most bits
-    return _phase(min(exponents, key=abs))
+    return _phase(_smallest(exponents))
 
 
 @functools.lru_cache(maxsize=config.PLAN_CACHE)
@@ -288,7 +303,7 @@ def _lattice(pairs, phase=None):
             and max(map(abs, map(sub, ds, keys))) > config.INT_TOL):
         off = [e for e, d, n in zip(exps, ds, keys)
                if abs(d - n) > config.INT_TOL]
-        first = min(exps, key=abs)
+        first = _smallest(exps)
         if not read:
             raise LatticeError("exponent %r lies off the lattice %s + n"
                                % (off[0], phase))

@@ -7,8 +7,10 @@ exponents). A suite applies each law to seeded draws (sequences at offset 0
 for the R, D and I laws), and `_check` reports it as a named pass/fail with
 the worst residual: it passes only when every residual is within its bound,
 so a NaN fails. The oracle law reads its row from oracle.compare, as the
-CLI's oracle-compare does. The CLI `verify` subcommand and the acceptance
-tests run the suites; the property tests call the laws on generated inputs.
+CLI's oracle-compare does. The diagram inputs load the expression front end
+and the oracle law the oracle, each on first use, so the other suites load
+neither. The CLI `verify` subcommand and the acceptance tests run the
+suites; the property tests call the laws on generated inputs.
 """
 
 from __future__ import annotations
@@ -23,8 +25,6 @@ from .coeffseq import GenSeries, int_derivative, monomial
 from .errors import EvalDomainError
 from .gamma import gamma, gamma_chain, gamma_ratio, is_pole, recip_gamma, sinpi
 from .lifted import LiftedSeq, lift_gen, project, shift
-from .oracle import compare
-from .parser import to_series
 from .rl import rl_series
 
 K_SET = (0.5, 1.0, 1.5, -0.5, math.pi / 3.0)
@@ -421,6 +421,7 @@ def kernel_repair():
 def diagram_inputs(order=config.DEFAULT_ORDER):
     # sin one order past exp, but no further than the jet-order limit, so
     # every order the CLI takes runs
+    from .parser import to_series
     return (monomial(1.0), monomial(2.0), to_series("exp(x)", 0.0, order),
             to_series("sin(x)", 0.0, min(order + 1, config.MAX_JET_ORDER)))
 
@@ -494,6 +495,7 @@ def oracle_vs_termwise(alpha, k, x):
     """The quadrature oracle agrees with the termwise rule on x^alpha at x,
     relative to max(1, |termwise|); a termwise value that is not a finite
     double makes the residual NaN."""
+    from .oracle import compare
     try:
         ((_, termwise, _, diff),) = compare(monomial(alpha), k, [x])
     except EvalDomainError:

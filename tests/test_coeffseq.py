@@ -82,6 +82,20 @@ class TestGenSeries:
     def test_single_lattice_ok(self):
         GenSeries(0.0, ((-0.5, 1.0), (1.5, 2.0), (3.5, 1.0)))
 
+    @pytest.mark.parametrize("exps, first, off", [
+        ((-1 / 3, 1 / 3, 5 / 3), -1 / 3, 1 / 3),
+        ((1 / 3, -1 / 3, 5 / 3), 1 / 3, -1 / 3),
+        ((5 / 3, -1 / 3, 1 / 3), -1 / 3, 1 / 3),
+        ((4 / 3, 1 / 3, 7 / 3, -1 / 3), 1 / 3, -1 / 3)])
+    def test_the_phase_comes_from_the_first_smallest_exponent(self, exps,
+                                                              first, off):
+        # 1/3 and -1/3 lie on different lattices: of the two, sorted column
+        # or not, the phase is read from the first
+        with pytest.raises(LatticeError) as exc:
+            GenSeries(0.0, [(e, 1.0) for e in exps])
+        assert str(exc.value) == ("exponents %r and %r lie on different "
+                                  "lattices" % (first, off))
+
     def test_scalar_ops(self):
         f = monomial(2.0, 3.0)
         assert (2.0 * f).terms == ((2.0, 6.0),)
