@@ -54,6 +54,21 @@ def int_at_least(lo, message):
 jet_order = int_at_least(0, "jet order must be a nonnegative integer")
 
 
+class _Numbers:
+    """argparse's test for a word that starts with '-' but is a number, an
+    option's value rather than an option: any word float() reads. Python
+    3.11's own pattern knows no exponent, so it took --k -1e-3 for an
+    option."""
+
+    @staticmethod
+    def match(word):
+        try:
+            float(word)
+        except ValueError:
+            return False
+        return True
+
+
 def _pretty_num(v):
     return format(float(v), ".12g")
 
@@ -349,6 +364,7 @@ def build_parser(commands=None):
     sub = ap.add_subparsers(dest="command", required=True)
     for name, (help_, add_args) in COMMANDS.items():
         p = sub.add_parser(name, help=help_)
+        p._negative_number_matcher = _Numbers
         if commands is None or name in commands:
             add_args(p)
     return ap

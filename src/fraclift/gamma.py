@@ -13,24 +13,27 @@ differ in how they treat the poles at nonpositive integers:
 These three, sinpi and is_pole take finite doubles only: an infinity or a NaN
 raises ExponentError. Every result is a finite double, or a FracliftError.
 
-Off the poles, log|Gamma(x)| is math.lgamma (inf past its range, x above
-about 2.5e305), and Gamma is negative exactly on (-2j-1, -2j), j >= 0.
-log Gamma(1) is exactly 0, so gamma and recip_gamma keep every bit of the
-log-space value. Exact integer arguments take one exact factorial path: a
-ratio of two at most 301 apart (or both within 301 of 0) is one falling
-factorial, math.perm, rounded once from the exact integer or quotient, so
-Gamma(n) and 1/Gamma(n) are the doubles of (n-1)! and 1/(n-1)!. A ratio
-whose arguments both lie past 172 on one side takes the difference of
-Stirling's series (DLMF 5.11.1), from x and the order k = x - y, negative
-arguments after the reflection Gamma(x) Gamma(1-x) = pi/sin(pi x) (DLMF
-5.5.3): no two large log|Gamma| values are subtracted. A chain passes its
-exact order, and the phase of its lattice for the sines, where the doubles
-x and x - k, far out, no longer carry them.
+The body sorts (p, q) into the four pole cases first, and a joint pole
+p = -m, q = -n becomes the off-pole ratio Gamma(n+1)/Gamma(m+1). Off the
+poles, integer arguments at most 301 apart (or both within 301 of 0) take
+one falling factorial, math.perm, rounded once from the exact integer or
+quotient: Gamma(n) and 1/Gamma(n) are the doubles of (n-1)! and 1/(n-1)!,
+and a joint limit the double of (-1)^(n-m) n!/m!. Arguments that both lie
+past 172 on one side take the difference of Stirling's series (DLMF
+5.11.1), from x and the order k = x - y, negative ones after the
+reflection Gamma(x) Gamma(1-x) = pi/sin(pi x) (DLMF 5.5.3): no two large
+log|Gamma| values are subtracted. A chain passes its exact order, and the
+phase of its lattice for the sines, where the doubles x and x - k, far
+out, no longer carry them. Any other ratio is exp of a difference of
+math.lgamma (inf past its range, x above about 2.5e305), Gamma negative
+exactly on (-2j-1, -2j), j >= 0; log Gamma(1) is exactly 0, so gamma and
+recip_gamma keep every bit of the log-space value.
 
 Pole detection is tolerance-based (the constant config.INT_TOL, 1e-9) so
 that lattice arithmetic performed in doubles lands on the intended case.
 
-gamma_chain evaluates one of these quantities along a whole series. Its
+lattice_scaled evaluates one of these quantities along a whole series and
+multiplies a value column by it; gamma_chain returns the values. The
 arguments are the lattice points n + c for ascending integer keys n and an
 exact rational c, linked by the Pochhammer step Gamma(x+1) = x Gamma(x)
 (DLMF 5.5.1):
@@ -53,7 +56,7 @@ correctly rounded double of its rational (n q + p)/q.
 
 Every n + c lies the same exact distance from the integers, so one test of
 that distance against INT_TOL decides a lattice's poles, and they are its
-leading keys (lattice_poles). A table's floor lies above them, so the keys
+leading keys (pole_top, poles). A table's floor lies above them, so the keys
 below it get the scalar cases, as do the keys more than _SPAN steps from
 the anchor or past a value that left the normal double range: the scalar
 kernel raises the overflow errors and returns the underflow zeros. The
@@ -61,10 +64,7 @@ integer lattice takes the same path: each step of its table is a scalar
 kernel value, an exact falling factorial rounded once, so Gamma(n) and
 1/Gamma(n) read the doubles of (n-1)! and 1/(n-1)!, and a ratio under an
 integer order the scalar kernel's values, bit for bit. The series layers
-pass c and k as ints, building no Fraction, and their value column to
-lattice_scaled, which multiplies each value by its factor as it reads the
-table: keys wholly on the table take one slice (consecutive keys) or one
-lookup each, and no factor list is built for them.
+pass c and k as ints, building no Fraction.
 """
 
 import functools
@@ -86,9 +86,7 @@ __all__ = [
     "is_pole",
     "pole_top",
     "poles",
-    "lattice_poles",
     "gamma_chain",
-    "lattice_chain",
     "lattice_scaled",
 ]
 
@@ -117,8 +115,8 @@ def _finite(x):
 
 
 def _is_nonpos_int(x):
-    r = round(x)  # exact, where floor(x + 0.5) rounds past 2^52
-    return r <= 0 and abs(x - r) <= INT_TOL
+    # round is exact, where floor(x + 0.5) rounds past 2^52
+    return x <= INT_TOL and abs(x - round(x)) <= INT_TOL
 
 
 def _lgamma(x):
@@ -180,26 +178,6 @@ def recip_gamma(x):
     return _ratio(1.0, x, 1.0 - x)
 
 
-def _exact_ratio(p, q, k):
-    # p and k integers: the factorial ratio a!/b! as a falling factorial of
-    # k steps from p, correctly rounded by float(int) or int/int true division
-    pi = int(p)
-    qi = pi - int(k)
-    if pi >= 1 and qi >= 1:  # (p-1)!/(q-1)!
-        a, b = pi - 1, qi - 1
-    elif pi >= 1:  # denominator pole only
-        return 0.0
-    elif qi >= 1:  # numerator pole only
-        raise GammaPoleError("gamma ratio undefined: numerator pole at %d" % pi)
-    else:  # both poles p=-m, q=-n: joint limit (-1)^(n-m) n!/m!
-        a, b = -qi, -pi
-    try:
-        v = float(math.perm(a, a - b)) if a >= b else 1 / math.perm(b, b - a)
-    except OverflowError:
-        raise _overflow(p, q) from None
-    return -v if pi < 1 and (a - b) % 2 else v
-
-
 def _stirling(x, y, k):
     # log(Gamma(x)/Gamma(y)) for x, y > _STIRLING and k = x - y: the
     # difference of Stirling's series (DLMF 5.11.1), whose leading terms
@@ -210,29 +188,40 @@ def _stirling(x, y, k):
     return d + sum(c * (x ** e - y ** e) for c, e in _STIRLING_TERMS)
 
 
-def _log_ratio(p, q, k, twins):
-    # Gamma(p)/Gamma(q) in log space for arguments that are not both exact
-    # integers; tolerance-snapped poles take the same four cases. twins are
-    # two points whose sines have the ratio of p's and q's, for the reflection
-    p_pole = _is_nonpos_int(p)
-    q_pole = _is_nonpos_int(q)
-    x, y, sign = p, q, 1.0
-    if p_pole and q_pole:
-        # the joint limit at p=-m, q=-n: (-1)^(n-m) Gamma(n+1)/Gamma(m+1)
+def _ratio(p, q, k, twins=None):
+    # Gamma(p)/Gamma(q) of finite doubles for the order k = p - q, before
+    # the perturbation hook: the four pole cases, then one off-pole body. A
+    # chain passes its order exactly, and as twins its lattice's point n = 0
+    # and that point less k, each reduced mod 2 from the rationals: far out,
+    # the doubles p and q no longer carry the phase of the reflection's sines
+    x, y, sign, a = p, q, 1.0, None
+    if _is_nonpos_int(q):
+        if not _is_nonpos_int(p):
+            return 0.0
+        # the joint limit at p=-m, q=-n: (-1)^(n-m) Gamma(n+1)/Gamma(m+1),
+        # whose numerator is n! exactly
         m, n = -round(p), -round(q)
-        sign = 1.0 if math.fmod(n - m, 2.0) == 0.0 else -1.0
-        x, y, k = n + 1.0, m + 1.0, float(n - m)
-    elif q_pole:
-        return 0.0
-    elif p_pole:
-        raise GammaPoleError(
-            "gamma ratio undefined: numerator pole at %r with finite denominator" % p
-        )
+        x, y, k, a = n + 1.0, m + 1.0, float(n - m), n
+        sign = -1.0 if (n - m) % 2 else 1.0
+    elif _is_nonpos_int(p):
+        raise GammaPoleError("gamma ratio undefined: numerator pole at %r "
+                             "with finite denominator" % p)
+    if x.is_integer() and k.is_integer() and min(
+            abs(k), max(abs(x), abs(y))) <= _MAX_EXACT_FACT:
+        # (x-1)!/(y-1)! = a!/b!, a falling factorial of k steps rounded
+        # once by float(int) or int/int true division
+        a = int(x) - 1 if a is None else a
+        b = a - int(k)
+        try:
+            v = float(math.perm(a, a - b)) if a >= b else 1 / math.perm(b, b - a)
+        except OverflowError:
+            raise _overflow(p, q) from None
+        return sign * v
     if min(x, y) > _STIRLING:
         d = _stirling(x, y, k)
     elif max(x, y) < -_STIRLING:
         # Gamma(x)/Gamma(y) = sin(pi y)/sin(pi x) Gamma(1-y)/Gamma(1-x)
-        s = sinpi(twins[1]) / sinpi(twins[0])
+        s = sinpi(twins[1]) / sinpi(twins[0]) if twins else sinpi(y) / sinpi(x)
         d = _stirling(1.0 - y, 1.0 - x, k) + math.log(abs(s))
         sign = math.copysign(1.0, s)
     else:
@@ -242,18 +231,6 @@ def _log_ratio(p, q, k, twins):
     if d < _EXP_UNDERFLOW:
         return 0.0
     return sign * math.exp(d)
-
-
-def _ratio(p, q, k, twins=None):
-    # Gamma(p)/Gamma(q) of finite doubles for the order k = p - q, before
-    # the perturbation hook. A chain passes its order exactly, and as twins
-    # its lattice's point n = 0 and that point less k, each reduced mod 2 from
-    # the rationals: far out, the doubles p and q no longer carry the phase
-    # on which the reflection's sines depend
-    if p.is_integer() and k.is_integer() and min(
-            abs(k), max(abs(p), abs(q))) <= _MAX_EXACT_FACT:
-        return _exact_ratio(p, q, k)
-    return _log_ratio(p, q, k, twins or (p, q))
 
 
 def _perturbed(values):
@@ -321,41 +298,32 @@ def poles(top, keys):
     return 0 if top is None else bisect_right(keys, top)
 
 
-def lattice_poles(p, q, keys):
-    """How many of the ascending integer keys n put n + p/q (q > 0) on a
-    Gamma pole: poles(pole_top(p, q), keys)."""
-    return poles(pole_top(p, q), keys)
-
-
 def gamma_chain(c, keys, kind, k=0):
-    """lattice_chain at n + c for exact rationals c and k (Fraction or int)."""
+    """[q(x) for x = n + c, n in keys] for exact rationals c and k
+    (Fraction or int) and q = gamma ("gamma"), recip_gamma ("recip") or
+    x -> gamma_ratio(x, x - k) ("ratio"): lattice_scaled on a column of
+    ones, whose products are the factors themselves."""
     kp, kq = (k.numerator, k.denominator) if kind == "ratio" else (0, 1)
-    return lattice_chain(c.numerator * kq, c.denominator * kq,
-                         kp * c.denominator, keys, kind)
+    return lattice_scaled(c.numerator * kq, c.denominator * kq,
+                          kp * c.denominator, keys, [1.0] * len(keys), kind)
 
 
-def lattice_chain(P, Q, K, keys, kind):
-    """[q(x) for x = (n Q + P)/Q, n in keys] for q = gamma ("gamma"),
-    recip_gamma ("recip") or x -> gamma_ratio(x, x - K/Q) ("ratio"; K = 0
-    for the others), read from the lattice's table. keys are ascending ints,
-    and P, K and Q > 0 ints. Each argument is the correctly rounded double
-    of its rational, and each value follows the pole, overflow,
+def lattice_scaled(P, Q, K, keys, vals, kind):
+    """[v * q(x) for v, x = (n Q + P)/Q in zip(vals, keys)] for q = gamma
+    ("gamma"), recip_gamma ("recip") or x -> gamma_ratio(x, x - K/Q)
+    ("ratio"; K = 0 for the others), each factor read from the lattice's
+    table. keys are ascending ints, vals the value column aligned with
+    them, and P, K and Q > 0 ints. Each argument is the correctly rounded
+    double of its rational, and each factor follows the pole, overflow,
     underflow-to-zero and perturbation rules of the scalar function it
     stands for; a ratio's scalar cases take the order K/Q and the lattice's
     phase exactly, not as the difference of two rounded doubles. The keys
     that put x, or a ratio's x - K/Q, on a pole lie below the table's floor
-    and get the scalar cases. This is lattice_scaled on a column of ones,
-    whose products are the factors themselves."""
-    return lattice_scaled(P, Q, K, keys, [1.0] * len(keys), kind)
-
-
-def lattice_scaled(P, Q, K, keys, vals, kind):
-    """[v * f for v, f in zip(vals, lattice_chain(P, Q, K, keys, kind))]:
-    the value column vals, aligned with keys, each value multiplied once by
-    its factor, in one pass over the table where every key lies on it (one
-    slice for consecutive keys). The keys off the table take the scalar
-    cases first, a ratio's factors take the perturbation, and then the
-    column is multiplied; the products are not checked."""
+    and get the scalar cases. Where every key lies on the table, each value
+    is multiplied once by its factor as it is read (one slice for
+    consecutive keys), and no factor list is built; otherwise the factors
+    are gathered, a ratio's perturbed, and then the column is multiplied.
+    The products are not checked."""
     if not keys:
         return []
     scalar, i, r, q, k = _chain_plan(P, Q, K, kind)
@@ -379,7 +347,7 @@ def lattice_scaled(P, Q, K, keys, vals, kind):
 
 @functools.lru_cache(maxsize=config.PLAN_CACHE)
 def _chain_plan(P, Q, K, kind):
-    # lattice_chain's plan: the scalar function of the keys off the table (a
+    # lattice_scaled's plan: the scalar function of the keys off the table (a
     # ratio's a closure on the exact order and the twins of its phase), and
     # the table's lattice (r, Q, K)/g, g = gcd(P, Q, K), which holds key n at
     # index n + i

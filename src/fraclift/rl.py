@@ -13,18 +13,18 @@ order) is outside the power rule and raises.
 rl_series works on keys, with k read as the rational it stands for
 (coeffseq.rational): the result has the exact phase phase - k (mod 1). The
 Gamma arguments e+1 and e+1-k of one series lie the same exact distance
-from the integers, so gamma.lattice_poles decides each lattice's poles with
-one test, and the annihilated terms are one run of keys, sliced off the
-key and value columns unevaluated. gamma.lattice_scaled multiplies the
-other coefficients by their ratios in one pass as it reads them from the
-lattice's table, stepped once from one anchor by R(e+1) = R(e) *
-(e+1)/(e+1-k), and gives the keys before that run (joint and numerator
-poles) the scalar cases above; coeffseq.kept then drops the products below
-COEF_EPS and refuses a non-finite one. The truncation order N - k is
-rounded once from the rationals N and k stand for, as on the lifted route.
-rl_term evaluates a single term, refusing a non-finite coefficient as
-rl_series does, and rl_kernel_predicate tests one exponent: the scalar
-reference.
+from the integers, so gamma.pole_top decides each lattice's poles with one
+test, gamma.poles counts them, and the annihilated terms are one run of
+keys, sliced off the key and value columns unevaluated. gamma.lattice_scaled
+multiplies the other coefficients by their ratios in one pass as it reads
+them from the lattice's table, stepped once from one anchor by R(e+1) =
+R(e) * (e+1)/(e+1-k), and gives the keys before that run (joint and
+numerator poles) the scalar cases above; coeffseq.kept then drops the
+products below COEF_EPS and refuses a non-finite one. The truncation order
+N - k is rounded once from the rationals N and k stand for, as on the
+lifted route. rl_term evaluates a single term, refusing a non-finite
+coefficient as rl_series does, and rl_kernel_predicate tests one exponent:
+the scalar reference.
 
 The exact work that depends only on the lattice and the order is a plan,
 cached per (phase p/q, order k as a checked double): k's rational r, the

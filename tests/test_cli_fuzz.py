@@ -1,8 +1,9 @@
 """cli.main in process over generated expressions, series JSON and lifted
-JSON: every call exits 0, 1 or 2, raises nothing else, and prints no inf or
-nan when it exits 0. Input files that no reader accepts (any bytes, nesting
-past the recursion limit, lifted indices that are not integers) exit 2 with
-one line."""
+JSON: every call exits 0, 1 or 2, raises nothing else, is never refused by
+argparse (a number flag is written --name=value or --name value), and
+prints no inf or nan when it exits 0. Input files that no reader accepts
+(any bytes, nesting past the recursion limit, lifted indices that are not
+integers) exit 2 with one line."""
 
 import contextlib
 import io
@@ -11,7 +12,7 @@ import re
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import W
@@ -82,21 +83,28 @@ def series_input(draw):
     """(argv, stdin) naming a series: an expression or series JSON."""
     if draw(st.booleans()):
         argv = ["--expr=" + draw(expressions),
-                "--basepoint=%r" % draw(st.sampled_from([0.0, 0.0, 0.0, 1.0])),
+                *_flag(draw, "basepoint",
+                       [draw(st.sampled_from([0.0, 0.0, 0.0, 1.0]))]),
                 "--order=%d" % draw(st.integers(0, 24))]
         return argv, ""
     return ["--series-file=-"], draw(series_json())
 
 
-def _flag(name, values):
-    return ["--%s=%r" % (name, v) for v in values]
+def _flag(draw, name, values):
+    # each value as one word, --name=value, or as two, --name value: a
+    # negative value in the second spelling must still reach its option
+    argv = []
+    for v in values:
+        argv += (["--%s=%r" % (name, v)] if draw(st.booleans())
+                 else ["--" + name, repr(v)])
+    return argv
 
 
 @st.composite
 def invocations(draw):
     command = draw(st.sampled_from(["deriv", "lift", "project", "kernel-check",
                                     "oracle-compare"]))
-    k = _flag("k", [draw(orders)])
+    k = _flag(draw, "k", [draw(orders)])
     if command == "project":
         fmt = draw(st.sampled_from(["pretty", "json"]))
         return (["project", "--lifted-file=-", "--format=" + fmt] + k,
@@ -106,12 +114,13 @@ def invocations(draw):
     if command == "deriv":
         argv += ["--via=" + draw(st.sampled_from(["rl", "lifted"])),
                  "--format=" + draw(st.sampled_from(["pretty", "json", "csv"]))]
-        argv += _flag("at", draw(st.lists(points, max_size=2)))
+        argv += _flag(draw, "at", draw(st.lists(points, max_size=2)))
         if draw(st.booleans()):
             argv.append("--compare-paths")
     elif command == "oracle-compare":
         argv += ["--format=" + draw(st.sampled_from(["csv", "json"]))]
-        argv += _flag("at", draw(st.lists(points, min_size=1, max_size=2)))
+        argv += _flag(draw, "at",
+                      draw(st.lists(points, min_size=1, max_size=2)))
     return argv, stdin
 
 
@@ -132,10 +141,14 @@ def run(argv, stdin):
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(invocations())
+@example((["deriv", "--expr=x^(-1/2)", "--k", "-2E1", "--at", "-1e-3"], ""))
+@example((["oracle-compare", "--expr=x", "--basepoint", "-2E-1", "--k",
+           "-2.3283064365386963e-10", "--at", "1e-3"], ""))
 def test_every_call_ends_in_an_answer_or_a_usage_error(call):
     argv, stdin = call
     code, out, err = run(argv, stdin)
     assert code in (0, 1, 2), (argv, stdin, code, err)
+    assert not err.startswith("usage:"), (argv, err)
     if code == 0:
         assert not NON_FINITE.search(out), (argv, stdin, out)
 

@@ -4,8 +4,8 @@ GenSeries and LiftedSeq hold ascending keys and an aligned value list. The
 reference functions below are the earlier dict-based forms of the float
 entry, rl_series, lift_gen, project and series_eval: a {key: value} map,
 sorted at each step, filtered and re-keyed by comprehensions. They share
-only the Gamma chain (gamma.lattice_chain, gamma.lattice_poles) and
-`rational` with the library, so a difference is a difference in how the
+only the Gamma chain (gamma.gamma_chain, gamma.pole_top, gamma.poles)
+and `rational` with the library, so a difference is a difference in how the
 columns are built, sliced, scaled or summed. Inputs are shuffled, repeat
 exponents, cancel, fall below COEF_EPS and hit pole and annihilated runs.
 
@@ -38,7 +38,7 @@ from fraclift.errors import (
     InputError,
     LatticeError,
 )
-from fraclift.gamma import lattice_chain, lattice_poles
+from fraclift.gamma import gamma_chain, pole_top, poles
 from fraclift.lifted import LiftedSeq, lift_gen, project
 from fraclift.rl import rl_series
 
@@ -82,11 +82,11 @@ def ref_rl_series(phase, coeffs, k):
     p, q = phase.numerator, phase.denominator
     r = rational(k)
     kp, kq = r.numerator, r.denominator
-    lo = lattice_poles(p + q, q, keys)
-    hi = max(lo, lattice_poles((p + q) * kq - kp * q, q * kq, keys))
+    lo = poles(pole_top(p + q, q), keys)
+    hi = max(lo, poles(pole_top((p + q) * kq - kp * q, q * kq), keys))
     keys = keys[:lo] + keys[hi:]
     d = q * kq
-    ratios = lattice_chain((p + q) * kq, d, kp * q, keys, "ratio")
+    ratios = gamma_chain(phase + 1, keys, "ratio", r)
     m, s = divmod(p * kq - kp * q, d)
     return Fraction(s, d), ref_scaled(coeffs, keys, ratios, m)
 
@@ -94,9 +94,9 @@ def ref_rl_series(phase, coeffs, k):
 def ref_lift_gen(phase, coeffs):
     keys = sorted(coeffs)
     p, q = phase.numerator, phase.denominator
-    if lattice_poles(p + q, q, keys):
+    if poles(pole_top(p + q, q), keys):
         raise ExponentError("no preimage")
-    gs = lattice_chain(p + q, q, 0, keys, "gamma")
+    gs = gamma_chain(phase + 1, keys, "gamma")
     offset = Fraction(q - p, q) if p else phase
     return offset, ref_scaled(coeffs, keys, gs, 1 if p else 0)
 
@@ -104,8 +104,8 @@ def ref_lift_gen(phase, coeffs):
 def ref_project(offset, values):
     p, q = offset.numerator, offset.denominator
     keys = sorted(values)
-    keys = keys[lattice_poles(q - p, q, keys):]
-    rs = lattice_chain(q - p, q, 0, keys, "recip")
+    keys = keys[poles(pole_top(q - p, q), keys):]
+    rs = gamma_chain(1 - offset, keys, "recip")
     m = -((p + q - 1) // q)
     return Fraction(-p - m * q, q), ref_scaled(values, keys, rs, m)
 

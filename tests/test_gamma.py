@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from conftest import W
 from fraclift import config
 from fraclift.errors import (
     ExponentError,
@@ -20,7 +21,8 @@ from fraclift.gamma import (
     gamma,
     gamma_ratio,
     is_pole,
-    lattice_poles,
+    pole_top,
+    poles,
     recip_gamma,
     sinpi,
 )
@@ -345,8 +347,78 @@ def test_lattice_poles_count_the_scalar_poles(m, sign, a, lo, gaps):
     # the one lattice test and the scalar test see one distance
     c = m + sign * Fraction(a, 2**35)
     keys = [lo + sum(gaps[:i]) for i in range(len(gaps) + 1)]
-    assert lattice_poles(c.numerator, c.denominator, keys) == sum(
+    assert poles(pole_top(c.numerator, c.denominator), keys) == sum(
         is_pole(float(n + c)) for n in keys)
+
+
+def _nudged(x):
+    # (label, argument): x itself and 2^-32 either side, inside the window
+    x = float(x)
+    label = "%g" % x
+    return [(label, x), (label + "+W", x + W), (label + "-W", x - W)]
+
+
+def _off(x):
+    return [(repr(x), x)]
+
+
+def _joint_limit(p, q):
+    """The double of (-1)^(n-m) n!/m! at p = -m, q = -n, or
+    GammaOverflowError where it has none."""
+    m, n = -round(p), -round(q)
+    try:
+        v = Fraction(math.factorial(n), math.factorial(m)) * (-1) ** (n - m)
+        return float(v)
+    except OverflowError:
+        return GammaOverflowError
+
+
+def _rows(case, ps, qs):
+    return [pytest.param(case, p, q, id="%s(%s,%s)" % (case, lp, lq))
+            for lp, p in ps for lq, q in qs]
+
+
+# gamma_ratio's four pole cases, each at exact integers and 2^-32 off the
+# poles: no pole -> the value; denominator pole alone -> 0.0; numerator
+# pole alone -> GammaPoleError; joint pole -> the double of the limit
+# (-1)^(n-m) n!/m! (0.0 for 1/400!, past the falling factorial's 301
+# steps), or GammaOverflowError where it has none
+POLE_CASES = (
+    _rows("off", _off(2.0) + _off(-2.5), _off(1.5) + _off(-3.0 + 1e-8))
+    + _rows("off", _off(1.0) + _off(5.0), _off(4.0) + _off(-3.0 + 1e-8))
+    + _rows("denominator", _off(1.0) + _off(7.5),
+            _nudged(0.0) + _nudged(-3.0) + [("-3+5e-10", -3.0 + 5e-10)])
+    + _rows("denominator", _off(1000.0), _nudged(-5.0) + _off(-2.0 ** 60))
+    + _rows("numerator", _nudged(0.0) + _nudged(-5.0),
+            _off(0.5) + _off(2.0) + _off(1000.0))
+    + [row for m, n in ((0, 1), (1, 3), (2, 3), (40, 60), (150, 20),
+                        (171, 0), (0, 171), (400, 0))
+       for row in _rows("joint", _nudged(-m), _nudged(-n))]
+)
+
+
+@pytest.mark.parametrize("case, p, q", POLE_CASES)
+def test_pole_cases(case, p, q):
+    assert (is_pole(p), is_pole(q)) == {
+        "off": (False, False), "denominator": (False, True),
+        "numerator": (True, False), "joint": (True, True)}[case]
+    if case == "off":
+        with mpmath.workdps(40):
+            want = float(mpmath.gamma(p) / mpmath.gamma(q))
+        assert gamma_ratio(p, q) == pytest.approx(want, rel=1e-13)
+    elif case == "denominator":
+        got = gamma_ratio(p, q)
+        assert got == 0.0 and math.copysign(1.0, got) == 1.0
+        if p == 1.0:
+            assert recip_gamma(q) == got
+    elif case == "numerator":
+        with pytest.raises(GammaPoleError, match="numerator pole"):
+            gamma_ratio(p, q)
+    elif (want := _joint_limit(p, q)) is GammaOverflowError:
+        with pytest.raises(GammaOverflowError):
+            gamma_ratio(p, q)
+    else:
+        assert gamma_ratio(p, q) == want
 
 
 def test_ratio_overflow_raises():

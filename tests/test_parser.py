@@ -917,6 +917,12 @@ class TestAgainstFractionReference:
     @example([], "0 + (x + 1)", 0)  # a zero literal holds no key
     # 0.1 x stays exact beside a float past the jet order
     @example([], "x - (x + exp(0.1*x^1 + 2^0.5*x^2))", 1)
+    # an exact value left with negative keys once the floats cancel is
+    # rebased to key 0 (_mixed): ((-2.0, 1.0),)
+    @example([], "2^0.5*x^-1 + x^-2 - 2^0.5*x^-1", 0)
+    # a common power of two past 1024 bits is shifted out before the gcd
+    # division (_product): four coefficients 4^550 * 1e-300
+    @example([], "(4^550*x + 4^550*x^2) * (1e-300*x + 1e-300*x^3)", 0)
     def test_bit_identical(self, factors, tree, order):
         text = " * ".join(factors + ["(%s)" % tree])
         got, want = to_series(text, 0, order), _ref_series(text, order)

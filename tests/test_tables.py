@@ -1,4 +1,4 @@
-"""The per-lattice Gamma tables behind gamma.lattice_chain: each (lattice,
+"""The per-lattice Gamma tables behind gamma.lattice_scaled: each (lattice,
 order, kind) is walked once from one fixed anchor, so a value depends only
 on its lattice, key and order, and a lattice already tabled is read, not
 walked again."""
