@@ -154,6 +154,9 @@ def cmd_deriv(args):
     if args.at and args.format == "csv":
         raise FracliftError("--at needs --format pretty or json: the csv "
                             "format holds the terms only")
+    if args.compare_paths and (args.at or args.format == "json"):
+        raise FracliftError("--compare-paths prints a csv table of terms: "
+                            "it takes no --at or --format json")
     # an expression on the lifted path lifts exactly (to_lifted), from the
     # expansion its series comes from; a series file lifts by lift_gen
     rho = None

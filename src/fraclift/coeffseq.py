@@ -7,11 +7,11 @@ all lie on one lattice {phase + n : n integer}. It is stored exactly, as
 
 with phase a Fraction in [0, 1), keys ascending ints and vals the aligned
 float coefficients: key n stands for the exponent n + phase, so an exponent
-is an integer key, never a float matched within a tolerance. Ordinary
-truncated Taylor jets are the phase-0 case. .coeffs is a read-only {n: b}
-view, and .terms the (exponent, coefficient) float pairs, the exponents
-being the correctly rounded doubles of n + phase; both are built on first
-read.
+is an integer key, never a float matched within a tolerance; the order is
+None or exact, an int or Fraction. Ordinary truncated Taylor jets are the
+phase-0 case. .coeffs is a read-only {n: b} view, and .terms the (exponent,
+coefficient) float pairs, the exponents being the correctly rounded doubles
+of n + phase; both are built on first read.
 
 Floats join a lattice in one place, the float entry: the positional
 constructor GenSeries(basepoint, pairs, order), series_from_json, and each
@@ -226,6 +226,49 @@ def _rational(x):
     return Fraction(x)
 
 
+def exact(x, what) -> Fraction:
+    """An offset or order exact: an int or Fraction as it is, a float as the
+    rational it stands for. InputError, naming what, if x is no number."""
+    if isinstance(x, float):
+        return _rational(finite_float(x, InputError, what))
+    try:
+        return Fraction(x)
+    except (TypeError, ValueError, ArithmeticError):
+        raise InputError("%s %.60r is not a rational number"
+                         % (what, x)) from None
+
+
+def exact_json(name, r):
+    """', "name": r' in 17 digits, then ', "name_exact": "p/q"' where no
+    double holds r or `rational` reads its double as another; "" for None.
+    An r with no double raises ExponentError."""
+    if r is None:
+        return ""
+    if not has_double(r.denominator, r.numerator):
+        raise ExponentError("the %s lies past double range" % name)
+    x = float(r)
+    text = ', "%s": %s' % (name, fmt17(x))
+    if Fraction(x) != r or rational(x) != r:
+        text += ', "%s_exact": "%s"' % (name, r)
+    return text
+
+
+def read_exact(doc, name, required=True):
+    """The field exact_json wrote: "name_exact", which must round to "name",
+    else "name" read by `rational`. Unless required, a "name" absent or null
+    reads as None."""
+    if not required and doc.get(name) is None:
+        return None
+    x = finite_float(doc[name])
+    if name + "_exact" not in doc:
+        return rational(x)
+    r = Fraction(doc[name + "_exact"])
+    if float(r) != x:
+        raise ValueError("%s_exact %s disagrees with %s %s"
+                         % (name, r, name, doc[name]))
+    return r
+
+
 def _smallest(exponents):
     # the exponent of smallest magnitude, the first of equal ones: one of
     # the two at the sign change of the sorted column (sorting an ascending
@@ -349,11 +392,17 @@ class LatticeValues:
 
     @classmethod
     def keyed(cls, basepoint, place, mapping, truncation_order=None):
-        """The instance holding mapping {key: value} as given: no value is
-        checked or dropped."""
+        """The instance holding mapping {key: value} and the exact order as
+        given: no value is checked or dropped."""
         keys = sorted(mapping)
         return cls._of(basepoint, place, keys, [mapping[n] for n in keys],
                        truncation_order)
+
+    def _enter(self, basepoint, order):
+        # the constructors' base point and exact truncation order
+        self.basepoint = finite_float(basepoint, InputError, "basepoint")
+        self.truncation_order = (None if order is None
+                                 else exact(order, "truncation order"))
 
     def _fields(self):
         d = self.__dict__
@@ -363,6 +412,11 @@ class LatticeValues:
     def _with(self, keys, vals, truncation_order):
         return self._of(self.basepoint, self._fields()[1], keys, vals,
                         truncation_order)
+
+    def _less(self, r):
+        # the truncation order less r, None for none
+        order = self.truncation_order
+        return None if order is None else order - r
 
     def _mapping(self):
         if self._map is None:
@@ -422,9 +476,9 @@ class GenSeries(LatticeValues):
     (exponent, coefficient) pairs, which merges equal exponents and rejects
     exponents off a single lattice; GenSeries.keyed takes keys directly.
     truncation_order, when not None, records the order beyond which terms
-    are an unrepresented remainder (a truncated transcendental jet). A
-    basepoint, order or term that is no finite number, or terms that are
-    not a sequence of pairs, raise InputError.
+    are an unrepresented remainder (a truncated transcendental jet), read
+    by `exact`. A basepoint, order or term that is no finite number, or
+    terms that are not a sequence of pairs, raise InputError.
     """
 
     _place = "phase"
@@ -436,10 +490,7 @@ class GenSeries(LatticeValues):
 
     def __init__(self, basepoint, terms=(), truncation_order=None):
         self.phase, self.keys, self.vals, self._exps = _lattice(terms)
-        self.basepoint = finite_float(basepoint, InputError, "basepoint")
-        self.truncation_order = (
-            None if truncation_order is None
-            else finite_float(truncation_order, InputError, "truncation order"))
+        self._enter(basepoint, truncation_order)
 
     coeffs = property(LatticeValues._mapping)
 
@@ -597,13 +648,8 @@ def int_derivative(f: GenSeries, n: int = 1) -> GenSeries:
             if c == 0.0 or not math.isfinite(c):
                 break
         vals.append(c)
-    order = f.truncation_order
-    if order is not None:
-        if not has_double(1, n):
-            raise ExponentError("order %s passes the double range" % _shown(n))
-        order -= n
     return f._with(*kept(f.keys, vals, -n, GammaOverflowError,
-                         "a coefficient"), order)
+                         "a coefficient"), f._less(n))
 
 
 def series_to_json(f: GenSeries) -> str:
@@ -611,7 +657,7 @@ def series_to_json(f: GenSeries) -> str:
     exponent-sorted, 17 significant digits. A phase the exponents do not
     determine (one the float entry would read differently) follows the terms
     as "phase_exact": "p/q", and "truncation_order": N comes last when the
-    series is a truncated jet."""
+    series is a truncated jet, written by exact_json as a lifted one's."""
     terms = f.terms
     parts = ", ".join(
         '{"exp": %s, "coef": %s}' % (fmt17(e), fmt17(c)) for e, c in terms
@@ -619,10 +665,9 @@ def series_to_json(f: GenSeries) -> str:
     phase = ""
     if terms and _phase_of([e for e, _ in terms]) != f.phase:
         phase = ', "phase_exact": "%s"' % f.phase
-    order = ("" if f.truncation_order is None
-             else ', "truncation_order": %s' % fmt17(f.truncation_order))
     return '{"basepoint": %s, "terms": [%s]%s%s}' % (
-        fmt17(f.basepoint), parts, phase, order)
+        fmt17(f.basepoint), parts, phase,
+        exact_json("truncation_order", f.truncation_order))
 
 
 def series_from_json(text: str) -> GenSeries:
@@ -636,11 +681,10 @@ def series_from_json(text: str) -> GenSeries:
             phase = Fraction(phase)
             if not 0 <= phase < 1:
                 raise ValueError("phase_exact %s is not in [0, 1)" % phase)
-        order = doc.get("truncation_order")
         basepoint = finite_float(doc["basepoint"])
         phase, keys, vals, exps = _lattice(pairs, phase)
         f = GenSeries._of(basepoint, phase, keys, vals,
-                          None if order is None else finite_float(order))
+                          read_exact(doc, "truncation_order", False))
         f._exps = exps
         return f
 

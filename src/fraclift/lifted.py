@@ -13,8 +13,8 @@ offset arithmetic:
 
 which commutes exactly, by construction, for all real orders (an order
 enters as the rational it stands for, coeffseq.rational). A lifted jet
-keeps its truncation order N as an exact rational, and shift lowers it by
-k, so the lifted route reports N - k as the termwise route does.
+keeps its truncation order N exact, and shift lowers it by k, so the
+lifted route reports the exact N - k the termwise route does.
 
 Projection sends index j to exponent t = j - offset with coefficient
 values[j] / Gamma(t+1). At an integer offset the poles t+1 <= 0 are the
@@ -51,8 +51,9 @@ import functools
 from fractions import Fraction
 
 from . import config
-from .coeffseq import GenSeries, LatticeValues, finite_float, fmt17
-from .coeffseq import has_double, kept, rational, read_json
+from .coeffseq import GenSeries, LatticeValues, exact, exact_json
+from .coeffseq import finite_float, fmt17, has_double, kept, rational
+from .coeffseq import read_exact, read_json
 from .errors import BasepointError, ExponentError, GammaOverflowError
 from .errors import InputError
 from .gamma import lattice_scaled, pole_top, poles
@@ -69,25 +70,15 @@ def _index(j) -> int:
     return n
 
 
-def _exact(x) -> Fraction:
-    # an int or Fraction as it is, a float as the rational it stands for
-    if isinstance(x, float):
-        return rational(x)
-    try:
-        return Fraction(x)
-    except (TypeError, ValueError, ArithmeticError):
-        raise InputError("%.60r is not a rational number" % (x,)) from None
-
-
 class LiftedSeq(LatticeValues):
     """Finite-support lifted sequence: values on the lattice Z - offset.
 
     The constructor cleans its input: integral indices as ints, float
-    values, none below COEF_EPS, and an int or Fraction offset or truncation
-    order exact, a float one read by `rational`; a basepoint or value that
-    is not a finite double, an index that is not an integer, an offset
-    that is no number or values that are not a mapping raise InputError.
-    LiftedSeq.keyed takes the values as given."""
+    values, none below COEF_EPS, and the offset and truncation order read by
+    `exact`; a basepoint or value that is not a finite double, an index that
+    is not an integer, an offset or order that is no finite number or values
+    that are not a mapping raise InputError. LiftedSeq.keyed takes them as
+    given."""
 
     _place = "offset"
     _view = "values"
@@ -95,10 +86,8 @@ class LiftedSeq(LatticeValues):
 
     def __init__(self, basepoint, offset=0, values=None,
                  truncation_order=None):
-        self.basepoint = finite_float(basepoint, InputError, "basepoint")
-        self.offset = _exact(offset)
-        self.truncation_order = (None if truncation_order is None
-                                 else _exact(truncation_order))
+        self._enter(basepoint, truncation_order)
+        self.offset = exact(offset, "offset")
         try:
             items = (values or {}).items()
         except AttributeError:
@@ -145,9 +134,8 @@ def shift(rho: LiftedSeq, k) -> LiftedSeq:
     An order that is no finite number raises ExponentError."""
     k = finite_float(k, ExponentError, "order")
     r, offset = _shift_plan(rho.offset.numerator, rho.offset.denominator, k)
-    order = rho.truncation_order
     return LiftedSeq._of(rho.basepoint, offset, rho.keys, rho.vals,
-                         None if order is None else order - r)
+                         rho._less(r))
 
 
 @functools.lru_cache(maxsize=config.PLAN_CACHE)
@@ -165,7 +153,7 @@ def project(rho: LiftedSeq) -> GenSeries:
     Index j lands at exponent t = j - offset with coefficient
     values[j]/Gamma(t+1); entries with t+1 on a Gamma pole vanish exactly.
     At offset 0 this is the projection of a jet's sequence, entry i over i!
-    at exponent i. The series' truncation order is rho's, as a double."""
+    at exponent i. The series' truncation order is rho's, exact."""
     p, q = rho.offset.numerator, rho.offset.denominator
     keys = rho.keys
     # the exponents j - offset and Gamma arguments j + 1 - offset need doubles
@@ -175,11 +163,9 @@ def project(rho: LiftedSeq) -> GenSeries:
     n = poles(top, keys)
     keys = keys[n:]
     vals = lattice_scaled(q - p, q, 0, keys, rho.vals[n:], "recip")
-    order = rho.truncation_order
     return GenSeries._of(rho.basepoint, phase,
                          *kept(keys, vals, m, GammaOverflowError,
-                               "a coefficient"),
-                         None if order is None else float(order))
+                               "a coefficient"), rho.truncation_order)
 
 
 @functools.lru_cache(maxsize=config.PLAN_CACHE)
@@ -196,7 +182,7 @@ def lift_gen(f: GenSeries) -> LiftedSeq:
     index n + 1 at offset 1 - phase (index n at offset 0 when the phase is
     0) with coefficient * Gamma(e+1), so that project inverts it exactly.
     Terms at negative integer exponents sit under a Gamma pole and have no
-    preimage. A truncated jet's order is kept, read by `rational`."""
+    preimage. A truncated jet's exact order is kept as it is."""
     keys = f.keys
     p, q = f.phase.numerator, f.phase.denominator
     top, m, offset = _lift_plan(p, q)
@@ -205,36 +191,9 @@ def lift_gen(f: GenSeries) -> LiftedSeq:
             "term at exponent %r has no preimage under projection "
             "(Gamma pole)" % ((keys[0] * q + p) / q))
     vals = lattice_scaled(p + q, q, 0, keys, f.vals, "gamma")
-    order = f.truncation_order
     return LiftedSeq._of(f.basepoint, offset,
                          *kept(keys, vals, m, GammaOverflowError,
-                               "a lifted value"),
-                         None if order is None else rational(order))
-
-
-def _exact_json(name, r):
-    # '"name": r' in 17 digits, and '"name_exact": "p/q"' after it when no
-    # double holds r or `rational` reads r's double as another rational
-    if not has_double(r.denominator, r.numerator):
-        raise ExponentError("the %s lies past double range" % name)
-    x = float(r)
-    text = '"%s": %s' % (name, fmt17(x))
-    if Fraction(x) != r or rational(x) != r:
-        text += ', "%s_exact": "%s"' % (name, r)
-    return text
-
-
-def _read_exact(doc, name):
-    # the field _exact_json wrote: "name_exact" if present, which must
-    # round to "name", else "name" read by `rational`
-    x = finite_float(doc[name])
-    if name + "_exact" not in doc:
-        return rational(x)
-    exact = Fraction(doc[name + "_exact"])
-    if float(exact) != x:
-        raise ValueError("%s_exact %s disagrees with %s %s"
-                         % (name, exact, name, doc[name]))
-    return exact
+                               "a lifted value"), f.truncation_order)
 
 
 def lifted_to_json(rho: LiftedSeq) -> str:
@@ -248,10 +207,9 @@ def lifted_to_json(rho: LiftedSeq) -> str:
         '{"index": %d, "value": %s}' % (j, fmt17(v))
         for j, v in zip(rho.keys, rho.vals)
     )
-    order = rho.truncation_order
-    return '{"basepoint": %s, %s, "values": [%s]%s}' % (
-        fmt17(rho.basepoint), _exact_json("offset", rho.offset), parts,
-        "" if order is None else ", " + _exact_json("truncation_order", order))
+    return '{"basepoint": %s%s, "values": [%s]%s}' % (
+        fmt17(rho.basepoint), exact_json("offset", rho.offset), parts,
+        exact_json("truncation_order", rho.truncation_order))
 
 
 def lifted_from_json(text: str) -> LiftedSeq:
@@ -259,9 +217,8 @@ def lifted_from_json(text: str) -> LiftedSeq:
     read by `rational`); malformed input raises InputError."""
     def read(doc):
         values = {v["index"]: finite_float(v["value"]) for v in doc["values"]}
-        order = (_read_exact(doc, "truncation_order")
-                 if "truncation_order" in doc else None)
         return LiftedSeq(finite_float(doc["basepoint"]),
-                         _read_exact(doc, "offset"), values, order)
+                         read_exact(doc, "offset"), values,
+                         read_exact(doc, "truncation_order", False))
 
     return read_json(text, "lifted", read)

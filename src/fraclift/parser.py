@@ -1094,15 +1094,15 @@ def _expanded(expr, basepoint, order, *finish):
     basepoint = finite_float(basepoint, InputError, "basepoint")
     try:
         val = _expand(expr, basepoint, int(order))
-        # exact until here: each exponent and the order rounds to a double
+        # exact until here: each exponent rounds to a double
         m = math.floor(val.base)
         if val.coeffs and not has_double(1, min(val.coeffs) + m,
                                          max(val.coeffs) + m):
             raise OverflowError
         return [fn(val, basepoint, m) for fn in finish]
     except (OverflowError, ValueError):
-        raise ExpansionError("an exponent, order or coefficient exceeds "
-                             "double range") from None
+        raise ExpansionError("an exponent or coefficient exceeds double "
+                             "range") from None
     except RecursionError:
         raise ExpansionError("expression nested too deeply") from None
     except (TypeError, IndexError, AttributeError, KeyError):
@@ -1134,8 +1134,7 @@ def _series(val, basepoint, m):
         keys, vals = kept(keys, [finite_float(val.coeffs[n]) for n in keys],
                           m, ExpansionError, "a coefficient")
     return GenSeries._of(basepoint, _phase(val.base, m), keys, vals,
-                         None if type(val.order) is float
-                         else float(val.order))
+                         None if type(val.order) is float else val.order)
 
 
 def _phase(base, m):
@@ -1153,7 +1152,8 @@ def to_series(expr, basepoint: float = 0.0, order: int | None = None) -> GenSeri
     series at the base point. `order` bounds intrinsic jet expansions
     (config.DEFAULT_ORDER when None, at most config.MAX_JET_ORDER); exact
     algebraic content (polynomials, verbatim power terms) is kept verbatim.
-    A base point that is no finite number, or an expr that is neither text
+    Its truncation order is exact, an int where whole, else a Fraction. A
+    base point that is no finite number, or an expr that is neither text
     nor a tree of parse's shape, raises InputError, and an order that is no
     finite number ExponentError."""
     return _expanded(expr, basepoint, order, _series)[0]
@@ -1179,8 +1179,7 @@ def _lifted(val, basepoint, m):
     return LiftedSeq._of(basepoint, Fraction(0),
                          *kept(index, vals, 0, GammaOverflowError,
                                "a lifted value"),
-                         None if type(val.order) is float
-                         else rational(float(val.order)))
+                         None if type(val.order) is float else val.order)
 
 
 def to_lifted(expr, basepoint: float = 0.0,

@@ -21,10 +21,10 @@ them from the lattice's table, stepped once from one anchor by R(e+1) =
 R(e) * (e+1)/(e+1-k), and gives the keys before that run (joint and
 numerator poles) the scalar cases above; coeffseq.kept then drops the
 products below COEF_EPS and refuses a non-finite one. The truncation order
-N - k is rounded once from the rationals N and k stand for, as on the
-lifted route. rl_term evaluates a single term, refusing a non-finite
-coefficient as rl_series does, and rl_kernel_predicate tests one exponent:
-the scalar reference.
+N - k is exact, N less the rational k stands for, as on the lifted route.
+rl_term evaluates a single term, refusing a non-finite coefficient as
+rl_series does, and rl_kernel_predicate tests one exponent: the scalar
+reference.
 
 The exact work that depends only on the lattice and the order is a plan,
 cached per (phase p/q, order k as a checked double): k's rational r, the
@@ -142,14 +142,12 @@ def annihilated_run(f: GenSeries, k):
 
 def rl_series(f: GenSeries, k) -> GenSeries:
     """Termwise differintegral of order k; annihilated terms are removed.
-    A truncated input of order N yields a truncated output of order N-k."""
+    A truncated input of order N yields one of the exact order N - k."""
     keys, lo, hi, (r, _, _, P, Q, K, m, phase) = _run(f, k)
     vals = f.vals
     if lo < hi:
         keys, vals = keys[:lo] + keys[hi:], vals[:lo] + vals[hi:]
     vals = lattice_scaled(P, Q, K, keys, vals, "ratio")
-    order = (None if f.truncation_order is None
-             else float(rational(f.truncation_order) - r))
     return GenSeries._of(f.basepoint, phase,
                          *kept(keys, vals, m, GammaOverflowError,
-                               "a coefficient"), order)
+                               "a coefficient"), f._less(r))

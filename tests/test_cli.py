@@ -174,6 +174,24 @@ class TestDeriv:
         assert (code, out) == (2, "")
         assert err.startswith("error: --at") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("flags", [("--at", "1"), ("--format", "json"),
+                                       ("--at", "1", "--format", "json")])
+    def test_compare_paths_refuses_points_and_json(self, capsys, flags):
+        # the table holds the terms only; both flags used to be dropped
+        # unsaid, the table printed and exit 0
+        code, out, err = run_cli(capsys, "deriv", "--expr", "x^2 + x", "--k",
+                                 "0.5", "--compare-paths", *flags)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: --compare-paths")
+        assert err.count("\n") == 1
+
+    def test_compare_paths_prints_its_table_in_csv(self, capsys):
+        outs = [run_cli(capsys, "deriv", "--expr", "x^2 + x", "--k", "0.5",
+                        "--compare-paths", *fmt)[:2]
+                for fmt in ((), ("--format", "csv"), ("--format", "pretty"))]
+        assert outs[0][0] == 0 and outs[0][1].startswith("exp,rl_coef,")
+        assert outs == [outs[0]] * 3
+
     def test_non_finite_results_are_usage_errors(self, capsys, tmp_path):
         # 1e16 x at k = 170.5 is -inf * x^-169.5, and 6e308 overflows in the
         # lift: the calls used to write "-inf" and "inf", which no JSON

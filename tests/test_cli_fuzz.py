@@ -21,10 +21,12 @@ from fraclift.cli import main
 NON_FINITE = re.compile(r"\b(inf|infinity|nan)\b", re.IGNORECASE)
 
 # exponents and orders on the edges the kernel meets: Gamma's overflow at
-# 171.6, offsets within 2^-32 of an integer, and doubles far past any lattice
+# 171.6, offsets within 2^-32 of an integer, and doubles far past any
+# lattice, up to those whose sum with a truncation order leaves the doubles
 orders = st.one_of(
     st.sampled_from([0.0, 0.5, 1.0, 2.0, -0.5, -1.0, 1.5, 170.5, 171.0,
-                     -170.5, 1e300, -1e300, W, 1 - W, 0.5 + W, -W]),
+                     -170.5, 1e300, -1e300, 1e308, -1e308, 1.7e308, -1.7e308,
+                     W, 1 - W, 0.5 + W, -W]),
     st.floats(-400.0, 400.0, allow_nan=False))
 coefficients = st.one_of(
     st.sampled_from([1.0, -1.0, 1e308, -1e308, 1e-300, 2.5]),
@@ -39,6 +41,9 @@ points = st.one_of(st.sampled_from([1.0, 0.25, 2.0, 1e-300, 1e300, -1.0,
                                     0.0, 1e-150]),
                    st.floats(-10.0, 1e3, allow_nan=False))
 basepoints = st.sampled_from([0.0, 0.0, 1.0, -2.5])
+# a file's truncation order: none, exact, inexact, or near the double range
+truncation_orders = st.sampled_from([None, 7.5, 1 / 3, 1e308, -1e308, 1.7e308,
+                                     -1.7e308])
 
 
 def _number(v):
@@ -62,20 +67,28 @@ expressions = st.recursive(atoms, lambda inner: st.one_of(
                                           inner))), max_leaves=4)
 
 
+def _with_order(draw, doc):
+    # doc as JSON text, with a truncation order drawn for it, if any
+    order = draw(truncation_orders)
+    if order is not None:
+        doc["truncation_order"] = order
+    return json.dumps(doc)
+
+
 @st.composite
 def series_json(draw):
     phase = draw(offsets)
     keys = draw(st.lists(st.integers(-400, 400), max_size=6, unique=True))
-    return json.dumps({"basepoint": draw(basepoints), "terms": [
+    return _with_order(draw, {"basepoint": draw(basepoints), "terms": [
         {"exp": phase + n, "coef": draw(coefficients)} for n in keys]})
 
 
 @st.composite
 def lifted_json(draw):
     keys = draw(st.lists(st.integers(-400, 400), max_size=6, unique=True))
-    return json.dumps({"basepoint": draw(basepoints), "offset": draw(offsets),
-                       "values": [{"index": j, "value": draw(coefficients)}
-                                  for j in keys]})
+    return _with_order(draw, {
+        "basepoint": draw(basepoints), "offset": draw(offsets),
+        "values": [{"index": j, "value": draw(coefficients)} for j in keys]})
 
 
 @st.composite
@@ -144,6 +157,14 @@ def run(argv, stdin):
 @example((["deriv", "--expr=x^(-1/2)", "--k", "-2E1", "--at", "-1e-3"], ""))
 @example((["oracle-compare", "--expr=x", "--basepoint", "-2E-1", "--k",
            "-2.3283064365386963e-10", "--at", "1e-3"], ""))
+# truncation orders N - k past the double range: each a bare OverflowError
+@example((["project", "--lifted-file=-", "--k=1.7e308"],
+          '{"basepoint": 0, "offset": 0.5, "values": [{"index": 3, '
+          '"value": 1.0}], "truncation_order": -1e308}'))
+@example((["oracle-compare", "--series-file=-", "--k=1e308", "--at", "1.5"],
+          '{"basepoint": 0, "terms": [], "truncation_order": -1e308}'))
+@example((["deriv", "--series-file=-", "--k=-1e308"],
+          '{"basepoint": 0, "terms": [], "truncation_order": 1e308}'))
 def test_every_call_ends_in_an_answer_or_a_usage_error(call):
     argv, stdin = call
     code, out, err = run(argv, stdin)

@@ -30,7 +30,8 @@ from fraclift.errors import (
     LatticeError,
     TruncationError,
 )
-from fraclift.lifted import LiftedSeq, lift_gen, project, shift
+from fraclift.lifted import LiftedSeq, lift_gen, lifted_from_json, project
+from fraclift.lifted import shift
 from fraclift.oracle import compare
 from fraclift.parser import to_series
 from fraclift.rl import rl_series
@@ -475,12 +476,15 @@ class TestIntCalculusHelpers:
                 int_derivative(monomial(0.5), 10**9)
 
     def test_order_past_the_double_range_on_a_jet(self):
-        # the truncation order N - n has no double; it was a bare
-        # OverflowError
-        with pytest.raises(ExponentError, match="passes the double range"):
-            int_derivative(to_series("exp(x)", 0, 4), 10**400)
+        # the truncation order N - n is exact however far it lies; it was a
+        # bare OverflowError, then refused. Only the JSON writer needs its
+        # double
+        g = int_derivative(to_series("exp(x)", 0, 4), 10**400)
+        assert g.truncation_order == 4 - 10**400 and g.is_zero
+        with pytest.raises(ExponentError, match="past double range"):
+            series_to_json(g)
         assert int_derivative(to_series("exp(x)", 0, 4),
-                              10**300).truncation_order == -1e300
+                              10**300).truncation_order == 4 - 10**300
 
     def test_finite_results_are_unchanged(self):
         # the stop at a decided coefficient leaves every finite result's bits
@@ -506,6 +510,49 @@ class TestIntCalculusHelpers:
             with pytest.raises(ExponentError, match="not an integer"):
                 int_derivative(f, n)
         assert int_derivative(f, 0) == f
+
+
+class TestOrderRules:
+    """Series and lifted sequences read a truncation order by one rule, in
+    their constructors and in both JSON formats."""
+
+    SERIES = '{"basepoint": 0, "terms": [{"exp": 1, "coef": 1}]%s}'
+    LIFTED = '{"basepoint": 0, "offset": 0, "values": []%s}'
+
+    def test_orders_are_exact(self):
+        for order, want in ((8, 8), (7.5, Fraction(15, 2)),
+                            (1 / 3, Fraction(1, 3)),
+                            (Fraction(1, 3001), Fraction(1, 3001)),
+                            (10**400, 10**400)):
+            for x in (GenSeries(0.0, [(1.0, 1.0)], order),
+                      LiftedSeq(0.0, 0, {0: 1.0}, order)):
+                assert type(x.truncation_order) is Fraction, (order, x)
+                assert x.truncation_order == want
+
+    def test_no_finite_number_is_an_input_error(self):
+        # the series constructor raised InputError and the lifted one
+        # ExponentError for NaN; both raise InputError, and so does a NaN
+        # offset
+        for bad in (math.nan, math.inf, "eight", [8]):
+            for make in (lambda: GenSeries(0.0, [(1.0, 1.0)], bad),
+                         lambda: LiftedSeq(0.0, 0, {0: 1.0}, bad),
+                         lambda: LiftedSeq(0.0, bad, {0: 1.0})):
+                with pytest.raises(InputError):
+                    make()
+        for bad in ("NaN", "Infinity", '"eight"', "[8]"):
+            field = ', "truncation_order": %s' % bad
+            with pytest.raises(InputError):
+                series_from_json(self.SERIES % field)
+            with pytest.raises(InputError):
+                lifted_from_json(self.LIFTED % field)
+
+    def test_null_order_is_none(self):
+        # the series reader took null as no order and the lifted reader
+        # refused it; both take it as the constructors take None
+        for field in ("", ', "truncation_order": null'):
+            for read, doc in ((series_from_json, self.SERIES),
+                              (lifted_from_json, self.LIFTED)):
+                assert read(doc % field).truncation_order is None
 
 
 class TestJson:
@@ -540,6 +587,21 @@ class TestJson:
         assert series_from_json(old).truncation_order is None
         with pytest.raises(InputError):
             series_from_json(old[:-1] + ', "truncation_order": "eight"}')
+
+    def test_inexact_order_is_written_twice(self):
+        # an order no double holds is written a second time, exactly, as a
+        # lifted sequence's is; without that field the double is read by
+        # `rational`
+        f = rl_series(to_series("exp(x)", 0, 4), 0.1)
+        assert f.truncation_order == Fraction(39, 10)
+        text = series_to_json(f)
+        assert text.endswith('"truncation_order": 3.8999999999999999, '
+                             '"truncation_order_exact": "39/10"}')
+        assert series_from_json(text) == f
+        odd = GenSeries(0.0, [(0.0, 1.0)], Fraction(1, 3001))
+        assert series_from_json(series_to_json(odd)) == odd
+        alone = text[:text.index(', "truncation_order_exact"')] + "}"
+        assert series_from_json(alone).truncation_order == Fraction(39, 10)
 
     def test_deterministic(self):
         f = GenSeries(0.0, ((3.0, 1 / 3), (0.0, math.pi)))

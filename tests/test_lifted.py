@@ -186,6 +186,13 @@ class TestLiftedAlgebra:
         assert rho.on_integers().is_zero
 
 
+# orders in (-2, 2): any double, or the double of p/q with q <= 12
+_orders = st.one_of(
+    st.floats(-2.0, 2.0, exclude_min=True, exclude_max=True),
+    st.integers(1, 12).flatmap(lambda q: st.integers(1 - 2 * q, 2 * q - 1)
+                               .map(lambda p: p / q)))
+
+
 class TestTruncationOrder:
     """A lifted jet keeps its truncation order N, exactly; shift lowers it
     by k, so project reports N - k as rl_series does."""
@@ -194,11 +201,26 @@ class TestTruncationOrder:
         f = to_series("exp(x)", 0, 8)
         rho = lift_gen(f)
         assert rho.truncation_order == 8
-        assert project(rho).truncation_order == 8.0
+        assert project(rho).truncation_order == 8
         for k in (0.5, 1 / 3, -1.5, 2.0, 0.25):
             lifted = project(shift(rho, k))
             assert lifted.truncation_order == rl_series(f, k).truncation_order
-        assert project(shift(rho, 1 / 3)).truncation_order == 23 / 3
+        order = project(shift(rho, 1 / 3)).truncation_order
+        assert type(order) is Fraction and order == Fraction(23, 3)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.sampled_from([("exp(x)", 16),
+                            ("x^(1/3)*exp(x)", Fraction(49, 3))]),
+           _orders, _orders)
+    def test_two_steps_on_both_routes_give_one_exact_order(self, jet, j, k):
+        # the two routes used to disagree in the last bit of N - j - k
+        text, n = jet
+        f = to_series(text, 0, 16)
+        assert f.truncation_order == n
+        termwise = rl_series(rl_series(f, j), k).truncation_order
+        lifted = project(shift(shift(lift_gen(f), j), k)).truncation_order
+        assert termwise == lifted == n - rational(j) - rational(k)
+        assert type(termwise) is Fraction and type(lifted) is Fraction
 
     def test_shift_commutes_exactly(self):
         rho = lift_gen(to_series("sin(x)", 0, 9))

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from conftest import deadline
 from fraclift import parser
 from fraclift.cli import main
-from fraclift.coeffseq import GenSeries
+from fraclift.coeffseq import GenSeries, rational
 from fraclift.config import COEF_EPS, MAX_JET_ORDER
 from fraclift.errors import ExpansionError, ExponentError, GammaOverflowError
 from fraclift.errors import LatticeError, ParseError
@@ -876,12 +876,14 @@ def _ref_product(node, order):
 
 
 def _ref_series(text, order):
+    # the truncation order exact, an int where whole as the parser keeps it
     base, coeffs, trunc = _ref_expand(parse(text), order)
     m = math.floor(base)
     return GenSeries.keyed(0.0, Fraction(base - m),
                            {n + m: v for n, c in coeffs.items()
                             if abs(v := float(c)) >= COEF_EPS},
-                           None if trunc == math.inf else float(trunc))
+                           None if trunc == math.inf
+                           else int(trunc) if trunc == int(trunc) else trunc)
 
 
 _literals = st.sampled_from(["0.1", "1.7", "2^0.5", "(1/3)", "(-5/7)", "3"])
@@ -1147,8 +1149,12 @@ class TestRelabel:
         ("(1 + (sin(x) - x)^2) * cos(x^5)", 4, 0, {0: 1.0}, 4.0),
     ])
     def test_edge_cases(self, text, order, phase, terms, trunc):
+        # the order exact, an int where whole, else a Fraction: the
+        # rational trunc's double stands for (13/3 for 13 / 3)
         f = to_series(text, 0, order)
+        trunc = None if trunc is None else rational(trunc)
         assert (f.phase, f.coeffs, f.truncation_order) == (phase, terms, trunc)
+        assert type(f.truncation_order) in (type(None), int, Fraction)
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(_relabel_cases())

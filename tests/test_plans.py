@@ -39,7 +39,7 @@ def answer(fn, *args):
 def outputs(phase, k, keys):
     """repr of rational, rl_series, shift, lift_gen and project on one
     lattice and order: what the benchmark compares between rounds."""
-    f = GenSeries.keyed(0.5, phase, {n: 1.0 + n / 7 for n in keys}, 32.0)
+    f = GenSeries.keyed(0.5, phase, {n: 1.0 + n / 7 for n in keys}, 32)
     k = float(k)
     rho = answer(lift_gen, f)
     lifted = isinstance(rho, LiftedSeq)

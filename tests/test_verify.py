@@ -107,3 +107,20 @@ def test_nan_termwise_coefficients_fail(monkeypatch):
     failed = _failed(run_suites("diagram") + run_suites("oracle"))
     for name in ("D6'", "D8'", "diagram-kernel-repair", "oracle-vs-termwise"):
         assert math.isnan(failed[name].max_residual)
+
+
+def test_a_rounded_truncation_order_fails_the_diagram(monkeypatch):
+    # D6' and D8' compare the routes' orders too: a project that rounds
+    # the order to a double, as it once did, fails both
+    project = verify.project
+
+    def rounding_project(rho):
+        g = project(rho)
+        order = g.truncation_order
+        return GenSeries.keyed(g.basepoint, g.phase, dict(g.coeffs),
+                               None if order is None else float(order))
+
+    assert not _failed(run_suites("diagram"))
+    monkeypatch.setattr(verify, "project", rounding_project)
+    failed = _failed(run_suites("diagram"))
+    assert failed["D6'"].max_residual == failed["D8'"].max_residual == math.inf
