@@ -33,6 +33,7 @@ from .coeffseq import (
     eval_within_reach,
     finite_float,
     fmt17,
+    lattice_doubles,
     series_from_json,
     series_to_json,
 )
@@ -143,11 +144,15 @@ def _add_input_opts(p):
 def _kernel_terms(f: GenSeries, k: float):
     """(terms, lo, hi): f's terms as (exponent, coefficient, e+1-k), of which
     terms[lo:hi] are the ones order k annihilates. e+1-k is rounded once from
-    the term's key, the exact phase and k read as a rational."""
+    the term's key, the exact phase and k read as a rational: read from the
+    column of the lattice phase + 1 - r, less its floor m, at the keys moved
+    by m."""
     keys, lo, hi, r = annihilated_run(f, k)
-    shift = f.phase + 1 - r
-    return ([(e, c, float(n + shift)) for n, (e, c) in zip(keys, f.terms)],
-            lo, hi)
+    t = f.phase + 1 - r
+    m = t.numerator // t.denominator
+    args = lattice_doubles(t.numerator - m * t.denominator, t.denominator,
+                           [n + m for n in keys])
+    return [(e, c, a) for (e, c), a in zip(f.terms, args)], lo, hi
 
 
 def cmd_deriv(args):

@@ -13,19 +13,29 @@ phase-0 case. .coeffs is a read-only {n: b} view, and .terms the (exponent,
 coefficient) float pairs, the exponents being the correctly rounded doubles
 of n + phase; both are built on first read.
 
+Every exponent double is read from one exponent column per lattice
+(lattice_doubles): for phase p/q, the doubles (n q + p)/q over a run of
+consecutive keys, extended by the missing keys as calls pass its ends. A
+call reads consecutive keys as one slice and any other keys (unsorted or
+repeated at the float entry) as one gather; keys spanning more than
+config.TABLE_SPAN are computed directly and build no column, and the
+columns are dropped past config.TABLE_CEILING values, as gamma's tables
+are. Each value depends only on (p, q, n), so series on one lattice share
+their exponent floats and no output depends on the calls before.
+
 Floats join a lattice in one place, the float entry: the positional
 constructor GenSeries(basepoint, pairs, order), series_from_json, and each
 real-exponent literal of an expression (the parser). The exponent of
 smallest magnitude fixes the phase, read by `rational` as the fraction it
 stands for, and config.INT_TOL decides whether each other exponent lies on
-that lattice (a member takes the nearest key). The entry builds the
-lattice's own doubles for the rounded keys, the list .exponents() gives,
-and one list comparison with the input exponents settles membership where
-every key lies within 2^21 of 0; only a column that differs, or keys past
-that bound, take the tolerance scan. Where no key merged and no value was
-dropped, that checked list is kept as the series' exponent column, which
-.terms reads. Every operation after that builds its result from keys and
-exact rational phases.
+that lattice (a member takes the nearest key). The entry reads the
+lattice's own doubles for the rounded keys from its column, and one list
+comparison with the input exponents settles membership where every key
+lies within 2^21 of 0; only a list that differs, or keys past that bound,
+take the tolerance scan. Where no key merged and no value was dropped,
+that checked list is kept with the series, and .terms reads it. Every
+operation after that builds its result from keys and exact rational
+phases.
 
 series_eval sums a series by Horner's rule where its keys are evenly
 spaced, every g-th integer (g = 1: consecutive keys, a Taylor jet; g = 2:
@@ -297,11 +307,68 @@ def _phase(x):
     return Fraction(r.numerator % r.denominator, r.denominator)
 
 
-def _doubles(keys, p, q):
+# The exponent column of each lattice, (p, q) -> (lo, doubles): doubles[j]
+# is the double (n q + p)/q of key n = lo + j, over consecutive keys at most
+# config.TABLE_SPAN apart. All columns are dropped once they hold more than
+# config.TABLE_CEILING values together, as gamma's tables are.
+_columns = {}
+_held = 0
+
+
+def _computed(keys, p, q):
     # the exponents n + p/q of keys as correctly rounded doubles
     if q == 1:
         return list(map(float, keys))
     return [(n * q + p) / q for n in keys]
+
+
+def lattice_doubles(p, q, keys, lo=None, hi=None, ascending=True):
+    """The exponents n + p/q (ints, q > 0) of the int keys as correctly
+    rounded doubles (n q + p)/q, in a new list, read from the lattice's
+    exponent column: one slice for consecutive ascending keys, one gather
+    for any other. lo and hi are the least and greatest key, keys[0] and
+    keys[-1] unless given, and ascending says whether the keys ascend
+    without repeats. A column that does not reach lo or hi is extended by
+    the missing keys only, or started anew where it would span more than
+    config.TABLE_SPAN keys; keys that span more than that are computed
+    directly and build no column. Each value depends only on p, q and its
+    key, and series on one lattice share its float objects."""
+    global _held
+    if not keys:
+        return []
+    if lo is None:
+        lo, hi = keys[0], keys[-1]
+    if hi - lo > config.TABLE_SPAN:
+        return _computed(keys, p, q)
+    entry = _columns.get((p, q))
+    start, column = entry or (lo, [])
+    end = start + len(column)
+    if lo < start or hi >= end:
+        if max(hi + 1, end) - min(lo, start) > config.TABLE_SPAN + 1:
+            start, column = lo, _computed(range(lo, hi + 1), p, q)
+        else:
+            column = (_computed(range(lo, start), p, q) + column
+                      + _computed(range(end, hi + 1), p, q))
+            start = min(lo, start)
+        _held += len(column) - (len(entry[1]) if entry else 0)
+        if _held > config.TABLE_CEILING:
+            _columns.clear()
+            _held = len(column)
+        _columns[p, q] = start, column
+    if ascending and hi - lo == len(keys) - 1:
+        return column[lo - start:hi - start + 1]
+    return [column[n - start] for n in keys]
+
+
+def end_doubles(p, q, lo, hi):
+    """lattice_doubles(p, q, (lo, hi)) as a pair, for the least and
+    greatest key of a series: where the column holds both, two reads."""
+    entry = _columns.get((p, q))
+    if entry is not None:
+        start, column = entry
+        if start <= lo and hi - start < len(column):
+            return column[lo - start], column[hi - start]
+    return tuple(lattice_doubles(p, q, (lo, hi)))
 
 
 def _lattice(pairs, phase=None):
@@ -340,7 +407,7 @@ def _lattice(pairs, phase=None):
     keys = list(map(float.__round__, ds))  # round(), without its dispatch
     ascending = all(map(lt, keys, islice(keys, 1, None)))
     lo, hi = (keys[0], keys[-1]) if ascending else (min(keys), max(keys))
-    lattice = _doubles(keys, p, q)
+    lattice = lattice_doubles(p, q, keys, lo, hi, ascending)
     # membership by equality first (_EXACT_KEYS); the scan where it fails
     if ((lattice != exps or lo < -_EXACT_KEYS or hi > _EXACT_KEYS)
             and max(map(abs, map(sub, ds, keys))) > config.INT_TOL):
@@ -461,6 +528,11 @@ class LatticeValues:
     def __mul__(self, c):
         if not isinstance(c, (int, float)):
             return NotImplemented
+        try:
+            c = float(c)
+        except OverflowError:
+            raise InputError("factor %s lies past double range"
+                             % _shown(c)) from None
         return self._with(*kept(self.keys, [v * c for v in self.vals], 0,
                                 InputError, "a product"),
                           self.truncation_order)
@@ -507,14 +579,20 @@ class GenSeries(LatticeValues):
         return self._terms
 
     def exponents(self):
-        """The exponents n + phase as doubles, ascending, in a new list."""
-        return _doubles(self.keys, self.phase.numerator,
-                        self.phase.denominator)
+        """The exponents n + phase as doubles, ascending, in a new list of
+        the lattice column's floats."""
+        return lattice_doubles(self.phase.numerator, self.phase.denominator,
+                               self.keys)
 
     def coefficient(self, exponent):
         """The coefficient at the lattice point within config.INT_TOL of
-        exponent, or 0.0."""
-        d = exponent - self.phase.numerator / self.phase.denominator
+        exponent, or 0.0, also for an infinite or NaN exponent. An exponent
+        that is no number of double range raises ExponentError."""
+        try:
+            d = float(exponent) - self.phase.numerator / self.phase.denominator
+        except (TypeError, ValueError, OverflowError):
+            raise ExponentError("exponent %s is not a number of double range"
+                                % _shown(exponent)) from None
         if not math.isfinite(d) or abs(d - round(d)) > config.INT_TOL:
             return 0.0
         return self.coeffs.get(round(d), 0.0)
@@ -573,7 +651,7 @@ def series_eval(f: GenSeries, x) -> float:
         g = keys[1] - keys[0] if len(keys) > 1 else 1
         if keys != list(range(keys[0], keys[0] + g * len(keys), g)):
             g = 0
-        plan = f._plan = (g, (keys[0] * q + p) / q, (keys[-1] * q + p) / q)
+        plan = f._plan = (g, *end_doubles(p, q, keys[0], keys[-1]))
     g, e_lo, e_hi = plan
     if dx <= 0.0:
         if f.phase:
@@ -615,8 +693,8 @@ def eval_within_reach(f: GenSeries, x) -> float:
     reach."""
     value = series_eval(f, x)
     if f.truncation_order is not None and f.keys:
-        e_last, c_last = f.terms[-1]
-        tail = abs(c_last) * abs(x - f.basepoint) ** e_last
+        # the last exponent is the plan's e_hi, which series_eval has set
+        tail = abs(f.vals[-1]) * abs(x - f.basepoint) ** f._plan[2]
         if tail > _TAIL_TOL * max(1.0, abs(value)):
             raise TruncationError(
                 "series truncation too coarse at x=%r (last term %g)"

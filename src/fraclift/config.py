@@ -36,6 +36,14 @@ MAX_JET_ORDER = 1024
 # orders; 1024 entries of each plan take well under 1 MB.
 PLAN_CACHE = 1024
 
+# The bounds of the per-lattice tables: gamma's Gamma tables and coeffseq's
+# exponent columns. A table holds the keys at most TABLE_SPAN steps from its
+# anchor (a Gamma table) or apart (an exponent column), and each module's
+# tables are all dropped once they hold more than TABLE_CEILING values
+# together (about 2 MB of doubles), then refilled as calls come.
+TABLE_SPAN = 4096
+TABLE_CEILING = 1 << 16
+
 
 @functools.cache
 def perturbation():

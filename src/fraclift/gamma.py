@@ -57,13 +57,13 @@ correctly rounded double of its rational (n q + p)/q.
 Every n + c lies the same exact distance from the integers, so one test of
 that distance against INT_TOL decides a lattice's poles, and they are its
 leading keys (pole_top, poles). A table's floor lies above them, so the keys
-below it get the scalar cases, as do the keys more than _SPAN steps from
-the anchor or past a value that left the normal double range: the scalar
-kernel raises the overflow errors and returns the underflow zeros. The
-integer lattice takes the same path: each step of its table is a scalar
-kernel value, an exact falling factorial rounded once, so Gamma(n) and
-1/Gamma(n) read the doubles of (n-1)! and 1/(n-1)!, and a ratio under an
-integer order the scalar kernel's values, bit for bit. The series layers
+below it get the scalar cases, as do the keys more than config.TABLE_SPAN
+steps from the anchor or past a value that left the normal double range:
+the scalar kernel raises the overflow errors and returns the underflow
+zeros. The integer lattice takes the same path: each step of its table is
+a scalar kernel value, an exact falling factorial rounded once, so Gamma(n)
+and 1/Gamma(n) read the doubles of (n-1)! and 1/(n-1)!, and a ratio under
+an integer order the scalar kernel's values, bit for bit. The series layers
 pass c and k as ints, building no Fraction.
 """
 
@@ -266,8 +266,8 @@ _CHAIN_KINDS = {"gamma": (1, 0), "recip": (0, 1), "ratio": (1, 1)}
 
 # The values of each lattice and kind, (r, Q, K, kind) -> (lo, vals, floor,
 # ceil): vals[j] at index lo + j, x = (index Q + r)/Q; only the indices in
-# [floor, ceil] are tabled, at most _SPAN steps from the anchor. All tables
-# are dropped once they hold more than _CEILING values (about 2 MB).
+# [floor, ceil] are tabled, at most config.TABLE_SPAN steps from the anchor.
+# All tables are dropped once they hold more than config.TABLE_CEILING values.
 #
 # Before the table, a call reads its chain's plan, cached per (P, Q, K,
 # kind) under config.PLAN_CACHE as the series layers' plans are: the scalar
@@ -276,8 +276,6 @@ _CHAIN_KINDS = {"gamma": (1, 0), "recip": (0, 1), "ratio": (1, 1)}
 # reduced by gcd(P, Q, K), with the index shift of its keys. The perturbation
 # is applied to each call's factors after the table is read, before they
 # multiply the call's values.
-_SPAN = 4096
-_CEILING = 1 << 16
 _tables = {}
 _held = 0
 
@@ -381,10 +379,12 @@ def _table(r, Q, K, kind, keys, i):
         a, b = _CHAIN_KINDS[kind]
         t = (2 * max(K, 0) - Q - 2 * r) // (2 * Q) + 1
         tops = [pole_top(p, Q) for p, used in ((r, a), (r - K, b)) if used]
-        floor = max([t - _SPAN] + [n + 1 for n in tops if n is not None])
+        floor = max([t - config.TABLE_SPAN]
+                    + [n + 1 for n in tops if n is not None])
         t = max(t, floor)
         vals = _walk(r, Q, K, kind, t - 1, None, 1, 1)
-        entry = (t, vals, floor, t + _SPAN) if vals else (t, [], t, t - 1)
+        entry = ((t, vals, floor, t + config.TABLE_SPAN) if vals
+                 else (t, [], t, t - 1))
     lo, vals, floor, ceil = entry
     j = bisect_left(keys, floor - i)
     e = bisect_right(keys, ceil - i, j)
@@ -401,7 +401,7 @@ def _table(r, Q, K, kind, keys, i):
         vals = vals + more
         ceil = lo + len(vals) - 1 if len(more) < up else ceil
     _held += len(vals) - (len(entry[1]) if stored else 0)
-    if _held > _CEILING:
+    if _held > config.TABLE_CEILING:
         _tables.clear()
         _held = len(vals)
     _tables[key] = (lo, vals, floor, ceil)

@@ -22,12 +22,14 @@ PLANS = (coeffseq._rational, coeffseq._phase, rl._plan, lifted._shift_plan,
 
 
 def clear_plans():
-    """Every plan cache and every Gamma table emptied: the next call starts
-    cold."""
+    """Every plan cache, every Gamma table and every exponent column
+    emptied: the next call starts cold."""
     for plan in PLANS:
         plan.cache_clear()
     gamma_mod._tables.clear()
     gamma_mod._held = 0
+    coeffseq._columns.clear()
+    coeffseq._held = 0
 
 
 def plan_sizes():

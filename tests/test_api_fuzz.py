@@ -121,6 +121,27 @@ CALLS = {
 # the names that take no arguments: the error classes and the backend's name
 NOT_NUMERIC = {"KERNEL_BACKEND"}
 
+# a series' public methods and operators: the coefficient at an exponent,
+# the exponents, a product with a scalar (the ints and floats `*` takes) and
+# a sum, which refuses two base points and enters two phases as floats again
+scalars = numbers.filter(lambda x: isinstance(x, (int, float)))
+METHODS = {
+    "coefficient": st.tuples(series(), numbers),
+    "exponents": st.tuples(series()),
+    "scalar *": st.tuples(series(), scalars),
+    "+": st.tuples(series(), series(), st.sampled_from([0.0, 1.0])),
+}
+
+
+def call_method(name, f, *arguments):
+    if name == "scalar *":
+        return f * arguments[0]
+    if name == "+":
+        g, basepoint = arguments
+        return f + GenSeries.keyed(basepoint, g.phase, g.coeffs,
+                                   g.truncation_order)
+    return getattr(f, name)(*arguments)
+
 
 def test_the_calls_cover_the_package():
     errors = {name for name in fraclift.__all__
@@ -137,6 +158,17 @@ def test_every_call_returns_or_raises_a_library_error(call):
     name, arguments = call
     try:
         getattr(fraclift, name)(*arguments)
+    except FracliftError:
+        pass
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.sampled_from(sorted(METHODS)).flatmap(
+    lambda name: st.tuples(st.just(name), METHODS[name])))
+def test_every_method_returns_or_raises_a_library_error(call):
+    name, arguments = call
+    try:
+        call_method(name, *arguments)
     except FracliftError:
         pass
 
@@ -162,6 +194,10 @@ F = fraclift.monomial(0.5)
     (lambda: fraclift.to_series("x", None), InputError),
     (lambda: fraclift.to_series("x", math.nan), InputError),
     (lambda: fraclift.to_series("exp(x)", 0.0, "a"), ExponentError),
+    (lambda: F.coefficient("a"), ExponentError),
+    (lambda: F.coefficient(None), ExponentError),
+    (lambda: F.coefficient(HUGE), ExponentError),
+    (lambda: F * HUGE, InputError),
 ], ids=["rl_series-huge-order", "rl_series-none-order",
         "rl_series-string-order", "rl_term-huge-order",
         "rl_term-none-coefficient", "rl_term-infinite-coefficient",
@@ -169,7 +205,9 @@ F = fraclift.monomial(0.5)
         "rl_oracle-huge-order", "rl_oracle-string-point",
         "compare-none-order", "compare-none-point",
         "gamma-string", "gamma-huge", "is_pole-none", "to_series-none-base",
-        "to_series-nan-base", "to_series-string-order"])
+        "to_series-nan-base", "to_series-string-order",
+        "coefficient-string", "coefficient-none", "coefficient-huge",
+        "scalar-product-huge"])
 def test_number_inputs_end_in_their_library_error(call, error):
     # each raised a bare TypeError, ValueError or OverflowError (a NaN base
     # point: ExpansionError) before its number was checked on entry

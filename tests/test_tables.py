@@ -1,7 +1,9 @@
-"""The per-lattice Gamma tables behind gamma.lattice_scaled: each (lattice,
-order, kind) is walked once from one fixed anchor, so a value depends only
-on its lattice, key and order, and a lattice already tabled is read, not
-walked again."""
+"""The per-lattice tables. The Gamma tables behind gamma.lattice_scaled:
+each (lattice, order, kind) is walked once from one fixed anchor, so a value
+depends only on its lattice, key and order, and a lattice already tabled is
+read, not walked again. The exponent columns behind
+coeffseq.lattice_doubles: each value is the correctly rounded double of its
+rational, whatever came before, and series on one lattice share it."""
 
 import importlib
 import random
@@ -11,7 +13,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from fraclift.coeffseq import GenSeries
+from fraclift import config, coeffseq
+from fraclift.coeffseq import GenSeries, end_doubles, lattice_doubles
+from fraclift.coeffseq import series_from_json
 from fraclift.gamma import gamma_chain, gamma_ratio, is_pole, recip_gamma
 from fraclift.lifted import LiftedSeq, lift_gen, project
 from fraclift.rl import rl_series
@@ -173,7 +177,7 @@ def test_the_ceiling_bounds_the_tables(fresh):
         keys = sorted(rng.sample(range(-40, 120), 20))
         gamma_chain(phase, keys, "ratio", k)
         held = sum(len(vals) for _, vals, _, _ in gamma_mod._tables.values())
-        assert held == gamma_mod._held <= gamma_mod._CEILING
+        assert held == gamma_mod._held <= config.TABLE_CEILING
         drops += len(gamma_mod._tables) < count
         count = len(gamma_mod._tables)
     assert drops >= 3
@@ -197,3 +201,118 @@ def test_a_far_key_goes_to_the_scalar_kernel(fresh, monkeypatch):
     assert gamma_chain(Fraction(1, 3), [0, n], "ratio", Fraction(1, 2))[1] \
         == gamma_ratio(x, x - 0.5)
     assert steps and all(count <= 1 for count in steps)
+
+
+@pytest.fixture
+def fresh_columns(monkeypatch):
+    """Empty exponent columns for the test, the module's own restored after
+    it."""
+    monkeypatch.setattr(coeffseq, "_columns", {})
+    monkeypatch.setattr(coeffseq, "_held", 0)
+
+
+def lattice_hexes(phase, keys):
+    p, q = phase.numerator, phase.denominator
+    return [((n * q + p) / q).hex() for n in keys]
+
+
+def assert_columns_bounded():
+    held = [len(column) for _, column in coeffseq._columns.values()]
+    assert sum(held) == coeffseq._held <= config.TABLE_CEILING
+    assert all(n <= config.TABLE_SPAN + 1 for n in held)
+
+
+# the integers, p/q with q up to 1000 and binary phases p/2^52
+column_phases = st.one_of(
+    st.just(Fraction(0)),
+    st.integers(2, 1000).flatmap(
+        lambda q: st.integers(1, q - 1).map(lambda p: Fraction(p, q))),
+    st.integers(1, 2**52 - 1).map(lambda p: Fraction(p, 2**52)))
+# in drawn order, so ascending, unsorted or repeated; mostly near 0, some
+# far enough apart to pass the span of a column
+column_keys = st.lists(st.one_of(st.integers(-300, 300),
+                                 st.sampled_from([-5000, -4097, 4200, 10**6])),
+                       min_size=1, max_size=40)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(calls=st.lists(st.tuples(column_phases, column_keys), min_size=1,
+                      max_size=6),
+       bounds=st.sampled_from([(config.TABLE_SPAN, config.TABLE_CEILING),
+                               (32, 64)]))
+def test_exponent_doubles_are_the_lattice_rationals(fresh_columns,
+                                                    monkeypatch, calls,
+                                                    bounds):
+    """lattice_doubles, end_doubles, exponents(), .terms and the float
+    entry give the correctly rounded double of (n q + p)/q bit for bit, for
+    keys in any order and after any calls before them, also where small
+    bounds make the columns restart and clear; the columns stay within
+    their bounds."""
+    span, ceiling = bounds
+    monkeypatch.setattr(config, "TABLE_SPAN", span)
+    monkeypatch.setattr(config, "TABLE_CEILING", ceiling)
+    coeffseq._columns.clear()
+    coeffseq._held = 0
+    for phase, keys in calls:
+        p, q = phase.numerator, phase.denominator
+        assert hexes(lattice_doubles(p, q, keys, min(keys), max(keys),
+                                     False)) == lattice_hexes(phase, keys)
+        assert_columns_bounded()
+        ks = sorted(set(keys))
+        want = lattice_hexes(phase, ks)
+        f = GenSeries.keyed(0.0, phase, dict.fromkeys(ks, 1.0))
+        assert hexes(f.exponents()) == want
+        assert hexes(e for e, _ in f.terms) == want
+        assert hexes(end_doubles(p, q, ks[0], ks[-1])) == [want[0], want[-1]]
+        # the float entry, at the phase given, with the pairs as drawn
+        g = series_from_json(
+            '{"basepoint": 0, "terms": [%s], "phase_exact": "%s"}'
+            % (", ".join('{"exp": %r, "coef": 1.0}' % ((n * q + p) / q)
+                         for n in keys), phase))
+        assert g.keys == ks
+        assert hexes(e for e, _ in g.terms) == want
+        assert hexes(g.exponents()) == want
+        assert_columns_bounded()
+
+
+def test_key_zero_reads_positive_zero(fresh_columns):
+    lattice_doubles(0, 1, [-3, -2, -1])  # a column that key 0 extends
+    f = GenSeries.keyed(0.0, Fraction(0), {-1: 1.0, 0: 2.0, 1: 3.0})
+    assert f.exponents()[1].hex() == (0.0).hex()
+    assert GenSeries(0.0, [(-0.0, 1.0)]).terms[0][0].hex() == (0.0).hex()
+    assert lattice_doubles(0, 1, [0, 5000])[0].hex() == (0.0).hex()
+
+
+def test_series_on_one_lattice_share_their_exponents(fresh_columns):
+    f = GenSeries(0.0, [(n + 0.25, 1.0) for n in range(-5, 10)])
+    g = GenSeries(0.0, [(n + 0.25, 2.0) for n in (9, 0, 3, 3, -2)])
+    h = rl_series(GenSeries(0.0, [(n + 0.75, 1.0) for n in range(5)]), 0.5)
+    assert g.phase == h.phase == f.phase
+    own = {e: e for e in f.exponents()}
+    for s in (f, g, h):
+        for e in s.exponents() + [e for e, _ in s.terms]:
+            assert e is own[e]
+
+
+def test_a_set_past_the_span_builds_no_column(fresh_columns):
+    span = config.TABLE_SPAN
+    assert lattice_doubles(1, 3, [0, span + 1]) == [1 / 3, (3 * span + 4) / 3]
+    assert coeffseq._columns == {} and coeffseq._held == 0
+    lattice_doubles(1, 3, [0, span])
+    assert len(coeffseq._columns[1, 3][1]) == span + 1
+    # two columns that would span more than span together: the column
+    # starts anew over the later keys
+    lattice_doubles(1, 3, [span + 10])
+    assert coeffseq._columns[1, 3] == (span + 10, [(3 * span + 31) / 3])
+    assert coeffseq._held == 1
+
+
+def test_the_ceiling_bounds_the_columns(fresh_columns):
+    span, drops, count = config.TABLE_SPAN, 0, 0
+    for q in range(2, 40):
+        lattice_doubles(1, q, range(-span // 2, span // 2 + 1))
+        assert_columns_bounded()
+        drops += len(coeffseq._columns) < count
+        count = len(coeffseq._columns)
+    assert drops >= 2
