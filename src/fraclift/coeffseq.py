@@ -13,15 +13,20 @@ phase-0 case. .coeffs is a read-only {n: b} view, and .terms the (exponent,
 coefficient) float pairs, the exponents being the correctly rounded doubles
 of n + phase; both are built on first read.
 
-Every exponent double is read from one exponent column per lattice
-(lattice_doubles): for phase p/q, the doubles (n q + p)/q over a run of
-consecutive keys, extended by the missing keys as calls pass its ends. A
-call reads consecutive keys as one slice and any other keys (unsorted or
-repeated at the float entry) as one gather; keys spanning more than
-config.TABLE_SPAN are computed directly and build no column, and the
-columns are dropped past config.TABLE_CEILING values, as gamma's tables
-are. Each value depends only on (p, q, n), so series on one lattice share
-their exponent floats and no output depends on the calls before.
+The exponent lists (the float entry's, .exponents() and .terms) are read
+from one exponent column per lattice (lattice_doubles): for phase p/q, the
+doubles (n q + p)/q over a run of consecutive keys, extended by the missing
+keys as calls pass its ends. A lattice's first read computes its doubles
+directly and only marks the lattice, so a lattice met once (an arbitrary
+order k) costs no column. After that a call reads consecutive keys as one
+slice and any other keys (unsorted or repeated at the float entry) as one
+gather. Keys that would make a column span more than config.TABLE_SPAN, or
+cost it more than twice their number in new values (sparse keys over a
+wide span), are computed directly and leave the column as it was; the
+columns are dropped past config.TABLE_CEILING values and entries, as
+gamma's tables are. Each value depends only on (p, q, n), so series on one
+lattice share their exponent floats and no output depends on the calls
+before.
 
 Floats join a lattice in one place, the float entry: the positional
 constructor GenSeries(basepoint, pairs, order), series_from_json, and each
@@ -309,8 +314,9 @@ def _phase(x):
 
 # The exponent column of each lattice, (p, q) -> (lo, doubles): doubles[j]
 # is the double (n q + p)/q of key n = lo + j, over consecutive keys at most
-# config.TABLE_SPAN apart. All columns are dropped once they hold more than
-# config.TABLE_CEILING values together, as gamma's tables are.
+# config.TABLE_SPAN apart; None marks a lattice read once, which has no
+# column yet. All columns are dropped once their values and entries number
+# more than config.TABLE_CEILING together, as gamma's tables are.
 _columns = {}
 _held = 0
 
@@ -322,53 +328,48 @@ def _computed(keys, p, q):
     return [(n * q + p) / q for n in keys]
 
 
-def lattice_doubles(p, q, keys, lo=None, hi=None, ascending=True):
-    """The exponents n + p/q (ints, q > 0) of the int keys as correctly
-    rounded doubles (n q + p)/q, in a new list, read from the lattice's
-    exponent column: one slice for consecutive ascending keys, one gather
-    for any other. lo and hi are the least and greatest key, keys[0] and
-    keys[-1] unless given, and ascending says whether the keys ascend
-    without repeats. A column that does not reach lo or hi is extended by
-    the missing keys only, or started anew where it would span more than
-    config.TABLE_SPAN keys; keys that span more than that are computed
-    directly and build no column. Each value depends only on p, q and its
-    key, and series on one lattice share its float objects."""
+def lattice_doubles(p, q, keys):
+    """The exponents n + p/q (ints, q > 0) of the int keys, ascending
+    without repeats as a series' keys are, as correctly rounded doubles
+    (n q + p)/q in a new list, read from the lattice's exponent column
+    (_read). Each value depends only on p, q and its key, and series on one
+    lattice share its float objects."""
+    return _read(p, q, keys, keys[0], keys[-1], True) if keys else []
+
+
+def _read(p, q, keys, lo, hi, ascending):
+    # lattice_doubles of non-empty keys in any order: lo <= hi are their
+    # least and greatest, and ascending says whether they ascend without
+    # repeats. A first read only marks the lattice, which may never be read
+    # again (an arbitrary order k); a column grows only within
+    # config.TABLE_SPAN and by at most twice the call's keys, so a call
+    # computes no more than about twice its own keys.
     global _held
-    if not keys:
-        return []
-    if lo is None:
-        lo, hi = keys[0], keys[-1]
-    if hi - lo > config.TABLE_SPAN:
+    entry = _columns.get((p, q), False)
+    if entry is False:
+        if _held + len(_columns) >= config.TABLE_CEILING:
+            _columns.clear()
+            _held = 0
+        _columns[p, q] = None
         return _computed(keys, p, q)
-    entry = _columns.get((p, q))
     start, column = entry or (lo, [])
     end = start + len(column)
     if lo < start or hi >= end:
-        if max(hi + 1, end) - min(lo, start) > config.TABLE_SPAN + 1:
-            start, column = lo, _computed(range(lo, hi + 1), p, q)
-        else:
-            column = (_computed(range(lo, start), p, q) + column
-                      + _computed(range(end, hi + 1), p, q))
-            start = min(lo, start)
-        _held += len(column) - (len(entry[1]) if entry else 0)
-        if _held > config.TABLE_CEILING:
+        first, last = min(lo, start), max(hi + 1, end)
+        if (last - first > config.TABLE_SPAN + 1
+                or last - first - len(column) > 2 * len(keys)):
+            return _computed(keys, p, q)
+        column = (_computed(range(lo, start), p, q) + column
+                  + _computed(range(end, hi + 1), p, q))
+        _held += last - first - (end - start)
+        start = first
+        if _held + len(_columns) > config.TABLE_CEILING:
             _columns.clear()
             _held = len(column)
         _columns[p, q] = start, column
     if ascending and hi - lo == len(keys) - 1:
         return column[lo - start:hi - start + 1]
     return [column[n - start] for n in keys]
-
-
-def end_doubles(p, q, lo, hi):
-    """lattice_doubles(p, q, (lo, hi)) as a pair, for the least and
-    greatest key of a series: where the column holds both, two reads."""
-    entry = _columns.get((p, q))
-    if entry is not None:
-        start, column = entry
-        if start <= lo and hi - start < len(column):
-            return column[lo - start], column[hi - start]
-    return tuple(lattice_doubles(p, q, (lo, hi)))
 
 
 def _lattice(pairs, phase=None):
@@ -407,7 +408,7 @@ def _lattice(pairs, phase=None):
     keys = list(map(float.__round__, ds))  # round(), without its dispatch
     ascending = all(map(lt, keys, islice(keys, 1, None)))
     lo, hi = (keys[0], keys[-1]) if ascending else (min(keys), max(keys))
-    lattice = lattice_doubles(p, q, keys, lo, hi, ascending)
+    lattice = _read(p, q, keys, lo, hi, ascending)
     # membership by equality first (_EXACT_KEYS); the scan where it fails
     if ((lattice != exps or lo < -_EXACT_KEYS or hi > _EXACT_KEYS)
             and max(map(abs, map(sub, ds, keys))) > config.INT_TOL):
@@ -651,7 +652,7 @@ def series_eval(f: GenSeries, x) -> float:
         g = keys[1] - keys[0] if len(keys) > 1 else 1
         if keys != list(range(keys[0], keys[0] + g * len(keys), g)):
             g = 0
-        plan = f._plan = (g, *end_doubles(p, q, keys[0], keys[-1]))
+        plan = f._plan = (g, (keys[0] * q + p) / q, (keys[-1] * q + p) / q)
     g, e_lo, e_hi = plan
     if dx <= 0.0:
         if f.phase:

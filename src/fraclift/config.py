@@ -40,7 +40,8 @@ PLAN_CACHE = 1024
 # exponent columns. A table holds the keys at most TABLE_SPAN steps from its
 # anchor (a Gamma table) or apart (an exponent column), and each module's
 # tables are all dropped once they hold more than TABLE_CEILING values
-# together (about 2 MB of doubles), then refilled as calls come.
+# together (about 2 MB of doubles; the columns count one more per lattice),
+# then refilled as calls come.
 TABLE_SPAN = 4096
 TABLE_CEILING = 1 << 16
 

@@ -52,8 +52,7 @@ from fractions import Fraction
 
 from . import config
 from .coeffseq import GenSeries, LatticeValues, exact, exact_json
-from .coeffseq import finite_float, fmt17, has_double, kept, lattice_doubles
-from .coeffseq import rational
+from .coeffseq import finite_float, fmt17, has_double, kept, rational
 from .coeffseq import read_exact, read_json
 from .errors import BasepointError, ExponentError, GammaOverflowError
 from .errors import InputError
@@ -190,7 +189,7 @@ def lift_gen(f: GenSeries) -> LiftedSeq:
     if poles(top, keys):
         raise ExponentError(
             "term at exponent %r has no preimage under projection "
-            "(Gamma pole)" % lattice_doubles(p, q, keys[:1])[0])
+            "(Gamma pole)" % ((keys[0] * q + p) / q))
     vals = lattice_scaled(p + q, q, 0, keys, f.vals, "gamma")
     return LiftedSeq._of(f.basepoint, offset,
                          *kept(keys, vals, m, GammaOverflowError,

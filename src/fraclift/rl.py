@@ -45,7 +45,7 @@ import math
 from fractions import Fraction
 
 from . import config
-from .coeffseq import GenSeries, end_doubles, finite_float, kept, rational
+from .coeffseq import GenSeries, finite_float, kept, rational
 from .errors import ExponentError, GammaOverflowError, InputError
 from .gamma import gamma_ratio, is_pole, lattice_scaled, pole_top, poles
 
@@ -123,8 +123,8 @@ def _run(f, k):
     keys = f.keys
     p, q = f.phase.numerator, f.phase.denominator
     if keys:  # |e + 1 - k| is largest at an end of the keys
-        for e in end_doubles(p, q, keys[0], keys[-1]):
-            _kernel_arg(e, k)
+        _kernel_arg((keys[0] * q + p) / q, k)
+        _kernel_arg((keys[-1] * q + p) / q, k)
     plan = _plan(p, q, k)
     lo = poles(plan[1], keys)
     return keys, lo, max(lo, poles(plan[2], keys)), plan

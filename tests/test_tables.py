@@ -10,11 +10,11 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from fraclift import config, coeffseq
-from fraclift.coeffseq import GenSeries, end_doubles, lattice_doubles
+from fraclift.coeffseq import GenSeries, lattice_doubles
 from fraclift.coeffseq import series_from_json
 from fraclift.gamma import gamma_chain, gamma_ratio, is_pole, recip_gamma
 from fraclift.lifted import LiftedSeq, lift_gen, project
@@ -217,8 +217,9 @@ def lattice_hexes(phase, keys):
 
 
 def assert_columns_bounded():
-    held = [len(column) for _, column in coeffseq._columns.values()]
-    assert sum(held) == coeffseq._held <= config.TABLE_CEILING
+    held = [len(entry[1]) for entry in coeffseq._columns.values() if entry]
+    assert sum(held) == coeffseq._held
+    assert coeffseq._held + len(coeffseq._columns) <= config.TABLE_CEILING
     assert all(n <= config.TABLE_SPAN + 1 for n in held)
 
 
@@ -241,14 +242,18 @@ column_keys = st.lists(st.one_of(st.integers(-300, 300),
                       max_size=6),
        bounds=st.sampled_from([(config.TABLE_SPAN, config.TABLE_CEILING),
                                (32, 64)]))
+# consecutive keys out of order: a column read of them is a gather, no slice
+@example(calls=[(Fraction(1, 3), [2, 0, 1]), (Fraction(1, 3), [1, 0]),
+                (Fraction(1, 3), [2, 0, 1])],
+         bounds=(config.TABLE_SPAN, config.TABLE_CEILING))
 def test_exponent_doubles_are_the_lattice_rationals(fresh_columns,
                                                     monkeypatch, calls,
                                                     bounds):
-    """lattice_doubles, end_doubles, exponents(), .terms and the float
-    entry give the correctly rounded double of (n q + p)/q bit for bit, for
-    keys in any order and after any calls before them, also where small
-    bounds make the columns restart and clear; the columns stay within
-    their bounds."""
+    """lattice_doubles, its read of keys in any order, exponents(), .terms
+    and the float entry give the correctly rounded double of (n q + p)/q bit
+    for bit, after any calls before them, also where small bounds make the
+    calls pass the columns by and clear them; the columns stay within their
+    bounds."""
     span, ceiling = bounds
     monkeypatch.setattr(config, "TABLE_SPAN", span)
     monkeypatch.setattr(config, "TABLE_CEILING", ceiling)
@@ -256,15 +261,15 @@ def test_exponent_doubles_are_the_lattice_rationals(fresh_columns,
     coeffseq._held = 0
     for phase, keys in calls:
         p, q = phase.numerator, phase.denominator
-        assert hexes(lattice_doubles(p, q, keys, min(keys), max(keys),
-                                     False)) == lattice_hexes(phase, keys)
+        assert hexes(coeffseq._read(p, q, keys, min(keys), max(keys),
+                                    False)) == lattice_hexes(phase, keys)
         assert_columns_bounded()
         ks = sorted(set(keys))
         want = lattice_hexes(phase, ks)
+        assert hexes(lattice_doubles(p, q, ks)) == want
         f = GenSeries.keyed(0.0, phase, dict.fromkeys(ks, 1.0))
         assert hexes(f.exponents()) == want
         assert hexes(e for e, _ in f.terms) == want
-        assert hexes(end_doubles(p, q, ks[0], ks[-1])) == [want[0], want[-1]]
         # the float entry, at the phase given, with the pairs as drawn
         g = series_from_json(
             '{"basepoint": 0, "terms": [%s], "phase_exact": "%s"}'
@@ -277,7 +282,8 @@ def test_exponent_doubles_are_the_lattice_rationals(fresh_columns,
 
 
 def test_key_zero_reads_positive_zero(fresh_columns):
-    lattice_doubles(0, 1, [-3, -2, -1])  # a column that key 0 extends
+    for _ in range(2):  # a mark, then a column that key 0 extends
+        lattice_doubles(0, 1, [-3, -2, -1])
     f = GenSeries.keyed(0.0, Fraction(0), {-1: 1.0, 0: 2.0, 1: 3.0})
     assert f.exponents()[1].hex() == (0.0).hex()
     assert GenSeries(0.0, [(-0.0, 1.0)]).terms[0][0].hex() == (0.0).hex()
@@ -285,6 +291,7 @@ def test_key_zero_reads_positive_zero(fresh_columns):
 
 
 def test_series_on_one_lattice_share_their_exponents(fresh_columns):
+    GenSeries.keyed(0.0, Fraction(1, 4), {0: 1.0}).exponents()  # a mark
     f = GenSeries(0.0, [(n + 0.25, 1.0) for n in range(-5, 10)])
     g = GenSeries(0.0, [(n + 0.25, 2.0) for n in (9, 0, 3, 3, -2)])
     h = rl_series(GenSeries(0.0, [(n + 0.75, 1.0) for n in range(5)]), 0.5)
@@ -297,22 +304,79 @@ def test_series_on_one_lattice_share_their_exponents(fresh_columns):
 
 def test_a_set_past_the_span_builds_no_column(fresh_columns):
     span = config.TABLE_SPAN
-    assert lattice_doubles(1, 3, [0, span + 1]) == [1 / 3, (3 * span + 4) / 3]
-    assert coeffseq._columns == {} and coeffseq._held == 0
-    lattice_doubles(1, 3, [0, span])
+    keys = list(range(span + 2))
+    for _ in range(2):  # a mark, then a read past the span
+        assert hexes(lattice_doubles(1, 3, keys)) == lattice_hexes(
+            Fraction(1, 3), keys)
+        assert coeffseq._columns == {(1, 3): None} and coeffseq._held == 0
+    lattice_doubles(1, 3, keys[:-1])
     assert len(coeffseq._columns[1, 3][1]) == span + 1
-    # two columns that would span more than span together: the column
-    # starts anew over the later keys
-    lattice_doubles(1, 3, [span + 10])
-    assert coeffseq._columns[1, 3] == (span + 10, [(3 * span + 31) / 3])
-    assert coeffseq._held == 1
+    # keys that would stretch the column past the span are computed
+    # directly, and the column stays as it was
+    assert lattice_doubles(1, 3, [span + 10]) == [(3 * span + 31) / 3]
+    assert coeffseq._columns[1, 3][0] == 0 and coeffseq._held == span + 1
+
+
+def test_sparse_keys_build_no_column(fresh_columns):
+    """A few keys far apart cost their own divisions only: a call adds at
+    most twice its number of keys to a column."""
+    f = GenSeries.keyed(0.0, Fraction(1, 3), {0: 1.0, 4000: 1.0})
+    want = [1 / 3, 12001 / 3]
+    assert f.exponents() == want and [e for e, _ in f.terms] == want
+    assert GenSeries(0.0, [(12001 / 3, 1.0), (1 / 3, 1.0)]).exponents() \
+        == want
+    assert coeffseq._columns == {(1, 3): None} and coeffseq._held == 0
+    # a dense call builds the column; keys far past its end leave it so
+    lattice_doubles(1, 3, list(range(10)))
+    assert lattice_doubles(1, 3, [100, 101]) == [301 / 3, 304 / 3]
+    assert coeffseq._columns[1, 3] == (0, [(3 * n + 1) / 3 for n in range(10)])
+    # keys whose gap to the column is small extend it by the missing keys
+    lattice_doubles(1, 3, [12, 13])
+    assert coeffseq._columns[1, 3][0] == 0 and coeffseq._held == 14
+
+
+def test_a_lattice_read_once_builds_no_column(fresh_columns):
+    """Under an order k met once, each result lies on a new lattice: its
+    first read computes its doubles directly and only marks it."""
+    jet = GenSeries(0.0, [(float(n), 1.0) for n in range(17)])
+    coeffseq._columns.clear()
+    for k in (0.1, 0.2, 0.30000000000000004):
+        f = rl_series(jet, k)
+        p, q = f.phase.numerator, f.phase.denominator
+        assert hexes(e for e, _ in f.terms) == lattice_hexes(f.phase, f.keys)
+        assert coeffseq._columns[p, q] is None
+    assert len(coeffseq._columns) == 3 and coeffseq._held == 0
+    f.exponents()  # a second read
+    assert len(coeffseq._columns[p, q][1]) == len(f.keys)
 
 
 def test_the_ceiling_bounds_the_columns(fresh_columns):
     span, drops, count = config.TABLE_SPAN, 0, 0
     for q in range(2, 40):
-        lattice_doubles(1, q, range(-span // 2, span // 2 + 1))
+        for _ in range(2):  # a mark, then a column
+            lattice_doubles(1, q, range(-span // 2, span // 2 + 1))
         assert_columns_bounded()
         drops += len(coeffseq._columns) < count
         count = len(coeffseq._columns)
     assert drops >= 2
+
+
+def test_the_ceiling_bounds_the_marks(fresh_columns, monkeypatch):
+    monkeypatch.setattr(config, "TABLE_CEILING", 64)
+    lattice_doubles(1, 2, [0, 1])
+    lattice_doubles(1, 2, [0, 1])  # a column of two values
+    drops, count = 0, 0
+    for q in range(3, 200):
+        lattice_doubles(1, q, [0])
+        assert_columns_bounded()
+        drops += len(coeffseq._columns) < count
+        count = len(coeffseq._columns)
+    assert drops >= 2
+    # a column that grows past the ceiling beside many marks clears them
+    coeffseq._columns.clear()
+    coeffseq._held = 0
+    for q in range(2, 40):
+        lattice_doubles(1, q, [0, 1])
+    lattice_doubles(1, 2, list(range(30)))
+    assert_columns_bounded()
+    assert list(coeffseq._columns) == [(1, 2)]
