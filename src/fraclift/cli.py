@@ -33,7 +33,6 @@ from .coeffseq import (
     eval_within_reach,
     finite_float,
     fmt17,
-    lattice_doubles,
     series_from_json,
     series_to_json,
 )
@@ -144,15 +143,13 @@ def _add_input_opts(p):
 def _kernel_terms(f: GenSeries, k: float):
     """(terms, lo, hi): f's terms as (exponent, coefficient, e+1-k), of which
     terms[lo:hi] are the ones order k annihilates. e+1-k is rounded once from
-    the term's key, the exact phase and k read as a rational: read from the
-    column of the lattice phase + 1 - r, less its floor m, at the keys moved
-    by m."""
+    the term's key n on the exact lattice t = phase + 1 - r, k read as the
+    rational r: (n q + p)/q for t = p/q."""
     keys, lo, hi, r = annihilated_run(f, k)
     t = f.phase + 1 - r
-    m = t.numerator // t.denominator
-    args = lattice_doubles(t.numerator - m * t.denominator, t.denominator,
-                           [n + m for n in keys])
-    return [(e, c, a) for (e, c), a in zip(f.terms, args)], lo, hi
+    p, q = t.numerator, t.denominator
+    return [(e, c, (n * q + p) / q)
+            for (e, c), n in zip(f.terms, keys)], lo, hi
 
 
 def cmd_deriv(args):
@@ -386,10 +383,7 @@ def main(argv=None):
     try:
         config.perturbation()
         return args.fn(args)
-    except FracliftError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (FracliftError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

@@ -13,32 +13,34 @@ phase-0 case. .coeffs is a read-only {n: b} view, and .terms the (exponent,
 coefficient) float pairs, the exponents being the correctly rounded doubles
 of n + phase; both are built on first read.
 
-The exponent lists (the float entry's, .exponents() and .terms) are read
-from one exponent column per lattice (lattice_doubles): for phase p/q, the
-doubles (n q + p)/q over a run of consecutive keys, extended by the missing
-keys as calls pass its ends. A lattice's first read computes its doubles
-directly and only marks the lattice, so a lattice met once (an arbitrary
-order k) costs no column. After that a call reads consecutive keys as one
-slice and any other keys (unsorted or repeated at the float entry) as one
-gather. Keys that would make a column span more than config.TABLE_SPAN, or
-cost it more than twice their number in new values (sparse keys over a
-wide span), are computed directly and leave the column as it was; the
-columns are dropped past config.TABLE_CEILING values and entries, as
-gamma's tables are. Each value depends only on (p, q, n), so series on one
-lattice share their exponent floats and no output depends on the calls
-before.
+The exponent lists of a series' keys (the float entry's, .exponents() and
+.terms) are read from one exponent column per lattice, by its one reader
+lattice_doubles: for phase p/q, the doubles (n q + p)/q over a run of
+consecutive keys, extended by the missing keys as calls pass its ends. A
+lattice's first read computes its doubles directly and only marks the
+lattice, so a lattice met once (an arbitrary order k) costs no column.
+After that a call reads consecutive keys as one slice and other ascending
+keys as one gather. Keys that would make a column span more than
+config.TABLE_SPAN, or cost it more than twice their number in new values
+(sparse keys over a wide span), are computed directly and leave the column
+as it was; the columns are dropped past config.TABLE_CEILING values and
+entries, as gamma's tables are. Each value depends only on (p, q, n), so
+series on one lattice share their exponent floats and no output depends on
+the calls before.
 
 Floats join a lattice in one place, the float entry: the positional
 constructor GenSeries(basepoint, pairs, order), series_from_json, and each
 real-exponent literal of an expression (the parser). The exponent of
 smallest magnitude fixes the phase, read by `rational` as the fraction it
 stands for, and config.INT_TOL decides whether each other exponent lies on
-that lattice (a member takes the nearest key). The entry reads the
-lattice's own doubles for the rounded keys from its column, and one list
-comparison with the input exponents settles membership where every key
-lies within 2^21 of 0; only a list that differs, or keys past that bound,
-take the tolerance scan. Where no key merged and no value was dropped,
-that checked list is kept with the series, and .terms reads it. Every
+that lattice (a member takes the nearest key). The entry takes the
+lattice's own doubles for the rounded keys, and one list comparison with
+the input exponents settles membership where every key lies within 2^21 of
+0; only a list that differs, or keys past that bound, take the tolerance
+scan. Where the keys ascend without repeats and no value was dropped,
+that checked list, read by lattice_doubles, is kept with the series, and
+.terms reads it; unsorted or repeated keys, whose list is not kept, have
+their doubles computed directly and leave the columns as they were. Every
 operation after that builds its result from keys and exact rational
 phases.
 
@@ -329,22 +331,20 @@ def _computed(keys, p, q):
 
 
 def lattice_doubles(p, q, keys):
-    """The exponents n + p/q (ints, q > 0) of the int keys, ascending
-    without repeats as a series' keys are, as correctly rounded doubles
-    (n q + p)/q in a new list, read from the lattice's exponent column
-    (_read). Each value depends only on p, q and its key, and series on one
-    lattice share its float objects."""
-    return _read(p, q, keys, keys[0], keys[-1], True) if keys else []
+    """The exponents n + p/q (ints, q > 0) of the int keys as correctly
+    rounded doubles (n q + p)/q in a new list, read from the lattice's
+    exponent column. The one precondition: the keys ascend without repeats,
+    as a series' keys do. Each value depends only on p, q and its key, and
+    series on one lattice share its float objects.
 
-
-def _read(p, q, keys, lo, hi, ascending):
-    # lattice_doubles of non-empty keys in any order: lo <= hi are their
-    # least and greatest, and ascending says whether they ascend without
-    # repeats. A first read only marks the lattice, which may never be read
-    # again (an arbitrary order k); a column grows only within
-    # config.TABLE_SPAN and by at most twice the call's keys, so a call
-    # computes no more than about twice its own keys.
+    A first read only marks the lattice, which may never be read again (an
+    arbitrary order k); a column grows only within config.TABLE_SPAN and by
+    at most twice the call's keys, so a call computes no more than about
+    twice its own keys."""
     global _held
+    if not keys:
+        return []
+    lo, hi = keys[0], keys[-1]
     entry = _columns.get((p, q), False)
     if entry is False:
         if _held + len(_columns) >= config.TABLE_CEILING:
@@ -367,9 +367,21 @@ def _read(p, q, keys, lo, hi, ascending):
             _columns.clear()
             _held = len(column)
         _columns[p, q] = start, column
-    if ascending and hi - lo == len(keys) - 1:
+    if hi - lo == len(keys) - 1:
         return column[lo - start:hi - start + 1]
     return [column[n - start] for n in keys]
+
+
+def _index(j) -> int:
+    # an integral key or lifted index as an int; InputError for anything
+    # else
+    try:
+        n = int(j)
+    except (TypeError, ValueError, OverflowError):
+        n = None
+    if n is None or n != j:
+        raise InputError("key or index %s is not an integer" % _shown(j))
+    return n
 
 
 def _lattice(pairs, phase=None):
@@ -377,10 +389,10 @@ def _lattice(pairs, phase=None):
     floats: the float entry. Unless given, the phase is read from the
     exponents; an exponent within config.INT_TOL of n + phase joins key n,
     and equal keys add in input order. exps is the keys' lattice doubles
-    where no key merged and no value was dropped, else None. Raises
-    ExponentError for a non-finite exponent, LatticeError for one off the
-    lattice and InputError for a coefficient that is not a finite double or
-    pairs that are no sequence of pairs."""
+    where the keys ascended without repeats and no value was dropped, else
+    None. Raises ExponentError for a non-finite exponent, LatticeError for
+    one off the lattice and InputError for a coefficient that is not a
+    finite double or pairs that are no sequence of pairs."""
     if not isinstance(pairs, (list, tuple)):
         try:
             pairs = list(pairs)
@@ -407,8 +419,10 @@ def _lattice(pairs, phase=None):
     ds = [e - ph for e in exps] if ph else exps
     keys = list(map(float.__round__, ds))  # round(), without its dispatch
     ascending = all(map(lt, keys, islice(keys, 1, None)))
-    lo, hi = (keys[0], keys[-1]) if ascending else (min(keys), max(keys))
-    lattice = _read(p, q, keys, lo, hi, ascending)
+    if ascending:
+        lo, hi, lattice = keys[0], keys[-1], lattice_doubles(p, q, keys)
+    else:  # unsorted or repeated: the doubles are checked, not kept
+        lo, hi, lattice = min(keys), max(keys), _computed(keys, p, q)
     # membership by equality first (_EXACT_KEYS); the scan where it fails
     if ((lattice != exps or lo < -_EXACT_KEYS or hi > _EXACT_KEYS)
             and max(map(abs, map(sub, ds, keys))) > config.INT_TOL):
@@ -460,10 +474,14 @@ class LatticeValues:
 
     @classmethod
     def keyed(cls, basepoint, place, mapping, truncation_order=None):
-        """The instance holding mapping {key: value} and the exact order as
-        given: no value is checked or dropped."""
-        keys = sorted(mapping)
-        return cls._of(basepoint, place, keys, [mapping[n] for n in keys],
+        """The instance holding mapping {key: value} and the order as given,
+        the place read by `exact`: no value is checked or dropped. A place
+        that is no finite number, or a key that is not an integer, raises
+        InputError."""
+        place = exact(place, cls._place)
+        values = {_index(j): v for j, v in mapping.items()}
+        keys = sorted(values)
+        return cls._of(basepoint, place, keys, [values[n] for n in keys],
                        truncation_order)
 
     def _enter(self, basepoint, order):
@@ -527,7 +545,7 @@ class LatticeValues:
                                 "a sum"), order)
 
     def __mul__(self, c):
-        if not isinstance(c, (int, float)):
+        if not isinstance(c, (int, float, Fraction)):
             return NotImplemented
         try:
             c = float(c)
@@ -564,6 +582,21 @@ class GenSeries(LatticeValues):
     def __init__(self, basepoint, terms=(), truncation_order=None):
         self.phase, self.keys, self.vals, self._exps = _lattice(terms)
         self._enter(basepoint, truncation_order)
+
+    @classmethod
+    def keyed(cls, basepoint, phase, mapping, truncation_order=None):
+        """LatticeValues.keyed, which also refuses a phase outside [0, 1)
+        (InputError) and keys whose exponents n + phase have no double
+        (ExponentError)."""
+        f = super().keyed(basepoint, phase, mapping, truncation_order)
+        p, q = f.phase.numerator, f.phase.denominator
+        if not 0 <= p < q:
+            raise InputError("phase %s is not in [0, 1)" % f.phase)
+        if f.keys and not has_double(q, f.keys[0] * q + p,
+                                     f.keys[-1] * q + p):
+            raise ExponentError("an exponent n + phase lies past double "
+                                "range")
+        return f
 
     coeffs = property(LatticeValues._mapping)
 

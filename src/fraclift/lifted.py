@@ -51,23 +51,12 @@ import functools
 from fractions import Fraction
 
 from . import config
-from .coeffseq import GenSeries, LatticeValues, exact, exact_json
+from .coeffseq import GenSeries, LatticeValues, _index, exact, exact_json
 from .coeffseq import finite_float, fmt17, has_double, kept, rational
 from .coeffseq import read_exact, read_json
 from .errors import BasepointError, ExponentError, GammaOverflowError
 from .errors import InputError
 from .gamma import lattice_scaled, pole_top, poles
-
-
-def _index(j) -> int:
-    # an integral index as an int; InputError for anything else
-    try:
-        n = int(j)
-    except (TypeError, ValueError, OverflowError):
-        n = None
-    if n is None or n != j:
-        raise InputError("lifted index %r is not an integer" % (j,))
-    return n
 
 
 class LiftedSeq(LatticeValues):
@@ -77,8 +66,10 @@ class LiftedSeq(LatticeValues):
     values, none below COEF_EPS, and the offset and truncation order read by
     `exact`; a basepoint or value that is not a finite double, an index that
     is not an integer, an offset or order that is no finite number or values
-    that are not a mapping raise InputError. LiftedSeq.keyed takes them as
-    given."""
+    that are not a mapping raise InputError. LiftedSeq.keyed takes the
+    values and order as given; it reads the offset by `exact` and refuses
+    an index that is not an integer, and project checks the indices'
+    range."""
 
     _place = "offset"
     _view = "values"

@@ -122,9 +122,9 @@ CALLS = {
 NOT_NUMERIC = {"KERNEL_BACKEND"}
 
 # a series' public methods and operators: the coefficient at an exponent,
-# the exponents, a product with a scalar (the ints and floats `*` takes) and
-# a sum, which refuses two base points and enters two phases as floats again
-scalars = numbers.filter(lambda x: isinstance(x, (int, float)))
+# the exponents, a product with a scalar and a sum, which refuses two base
+# points and enters two phases as floats again
+scalars = numbers.filter(lambda x: isinstance(x, (int, float, Fraction)))
 METHODS = {
     "coefficient": st.tuples(series(), numbers),
     "exponents": st.tuples(series()),
@@ -173,6 +173,44 @@ def test_every_method_returns_or_raises_a_library_error(call):
         pass
 
 
+# keyed's keys: ints, integral and other floats, and ints past the double
+# range
+keyed_keys = st.one_of(st.integers(-180, 180), st.floats(),
+                       st.sampled_from([HUGE, -HUGE, 2**1024, 0.5, 2.0]))
+# what reads a keyed instance: its columns, the layers and the JSON round
+# trip
+KEYED_READERS = {
+    GenSeries: [
+        lambda f: f.exponents(), lambda f: f.terms,
+        lambda f: fraclift.series_eval(f, 1.5),
+        lambda f: fraclift.rl_series(f, 0.5), fraclift.lift_gen,
+        fraclift.int_derivative,
+        lambda f: fraclift.series_from_json(fraclift.series_to_json(f)),
+        lambda f: f + f, lambda f: Fraction(1, 3) * f],
+    LiftedSeq: [
+        fraclift.project, lambda f: fraclift.shift(f, 0.5),
+        lambda f: fraclift.lifted_from_json(fraclift.lifted_to_json(f)),
+        lambda f: f.on_integers(), lambda f: f + f,
+        lambda f: Fraction(1, 3) * f],
+}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(cls=st.sampled_from([GenSeries, LiftedSeq]), place=numbers,
+       mapping=st.dictionaries(keyed_keys, coefficients, max_size=4))
+def test_keyed_instances_end_in_an_answer_or_a_library_error(cls, place,
+                                                            mapping):
+    try:
+        f = cls.keyed(0.0, place, mapping)
+    except FracliftError:
+        return
+    for read in KEYED_READERS[cls]:
+        try:
+            read(f)
+        except FracliftError:
+            pass
+
+
 F = fraclift.monomial(0.5)
 
 
@@ -198,6 +236,12 @@ F = fraclift.monomial(0.5)
     (lambda: F.coefficient(None), ExponentError),
     (lambda: F.coefficient(HUGE), ExponentError),
     (lambda: F * HUGE, InputError),
+    (lambda: F * Fraction(HUGE, 3), InputError),
+    (lambda: GenSeries.keyed(0.0, Fraction(1, 3), {HUGE: 1.0}),
+     ExponentError),
+    (lambda: GenSeries.keyed(0.0, Fraction(1, 3), {0.5: 1.0}), InputError),
+    (lambda: GenSeries.keyed(0.0, Fraction(3, 2), {0: 1.0}), InputError),
+    (lambda: LiftedSeq.keyed(0.0, "a", {0: 1.0}), InputError),
 ], ids=["rl_series-huge-order", "rl_series-none-order",
         "rl_series-string-order", "rl_term-huge-order",
         "rl_term-none-coefficient", "rl_term-infinite-coefficient",
@@ -207,7 +251,9 @@ F = fraclift.monomial(0.5)
         "gamma-string", "gamma-huge", "is_pole-none", "to_series-none-base",
         "to_series-nan-base", "to_series-string-order",
         "coefficient-string", "coefficient-none", "coefficient-huge",
-        "scalar-product-huge"])
+        "scalar-product-huge", "scalar-product-huge-fraction",
+        "keyed-huge-key", "keyed-float-key", "keyed-phase-past-one",
+        "keyed-string-offset"])
 def test_number_inputs_end_in_their_library_error(call, error):
     # each raised a bare TypeError, ValueError or OverflowError (a NaN base
     # point: ExpansionError) before its number was checked on entry

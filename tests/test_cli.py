@@ -7,14 +7,17 @@ import re
 import shlex
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import WINDOW_CASES, window_args
 import fraclift
 from fraclift import config
-from fraclift.cli import COMMANDS, build_parser, cmd_deriv, main
-from fraclift.coeffseq import monomial, rational
+from fraclift.cli import COMMANDS, _kernel_terms, build_parser, cmd_deriv, main
+from fraclift.coeffseq import GenSeries, monomial, rational
 from fraclift.rl import rl_kernel_predicate, rl_series
 
 
@@ -618,6 +621,31 @@ class TestKernelCheck:
         marked = ["ANNIHILATED" in line for line in out.splitlines()]
         assert marked == [rl_kernel_predicate(e, k) for e in exps]
         assert marked.count(True) == (annihilated or 0)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(phase=st.one_of(
+               st.just(Fraction(0)),
+               st.integers(2, 1000).flatmap(lambda q: st.integers(1, q - 1)
+                                            .map(lambda p: Fraction(p, q))),
+               st.integers(1, 2**52 - 1).map(lambda p: Fraction(p, 2**52))),
+           keys=st.lists(st.integers(-300, 300), min_size=1, max_size=12,
+                         unique=True),
+           k=st.one_of(st.sampled_from([0.5, 1 / 3, -5 / 3, 0.1, 0.85, 2.0,
+                                        -1.0]),
+                        st.integers(-2**20, 2**20).map(lambda n: n / 2**16),
+                        st.floats(-40.0, 40.0)))
+    @example(phase=Fraction(999, 1000), keys=[-300, -7, 0, 299], k=1 / 3)
+    @example(phase=Fraction(2**52 - 1, 2**52), keys=[-5, -1, 2], k=-5 / 2**16)
+    def test_kernel_args_are_the_lattice_rationals(self, phase, keys, k):
+        # e+1-k, rounded once from n + phase + 1 - r, bit for bit: rational
+        # orders (1/3), binary ones and the keys' lattice denominators up to
+        # 1000 and 2^52
+        f = GenSeries.keyed(0.0, phase, dict.fromkeys(keys, 1.0))
+        terms, _, _ = _kernel_terms(f, k)
+        r = rational(k)
+        assert [a.hex() for _, _, a in terms] == [
+            float(n + phase + 1 - r).hex() for n in f.keys]
+        assert [(e, c) for e, c, _ in terms] == list(f.terms)
 
     def test_mixed_lattice_input_rejected(self, capsys):
         code, _, err = run_cli(capsys, "kernel-check", "--expr",

@@ -242,17 +242,21 @@ column_keys = st.lists(st.one_of(st.integers(-300, 300),
                       max_size=6),
        bounds=st.sampled_from([(config.TABLE_SPAN, config.TABLE_CEILING),
                                (32, 64)]))
-# consecutive keys out of order: a column read of them is a gather, no slice
+# consecutive keys out of order: at the float entry they are computed
+# directly and leave the columns as they were; a series' own keys, in
+# order, are one slice of a column
 @example(calls=[(Fraction(1, 3), [2, 0, 1]), (Fraction(1, 3), [1, 0]),
                 (Fraction(1, 3), [2, 0, 1])],
          bounds=(config.TABLE_SPAN, config.TABLE_CEILING))
 def test_exponent_doubles_are_the_lattice_rationals(fresh_columns,
                                                     monkeypatch, calls,
                                                     bounds):
-    """lattice_doubles, its read of keys in any order, exponents(), .terms
-    and the float entry give the correctly rounded double of (n q + p)/q bit
-    for bit, after any calls before them, also where small bounds make the
-    calls pass the columns by and clear them; the columns stay within their
+    """The float entry, with the pairs as drawn (ascending, unsorted or
+    repeated), and lattice_doubles, exponents() and .terms of the sorted
+    keys give the correctly rounded double of (n q + p)/q bit for bit, after
+    any calls before them, also where small bounds make the calls pass the
+    columns by and clear them; a float entry whose keys do not ascend
+    leaves the columns as they were, and the columns stay within their
     bounds."""
     span, ceiling = bounds
     monkeypatch.setattr(config, "TABLE_SPAN", span)
@@ -261,23 +265,24 @@ def test_exponent_doubles_are_the_lattice_rationals(fresh_columns,
     coeffseq._held = 0
     for phase, keys in calls:
         p, q = phase.numerator, phase.denominator
-        assert hexes(coeffseq._read(p, q, keys, min(keys), max(keys),
-                                    False)) == lattice_hexes(phase, keys)
-        assert_columns_bounded()
         ks = sorted(set(keys))
         want = lattice_hexes(phase, ks)
-        assert hexes(lattice_doubles(p, q, ks)) == want
-        f = GenSeries.keyed(0.0, phase, dict.fromkeys(ks, 1.0))
-        assert hexes(f.exponents()) == want
-        assert hexes(e for e, _ in f.terms) == want
-        # the float entry, at the phase given, with the pairs as drawn
+        # the float entry first, at the phase given, with the pairs as drawn
+        before = dict(coeffseq._columns), coeffseq._held
         g = series_from_json(
             '{"basepoint": 0, "terms": [%s], "phase_exact": "%s"}'
             % (", ".join('{"exp": %r, "coef": 1.0}' % ((n * q + p) / q)
                          for n in keys), phase))
+        if keys != ks:
+            assert (coeffseq._columns, coeffseq._held) == before
         assert g.keys == ks
         assert hexes(e for e, _ in g.terms) == want
         assert hexes(g.exponents()) == want
+        assert_columns_bounded()
+        assert hexes(lattice_doubles(p, q, ks)) == want
+        f = GenSeries.keyed(0.0, phase, dict.fromkeys(ks, 1.0))
+        assert hexes(f.exponents()) == want
+        assert hexes(e for e, _ in f.terms) == want
         assert_columns_bounded()
 
 
